@@ -46,8 +46,9 @@ class LstmCellParams:
         return out
 
 
-def init_lstm_cell(prefix: str, input_dim: int, d_h: int,
-                   rng: np.random.Generator, dtype=np.float32) -> LstmCellParams:
+def init_lstm_direction(prefix: str, input_dim: int, d_h: int,
+                        rng: np.random.Generator,
+                        dtype=np.float32) -> LstmCellParams:
     """Uniform [-0.05, 0.05] weights; forget-gate bias starts at 1."""
     w, u, b = {}, {}, {}
     for gate in GATES:
@@ -87,29 +88,17 @@ def init_lstm(input_dim: int, d_h: int, num_layers: int,
     layers = []
     for j in range(num_layers):
         dim = input_dim if j == 0 else 2 * d_h
-        fw = init_lstm_cell(f"lstm.{j}.fw", dim, d_h, rng, dtype)
-        bw = init_lstm_cell(f"lstm.{j}.bw", dim, d_h, rng, dtype)
+        fw = init_lstm_direction(f"lstm.{j}.fw", dim, d_h, rng, dtype)
+        bw = init_lstm_direction(f"lstm.{j}.bw", dim, d_h, rng, dtype)
         layers.append((fw, bw))
     return LstmParams(layers)
-
-
-def lstm_cell(x_t: nm.Tensor, h_prev: nm.Tensor, c_prev: nm.Tensor,
-              params: LstmCellParams) -> tuple[nm.Tensor, nm.Tensor]:
-    """One LSTM step: i,f,o = sigmoid, g = tanh, c = f*c + i*g, h = o*tanh(c)."""
-    pre = {gate: x_t @ params.w[gate] + h_prev @ params.u[gate] + params.b[gate]
-           for gate in GATES}
-    i = nm.sigmoid(pre["i"])
-    f = nm.sigmoid(pre["f"])
-    o = nm.sigmoid(pre["o"])
-    g = nm.tanh(pre["g"])
-    c_t = f * c_prev + i * g
-    h_t = o * nm.tanh(c_t)
-    return h_t, c_t
 
 
 def _run_direction(x: nm.Tensor, params: LstmCellParams,
                    reverse: bool) -> list[nm.Tensor]:
     """All hidden states for one direction, returned in sentence order.
+
+    One step: i,f,o = sigmoid, g = tanh, c = f*c + i*g, h = o*tanh(c).
 
     The input projections of all timesteps are hoisted into four [n x d_h]
     matmuls; the recurrence then only multiplies by the recurrent weights.
@@ -134,18 +123,10 @@ def _run_direction(x: nm.Tensor, params: LstmCellParams,
     return [states[t] for t in range(n)]
 
 
-def bilstm_encode(x: nm.Tensor, params: LstmParams, dropout: float = 0.0,
-                  rng: np.random.Generator | None = None) -> nm.Tensor:
-    """Encode [n x input_dim] into [n x 2*d_h] through all stacked layers.
-
-    ``dropout`` (training-time hook, default off) drops state units between
-    stacked layers with inverse scaling.
-    """
+def bilstm_encode(x: nm.Tensor, params: LstmParams) -> nm.Tensor:
+    """Encode [n x input_dim] into [n x 2*d_h] through all stacked layers."""
     h = x
-    for j, (fw, bw) in enumerate(params.layers):
-        if j > 0 and dropout > 0.0:
-            mask = (rng.random(h.shape) >= dropout) / (1.0 - dropout)
-            h = h * nm.constant(mask.astype(h.dtype), dtype=h.dtype)
+    for fw, bw in params.layers:
         forward = _run_direction(h, fw, reverse=False)
         backward = _run_direction(h, bw, reverse=True)
         per_token = [nm.concat([forward[t], backward[t]], axis=1)

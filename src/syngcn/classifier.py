@@ -58,12 +58,9 @@ def _pair_matrix(lemma_id: int, params: ClassifierParams) -> nm.Tensor:
     return nm.concat([nm.matmul(ones, lemma_vec), params.role_table], axis=1)
 
 
-def role_weight(lemma_id: int, role_id: int, params: ClassifierParams) -> nm.Tensor:
-    """The [1 x 2m] non-negative score vector for one (lemma, role) pair."""
-    lemma_vec = nm.rows(params.lemma_table, [lemma_id])
-    role_vec = nm.rows(params.role_table, [role_id])
-    pair = nm.concat([lemma_vec, role_vec], axis=1)
-    return nm.relu(pair @ params.pair_transform)
+def role_weights(lemma_id: int, params: ClassifierParams) -> nm.Tensor:
+    """[num_roles x 2m] non-negative score vectors, one per role, for a lemma."""
+    return nm.relu(_pair_matrix(lemma_id, params) @ params.pair_transform)
 
 
 def role_logits(encoded: nm.Tensor, predicate_index: int, lemma_id: int,
@@ -73,21 +70,7 @@ def role_logits(encoded: nm.Tensor, predicate_index: int, lemma_id: int,
     t_p = nm.rows(encoded, [predicate_index])
     ones = nm.constant(np.ones((n, 1)), dtype=encoded.dtype)
     paired = nm.concat([encoded, nm.matmul(ones, t_p)], axis=1)   # [n x 2m]
-    weights = nm.relu(_pair_matrix(lemma_id, params) @ params.pair_transform)
-    return paired @ nm.transpose(weights)
-
-
-def score_roles(t_i: nm.Tensor, t_p: nm.Tensor, lemma_id: int,
-                params: ClassifierParams) -> np.ndarray:
-    """Probability distribution over roles for one (token, predicate) pair.
-
-    Inference-only view; training goes through ``role_logits`` plus the
-    cross-entropy op so gradients flow.
-    """
-    paired = nm.concat([t_i, t_p], axis=1)
-    weights = nm.relu(_pair_matrix(lemma_id, params) @ params.pair_transform)
-    logits = paired @ nm.transpose(weights)
-    return nm.softmax_rows(logits.data).reshape(-1)
+    return paired @ nm.transpose(role_weights(lemma_id, params))
 
 
 def predict_arguments(encoded: nm.Tensor, predicate_index: int, lemma_id: int,

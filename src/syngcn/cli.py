@@ -22,9 +22,6 @@ from .errors import ConfigError, FormatError, ParseError, SynGcnError
 
 logger = logging.getLogger("syngcn")
 
-_MODE_FLAG = {"lstm": "lstm", "lstm+gcn": "lstm+gcn", "gcn": "gcn"}
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; the contract here is exit 1
     def error(self, message):
@@ -37,38 +34,37 @@ def _build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--mode", choices=sorted(_MODE_FLAG),
-                       help="encoder: lstm, lstm+gcn or gcn")
-        p.add_argument("--gcn-layers", type=int, help="GCN depth override")
-        p.add_argument("--no-gates", action="store_true",
-                       help="replace edge gates with the constant 1")
-        p.add_argument("--edge-dropout", type=float,
-                       help="edge dropout probability override")
+    def gold_syntax(p):
         p.add_argument("--use-gold-syntax", action="store_true",
                        help="read gold HEAD/DEPREL/POS columns instead of predicted")
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="additional config override, repeatable")
 
     p_train = sub.add_parser("train", help="train a model")
-    common(p_train)
+    p_train.add_argument("--config", help="key = value configuration file")
+    p_train.add_argument("--seed", type=int, help="override the config seed")
+    p_train.add_argument("--mode", choices=trainer.MODES,
+                         help="encoder: lstm, lstm+gcn or gcn")
+    p_train.add_argument("--gcn-layers", type=int, help="GCN depth override")
+    p_train.add_argument("--no-gates", action="store_true",
+                         help="replace edge gates with the constant 1")
+    p_train.add_argument("--edge-dropout", type=float,
+                         help="edge dropout probability override")
+    gold_syntax(p_train)
+    p_train.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                         help="additional config override, repeatable")
     p_train.add_argument("--train", required=True, help="training CoNLL file")
     p_train.add_argument("--dev", help="development CoNLL file")
     p_train.add_argument("--embeddings", help="pretrained embedding text file")
     p_train.add_argument("--out", required=True, help="run directory")
 
     p_predict = sub.add_parser("predict", help="label a CoNLL file")
-    common(p_predict)
+    gold_syntax(p_predict)
     p_predict.add_argument("--test", required=True, help="input CoNLL file")
     p_predict.add_argument("--checkpoint", required=True, action="append",
                            help="model checkpoint; repeat for an ensemble")
     p_predict.add_argument("--out", required=True, help="output CoNLL file")
 
     p_eval = sub.add_parser("evaluate", help="score predictions against gold")
-    common(p_eval)
+    gold_syntax(p_eval)
     p_eval.add_argument("--test", required=True, help="gold CoNLL file")
     p_eval.add_argument("--pred", help="predicted CoNLL file to score")
     p_eval.add_argument("--checkpoint", action="append",
@@ -76,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", help="directory for report files")
 
     p_analyze = sub.add_parser("analyze", help="distance/ablation/teleport analyses")
-    common(p_analyze)
+    gold_syntax(p_analyze)
     p_analyze.add_argument("--test", required=True, help="CoNLL file to analyze")
     p_analyze.add_argument("--checkpoint", action="append",
                            help="model (needed for buckets and ablation)")
@@ -88,7 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--out", help="directory for report files")
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    common(p_grad)
+    p_grad.add_argument("--seed", type=int, default=7,
+                        help="seed of the random model and instance")
     p_grad.add_argument("--tolerance", type=float, default=1e-4)
     return parser
 
@@ -98,7 +95,7 @@ def _resolve_config(args) -> trainer.TrainConfig:
     if args.config:
         cfg = trainer.load_config(args.config, cfg)
     if args.mode:
-        cfg.encoder_mode = _MODE_FLAG[args.mode]
+        cfg.encoder_mode = args.mode
     if args.gcn_layers is not None:
         cfg.gcn_layers = args.gcn_layers
     if args.no_gates:
@@ -123,8 +120,7 @@ def _log_config(cfg: trainer.TrainConfig) -> None:
         logger.info("config %s = %s", key, value)
 
 
-def _load_model(checkpoint: str, cfg_hint: trainer.TrainConfig | None = None
-                ) -> trainer.SrlModel:
+def _load_model(checkpoint: str) -> trainer.SrlModel:
     """Load a checkpoint with its sidecar config.txt and lexicon.txt."""
     ckpt = Path(checkpoint)
     run_dir = ckpt.parent
@@ -133,7 +129,7 @@ def _load_model(checkpoint: str, cfg_hint: trainer.TrainConfig | None = None
     if not config_path.exists() or not lexicon_path.exists():
         raise ConfigError(f"{run_dir}: config.txt/lexicon.txt sidecars not "
                           f"found next to the checkpoint")
-    cfg = trainer.load_config(config_path, cfg_hint)
+    cfg = trainer.load_config(config_path)
     _log_config(cfg)
     lexicon = Lexicon.load(lexicon_path)
     return trainer.SrlModel.from_checkpoint(ckpt, cfg, lexicon)
@@ -164,9 +160,8 @@ def _cmd_train(args) -> int:
 def _predictions_for(args, sentences) -> evaluator.PredictionSet:
     models = [_load_model(c) for c in args.checkpoint]
     if len(models) == 1:
-        return evaluator.predict_corpus(models[0], sentences,
-                                        threads=args.threads)
-    return evaluator.ensemble_models(models, sentences, threads=args.threads)
+        return evaluator.predict_corpus(models[0], sentences)
+    return evaluator.ensemble_models(models, sentences)
 
 
 def _cmd_predict(args) -> int:
@@ -226,8 +221,7 @@ def _cmd_analyze(args) -> int:
                 rows.append(("bucket_f1", b, f"{f1s[b]:.6f}"))
         if args.ablation:
             deltas = evaluator.relation_ablation(model, sentences,
-                                                 min_count=args.min_count,
-                                                 threads=args.threads)
+                                                 min_count=args.min_count)
             for rel, d in sorted(deltas.items(), key=lambda kv: kv[1]):
                 print(f"drop {rel}: dF1 {d:+.4f}")
                 rows.append(("delta_f1", rel, f"{d:.6f}"))
@@ -243,7 +237,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_gradcheck(args) -> int:
     from .fixtures import gradcheck_model
 
-    model, instance = gradcheck_model(seed=args.seed if args.seed else 7)
+    model, instance = gradcheck_model(seed=args.seed)
     _log_config(model.config)
     result = nm.grad_check(lambda: model.instance_loss(instance),
                            model.parameters())

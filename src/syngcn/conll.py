@@ -264,10 +264,6 @@ class Lexicon:
     def strings(self, kind: str) -> list[str]:
         return list(self._inv[kind].strings)
 
-    # convenience aliases for the most common lookups
-    def word_id(self, s: str) -> int:
-        return self.lookup("word", s)
-
     def role_id(self, s: str) -> int:
         inv = self._inv["role"]
         if s not in inv.ids:
@@ -309,7 +305,9 @@ class Lexicon:
                     i, count = int(i), int(count)
                 except ValueError:
                     raise FormatError(f"{path}:{lineno}: bad lexicon line") from None
-                inv = lex._inv[kind]
+                inv = lex._inv.get(kind)
+                if inv is None:
+                    raise FormatError(f"{path}:{lineno}: unknown kind {kind!r}")
                 if i < len(inv.strings):
                     if inv.strings[i] != s:
                         raise FormatError(f"{path}:{lineno}: reserved id clash")

@@ -79,16 +79,11 @@ def load_pretrained(path, lexicon: Lexicon, expected_dim: int | None = None
 
 
 class EmbeddingTables:
-    """The four lookup tables; only the pretrained word table is frozen.
-
-    With ``learned_nonpred`` an extra trainable vector replaces the zero
-    lemma slice on non-predicate rows.
-    """
+    """The four lookup tables; only the pretrained word table is frozen."""
 
     def __init__(self, lexicon: Lexicon, d_w: int, d_pos: int, d_l: int,
                  rng: np.random.Generator, dtype=np.float32,
-                 pretrained: np.ndarray | None = None,
-                 learned_nonpred: bool = False):
+                 pretrained: np.ndarray | None = None):
         self.d_w, self.d_pos, self.d_l = d_w, d_pos, d_l
         self.dtype = np.dtype(dtype)
 
@@ -99,9 +94,6 @@ class EmbeddingTables:
         self.word = table("embed.word", lexicon.size("word"), d_w)
         self.pos = table("embed.pos", lexicon.size("pos"), d_pos)
         self.lemma = table("embed.lemma", lexicon.size("lemma"), d_l)
-        self.nonpred_lemma = None
-        if learned_nonpred:
-            self.nonpred_lemma = table("embed.nonpred_lemma", 1, d_l)
         if pretrained is None:
             pretrained = np.zeros((lexicon.size("word"), d_w))
         if pretrained.shape != (lexicon.size("word"), d_w):
@@ -115,10 +107,8 @@ class EmbeddingTables:
         return 2 * self.d_w + self.d_pos + self.d_l
 
     def parameters(self) -> dict[str, nm.Tensor]:
-        tables = [self.word, self.word_pretrained, self.pos, self.lemma]
-        if self.nonpred_lemma is not None:
-            tables.append(self.nonpred_lemma)
-        return {t.name: t for t in tables}
+        return {t.name: t for t in
+                (self.word, self.word_pretrained, self.pos, self.lemma)}
 
 
 def embed_sentence(sentence: Sentence, predicate_index: int,
@@ -131,15 +121,15 @@ def embed_sentence(sentence: Sentence, predicate_index: int,
     always sees the true words.
     """
     n = len(sentence)
-    word_ids = np.array([lexicon.lookup("word", t.form) for t in sentence.tokens],
+    form_ids = np.array([lexicon.lookup("word", t.form) for t in sentence.tokens],
                         dtype=np.intp)
     pos_ids = [lexicon.lookup("pos", t.pos) for t in sentence.tokens]
-    trainable_ids = word_ids.copy()
+    trainable_ids = form_ids.copy()
     if word_unk_mask is not None:
         trainable_ids[word_unk_mask] = lexicon.lookup("word", UNK)
 
     x_re = nm.rows(tables.word, trainable_ids)
-    x_pe = nm.rows(tables.word_pretrained, word_ids)
+    x_pe = nm.rows(tables.word_pretrained, form_ids)
     x_pos = nm.rows(tables.pos, pos_ids)
 
     lemma_id = lexicon.lookup("lemma", sentence.tokens[predicate_index].lemma)
@@ -147,8 +137,5 @@ def embed_sentence(sentence: Sentence, predicate_index: int,
     onehot = np.zeros((n, 1), dtype=tables.dtype)
     onehot[predicate_index, 0] = 1.0
     x_le = nm.matmul(nm.constant(onehot, dtype=tables.dtype), lemma_vec)
-    if tables.nonpred_lemma is not None:
-        complement = nm.constant(1.0 - onehot, dtype=tables.dtype)
-        x_le = x_le + nm.matmul(complement, tables.nonpred_lemma)
 
     return nm.concat([x_re, x_pe, x_pos, x_le], axis=1)

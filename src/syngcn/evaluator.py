@@ -10,7 +10,6 @@ is available for comparison-style reporting and is clearly separate.
 from __future__ import annotations
 
 import collections
-import concurrent.futures
 import logging
 from dataclasses import dataclass, field
 
@@ -19,7 +18,7 @@ import numpy as np
 from .conll import NULL_ROLE, Sentence
 from .errors import ConfigError, ContractError
 from .syngraph import build_graph, drop_relation
-from .trainer import Instance, SrlModel, make_instances
+from .trainer import SrlModel, make_instances
 
 logger = logging.getLogger(__name__)
 
@@ -76,12 +75,11 @@ class PredictionSet:
 
 
 def predict_corpus(model: SrlModel, sentences: list[Sentence],
-                   graph_transform=None, threads: int = 1) -> PredictionSet:
+                   graph_transform=None) -> PredictionSet:
     """Run inference over every predicate instance of ``sentences``.
 
     ``graph_transform`` maps a built graph to the one actually used (the
-    relation-ablation hook). With ``threads`` > 1 sentences are encoded in
-    parallel against the frozen parameters; the merge order is fixed.
+    relation-ablation hook).
     """
     preds = PredictionSet(model.lexicon.strings("role"))
     instances = make_instances(sentences, model.lexicon, require_gold=False)
@@ -92,16 +90,7 @@ def predict_corpus(model: SrlModel, sentences: list[Sentence],
             if graph_transform is not None:
                 g = graph_transform(g)
             graphs[inst.sentence_id] = g
-
-    def run(inst: Instance):
-        return inst, model.predict_instance(inst, graphs[inst.sentence_id])
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, instances))
-    else:
-        results = [run(inst) for inst in instances]
-    for inst, (role_ids, dists) in results:
+        role_ids, dists = model.predict_instance(inst, graphs[inst.sentence_id])
         preds.add(inst.sentence_id, inst.predicate_ord, role_ids, dists)
     return preds
 
@@ -258,8 +247,7 @@ def teleport_stats(sentences: list[Sentence], threshold: int = 5) -> TeleportSta
 
 def relation_ablation(model: SrlModel, sentences: list[Sentence],
                       min_count: int = 300,
-                      relations: list[str] | None = None,
-                      threads: int = 1) -> dict[str, float]:
+                      relations: list[str] | None = None) -> dict[str, float]:
     """F1 change from dropping each relation type at test time, no retraining.
 
     Qualifying relations are those occurring at least ``min_count`` times in
@@ -268,7 +256,7 @@ def relation_ablation(model: SrlModel, sentences: list[Sentence],
     """
     if model.gcn is None or model.gcn.depth == 0:
         raise ConfigError("relation ablation needs a GCN encoder (depth >= 1)")
-    baseline = score(sentences, predict_corpus(model, sentences, threads=threads)).f1
+    baseline = score(sentences, predict_corpus(model, sentences)).f1
     if relations is None:
         counts = collections.Counter(
             t.deprel for s in sentences for t in s.tokens if t.head != 0)
@@ -277,8 +265,7 @@ def relation_ablation(model: SrlModel, sentences: list[Sentence],
     for rel in relations:
         rel_id = model.lexicon.lookup("deprel", rel)
         preds = predict_corpus(model, sentences,
-                               graph_transform=lambda g: drop_relation(g, rel_id),
-                               threads=threads)
+                               graph_transform=lambda g: drop_relation(g, rel_id))
         deltas[rel] = score(sentences, preds).f1 - baseline
     return deltas
 
@@ -318,13 +305,12 @@ def ensemble(prediction_sets: list[PredictionSet]) -> PredictionSet:
     return combined
 
 
-def ensemble_models(models: list[SrlModel], sentences: list[Sentence],
-                    threads: int = 1) -> PredictionSet:
+def ensemble_models(models: list[SrlModel], sentences: list[Sentence]
+                    ) -> PredictionSet:
     inventories = {tuple(m.lexicon.strings("role")) for m in models}
     if len(inventories) != 1:
         raise ContractError("ensemble models have different role inventories")
-    return ensemble([predict_corpus(m, sentences, threads=threads)
-                     for m in models])
+    return ensemble([predict_corpus(m, sentences) for m in models])
 
 
 # ---------------------------------------------------------------------------

@@ -101,13 +101,6 @@ def init_gcn_stack(depth: int, width: int, num_labels: int, input_dim: int,
     return GcnStack(layers, projection, gates_enabled)
 
 
-def gate(h_u: nm.Tensor, edge, params: GcnLayerParams) -> float:
-    """Scalar gate sigma(h_u . gate_w_dir + gate_bias_label) for one edge."""
-    logit = nm.sum_axis1(h_u * params.gate_weights[edge.direction]) \
-        + nm.rows(params.gate_label_bias, [edge.label_id])
-    return float(nm.sigmoid(logit).data[0, 0])
-
-
 def gcn_layer(h: nm.Tensor, graph: SyntacticGraph, params: GcnLayerParams,
               gates_enabled: bool = True) -> nm.Tensor:
     """One gated convolution over [n x m] states; vectorized per direction.
@@ -152,12 +145,8 @@ def plain_gcn_layer(x: nm.Tensor, graph: SyntacticGraph, weight: nm.Tensor,
 
 def gcn_stack_forward(h: nm.Tensor, graph: SyntacticGraph, stack: GcnStack,
                       training: bool = False, beta: float = 0.0,
-                      rng: np.random.Generator | None = None,
-                      dropout_self: bool = True) -> nm.Tensor:
-    """Apply all layers; edge dropout is resampled fresh for each layer.
-
-    ``dropout_self=False`` exempts self-loops from edge dropout.
-    """
+                      rng: np.random.Generator | None = None) -> nm.Tensor:
+    """Apply all layers; edge dropout is resampled fresh for each layer."""
     if stack.input_projection is not None:
         h = h @ stack.input_projection
     elif stack.depth > 0 and h.shape[1] != stack.layers[0].width:
@@ -168,6 +157,6 @@ def gcn_stack_forward(h: nm.Tensor, graph: SyntacticGraph, stack: GcnStack,
         if training and beta > 0.0:
             if rng is None:
                 raise ContractError("edge dropout needs an rng in training mode")
-            g = edge_dropout(graph, beta, rng, keep_self=not dropout_self)
+            g = edge_dropout(graph, beta, rng)
         h = gcn_layer(h, g, layer, gates_enabled=stack.gates_enabled)
     return h

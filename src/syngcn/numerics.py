@@ -4,8 +4,7 @@ Values are numpy arrays (float32 by default, float64 for gradient checking).
 Ops executed while a ``Tape`` is active record themselves on it in creation
 order, which is already a topological order; ``Tape.backward`` replays the
 records once, in reverse, so gradient accumulation order is deterministic.
-Ops executed with no active tape are plain forward computations, and the
-resulting tensors are immutable values that can be shared across threads.
+Ops executed with no active tape are plain forward computations.
 
 Every op verifies its output is finite; NaN/Inf raises ``NumericsError``
 rather than propagating silently.
@@ -399,12 +398,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _make(out, (a,), "sum_all", backward)
 
 
-def _stable_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def softmax_cross_entropy(logits: Tensor, gold: int) -> Tensor:
     """-log softmax(logits)[gold] for a single score vector.
 
@@ -457,7 +450,9 @@ def cross_entropy_rows(logits: Tensor, gold_ids) -> Tensor:
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Plain-numpy stable softmax over the last axis (inference paths)."""
-    return _stable_softmax(np.asarray(logits))
+    logits = np.asarray(logits)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -646,18 +641,37 @@ def save_checkpoint(tensors: Mapping[str, "Tensor | np.ndarray"], path) -> None:
                 _DTYPE_TAGS[arr.dtype.name], copy=False).tobytes())
 
 
+def _header_fields(fh, path) -> list[str]:
+    try:
+        return fh.readline().decode("utf-8").rstrip("\n").split("\t")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: checkpoint header is not UTF-8") from None
+
+
 def load_checkpoint(path) -> "collections.OrderedDict[str, np.ndarray]":
     with open(path, "rb") as fh:
-        manifest = fh.readline().decode("utf-8").rstrip("\n").split("\t")
+        manifest = _header_fields(fh, path)
         if len(manifest) != 2 or manifest[0] != CHECKPOINT_MAGIC:
             raise FormatError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
-        count = int(manifest[1])
+        try:
+            count = int(manifest[1])
+        except ValueError:
+            raise FormatError(f"{path}: bad tensor count {manifest[1]!r}") from None
         headers = []
-        for _ in range(count):
-            name, dtype, dims = fh.readline().decode("utf-8").rstrip("\n").split("\t")
+        for i in range(count):
+            fields = _header_fields(fh, path)
+            if len(fields) != 3:
+                raise FormatError(f"{path}: header {i + 1} has {len(fields)} "
+                                  f"fields, expected 3")
+            name, dtype, dims = fields
             if dtype not in _DTYPE_TAGS:
                 raise FormatError(f"{path}: unknown dtype {dtype!r}")
-            shape = tuple(int(d) for d in dims.split(",")) if dims else ()
+            try:
+                shape = tuple(int(d) for d in dims.split(",")) if dims else ()
+                if any(d < 0 for d in shape):
+                    raise ValueError(dims)
+            except ValueError:
+                raise FormatError(f"{path}: bad shape {dims!r} for {name!r}") from None
             headers.append((name, dtype, shape))
         out = collections.OrderedDict()
         for name, dtype, shape in headers:

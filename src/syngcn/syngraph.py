@@ -81,9 +81,6 @@ class SyntacticGraph:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def in_edges(self, v: int) -> list[Edge]:
-        return [e for e in self.edges if e.dst == v]
-
     def arrays(self) -> dict[Direction, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per direction: (src indices, dst indices, label ids)."""
         if self._arrays is None:
@@ -119,24 +116,17 @@ def build_graph(sentence: Sentence, lexicon: Lexicon) -> SyntacticGraph:
     return SyntacticGraph(len(sentence), edges, num_labels(r))
 
 
-def edge_dropout(graph: SyntacticGraph, beta: float, rng: np.random.Generator,
-                 keep_self: bool = False) -> SyntacticGraph:
-    """Drop each in-edge independently with probability ``beta``.
-
-    Self-loops are dropped too unless ``keep_self`` exempts them. Training
-    callers resample per layer per forward pass.
+def edge_dropout(graph: SyntacticGraph, beta: float,
+                 rng: np.random.Generator) -> SyntacticGraph:
+    """Drop each in-edge, self-loops included, independently with probability
+    ``beta``. Training callers resample per layer per forward pass.
     """
     if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"edge dropout probability {beta} outside [0, 1]")
     if beta == 0.0:
         return graph
-    kept = []
     draws = rng.random(len(graph.edges))
-    for e, u in zip(graph.edges, draws):
-        if keep_self and e.direction == Direction.SELF:
-            kept.append(e)
-        elif u >= beta:
-            kept.append(e)
+    kept = [e for e, u in zip(graph.edges, draws) if u >= beta]
     return SyntacticGraph(graph.n, kept, graph.num_labels)
 
 

@@ -45,18 +45,11 @@ class TrainConfig:
     batch_size: int = 1
     encoder_mode: str = "lstm+gcn"
     gates_enabled: bool = True
-    gcn_width: int = 0          # 0: match the encoder input width (2*d_h)
     min_freq: int = 1
     unk_replace_rate: float = 0.1
-    dropout_self_loops: bool = True
     use_gold_syntax: bool = False
     early_stop_f1: float = 0.0  # 0: never stop early
     dtype: str = "float32"
-    # default-off hooks
-    grad_clip: float = 0.0      # 0: off; else max global gradient L2 norm
-    lr_decay: float = 0.0       # 0: off; else lr *= (1 - lr_decay) per epoch
-    lstm_dropout: float = 0.0   # dropout on states between stacked layers
-    lemma_nonpred_vector: bool = False  # learned vector on non-predicate rows
 
     # accepted in config files as shorthand for the full field names
     ALIASES = {"J": "lstm_layers", "K": "gcn_layers", "beta": "edge_dropout",
@@ -80,12 +73,6 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError("dtype must be float32 or float64")
-        if not 0.0 <= self.lstm_dropout < 1.0:
-            raise ConfigError("lstm_dropout must be in [0, 1)")
-        if not 0.0 <= self.lr_decay < 1.0:
-            raise ConfigError("lr_decay must be in [0, 1)")
-        if self.grad_clip < 0.0:
-            raise ConfigError("grad_clip must be >= 0")
 
     @property
     def np_dtype(self):
@@ -93,10 +80,6 @@ class TrainConfig:
 
     def encoder_width(self) -> int:
         """Width of one encoder state as seen by the classifier."""
-        if self.encoder_mode == "lstm":
-            return 2 * self.d_h
-        if self.gcn_width:
-            return self.gcn_width
         return 2 * self.d_h
 
     def items(self):
@@ -193,7 +176,7 @@ class SrlModel:
         dtype = config.np_dtype
         self.tables = embedder.EmbeddingTables(
             lexicon, config.d_w, config.d_pos, config.d_l, rng, dtype,
-            pretrained, learned_nonpred=config.lemma_nonpred_vector)
+            pretrained)
         self.lstm = None
         encoder_input = self.tables.width
         if config.encoder_mode in ("lstm", "lstm+gcn"):
@@ -232,14 +215,13 @@ class SrlModel:
         h = embedder.embed_sentence(instance.sentence, instance.predicate_row,
                                     self.tables, self.lexicon, word_unk_mask)
         if self.lstm is not None:
-            dropout = cfg.lstm_dropout if training else 0.0
-            h = bilstm.bilstm_encode(h, self.lstm, dropout=dropout, rng=rng)
+            h = bilstm.bilstm_encode(h, self.lstm)
         if self.gcn is not None:
             if graph is None:
                 graph = build_graph(instance.sentence, self.lexicon)
             h = gcn.gcn_stack_forward(
                 h, graph, self.gcn, training=training, beta=cfg.edge_dropout,
-                rng=rng, dropout_self=cfg.dropout_self_loops)
+                rng=rng)
         return h
 
     def instance_logits(self, instance: Instance, graph=None, training=False,
@@ -365,9 +347,6 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
     t0 = time.monotonic()
     with open(metrics_path, "w", encoding="utf-8", newline="") as metrics_fh:
         for epoch in range(1, config.epochs + 1):
-            if config.lr_decay:
-                state.learning_rate = config.learning_rate * \
-                    (1.0 - config.lr_decay) ** (epoch - 1)
             order = rng.permutation(len(instances))
             total_loss = 0.0
             pending = 0
@@ -397,13 +376,6 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
                         accum[name] = g
                 pending += 1
                 if pending == config.batch_size or pos == len(order) - 1:
-                    if config.grad_clip:
-                        norm = np.sqrt(sum(float((g * g).sum())
-                                           for g in accum.values()))
-                        if norm > config.grad_clip:
-                            scale = config.grad_clip / norm
-                            for g in accum.values():
-                                g *= scale
                     nm.adam_step(trainable, accum, state)
                     accum = {}
                     pending = 0

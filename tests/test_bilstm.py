@@ -3,58 +3,78 @@ import pytest
 
 from syngcn import numerics as nm
 from syngcn.bilstm import (GATES, LstmParams, bilstm_encode, init_lstm,
-                           init_lstm_cell, lstm_cell)
+                           init_lstm_direction)
 
 
 def zero_cell(input_dim, d_h, dtype=np.float32):
-    cell = init_lstm_cell("z", input_dim, d_h, np.random.default_rng(0), dtype)
+    cell = init_lstm_direction("z", input_dim, d_h, np.random.default_rng(0),
+                               dtype)
     for store in (cell.w, cell.u, cell.b):
         for gate in GATES:
             store[gate].data[:] = 0.0
     return cell
 
 
+def encode_forward(cell, x):
+    """Forward-direction states of a one-layer encoder whose two directions
+    share ``cell``."""
+    out = bilstm_encode(nm.Tensor(x), LstmParams([(cell, cell)])).data
+    return out[:, :cell.hidden_dim]
+
+
 class TestLstmCell:
+    """The LSTM step, observed through ``bilstm_encode`` on 1- and 2-token
+    inputs."""
+
     def test_all_zero_params_and_inputs(self):
-        cell = zero_cell(3, 4)
-        x = nm.Tensor(np.zeros((1, 3), dtype=np.float32))
-        h0 = nm.Tensor(np.zeros((1, 4), dtype=np.float32))
-        c0 = nm.Tensor(np.zeros((1, 4), dtype=np.float32))
-        h, c = lstm_cell(x, h0, c0, cell)
-        assert np.array_equal(h.data, np.zeros((1, 4)))
-        assert np.array_equal(c.data, np.zeros((1, 4)))
+        params = LstmParams([(zero_cell(3, 4), zero_cell(3, 4))])
+        for n in (1, 2):
+            x = nm.Tensor(np.zeros((n, 3), dtype=np.float32))
+            assert np.array_equal(bilstm_encode(x, params).data, np.zeros((n, 8)))
 
     def test_carry_identity(self):
-        # forget gate saturated open, input gate saturated closed: the cell
-        # state carries through (up to the open-interval sigmoid clamp,
-        # which keeps gates strictly below 1 by one ulp)
-        cell = zero_cell(3, 4, dtype=np.float64)
-        cell.b["f"].data[:] = 60.0
+        # token 0 opens the input gate and writes tanh(w_g) into the cell;
+        # token 1 closes it while the forget gate is saturated open, so the
+        # cell state carries through (up to the open-interval sigmoid clamp,
+        # which keeps gates strictly below 1 by one ulp). With the output
+        # gate saturated open, h = tanh(c) shows the carry.
+        cell = zero_cell(1, 4, dtype=np.float64)
+        cell.w["i"].data[:] = 120.0
         cell.b["i"].data[:] = -60.0
-        x = nm.Tensor(np.ones((1, 3), dtype=np.float64))
-        h0 = nm.Tensor(np.zeros((1, 4), dtype=np.float64))
-        c_prev = nm.Tensor(np.array([[0.3, -1.2, 0.8, 2.0]], dtype=np.float64))
-        _, c = lstm_cell(x, h0, c_prev, cell)
-        np.testing.assert_allclose(c.data, c_prev.data, rtol=1e-12)
+        cell.b["f"].data[:] = 60.0
+        cell.b["o"].data[:] = 60.0
+        cell.w["g"].data[:] = [[0.3, -1.2, 0.8, 2.0]]
+        h = encode_forward(cell, np.array([[1.0], [0.0]]))
+        np.testing.assert_allclose(h[0], np.tanh(np.tanh([0.3, -1.2, 0.8, 2.0])),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(h[1], h[0], rtol=1e-12)
 
     def test_forget_bias_initialized_to_one(self):
-        cell = init_lstm_cell("x", 5, 3, np.random.default_rng(1))
+        cell = init_lstm_direction("x", 5, 3, np.random.default_rng(1))
         assert np.array_equal(cell.b["f"].data, np.ones((1, 3)))
         assert np.array_equal(cell.b["i"].data, np.zeros((1, 3)))
+        # with the initial biases and no recurrent or input-gate weights,
+        # token 1 adds nothing (g = 0), so the cell state from token 0 decays
+        # by exactly sigmoid(1); h = tanh(c) / 2
+        cell = init_lstm_direction("y", 1, 3, np.random.default_rng(2),
+                                   dtype=np.float64)
+        for gate in GATES:
+            cell.u[gate].data[:] = 0.0
+            if gate != "g":
+                cell.w[gate].data[:] = 0.0
+        h = encode_forward(cell, np.array([[1.0], [0.0]]))
+        c = np.arctanh(2.0 * h)
+        np.testing.assert_allclose(c[1] / c[0], 1.0 / (1.0 + np.exp(-1.0)),
+                                   rtol=1e-9)
 
     def test_cell_gradient_check(self):
         rng = np.random.default_rng(4)
-        cell = init_lstm_cell("c", 3, 4, rng, dtype=np.float64)
-        x = nm.Tensor(rng.standard_normal((1, 3)), dtype=np.float64)
-        h0 = nm.Tensor(rng.standard_normal((1, 4)), dtype=np.float64)
-        c0 = nm.Tensor(rng.standard_normal((1, 4)), dtype=np.float64)
-
-        def f():
-            h, c = lstm_cell(x, h0, c0, cell)
-            return nm.sum_all(h + c)
-
-        result = nm.grad_check(f, cell.tensors())
-        assert result.max_rel_err < 1e-4
+        params = init_lstm(3, 4, 1, rng, dtype=np.float64)
+        for n in (1, 2):
+            x = nm.Tensor(rng.standard_normal((n, 3)), dtype=np.float64)
+            result = nm.grad_check(lambda: nm.sum_all(bilstm_encode(x, params)),
+                                   params.tensors())
+            assert result.max_rel_err < 1e-4
 
 
 class TestBilstmEncode:
@@ -69,7 +89,7 @@ class TestBilstmEncode:
         # identical forward/backward parameters on a palindromic input give
         # mirrored rows with the two halves swapped
         rng = np.random.default_rng(2)
-        fw = init_lstm_cell("fw", 3, 4, rng, dtype=np.float64)
+        fw = init_lstm_direction("fw", 3, 4, rng, dtype=np.float64)
         params = LstmParams([(fw, fw)])
         base = rng.standard_normal((3, 3))
         x = nm.Tensor(np.vstack([base, base[-2::-1]]), dtype=np.float64)  # n=5

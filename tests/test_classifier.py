@@ -3,7 +3,7 @@ import pytest
 
 from syngcn import numerics as nm
 from syngcn.classifier import (init_classifier, predict_arguments,
-                               role_logits, role_weight, score_roles)
+                               role_logits, role_weights)
 from syngcn.conll import build_lexicon
 
 from conftest import parse_text
@@ -25,47 +25,51 @@ def params_for(lexicon, m=4, d_l_out=3, d_r=3, seed=0, dtype=np.float32):
                            np.random.default_rng(seed), dtype)
 
 
+def role_weights_oracle(lemma_id, params):
+    """relu((lemma ++ role) @ transform) per role, in float64."""
+    lemma = params.lemma_table.data[lemma_id].astype(np.float64)
+    transform = params.pair_transform.data.astype(np.float64)
+    return np.stack([
+        np.maximum(np.concatenate([lemma, role.astype(np.float64)]) @ transform,
+                   0.0)
+        for role in params.role_table.data])
+
+
 class TestRoleWeight:
     def test_zero_transform_gives_zero_vectors(self, lexicon):
         params = params_for(lexicon)
         params.pair_transform.data[:] = 0.0
-        for r in range(params.num_roles):
-            w = role_weight(1, r, params)
-            assert np.array_equal(w.data, np.zeros((1, 8)))
+        w = role_weights(1, params)
+        assert np.array_equal(w.data, np.zeros((params.num_roles, 8)))
 
     def test_identical_role_embeddings_identical_weights(self, lexicon):
         params = params_for(lexicon)
         params.role_table.data[2] = params.role_table.data[1]
-        w1 = role_weight(0, 1, params)
-        w2 = role_weight(0, 2, params)
-        assert np.array_equal(w1.data, w2.data)
+        w = role_weights(0, params).data
+        assert np.array_equal(w[1], w[2])
 
     def test_matches_concat_matmul_relu_oracle(self, lexicon):
         params = params_for(lexicon, seed=3)
         for lemma_id in range(params.lemma_table.shape[0]):
-            for role_id in range(params.num_roles):
-                got = role_weight(lemma_id, role_id, params).data[0]
-                pair = np.concatenate([params.lemma_table.data[lemma_id],
-                                       params.role_table.data[role_id]])
-                want = np.maximum(
-                    pair.astype(np.float64)
-                    @ params.pair_transform.data.astype(np.float64), 0.0)
-                assert np.abs(got - want).max() < 1e-7
+            got = role_weights(lemma_id, params).data
+            want = role_weights_oracle(lemma_id, params)
+            assert np.abs(got - want).max() < 1e-7
 
     def test_nonnegative(self, lexicon):
         params = params_for(lexicon, seed=4)
-        for role_id in range(params.num_roles):
-            assert (role_weight(1, role_id, params).data >= 0).all()
+        assert (role_weights(1, params).data >= 0).all()
 
 
 class TestScoreRoles:
+    """Role distributions as ``predict_arguments`` returns them."""
+
     def test_zero_transform_gives_uniform(self, lexicon):
         params = params_for(lexicon)
         params.pair_transform.data[:] = 0.0
         t = nm.Tensor(np.random.default_rng(0).standard_normal((1, 4))
                       .astype(np.float32))
-        dist = score_roles(t, t, 1, params)
-        assert np.allclose(dist, 1.0 / params.num_roles)
+        _, dists = predict_arguments(t, 0, 1, params)
+        assert np.allclose(dists, 1.0 / params.num_roles)
 
     def test_dominating_logit_saturates(self, lexicon):
         params = params_for(lexicon)
@@ -78,19 +82,19 @@ class TestScoreRoles:
         params.pair_transform.data[:] = 0.0
         for r in range(n_roles):
             params.pair_transform.data[params.lemma_table.shape[1] + r, r] = 1.0
-        t_i = nm.Tensor(np.array([[50.0, 0.0, 0.0, 0.0]], dtype=np.float32))
-        t_p = nm.Tensor(np.zeros((1, 4), dtype=np.float32))
-        dist = score_roles(t_i, t_p, 0, params)
-        assert dist[0] > 0.999
+        # token 0 is the argument, token 1 the (all-zero) predicate
+        encoded = nm.Tensor(np.array([[50.0, 0.0, 0.0, 0.0], [0.0] * 4],
+                                     dtype=np.float32))
+        _, dists = predict_arguments(encoded, 1, 0, params)
+        assert dists[0, 0] > 0.999
 
     def test_distribution_sums_to_one(self, lexicon):
         params = params_for(lexicon, seed=5)
         rng = np.random.default_rng(1)
-        t_i = nm.Tensor(rng.standard_normal((1, 4)).astype(np.float32))
-        t_p = nm.Tensor(rng.standard_normal((1, 4)).astype(np.float32))
-        dist = score_roles(t_i, t_p, 1, params)
-        assert dist.sum() == pytest.approx(1.0, abs=1e-6)
-        assert (dist >= 0).all()
+        encoded = nm.Tensor(rng.standard_normal((3, 4)).astype(np.float32))
+        _, dists = predict_arguments(encoded, 1, 1, params)
+        np.testing.assert_allclose(dists.sum(axis=1), 1.0, atol=1e-6)
+        assert (dists >= 0).all()
 
     def test_gradient_check_through_scorer(self, lexicon):
         params = params_for(lexicon, seed=6, dtype=np.float64)
@@ -139,12 +143,17 @@ class TestPredictArguments:
         assert np.array_equal(dists[p_row], dists2[p_row])
 
     def test_matches_single_pair_scorer(self, lexicon):
+        # each token scored on its own, (t_i ++ t_p) against every role's
+        # weight vector, in float64
         params = params_for(lexicon, seed=9)
         rng = np.random.default_rng(6)
         encoded_np = rng.standard_normal((4, 4)).astype(np.float32)
-        encoded = nm.Tensor(encoded_np)
-        _, dists = predict_arguments(encoded, 1, 1, params)
+        _, dists = predict_arguments(nm.Tensor(encoded_np), 1, 1, params)
+        weights = role_weights_oracle(1, params)
         for i in range(4):
-            single = score_roles(nm.Tensor(encoded_np[i:i + 1]),
-                                 nm.Tensor(encoded_np[1:2]), 1, params)
+            paired = np.concatenate([encoded_np[i], encoded_np[1]]).astype(
+                np.float64)
+            logits = weights @ paired
+            single = np.exp(logits - logits.max())
+            single /= single.sum()
             assert np.abs(single - dists[i]).max() < 1e-6

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from syngcn import fixtures
+from syngcn import numerics as nm
 from syngcn.cli import run
-from syngcn.conll import parse_conll_file
+from syngcn.conll import Lexicon, parse_conll_file
+from syngcn.errors import FormatError
 
 from conftest import small_config
 from syngcn.trainer import save_config
@@ -48,6 +50,18 @@ class TestUsage:
         code = run(["train", "--train", str(data_dir / "overfit.conll"),
                     "--out", str(tmp_path / "x"), "--edge-dropout", "1.5"])
         assert code == 1
+
+    def test_flags_a_subcommand_ignores_are_rejected(self, tiny_run, data_dir,
+                                                      tmp_path, capsys):
+        test = str(data_dir / "overfit.conll")
+        ckpt = str(tiny_run / "best.ckpt")
+        for argv in (["predict", "--test", test, "--checkpoint", ckpt,
+                      "--out", str(tmp_path / "p.conll"), "--mode", "gcn"],
+                     ["evaluate", "--test", test, "--checkpoint", ckpt,
+                      "--threads", "2"],
+                     ["gradcheck", "--use-gold-syntax"]):
+            assert run(argv) == 1
+            assert "usage" in capsys.readouterr().err
 
     def test_missing_file_exits_two(self, tmp_path):
         code = run(["evaluate", "--test", str(tmp_path / "absent.conll"),
@@ -161,6 +175,37 @@ class TestPredictEvaluate:
         assert single.read_bytes() == double.read_bytes()
 
 
+MALFORMED = {
+    "count": (nm.load_checkpoint, b"SYNGCN1\tmany\n"),
+    "short header": (nm.load_checkpoint, b"SYNGCN1\t1\nw\tfloat32\n"),
+    "negative dim": (nm.load_checkpoint, b"SYNGCN1\t1\nw\tfloat32\t2,-3\n"),
+    "not utf-8": (nm.load_checkpoint, b"SYNGCN1\t1\n\xff\xfe\tfloat32\t1\n"),
+    "lexicon kind": (Lexicon.load, b"SYNGCNLEX1\nverb\t0\tx\t1\n"),
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_reader_raises_format_error(self, case, tmp_path):
+        reader, content = MALFORMED[case]
+        path = tmp_path / "bad"
+        path.write_bytes(content)
+        with pytest.raises(FormatError):
+            reader(path)
+
+    def test_predict_on_malformed_checkpoint_exits_one(self, tiny_run,
+                                                       data_dir, tmp_path):
+        run_dir = tmp_path / "model"
+        run_dir.mkdir()
+        for name in ("config.txt", "lexicon.txt"):
+            (run_dir / name).write_bytes((tiny_run / name).read_bytes())
+        (run_dir / "best.ckpt").write_bytes(MALFORMED["negative dim"][1])
+        code = run(["predict", "--test", str(data_dir / "overfit.conll"),
+                    "--checkpoint", str(run_dir / "best.ckpt"),
+                    "--out", str(tmp_path / "p.conll")])
+        assert code == 1
+
+
 class TestAnalyze:
     def test_teleport_only_needs_no_model(self, data_dir, tmp_path, capsys):
         out = tmp_path / "analysis"
@@ -197,3 +242,8 @@ class TestGradcheck:
         assert code == 0
         assert "max rel err" in out
         assert "PASS" in out
+
+    def test_seed_zero_is_honoured(self, caplog):
+        with caplog.at_level(logging.INFO, logger="syngcn"):
+            assert run(["gradcheck", "--seed", "0"]) == 0
+        assert "config seed = 0" in caplog.text

@@ -27,8 +27,8 @@ class TestLoadPretrained:
         path.write_text("aa 0.1 0.2 0.3\ncc 0.4 0.5 0.6\n")
         table, report = load_pretrained(path, two_word_lexicon)
         assert report.hit_rate == 0.5
-        aa_row = table[two_word_lexicon.word_id("aa")]
-        bb_row = table[two_word_lexicon.word_id("bb")]
+        aa_row = table[two_word_lexicon.lookup("word", "aa")]
+        bb_row = table[two_word_lexicon.lookup("word", "bb")]
         assert np.allclose(aa_row, [0.1, 0.2, 0.3])
         assert np.array_equal(bb_row, np.zeros(3))   # the one zero row
 
@@ -45,7 +45,8 @@ class TestLoadPretrained:
         with caplog.at_level(logging.WARNING):
             table, report = load_pretrained(path, two_word_lexicon)
         assert "duplicate" in caplog.text
-        assert np.allclose(table[two_word_lexicon.word_id("aa")], [2, 2, 2])
+        aa = two_word_lexicon.lookup("word", "aa")
+        assert np.allclose(table[aa], [2, 2, 2])
         assert report.duplicates == 1
 
     def test_dimension_mismatch_names_line(self, tmp_path, two_word_lexicon):
@@ -61,7 +62,7 @@ class TestLoadPretrained:
         path.write_text("paris 1 2\n")
         table, report = load_pretrained(path, lex)
         assert report.hit_rate == 1.0
-        assert np.allclose(table[lex.word_id("Paris")], [1, 2])
+        assert np.allclose(table[lex.lookup("word", "Paris")], [1, 2])
 
 
 def tables_for(lexicon, d_w=4, d_pos=3, d_l=5, seed=0, pretrained=None):

@@ -385,15 +385,6 @@ class TestPredictCorpus:
                   for p in range(len(s.predicates))}
         assert set(preds.keys()) == wanted
 
-    def test_threaded_matches_serial(self, structural_runs,
-                                     structural_sentences):
-        model = structural_runs["lstm+gcn"].model
-        serial = predict_corpus(model, structural_sentences, threads=1)
-        threaded = predict_corpus(model, structural_sentences, threads=4)
-        for key in serial.keys():
-            assert np.array_equal(serial.get(*key)[0], threaded.get(*key)[0])
-            assert np.array_equal(serial.get(*key)[1], threaded.get(*key)[1])
-
     def test_ensemble_models_smoke(self, structural_runs,
                                    structural_sentences):
         model = structural_runs["lstm+gcn"].model

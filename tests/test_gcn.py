@@ -3,7 +3,7 @@ import pytest
 
 from syngcn import numerics as nm
 from syngcn.conll import build_lexicon
-from syngcn.gcn import (GcnStack, gate, gcn_layer, gcn_stack_forward,
+from syngcn.gcn import (GcnStack, gcn_layer, gcn_stack_forward,
                         init_gcn_layer, init_gcn_stack, plain_gcn_layer)
 from syngcn.syngraph import Direction, Edge, SyntacticGraph, build_graph
 
@@ -54,39 +54,33 @@ def layer_for(graph, width, rng, dtype=np.float32):
 
 
 class TestGate:
+    """The edge gates, observed through ``gcn_layer`` against the same layer
+    with gates disabled."""
+
     def test_zero_inputs_give_half(self):
+        # zero gate weights and biases: every message is scaled by exactly
+        # 1/2, and ReLU commutes with a positive scale
         rng = np.random.default_rng(0)
-        graph, _ = random_graph(2, rng)
+        graph, _ = random_graph(4, rng)
         params = layer_for(graph, 4, rng)
-        params.gate_weights[Direction.SELF].data[:] = 0.0
+        for d in Direction:
+            params.gate_weights[d].data[:] = 0.0
         params.gate_label_bias.data[:] = 0.0
-        edge = Edge(0, 0, Direction.SELF, 0, -1)
-        h = nm.Tensor(np.zeros((1, 4), dtype=np.float32))
-        assert gate(h, edge, params) == pytest.approx(0.5)
+        h = nm.Tensor(rng.standard_normal((4, 4)).astype(np.float32))
+        gated = gcn_layer(h, graph, params).data
+        ungated = gcn_layer(h, graph, params, gates_enabled=False).data
+        assert np.array_equal(gated, 0.5 * ungated)
 
     def test_saturated_bias_opens_gate(self):
         rng = np.random.default_rng(1)
-        graph, _ = random_graph(2, rng)
+        graph, _ = random_graph(4, rng)
         params = layer_for(graph, 4, rng)
         params.gate_label_bias.data[:] = 50.0
-        edge = graph.edges[0]
-        h = nm.Tensor(np.zeros((1, 4), dtype=np.float32))
-        g = gate(h, edge, params)
-        assert g > 0.999999
-        assert g < 1.0
-
-    def test_matches_scalar_oracle(self):
-        rng = np.random.default_rng(2)
-        graph, _ = random_graph(3, rng)
-        params = layer_for(graph, 5, rng)
-        h = rng.standard_normal((3, 5)).astype(np.float32)
-        for edge in graph.edges:
-            got = gate(nm.Tensor(h[edge.src:edge.src + 1]), edge, params)
-            logit = sum(float(h[edge.src, k]) *
-                        float(params.gate_weights[edge.direction].data[0, k])
-                        for k in range(5))
-            logit += float(params.gate_label_bias.data[edge.label_id, 0])
-            assert got == pytest.approx(sigmoid64(logit), abs=1e-7)
+        h = nm.Tensor(rng.uniform(-0.1, 0.1, (4, 4)).astype(np.float32))
+        gated = gcn_layer(h, graph, params).data
+        ungated = gcn_layer(h, graph, params, gates_enabled=False).data
+        np.testing.assert_allclose(gated, ungated, rtol=1e-6, atol=0)
+        assert (np.abs(gated) <= np.abs(ungated)).all()
 
 
 class TestGcnLayer:
@@ -103,6 +97,7 @@ class TestGcnLayer:
         assert np.allclose(out.data, 0.5)
 
     def test_vectorized_matches_per_edge_oracle(self):
+        cases = []
         rng = np.random.default_rng(4)
         graph, _ = random_graph(6, rng)
         params = layer_for(graph, 7, rng)
@@ -110,10 +105,17 @@ class TestGcnLayer:
                                                 params.label_bias.shape)
         params.gate_label_bias.data[:] = rng.uniform(
             -0.1, 0.1, params.gate_label_bias.shape)
-        h = rng.uniform(-1, 1, (6, 7)).astype(np.float32)
-        got = gcn_layer(nm.Tensor(h), graph, params).data
-        want = gcn_layer_oracle(h, graph, params)
-        assert np.abs(got - want).max() < 1e-6
+        cases.append((graph, params, rng.uniform(-1, 1, (6, 7))))
+        # freshly initialised gates on standard-normal states
+        rng = np.random.default_rng(2)
+        graph, _ = random_graph(3, rng)
+        params = layer_for(graph, 5, rng)
+        cases.append((graph, params, rng.standard_normal((3, 5))))
+        for graph, params, h in cases:
+            h = h.astype(np.float32)
+            got = gcn_layer(nm.Tensor(h), graph, params).data
+            want = gcn_layer_oracle(h, graph, params)
+            assert np.abs(got - want).max() < 1e-6
 
     def test_reduction_to_untyped_layer(self):
         # unit gates + one shared weight/bias collapses the typed gated layer

@@ -144,14 +144,6 @@ class TestEdgeDropout:
         b = edge_dropout(graph, 0.5, np.random.default_rng(7)).edges
         assert a == b
 
-    def test_keep_self_exemption(self, figure_sentences):
-        lex = build_lexicon(figure_sentences)
-        graph = build_graph(figure_sentences[0], lex)
-        out = edge_dropout(graph, 1.0, np.random.default_rng(0), keep_self=True)
-        assert all(e.direction == Direction.SELF for e in out.edges)
-        assert len(out) == len(figure_sentences[0])
-
-
 class TestDropRelation:
     def test_drop_only_relation_leaves_self_loops(self, two_token):
         sent, lex = two_token

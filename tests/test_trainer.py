@@ -263,39 +263,14 @@ class TestTrainLoop:
                        tmp_path / "run")
         assert len(result.history) == 1
 
-    def test_default_off_hooks_train_green(self, overfit_sentences, tmp_path):
-        # gradient clipping, lr decay, inter-layer LSTM dropout and the
-        # learned not-predicate lemma vector are all usable together
-        cfg = small_config(d_w=8, d_pos=4, d_l=8, d_h=8, d_r=8, d_l_out=8,
-                           epochs=2, lstm_layers=2, grad_clip=1.0,
-                           lr_decay=0.1, lstm_dropout=0.2,
-                           lemma_nonpred_vector=True)
-        result = train(overfit_sentences, overfit_sentences, cfg,
-                       tmp_path / "run")
-        saved = nm.load_checkpoint(result.best_checkpoint)
-        assert "embed.nonpred_lemma" in saved
-        assert np.isfinite(result.history[-1].train_loss)
-
-    def test_nonpred_vector_fills_other_rows(self, overfit_sentences):
-        model, lex = tiny_model(overfit_sentences, lemma_nonpred_vector=True)
-        inst = make_instances(overfit_sentences, lex)[0]
-        out = model.encode(inst, None)
-        d_l = model.tables.d_l
-        x = model.tables
-        from syngcn.embedder import embed_sentence
-        emb = embed_sentence(inst.sentence, inst.predicate_row, x, lex).data
-        vec = x.nonpred_lemma.data[0]
-        for i in range(len(inst.sentence)):
-            if i != inst.predicate_row:
-                assert np.array_equal(emb[i, -d_l:], vec)
-
     def test_hook_validation(self):
-        with pytest.raises(ConfigError):
-            parse_config_text("lstm_dropout = 1.0\n")
-        with pytest.raises(ConfigError):
-            parse_config_text("grad_clip = -1\n")
-        with pytest.raises(ConfigError):
-            parse_config_text("lr_decay = 1.0\n")
+        # a config file naming a removed training hook is rejected, not
+        # silently trained without it
+        for line in ("grad_clip = 1.0", "lr_decay = 0.1", "lstm_dropout = 0.2",
+                     "lemma_nonpred_vector = true", "gcn_width = 64",
+                     "dropout_self_loops = false"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config_text(line + "\n")
 
     def test_unk_replacement_draws_consume_stream(self, tmp_path):
         # a corpus with singletons: training still deterministic and green
