@@ -1,9 +1,11 @@
 """Stacked bidirectional LSTM encoder.
 
-Each layer runs one forward and one backward pass over the token sequence
-and concatenates their states, so layer input widths are: embedder width for
-layer 1, then 2*d_h. The backward pass consumes the reversed sequence and
-its outputs are re-reversed before concatenation.
+Each layer runs one forward and one backward ``nm.lstm`` over the token
+sequence and concatenates their states, so layer input widths are: embedder
+width for layer 1, then 2*d_h. A direction is three tensors in the fused-gate
+layout of Appleyard et al. 2016: ``w`` [input_dim x 4*d_h], ``u``
+[d_h x 4*d_h] and ``b`` [1 x 4*d_h], with the gates in i, f, o, g column
+blocks, named ``lstm.<layer>.<fw|bw>.<w|u|b>`` in checkpoints.
 """
 
 from __future__ import annotations
@@ -14,73 +16,36 @@ import numpy as np
 
 from . import numerics as nm
 
-GATES = ("i", "f", "o", "g")  # input, forget, output, cell candidate
-
-
-@dataclass
-class LstmCellParams:
-    """One direction of one layer.
-
-    Weights are stored input-major ([input_dim x d_h] / [d_h x d_h]) so the
-    row-vector states multiply without transposes; biases are [1 x d_h].
-    """
-
-    w: dict[str, nm.Tensor]   # gate -> input weights
-    u: dict[str, nm.Tensor]   # gate -> recurrent weights
-    b: dict[str, nm.Tensor]   # gate -> bias
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.w["i"].shape[1]
-
-    @property
-    def input_dim(self) -> int:
-        return self.w["i"].shape[0]
-
-    def tensors(self) -> dict[str, nm.Tensor]:
-        out = {}
-        for store in (self.w, self.u, self.b):
-            for gate in GATES:
-                t = store[gate]
-                out[t.name] = t
-        return out
+Direction = tuple[nm.Tensor, nm.Tensor, nm.Tensor]   # (w, u, b)
 
 
 def init_lstm_direction(prefix: str, input_dim: int, d_h: int,
                         rng: np.random.Generator,
-                        dtype=np.float32) -> LstmCellParams:
-    """Uniform [-0.05, 0.05] weights; forget-gate bias starts at 1."""
-    w, u, b = {}, {}, {}
-    for gate in GATES:
-        w[gate] = nm.parameter(f"{prefix}.w_{gate}",
-                               rng.uniform(-0.05, 0.05, (input_dim, d_h)), dtype)
-        u[gate] = nm.parameter(f"{prefix}.u_{gate}",
-                               rng.uniform(-0.05, 0.05, (d_h, d_h)), dtype)
-        bias = np.full((1, d_h), 1.0) if gate == "f" else np.zeros((1, d_h))
-        b[gate] = nm.parameter(f"{prefix}.b_{gate}", bias, dtype)
-    return LstmCellParams(w, u, b)
+                        dtype=np.float32) -> Direction:
+    """Uniform [-0.05, 0.05] weights; forget-gate bias starts at 1. Drawn one
+    gate block at a time (w, u for i, f, o, g): float64 draws stay gate-sized.
+    """
+    w = np.empty((input_dim, 4 * d_h), dtype)
+    u = np.empty((d_h, 4 * d_h), dtype)
+    for k in range(4):
+        block = slice(k * d_h, (k + 1) * d_h)
+        w[:, block] = rng.uniform(-0.05, 0.05, (input_dim, d_h))
+        u[:, block] = rng.uniform(-0.05, 0.05, (d_h, d_h))
+    b = np.zeros((1, 4 * d_h), dtype)
+    b[:, d_h:2 * d_h] = 1.0
+    return (nm.parameter(f"{prefix}.w", w), nm.parameter(f"{prefix}.u", u),
+            nm.parameter(f"{prefix}.b", b))
 
 
 @dataclass
 class LstmParams:
-    """J layers x 2 directions of cell parameters."""
+    """J layers x 2 directions."""
 
-    layers: list[tuple[LstmCellParams, LstmCellParams]]  # (forward, backward)
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.layers)
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.layers[0][0].hidden_dim
+    layers: list[tuple[Direction, Direction]]  # (forward, backward)
 
     def tensors(self) -> dict[str, nm.Tensor]:
-        out = {}
-        for fw, bw in self.layers:
-            out.update(fw.tensors())
-            out.update(bw.tensors())
-        return out
+        return {t.name: t for layer in self.layers for direction in layer
+                for t in direction}
 
 
 def init_lstm(input_dim: int, d_h: int, num_layers: int,
@@ -94,42 +59,9 @@ def init_lstm(input_dim: int, d_h: int, num_layers: int,
     return LstmParams(layers)
 
 
-def _run_direction(x: nm.Tensor, params: LstmCellParams,
-                   reverse: bool) -> list[nm.Tensor]:
-    """All hidden states for one direction, returned in sentence order.
-
-    One step: i,f,o = sigmoid, g = tanh, c = f*c + i*g, h = o*tanh(c).
-
-    The input projections of all timesteps are hoisted into four [n x d_h]
-    matmuls; the recurrence then only multiplies by the recurrent weights.
-    """
-    n = x.shape[0]
-    d_h = params.hidden_dim
-    pre_x = {gate: x @ params.w[gate] + params.b[gate] for gate in GATES}
-    h = nm.constant(np.zeros((1, d_h)), dtype=x.dtype)
-    c = nm.constant(np.zeros((1, d_h)), dtype=x.dtype)
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    states: dict[int, nm.Tensor] = {}
-    for t in order:
-        pre = {gate: nm.rows(pre_x[gate], [t]) + h @ params.u[gate]
-               for gate in GATES}
-        i = nm.sigmoid(pre["i"])
-        f = nm.sigmoid(pre["f"])
-        o = nm.sigmoid(pre["o"])
-        g = nm.tanh(pre["g"])
-        c = f * c + i * g
-        h = o * nm.tanh(c)
-        states[t] = h
-    return [states[t] for t in range(n)]
-
-
 def bilstm_encode(x: nm.Tensor, params: LstmParams) -> nm.Tensor:
     """Encode [n x input_dim] into [n x 2*d_h] through all stacked layers."""
     h = x
     for fw, bw in params.layers:
-        forward = _run_direction(h, fw, reverse=False)
-        backward = _run_direction(h, bw, reverse=True)
-        per_token = [nm.concat([forward[t], backward[t]], axis=1)
-                     for t in range(x.shape[0])]
-        h = nm.concat(per_token, axis=0) if len(per_token) > 1 else per_token[0]
+        h = nm.concat([nm.lstm(h, *fw), nm.lstm(h, *bw, reverse=True)], axis=1)
     return h

@@ -157,8 +157,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _predictions_for(args, sentences) -> evaluator.PredictionSet:
-    models = [_load_model(c) for c in args.checkpoint]
+def _predictions_for(models, sentences) -> evaluator.PredictionSet:
     if len(models) == 1:
         return evaluator.predict_corpus(models[0], sentences)
     return evaluator.ensemble_models(models, sentences)
@@ -167,7 +166,7 @@ def _predictions_for(args, sentences) -> evaluator.PredictionSet:
 def _cmd_predict(args) -> int:
     sentences = parse_conll_file(args.test,
                                  use_gold_syntax=args.use_gold_syntax)
-    preds = _predictions_for(args, sentences)
+    preds = _predictions_for([_load_model(c) for c in args.checkpoint], sentences)
     write_conll_file(args.out, sentences, preds)
     logger.info("wrote %s", args.out)
     return 0
@@ -181,7 +180,7 @@ def _cmd_evaluate(args) -> int:
         pred_sents = parse_conll_file(args.pred)
         preds = evaluator.PredictionSet.from_gold(pred_sents)
     else:
-        preds = _predictions_for(args, gold)
+        preds = _predictions_for([_load_model(c) for c in args.checkpoint], gold)
     report = evaluator.score(gold, preds)
     print(evaluator.format_report(report), end="")
     if args.out:
@@ -212,15 +211,14 @@ def _cmd_analyze(args) -> int:
         if not args.checkpoint:
             raise ConfigError("analyze --buckets/--ablation needs --checkpoint")
         models = [_load_model(c) for c in args.checkpoint]
-        model = models[0]
         if args.buckets:
-            preds = _predictions_for(args, sentences)
+            preds = _predictions_for(models, sentences)
             f1s, gold_counts = evaluator.distance_buckets(sentences, preds)
             for b in evaluator.BUCKETS:
                 print(f"bucket {b}: F1 {f1s[b]:.4f} ({gold_counts[b]} gold)")
                 rows.append(("bucket_f1", b, f"{f1s[b]:.6f}"))
         if args.ablation:
-            deltas = evaluator.relation_ablation(model, sentences,
+            deltas = evaluator.relation_ablation(models[0], sentences,
                                                  min_count=args.min_count)
             for rel, d in sorted(deltas.items(), key=lambda kv: kv[1]):
                 print(f"drop {rel}: dF1 {d:+.4f}")

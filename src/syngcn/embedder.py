@@ -59,7 +59,11 @@ def load_pretrained(path, lexicon: Lexicon, expected_dim: int | None = None
                 duplicates += 1
                 logger.warning("%s:%d: duplicate token %r, keeping last",
                                path, lineno, token)
-            vectors[token] = np.array(values, dtype=np.float64)
+            try:
+                vectors[token] = np.array(values, dtype=np.float64)
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: non-numeric embedding "
+                                  f"value") from None
     if dim is None:
         dim = expected_dim or 0
     vocab = lexicon.size("word")

@@ -290,9 +290,8 @@ def relu(x: Tensor) -> Tensor:
     return _make(out, (x,), "relu", backward)
 
 
-def sigmoid(x: Tensor) -> Tensor:
+def _logistic(d: np.ndarray) -> np.ndarray:
     """Overflow-safe logistic function, clamped into the open interval (0,1)."""
-    d = x.data
     out = np.empty_like(d)
     pos = d >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
@@ -300,6 +299,12 @@ def sigmoid(x: Tensor) -> Tensor:
     out[~pos] = ex / (1.0 + ex)
     info = np.finfo(d.dtype)
     np.clip(out, info.tiny, 1.0 - info.epsneg, out=out)
+    return out
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    """Elementwise ``_logistic``."""
+    out = _logistic(x.data)
 
     def backward(g):
         _accumulate(x, g * out * (1.0 - out))
@@ -314,6 +319,60 @@ def tanh(x: Tensor) -> Tensor:
         _accumulate(x, g * (1.0 - out * out))
 
     return _make(out, (x,), "tanh", backward)
+
+
+def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor,
+         reverse: bool = False) -> Tensor:
+    """One LSTM direction over the rows of ``x`` [n x in] as one op; returns
+    the [n x d] states in row order, computed last row first if ``reverse``.
+
+    ``w`` [in x 4d], ``u`` [d x 4d] and ``b`` [1 x 4d] hold the i, f, o, g
+    gates in column blocks. From a zero state, z = x_t@w + b + h_prev@u,
+    i,f,o = logistic, g = tanh, c = f*c_prev + i*g, h = o*tanh(c).
+    """
+    for t in (w, u, b):
+        _same_dtype(x, t, "lstm")
+    n, d = x.data.shape[0], u.data.shape[-1] // 4
+    if (x.data.ndim != 2 or w.data.shape != (x.data.shape[1], 4 * d)
+            or u.data.shape != (d, 4 * d) or b.data.shape != (1, 4 * d)):
+        raise ShapeError(f"lstm: incompatible shapes x {x.data.shape}, w "
+                         f"{w.data.shape}, u {u.data.shape}, b {b.data.shape}")
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    z = x.data @ w.data + b.data           # pre-activations, [n x 4d]
+    gates = np.empty_like(z)               # i, f, o, g after activation
+    h, tanh_c, h_prev, c_prev = (np.empty((n, d), z.dtype) for _ in range(4))
+    h_t = c_t = np.zeros(d, z.dtype)
+    for t in order:
+        h_prev[t], c_prev[t] = h_t, c_t
+        z[t] += h_t @ u.data
+        gates[t, :3 * d] = _logistic(z[t, :3 * d])
+        gates[t, 3 * d:] = np.tanh(z[t, 3 * d:])
+        i, f, o, g = np.split(gates[t], 4)
+        c_t = f * c_t + i * g
+        tanh_c[t] = np.tanh(c_t)
+        h[t] = h_t = o * tanh_c[t]
+    # checked here, since the clamped logistic makes an infinite z finite
+    _check_finite(z, "lstm")
+
+    def backward(dout):
+        # grouped as in the mul, sigmoid and tanh rules, to round the same way
+        dz = np.empty_like(gates)
+        dh = dc = np.zeros(d, gates.dtype)  # from the step that came after
+        for t in reversed(order):
+            i, f, o, g = np.split(gates[t], 4)
+            dh = dout[t] + dh
+            dc = dc + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
+            dz[t] = np.concatenate([dc * g * i * (1.0 - i),
+                                    dc * c_prev[t] * f * (1.0 - f),
+                                    dh * tanh_c[t] * o * (1.0 - o),
+                                    dc * i * (1.0 - g * g)])
+            dh, dc = dz[t] @ u.data.T, dc * f
+        _accumulate(x, dz @ w.data.T)
+        _accumulate(w, x.data.T @ dz)
+        _accumulate(u, h_prev.T @ dz)
+        _accumulate(b, dz.sum(axis=0, keepdims=True))
+
+    return _make(h, (x, w, u, b), "lstm", backward)
 
 
 def concat(parts: list[Tensor], axis: int = 1) -> Tensor:

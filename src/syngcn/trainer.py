@@ -112,10 +112,12 @@ def _coerce(key: str, value: str, current):
         if value.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-    if isinstance(current, int):
-        return int(value)
-    if isinstance(current, float):
-        return float(value)
+    if isinstance(current, (int, float)):
+        try:
+            return type(current)(value)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {type(current).__name__}, "
+                              f"got {value!r}") from None
     return value
 
 

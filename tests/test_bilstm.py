@@ -2,24 +2,56 @@ import numpy as np
 import pytest
 
 from syngcn import numerics as nm
-from syngcn.bilstm import (GATES, LstmParams, bilstm_encode, init_lstm,
+from syngcn.bilstm import (LstmParams, bilstm_encode, init_lstm,
                            init_lstm_direction)
+from syngcn.errors import NumericsError
+
+I, F, O, G = range(4)   # gate column blocks
 
 
-def zero_cell(input_dim, d_h, dtype=np.float32):
-    cell = init_lstm_direction("z", input_dim, d_h, np.random.default_rng(0),
-                               dtype)
-    for store in (cell.w, cell.u, cell.b):
-        for gate in GATES:
-            store[gate].data[:] = 0.0
-    return cell
+def block(t, k):
+    """Gate block ``k`` of a fused [. x 4d] tensor's data (a view)."""
+    d = t.data.shape[1] // 4
+    return t.data[:, k * d:(k + 1) * d]
 
 
-def encode_forward(cell, x):
+def zero_direction(input_dim, d_h, dtype=np.float32):
+    direction = init_lstm_direction("z", input_dim, d_h,
+                                    np.random.default_rng(0), dtype)
+    for t in direction:
+        t.data[:] = 0.0
+    return direction
+
+
+def encode_forward(direction, x):
     """Forward-direction states of a one-layer encoder whose two directions
-    share ``cell``."""
-    out = bilstm_encode(nm.Tensor(x), LstmParams([(cell, cell)])).data
-    return out[:, :cell.hidden_dim]
+    share ``direction``."""
+    out = bilstm_encode(nm.Tensor(x), LstmParams([(direction, direction)])).data
+    return out[:, :direction[1].shape[0]]
+
+
+def reference_direction(x, w, u, b, reverse):
+    """The LSTM step as separate per-gate ``nm`` ops, one token at a time:
+    i,f,o = sigmoid, g = tanh, c = f*c + i*g, h = o*tanh(c)."""
+    gates = range(4)
+    pre_x = [x @ w[k] + b[k] for k in gates]
+    d = u[0].shape[0]
+    h = nm.constant(np.zeros((1, d)), dtype=x.dtype)
+    c = nm.constant(np.zeros((1, d)), dtype=x.dtype)
+    n = x.shape[0]
+    states = {}
+    for t in (range(n - 1, -1, -1) if reverse else range(n)):
+        pre = [nm.rows(pre_x[k], [t]) + h @ u[k] for k in gates]
+        c = nm.sigmoid(pre[F]) * c + nm.sigmoid(pre[I]) * nm.tanh(pre[G])
+        h = nm.sigmoid(pre[O]) * nm.tanh(c)
+        states[t] = h
+    return nm.concat([states[t] for t in range(n)], axis=0)
+
+
+def split_gates(direction, name):
+    """Per-gate float64 copies of a fused direction, as trainable leaves."""
+    return [[nm.parameter(f"{name}.{k}.{g}", block(t, g).copy(), np.float64)
+             for g in range(4)] for k, t in zip("wub", direction)]
 
 
 class TestLstmCell:
@@ -27,7 +59,7 @@ class TestLstmCell:
     inputs."""
 
     def test_all_zero_params_and_inputs(self):
-        params = LstmParams([(zero_cell(3, 4), zero_cell(3, 4))])
+        params = LstmParams([(zero_direction(3, 4), zero_direction(3, 4))])
         for n in (1, 2):
             x = nm.Tensor(np.zeros((n, 3), dtype=np.float32))
             assert np.array_equal(bilstm_encode(x, params).data, np.zeros((n, 8)))
@@ -38,34 +70,41 @@ class TestLstmCell:
         # cell state carries through (up to the open-interval sigmoid clamp,
         # which keeps gates strictly below 1 by one ulp). With the output
         # gate saturated open, h = tanh(c) shows the carry.
-        cell = zero_cell(1, 4, dtype=np.float64)
-        cell.w["i"].data[:] = 120.0
-        cell.b["i"].data[:] = -60.0
-        cell.b["f"].data[:] = 60.0
-        cell.b["o"].data[:] = 60.0
-        cell.w["g"].data[:] = [[0.3, -1.2, 0.8, 2.0]]
-        h = encode_forward(cell, np.array([[1.0], [0.0]]))
+        w, _, b = direction = zero_direction(1, 4, dtype=np.float64)
+        block(w, I)[:] = 120.0
+        block(b, I)[:] = -60.0
+        block(b, F)[:] = 60.0
+        block(b, O)[:] = 60.0
+        block(w, G)[:] = [[0.3, -1.2, 0.8, 2.0]]
+        h = encode_forward(direction, np.array([[1.0], [0.0]]))
         np.testing.assert_allclose(h[0], np.tanh(np.tanh([0.3, -1.2, 0.8, 2.0])),
                                    rtol=1e-12)
         np.testing.assert_allclose(h[1], h[0], rtol=1e-12)
 
     def test_forget_bias_initialized_to_one(self):
-        cell = init_lstm_direction("x", 5, 3, np.random.default_rng(1))
-        assert np.array_equal(cell.b["f"].data, np.ones((1, 3)))
-        assert np.array_equal(cell.b["i"].data, np.zeros((1, 3)))
+        _, _, b = init_lstm_direction("x", 5, 3, np.random.default_rng(1))
+        assert np.array_equal(b.data, [[0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0]])
         # with the initial biases and no recurrent or input-gate weights,
         # token 1 adds nothing (g = 0), so the cell state from token 0 decays
         # by exactly sigmoid(1); h = tanh(c) / 2
-        cell = init_lstm_direction("y", 1, 3, np.random.default_rng(2),
-                                   dtype=np.float64)
-        for gate in GATES:
-            cell.u[gate].data[:] = 0.0
-            if gate != "g":
-                cell.w[gate].data[:] = 0.0
-        h = encode_forward(cell, np.array([[1.0], [0.0]]))
+        w, u, _ = direction = init_lstm_direction(
+            "y", 1, 3, np.random.default_rng(2), dtype=np.float64)
+        u.data[:] = 0.0
+        w.data[:, :9] = 0.0   # i, f, o blocks
+        h = encode_forward(direction, np.array([[1.0], [0.0]]))
         c = np.arctanh(2.0 * h)
         np.testing.assert_allclose(c[1] / c[0], 1.0 / (1.0 + np.exp(-1.0)),
                                    rtol=1e-9)
+
+    def test_draws_fill_gate_blocks_in_order(self):
+        # the fused arrays hold the gate-sized draws w_i, u_i, w_f, u_f, ...
+        w, u, _ = init_lstm_direction("x", 5, 3, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        for k in range(4):
+            assert np.array_equal(block(w, k), rng.uniform(-0.05, 0.05, (5, 3))
+                                  .astype(np.float32))
+            assert np.array_equal(block(u, k), rng.uniform(-0.05, 0.05, (3, 3))
+                                  .astype(np.float32))
 
     def test_cell_gradient_check(self):
         rng = np.random.default_rng(4)
@@ -75,6 +114,49 @@ class TestLstmCell:
             result = nm.grad_check(lambda: nm.sum_all(bilstm_encode(x, params)),
                                    params.tensors())
             assert result.max_rel_err < 1e-4
+
+
+class TestFusedMatchesPerGate:
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_states_and_gradients(self, n, layers):
+        rng = np.random.default_rng(10 * n + layers)
+        params = init_lstm(3, 4, layers, rng, dtype=np.float64)
+        per_gate = [tuple(split_gates(direction, f"{j}.{side}")
+                          for side, direction in zip("fb", layer))
+                    for j, layer in enumerate(params.layers)]
+        x_data = rng.standard_normal((n, 3))
+        # a fixed random projection makes every state reach the loss with
+        # its own weight
+        proj = nm.constant(rng.standard_normal((2 * 4, 1)), dtype=np.float64)
+
+        def run(encode):
+            x = nm.parameter("x", x_data, np.float64)
+            with nm.Tape() as tape:
+                out = encode(x)
+                grads = tape.gradients(nm.sum_all(out @ proj))
+            return out.data, grads
+
+        def reference(x):
+            h = x
+            for fw, bw in per_gate:
+                h = nm.concat([reference_direction(h, *fw, reverse=False),
+                               reference_direction(h, *bw, reverse=True)],
+                              axis=1)
+            return h
+
+        fused, fused_grads = run(lambda x: bilstm_encode(x, params))
+        ref, ref_grads = run(reference)
+        np.testing.assert_allclose(fused, ref, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(fused_grads["x"], ref_grads["x"], rtol=1e-10)
+        for j, layer in enumerate(params.layers):
+            for side, direction in zip("fb", layer):
+                for k, t in zip("wub", direction):
+                    want = np.concatenate(
+                        [ref_grads[f"{j}.{side}.{k}.{g}"] for g in range(4)],
+                        axis=1)
+                    np.testing.assert_allclose(fused_grads[t.name], want,
+                                               rtol=1e-10, atol=1e-14)
 
 
 class TestBilstmEncode:
@@ -102,9 +184,12 @@ class TestBilstmEncode:
 
     def test_paper_configuration_width(self):
         params = init_lstm(316, 512, 3, np.random.default_rng(0))
-        assert params.layers[0][0].input_dim == 316
-        assert params.layers[1][0].input_dim == 1024
-        assert params.layers[2][1].input_dim == 1024
+        shapes = {name: t.shape for name, t in params.tensors().items()}
+        assert len(shapes) == 3 * 2 * 3
+        assert shapes["lstm.0.fw.w"] == (316, 2048)
+        assert shapes["lstm.1.fw.w"] == (1024, 2048)
+        assert shapes["lstm.2.bw.u"] == (512, 2048)
+        assert shapes["lstm.2.bw.b"] == (1, 2048)
         x = nm.Tensor(np.zeros((2, 316), dtype=np.float32))
         assert bilstm_encode(x, params).shape == (2, 1024)
 
@@ -139,3 +224,24 @@ class TestBilstmEncode:
         result = nm.grad_check(lambda: nm.sum_all(bilstm_encode(x, params)),
                                params.tensors())
         assert result.max_rel_err < 1e-4
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_tape_size_does_not_grow_with_length(self, layers):
+        params = init_lstm(5, 3, layers, np.random.default_rng(0))
+        sizes = []
+        for n in (3, 30):
+            x = nm.Tensor(np.ones((n, 5), dtype=np.float32))
+            with nm.Tape() as tape:
+                bilstm_encode(x, params)
+            sizes.append(len(tape._nodes))
+        assert sizes == [3 * layers] * 2
+
+    @pytest.mark.parametrize("name", ["w", "u", "b"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_weight_is_reported(self, name, value):
+        params = init_lstm(3, 4, 1, np.random.default_rng(7))
+        fw = dict(zip("wub", params.layers[0][0]))
+        fw[name].data[0, 5] = value
+        x = nm.Tensor(np.ones((2, 3), dtype=np.float32))
+        with pytest.raises(NumericsError, match="lstm"):
+            bilstm_encode(x, params)

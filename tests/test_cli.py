@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from syngcn import fixtures
+from syngcn import cli, fixtures
 from syngcn import numerics as nm
 from syngcn.cli import run
 from syngcn.conll import Lexicon, parse_conll_file
@@ -205,6 +205,43 @@ class TestMalformedFiles:
                     "--out", str(tmp_path / "p.conll")])
         assert code == 1
 
+    @pytest.mark.parametrize("where", ["config file", "--set"])
+    def test_non_numeric_config_value_exits_one(self, where, data_dir,
+                                                tmp_path, caplog):
+        argv = ["train", "--train", str(data_dir / "overfit.conll"),
+                "--out", str(tmp_path / "model")]
+        if where == "--set":
+            argv += ["--set", "lr=x"]
+        else:
+            conf = tmp_path / "bad.conf"
+            conf.write_text("d_h = abc\n")
+            argv += ["--config", str(conf)]
+        assert run(argv) == 1
+        assert "expected" in caplog.text
+
+    def test_non_numeric_embedding_exits_one(self, data_dir, tmp_path, caplog):
+        cfg_path = tmp_path / "train.conf"
+        save_config(small_config(d_w=2, epochs=1), cfg_path)
+        emb = tmp_path / "emb.txt"
+        emb.write_text("the 0.1 0.2\ncat 0.3 x\n")
+        code = run(["train", "--config", str(cfg_path),
+                    "--train", str(data_dir / "overfit.conll"),
+                    "--embeddings", str(emb), "--out", str(tmp_path / "model")])
+        assert code == 1
+        assert f"{emb}:2:" in caplog.text
+        assert not (tmp_path / "model").exists()
+
+    def test_non_utf8_conll_exits_one(self, tiny_run, data_dir, tmp_path,
+                                      caplog):
+        test = tmp_path / "latin1.conll"
+        text = (data_dir / "overfit.conll").read_text(encoding="utf-8")
+        test.write_bytes(text.replace("\t", "\xe9\t", 1).encode("latin-1"))
+        code = run(["predict", "--test", str(test),
+                    "--checkpoint", str(tiny_run / "best.ckpt"),
+                    "--out", str(tmp_path / "p.conll")])
+        assert code == 1
+        assert "not UTF-8" in caplog.text
+
 
 class TestAnalyze:
     def test_teleport_only_needs_no_model(self, data_dir, tmp_path, capsys):
@@ -229,6 +266,23 @@ class TestAnalyze:
         rows = (out / "analysis.tsv").read_text()
         assert "bucket_f1" in rows
         assert "delta_f1" in rows
+
+    def test_buckets_load_each_checkpoint_once(self, tiny_run, data_dir,
+                                               monkeypatch):
+        loaded = []
+
+        def counting_load(checkpoint):
+            loaded.append(checkpoint)
+            return load_model(checkpoint)
+
+        load_model = cli._load_model
+        monkeypatch.setattr(cli, "_load_model", counting_load)
+        ckpt = str(tiny_run / "best.ckpt")
+        code = run(["analyze", "--test", str(data_dir / "overfit.conll"),
+                    "--checkpoint", ckpt, "--checkpoint", ckpt,
+                    "--buckets", "--ablation", "--min-count", "1"])
+        assert code == 0
+        assert loaded == [ckpt, ckpt]
 
     def test_no_analysis_selected(self, data_dir):
         assert run(["analyze",
