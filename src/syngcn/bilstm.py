@@ -1,7 +1,7 @@
 """Stacked bidirectional LSTM encoder.
 
 Each layer runs one forward and one backward ``nm.lstm`` over the token
-sequence and concatenates their states, so layer input widths are: embedder
+sequences and concatenates their states, so layer input widths are: embedder
 width for layer 1, then 2*d_h. A direction is three tensors in the fused-gate
 layout of Appleyard et al. 2016: ``w`` [input_dim x 4*d_h], ``u``
 [d_h x 4*d_h] and ``b`` [1 x 4*d_h], with the gates in i, f, o, g column
@@ -59,9 +59,15 @@ def init_lstm(input_dim: int, d_h: int, num_layers: int,
     return LstmParams(layers)
 
 
-def bilstm_encode(x: nm.Tensor, params: LstmParams) -> nm.Tensor:
-    """Encode [n x input_dim] into [n x 2*d_h] through all stacked layers."""
+def bilstm_encode(x: nm.Tensor, params: LstmParams,
+                  lengths=None) -> nm.Tensor:
+    """Encode [n x input_dim] into [n x 2*d_h] through all stacked layers.
+
+    ``x`` holds one sentence, or several as consecutive row blocks of
+    ``lengths`` rows, each encoded on its own.
+    """
     h = x
     for fw, bw in params.layers:
-        h = nm.concat([nm.lstm(h, *fw), nm.lstm(h, *bw, reverse=True)], axis=1)
+        h = nm.concat([nm.lstm(h, *fw, lengths=lengths),
+                       nm.lstm(h, *bw, reverse=True, lengths=lengths)], axis=1)
     return h

@@ -44,9 +44,12 @@ def load_pretrained(path, lexicon: Lexicon, expected_dim: int | None = None
     vectors: dict[str, np.ndarray] = {}
     dim = expected_dim
     duplicates = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                parts = raw.decode("utf-8").split()
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}:{lineno}: not UTF-8 text") from None
             if not parts:
                 continue
             token, values = parts[0], parts[1:]

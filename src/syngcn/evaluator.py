@@ -74,9 +74,31 @@ class PredictionSet:
         return pred
 
 
+# Most tokens one batched prediction pass encodes. It bounds the pass's
+# transient arrays (about 35 KiB per token at the widths of
+# configs/conll2009_english.conf) while keeping each BiLSTM step a product
+# over many rows.
+PREDICT_TOKEN_BUDGET = 1024
+
+
+def _batches(instances: list, budget: int):
+    """Consecutive runs of instances whose sentence lengths sum to at most
+    ``budget``; a longer instance forms a run alone."""
+    batch, tokens = [], 0
+    for inst in instances:
+        if batch and tokens + len(inst.sentence) > budget:
+            yield batch
+            batch, tokens = [], 0
+        batch.append(inst)
+        tokens += len(inst.sentence)
+    if batch:
+        yield batch
+
+
 def predict_corpus(model: SrlModel, sentences: list[Sentence],
                    graph_transform=None) -> PredictionSet:
-    """Run inference over every predicate instance of ``sentences``.
+    """Run inference over every predicate instance of ``sentences``, in
+    corpus-order batches of at most ``PREDICT_TOKEN_BUDGET`` tokens.
 
     ``graph_transform`` maps a built graph to the one actually used (the
     relation-ablation hook).
@@ -90,8 +112,10 @@ def predict_corpus(model: SrlModel, sentences: list[Sentence],
             if graph_transform is not None:
                 g = graph_transform(g)
             graphs[inst.sentence_id] = g
-        role_ids, dists = model.predict_instance(inst, graphs[inst.sentence_id])
-        preds.add(inst.sentence_id, inst.predicate_ord, role_ids, dists)
+    for batch in _batches(instances, PREDICT_TOKEN_BUDGET):
+        results = model.predict(batch, [graphs[i.sentence_id] for i in batch])
+        for inst, (role_ids, dists) in zip(batch, results):
+            preds.add(inst.sentence_id, inst.predicate_ord, role_ids, dists)
     return preds
 
 

@@ -13,7 +13,11 @@ rather than propagating silently.
 from __future__ import annotations
 
 import collections
+import contextlib
+import math
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -291,12 +295,14 @@ def relu(x: Tensor) -> Tensor:
 
 
 def _logistic(d: np.ndarray) -> np.ndarray:
-    """Overflow-safe logistic function, clamped into the open interval (0,1)."""
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Overflow-safe logistic function, clamped into the open interval (0,1).
+
+    With e = exp(-|d|), it is 1/(1+e) for d >= 0 and e/(1+e) otherwise, so
+    no exponent is positive.
+    """
+    e = np.exp(-np.abs(d))
+    p = 1.0 + e
+    out = np.where(d >= 0, 1.0 / p, e / p)
     info = np.finfo(d.dtype)
     np.clip(out, info.tiny, 1.0 - info.epsneg, out=out)
     return out
@@ -321,14 +327,21 @@ def tanh(x: Tensor) -> Tensor:
     return _make(out, (x,), "tanh", backward)
 
 
-def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor,
-         reverse: bool = False) -> Tensor:
-    """One LSTM direction over the rows of ``x`` [n x in] as one op; returns
-    the [n x d] states in row order, computed last row first if ``reverse``.
+def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor, reverse: bool = False,
+         lengths=None) -> Tensor:
+    """One LSTM direction over B sequences as one op; returns their [N x d]
+    states in the row order of ``x``.
 
-    ``w`` [in x 4d], ``u`` [d x 4d] and ``b`` [1 x 4d] hold the i, f, o, g
-    gates in column blocks. From a zero state, z = x_t@w + b + h_prev@u,
-    i,f,o = logistic, g = tanh, c = f*c_prev + i*g, h = o*tanh(c).
+    ``x`` [N x in] holds the sequences as consecutive row blocks of
+    ``lengths`` rows (default: one sequence of all N rows); each runs from
+    its first row, or from its last if ``reverse``, starting at a zero
+    state. ``w`` [in x 4d], ``u`` [d x 4d] and ``b`` [1 x 4d] hold the i, f,
+    o, g gates in column blocks: z = x_t@w + b + h_prev@u, i,f,o = logistic,
+    g = tanh, c = f*c_prev + i*g, h = o*tanh(c).
+
+    The rows are packed time-major with the longest sequence first, so the
+    sequences still running at step t are a prefix of that step's rows and
+    each step is one [active x d] @ [d x 4d] product.
     """
     for t in (w, u, b):
         _same_dtype(x, t, "lstm")
@@ -337,42 +350,64 @@ def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor,
             or u.data.shape != (d, 4 * d) or b.data.shape != (1, 4 * d)):
         raise ShapeError(f"lstm: incompatible shapes x {x.data.shape}, w "
                          f"{w.data.shape}, u {u.data.shape}, b {b.data.shape}")
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    z = x.data @ w.data + b.data           # pre-activations, [n x 4d]
+    lens = np.array([n] if lengths is None else lengths, dtype=np.intp)
+    if lens.ndim != 1 or lens.size == 0 or lens.min() < 1 or lens.sum() != n:
+        raise ShapeError(f"lstm: sequence lengths {lens.tolist()} for {n} rows")
+    by_len = np.argsort(-lens, kind="stable")
+    first = (np.cumsum(lens) - lens)[by_len]   # first row of each sequence
+    if reverse:
+        first = first + lens[by_len] - 1
+    active = (lens[by_len][:, None] > np.arange(lens.max())).sum(axis=0)
+    step = -1 if reverse else 1
+    # order[k] is the row of x computed k-th; steps fill consecutive slots
+    order = np.concatenate([first[:a] + step * t for t, a in enumerate(active)])
+    slots = [slice(lo, lo + a) for lo, a in
+             zip(np.cumsum(active) - active, active)]
+
+    z = (x.data @ w.data + b.data)[order]  # pre-activations, [N x 4d]
     gates = np.empty_like(z)               # i, f, o, g after activation
     h, tanh_c, h_prev, c_prev = (np.empty((n, d), z.dtype) for _ in range(4))
-    h_t = c_t = np.zeros(d, z.dtype)
-    for t in order:
-        h_prev[t], c_prev[t] = h_t, c_t
-        z[t] += h_t @ u.data
-        gates[t, :3 * d] = _logistic(z[t, :3 * d])
-        gates[t, 3 * d:] = np.tanh(z[t, 3 * d:])
-        i, f, o, g = np.split(gates[t], 4)
-        c_t = f * c_t + i * g
-        tanh_c[t] = np.tanh(c_t)
-        h[t] = h_t = o * tanh_c[t]
+    h_t = c_t = np.zeros((active[0], d), z.dtype)
+    for s, a in zip(slots, active):
+        h_prev[s], c_prev[s] = h_t[:a], c_t[:a]
+        z[s] += h_t[:a] @ u.data
+        gates[s, :3 * d] = _logistic(z[s, :3 * d])
+        gates[s, 3 * d:] = np.tanh(z[s, 3 * d:])
+        i, f, o, g = (gates[s, k * d:(k + 1) * d] for k in range(4))
+        c_t = f * c_t[:a] + i * g
+        tanh_c[s] = np.tanh(c_t)
+        h[s] = h_t = o * tanh_c[s]
     # checked here, since the clamped logistic makes an infinite z finite
     _check_finite(z, "lstm")
+    out = np.empty_like(h)
+    out[order] = h
 
     def backward(dout):
         # grouped as in the mul, sigmoid and tanh rules, to round the same way
+        dout = dout[order]
         dz = np.empty_like(gates)
-        dh = dc = np.zeros(d, gates.dtype)  # from the step that came after
-        for t in reversed(order):
-            i, f, o, g = np.split(gates[t], 4)
-            dh = dout[t] + dh
-            dc = dc + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
-            dz[t] = np.concatenate([dc * g * i * (1.0 - i),
-                                    dc * c_prev[t] * f * (1.0 - f),
-                                    dh * tanh_c[t] * o * (1.0 - o),
-                                    dc * i * (1.0 - g * g)])
-            dh, dc = dz[t] @ u.data.T, dc * f
-        _accumulate(x, dz @ w.data.T)
-        _accumulate(w, x.data.T @ dz)
-        _accumulate(u, h_prev.T @ dz)
-        _accumulate(b, dz.sum(axis=0, keepdims=True))
+        # carries from the step that came after; a sequence's rows beyond
+        # that step's prefix end there and start from zero
+        dh_next, dc_next = (np.zeros((active[0], d), gates.dtype)
+                            for _ in range(2))
+        for s, a in zip(reversed(slots), reversed(active)):
+            i, f, o, g = (gates[s, k * d:(k + 1) * d] for k in range(4))
+            dh = dout[s] + dh_next[:a]
+            dc = dc_next[:a] + dh * o * (1.0 - tanh_c[s] * tanh_c[s])
+            dz[s, :d] = dc * g * i * (1.0 - i)
+            dz[s, d:2 * d] = dc * c_prev[s] * f * (1.0 - f)
+            dz[s, 2 * d:3 * d] = dh * tanh_c[s] * o * (1.0 - o)
+            dz[s, 3 * d:] = dc * i * (1.0 - g * g)
+            dh_next[:a], dc_next[:a] = dz[s] @ u.data.T, dc * f
+        # back to the row order of x, so the products sum over rows in order
+        dz_rows, h_prev_rows = np.empty_like(dz), np.empty_like(h_prev)
+        dz_rows[order], h_prev_rows[order] = dz, h_prev
+        _accumulate(x, dz_rows @ w.data.T)
+        _accumulate(w, x.data.T @ dz_rows)
+        _accumulate(u, h_prev_rows.T @ dz_rows)
+        _accumulate(b, dz_rows.sum(axis=0, keepdims=True))
 
-    return _make(h, (x, w, u, b), "lstm", backward)
+    return _make(out, (x, w, u, b), "lstm", backward)
 
 
 def concat(parts: list[Tensor], axis: int = 1) -> Tensor:
@@ -531,29 +566,61 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+# Elements per block of the in-place Adam update, small enough that the
+# block's slices of p, m, v, g and the scratch stay in cache across its passes.
+_ADAM_BLOCK = 1 << 14
+
+
 def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
               state: AdamState) -> None:
-    """One bias-corrected Adam update, in place, over all trainable params."""
+    """One bias-corrected Adam update, in place, over all trainable params.
+
+    Per element: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+    p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), with the operations in that
+    order, run block by block into reused scratch instead of whole-tensor
+    temporaries.
+    """
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    lr, eps = state.learning_rate, state.eps
     for name, p in params.items():
         if not p.trainable:
             continue
         if name not in grads:
             raise ContractError(f"missing gradient for trainable parameter {name!r}")
-        g = grads[name]
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        if not p.data.flags.c_contiguous:
+            p.data = np.ascontiguousarray(p.data)
+        pf = p.data.reshape(-1)
+        mf, vf = state.m[name].reshape(-1), state.v[name].reshape(-1)
+        gf = np.ravel(np.broadcast_to(grads[name], p.data.shape))
+        size = min(_ADAM_BLOCK, pf.size)
+        g_tmp = np.empty(size, gf.dtype)              # (1-b1)*g, then (1-b2)*g*g
+        num, den = np.empty(size, mf.dtype), np.empty(size, vf.dtype)
+        for lo in range(0, pf.size, _ADAM_BLOCK):
+            blk = slice(lo, lo + _ADAM_BLOCK)
+            g, m, v, pb = gf[blk], mf[blk], vf[blk], pf[blk]
+            k = g.size
+            gt, nu, de = g_tmp[:k], num[:k], den[:k]
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1.0 - b1, out=gt)
+            np.add(m, gt, out=m)
+            np.multiply(v, b2, out=v)
+            np.multiply(g, g, out=gt)
+            np.multiply(gt, 1.0 - b2, out=gt)
+            np.add(v, gt, out=v)
+            np.divide(m, bc1, out=nu)
+            np.multiply(nu, lr, out=nu)
+            np.divide(v, bc2, out=de)
+            np.sqrt(de, out=de)
+            np.add(de, eps, out=de)
+            np.divide(nu, de, out=nu)
+            np.subtract(pb, nu, out=pb)
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +740,7 @@ def grad_check(f: Callable[[], Tensor], params: Mapping[str, Tensor],
 # ---------------------------------------------------------------------------
 
 _DTYPE_TAGS = {"float32": "<f4", "float64": "<f8"}
+_MAX_DIMS = 32   # the most numpy 1 allows (numpy 2: 64)
 
 
 def save_checkpoint(tensors: Mapping[str, "Tensor | np.ndarray"], path) -> None:
@@ -690,7 +758,7 @@ def save_checkpoint(tensors: Mapping[str, "Tensor | np.ndarray"], path) -> None:
         if "\t" in name or "\n" in name:
             raise FormatError(f"invalid tensor name {name!r}")
         items.append((name, arr))
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(f"{CHECKPOINT_MAGIC}\t{len(items)}\n".encode("utf-8"))
         for name, arr in items:
             dims = ",".join(str(d) for d in arr.shape)
@@ -698,6 +766,21 @@ def save_checkpoint(tensors: Mapping[str, "Tensor | np.ndarray"], path) -> None:
         for _, arr in items:
             fh.write(np.ascontiguousarray(arr).astype(
                 _DTYPE_TAGS[arr.dtype.name], copy=False).tobytes())
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """A binary file to write in place of ``path``: the bytes go to
+    ``<path>.tmp`` beside it, which replaces ``path`` only once the block
+    finishes, so a failed or killed write leaves any previous file whole."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _header_fields(fh, path) -> list[str]:
@@ -731,10 +814,21 @@ def load_checkpoint(path) -> "collections.OrderedDict[str, np.ndarray]":
                     raise ValueError(dims)
             except ValueError:
                 raise FormatError(f"{path}: bad shape {dims!r} for {name!r}") from None
+            if len(shape) > _MAX_DIMS:
+                raise FormatError(f"{path}: {len(shape)} dimensions for "
+                                  f"{name!r}, at most {_MAX_DIMS} allowed")
             headers.append((name, dtype, shape))
+        # checked before any read, so a huge declared shape is an error, not
+        # an allocation of that size
+        declared = sum(math.prod(shape) * np.dtype(_DTYPE_TAGS[dtype]).itemsize
+                       for _, dtype, shape in headers)
+        present = os.fstat(fh.fileno()).st_size - fh.tell()
+        if declared > present:
+            raise FormatError(f"{path}: headers declare {declared} bytes of "
+                              f"tensor data, the file holds {present}")
         out = collections.OrderedDict()
         for name, dtype, shape in headers:
-            n = int(np.prod(shape)) if shape else 1
+            n = math.prod(shape)
             raw = fh.read(n * np.dtype(_DTYPE_TAGS[dtype]).itemsize)
             arr = np.frombuffer(raw, dtype=_DTYPE_TAGS[dtype]).astype(dtype)
             if arr.size != n:

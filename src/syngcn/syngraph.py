@@ -116,6 +116,23 @@ def build_graph(sentence: Sentence, lexicon: Lexicon) -> SyntacticGraph:
     return SyntacticGraph(len(sentence), edges, num_labels(r))
 
 
+def disjoint_union(graphs: list[SyntacticGraph]) -> SyntacticGraph:
+    """The graphs side by side as one graph: node v of ``graphs[k]`` becomes
+    v plus the node count of ``graphs[:k]``. Edges keep their (destination,
+    direction, source) order, so each node sums its messages in the same
+    order as in its own graph.
+    """
+    if len(graphs) == 1:
+        return graphs[0]
+    edges: list[Edge] = []
+    offset = 0
+    for g in graphs:
+        edges += [Edge(e.src + offset, e.dst + offset, e.direction, e.label_id,
+                       e.deprel_id) for e in g.edges]
+        offset += g.n
+    return SyntacticGraph(offset, edges, graphs[0].num_labels)
+
+
 def edge_dropout(graph: SyntacticGraph, beta: float,
                  rng: np.random.Generator) -> SyntacticGraph:
     """Drop each in-edge, self-loops included, independently with probability

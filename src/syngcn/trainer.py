@@ -21,7 +21,7 @@ from . import bilstm, classifier, embedder, gcn
 from . import numerics as nm
 from .conll import Lexicon, Sentence, build_lexicon
 from .errors import ConfigError, ContractError, NumericsError
-from .syngraph import SyntacticGraph, build_graph, num_labels
+from .syngraph import SyntacticGraph, build_graph, disjoint_union, num_labels
 
 logger = logging.getLogger(__name__)
 
@@ -209,26 +209,37 @@ class SrlModel:
     def trainable_parameters(self) -> dict[str, nm.Tensor]:
         return {k: t for k, t in self.parameters().items() if t.trainable}
 
-    def encode(self, instance: Instance, graph: SyntacticGraph | None,
-               training: bool = False,
+    def encode(self, instances: list[Instance],
+               graphs: list[SyntacticGraph | None], training: bool = False,
                rng: np.random.Generator | None = None,
-               word_unk_mask: np.ndarray | None = None) -> nm.Tensor:
+               word_unk_masks: list[np.ndarray | None] | None = None
+               ) -> nm.Tensor:
+        """Encoder states of ``instances`` as one [total tokens x width]
+        tensor, each instance's rows in order. The instances share every
+        BiLSTM step and one GCN pass over the disjoint union of their graphs
+        (``graphs[k]`` belongs to ``instances[k]``; None without a GCN).
+        """
         cfg = self.config
-        h = embedder.embed_sentence(instance.sentence, instance.predicate_row,
-                                    self.tables, self.lexicon, word_unk_mask)
+        masks = word_unk_masks or [None] * len(instances)
+        parts = [embedder.embed_sentence(inst.sentence, inst.predicate_row,
+                                         self.tables, self.lexicon, mask)
+                 for inst, mask in zip(instances, masks)]
+        h = parts[0] if len(parts) == 1 else nm.concat(parts, axis=0)
         if self.lstm is not None:
-            h = bilstm.bilstm_encode(h, self.lstm)
+            h = bilstm.bilstm_encode(h, self.lstm,
+                                     [len(inst.sentence) for inst in instances])
         if self.gcn is not None:
-            if graph is None:
-                graph = build_graph(instance.sentence, self.lexicon)
             h = gcn.gcn_stack_forward(
-                h, graph, self.gcn, training=training, beta=cfg.edge_dropout,
-                rng=rng)
+                h, disjoint_union(graphs), self.gcn, training=training,
+                beta=cfg.edge_dropout, rng=rng)
         return h
 
     def instance_logits(self, instance: Instance, graph=None, training=False,
                         rng=None, word_unk_mask=None) -> nm.Tensor:
-        encoded = self.encode(instance, graph, training, rng, word_unk_mask)
+        if graph is None and self.gcn is not None:
+            graph = build_graph(instance.sentence, self.lexicon)
+        encoded = self.encode([instance], [graph], training, rng,
+                              [word_unk_mask])
         return classifier.role_logits(encoded, instance.predicate_row,
                                       instance.lemma_id, self.classifier)
 
@@ -241,11 +252,21 @@ class SrlModel:
                                       word_unk_mask)
         return nm.cross_entropy_rows(logits, instance.gold_role_ids)
 
-    def predict_instance(self, instance: Instance, graph=None
-                         ) -> tuple[np.ndarray, np.ndarray]:
-        encoded = self.encode(instance, graph, training=False)
-        return classifier.predict_arguments(
-            encoded, instance.predicate_row, instance.lemma_id, self.classifier)
+    def predict(self, instances: list[Instance],
+                graphs: list[SyntacticGraph]
+                ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Argmax role ids and [n x num_roles] distributions per instance,
+        from one batched ``encode`` of them all."""
+        encoded = self.encode(instances, graphs).data
+        out = []
+        lo = 0
+        for inst in instances:
+            hi = lo + len(inst.sentence)
+            out.append(classifier.predict_arguments(
+                nm.Tensor(encoded[lo:hi]), inst.predicate_row, inst.lemma_id,
+                self.classifier))
+            lo = hi
+        return out
 
     def save(self, path) -> None:
         nm.save_checkpoint(self.parameters(), path)
@@ -262,14 +283,23 @@ class SrlModel:
             if p.data.shape != arr.shape:
                 raise ContractError(f"checkpoint tensor {name} has shape "
                                     f"{arr.shape}, expected {p.data.shape}")
-            p.data = arr.astype(p.data.dtype, copy=True)
+            p.data = arr.astype(p.data.dtype, copy=False)
 
     @classmethod
     def from_checkpoint(cls, path, config: TrainConfig, lexicon: Lexicon
                         ) -> "SrlModel":
-        model = cls(config, lexicon, np.random.default_rng(0))
+        """The model saved at ``path``; its tensors are the loaded arrays."""
+        model = cls(config, lexicon, _NoDraws())
         model.load_tensors(nm.load_checkpoint(path))
         return model
+
+
+class _NoDraws:
+    """Generator stand-in for a model whose every tensor is loaded next: a
+    draw is a zero-strided view of 0.0, so no random number is made."""
+
+    def uniform(self, low, high, size):
+        return np.broadcast_to(0.0, size)
 
 
 def _word_unk_mask(instance: Instance, lexicon: Lexicon, rate: float,
@@ -405,7 +435,8 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
                 logger.info("dev F1 reached %.4f, stopping", dev_f1)
                 break
     if best_path is not None:
-        (out_dir / "best.ckpt").write_bytes(best_path.read_bytes())
+        with nm.replacing(out_dir / "best.ckpt") as fh:
+            fh.write(best_path.read_bytes())
         best_path = out_dir / "best.ckpt"
     return TrainResult(history, best_epoch,
                        best_f1 if dev_sentences is not None else float("nan"),

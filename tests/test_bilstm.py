@@ -4,7 +4,9 @@ import pytest
 from syngcn import numerics as nm
 from syngcn.bilstm import (LstmParams, bilstm_encode, init_lstm,
                            init_lstm_direction)
-from syngcn.errors import NumericsError
+from syngcn.errors import NumericsError, ShapeError
+
+from test_numerics import masked_logistic
 
 I, F, O, G = range(4)   # gate column blocks
 
@@ -245,3 +247,134 @@ class TestBilstmEncode:
         x = nm.Tensor(np.ones((2, 3), dtype=np.float32))
         with pytest.raises(NumericsError, match="lstm"):
             bilstm_encode(x, params)
+
+
+def step_by_step_lstm(x, w, u, b, reverse, dout):
+    """One sequence, one row per step, each step a vector-matrix product;
+    returns the states and the gradients of sum(states * dout) for x, w, u
+    and b. The single-sequence loop that ``nm.lstm`` batched, kept as the
+    byte-level reference for its B = 1 case."""
+    n, d = x.shape[0], u.shape[0]
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    z = x @ w + b
+    gates = np.empty_like(z)
+    h, tanh_c, h_prev, c_prev = (np.empty((n, d), z.dtype) for _ in range(4))
+    h_t = c_t = np.zeros(d, z.dtype)
+    for t in order:
+        h_prev[t], c_prev[t] = h_t, c_t
+        z[t] += h_t @ u
+        gates[t, :3 * d] = masked_logistic(z[t, :3 * d])
+        gates[t, 3 * d:] = np.tanh(z[t, 3 * d:])
+        i, f, o, g = np.split(gates[t], 4)
+        c_t = f * c_t + i * g
+        tanh_c[t] = np.tanh(c_t)
+        h[t] = h_t = o * tanh_c[t]
+    dz = np.empty_like(gates)
+    dh = dc = np.zeros(d, gates.dtype)
+    for t in reversed(order):
+        i, f, o, g = np.split(gates[t], 4)
+        dh = dout[t] + dh
+        dc = dc + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
+        dz[t] = np.concatenate([dc * g * i * (1.0 - i),
+                                dc * c_prev[t] * f * (1.0 - f),
+                                dh * tanh_c[t] * o * (1.0 - o),
+                                dc * i * (1.0 - g * g)])
+        dh, dc = dz[t] @ u.T, dc * f
+    return h, {"x": dz @ w.T, "w": x.T @ dz, "u": h_prev.T @ dz,
+               "b": dz.sum(axis=0, keepdims=True)}
+
+
+def lstm_with_grads(arrays, reverse, dout, lengths=None):
+    """``nm.lstm`` states and the gradients of sum(states * dout)."""
+    x, w, u, b = (nm.parameter(k, a) for k, a in zip("xwub", arrays))
+    with nm.Tape() as tape:
+        h = nm.lstm(x, w, u, b, reverse=reverse, lengths=lengths)
+        grads = tape.gradients(nm.sum_all(h * nm.constant(dout)))
+    return h.data, grads
+
+
+def random_direction_arrays(n, input_dim, d, rng, dtype):
+    return [rng.uniform(-0.5, 0.5, shape).astype(dtype)
+            for shape in ((n, input_dim), (input_dim, 4 * d), (d, 4 * d),
+                          (1, 4 * d))]
+
+
+class TestBatchedLstm:
+    LENGTHS = [4, 1, 6]   # not sorted, so the op's length order is exercised
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6),
+                                           (np.float64, 1e-12)])
+    def test_matches_single_sequence_calls(self, reverse, dtype, tol):
+        rng = np.random.default_rng(20)
+        n = sum(self.LENGTHS)
+        arrays = random_direction_arrays(n, 3, 5, rng, dtype)
+        dout = rng.standard_normal((n, 5)).astype(dtype)
+        h, grads = lstm_with_grads(arrays, reverse, dout, self.LENGTHS)
+        lo = 0
+        want_h, want_x = [], []
+        want = {k: 0.0 for k in "wub"}
+        for length in self.LENGTHS:
+            rows = slice(lo, lo + length)
+            h1, g1 = lstm_with_grads([arrays[0][rows]] + arrays[1:], reverse,
+                                     dout[rows])
+            want_h.append(h1)
+            want_x.append(g1["x"])
+            for k in "wub":
+                want[k] = want[k] + g1[k]
+            lo += length
+        np.testing.assert_allclose(h, np.vstack(want_h), rtol=0, atol=tol)
+        np.testing.assert_allclose(grads["x"], np.vstack(want_x), rtol=0,
+                                   atol=tol)
+        for k in "wub":
+            np.testing.assert_allclose(grads[k], want[k], rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_batched_gradient_check(self, reverse):
+        rng = np.random.default_rng(21)
+        arrays = random_direction_arrays(sum(self.LENGTHS), 3, 2, rng,
+                                         np.float64)
+        params = {k: nm.parameter(k, a) for k, a in zip("xwub", arrays)}
+        proj = nm.constant(rng.standard_normal((2, 1)))
+        result = nm.grad_check(
+            lambda: nm.sum_all(nm.lstm(*params.values(), reverse=reverse,
+                                       lengths=self.LENGTHS) @ proj), params)
+        assert result.max_rel_err < 1e-6
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,d", [(1, 4), (9, 8), (30, 64)])
+    def test_one_sequence_is_byte_identical_to_step_by_step(self, reverse,
+                                                            dtype, n, d):
+        rng = np.random.default_rng(n)
+        arrays = random_direction_arrays(n, 5, d, rng, dtype)
+        dout = rng.standard_normal((n, d)).astype(dtype)
+        h, grads = lstm_with_grads(arrays, reverse, dout)
+        want_h, want = step_by_step_lstm(*arrays, reverse, dout)
+        assert h.tobytes() == want_h.tobytes()
+        for k in "xwub":
+            assert grads[k].tobytes() == want[k].tobytes(), k
+
+    @pytest.mark.parametrize("lengths", [[2, 3], [4, 0], [], [-1, 5]])
+    def test_lengths_must_cover_the_rows(self, lengths):
+        arrays = random_direction_arrays(4, 3, 2, np.random.default_rng(0),
+                                         np.float32)
+        with pytest.raises(ShapeError, match="lengths"):
+            nm.lstm(*(nm.Tensor(a) for a in arrays), lengths=lengths)
+
+    def test_non_finite_value_in_one_sequence_is_reported(self):
+        arrays = random_direction_arrays(5, 3, 2, np.random.default_rng(1),
+                                         np.float32)
+        arrays[0][4, 0] = np.inf
+        with pytest.raises(NumericsError, match="lstm"):
+            nm.lstm(*(nm.Tensor(a) for a in arrays), lengths=[3, 2])
+
+    def test_encoder_keeps_sentences_apart(self):
+        # two sentences encoded together equal each encoded alone
+        rng = np.random.default_rng(22)
+        params = init_lstm(3, 4, 2, rng, dtype=np.float64)
+        a, b = rng.standard_normal((3, 3)), rng.standard_normal((5, 3))
+        both = bilstm_encode(nm.Tensor(np.vstack([a, b])), params, [3, 5]).data
+        alone = np.vstack([bilstm_encode(nm.Tensor(s), params).data
+                           for s in (a, b)])
+        np.testing.assert_allclose(both, alone, rtol=0, atol=1e-12)

@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from syngcn import numerics as nm
 from syngcn.conll import build_lexicon
@@ -54,6 +55,32 @@ class TestLoadPretrained:
         path.write_text("aa 1 2 3\nbb 1 2\n")
         with pytest.raises(FormatError, match=":2"):
             load_pretrained(path, two_word_lexicon)
+
+    def test_non_utf8_names_line(self, tmp_path, two_word_lexicon):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("aa 1 2\ncaf\u00e9 3 4\n".encode("latin-1"))
+        with pytest.raises(FormatError, match=r"latin1\.txt:2: not UTF-8"):
+            load_pretrained(path, two_word_lexicon)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=120),
+        st.lists(st.lists(st.sampled_from(
+            ["aa", "bb", "AA", "1", "-2.5", "1e400", "nan", "x", "0x1",
+             "\u00e9", "\t", ""]), max_size=5).map(" ".join), max_size=5)
+        .map(lambda lines: "\n".join(lines).encode("utf-8"))),
+        st.sampled_from([None, 2]))
+    def test_fuzzed_file_parses_or_raises_format_error(self, tmp_path_factory,
+                                                       data, expected_dim):
+        lexicon = build_lexicon(parse_text(make_sentence([
+            ("aa", "aa", "N", 2, "R", "_", "_"),
+            ("bb", "bb", "V", 0, "ROOT", "_", "_")])))
+        path = tmp_path_factory.mktemp("fuzz") / "emb.txt"
+        path.write_bytes(data)
+        try:
+            load_pretrained(path, lexicon, expected_dim)
+        except FormatError:
+            pass
 
     def test_lowercased_matching(self, tmp_path):
         text = make_sentence([("Paris", "paris", "NNP", 0, "ROOT", "_", "_")])

@@ -3,6 +3,7 @@ import collections
 import numpy as np
 import pytest
 
+from syngcn import evaluator
 from syngcn.conll import NULL_ROLE, build_lexicon
 from syngcn.errors import ConfigError, ContractError
 from syngcn.evaluator import (BUCKETS, PredictionSet, distance_buckets,
@@ -10,7 +11,9 @@ from syngcn.evaluator import (BUCKETS, PredictionSet, distance_buckets,
                               relation_ablation, score, teleport_stats,
                               format_report, report_rows)
 
-from conftest import parse_text
+from syngcn.trainer import SrlModel, make_instances
+
+from conftest import parse_text, small_config
 from test_conll import make_sentence
 
 
@@ -393,6 +396,44 @@ class TestPredictCorpus:
         for key in single.keys():
             assert np.abs(combined.get(*key)[1] - single.get(*key)[1]).max() \
                 < 1e-6
+
+
+    @pytest.mark.parametrize("mode", ["lstm+gcn", "lstm"])
+    def test_batched_matches_batches_of_one(self, mode, structural_runs,
+                                            structural_sentences,
+                                            overfit_sentences, monkeypatch):
+        untrained = SrlModel(small_config(encoder_mode=mode),
+                             build_lexicon(overfit_sentences),
+                             np.random.default_rng(3))
+        for model, sents in ((structural_runs[mode].model, structural_sentences),
+                             (untrained, overfit_sentences)):
+            instances = make_instances(sents, model.lexicon, require_gold=False)
+            batches = list(evaluator._batches(instances,
+                                              evaluator.PREDICT_TOKEN_BUDGET))
+            assert len(batches) < len(instances)
+            batched = predict_corpus(model, sents)
+            monkeypatch.setattr(evaluator, "PREDICT_TOKEN_BUDGET", 1)
+            alone = predict_corpus(model, sents)
+            monkeypatch.undo()
+            assert set(batched.keys()) == set(alone.keys())
+            for key in alone.keys():
+                ids, dists = batched.get(*key)
+                want_ids, want_dists = alone.get(*key)
+                assert np.array_equal(ids, want_ids)
+                np.testing.assert_allclose(dists, want_dists, rtol=0,
+                                           atol=1e-5)
+
+    def test_batches_follow_corpus_order_under_the_budget(self,
+                                                          overfit_sentences):
+        instances = make_instances(overfit_sentences,
+                                   build_lexicon(overfit_sentences))
+        budget = 2 * max(len(s) for s in overfit_sentences)
+        batches = list(evaluator._batches(instances, budget))
+        assert [i for b in batches for i in b] == instances
+        assert all(sum(len(i.sentence) for i in b) <= budget for b in batches)
+        assert len(batches) > 1
+        assert [len(b) for b in evaluator._batches(instances, 1)] == \
+            [1] * len(instances)
 
 
 class TestReports:

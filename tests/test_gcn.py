@@ -5,7 +5,8 @@ from syngcn import numerics as nm
 from syngcn.conll import build_lexicon
 from syngcn.gcn import (GcnStack, gcn_layer, gcn_stack_forward,
                         init_gcn_layer, init_gcn_stack, plain_gcn_layer)
-from syngcn.syngraph import Direction, Edge, SyntacticGraph, build_graph
+from syngcn.syngraph import (Direction, Edge, SyntacticGraph, build_graph,
+                             disjoint_union)
 
 from conftest import parse_text
 from test_conll import make_sentence
@@ -277,3 +278,27 @@ class TestStack:
             lambda: nm.sum_all(gcn_stack_forward(h, graph, stack)),
             stack.tensors())
         assert result.max_rel_err < 1e-4
+
+
+class TestDisjointUnion:
+    def test_union_layer_is_bitwise_per_graph(self):
+        # every graph has at least two nodes: a one-row state matrix takes
+        # numpy's matrix-vector product, which may round differently
+        rng = np.random.default_rng(30)
+        sizes = [5, 2, 8, 3]
+        sents = parse_text("".join(random_tree_sentence(n, rng)
+                                   for n in sizes))
+        lex = build_lexicon(sents)
+        graphs = [build_graph(s, lex) for s in sents]
+        params = layer_for(graphs[0], 16, rng)
+        params.label_bias.data[:] = rng.uniform(-0.1, 0.1,
+                                                params.label_bias.shape)
+        params.gate_label_bias.data[:] = rng.uniform(
+            -0.1, 0.1, params.gate_label_bias.shape)
+        states = [rng.uniform(-1, 1, (n, 16)).astype(np.float32)
+                  for n in sizes]
+        union = gcn_layer(nm.Tensor(np.vstack(states)),
+                          disjoint_union(graphs), params).data
+        alone = [gcn_layer(nm.Tensor(h), g, params).data
+                 for h, g in zip(states, graphs)]
+        assert union.tobytes() == np.vstack(alone).tobytes()

@@ -20,6 +20,35 @@ def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def masked_logistic(x: np.ndarray) -> np.ndarray:
+    """The clamped logistic in its two-branch form: 1/(1+exp(-x)) on the
+    x >= 0 entries, exp(x)/(1+exp(x)) on the others."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    info = np.finfo(x.dtype)
+    return np.clip(out, info.tiny, 1.0 - info.epsneg)
+
+
+@st.composite
+def checkpoint_like_bytes(draw):
+    """A SYNGCN1 manifest and header lines with drawn fields (counts,
+    dtypes and dimensions mostly well formed, sizes up to 10**12), then
+    drawn tensor bytes."""
+    headers = draw(st.lists(st.tuples(
+        st.sampled_from([b"w", b"b", b"w\tx", b"\xff"]),
+        st.sampled_from([b"float32", b"float64", b"int8"]),
+        st.lists(st.one_of(st.integers(0, 4), st.integers(-1, 10 ** 12)),
+                 max_size=3)), max_size=3))
+    count = len(headers) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    lines = [b"SYNGCN1\t%d" % count] + [
+        b"\t".join([name, dtype, b",".join(b"%d" % d for d in dims)])
+        for name, dtype, dims in headers]
+    return b"\n".join(lines) + b"\n" + draw(st.binary(max_size=64))
+
+
 class TestMatmul:
     def test_identity(self):
         a = nm.Tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -109,6 +138,16 @@ class TestSigmoid:
         got = nm.sigmoid(nm.Tensor(xs)).data
         want = np.array([1.0 / (1.0 + math.exp(-float(v))) for v in xs[0]])
         assert np.abs(got - want).max() < 1e-6
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_masked_two_branch_form(self, dtype):
+        rng = np.random.default_rng(8)
+        x = np.concatenate([rng.standard_normal(4099) * scale
+                            for scale in (1e-3, 1.0, 30.0, 1e3)]
+                           + [[0.0, -0.0, np.inf, -np.inf]]).astype(dtype)
+        got = nm.sigmoid(nm.Tensor(x.reshape(4, -1))).data.reshape(-1)
+        assert got.tobytes() == masked_logistic(x).tobytes()
 
 
 class TestSoftmaxCrossEntropy:
@@ -204,6 +243,36 @@ class TestAdam:
         p = nm.parameter("w", np.ones(2))
         with pytest.raises(ContractError, match="w"):
             nm.adam_step({"w": p}, {}, nm.AdamState())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_textbook_update(self, dtype):
+        # one tensor spans several blocks and ends in a partial one
+        shapes = {"a": (3, 5), "b": (2 * nm._ADAM_BLOCK + 7,), "c": (1, 1),
+                  "d": (130, 257)}
+        rng = np.random.default_rng(11)
+        start = {k: rng.standard_normal(s).astype(dtype)
+                 for k, s in shapes.items()}
+        params = {k: nm.parameter(k, a.copy()) for k, a in start.items()}
+        ours = nm.AdamState(learning_rate=0.01)
+        p_ref = {k: a.copy() for k, a in start.items()}
+        m_ref = {k: np.zeros_like(a) for k, a in start.items()}
+        v_ref = {k: np.zeros_like(a) for k, a in start.items()}
+        for step in range(1, 6):
+            grads = {k: (rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3))
+                     .astype(dtype) for k, s in shapes.items()}
+            nm.adam_step(params, grads, ours)
+            bc1, bc2 = 1.0 - 0.9 ** step, 1.0 - 0.999 ** step
+            for k, g in grads.items():
+                m, v = m_ref[k], v_ref[k]
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * (g * g)
+                p_ref[k] -= 0.01 * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+        for k in shapes:
+            assert params[k].data.tobytes() == p_ref[k].tobytes(), k
+            assert ours.m[k].tobytes() == m_ref[k].tobytes(), k
+            assert ours.v[k].tobytes() == v_ref[k].tobytes(), k
 
     def test_second_moment_nonnegative(self):
         p = nm.parameter("w", np.ones(4))
@@ -330,6 +399,48 @@ class TestCheckpointContainer:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(FormatError):
             nm.load_checkpoint(path)
+
+
+    def test_huge_declared_shape_is_format_error(self, tmp_path):
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(b"SYNGCN1\t1\nw\tfloat32\t100000,100000\n" + bytes(8))
+        with pytest.raises(FormatError, match="declare"):
+            nm.load_checkpoint(path)
+
+    def test_too_many_dimensions_is_format_error(self, tmp_path):
+        path = tmp_path / "dims.ckpt"
+        path.write_bytes(b"SYNGCN1\t1\nw\tfloat32\t" + b",".join([b"1"] * 70)
+                         + b"\n" + bytes(4))
+        with pytest.raises(FormatError, match="dimensions"):
+            nm.load_checkpoint(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.binary(max_size=200), checkpoint_like_bytes()))
+    def test_fuzzed_file_parses_or_raises_format_error(self, tmp_path_factory,
+                                                       data):
+        path = tmp_path_factory.mktemp("fuzz") / "f.ckpt"
+        path.write_bytes(data)
+        try:
+            nm.load_checkpoint(path)
+        except FormatError:
+            pass
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path,
+                                                    monkeypatch):
+        path = tmp_path / "m.ckpt"
+        nm.save_checkpoint({"w": np.ones((2, 3), dtype=np.float32)}, path)
+        before = path.read_bytes()
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        # the tensor bytes are made after the header lines are written
+        monkeypatch.setattr(nm.np, "ascontiguousarray", fail)
+        with pytest.raises(OSError, match="disk full"):
+            nm.save_checkpoint({"w": np.zeros((2, 3), dtype=np.float32)}, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
 class TestDeterminism:

@@ -4,8 +4,9 @@ import pytest
 from syngcn import fixtures, syngraph
 from syngcn.conll import build_lexicon
 from syngcn.errors import ConfigError
-from syngcn.syngraph import (Direction, build_graph, drop_relation,
-                             edge_dropout, label_name, num_labels)
+from syngcn.syngraph import (Direction, build_graph, disjoint_union,
+                             drop_relation, edge_dropout, label_name,
+                             num_labels)
 
 from conftest import parse_text
 from test_conll import make_sentence
@@ -165,3 +166,27 @@ class TestDropRelation:
         once = drop_relation(graph, rel)
         twice = drop_relation(once, rel)
         assert once.edges == twice.edges
+
+
+class TestDisjointUnion:
+    def test_offsets_and_in_edge_order(self, overfit_sentences):
+        lex = build_lexicon(overfit_sentences)
+        graphs = [build_graph(s, lex) for s in overfit_sentences[:3]]
+        union = disjoint_union(graphs)
+        assert union.n == sum(g.n for g in graphs)
+        assert union.num_labels == graphs[0].num_labels
+        offset = 0
+        for g in graphs:
+            for d in Direction:
+                src, dst, labels = g.arrays()[d]
+                u_src, u_dst, u_labels = union.arrays()[d]
+                mine = (u_dst >= offset) & (u_dst < offset + g.n)
+                # each node's in-edges, in order, shifted by the offset
+                assert np.array_equal(u_src[mine], src + offset)
+                assert np.array_equal(u_dst[mine], dst + offset)
+                assert np.array_equal(u_labels[mine], labels)
+            offset += g.n
+
+    def test_one_graph_is_itself(self, figure_sentences):
+        graph = build_graph(figure_sentences[0], build_lexicon(figure_sentences))
+        assert disjoint_union([graph]) is graph

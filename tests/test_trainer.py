@@ -6,6 +6,7 @@ import pytest
 from syngcn import numerics as nm
 from syngcn.conll import build_lexicon
 from syngcn.errors import ConfigError, ContractError
+from syngcn.evaluator import predict_corpus
 from syngcn.trainer import (Instance, SrlModel, TrainConfig, load_config,
                             make_instances, parse_config_text, save_config,
                             train)
@@ -174,6 +175,29 @@ class TestModel:
         clone.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_loading_draws_nothing(self, overfit_sentences, tmp_path,
+                                   monkeypatch):
+        model, lex = tiny_model(overfit_sentences)
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+
+        class NoUniform:
+            def __init__(self, *args):
+                pass
+
+            def uniform(self, *args, **kwargs):
+                raise AssertionError("random draw while loading")
+
+        monkeypatch.setattr(np.random, "default_rng", NoUniform)
+        clone = SrlModel.from_checkpoint(path, model.config, lex)
+        monkeypatch.undo()
+        want = model.parameters()
+        got = clone.parameters()
+        assert list(got) == list(want)
+        for name, t in got.items():
+            assert t.data.dtype == want[name].data.dtype
+            assert t.data.tobytes() == want[name].data.tobytes(), name
+
     def test_checkpoint_mismatch_rejected(self, overfit_sentences, tmp_path):
         model, lex = tiny_model(overfit_sentences)
         path = tmp_path / "m.ckpt"
@@ -198,8 +222,9 @@ class TestTrainLoop:
         lex = Lexicon.load(result.lexicon_path)
         model = SrlModel.from_checkpoint(result.best_checkpoint,
                                          load_config(result.config_path), lex)
+        preds = predict_corpus(model, overfit_sentences)
         for inst in make_instances(overfit_sentences, lex):
-            role_ids, _ = model.predict_instance(inst)
+            role_ids, _ = preds.get(inst.sentence_id, inst.predicate_ord)
             assert np.array_equal(role_ids, inst.gold_role_ids)
 
     def test_deterministic_given_seed(self, overfit_sentences, tmp_path):
