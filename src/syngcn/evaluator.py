@@ -96,9 +96,11 @@ def _batches(instances: list, budget: int):
 
 
 def predict_corpus(model: SrlModel, sentences: list[Sentence],
-                   graph_transform=None) -> PredictionSet:
+                   graph_transform=None,
+                   token_budget: int | None = None) -> PredictionSet:
     """Run inference over every predicate instance of ``sentences``, in
-    corpus-order batches of at most ``PREDICT_TOKEN_BUDGET`` tokens.
+    corpus-order batches of at most ``token_budget`` tokens (default
+    ``PREDICT_TOKEN_BUDGET``; 1 scores each instance alone).
 
     ``graph_transform`` maps a built graph to the one actually used (the
     relation-ablation hook).
@@ -112,7 +114,9 @@ def predict_corpus(model: SrlModel, sentences: list[Sentence],
             if graph_transform is not None:
                 g = graph_transform(g)
             graphs[inst.sentence_id] = g
-    for batch in _batches(instances, PREDICT_TOKEN_BUDGET):
+    if token_budget is None:
+        token_budget = PREDICT_TOKEN_BUDGET
+    for batch in _batches(instances, token_budget):
         results = model.predict(batch, [graphs[i.sentence_id] for i in batch])
         for inst, (role_ids, dists) in zip(batch, results):
             preds.add(inst.sentence_id, inst.predicate_ord, role_ids, dists)

@@ -413,7 +413,11 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
                     pending = 0
             dev_p = dev_r = dev_f1 = float("nan")
             if dev_sentences is not None:
-                preds = predict_corpus(model, dev_sentences)
+                # one instance at a time, like the updates: a batched pass
+                # has products large enough for multi-threaded BLAS, whose
+                # worker thread keeps spinning into the next epoch's updates
+                # and takes a CPU from them on a busy machine
+                preds = predict_corpus(model, dev_sentences, token_budget=1)
                 report = score(dev_sentences, preds)
                 dev_p, dev_r, dev_f1 = report.precision, report.recall, report.f1
             metrics = EpochMetrics(epoch, total_loss / max(len(instances), 1),

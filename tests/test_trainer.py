@@ -281,6 +281,23 @@ class TestTrainLoop:
         assert math.isnan(result.history[0].dev_f1)
         assert result.best_epoch == 2     # falls back to last epoch
 
+    def test_dev_scored_one_instance_at_a_time(self, overfit_sentences,
+                                               tmp_path, monkeypatch):
+        sizes = []
+        batched_predict = SrlModel.predict
+
+        def recording_predict(model, instances, graphs):
+            sizes.append(len(instances))
+            return batched_predict(model, instances, graphs)
+
+        monkeypatch.setattr(SrlModel, "predict", recording_predict)
+        cfg = small_config(d_w=8, d_pos=4, d_l=8, d_h=8, d_r=8, d_l_out=8,
+                           epochs=2)
+        train(overfit_sentences, overfit_sentences, cfg, tmp_path / "run")
+        per_epoch = len(make_instances(overfit_sentences,
+                                       build_lexicon(overfit_sentences)))
+        assert sizes == [1] * (2 * per_epoch)
+
     def test_batch_accumulation_runs(self, overfit_sentences, tmp_path):
         cfg = small_config(d_w=8, d_pos=4, d_l=8, d_h=8, d_r=8, d_l_out=8,
                            epochs=1, batch_size=4)
