@@ -45,11 +45,11 @@ print(f"bundled long-range corpus ({near.arguments} arguments): the distant "
 
 
 def run(mode: str):
+    # the sequence baseline is the same model with no GCN layer (K = 0)
     config = TrainConfig(d_w=16, d_pos=8, d_l=16, d_h=32, d_r=16, d_l_out=16,
-                         lstm_layers=1, gcn_layers=1, edge_dropout=0.1,
-                         learning_rate=0.01, epochs=120, seed=23,
-                         unk_replace_rate=0.0, early_stop_f1=0.95,
-                         encoder_mode=mode)
+                         lstm_layers=1, gcn_layers=int(mode == "lstm+gcn"),
+                         edge_dropout=0.1, learning_rate=0.01, epochs=120,
+                         seed=23, unk_replace_rate=0.0, early_stop_f1=0.95)
     result = train(corpus, corpus, config, Path("demo_runs") / mode.replace("+", "_"),
                    lexicon=lexicon, pretrained=pretrained)
     reached = [m.epoch for m in result.history if m.dev_f1 >= 0.95]

@@ -40,17 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train a model")
     p_train.add_argument("--config", help="key = value configuration file")
-    p_train.add_argument("--seed", type=int, help="override the config seed")
-    p_train.add_argument("--mode", choices=trainer.MODES,
-                         help="encoder: lstm, lstm+gcn or gcn")
-    p_train.add_argument("--gcn-layers", type=int, help="GCN depth override")
-    p_train.add_argument("--no-gates", action="store_true",
-                         help="replace edge gates with the constant 1")
-    p_train.add_argument("--edge-dropout", type=float,
-                         help="edge dropout probability override")
     gold_syntax(p_train)
     p_train.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                         help="additional config override, repeatable")
+                         help="config override, repeatable (e.g. K=0, seed=5)")
     p_train.add_argument("--train", required=True, help="training CoNLL file")
     p_train.add_argument("--dev", help="development CoNLL file")
     p_train.add_argument("--embeddings", help="pretrained embedding text file")
@@ -94,23 +86,12 @@ def _resolve_config(args) -> trainer.TrainConfig:
     cfg = trainer.TrainConfig()
     if args.config:
         cfg = trainer.load_config(args.config, cfg)
-    if args.mode:
-        cfg.encoder_mode = args.mode
-    if args.gcn_layers is not None:
-        cfg.gcn_layers = args.gcn_layers
-    if args.no_gates:
-        cfg.gates_enabled = False
-    if args.edge_dropout is not None:
-        cfg.edge_dropout = args.edge_dropout
-    if args.use_gold_syntax:
-        cfg.use_gold_syntax = True
-    if args.seed is not None:
-        cfg.seed = args.seed
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        cfg = trainer.parse_config_text(item, cfg)
-    cfg.validate()
+    # one parse, validated after every override, so their order does not
+    # matter: from K = 0, "--set J=0 --set K=1" passes through J = K = 0
+    cfg = trainer.parse_config_text("\n".join(args.set), cfg)
     _log_config(cfg)
     return cfg
 
@@ -137,10 +118,12 @@ def _load_model(checkpoint: str) -> trainer.SrlModel:
 
 def _cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    train_sents = parse_conll_file(args.train, use_gold_syntax=cfg.use_gold_syntax)
+    train_sents = parse_conll_file(args.train,
+                                   use_gold_syntax=args.use_gold_syntax)
     dev_sents = None
     if args.dev:
-        dev_sents = parse_conll_file(args.dev, use_gold_syntax=cfg.use_gold_syntax)
+        dev_sents = parse_conll_file(args.dev,
+                                     use_gold_syntax=args.use_gold_syntax)
     if cfg.epochs == 0:
         logger.info("epochs = 0: configuration resolved, nothing to train")
         return 0

@@ -295,12 +295,14 @@ class Lexicon:
     @classmethod
     def load(cls, path) -> "Lexicon":
         lex = cls()
-        with open(path, encoding="utf-8") as fh:
-            magic = fh.readline().rstrip("\n")
-            if magic != LEXICON_MAGIC:
+        with open(path, "rb") as fh:
+            if fh.readline().rstrip(b"\r\n") != LEXICON_MAGIC.encode():
                 raise FormatError(f"{path}: not a {LEXICON_MAGIC} lexicon")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
+            for lineno, raw in enumerate(fh, start=2):
+                try:
+                    line = raw.decode("utf-8").rstrip("\r\n")
+                except UnicodeDecodeError:
+                    raise FormatError(f"{path}:{lineno}: not UTF-8 text") from None
                 if not line:
                     continue
                 try:
@@ -308,6 +310,8 @@ class Lexicon:
                     i, count = int(i), int(count)
                 except ValueError:
                     raise FormatError(f"{path}:{lineno}: bad lexicon line") from None
+                if i < 0:
+                    raise FormatError(f"{path}:{lineno}: negative id {i}")
                 inv = lex._inv.get(kind)
                 if inv is None:
                     raise FormatError(f"{path}:{lineno}: unknown kind {kind!r}")

@@ -282,8 +282,8 @@ def relation_ablation(model: SrlModel, sentences: list[Sentence],
     ``sentences`` unless an explicit list is given. Requires a syntax-aware
     encoder (K >= 1).
     """
-    if model.gcn is None or model.gcn.depth == 0:
-        raise ConfigError("relation ablation needs a GCN encoder (depth >= 1)")
+    if model.gcn is None:
+        raise ConfigError("relation ablation needs a GCN encoder (K >= 1)")
     baseline = score(sentences, predict_corpus(model, sentences)).f1
     if relations is None:
         counts = collections.Counter(

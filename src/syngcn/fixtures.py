@@ -223,8 +223,7 @@ def gradcheck_model(seed: int = 7):
     lexicon = build_lexicon(sentences)
     config = TrainConfig(d_w=2, d_pos=2, d_l=2, d_h=4, d_r=3, d_l_out=3,
                          lstm_layers=1, gcn_layers=1, edge_dropout=0.0,
-                         encoder_mode="lstm+gcn", unk_replace_rate=0.0,
-                         dtype="float64", seed=seed)
+                         unk_replace_rate=0.0, dtype="float64", seed=seed)
     model = SrlModel(config, lexicon, np.random.default_rng(seed))
     instance = make_instances(sentences, lexicon)[0]
     return model, instance

@@ -7,8 +7,9 @@ Each layer aggregates, for every token v, messages from its in-neighbors u:
 with one weight matrix per edge direction (along / opposite / self-loop),
 one bias vector and one gate bias per extended label, and a scalar gate per
 edge computed from the source state. A K-layer stack sees K-hop
-neighborhoods; K=0 is the identity (pure-LSTM baseline). The plain untyped
-layer (shared weight and bias, no gates) is kept as a testable reduction.
+neighborhoods; K=0 is the identity (the model builds no stack for its
+BiLSTM-only baseline). The plain untyped layer (shared weight and bias, no
+gates) is kept as a testable reduction.
 """
 
 from __future__ import annotations

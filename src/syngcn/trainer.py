@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,8 +25,6 @@ from .errors import ConfigError, ContractError, NumericsError
 from .syngraph import SyntacticGraph, build_graph, disjoint_union, num_labels
 
 logger = logging.getLogger(__name__)
-
-MODES = ("lstm", "lstm+gcn", "gcn")
 
 
 @dataclass
@@ -43,11 +42,9 @@ class TrainConfig:
     epochs: int = 20
     seed: int = 13
     batch_size: int = 1
-    encoder_mode: str = "lstm+gcn"
     gates_enabled: bool = True
     min_freq: int = 1
     unk_replace_rate: float = 0.1
-    use_gold_syntax: bool = False
     early_stop_f1: float = 0.0  # 0: never stop early
     dtype: str = "float32"
 
@@ -65,10 +62,14 @@ class TrainConfig:
             raise ConfigError("gcn_layers must be >= 0")
         if self.lstm_layers < 0:
             raise ConfigError("lstm_layers must be >= 0")
-        if self.lstm_layers == 0 and self.encoder_mode != "gcn":
-            raise ConfigError("lstm_layers=0 is only valid in gcn mode")
-        if self.encoder_mode not in MODES:
-            raise ConfigError(f"encoder_mode must be one of {MODES}")
+        if self.lstm_layers == 0 and self.gcn_layers == 0:
+            raise ConfigError("no encoder: lstm_layers and gcn_layers are both 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("learning_rate must be finite and positive")
+        if self.epochs < 0:
+            raise ConfigError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.dtype not in ("float32", "float64"):
@@ -181,12 +182,12 @@ class SrlModel:
             pretrained)
         self.lstm = None
         encoder_input = self.tables.width
-        if config.encoder_mode in ("lstm", "lstm+gcn"):
+        if config.lstm_layers > 0:
             self.lstm = bilstm.init_lstm(encoder_input, config.d_h,
                                          config.lstm_layers, rng, dtype)
             encoder_input = 2 * config.d_h
         self.gcn = None
-        if config.encoder_mode in ("lstm+gcn", "gcn"):
+        if config.gcn_layers > 0:
             width = config.encoder_width()
             self.gcn = gcn.init_gcn_stack(
                 config.gcn_layers, width, num_labels(lexicon.num_deprels),

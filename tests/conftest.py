@@ -1,7 +1,8 @@
 """Shared fixtures: parsed synthetic corpora and one trained small model.
 
-The long-range training runs (both encoder modes) are session-scoped so the
-evaluator tests and the acceptance suite share them instead of retraining.
+The long-range training runs (the "lstm+gcn" encoder with K = 1 and the
+"lstm" baseline with K = 0) are session-scoped so the evaluator tests and the
+acceptance suite share them instead of retraining.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ def small_config(**overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
+# run label -> GCN depth: the sequence baseline is the same model with K = 0
+GCN_LAYERS = {"lstm+gcn": 1, "lstm": 0}
+
+
 @dataclass
 class StructuralRun:
     mode: str
@@ -64,7 +69,8 @@ def _train_structural(mode: str, sentences, out_dir: Path) -> StructuralRun:
     emb_path = out_dir / "embeddings.txt"
     emb_path.write_text(fixtures.structural_embeddings(16), encoding="utf-8")
     pretrained, _ = load_pretrained(emb_path, lexicon, 16)
-    cfg = small_config(encoder_mode=mode, epochs=120, early_stop_f1=0.95)
+    cfg = small_config(gcn_layers=GCN_LAYERS[mode], epochs=120,
+                       early_stop_f1=0.95)
     run_dir = out_dir / mode.replace("+", "_")
     result = train(sentences, sentences, cfg, run_dir, lexicon=lexicon,
                    pretrained=pretrained)
@@ -76,7 +82,7 @@ def _train_structural(mode: str, sentences, out_dir: Path) -> StructuralRun:
 
 @pytest.fixture(scope="session")
 def structural_runs(structural_sentences, tmp_path_factory):
-    """Both encoder modes trained on the long-range corpus, same seed/config."""
+    """Both encoders trained on the long-range corpus, same seed/config."""
     out = tmp_path_factory.mktemp("structural")
     return {mode: _train_structural(mode, structural_sentences, out)
             for mode in ("lstm+gcn", "lstm")}

@@ -48,18 +48,24 @@ class TestUsage:
 
     def test_validation_error_exits_one(self, data_dir, tmp_path):
         code = run(["train", "--train", str(data_dir / "overfit.conll"),
-                    "--out", str(tmp_path / "x"), "--edge-dropout", "1.5"])
+                    "--out", str(tmp_path / "x"), "--set", "beta=1.5"])
         assert code == 1
 
     def test_flags_a_subcommand_ignores_are_rejected(self, tiny_run, data_dir,
                                                       tmp_path, capsys):
         test = str(data_dir / "overfit.conll")
         ckpt = str(tiny_run / "best.ckpt")
+        train = ["train", "--train", test, "--out", str(tmp_path / "r")]
         for argv in (["predict", "--test", test, "--checkpoint", ckpt,
                       "--out", str(tmp_path / "p.conll"), "--mode", "gcn"],
                      ["evaluate", "--test", test, "--checkpoint", ckpt,
                       "--threads", "2"],
-                     ["gradcheck", "--use-gold-syntax"]):
+                     ["gradcheck", "--use-gold-syntax"],
+                     # --set seed=, K=0 or J=0, gates_enabled=false and
+                     # beta= replace these
+                     train + ["--seed", "3"], train + ["--mode", "lstm"],
+                     train + ["--gcn-layers", "0"], train + ["--no-gates"],
+                     train + ["--edge-dropout", "0.2"]):
             assert run(argv) == 1
             assert "usage" in capsys.readouterr().err
 
@@ -95,17 +101,47 @@ class TestTrain:
         conf = tmp_path / "c.conf"
         conf.write_text("epochs = 0\nd_h = 8\nd_w = 8\n")
         with caplog.at_level(logging.INFO, logger="syngcn"):
-            code = run(["train", "--config", str(conf), "--mode", "lstm",
-                        "--no-gates", "--seed", "99", "--edge-dropout", "0.2",
-                        "--set", "d_r=32",
+            code = run(["train", "--config", str(conf), "--set", "K=0",
+                        "--set", "gates_enabled=false", "--set", "seed=99",
+                        "--set", "beta=0.2", "--set", "d_r=32",
                         "--train", str(data_dir / "overfit.conll"),
                         "--out", str(tmp_path / "run")])
         assert code == 0
-        assert "config encoder_mode = lstm" in caplog.text
+        assert "config gcn_layers = 0" in caplog.text
         assert "config gates_enabled = False" in caplog.text
         assert "config seed = 99" in caplog.text
         assert "config edge_dropout = 0.2" in caplog.text
         assert "config d_r = 32" in caplog.text
+
+    @pytest.mark.parametrize("overrides,message", [
+        (["seed=-1"], "seed must be >= 0"),
+        (["learning_rate=nan"], "learning_rate must be finite"),
+        (["epochs=-3"], "epochs must be >= 0"),
+        (["J=0", "K=0"], "no encoder"),
+    ], ids=["seed", "learning_rate", "epochs", "no encoder"])
+    def test_out_of_range_value_exits_one(self, overrides, message, data_dir,
+                                          tmp_path, caplog):
+        argv = ["train", "--train", str(data_dir / "overfit.conll"),
+                "--out", str(tmp_path / "run")]
+        for item in overrides:
+            argv += ["--set", item]
+        assert run(argv) == 1
+        assert message in caplog.text
+        assert not (tmp_path / "run").exists()
+
+    def test_overrides_are_validated_together(self, data_dir, tmp_path,
+                                              caplog):
+        # from K = 0, the first override alone would leave no encoder
+        conf = tmp_path / "c.conf"
+        conf.write_text("K = 0\nepochs = 0\n")
+        with caplog.at_level(logging.INFO, logger="syngcn"):
+            code = run(["train", "--config", str(conf), "--set", "J=0",
+                        "--set", "K=1",
+                        "--train", str(data_dir / "overfit.conll"),
+                        "--out", str(tmp_path / "run")])
+        assert code == 0
+        assert "config lstm_layers = 0" in caplog.text
+        assert "config gcn_layers = 1" in caplog.text
 
     def test_embeddings_flag(self, data_dir, tmp_path):
         conf = tmp_path / "c.conf"

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from syngcn import fixtures
-from syngcn.conll import (Lexicon, NULL_ROLE, PAD, UNK, build_lexicon,
-                          parse_conll, write_conll)
-from syngcn.errors import ContractError, ParseError
+from syngcn.conll import (LEXICON_MAGIC, Lexicon, NULL_ROLE, PAD, UNK,
+                          build_lexicon, parse_conll, parse_conll_file,
+                          write_conll)
+from syngcn.errors import ContractError, FormatError, ParseError
 
 from conftest import parse_text
 
@@ -250,6 +251,36 @@ class TestLexicon:
         loaded.save(path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_non_utf8_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(f"{LEXICON_MAGIC}\nword\t2\tcat\t1\n".encode()
+                         + "word\t3\tcaf\u00e9\t1\n".encode("latin-1"))
+        with pytest.raises(FormatError, match=r"latin1\.txt:3: not UTF-8"):
+            Lexicon.load(path)
+
+    def test_negative_id_rejected(self, tmp_path):
+        # id -1 would index the last reserved entry and overwrite its count
+        path = tmp_path / "lexicon.txt"
+        path.write_text(f"{LEXICON_MAGIC}\nword\t-1\t{UNK}\t5\n")
+        with pytest.raises(FormatError, match=r"lexicon\.txt:2: negative id"):
+            Lexicon.load(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=120),
+        st.lists(st.lists(st.sampled_from(
+            ["word", "role", "verb", "0", "1", "2", "-1", "x", PAD, UNK,
+             NULL_ROLE, "\u00e9", ""]), max_size=5).map("\t".join), max_size=6)
+        .map(lambda lines: "\n".join(lines).encode("utf-8"))))
+    def test_fuzzed_file_loads_or_raises_format_error(self, tmp_path_factory,
+                                                      data):
+        path = tmp_path_factory.mktemp("fuzz") / "lexicon.txt"
+        path.write_bytes(LEXICON_MAGIC.encode() + b"\n" + data)
+        try:
+            Lexicon.load(path)
+        except FormatError:
+            pass
+
     def test_counts(self, overfit_sentences, overfit_lexicon):
         the_count = sum(1 for s in overfit_sentences for t in s.tokens
                         if t.form == "the")
@@ -268,3 +299,23 @@ def test_structural_round_trip_any_chain(forms):
     sents = parse_text(text)
     assert write_conll(sents) == text
     assert parse_text(write_conll(sents)) == sents
+
+
+_CONLL_CELLS = ["0", "1", "2", "3", "-1", "x", "_", "Y", "A0", "a.01", ""]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.one_of(
+        st.just(""),
+        st.lists(st.sampled_from(_CONLL_CELLS), min_size=12, max_size=17)
+        .map("\t".join)), max_size=8)
+    .map(lambda lines: "\n".join(lines).encode("utf-8"))))
+def test_fuzzed_file_parses_or_raises_parse_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "f.conll"
+    path.write_bytes(data)
+    try:
+        parse_conll_file(path)
+    except ParseError:
+        pass

@@ -13,7 +13,7 @@ from syngcn.evaluator import (BUCKETS, PredictionSet, distance_buckets,
 
 from syngcn.trainer import SrlModel, make_instances
 
-from conftest import parse_text, small_config
+from conftest import GCN_LAYERS, parse_text, small_config
 from test_conll import make_sentence
 
 
@@ -402,7 +402,7 @@ class TestPredictCorpus:
     def test_batched_matches_batches_of_one(self, mode, structural_runs,
                                             structural_sentences,
                                             overfit_sentences, monkeypatch):
-        untrained = SrlModel(small_config(encoder_mode=mode),
+        untrained = SrlModel(small_config(gcn_layers=GCN_LAYERS[mode]),
                              build_lexicon(overfit_sentences),
                              np.random.default_rng(3))
         for model, sents in ((structural_runs[mode].model, structural_sentences),

@@ -1,7 +1,9 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from syngcn import numerics as nm
 from syngcn.conll import build_lexicon
@@ -57,7 +59,7 @@ class TestConfig:
     def test_parse_and_aliases(self):
         cfg = parse_config_text(
             "J = 2\nK = 3\nbeta = 0.25\nlr = 0.005\n"
-            "d_h = 64\nencoder_mode = lstm+gcn\ngates_enabled = false\n")
+            "d_h = 64\ngates_enabled = false\n")
         assert cfg.lstm_layers == 2
         assert cfg.gcn_layers == 3
         assert cfg.edge_dropout == 0.25
@@ -78,17 +80,39 @@ class TestConfig:
             parse_config_text("beta = 1.5\n")
         with pytest.raises(ConfigError):
             parse_config_text("d_h = -4\n")
-        with pytest.raises(ConfigError):
-            parse_config_text("encoder_mode = transformer\n")
-        with pytest.raises(ConfigError):
-            # J=0 outside gcn-only mode
-            parse_config_text("J = 0\nencoder_mode = lstm+gcn\n")
+        with pytest.raises(ConfigError, match="no encoder"):
+            parse_config_text("J = 0\nK = 0\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.text(max_size=80),
+        st.lists(st.tuples(
+            st.sampled_from(["J", "K", "beta", "lr", "d_h", "seed", "epochs",
+                             "gates_enabled", "dtype", "nope", ""]),
+            st.sampled_from(["=", " = ", "", "=="]),
+            st.sampled_from(["0", "1", "-1", "0.5", "nan", "inf", "true",
+                             "x", "float64", "# c", ""]))
+        .map("".join), max_size=6).map("\n".join)))
+    def test_fuzzed_text_parses_or_raises_config_error(self, text):
+        try:
+            parse_config_text(text)
+        except ConfigError:
+            pass
 
     def test_save_load_round_trip(self, tmp_path):
-        cfg = small_config(epochs=7, encoder_mode="gcn", lstm_layers=0)
+        cfg = small_config(epochs=7, lstm_layers=0)
         path = tmp_path / "config.txt"
         save_config(cfg, path)
         assert load_config(path) == cfg
+
+    def test_shipped_configs_load(self):
+        # the benchmark loads desk_overfit.conf and conll2009_english.conf by
+        # name, so a stale key there breaks it before any training test runs
+        paths = sorted((Path(__file__).parents[1] / "configs").glob("*.conf"))
+        names = {path.name for path in paths}
+        assert {"desk_overfit.conf", "conll2009_english.conf"} <= names
+        for path in paths:
+            load_config(path)
 
     def test_paper_defaults(self):
         cfg = TrainConfig()
@@ -149,11 +173,9 @@ class TestModel:
 
     def test_modes_produce_expected_encoders(self, overfit_sentences):
         lex = build_lexicon(overfit_sentences)
-        lstm_only, _ = tiny_model(overfit_sentences, lex,
-                                  encoder_mode="lstm")
+        lstm_only, _ = tiny_model(overfit_sentences, lex, gcn_layers=0)
         assert lstm_only.gcn is None and lstm_only.lstm is not None
-        gcn_only, _ = tiny_model(overfit_sentences, lex, encoder_mode="gcn",
-                                 lstm_layers=0)
+        gcn_only, _ = tiny_model(overfit_sentences, lex, lstm_layers=0)
         assert gcn_only.lstm is None and gcn_only.gcn is not None
         assert gcn_only.gcn.input_projection is not None
         both, _ = tiny_model(overfit_sentences, lex)
@@ -202,7 +224,7 @@ class TestModel:
         model, lex = tiny_model(overfit_sentences)
         path = tmp_path / "m.ckpt"
         model.save(path)
-        other, _ = tiny_model(overfit_sentences, lex, encoder_mode="lstm")
+        other, _ = tiny_model(overfit_sentences, lex, gcn_layers=0)
         with pytest.raises(ContractError, match="checkpoint"):
             other.load_tensors(nm.load_checkpoint(path))
 
@@ -306,11 +328,12 @@ class TestTrainLoop:
         assert len(result.history) == 1
 
     def test_hook_validation(self):
-        # a config file naming a removed training hook is rejected, not
-        # silently trained without it
+        # a config file naming a removed training hook or knob is rejected,
+        # not silently trained without it
         for line in ("grad_clip = 1.0", "lr_decay = 0.1", "lstm_dropout = 0.2",
                      "lemma_nonpred_vector = true", "gcn_width = 64",
-                     "dropout_self_loops = false"):
+                     "dropout_self_loops = false", "encoder_mode = lstm",
+                     "use_gold_syntax = true"):
             with pytest.raises(ConfigError, match="unknown key"):
                 parse_config_text(line + "\n")
 
