@@ -320,6 +320,9 @@ class Lexicon:
                         raise FormatError(f"{path}:{lineno}: reserved id clash")
                     inv.counts[i] = count
                 elif i == len(inv.strings):
+                    if s in inv.ids:
+                        raise FormatError(f"{path}:{lineno}: {kind} {s!r} "
+                                          f"already has id {inv.ids[s]}")
                     inv.strings.append(s)
                     inv.ids[s] = i
                     inv.counts.append(count)

@@ -8,11 +8,22 @@ Ops executed with no active tape are plain forward computations.
 
 Every op verifies its output is finite; NaN/Inf raises ``NumericsError``
 rather than propagating silently.
+
+A model keeps its trainable tensors in a ``ParamStore``: each tensor's
+``data`` is a view into one flat array, laid out in creation order. Training
+adds a matching flat gradient buffer (``enable_grad``) whose views receive
+each backward pass's gradients in place: a leaf's first gradient is written
+into its view (products straight into it with ``matmul(out=)``), later ones
+are added to it, and a leaf the loss did not reach gets its view zero-filled.
+``adam_step`` given a store and its gradients keeps ``m`` and ``v`` as two
+more flat arrays and updates all of them in one blocked pass. A training
+process thus holds four copies of the parameters; prediction holds one.
 """
 
 from __future__ import annotations
 
 import collections
+import collections.abc
 import contextlib
 import math
 import os
@@ -22,7 +33,8 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import ContractError, FormatError, NumericsError, ShapeError
+from .errors import (ConfigError, ContractError, FormatError, NumericsError,
+                     ShapeError)
 
 DEFAULT_DTYPE = np.float32
 
@@ -37,16 +49,21 @@ class Tensor:
     """A dense array plus the bookkeeping needed for reverse-mode autodiff.
 
     ``trainable`` leaves carry a ``name`` and collect gradients in ``grad``
-    during ``Tape.backward``. Non-leaf tensors also use ``grad`` transiently
-    while a backward pass runs.
+    during ``Tape.backward``; a leaf of a store with gradients enabled
+    collects them in its view of the store's gradient buffer
+    (``_grad_slot``). Non-leaf tensors also use ``grad`` transiently while a
+    backward pass runs.
     """
 
-    __slots__ = ("data", "grad", "name", "trainable", "_needs_grad")
+    __slots__ = ("data", "grad", "name", "trainable", "_needs_grad",
+                 "_grad_slot")
 
     def __init__(self, data, dtype=None, name: str | None = None,
                  trainable: bool = False):
         if dtype is None:
-            if isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64):
+            # np.generic: an op on 0-d arrays returns a numpy scalar
+            if (isinstance(data, (np.ndarray, np.generic))
+                    and data.dtype in (np.float32, np.float64)):
                 dtype = data.dtype
             else:
                 dtype = DEFAULT_DTYPE
@@ -55,6 +72,7 @@ class Tensor:
         self.name = name
         self.trainable = trainable
         self._needs_grad = trainable
+        self._grad_slot: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -89,7 +107,13 @@ class Tensor:
 
 
 def parameter(name: str, data, dtype=None) -> Tensor:
-    """A trainable leaf tensor; ``name`` keys it in gradients/checkpoints."""
+    """A trainable leaf tensor; ``name`` keys it in gradients/checkpoints.
+
+    While a ``ParamStore`` is active, ``data`` is copied, in the store's
+    dtype, into the store's next slot, and the tensor's data is that view.
+    """
+    if _FILLING is not None:
+        return _FILLING._place(name, data)
     return Tensor(data, dtype=dtype, name=name, trainable=True)
 
 
@@ -108,6 +132,9 @@ def _lift(x, dtype) -> Tensor:
 # ---------------------------------------------------------------------------
 
 _ACTIVE_TAPE: "Tape | None" = None
+
+# the store that ``parameter`` places new tensors in, while one is active
+_FILLING: "ParamStore | None" = None
 
 # Hook for grad_check: when set to a list, relu() appends a copy of each
 # input it sees, letting the checker detect kink crossings between the two
@@ -168,6 +195,9 @@ class Tape:
         self.backward(loss)
         out = collections.OrderedDict()
         for name, p in self.parameters.items():
+            view = _first_grad_view(p)
+            if view is not None:
+                view.fill(0)
             out[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
         return out
 
@@ -198,13 +228,39 @@ def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], op: str,
     return out
 
 
+def _first_grad_view(t: Tensor) -> np.ndarray | None:
+    """For a store leaf with no gradient yet: its gradient view, now also its
+    ``grad``, for the caller to write the first gradient into; else None."""
+    if t._grad_slot is None or t.grad is not None:
+        return None
+    t.grad = t._grad_slot
+    return t.grad
+
+
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t._needs_grad:
         return
-    if t.grad is None:
+    view = _first_grad_view(t)
+    if view is not None:
+        np.copyto(view, g)
+    elif t.grad is None:
         t.grad = g.astype(t.data.dtype, copy=True)
+    elif t._grad_slot is not None:
+        t.grad += g
     else:
         t.grad = t.grad + g
+
+
+def _accumulate_product(t: Tensor, a: np.ndarray, b: np.ndarray) -> None:
+    """``_accumulate(t, a @ b)``, with a store leaf's first gradient computed
+    straight into its view."""
+    if not t._needs_grad:
+        return
+    view = _first_grad_view(t)
+    if view is not None:
+        np.matmul(a, b, out=view)
+    else:
+        _accumulate(t, a @ b)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -267,8 +323,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate_product(a, g, b.data.T)
+        _accumulate_product(b, a.data.T, g)
 
     return _make(out, (a, b), "matmul", backward)
 
@@ -402,9 +458,9 @@ def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor, reverse: bool = False,
         # back to the row order of x, so the products sum over rows in order
         dz_rows, h_prev_rows = np.empty_like(dz), np.empty_like(h_prev)
         dz_rows[order], h_prev_rows[order] = dz, h_prev
-        _accumulate(x, dz_rows @ w.data.T)
-        _accumulate(w, x.data.T @ dz_rows)
-        _accumulate(u, h_prev_rows.T @ dz_rows)
+        _accumulate_product(x, dz_rows, w.data.T)
+        _accumulate_product(w, x.data.T, dz_rows)
+        _accumulate_product(u, h_prev_rows.T, dz_rows)
         _accumulate(b, dz_rows.sum(axis=0, keepdims=True))
 
     return _make(out, (x, w, u, b), "lstm", backward)
@@ -434,6 +490,11 @@ def rows(a: Tensor, index) -> Tensor:
     out = a.data[idx]
 
     def backward(g):
+        view = _first_grad_view(a)
+        if view is not None:
+            view.fill(0)
+            np.add.at(view, idx, g)
+            return
         buf = np.zeros_like(a.data)
         np.add.at(buf, idx, g)
         _accumulate(a, buf)
@@ -550,25 +611,143 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# flat parameter store
+# ---------------------------------------------------------------------------
+
+# The most trainable parameters a store holds: 1 GiB of float32 weights, and
+# 4 GiB while training (weights, gradients and Adam's m and v).
+MAX_PARAMETERS = 1 << 28
+
+
+class FlatArrays(collections.abc.Mapping):
+    """One contiguous array, ``flat``, read by name as views laid out by a
+    ``ParamStore``."""
+
+    def __init__(self, flat: np.ndarray,
+                 layout: Mapping[str, tuple[int, tuple[int, ...]]]):
+        self.flat = flat
+        self.layout = layout
+        self._views = {name: flat[lo:lo + math.prod(shape)].reshape(shape)
+                       for name, (lo, shape) in layout.items()}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+
+class ParamStore(collections.abc.Mapping):
+    """Trainable tensors whose ``data`` are views into one flat array.
+
+    ``size`` elements of ``dtype`` are checked against ``MAX_PARAMETERS``
+    and allocated up front; every ``parameter`` made inside ``with store:``
+    takes the next slot, in creation order, and leaving the block checks
+    that the slots were filled exactly. Read by name, the store gives the
+    tensors. ``enable_grad`` allocates the gradient buffer, for training
+    only.
+    """
+
+    def __init__(self, size: int, dtype):
+        if size > MAX_PARAMETERS:
+            raise ConfigError(f"the model has {size:,} trainable parameters, "
+                              f"more than the {MAX_PARAMETERS:,} allowed")
+        self.size = size
+        self.dtype = np.dtype(dtype)
+        self.flat = np.zeros(size, self.dtype)
+        self.layout: dict[str, tuple[int, tuple[int, ...]]] = {}
+        self.grads: FlatArrays | None = None
+        self._tensors: dict[str, Tensor] = {}
+        self._filled = 0
+
+    def __enter__(self) -> "ParamStore":
+        global _FILLING
+        if _FILLING is not None:
+            raise ContractError("a parameter store is already being filled")
+        _FILLING = self
+        return self
+
+    def __exit__(self, exc_type, *exc):
+        global _FILLING
+        _FILLING = None
+        if exc_type is None and self._filled != self.size:
+            raise ContractError(f"parameter store of {self.size} elements got "
+                                f"{self._filled}")
+        return False
+
+    def _place(self, name: str, data) -> Tensor:
+        if name in self.layout:
+            raise ContractError(f"parameter {name!r} is already in the store")
+        shape = np.shape(data)
+        lo, n = self._filled, math.prod(shape)
+        if lo + n > self.size:
+            raise ContractError(f"parameter {name!r} overflows the store of "
+                                f"{self.size} elements")
+        view = self.flat[lo:lo + n].reshape(shape)
+        np.copyto(view, data)
+        self.layout[name] = (lo, shape)
+        self._filled += n
+        t = self._tensors[name] = Tensor(view, name=name, trainable=True)
+        return t
+
+    def __getitem__(self, name: str) -> Tensor:
+        return self._tensors[name]
+
+    def __iter__(self):
+        return iter(self._tensors)
+
+    def __len__(self) -> int:
+        return len(self._tensors)
+
+    def zeros(self) -> FlatArrays:
+        """A new zero-filled flat array with the store's layout."""
+        return FlatArrays(np.zeros(self.size, self.dtype), self.layout)
+
+    def enable_grad(self) -> FlatArrays:
+        """The gradient buffer, allocated on the first call; from then on each
+        tensor's gradients collect in its view of it."""
+        if self.grads is None:
+            self.grads = self.zeros()
+            for name, t in self._tensors.items():
+                t._grad_slot = self.grads[name]
+        return self.grads
+
+    def gradients(self) -> FlatArrays:
+        """The gradient buffer after a backward pass, with the views of the
+        tensors that the loss did not reach zero-filled."""
+        if self.grads is None:
+            raise ContractError("gradients are not enabled on this store")
+        for t in self._tensors.values():
+            view = _first_grad_view(t)
+            if view is not None:
+                view.fill(0)
+        return self.grads
+
+
+# ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
 
 @dataclass
 class AdamState:
-    """Per-parameter moment estimates plus the shared step counter."""
+    """Moment estimates by parameter name plus the shared step counter; flat
+    ``FlatArrays`` once a ``ParamStore`` has been stepped."""
 
     learning_rate: float = 0.01
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: Mapping[str, np.ndarray] = field(default_factory=dict)
+    v: Mapping[str, np.ndarray] = field(default_factory=dict)
 
 
 # Elements per block of the in-place Adam update, small enough that the
 # block's slices of p, m, v, g and the scratch stay in cache across its passes.
-_ADAM_BLOCK = 1 << 14
+_ADAM_BLOCK = 1 << 16
 
 
 def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
@@ -578,14 +757,23 @@ def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
     Per element: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
     p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), with the operations in that
     order, run block by block into reused scratch instead of whole-tensor
-    temporaries.
+    temporaries. Given a ``ParamStore`` and gradients in its layout, the
+    update makes one pass over the flat arrays, with ``state.m`` and
+    ``state.v`` flat as well; otherwise it goes tensor by tensor.
     """
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** t
-    bc2 = 1.0 - b2 ** t
-    lr, eps = state.learning_rate, state.eps
+    coef = (b1, b2, 1.0 - b1 ** t, 1.0 - b2 ** t, state.learning_rate,
+            state.eps)
+    if (isinstance(params, ParamStore) and isinstance(grads, FlatArrays)
+            and grads.layout is params.layout):
+        if not isinstance(state.m, FlatArrays):
+            if state.m:
+                raise ContractError("Adam state holds per-tensor moments")
+            state.m, state.v = params.zeros(), params.zeros()
+        _adam_update(params.flat, grads.flat, state.m.flat, state.v.flat, *coef)
+        return
     for name, p in params.items():
         if not p.trainable:
             continue
@@ -594,33 +782,38 @@ def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        if not p.data.flags.c_contiguous:
-            p.data = np.ascontiguousarray(p.data)
-        pf = p.data.reshape(-1)
-        mf, vf = state.m[name].reshape(-1), state.v[name].reshape(-1)
+        pf = p.data.reshape(-1)       # a copy if p.data is not contiguous
         gf = np.ravel(np.broadcast_to(grads[name], p.data.shape))
-        size = min(_ADAM_BLOCK, pf.size)
-        g_tmp = np.empty(size, gf.dtype)              # (1-b1)*g, then (1-b2)*g*g
-        num, den = np.empty(size, mf.dtype), np.empty(size, vf.dtype)
-        for lo in range(0, pf.size, _ADAM_BLOCK):
-            blk = slice(lo, lo + _ADAM_BLOCK)
-            g, m, v, pb = gf[blk], mf[blk], vf[blk], pf[blk]
-            k = g.size
-            gt, nu, de = g_tmp[:k], num[:k], den[:k]
-            np.multiply(m, b1, out=m)
-            np.multiply(g, 1.0 - b1, out=gt)
-            np.add(m, gt, out=m)
-            np.multiply(v, b2, out=v)
-            np.multiply(g, g, out=gt)
-            np.multiply(gt, 1.0 - b2, out=gt)
-            np.add(v, gt, out=v)
-            np.divide(m, bc1, out=nu)
-            np.multiply(nu, lr, out=nu)
-            np.divide(v, bc2, out=de)
-            np.sqrt(de, out=de)
-            np.add(de, eps, out=de)
-            np.divide(nu, de, out=nu)
-            np.subtract(pb, nu, out=pb)
+        _adam_update(pf, gf, state.m[name].reshape(-1),
+                     state.v[name].reshape(-1), *coef)
+        if not np.shares_memory(pf, p.data):
+            np.copyto(p.data, pf.reshape(p.data.shape))
+
+
+def _adam_update(pf, gf, mf, vf, b1, b2, bc1, bc2, lr, eps) -> None:
+    """``adam_step``'s update of the flat arrays ``pf``, ``mf``, ``vf``."""
+    size = min(_ADAM_BLOCK, pf.size)
+    g_tmp = np.empty(size, gf.dtype)              # (1-b1)*g, then (1-b2)*g*g
+    num, den = np.empty(size, mf.dtype), np.empty(size, vf.dtype)
+    for lo in range(0, pf.size, _ADAM_BLOCK):
+        blk = slice(lo, lo + _ADAM_BLOCK)
+        g, m, v, pb = gf[blk], mf[blk], vf[blk], pf[blk]
+        k = g.size
+        gt, nu, de = g_tmp[:k], num[:k], den[:k]
+        np.multiply(m, b1, out=m)
+        np.multiply(g, 1.0 - b1, out=gt)
+        np.add(m, gt, out=m)
+        np.multiply(v, b2, out=v)
+        np.multiply(g, g, out=gt)
+        np.multiply(gt, 1.0 - b2, out=gt)
+        np.add(v, gt, out=v)
+        np.divide(m, bc1, out=nu)
+        np.multiply(nu, lr, out=nu)
+        np.divide(v, bc2, out=de)
+        np.sqrt(de, out=de)
+        np.add(de, eps, out=de)
+        np.divide(nu, de, out=nu)
+        np.subtract(pb, nu, out=pb)
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +983,11 @@ def _header_fields(fh, path) -> list[str]:
         raise FormatError(f"{path}: checkpoint header is not UTF-8") from None
 
 
-def load_checkpoint(path) -> "collections.OrderedDict[str, np.ndarray]":
+def load_checkpoint(path, into: Mapping[str, np.ndarray] | None = None
+                    ) -> "collections.OrderedDict[str, np.ndarray]":
+    """The tensors saved at ``path``, by name, as new arrays of their saved
+    dtype; or, given ``into``, read straight into those arrays (same names
+    and shapes, else ``ContractError`` before any read) and returned."""
     with open(path, "rb") as fh:
         manifest = _header_fields(fh, path)
         if len(manifest) != 2 or manifest[0] != CHECKPOINT_MAGIC:
@@ -817,6 +1014,11 @@ def load_checkpoint(path) -> "collections.OrderedDict[str, np.ndarray]":
             if len(shape) > _MAX_DIMS:
                 raise FormatError(f"{path}: {len(shape)} dimensions for "
                                   f"{name!r}, at most {_MAX_DIMS} allowed")
+            # numpy refuses such a shape even with a zero dimension in it
+            if (math.prod(max(d, 1) for d in shape) * np.dtype(dtype).itemsize
+                    > np.iinfo(np.intp).max):
+                raise FormatError(f"{path}: shape {dims!r} of {name!r} is too "
+                                  f"large")
             headers.append((name, dtype, shape))
         # checked before any read, so a huge declared shape is an error, not
         # an allocation of that size
@@ -826,14 +1028,31 @@ def load_checkpoint(path) -> "collections.OrderedDict[str, np.ndarray]":
         if declared > present:
             raise FormatError(f"{path}: headers declare {declared} bytes of "
                               f"tensor data, the file holds {present}")
+        if into is not None:
+            found = {name: shape for name, _, shape in headers}
+            missing, extra = set(into) - set(found), set(found) - set(into)
+            if missing or extra:
+                raise ContractError(f"checkpoint mismatch: missing "
+                                    f"{sorted(missing)}, unexpected {sorted(extra)}")
+            for name, shape in found.items():
+                if into[name].shape != shape:
+                    raise ContractError(f"checkpoint tensor {name} has shape "
+                                        f"{shape}, expected {into[name].shape}")
         out = collections.OrderedDict()
         for name, dtype, shape in headers:
-            n = math.prod(shape)
-            raw = fh.read(n * np.dtype(_DTYPE_TAGS[dtype]).itemsize)
-            arr = np.frombuffer(raw, dtype=_DTYPE_TAGS[dtype]).astype(dtype)
-            if arr.size != n:
+            stored = np.dtype(_DTYPE_TAGS[dtype])
+            nbytes = math.prod(shape) * stored.itemsize
+            arr = np.empty(shape, dtype) if into is None else into[name]
+            if arr.dtype == stored and arr.flags.c_contiguous:
+                got = fh.readinto(arr.reshape(-1).view(np.uint8))
+            else:
+                raw = fh.read(nbytes)
+                got = len(raw)
+                if got == nbytes:
+                    np.copyto(arr, np.frombuffer(raw, stored).reshape(shape))
+            if got != nbytes:
                 raise FormatError(f"{path}: truncated tensor {name!r}")
-            out[name] = arr.reshape(shape)
+            out[name] = arr
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after last tensor")
     return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import shutil
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -166,9 +167,32 @@ def make_instances(sentences: list[Sentence], lexicon: Lexicon,
     return instances
 
 
+def trainable_size(config: TrainConfig, lexicon: Lexicon) -> int:
+    """Elements in the trainable tensors of an ``SrlModel``, from the config
+    and lexicon alone, so an oversized model is refused before any of it is
+    allocated; the model's store checks that its tensors fill exactly this."""
+    c = config
+    size = (lexicon.size("word") * c.d_w + lexicon.size("pos") * c.d_pos
+            + lexicon.size("lemma") * c.d_l)
+    width = 2 * c.d_w + c.d_pos + c.d_l
+    for _ in range(c.lstm_layers):
+        size += 2 * (width + c.d_h + 1) * 4 * c.d_h     # w, u, b per direction
+        width = 2 * c.d_h
+    m = c.encoder_width()
+    if c.gcn_layers > 0:
+        labels = num_labels(lexicon.num_deprels)
+        if width != m:
+            size += width * m                           # input projection
+        size += c.gcn_layers * (3 * m * m + labels * m + 3 * m + labels)
+    return size + ((c.d_l_out + c.d_r) * 2 * m
+                   + lexicon.size("plemma") * c.d_l_out
+                   + lexicon.size("role") * c.d_r)
+
+
 class SrlModel:
     """Embedder + (BiLSTM) + (gated GCN) + role classifier, with all
-    parameters in one named registry backing the checkpoint container."""
+    parameters in one named registry backing the checkpoint container; the
+    trainable ones live in one ``nm.ParamStore``."""
 
     def __init__(self, config: TrainConfig, lexicon: Lexicon,
                  rng: np.random.Generator,
@@ -177,24 +201,26 @@ class SrlModel:
         self.config = config
         self.lexicon = lexicon
         dtype = config.np_dtype
-        self.tables = embedder.EmbeddingTables(
-            lexicon, config.d_w, config.d_pos, config.d_l, rng, dtype,
-            pretrained)
-        self.lstm = None
-        encoder_input = self.tables.width
-        if config.lstm_layers > 0:
-            self.lstm = bilstm.init_lstm(encoder_input, config.d_h,
-                                         config.lstm_layers, rng, dtype)
-            encoder_input = 2 * config.d_h
-        self.gcn = None
-        if config.gcn_layers > 0:
-            width = config.encoder_width()
-            self.gcn = gcn.init_gcn_stack(
-                config.gcn_layers, width, num_labels(lexicon.num_deprels),
-                encoder_input, rng, dtype, config.gates_enabled)
-        self.classifier = classifier.init_classifier(
-            config.encoder_width(), config.d_l_out, config.d_r, lexicon, rng,
-            dtype)
+        self.store = nm.ParamStore(trainable_size(config, lexicon), dtype)
+        with self.store:
+            self.tables = embedder.EmbeddingTables(
+                lexicon, config.d_w, config.d_pos, config.d_l, rng, dtype,
+                pretrained)
+            self.lstm = None
+            encoder_input = self.tables.width
+            if config.lstm_layers > 0:
+                self.lstm = bilstm.init_lstm(encoder_input, config.d_h,
+                                             config.lstm_layers, rng, dtype)
+                encoder_input = 2 * config.d_h
+            self.gcn = None
+            if config.gcn_layers > 0:
+                width = config.encoder_width()
+                self.gcn = gcn.init_gcn_stack(
+                    config.gcn_layers, width, num_labels(lexicon.num_deprels),
+                    encoder_input, rng, dtype, config.gates_enabled)
+            self.classifier = classifier.init_classifier(
+                config.encoder_width(), config.d_l_out, config.d_r, lexicon,
+                rng, dtype)
 
     def parameters(self) -> dict[str, nm.Tensor]:
         """All tensors, frozen ones included, in a stable order."""
@@ -206,9 +232,6 @@ class SrlModel:
             out.update(self.gcn.tensors())
         out.update(self.classifier.tensors())
         return out
-
-    def trainable_parameters(self) -> dict[str, nm.Tensor]:
-        return {k: t for k, t in self.parameters().items() if t.trainable}
 
     def encode(self, instances: list[Instance],
                graphs: list[SyntacticGraph | None], training: bool = False,
@@ -272,26 +295,14 @@ class SrlModel:
     def save(self, path) -> None:
         nm.save_checkpoint(self.parameters(), path)
 
-    def load_tensors(self, tensors) -> None:
-        params = self.parameters()
-        missing = set(params) - set(tensors)
-        extra = set(tensors) - set(params)
-        if missing or extra:
-            raise ContractError(f"checkpoint mismatch: missing {sorted(missing)}, "
-                                f"unexpected {sorted(extra)}")
-        for name, arr in tensors.items():
-            p = params[name]
-            if p.data.shape != arr.shape:
-                raise ContractError(f"checkpoint tensor {name} has shape "
-                                    f"{arr.shape}, expected {p.data.shape}")
-            p.data = arr.astype(p.data.dtype, copy=False)
-
     @classmethod
     def from_checkpoint(cls, path, config: TrainConfig, lexicon: Lexicon
                         ) -> "SrlModel":
-        """The model saved at ``path``; its tensors are the loaded arrays."""
+        """The model saved at ``path``, each tensor read straight into its
+        array (the trainable ones into the store)."""
         model = cls(config, lexicon, _NoDraws())
-        model.load_tensors(nm.load_checkpoint(path))
+        nm.load_checkpoint(path, into={k: p.data for k, p in
+                                       model.parameters().items()})
         return model
 
 
@@ -346,32 +357,35 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
           pretrained: np.ndarray | None = None) -> TrainResult:
     """Run the optimization loop and leave checkpoints/metrics in ``out_dir``.
 
-    Per epoch: seeded shuffle, per-instance updates (grad accumulation when
-    batch_size > 1), one checkpoint, one metrics line. The best epoch by dev
-    F1 is copied to best.ckpt. Without dev data, runs in train-loss-only
+    Per epoch: seeded shuffle, per-instance updates (gradients summed over
+    each batch when batch_size > 1), one checkpoint, one metrics line. The
+    best epoch by dev F1 is copied to best.ckpt. Without dev data, runs in train-loss-only
     mode and best.ckpt tracks the last epoch.
     """
     from .evaluator import predict_corpus, score
 
     config.validate()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if lexicon is None:
         lexicon = build_lexicon(train_sentences, min_freq=config.min_freq)
+    rng = np.random.default_rng(config.seed)
+    # built first: a model that cannot be built leaves no run directory
+    model = SrlModel(config, lexicon, rng, pretrained)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     lexicon_path = out_dir / "lexicon.txt"
     lexicon.save(lexicon_path)
     config_path = out_dir / "config.txt"
     save_config(config, config_path)
-
-    rng = np.random.default_rng(config.seed)
-    model = SrlModel(config, lexicon, rng, pretrained)
     instances = make_instances(train_sentences, lexicon)
     graphs = [build_graph(s, lexicon) for s in train_sentences]
     if dev_sentences is None:
         logger.warning("no dev data: train-loss-only mode, selecting last epoch")
 
     state = nm.AdamState(learning_rate=config.learning_rate)
-    trainable = model.trainable_parameters()
+    store = model.store
+    store.enable_grad()
+    # batch_size > 1: the batch's per-instance gradients, summed in order
+    summed = store.zeros() if config.batch_size > 1 else None
     history: list[EpochMetrics] = []
     best_f1 = -1.0
     best_epoch = -1
@@ -383,34 +397,31 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
             order = rng.permutation(len(instances))
             total_loss = 0.0
             pending = 0
-            accum: dict[str, np.ndarray] = {}
             for pos, idx in enumerate(order):
                 inst = instances[idx]
                 mask = _word_unk_mask(inst, lexicon, config.unk_replace_rate, rng)
-                nm.zero_grads(trainable.values())
+                nm.zero_grads(store)
                 try:
                     with nm.Tape() as tape:
                         loss = model.instance_loss(
                             inst, graphs[inst.sentence_id], training=True,
                             rng=rng, word_unk_mask=mask)
-                    grads = tape.gradients(loss)
+                    tape.gradients(loss)
                 except NumericsError as err:
                     raise NumericsError(
                         f"epoch {epoch}, instance {idx}: {err}\nparameter "
                         f"norms:\n{_dump_param_norms(model)}") from err
                 total_loss += float(loss.data)
-                for name in trainable:
-                    g = grads.get(name)
-                    if g is None:
-                        g = np.zeros_like(trainable[name].data)
-                    if name in accum:
-                        accum[name] += g
+                grads = store.gradients()
+                if summed is not None:
+                    if pending:
+                        summed.flat += grads.flat
                     else:
-                        accum[name] = g
+                        np.copyto(summed.flat, grads.flat)
                 pending += 1
                 if pending == config.batch_size or pos == len(order) - 1:
-                    nm.adam_step(trainable, accum, state)
-                    accum = {}
+                    nm.adam_step(store, grads if summed is None else summed,
+                                 state)
                     pending = 0
             dev_p = dev_r = dev_f1 = float("nan")
             if dev_sentences is not None:
@@ -440,8 +451,9 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
                 logger.info("dev F1 reached %.4f, stopping", dev_f1)
                 break
     if best_path is not None:
-        with nm.replacing(out_dir / "best.ckpt") as fh:
-            fh.write(best_path.read_bytes())
+        with (nm.replacing(out_dir / "best.ckpt") as fh,
+              open(best_path, "rb") as src):
+            shutil.copyfileobj(src, fh)
         best_path = out_dir / "best.ckpt"
     return TrainResult(history, best_epoch,
                        best_f1 if dev_sentences is not None else float("nan"),

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,15 @@ class TestTrain:
             argv += ["--set", item]
         assert run(argv) == 1
         assert message in caplog.text
+        assert not (tmp_path / "run").exists()
+
+    def test_oversized_model_exits_one(self, data_dir, tmp_path, caplog):
+        # refused from the config and lexicon, before any array is made
+        assert run(["train", "--train", str(data_dir / "overfit.conll"),
+                    "--out", str(tmp_path / "run"),
+                    "--set", "d_h=1000000000"]) == 1
+        assert re.search(r"the model has [\d,]+ trainable parameters, more "
+                         r"than the 268,435,456 allowed", caplog.text)
         assert not (tmp_path / "run").exists()
 
     def test_overrides_are_validated_together(self, data_dir, tmp_path,

@@ -265,6 +265,20 @@ class TestLexicon:
         with pytest.raises(FormatError, match=r"lexicon\.txt:2: negative id"):
             Lexicon.load(path)
 
+    def test_string_under_two_ids_rejected(self, tmp_path):
+        # the second id would shadow the first, which no lookup could reach
+        path = tmp_path / "lexicon.txt"
+        path.write_text(f"{LEXICON_MAGIC}\nword\t2\ta\t1\nword\t3\ta\t1\n")
+        with pytest.raises(FormatError,
+                           match=r"lexicon\.txt:3: word 'a' already has id 2"):
+            Lexicon.load(path)
+
+    def test_reserved_string_under_a_new_id_rejected(self, tmp_path):
+        path = tmp_path / "lexicon.txt"
+        path.write_text(f"{LEXICON_MAGIC}\nword\t2\t{UNK}\t1\n")
+        with pytest.raises(FormatError, match=r"lexicon\.txt:2: .*already has id 1"):
+            Lexicon.load(path)
+
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(
         st.binary(max_size=120),

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from syngcn import numerics as nm
-from syngcn.errors import ContractError, FormatError, NumericsError, ShapeError
+from syngcn.errors import (ConfigError, ContractError, FormatError,
+                           NumericsError, ShapeError)
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -274,6 +275,16 @@ class TestAdam:
             assert ours.m[k].tobytes() == m_ref[k].tobytes(), k
             assert ours.v[k].tobytes() == v_ref[k].tobytes(), k
 
+    def test_non_contiguous_parameter_updated_in_place(self):
+        # the update lands in the array the tensor views, not a rebound copy
+        base = np.arange(6.0).reshape(2, 3)
+        p = nm.parameter("w", base.T)
+        ref = nm.parameter("w", base.T.copy())
+        for t in (p, ref):
+            nm.adam_step({"w": t}, {"w": np.ones((3, 2))}, nm.AdamState())
+        assert np.shares_memory(p.data, base)
+        assert base.T.tobytes() == ref.data.tobytes()
+
     def test_second_moment_nonnegative(self):
         p = nm.parameter("w", np.ones(4))
         state = nm.AdamState()
@@ -281,6 +292,121 @@ class TestAdam:
         for _ in range(20):
             nm.adam_step({"w": p}, {"w": rng.standard_normal(4)}, state)
         assert (state.v["w"] >= 0).all()
+
+
+def textbook_adam(params: dict, grads: dict, m: dict, v: dict, step: int,
+                  lr: float) -> None:
+    """TestAdam's textbook update, tensor by tensor on separate arrays."""
+    bc1, bc2 = 1.0 - 0.9 ** step, 1.0 - 0.999 ** step
+    for k, g in grads.items():
+        m[k] *= 0.9
+        m[k] += (1.0 - 0.9) * g
+        v[k] *= 0.999
+        v[k] += (1.0 - 0.999) * (g * g)
+        params[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + 1e-8)
+
+
+class TestParamStore:
+    SHAPES = {"w": (5, 4), "table": (6, 5), "lstm.w": (4, 12),
+              "lstm.u": (3, 12), "lstm.b": (1, 12), "unused": (2, 3),
+              "dead": (2, 2), "sometimes": (1, 3)}
+
+    def _start(self, dtype):
+        rng = np.random.default_rng(3)
+        return {k: rng.uniform(-0.5, 0.5, s).astype(dtype)
+                for k, s in self.SHAPES.items()}
+
+    @staticmethod
+    def _loss(p, x, step):
+        # the table is gathered twice, with repeated rows, and w multiplied
+        # twice, so both get a later contribution added to their first; on
+        # even steps "dead" is used off the loss's path and "sometimes" not
+        # at all, so their views still hold the odd step's gradient
+        e = nm.rows(p["table"], [0, 2, 2, 5]) + nm.rows(p["table"], [1, 2, 0, 0])
+        h = nm.lstm(e @ p["w"], p["lstm.w"], p["lstm.u"], p["lstm.b"],
+                    lengths=[3, 1])
+        loss = nm.sum_all(nm.relu(h @ x)) + nm.sum_all(e @ p["w"])
+        dead = nm.mul(p["dead"], p["dead"])
+        if step % 2:
+            loss = loss + nm.sum_all(dead) + nm.sum_all(p["sometimes"])
+        return loss
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_steps_match_per_tensor_copies(self, dtype):
+        start = self._start(dtype)
+        size = sum(a.size for a in start.values())
+        store = nm.ParamStore(size, dtype)
+        with store:
+            ours = {k: nm.parameter(k, a) for k, a in start.items()}
+        grads = store.enable_grad()
+        ref = {k: nm.parameter(k, a.copy()) for k, a in start.items()}
+        ref_m = {k: np.zeros_like(a) for k, a in start.items()}
+        ref_v = {k: np.zeros_like(a) for k, a in start.items()}
+        x = nm.constant(np.random.default_rng(4).uniform(-1, 1, (3, 2)), dtype)
+        state = nm.AdamState(learning_rate=0.01)
+        for step in range(1, 5):
+            nm.zero_grads(store)
+            with nm.Tape() as tape:
+                loss = self._loss(ours, x, step)
+            tape.gradients(loss)
+            nm.adam_step(store, store.gradients(), state)
+            assert not grads["unused"].any()
+            assert grads["dead"].any() == grads["sometimes"].any() == step % 2
+
+            nm.zero_grads(ref)
+            with nm.Tape() as tape:
+                loss = self._loss(ref, x, step)
+            fresh = tape.gradients(loss)
+            assert "unused" not in fresh
+            textbook_adam({k: t.data for k, t in ref.items()},
+                          {k: fresh.get(k, np.zeros_like(t.data))
+                           for k, t in ref.items()},
+                          ref_m, ref_v, step, 0.01)
+            for k in start:
+                assert ours[k].data.tobytes() == ref[k].data.tobytes(), (step, k)
+                assert state.m[k].tobytes() == ref_m[k].tobytes(), (step, k)
+                assert state.v[k].tobytes() == ref_v[k].tobytes(), (step, k)
+
+    def test_tensors_are_views_of_one_array(self):
+        start = self._start(np.float32)
+        store = nm.ParamStore(sum(a.size for a in start.values()), np.float32)
+        with store:
+            for k, a in start.items():
+                nm.parameter(k, a)
+        assert list(store) == list(start)
+        for k, t in store.items():
+            assert np.shares_memory(t.data, store.flat)
+            assert np.array_equal(t.data, start[k])
+        grads = store.enable_grad()
+        assert list(grads) == list(start)
+        assert grads.flat.shape == store.flat.shape
+        for k in start:
+            assert np.shares_memory(grads[k], grads.flat)
+
+    def test_oversized_store_refused_before_allocating(self):
+        with pytest.raises(ConfigError, match=r"268,435,457 trainable"):
+            nm.ParamStore(nm.MAX_PARAMETERS + 1, np.float32)
+
+    @pytest.mark.parametrize("sizes,size", [((3,), 4), ((3, 2), 4)],
+                             ids=["underfilled", "overflowed"])
+    def test_fill_must_match_the_size(self, sizes, size):
+        with pytest.raises(ContractError, match="store"):
+            with nm.ParamStore(size, np.float32):
+                for i, n in enumerate(sizes):
+                    nm.parameter(f"p{i}", np.ones(n))
+
+    def test_name_taken_twice_rejected(self):
+        with pytest.raises(ContractError, match="already"):
+            with nm.ParamStore(4, np.float32):
+                nm.parameter("p", np.ones(2))
+                nm.parameter("p", np.ones(2))
+
+    def test_parameters_outside_the_block_are_standalone(self):
+        with nm.ParamStore(2, np.float32) as store:
+            inside = nm.parameter("in", np.ones(2))
+        outside = nm.parameter("out", np.ones(2))
+        assert list(store) == ["in"] and store["in"] is inside
+        assert not np.shares_memory(outside.data, store.flat)
 
 
 class TestTape:
@@ -323,6 +449,11 @@ class TestFiniteChecks:
         big = nm.Tensor(np.full((2, 2), 1e30, dtype=np.float32))
         with pytest.raises(NumericsError):
             nm.mul(big, big)
+
+    def test_scalar_ops_keep_float64(self):
+        a = nm.Tensor(np.asarray(0.1, dtype=np.float64))
+        assert (a + a).dtype == np.float64
+        assert (a * a).dtype == np.float64
 
     def test_dtype_mismatch_rejected(self):
         a = nm.Tensor(np.ones((1, 1), dtype=np.float32))
@@ -378,6 +509,45 @@ class TestCheckpointContainer:
             assert np.array_equal(loaded[name], arr)
             assert loaded[name].dtype == arr.dtype
 
+    def test_load_into_arrays(self, tmp_path):
+        rng = np.random.default_rng(6)
+        saved = {"a": rng.standard_normal((3, 4)).astype(np.float32),
+                 "b": rng.standard_normal((5,)), "c": np.zeros((0, 2))}
+        path = tmp_path / "m.ckpt"
+        nm.save_checkpoint(saved, path)
+        flat = np.full(12, np.nan, np.float32)
+        into = {"a": flat.reshape(3, 4), "b": np.empty(5, np.float32),
+                "c": np.empty((0, 2))}
+        loaded = nm.load_checkpoint(path, into=into)
+        assert all(loaded[k] is into[k] for k in saved)
+        assert flat.tobytes() == saved["a"].tobytes()
+        # a float64 tensor read into float32 rounds as astype does
+        assert into["b"].tobytes() == saved["b"].astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("into,match", [
+        ({"a": np.empty((3, 4), np.float32), "b": np.empty(5),
+          "x": np.empty(1)}, r"missing \['x'\], unexpected \[\]"),
+        ({"a": np.empty((3, 4), np.float32)}, r"missing \[\], unexpected \['b'\]"),
+        ({"a": np.empty((4, 3), np.float32), "b": np.empty(5)},
+         r"tensor a has shape \(3, 4\), expected \(4, 3\)"),
+    ], ids=["missing", "unexpected", "shape"])
+    def test_load_into_mismatch_reads_nothing(self, tmp_path, into, match):
+        path = tmp_path / "m.ckpt"
+        nm.save_checkpoint({"a": np.ones((3, 4), np.float32),
+                            "b": np.ones(5)}, path)
+        before = {k: a.copy() for k, a in into.items()}
+        with pytest.raises(ContractError, match=match):
+            nm.load_checkpoint(path, into=into)
+        for k, a in into.items():
+            assert a.tobytes() == before[k].tobytes()
+
+    def test_load_into_truncated_file_is_format_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        nm.save_checkpoint({"a": np.ones((3, 4), np.float32)}, path)
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(FormatError, match="declare"):
+            nm.load_checkpoint(path, into={"a": np.empty((3, 4), np.float32)})
+
     def test_header_layout(self, tmp_path):
         path = tmp_path / "t.ckpt"
         nm.save_checkpoint({"w": np.zeros((2, 3), dtype=np.float32)}, path)
@@ -405,6 +575,13 @@ class TestCheckpointContainer:
         path = tmp_path / "huge.ckpt"
         path.write_bytes(b"SYNGCN1\t1\nw\tfloat32\t100000,100000\n" + bytes(8))
         with pytest.raises(FormatError, match="declare"):
+            nm.load_checkpoint(path)
+
+    def test_oversized_empty_shape_is_format_error(self, tmp_path):
+        # zero bytes declared, but too large a shape for numpy to make
+        path = tmp_path / "empty.ckpt"
+        path.write_bytes(b"SYNGCN1\t1\nw\tfloat32\t0,1518494220,1518506280\n")
+        with pytest.raises(FormatError, match="too large"):
             nm.load_checkpoint(path)
 
     def test_too_many_dimensions_is_format_error(self, tmp_path):

@@ -5,16 +5,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from syngcn import fixtures, trainer
 from syngcn import numerics as nm
 from syngcn.conll import build_lexicon
 from syngcn.errors import ConfigError, ContractError
 from syngcn.evaluator import predict_corpus
+from syngcn.syngraph import build_graph
 from syngcn.trainer import (Instance, SrlModel, TrainConfig, load_config,
                             make_instances, parse_config_text, save_config,
                             train)
 
 from conftest import parse_text, small_config
 from test_conll import make_sentence
+from test_numerics import textbook_adam
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestInstances:
@@ -114,6 +119,18 @@ class TestConfig:
         for path in paths:
             load_config(path)
 
+    def test_shipped_configs_build_within_the_parameter_cap(
+            self, overfit_sentences, overfit_lexicon):
+        # the store refuses a model above nm.MAX_PARAMETERS, and checks
+        # that the tensors fill exactly trainable_size
+        for path in sorted(CONFIGS.glob("*.conf")):
+            cfg = load_config(path)
+            size = trainer.trainable_size(cfg, overfit_lexicon)
+            assert size <= nm.MAX_PARAMETERS
+            model = SrlModel(cfg, overfit_lexicon, np.random.default_rng(0))
+            assert model.store.size == size == sum(
+                t.data.size for t in model.store.values())
+
     def test_paper_defaults(self):
         cfg = TrainConfig()
         assert (cfg.d_w, cfg.d_pos, cfg.d_l, cfg.d_h) == (100, 16, 100, 512)
@@ -157,7 +174,7 @@ class TestModel:
         model, lex = tiny_model(overfit_sentences, edge_dropout=0.0,
                                 learning_rate=0.005)
         inst = make_instances(overfit_sentences, lex)[0]
-        trainable = model.trainable_parameters()
+        trainable = model.store
         state = nm.AdamState(learning_rate=0.005)
         losses = []
         for _ in range(11):
@@ -226,7 +243,131 @@ class TestModel:
         model.save(path)
         other, _ = tiny_model(overfit_sentences, lex, gcn_layers=0)
         with pytest.raises(ContractError, match="checkpoint"):
-            other.load_tensors(nm.load_checkpoint(path))
+            SrlModel.from_checkpoint(path, other.config, lex)
+
+
+def reference_run(sentences, cfg: TrainConfig):
+    """``train``'s updates on per-tensor copies of the weights, off the
+    store: fresh gradient arrays from a tape per instance, summed per batch,
+    and the textbook Adam. The model, and the names that got no gradient in
+    some instance."""
+    lexicon = build_lexicon(sentences, min_freq=cfg.min_freq)
+    rng = np.random.default_rng(cfg.seed)
+    model = SrlModel(cfg, lexicon, rng)
+    params = dict(model.store)
+    for t in params.values():
+        t.data = t.data.copy()
+    m = {k: np.zeros_like(t.data) for k, t in params.items()}
+    v = {k: np.zeros_like(t.data) for k, t in params.items()}
+    instances = make_instances(sentences, lexicon)
+    graphs = [build_graph(s, lexicon) for s in sentences]
+    step, unreached, batch = 0, set(), []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(instances))
+        for pos, idx in enumerate(order):
+            inst = instances[idx]
+            mask = trainer._word_unk_mask(inst, lexicon, cfg.unk_replace_rate,
+                                          rng)
+            nm.zero_grads(params)
+            with nm.Tape() as tape:
+                loss = model.instance_loss(inst, graphs[inst.sentence_id],
+                                           training=True, rng=rng,
+                                           word_unk_mask=mask)
+            fresh = tape.gradients(loss)
+            unreached |= set(params) - set(fresh)
+            batch.append({k: fresh.get(k, np.zeros_like(t.data))
+                          for k, t in params.items()})
+            if len(batch) == cfg.batch_size or pos == len(order) - 1:
+                total = batch[0]
+                for g in batch[1:]:
+                    total = {k: total[k] + g[k] for k in total}
+                step += 1
+                textbook_adam({k: t.data for k, t in params.items()}, total,
+                              m, v, step, cfg.learning_rate)
+                batch = []
+    return model, unreached
+
+
+class TestFlatStore:
+    @pytest.mark.parametrize("overrides", [
+        dict(dtype="float32"),
+        dict(dtype="float64"),
+        dict(dtype="float32", batch_size=2),
+        dict(dtype="float32", edge_dropout=1.0, batch_size=3),
+        dict(dtype="float32", edge_dropout=0.9),
+    ], ids=["float32", "float64", "batch2", "no edges", "few edges"])
+    def test_run_matches_per_tensor_reference(self, overfit_sentences,
+                                              tmp_path, overrides):
+        cfg = small_config(d_w=8, d_pos=4, d_l=8, d_h=8, d_r=8, d_l_out=8,
+                           epochs=2, unk_replace_rate=0.2, **overrides)
+        sentences = overfit_sentences[:8]
+        result = train(sentences, None, cfg, tmp_path / "run")
+        ref, unreached = reference_run(sentences, cfg)
+        if cfg.edge_dropout > 0.5:
+            # no gradient for some GCN tensors in some instances
+            assert "gcn.0.w_along" in unreached
+        saved = nm.load_checkpoint(result.best_checkpoint)
+        for name, t in ref.parameters().items():
+            assert saved[name].tobytes() == t.data.tobytes(), name
+
+    def test_gradcheck_model_steps_match_reference(self):
+        model, instance = fixtures.gradcheck_model()
+        ref, _ = fixtures.gradcheck_model()
+        params = dict(ref.store)
+        for t in params.values():
+            t.data = t.data.copy()
+        m = {k: np.zeros_like(t.data) for k, t in params.items()}
+        v = {k: np.zeros_like(t.data) for k, t in params.items()}
+        grads = model.store.enable_grad()
+        state = nm.AdamState(learning_rate=0.01)
+        for step in range(1, 4):
+            nm.zero_grads(model.store)
+            with nm.Tape() as tape:
+                loss = model.instance_loss(instance)
+            tape.gradients(loss)
+            nm.adam_step(model.store, model.store.gradients(), state)
+            nm.zero_grads(params)
+            with nm.Tape() as tape:
+                loss = ref.instance_loss(instance)
+            fresh = tape.gradients(loss)
+            textbook_adam({k: t.data for k, t in params.items()},
+                          {k: fresh.get(k, np.zeros_like(t.data))
+                           for k, t in params.items()}, m, v, step, 0.01)
+            for k, t in params.items():
+                assert model.store[k].data.tobytes() == t.data.tobytes(), k
+                assert grads[k].dtype == np.float64
+
+    def test_desk_batch_of_two_matches_reference(self, overfit_sentences,
+                                                 tmp_path):
+        cfg = load_config(CONFIGS / "desk_overfit.conf")
+        cfg.epochs, cfg.batch_size, cfg.early_stop_f1 = 2, 2, 0.0
+        result = train(overfit_sentences, None, cfg, tmp_path / "run")
+        ref, _ = reference_run(overfit_sentences, cfg)
+        saved = nm.load_checkpoint(result.best_checkpoint)
+        for name, t in ref.parameters().items():
+            assert saved[name].tobytes() == t.data.tobytes(), name
+
+    def test_loaded_model_is_store_backed(self, overfit_sentences, tmp_path):
+        model, lex = tiny_model(overfit_sentences)
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+        loaded = SrlModel.from_checkpoint(path, model.config, lex)
+        for name, t in loaded.parameters().items():
+            assert np.shares_memory(t.data, loaded.store.flat) == t.trainable
+            assert loaded.store.get(name) is (t if t.trainable else None)
+        want = predict_corpus(model, overfit_sentences)
+        got = predict_corpus(loaded, overfit_sentences)
+        for inst in make_instances(overfit_sentences, lex):
+            key = (inst.sentence_id, inst.predicate_ord)
+            for a, b in zip(want.get(*key), got.get(*key)):
+                assert a.tobytes() == b.tobytes()
+        # an update of the store moves the model's own tensors
+        before = {k: t.data.copy() for k, t in loaded.parameters().items()}
+        grads = loaded.store.enable_grad()
+        grads.flat.fill(1.0)
+        nm.adam_step(loaded.store, grads, nm.AdamState())
+        for name, t in loaded.parameters().items():
+            assert np.array_equal(t.data, before[name]) != t.trainable, name
 
 
 class TestTrainLoop:
