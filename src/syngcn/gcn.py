@@ -6,10 +6,11 @@ Each layer aggregates, for every token v, messages from its in-neighbors u:
 
 with one weight matrix per edge direction (along / opposite / self-loop),
 one bias vector and one gate bias per extended label, and a scalar gate per
-edge computed from the source state. A K-layer stack sees K-hop
-neighborhoods; K=0 is the identity (the model builds no stack for its
-BiLSTM-only baseline). The plain untyped layer (shared weight and bias, no
-gates) is kept as a testable reduction.
+edge computed from the source state. Each layer is one
+``numerics.graph_conv`` tape op over all three directions. A K-layer stack
+sees K-hop neighborhoods; K=0 is the identity (the model builds no stack for
+its BiLSTM-only baseline). The plain untyped layer (shared weight and bias,
+no gates) is kept, built per op, as a testable reduction.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .syngraph import Direction, SyntacticGraph, edge_dropout
 
 _DIR_NAMES = {Direction.ALONG: "along", Direction.OPPOSITE: "opposite",
               Direction.SELF: "self"}
+_DIRECTIONS = tuple(Direction)
 
 
 @dataclass
@@ -104,44 +106,34 @@ def init_gcn_stack(depth: int, width: int, num_labels: int, input_dim: int,
 
 def gcn_layer(h: nm.Tensor, graph: SyntacticGraph, params: GcnLayerParams,
               gates_enabled: bool = True) -> nm.Tensor:
-    """One gated convolution over [n x m] states; vectorized per direction.
+    """One gated convolution over [n x m] states: one ``nm.graph_conv`` op
+    over all three directions, on the graph's cached index arrays.
 
     Nodes whose in-neighborhood is empty (possible after dropout) come out
-    as ReLU(0) = 0.
+    as ReLU(0) = 0. The op raises ``NumericsError`` if the gate logits or
+    the pre-ReLU sums are not finite.
     """
-    n, m = h.shape
+    n = h.shape[0]
     if n != graph.n:
         raise ShapeError(f"gcn_layer: {n} state rows for a {graph.n}-node graph")
     if graph.num_labels != params.num_labels:
         raise ContractError(f"gcn_layer: graph has {graph.num_labels} labels, "
                             f"params have {params.num_labels}")
-    acc = None
-    for direction, (src, dst, labels) in graph.arrays().items():
-        if len(src) == 0:
-            continue
-        if src.max() >= n or dst.max() >= n:
-            raise ContractError("gcn_layer: edge endpoint outside the graph")
-        transformed = h @ params.weights[direction]            # [n x m]
-        messages = nm.rows(transformed, src) + nm.rows(params.label_bias, labels)
-        if gates_enabled:
-            logits = nm.sum_axis1(nm.rows(h, src) * params.gate_weights[direction]) \
-                + nm.rows(params.gate_label_bias, labels)      # [E x 1]
-            messages = messages * nm.sigmoid(logits)
-        summed = nm.segment_sum(messages, dst, n)
-        acc = summed if acc is None else acc + summed
-    if acc is None:
-        acc = nm.constant(np.zeros((n, m)), dtype=h.dtype)
-    return nm.relu(acc)
+    gate_weights = gate_label_bias = None
+    if gates_enabled:
+        gate_weights = [params.gate_weights[d] for d in _DIRECTIONS]
+        gate_label_bias = params.gate_label_bias
+    return nm.graph_conv(h, [params.weights[d] for d in _DIRECTIONS],
+                         params.label_bias, gate_weights, gate_label_bias,
+                         graph.index())
 
 
 def plain_gcn_layer(x: nm.Tensor, graph: SyntacticGraph, weight: nm.Tensor,
                     bias: nm.Tensor) -> nm.Tensor:
     """The untyped, ungated reduction: shared weight/bias over all in-edges."""
-    n = graph.n
-    src = np.concatenate([arr[0] for arr in graph.arrays().values()])
-    dst = np.concatenate([arr[1] for arr in graph.arrays().values()])
-    messages = nm.rows(x @ weight, src) + bias
-    return nm.relu(nm.segment_sum(messages, dst, n))
+    edges = graph.index()
+    messages = nm.rows(x @ weight, edges.src) + bias
+    return nm.relu(nm.segment_sum(messages, edges.dst, graph.n))
 
 
 def gcn_stack_forward(h: nm.Tensor, graph: SyntacticGraph, stack: GcnStack,

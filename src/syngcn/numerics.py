@@ -7,7 +7,9 @@ records once, in reverse, so gradient accumulation order is deterministic.
 Ops executed with no active tape are plain forward computations.
 
 Every op verifies its output is finite; NaN/Inf raises ``NumericsError``
-rather than propagating silently.
+rather than propagating silently. The fused ops also check the values the
+clamped logistic would make finite: ``lstm`` its pre-activations, and
+``graph_conv`` its gate logits and pre-ReLU sums.
 
 A model keeps its trainable tensors in a ``ParamStore``: each tensor's
 ``data`` is a view into one flat array, laid out in creation order. Training
@@ -217,14 +219,19 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NumericsError(f"non-finite values produced by {op}")
 
 
+def _recording(inputs: tuple[Tensor, ...]) -> bool:
+    """Whether an op on ``inputs`` goes on the tape: one is active and some
+    input needs a gradient."""
+    return _ACTIVE_TAPE is not None and any(t._needs_grad for t in inputs)
+
+
 def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], op: str,
           backward: Callable[[np.ndarray], None]) -> Tensor:
     _check_finite(out_data, op)
     out = Tensor(out_data)
-    tape = _ACTIVE_TAPE
-    if tape is not None and any(t._needs_grad for t in inputs):
+    if _recording(inputs):
         out._needs_grad = True
-        tape._record(out, inputs, backward)
+        _ACTIVE_TAPE._record(out, inputs, backward)
     return out
 
 
@@ -261,6 +268,22 @@ def _accumulate_product(t: Tensor, a: np.ndarray, b: np.ndarray) -> None:
         np.matmul(a, b, out=view)
     else:
         _accumulate(t, a @ b)
+
+
+def _accumulate_rows(t: Tensor, index: np.ndarray, g: np.ndarray) -> None:
+    """``_accumulate(t, buf)`` for ``buf``: zeros shaped like ``t`` with the
+    rows of ``g`` added into rows ``index`` in order; a store leaf's first
+    gradient is summed straight into its view."""
+    if not t._needs_grad:
+        return
+    view = _first_grad_view(t)
+    if view is not None:
+        view.fill(0)
+        np.add.at(view, index, g)
+        return
+    buf = np.zeros_like(t.data)
+    np.add.at(buf, index, g)
+    _accumulate(t, buf)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -350,17 +373,31 @@ def relu(x: Tensor) -> Tensor:
     return _make(out, (x,), "relu", backward)
 
 
+def _logistic_clamp(dtype) -> tuple:
+    """The lowest and highest value ``_logistic`` returns in ``dtype``."""
+    info = np.finfo(dtype)
+    return info.tiny, 1.0 - info.epsneg
+
+
+_LOGISTIC_CLAMP = {np.dtype(t): _logistic_clamp(t)
+                   for t in (np.float32, np.float64)}
+
+
 def _logistic(d: np.ndarray) -> np.ndarray:
     """Overflow-safe logistic function, clamped into the open interval (0,1).
 
     With e = exp(-|d|), it is 1/(1+e) for d >= 0 and e/(1+e) otherwise, so
     no exponent is positive.
     """
-    e = np.exp(-np.abs(d))
-    p = 1.0 + e
-    out = np.where(d >= 0, 1.0 / p, e / p)
-    info = np.finfo(d.dtype)
-    np.clip(out, info.tiny, 1.0 - info.epsneg, out=out)
+    e = np.abs(d)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(d >= 0, 1.0, e)
+    np.add(e, 1.0, out=e)
+    np.divide(out, e, out=out)
+    lo, hi = _LOGISTIC_CLAMP.get(d.dtype) or _logistic_clamp(d.dtype)
+    np.maximum(out, lo, out=out)
+    np.minimum(out, hi, out=out)
     return out
 
 
@@ -422,10 +459,15 @@ def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor, reverse: bool = False,
 
     z = (x.data @ w.data + b.data)[order]  # pre-activations, [N x 4d]
     gates = np.empty_like(z)               # i, f, o, g after activation
-    h, tanh_c, h_prev, c_prev = (np.empty((n, d), z.dtype) for _ in range(4))
+    h, tanh_c = np.empty((n, d), z.dtype), np.empty((n, d), z.dtype)
+    # the states each step starts from, which only the backward reads
+    record = _recording((x, w, u, b))
+    h_prev, c_prev = ((np.empty((n, d), z.dtype), np.empty((n, d), z.dtype))
+                      if record else (None, None))
     h_t = c_t = np.zeros((active[0], d), z.dtype)
     for s, a in zip(slots, active):
-        h_prev[s], c_prev[s] = h_t[:a], c_t[:a]
+        if record:
+            h_prev[s], c_prev[s] = h_t[:a], c_t[:a]
         z[s] += h_t[:a] @ u.data
         gates[s, :3 * d] = _logistic(z[s, :3 * d])
         gates[s, 3 * d:] = np.tanh(z[s, 3 * d:])
@@ -466,6 +508,122 @@ def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor, reverse: bool = False,
     return _make(out, (x, w, u, b), "lstm", backward)
 
 
+def graph_conv(h: Tensor, weights: list[Tensor], label_bias: Tensor,
+               gate_weights: list[Tensor] | None,
+               gate_label_bias: Tensor | None, edges) -> Tensor:
+    """One gated graph convolution over all three edge directions as one op.
+
+    For each edge (u -> v) of direction d and label l, the message
+    ``h[u] @ weights[d] + label_bias[l]`` is scaled by the gate
+    ``logistic(h[u] . gate_weights[d] + gate_label_bias[l])`` (no gate if
+    ``gate_weights`` is None), and each node sums its in-messages:
+    ``out = ReLU((S_along + S_opposite) + S_self)``. ``edges`` is the
+    n-node graph's ``syngraph.EdgeIndex``; ``weights`` [k x m] and
+    ``gate_weights`` [1 x k] hold one tensor per direction. ``h`` is
+    [n x k], ``label_bias`` [labels x m] and ``gate_label_bias``
+    [labels x 1].
+
+    Each S_d sums its messages in edge order, as ``segment_sum`` does, and
+    the backward groups every product as the per-op rules of ``matmul``,
+    ``rows``, ``mul``, ``sum_axis1``, ``sigmoid``, ``add`` and ``relu`` do,
+    adding ``h``'s gradient terms in their tape order (self, opposite,
+    along; gate path before product), so the result rounds as the per-op
+    layer did. Checked for non-finite values: the gate logits, before the
+    clamped logistic turns an infinite one finite, and the pre-ReLU sum,
+    which ``_RELU_PROBE`` sees as ``relu`` shows its input. A direction
+    with no edges puts none of its tensors on the tape; with no edges at
+    all the result is zeros and nothing is recorded.
+    """
+    gated = gate_weights is not None
+    params = list(weights) + [label_bias]
+    if gated:
+        params += list(gate_weights) + [gate_label_bias]
+    for t in params:
+        _same_dtype(h, t, "graph_conv")
+    k, m = h.data.shape[-1], weights[0].data.shape[-1]
+    if (h.data.ndim != 2 or any(w.data.shape != (k, m) for w in weights)
+            or label_bias.data.shape[1:] != (m,)
+            or (gated and any(g.data.shape != (1, k) for g in gate_weights))):
+        raise ShapeError(f"graph_conv: incompatible shapes h {h.data.shape}, "
+                         f"weights {weights[0].data.shape}, label bias "
+                         f"{label_bias.data.shape}")
+    n, bounds = h.data.shape[0], edges.bounds
+    present = [d for d in range(3) if bounds[d + 1] > bounds[d]]
+    if not present:
+        zeros = np.zeros((n, m), h.data.dtype)
+        if _RELU_PROBE is not None:
+            _RELU_PROBE.append(zeros.copy())
+        return Tensor(zeros)
+    blocks = {d: slice(bounds[d], bounds[d + 1]) for d in present}
+    node_rows = {d: slice(d * n, (d + 1) * n) for d in present}
+    hd = h.data
+    # the three directions' h @ W_d, stacked into [3n x m]
+    transformed = np.empty((3 * n, m), hd.dtype)
+    for d in present:
+        np.matmul(hd, weights[d].data, out=transformed[node_rows[d]])
+    messages = transformed[edges.gather]
+    np.add(messages, label_bias.data[edges.labels], out=messages)
+    if gated:
+        sources = hd[edges.src]
+        weighted = np.empty_like(sources)
+        for d in present:
+            np.multiply(sources[blocks[d]], gate_weights[d].data,
+                        out=weighted[blocks[d]])
+        logits = weighted.sum(axis=1, keepdims=True)
+        np.add(logits, gate_label_bias.data[edges.labels], out=logits)
+        # checked here, since the clamped logistic makes an infinite one finite
+        _check_finite(logits, "graph_conv")
+        gates = _logistic(logits)
+        scaled = messages * gates
+    else:
+        scaled = messages
+    per_direction = np.zeros((3 * n, m), hd.dtype)
+    np.add.at(per_direction, edges.scatter, scaled)
+    pre = per_direction[:n] + per_direction[n:2 * n]
+    pre += per_direction[2 * n:]
+    _check_finite(pre, "graph_conv")
+    if _RELU_PROBE is not None:
+        _RELU_PROBE.append(pre.copy())
+    out = np.maximum(pre, 0)
+
+    def backward(g):
+        dscaled = (g * (pre > 0))[edges.dst]
+        if gated:
+            dmessages = dscaled * gates
+            dlogits = _unbroadcast(dscaled * messages, gates.shape)
+            dlogits = dlogits * gates * (1.0 - gates)
+            _accumulate_rows(gate_label_bias, edges.labels, dlogits)
+            dsources = np.empty_like(sources)
+            for d in present:
+                blk = blocks[d]
+                np.multiply(dlogits[blk], gate_weights[d].data,
+                            out=dsources[blk])
+                _accumulate(gate_weights[d], _unbroadcast(
+                    dlogits[blk] * sources[blk], gate_weights[d].data.shape))
+            dgate_h = np.zeros((3 * n, k), hd.dtype)
+            np.add.at(dgate_h, edges.gather, dsources)
+        else:
+            dmessages = dscaled
+        _accumulate_rows(label_bias, edges.labels, dmessages)
+        dtransformed = np.zeros((3 * n, m), hd.dtype)
+        np.add.at(dtransformed, edges.gather, dmessages)
+        for d in reversed(present):
+            rows_d = node_rows[d]
+            if gated:
+                _accumulate(h, dgate_h[rows_d])
+            _accumulate_product(h, dtransformed[rows_d], weights[d].data.T)
+            _accumulate_product(weights[d], hd.T, dtransformed[rows_d])
+
+    # in the order the per-op layer first used them
+    first = present[0]
+    inputs = [h, weights[first], label_bias]
+    if gated:
+        inputs += [gate_weights[first], gate_label_bias]
+    for d in present[1:]:
+        inputs += [weights[d], gate_weights[d]] if gated else [weights[d]]
+    return _make(out, tuple(inputs), "graph_conv", backward)
+
+
 def concat(parts: list[Tensor], axis: int = 1) -> Tensor:
     if not parts:
         raise ShapeError("concat of zero tensors")
@@ -490,14 +648,7 @@ def rows(a: Tensor, index) -> Tensor:
     out = a.data[idx]
 
     def backward(g):
-        view = _first_grad_view(a)
-        if view is not None:
-            view.fill(0)
-            np.add.at(view, idx, g)
-            return
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, g)
-        _accumulate(a, buf)
+        _accumulate_rows(a, idx, g)
 
     return _make(out, (a,), "rows", backward)
 

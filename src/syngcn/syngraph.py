@@ -14,11 +14,12 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .conll import Lexicon, Sentence
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 
 logger = logging.getLogger(__name__)
 
@@ -64,34 +65,91 @@ def label_name(label_id: int, lexicon: Lexicon) -> str:
     return lexicon.string("deprel", label_id - 1 - r) + "'"
 
 
+class EdgeIndex(NamedTuple):
+    """A graph's edges as flat index arrays, grouped by direction (along,
+    opposite, self) and, within a direction, in (destination, source) order.
+
+    Direction d's edges are ``[bounds[d], bounds[d + 1])``. ``gather`` is
+    ``d*n + src`` and ``scatter`` is ``d*n + dst``: rows of the [3n x m]
+    stack of the three directions' per-node arrays.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    labels: np.ndarray
+    gather: np.ndarray
+    scatter: np.ndarray
+    bounds: tuple[int, int, int, int]
+
+
 class SyntacticGraph:
     """Immutable edge list for one sentence, grouped by destination node.
 
-    ``arrays()`` exposes the per-direction index arrays the vectorized GCN
-    layer consumes; edge order within a direction is fixed (by destination,
+    ``index()`` gives the flat index arrays the GCN layer consumes, built
+    once per graph; edge order within a direction is fixed (by destination,
     then source), which pins the gradient/reduction order.
     """
 
     def __init__(self, n: int, edges: list[Edge], label_space: int):
         self.n = n
-        self.edges = sorted(edges, key=lambda e: (e.dst, int(e.direction), e.src))
+        self._edges: list[Edge] | None = sorted(
+            edges, key=lambda e: (e.dst, int(e.direction), e.src))
         self.num_labels = label_space
-        self._arrays: dict[Direction, tuple] | None = None
+        self._index: EdgeIndex | None = None
+        # each index row's place in ``edges``, set with ``_index``
+        self._position: np.ndarray | None = None
+        # for a graph made by ``subgraph``: the parent and the keep mask
+        # over its edges, from which ``edges`` is made when first asked for
+        self._kept: tuple[SyntacticGraph, np.ndarray] | None = None
+
+    @property
+    def edges(self) -> list[Edge]:
+        """The edges, sorted by (destination, direction, source)."""
+        if self._edges is None:
+            parent, keep = self._kept
+            self._edges = [e for e, k in zip(parent.edges, keep) if k]
+        return self._edges
 
     def __len__(self) -> int:
-        return len(self.edges)
+        if self._edges is None:
+            return len(self._index.src)
+        return len(self._edges)
 
-    def arrays(self) -> dict[Direction, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per direction: (src indices, dst indices, label ids)."""
-        if self._arrays is None:
-            out = {}
-            for d in Direction:
-                es = [e for e in self.edges if e.direction == d]
-                out[d] = (np.array([e.src for e in es], dtype=np.intp),
-                          np.array([e.dst for e in es], dtype=np.intp),
-                          np.array([e.label_id for e in es], dtype=np.intp))
-            self._arrays = out
-        return self._arrays
+    def index(self) -> EdgeIndex:
+        """The edges as flat index arrays, built on the first call."""
+        if self._index is None:
+            edges = self.edges
+            position = sorted(range(len(edges)),
+                              key=lambda i: int(edges[i].direction))
+            grouped = [edges[i] for i in position]
+            src = np.array([e.src for e in grouped], dtype=np.intp)
+            dst = np.array([e.dst for e in grouped], dtype=np.intp)
+            if grouped and (min(src.min(), dst.min()) < 0
+                            or max(src.max(), dst.max()) >= self.n):
+                raise ContractError(f"edge endpoint outside the {self.n}-node "
+                                    f"graph")
+            counts = [sum(e.direction == d for e in edges) for d in Direction]
+            base = np.repeat(np.arange(3) * self.n, counts)
+            self._index = EdgeIndex(
+                src, dst, np.array([e.label_id for e in grouped], dtype=np.intp),
+                base + src, base + dst,
+                (0, counts[0], counts[0] + counts[1], len(edges)))
+            self._position = np.array(position, dtype=np.intp)
+        return self._index
+
+    def subgraph(self, keep: np.ndarray) -> "SyntacticGraph":
+        """The graph of the edges ``e`` of ``self.edges`` with ``keep[e]``
+        true: its index is this graph's, masked in order, not rebuilt, and
+        its edge list is only made if asked for."""
+        idx = self.index()
+        rows = np.flatnonzero(keep[self._position])
+        out = SyntacticGraph.__new__(SyntacticGraph)
+        out.n, out.num_labels = self.n, self.num_labels
+        out._edges, out._kept = None, (self, keep)
+        out._index = EdgeIndex(*(a[rows] for a in idx[:5]),
+                               tuple(rows.searchsorted(idx.bounds).tolist()))
+        out._position = (np.cumsum(keep) - 1)[self._position[rows]]
+        return out
 
 
 def build_graph(sentence: Sentence, lexicon: Lexicon) -> SyntacticGraph:
@@ -136,15 +194,16 @@ def disjoint_union(graphs: list[SyntacticGraph]) -> SyntacticGraph:
 def edge_dropout(graph: SyntacticGraph, beta: float,
                  rng: np.random.Generator) -> SyntacticGraph:
     """Drop each in-edge, self-loops included, independently with probability
-    ``beta``. Training callers resample per layer per forward pass.
+    ``beta``, from one draw per edge in ``graph.edges`` order. The result is
+    a ``subgraph``: the graph's index arrays masked, not a rebuilt graph.
+    Training callers resample per layer per forward pass.
     """
     if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"edge dropout probability {beta} outside [0, 1]")
     if beta == 0.0:
         return graph
-    draws = rng.random(len(graph.edges))
-    kept = [e for e, u in zip(graph.edges, draws) if u >= beta]
-    return SyntacticGraph(graph.n, kept, graph.num_labels)
+    draws = rng.random(len(graph))
+    return graph.subgraph(draws >= beta)
 
 
 def drop_relation(graph: SyntacticGraph, deprel_id: int) -> SyntacticGraph:

@@ -238,6 +238,9 @@ class TestBilstmEncode:
             sizes.append(len(tape._nodes))
         assert sizes == [3 * layers] * 2
 
+    # an infinite u meets the zero first state: inf * 0 warns in the matmul
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul"
+                                ":RuntimeWarning")
     @pytest.mark.parametrize("name", ["w", "u", "b"])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_weight_is_reported(self, name, value):
@@ -362,12 +365,26 @@ class TestBatchedLstm:
         with pytest.raises(ShapeError, match="lengths"):
             nm.lstm(*(nm.Tensor(a) for a in arrays), lengths=lengths)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul"
+                                ":RuntimeWarning")
     def test_non_finite_value_in_one_sequence_is_reported(self):
         arrays = random_direction_arrays(5, 3, 2, np.random.default_rng(1),
                                          np.float32)
         arrays[0][4, 0] = np.inf
         with pytest.raises(NumericsError, match="lstm"):
             nm.lstm(*(nm.Tensor(a) for a in arrays), lengths=[3, 2])
+
+    @pytest.mark.parametrize("lengths", [[7], [4, 1, 2]])
+    def test_forward_without_a_tape_is_byte_identical(self, lengths):
+        # with no tape the op skips the states only its backward reads
+        rng = np.random.default_rng(23)
+        arrays = random_direction_arrays(sum(lengths), 3, 5, rng, np.float32)
+        params = [nm.parameter(k, a) for k, a in zip("xwub", arrays)]
+        plain = nm.lstm(*params, reverse=True, lengths=lengths)
+        with nm.Tape() as tape:
+            taped = nm.lstm(*params, reverse=True, lengths=lengths)
+        assert len(tape._nodes) == 1 and not plain._needs_grad
+        assert plain.data.tobytes() == taped.data.tobytes()
 
     def test_encoder_keeps_sentences_apart(self):
         # two sentences encoded together equal each encoded alone

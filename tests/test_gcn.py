@@ -3,6 +3,7 @@ import pytest
 
 from syngcn import numerics as nm
 from syngcn.conll import build_lexicon
+from syngcn.errors import NumericsError
 from syngcn.gcn import (GcnStack, gcn_layer, gcn_stack_forward,
                         init_gcn_layer, init_gcn_stack, plain_gcn_layer)
 from syngcn.syngraph import (Direction, Edge, SyntacticGraph, build_graph,
@@ -10,6 +11,7 @@ from syngcn.syngraph import (Direction, Edge, SyntacticGraph, build_graph,
 
 from conftest import parse_text
 from test_conll import make_sentence
+from test_syngraph import by_direction
 
 
 def random_tree_sentence(n: int, rng: np.random.Generator, num_rels: int = 4):
@@ -302,3 +304,183 @@ class TestDisjointUnion:
         alone = [gcn_layer(nm.Tensor(h), g, params).data
                  for h, g in zip(states, graphs)]
         assert union.tobytes() == np.vstack(alone).tobytes()
+
+
+def per_op_gcn_layer(h, graph, params, gates_enabled=True):
+    """The gated layer built from one ``nm`` op per step and direction, on
+    the same weights: the reference ``nm.graph_conv`` must round like."""
+    n, m = h.shape
+    acc = None
+    for direction, (src, dst, labels) in by_direction(graph).items():
+        if len(src) == 0:
+            continue
+        transformed = h @ params.weights[direction]
+        messages = nm.rows(transformed, src) + nm.rows(params.label_bias, labels)
+        if gates_enabled:
+            logits = nm.sum_axis1(nm.rows(h, src) * params.gate_weights[direction]) \
+                + nm.rows(params.gate_label_bias, labels)
+            messages = messages * nm.sigmoid(logits)
+        summed = nm.segment_sum(messages, dst, n)
+        acc = summed if acc is None else acc + summed
+    if acc is None:
+        acc = nm.constant(np.zeros((n, m)), dtype=h.dtype)
+    return nm.relu(acc)
+
+
+def without_direction(graph, direction):
+    return SyntacticGraph(graph.n, [e for e in graph.edges
+                                    if e.direction != direction],
+                          graph.num_labels)
+
+
+def oracle_graphs():
+    """name -> (graph, state rows): a tree, the tree with no along edges or
+    with no edges at all, and a disjoint union of four trees."""
+    rng = np.random.default_rng(40)
+    tree, lex = random_graph(7, rng)
+    sents = parse_text("".join(random_tree_sentence(n, rng) for n in (5, 2, 8)))
+    forest = [build_graph(s, build_lexicon(sents)) for s in sents]
+    return {"tree": tree,
+            "no along": without_direction(tree, Direction.ALONG),
+            "only self": without_direction(without_direction(
+                tree, Direction.ALONG), Direction.OPPOSITE),
+            "no edges": SyntacticGraph(7, [], tree.num_labels),
+            "union": disjoint_union(forest)}
+
+
+ORACLE_GRAPHS = oracle_graphs()
+
+
+def run_layers(layer_fn, graph, depth, dtype, gates_enabled):
+    """Output and gradients (every layer tensor and the input ``h``) of
+    sum(stack(h) @ proj) under ``layer_fn``, on weights fixed by seed."""
+    rng = np.random.default_rng(41)
+    m = 6
+    stack = init_gcn_stack(depth, m, graph.num_labels, m, rng, dtype=dtype)
+    for layer in stack.layers:
+        layer.label_bias.data[:] = rng.uniform(-0.5, 0.5, layer.label_bias.shape)
+        layer.gate_label_bias.data[:] = rng.uniform(
+            -0.5, 0.5, layer.gate_label_bias.shape)
+    h = nm.parameter("h", rng.uniform(-1, 1, (graph.n, m)), dtype)
+    proj = nm.constant(rng.standard_normal((m, 1)), dtype=dtype)
+    with nm.Tape() as tape:
+        out = h
+        for layer in stack.layers:
+            out = layer_fn(out, graph, layer, gates_enabled)
+        grads = tape.gradients(nm.sum_all(out @ proj))
+    return out.data, grads
+
+
+class TestFusedMatchesPerOp:
+    @pytest.mark.parametrize("name", list(ORACLE_GRAPHS))
+    @pytest.mark.parametrize("gates_enabled", [True, False],
+                             ids=["gated", "ungated"])
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_float64_forward_and_gradients(self, name, gates_enabled, depth):
+        graph = ORACLE_GRAPHS[name]
+        got, got_grads = run_layers(gcn_layer, graph, depth, np.float64,
+                                    gates_enabled)
+        want, want_grads = run_layers(per_op_gcn_layer, graph, depth,
+                                      np.float64, gates_enabled)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+        assert list(got_grads) == list(want_grads)
+        for key in want_grads:
+            np.testing.assert_allclose(got_grads[key], want_grads[key],
+                                       rtol=1e-10, atol=0, err_msg=key)
+
+    @pytest.mark.parametrize("name", list(ORACLE_GRAPHS))
+    @pytest.mark.parametrize("gates_enabled", [True, False],
+                             ids=["gated", "ungated"])
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_float32_bytes(self, name, gates_enabled, depth):
+        graph = ORACLE_GRAPHS[name]
+        got, got_grads = run_layers(gcn_layer, graph, depth, np.float32,
+                                    gates_enabled)
+        want, want_grads = run_layers(per_op_gcn_layer, graph, depth,
+                                      np.float32, gates_enabled)
+        assert got.tobytes() == want.tobytes()
+        assert list(got_grads) == list(want_grads)
+        for key in want_grads:
+            assert got_grads[key].tobytes() == want_grads[key].tobytes(), key
+
+    @pytest.mark.parametrize("gates_enabled", [True, False])
+    def test_direction_without_edges_stays_off_the_tape(self, gates_enabled):
+        _, grads = run_layers(gcn_layer, ORACLE_GRAPHS["no along"], 1,
+                              np.float32, gates_enabled)
+        assert "gcn.0.w_along" not in grads
+        assert "gcn.0.gate_w_along" not in grads
+        assert ("gcn.0.gate_w_self" in grads) == gates_enabled
+        assert ("gcn.0.gate_label_bias" in grads) == gates_enabled
+
+    def test_no_edges_records_nothing(self):
+        graph = ORACLE_GRAPHS["no edges"]
+        params = layer_for(graph, 4, np.random.default_rng(42))
+        h = nm.parameter("h", np.ones((7, 4)), np.float32)
+        with nm.Tape() as tape:
+            out = gcn_layer(h, graph, params)
+        assert tape._nodes == [] and tape.parameters == {}
+        assert out.data.tobytes() == np.zeros((7, 4), np.float32).tobytes()
+
+    @pytest.mark.parametrize("projection", [False, True])
+    def test_one_tape_node_per_layer(self, projection):
+        rng = np.random.default_rng(43)
+        graph, _ = random_graph(6, rng)
+        width = 5 if projection else 4
+        stack = init_gcn_stack(2, 4, graph.num_labels, width, rng)
+        h = nm.Tensor(rng.standard_normal((6, width)).astype(np.float32))
+        with nm.Tape() as tape:
+            gcn_stack_forward(h, graph, stack)
+        assert len(tape._nodes) == 2 + projection
+
+    @pytest.mark.parametrize("gates_enabled", [True, False])
+    def test_gradient_check(self, gates_enabled):
+        rng = np.random.default_rng(44)
+        graph, _ = random_graph(5, rng)
+        params = layer_for(graph, 3, rng, dtype=np.float64)
+        params.label_bias.data[:] = rng.uniform(-0.3, 0.3,
+                                                params.label_bias.shape)
+        h = nm.parameter("h", rng.standard_normal((5, 3)), np.float64)
+        proj = nm.constant(rng.standard_normal((3, 1)), dtype=np.float64)
+        result = nm.grad_check(
+            lambda: nm.sum_all(gcn_layer(h, graph, params, gates_enabled)
+                               @ proj),
+            {"h": h, **params.tensors()})
+        assert result.max_rel_err < 1e-6
+        assert result.checked > 0
+
+    def test_kink_near_zero_is_skipped(self):
+        # gate 1/2 on a lone self-loop and a zero weight: the pre-ReLU sum is
+        # half the label bias, 1e-6 in one entry, so a +-h step of that bias
+        # entry crosses the kink, and only the probe of the op shows it
+        graph = SyntacticGraph(1, [Edge(0, 0, Direction.SELF, 0, -1)], 3)
+        params = layer_for(graph, 3, np.random.default_rng(45),
+                           dtype=np.float64)
+        params.weights[Direction.SELF].data[:] = 0.0
+        params.gate_weights[Direction.SELF].data[:] = 0.0
+        params.label_bias.data[0] = [2e-6, 0.5, -0.5]
+        h = nm.Tensor(np.ones((1, 3)), dtype=np.float64)
+        result = nm.grad_check(
+            lambda: nm.sum_all(gcn_layer(h, graph, params)),
+            params.tensors(), kink_margin=1e-4)
+        assert result.skipped > 0
+        assert result.max_rel_err < 1e-6
+
+    def test_non_finite_gate_logit_is_reported(self):
+        # an infinite gate weight: the clamped logistic would hide it
+        rng = np.random.default_rng(46)
+        graph, _ = random_graph(4, rng)
+        params = layer_for(graph, 3, rng)
+        params.gate_weights[Direction.SELF].data[0, 0] = np.inf
+        h = nm.Tensor(np.ones((4, 3), np.float32))
+        with pytest.raises(NumericsError, match="graph_conv"):
+            gcn_layer(h, graph, params)
+
+    def test_non_finite_message_is_reported(self):
+        # -inf sums to a -inf pre-ReLU entry, which the ReLU would zero
+        rng = np.random.default_rng(47)
+        graph, _ = random_graph(4, rng)
+        params = layer_for(graph, 3, rng)
+        params.label_bias.data[0, 1] = -np.inf
+        h = nm.Tensor(np.zeros((4, 3), np.float32))
+        with pytest.raises(NumericsError, match="graph_conv"):
+            gcn_layer(h, graph, params, gates_enabled=False)

@@ -4,12 +4,20 @@ import pytest
 from syngcn import fixtures, syngraph
 from syngcn.conll import build_lexicon
 from syngcn.errors import ConfigError
-from syngcn.syngraph import (Direction, build_graph, disjoint_union,
-                             drop_relation, edge_dropout, label_name,
-                             num_labels)
+from syngcn.syngraph import (Direction, SyntacticGraph, build_graph,
+                             disjoint_union, drop_relation, edge_dropout,
+                             label_name, num_labels)
 
 from conftest import parse_text
 from test_conll import make_sentence
+
+
+def by_direction(graph):
+    """Direction -> (src, dst, label ids) of its edges, from ``index()``."""
+    idx = graph.index()
+    return {d: tuple(a[idx.bounds[d]:idx.bounds[d + 1]]
+                     for a in (idx.src, idx.dst, idx.labels))
+            for d in Direction}
 
 
 @pytest.fixture()
@@ -100,9 +108,13 @@ class TestBuildGraph:
     def test_arrays_grouped_by_destination(self, figure_sentences):
         lex = build_lexicon(figure_sentences)
         graph = build_graph(figure_sentences[0], lex)
-        for direction, (src, dst, labels) in graph.arrays().items():
+        idx = graph.index()
+        for direction, (src, dst, labels) in by_direction(graph).items():
             assert list(dst) == sorted(dst)
             assert len(src) == len(dst) == len(labels)
+            block = slice(idx.bounds[direction], idx.bounds[direction + 1])
+            assert np.array_equal(idx.gather[block], direction * graph.n + src)
+            assert np.array_equal(idx.scatter[block], direction * graph.n + dst)
 
 
 class TestEdgeDropout:
@@ -145,6 +157,39 @@ class TestEdgeDropout:
         b = edge_dropout(graph, 0.5, np.random.default_rng(7)).edges
         assert a == b
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("beta", [0.3, 0.7, 1.0])
+    def test_masked_index_equals_rebuilt_graph(self, overfit_sentences, seed,
+                                               beta):
+        # the kept edges' index arrays, in order, equal those of a graph
+        # built from the kept Edge objects, and the generator is left as
+        # one draw per edge leaves it
+        lex = build_lexicon(overfit_sentences)
+        graph = build_graph(overfit_sentences[seed], lex)
+        rng = np.random.default_rng(seed)
+        out = edge_dropout(graph, beta, rng)
+        replay = np.random.default_rng(seed)
+        draws = replay.random(len(graph.edges))
+        assert rng.bit_generator.state == replay.bit_generator.state
+        rebuilt = SyntacticGraph(graph.n, [e for e, u in zip(graph.edges, draws)
+                                           if u >= beta], graph.num_labels)
+        got, want = out.index(), rebuilt.index()
+        for field in got._fields:
+            assert np.array_equal(getattr(got, field), getattr(want, field)), \
+                field
+        assert out.edges == rebuilt.edges
+        assert len(out) == len(rebuilt)
+        # dropping again from the dropped graph masks its own index
+        again = edge_dropout(out, 0.5, np.random.default_rng(seed))
+        kept = np.random.default_rng(seed).random(len(out)) >= 0.5
+        rebuilt_again = SyntacticGraph(
+            graph.n, [e for e, k in zip(rebuilt.edges, kept) if k],
+            graph.num_labels)
+        for field in got._fields:
+            assert np.array_equal(getattr(again.index(), field),
+                                  getattr(rebuilt_again.index(), field)), field
+
+
 class TestDropRelation:
     def test_drop_only_relation_leaves_self_loops(self, two_token):
         sent, lex = two_token
@@ -178,8 +223,8 @@ class TestDisjointUnion:
         offset = 0
         for g in graphs:
             for d in Direction:
-                src, dst, labels = g.arrays()[d]
-                u_src, u_dst, u_labels = union.arrays()[d]
+                src, dst, labels = by_direction(g)[d]
+                u_src, u_dst, u_labels = by_direction(union)[d]
                 mine = (u_dst >= offset) & (u_dst < offset + g.n)
                 # each node's in-edges, in order, shifted by the offset
                 assert np.array_equal(u_src[mine], src + offset)

@@ -199,6 +199,17 @@ class TestModel:
         assert both.lstm is not None and both.gcn is not None
         assert both.gcn.input_projection is None
 
+    def test_desk_training_instance_tape_size(self, overfit_sentences):
+        # the GCN layer is one node; built per op it took 39 of 58
+        cfg = load_config(CONFIGS / "desk_overfit.conf")
+        lex = build_lexicon(overfit_sentences)
+        model = SrlModel(cfg, lex, np.random.default_rng(cfg.seed))
+        inst = make_instances(overfit_sentences, lex)[0]
+        with nm.Tape() as tape:
+            model.instance_loss(inst, build_graph(inst.sentence, lex),
+                                training=True, rng=np.random.default_rng(0))
+        assert len(tape._nodes) == 20
+
     def test_gates_disabled_mode(self, overfit_sentences):
         model, lex = tiny_model(overfit_sentences, gates_enabled=False)
         assert model.gcn.gates_enabled is False
