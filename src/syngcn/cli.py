@@ -193,6 +193,9 @@ def _cmd_analyze(args) -> int:
     if args.buckets or args.ablation:
         if not args.checkpoint:
             raise ConfigError("analyze --buckets/--ablation needs --checkpoint")
+        if args.ablation and len(args.checkpoint) > 1:
+            raise ConfigError("analyze --ablation takes one --checkpoint, "
+                              "not an ensemble")
         models = [_load_model(c) for c in args.checkpoint]
         if args.buckets:
             preds = _predictions_for(models, sentences)

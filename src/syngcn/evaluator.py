@@ -103,13 +103,13 @@ def predict_corpus(model: SrlModel, sentences: list[Sentence],
     ``PREDICT_TOKEN_BUDGET``; 1 scores each instance alone).
 
     ``graph_transform`` maps a built graph to the one actually used (the
-    relation-ablation hook).
+    relation-ablation hook). A model without a GCN (K = 0) gets no graphs.
     """
     preds = PredictionSet(model.lexicon.strings("role"))
     instances = make_instances(sentences, model.lexicon, require_gold=False)
     graphs: dict[int, object] = {}
     for inst in instances:
-        if inst.sentence_id not in graphs:
+        if model.gcn is not None and inst.sentence_id not in graphs:
             g = build_graph(inst.sentence, model.lexicon)
             if graph_transform is not None:
                 g = graph_transform(g)
@@ -117,7 +117,8 @@ def predict_corpus(model: SrlModel, sentences: list[Sentence],
     if token_budget is None:
         token_budget = PREDICT_TOKEN_BUDGET
     for batch in _batches(instances, token_budget):
-        results = model.predict(batch, [graphs[i.sentence_id] for i in batch])
+        results = model.predict(batch, [graphs.get(i.sentence_id)
+                                        for i in batch])
         for inst, (role_ids, dists) in zip(batch, results):
             preds.add(inst.sentence_id, inst.predicate_ord, role_ids, dists)
     return preds
@@ -279,22 +280,33 @@ def relation_ablation(model: SrlModel, sentences: list[Sentence],
     """F1 change from dropping each relation type at test time, no retraining.
 
     Qualifying relations are those occurring at least ``min_count`` times in
-    ``sentences`` unless an explicit list is given. Requires a syntax-aware
-    encoder (K >= 1).
+    ``sentences`` unless an explicit list is given; one with no edge there
+    has delta 0.0. One the model never saw is left out, with one warning
+    naming them all: its edges carry UNK, as every unseen relation's do.
+    Requires a syntax-aware encoder (K >= 1).
     """
     if model.gcn is None:
         raise ConfigError("relation ablation needs a GCN encoder (K >= 1)")
     baseline = score(sentences, predict_corpus(model, sentences)).f1
+    counts = collections.Counter(
+        t.deprel for s in sentences for t in s.tokens if t.head != 0)
     if relations is None:
-        counts = collections.Counter(
-            t.deprel for s in sentences for t in s.tokens if t.head != 0)
         relations = sorted(r for r, c in counts.items() if c >= min_count)
+    unseen = [r for r in relations
+              if counts[r] and not model.lexicon.has("deprel", r)]
+    if unseen:
+        logger.warning("relation ablation leaves out relations the model "
+                       "never saw: %s", ", ".join(unseen))
     deltas: dict[str, float] = {}
     for rel in relations:
-        rel_id = model.lexicon.lookup("deprel", rel)
-        preds = predict_corpus(model, sentences,
-                               graph_transform=lambda g: drop_relation(g, rel_id))
-        deltas[rel] = score(sentences, preds).f1 - baseline
+        if not counts[rel]:
+            deltas[rel] = 0.0
+        elif rel not in unseen:
+            rel_id = model.lexicon.lookup("deprel", rel)
+            preds = predict_corpus(
+                model, sentences,
+                graph_transform=lambda g: drop_relation(g, rel_id))
+            deltas[rel] = score(sentences, preds).f1 - baseline
     return deltas
 
 

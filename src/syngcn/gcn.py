@@ -7,10 +7,11 @@ Each layer aggregates, for every token v, messages from its in-neighbors u:
 with one weight matrix per edge direction (along / opposite / self-loop),
 one bias vector and one gate bias per extended label, and a scalar gate per
 edge computed from the source state. Each layer is one
-``numerics.graph_conv`` tape op over all three directions. A K-layer stack
-sees K-hop neighborhoods; K=0 is the identity (the model builds no stack for
-its BiLSTM-only baseline). The plain untyped layer (shared weight and bias,
-no gates) is kept, built per op, as a testable reduction.
+``numerics.graph_conv`` tape op over all three directions, on the graph's
+flat edge arrays. A K-layer stack sees K-hop neighborhoods; K=0 is the
+identity (the model builds no stack for its BiLSTM-only baseline). The plain
+untyped layer (shared weight and bias, no gates) is kept, built per op, as a
+testable reduction.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .syngraph import Direction, SyntacticGraph, edge_dropout
 
 _DIR_NAMES = {Direction.ALONG: "along", Direction.OPPOSITE: "opposite",
               Direction.SELF: "self"}
-_DIRECTIONS = tuple(Direction)
 
 
 @dataclass
@@ -107,7 +107,7 @@ def init_gcn_stack(depth: int, width: int, num_labels: int, input_dim: int,
 def gcn_layer(h: nm.Tensor, graph: SyntacticGraph, params: GcnLayerParams,
               gates_enabled: bool = True) -> nm.Tensor:
     """One gated convolution over [n x m] states: one ``nm.graph_conv`` op
-    over all three directions, on the graph's cached index arrays.
+    over all three directions, on the graph's index arrays.
 
     Nodes whose in-neighborhood is empty (possible after dropout) come out
     as ReLU(0) = 0. The op raises ``NumericsError`` if the gate logits or
@@ -121,19 +121,18 @@ def gcn_layer(h: nm.Tensor, graph: SyntacticGraph, params: GcnLayerParams,
                             f"params have {params.num_labels}")
     gate_weights = gate_label_bias = None
     if gates_enabled:
-        gate_weights = [params.gate_weights[d] for d in _DIRECTIONS]
+        gate_weights = [params.gate_weights[d] for d in Direction]
         gate_label_bias = params.gate_label_bias
-    return nm.graph_conv(h, [params.weights[d] for d in _DIRECTIONS],
+    return nm.graph_conv(h, [params.weights[d] for d in Direction],
                          params.label_bias, gate_weights, gate_label_bias,
-                         graph.index())
+                         graph)
 
 
 def plain_gcn_layer(x: nm.Tensor, graph: SyntacticGraph, weight: nm.Tensor,
                     bias: nm.Tensor) -> nm.Tensor:
     """The untyped, ungated reduction: shared weight/bias over all in-edges."""
-    edges = graph.index()
-    messages = nm.rows(x @ weight, edges.src) + bias
-    return nm.relu(nm.segment_sum(messages, edges.dst, graph.n))
+    messages = nm.rows(x @ weight, graph.src) + bias
+    return nm.relu(nm.segment_sum(messages, graph.dst, graph.n))
 
 
 def gcn_stack_forward(h: nm.Tensor, graph: SyntacticGraph, stack: GcnStack,

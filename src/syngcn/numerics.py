@@ -510,18 +510,18 @@ def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor, reverse: bool = False,
 
 def graph_conv(h: Tensor, weights: list[Tensor], label_bias: Tensor,
                gate_weights: list[Tensor] | None,
-               gate_label_bias: Tensor | None, edges) -> Tensor:
+               gate_label_bias: Tensor | None, graph) -> Tensor:
     """One gated graph convolution over all three edge directions as one op.
 
     For each edge (u -> v) of direction d and label l, the message
     ``h[u] @ weights[d] + label_bias[l]`` is scaled by the gate
     ``logistic(h[u] . gate_weights[d] + gate_label_bias[l])`` (no gate if
     ``gate_weights`` is None), and each node sums its in-messages:
-    ``out = ReLU((S_along + S_opposite) + S_self)``. ``edges`` is the
-    n-node graph's ``syngraph.EdgeIndex``; ``weights`` [k x m] and
-    ``gate_weights`` [1 x k] hold one tensor per direction. ``h`` is
-    [n x k], ``label_bias`` [labels x m] and ``gate_label_bias``
-    [labels x 1].
+    ``out = ReLU((S_along + S_opposite) + S_self)``. ``graph`` is the
+    n-node ``syngraph.SyntacticGraph``, read only through its flat arrays;
+    ``weights`` [k x m] and ``gate_weights`` [1 x k] hold one tensor per
+    direction. ``h`` is [n x k], ``label_bias`` [labels x m] and
+    ``gate_label_bias`` [labels x 1].
 
     Each S_d sums its messages in edge order, as ``segment_sum`` does, and
     the backward groups every product as the per-op rules of ``matmul``,
@@ -547,7 +547,7 @@ def graph_conv(h: Tensor, weights: list[Tensor], label_bias: Tensor,
         raise ShapeError(f"graph_conv: incompatible shapes h {h.data.shape}, "
                          f"weights {weights[0].data.shape}, label bias "
                          f"{label_bias.data.shape}")
-    n, bounds = h.data.shape[0], edges.bounds
+    n, bounds = h.data.shape[0], graph.bounds
     present = [d for d in range(3) if bounds[d + 1] > bounds[d]]
     if not present:
         zeros = np.zeros((n, m), h.data.dtype)
@@ -561,16 +561,16 @@ def graph_conv(h: Tensor, weights: list[Tensor], label_bias: Tensor,
     transformed = np.empty((3 * n, m), hd.dtype)
     for d in present:
         np.matmul(hd, weights[d].data, out=transformed[node_rows[d]])
-    messages = transformed[edges.gather]
-    np.add(messages, label_bias.data[edges.labels], out=messages)
+    messages = transformed[graph.gather]
+    np.add(messages, label_bias.data[graph.labels], out=messages)
     if gated:
-        sources = hd[edges.src]
+        sources = hd[graph.src]
         weighted = np.empty_like(sources)
         for d in present:
             np.multiply(sources[blocks[d]], gate_weights[d].data,
                         out=weighted[blocks[d]])
         logits = weighted.sum(axis=1, keepdims=True)
-        np.add(logits, gate_label_bias.data[edges.labels], out=logits)
+        np.add(logits, gate_label_bias.data[graph.labels], out=logits)
         # checked here, since the clamped logistic makes an infinite one finite
         _check_finite(logits, "graph_conv")
         gates = _logistic(logits)
@@ -578,7 +578,7 @@ def graph_conv(h: Tensor, weights: list[Tensor], label_bias: Tensor,
     else:
         scaled = messages
     per_direction = np.zeros((3 * n, m), hd.dtype)
-    np.add.at(per_direction, edges.scatter, scaled)
+    np.add.at(per_direction, graph.scatter, scaled)
     pre = per_direction[:n] + per_direction[n:2 * n]
     pre += per_direction[2 * n:]
     _check_finite(pre, "graph_conv")
@@ -587,12 +587,12 @@ def graph_conv(h: Tensor, weights: list[Tensor], label_bias: Tensor,
     out = np.maximum(pre, 0)
 
     def backward(g):
-        dscaled = (g * (pre > 0))[edges.dst]
+        dscaled = (g * (pre > 0))[graph.dst]
         if gated:
             dmessages = dscaled * gates
             dlogits = _unbroadcast(dscaled * messages, gates.shape)
             dlogits = dlogits * gates * (1.0 - gates)
-            _accumulate_rows(gate_label_bias, edges.labels, dlogits)
+            _accumulate_rows(gate_label_bias, graph.labels, dlogits)
             dsources = np.empty_like(sources)
             for d in present:
                 blk = blocks[d]
@@ -601,12 +601,12 @@ def graph_conv(h: Tensor, weights: list[Tensor], label_bias: Tensor,
                 _accumulate(gate_weights[d], _unbroadcast(
                     dlogits[blk] * sources[blk], gate_weights[d].data.shape))
             dgate_h = np.zeros((3 * n, k), hd.dtype)
-            np.add.at(dgate_h, edges.gather, dsources)
+            np.add.at(dgate_h, graph.gather, dsources)
         else:
             dmessages = dscaled
-        _accumulate_rows(label_bias, edges.labels, dmessages)
+        _accumulate_rows(label_bias, graph.labels, dmessages)
         dtransformed = np.zeros((3 * n, m), hd.dtype)
-        np.add.at(dtransformed, edges.gather, dmessages)
+        np.add.at(dtransformed, graph.gather, dmessages)
         for d in reversed(present):
             rows_d = node_rows[d]
             if gated:

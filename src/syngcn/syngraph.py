@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,23 +35,25 @@ class Edge:
     dst: int            # 0-based token index whose neighborhood it joins
     direction: Direction
     label_id: int       # id in the extended (self/plain/primed) label space
-    deprel_id: int      # underlying relation id; 0-size meaning for SELF
+    deprel_id: int      # underlying relation id; -1 for SELF
 
 
-def self_label_id() -> int:
-    return 0
-
-
-def along_label_id(deprel_id: int, num_deprels: int) -> int:
+def along_label_id(deprel_id, num_deprels: int):
     return 1 + deprel_id
 
 
-def opposite_label_id(deprel_id: int, num_deprels: int) -> int:
+def opposite_label_id(deprel_id, num_deprels: int):
     return 1 + num_deprels + deprel_id
 
 
 def num_labels(num_deprels: int) -> int:
     return 2 * num_deprels + 1
+
+
+def relation_ids(labels: np.ndarray, label_space: int) -> np.ndarray:
+    """Each extended label's relation id: -1 for the self label."""
+    r = (label_space - 1) // 2
+    return np.where(labels == 0, -1, (labels - 1) % r)
 
 
 def label_name(label_id: int, lexicon: Lexicon) -> str:
@@ -65,91 +66,64 @@ def label_name(label_id: int, lexicon: Lexicon) -> str:
     return lexicon.string("deprel", label_id - 1 - r) + "'"
 
 
-class EdgeIndex(NamedTuple):
-    """A graph's edges as flat index arrays, grouped by direction (along,
-    opposite, self) and, within a direction, in (destination, source) order.
+class SyntacticGraph:
+    """One graph's edges as flat index arrays, the form ``nm.graph_conv``
+    reads: ``src``, ``dst``, ``labels`` and ``direction`` per edge, grouped
+    by direction (along, opposite, self) and, within a direction, in
+    (destination, source) order, which pins the reduction order.
 
     Direction d's edges are ``[bounds[d], bounds[d + 1])``. ``gather`` is
     ``d*n + src`` and ``scatter`` is ``d*n + dst``: rows of the [3n x m]
-    stack of the three directions' per-node arrays.
+    stack of the three directions' per-node arrays. The constructor checks
+    the endpoints and sorts its input; graphs made from other graphs
+    (union, dropout, relation removal) keep their order without sorting.
     """
 
-    src: np.ndarray
-    dst: np.ndarray
-    labels: np.ndarray
-    gather: np.ndarray
-    scatter: np.ndarray
-    bounds: tuple[int, int, int, int]
+    def __init__(self, n: int, src, dst, direction, labels, label_space: int):
+        src, dst, direction, labels = (np.asarray(a, dtype=np.intp).reshape(-1)
+                                       for a in (src, dst, direction, labels))
+        if len(src) and (min(src.min(), dst.min()) < 0
+                         or max(src.max(), dst.max()) >= n):
+            raise ContractError(f"edge endpoint outside the {n}-node graph")
+        if len(src) and not 0 <= direction.min() <= direction.max() <= 2:
+            raise ContractError("edge direction outside along/opposite/self")
+        order = np.lexsort((src, dst, direction))
+        self._fill(n, label_space, src[order], dst[order], direction[order],
+                   labels[order])
 
-
-class SyntacticGraph:
-    """Immutable edge list for one sentence, grouped by destination node.
-
-    ``index()`` gives the flat index arrays the GCN layer consumes, built
-    once per graph; edge order within a direction is fixed (by destination,
-    then source), which pins the gradient/reduction order.
-    """
-
-    def __init__(self, n: int, edges: list[Edge], label_space: int):
-        self.n = n
-        self._edges: list[Edge] | None = sorted(
-            edges, key=lambda e: (e.dst, int(e.direction), e.src))
-        self.num_labels = label_space
-        self._index: EdgeIndex | None = None
-        # each index row's place in ``edges``, set with ``_index``
-        self._position: np.ndarray | None = None
-        # for a graph made by ``subgraph``: the parent and the keep mask
-        # over its edges, from which ``edges`` is made when first asked for
-        self._kept: tuple[SyntacticGraph, np.ndarray] | None = None
-
-    @property
-    def edges(self) -> list[Edge]:
-        """The edges, sorted by (destination, direction, source)."""
-        if self._edges is None:
-            parent, keep = self._kept
-            self._edges = [e for e, k in zip(parent.edges, keep) if k]
-        return self._edges
+    def _fill(self, n: int, label_space: int, src: np.ndarray, dst: np.ndarray,
+              direction: np.ndarray, labels: np.ndarray) -> None:
+        """Set the arrays from edges already in graph order."""
+        self.n, self.num_labels = n, label_space
+        self.src, self.dst, self.direction, self.labels = (src, dst, direction,
+                                                           labels)
+        self.gather = direction * n + src
+        self.scatter = direction * n + dst
+        self.bounds = tuple(direction.searchsorted(np.arange(4)).tolist())
 
     def __len__(self) -> int:
-        if self._edges is None:
-            return len(self._index.src)
-        return len(self._edges)
+        return len(self.src)
 
-    def index(self) -> EdgeIndex:
-        """The edges as flat index arrays, built on the first call."""
-        if self._index is None:
-            edges = self.edges
-            position = sorted(range(len(edges)),
-                              key=lambda i: int(edges[i].direction))
-            grouped = [edges[i] for i in position]
-            src = np.array([e.src for e in grouped], dtype=np.intp)
-            dst = np.array([e.dst for e in grouped], dtype=np.intp)
-            if grouped and (min(src.min(), dst.min()) < 0
-                            or max(src.max(), dst.max()) >= self.n):
-                raise ContractError(f"edge endpoint outside the {self.n}-node "
-                                    f"graph")
-            counts = [sum(e.direction == d for e in edges) for d in Direction]
-            base = np.repeat(np.arange(3) * self.n, counts)
-            self._index = EdgeIndex(
-                src, dst, np.array([e.label_id for e in grouped], dtype=np.intp),
-                base + src, base + dst,
-                (0, counts[0], counts[0] + counts[1], len(edges)))
-            self._position = np.array(position, dtype=np.intp)
-        return self._index
+    def _draw_order(self) -> np.ndarray:
+        """The edges' places in (destination, direction, source) order."""
+        return np.lexsort((self.src, self.direction, self.dst))
 
-    def subgraph(self, keep: np.ndarray) -> "SyntacticGraph":
-        """The graph of the edges ``e`` of ``self.edges`` with ``keep[e]``
-        true: its index is this graph's, masked in order, not rebuilt, and
-        its edge list is only made if asked for."""
-        idx = self.index()
-        rows = np.flatnonzero(keep[self._position])
-        out = SyntacticGraph.__new__(SyntacticGraph)
-        out.n, out.num_labels = self.n, self.num_labels
-        out._edges, out._kept = None, (self, keep)
-        out._index = EdgeIndex(*(a[rows] for a in idx[:5]),
-                               tuple(rows.searchsorted(idx.bounds).tolist()))
-        out._position = (np.cumsum(keep) - 1)[self._position[rows]]
+    def _masked(self, keep: np.ndarray) -> SyntacticGraph:
+        """The graph of the edges with ``keep`` true, in the same order."""
+        out = object.__new__(SyntacticGraph)
+        out._fill(self.n, self.num_labels, self.src[keep], self.dst[keep],
+                  self.direction[keep], self.labels[keep])
         return out
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as ``Edge`` objects in (destination, direction, source)
+        order: a read-only view, made on each call."""
+        order = self._draw_order()
+        columns = (self.src, self.dst, self.direction, self.labels,
+                   relation_ids(self.labels, self.num_labels))
+        return tuple(Edge(s, d, Direction(k), l, r) for s, d, k, l, r in
+                     zip(*(c[order].tolist() for c in columns)))
 
 
 def build_graph(sentence: Sentence, lexicon: Lexicon) -> SyntacticGraph:
@@ -159,55 +133,62 @@ def build_graph(sentence: Sentence, lexicon: Lexicon) -> SyntacticGraph:
     (own bias rows, shared direction matrices) with a warning.
     """
     r = lexicon.num_deprels
-    edges: list[Edge] = []
+    arcs = []
     for tok in sentence.tokens:
-        v = tok.index - 1
-        edges.append(Edge(v, v, Direction.SELF, self_label_id(), -1))
         if tok.head == 0:
             continue
-        u = tok.head - 1
-        rel = lexicon.lookup("deprel", tok.deprel)
         if not lexicon.has("deprel", tok.deprel):
             logger.warning("unknown relation %r mapped to UNK", tok.deprel)
-        edges.append(Edge(u, v, Direction.ALONG, along_label_id(rel, r), rel))
-        edges.append(Edge(v, u, Direction.OPPOSITE, opposite_label_id(rel, r), rel))
-    return SyntacticGraph(len(sentence), edges, num_labels(r))
+        arcs.append((tok.head - 1, tok.index - 1,
+                     lexicon.lookup("deprel", tok.deprel)))
+    head, dep, rel = np.array(arcs, dtype=np.intp).reshape(-1, 3).T
+    nodes = np.arange(len(sentence))
+    self_labels = np.zeros_like(nodes)
+    return SyntacticGraph(
+        len(nodes), np.concatenate([head, dep, nodes]),
+        np.concatenate([dep, head, nodes]),
+        np.repeat(tuple(Direction), [len(rel), len(rel), len(nodes)]),
+        np.concatenate([along_label_id(rel, r), opposite_label_id(rel, r),
+                        self_labels]), num_labels(r))
 
 
 def disjoint_union(graphs: list[SyntacticGraph]) -> SyntacticGraph:
     """The graphs side by side as one graph: node v of ``graphs[k]`` becomes
-    v plus the node count of ``graphs[:k]``. Edges keep their (destination,
-    direction, source) order, so each node sums its messages in the same
-    order as in its own graph.
+    v plus the node count of ``graphs[:k]``. Each direction's edges are the
+    graphs' edges of that direction one graph after another, so each node
+    sums its messages in the same order as in its own graph.
     """
     if len(graphs) == 1:
         return graphs[0]
-    edges: list[Edge] = []
-    offset = 0
-    for g in graphs:
-        edges += [Edge(e.src + offset, e.dst + offset, e.direction, e.label_id,
-                       e.deprel_id) for e in g.edges]
-        offset += g.n
-    return SyntacticGraph(offset, edges, graphs[0].num_labels)
+    offsets = np.cumsum([0] + [g.n for g in graphs])
+    blocks = [(g, slice(g.bounds[d], g.bounds[d + 1]), off)
+              for d in Direction for g, off in zip(graphs, offsets.tolist())]
+    out = object.__new__(SyntacticGraph)
+    out._fill(int(offsets[-1]), graphs[0].num_labels,
+              np.concatenate([g.src[b] + off for g, b, off in blocks]),
+              np.concatenate([g.dst[b] + off for g, b, off in blocks]),
+              np.concatenate([g.direction[b] for g, b, _ in blocks]),
+              np.concatenate([g.labels[b] for g, b, _ in blocks]))
+    return out
 
 
 def edge_dropout(graph: SyntacticGraph, beta: float,
                  rng: np.random.Generator) -> SyntacticGraph:
     """Drop each in-edge, self-loops included, independently with probability
-    ``beta``, from one draw per edge in ``graph.edges`` order. The result is
-    a ``subgraph``: the graph's index arrays masked, not a rebuilt graph.
-    Training callers resample per layer per forward pass.
+    ``beta``. One draw per edge, taken in (destination, direction, source)
+    order; the kept edges keep their order. Training callers resample per
+    layer per forward pass.
     """
     if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"edge dropout probability {beta} outside [0, 1]")
     if beta == 0.0:
         return graph
-    draws = rng.random(len(graph))
-    return graph.subgraph(draws >= beta)
+    keep = np.empty(len(graph), dtype=bool)
+    keep[graph._draw_order()] = rng.random(len(graph)) >= beta
+    return graph._masked(keep)
 
 
 def drop_relation(graph: SyntacticGraph, deprel_id: int) -> SyntacticGraph:
     """Remove every along/opposite edge whose relation is ``deprel_id``."""
-    kept = [e for e in graph.edges
-            if e.direction == Direction.SELF or e.deprel_id != deprel_id]
-    return SyntacticGraph(graph.n, kept, graph.num_labels)
+    return graph._masked(relation_ids(graph.labels, graph.num_labels)
+                         != deprel_id)

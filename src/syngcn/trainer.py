@@ -277,7 +277,7 @@ class SrlModel:
         return nm.cross_entropy_rows(logits, instance.gold_role_ids)
 
     def predict(self, instances: list[Instance],
-                graphs: list[SyntacticGraph]
+                graphs: list[SyntacticGraph | None]
                 ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Argmax role ids and [n x num_roles] distributions per instance,
         from one batched ``encode`` of them all."""
@@ -377,7 +377,9 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
     config_path = out_dir / "config.txt"
     save_config(config, config_path)
     instances = make_instances(train_sentences, lexicon)
-    graphs = [build_graph(s, lexicon) for s in train_sentences]
+    # a BiLSTM-only model (K = 0) reads no graph
+    graphs = [build_graph(s, lexicon) if model.gcn is not None else None
+              for s in train_sentences]
     if dev_sentences is None:
         logger.warning("no dev data: train-loss-only mode, selecting last epoch")
 

@@ -325,10 +325,23 @@ class TestAnalyze:
         monkeypatch.setattr(cli, "_load_model", counting_load)
         ckpt = str(tiny_run / "best.ckpt")
         code = run(["analyze", "--test", str(data_dir / "overfit.conll"),
-                    "--checkpoint", ckpt, "--checkpoint", ckpt,
-                    "--buckets", "--ablation", "--min-count", "1"])
+                    "--checkpoint", ckpt, "--checkpoint", ckpt, "--buckets"])
         assert code == 0
         assert loaded == [ckpt, ckpt]
+
+    def test_ablation_of_an_ensemble_exits_one(self, tiny_run, data_dir,
+                                               monkeypatch, caplog):
+        # the ablation scores one model; an ensemble is refused before any
+        # checkpoint is loaded
+        loaded = []
+        monkeypatch.setattr(cli, "_load_model", loaded.append)
+        ckpt = str(tiny_run / "best.ckpt")
+        code = run(["analyze", "--test", str(data_dir / "overfit.conll"),
+                    "--checkpoint", ckpt, "--checkpoint", ckpt,
+                    "--buckets", "--ablation", "--min-count", "1"])
+        assert code == 1
+        assert loaded == []
+        assert "one --checkpoint" in caplog.text
 
     def test_no_analysis_selected(self, data_dir):
         assert run(["analyze",

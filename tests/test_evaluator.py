@@ -1,4 +1,6 @@
 import collections
+import copy
+import logging
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from syngcn.evaluator import (BUCKETS, PredictionSet, distance_buckets,
                               ensemble, ensemble_models, predict_corpus,
                               relation_ablation, score, teleport_stats,
                               format_report, report_rows)
+from syngcn.syngraph import drop_relation
 
 from syngcn.trainer import SrlModel, make_instances
 
@@ -357,6 +360,33 @@ class TestRelationAblation:
         deltas = relation_ablation(model, structural_sentences,
                                    relations=["NEVERSEEN"])
         assert deltas == {"NEVERSEEN": 0.0}
+
+    def test_unseen_relations_are_left_out(self, structural_runs,
+                                           structural_sentences, caplog):
+        # SBJ and OBJ renamed to two relations the model never saw: both
+        # look up as UNK, so dropping one would drop the other's edges too
+        model = structural_runs["lstm+gcn"].model
+        sentences = copy.deepcopy(structural_sentences)
+        for sent in sentences:
+            for tok in sent.tokens:
+                tok.deprel = {"SBJ": "NEW1", "OBJ": "NEW2"}.get(tok.deprel,
+                                                                tok.deprel)
+        with caplog.at_level(logging.WARNING, logger="syngcn.evaluator"):
+            deltas = relation_ablation(model, sentences,
+                                       relations=["NEW1", "COMP", "NEW2"])
+        assert set(deltas) == {"COMP"}
+        skipped = [r.getMessage() for r in caplog.records
+                   if "never saw" in r.getMessage()]
+        assert len(skipped) == 1
+        assert "NEW1" in skipped[0] and "NEW2" in skipped[0]
+        # the known relation's delta is that of dropping its edges alone
+        comp = model.lexicon.lookup("deprel", "COMP")
+        base = score(sentences, predict_corpus(model, sentences)).f1
+        dropped = predict_corpus(model, sentences,
+                                 graph_transform=lambda g: drop_relation(g, comp))
+        assert deltas["COMP"] == score(sentences, dropped).f1 - base
+        assert not {"NEW1", "NEW2"} & set(
+            relation_ablation(model, sentences, min_count=1))
 
     def test_signal_relation_hurts_most(self, structural_runs,
                                         structural_sentences):

@@ -6,12 +6,12 @@ from syngcn.conll import build_lexicon
 from syngcn.errors import NumericsError
 from syngcn.gcn import (GcnStack, gcn_layer, gcn_stack_forward,
                         init_gcn_layer, init_gcn_stack, plain_gcn_layer)
-from syngcn.syngraph import (Direction, Edge, SyntacticGraph, build_graph,
+from syngcn.syngraph import (Direction, SyntacticGraph, build_graph,
                              disjoint_union)
 
 from conftest import parse_text
 from test_conll import make_sentence
-from test_syngraph import by_direction
+from test_syngraph import by_direction, graph_of
 
 
 def random_tree_sentence(n: int, rng: np.random.Generator, num_rels: int = 4):
@@ -97,7 +97,7 @@ class TestGate:
         params.label_bias.data[:] = 1.0
         h = rng.standard_normal((3, 5)).astype(np.float32)
         for edge in graph.edges:
-            single = SyntacticGraph(3, [edge], graph.num_labels)
+            single = graph_of(3, [edge], graph.num_labels)
             got = gcn_layer(nm.Tensor(h), single, params).data[edge.dst]
             logit = sum(float(h[edge.src, k]) *
                         float(params.gate_weights[edge.direction].data[0, k])
@@ -108,7 +108,7 @@ class TestGate:
 
 class TestGcnLayer:
     def test_single_node_bias_times_half_gate(self):
-        graph = SyntacticGraph(1, [Edge(0, 0, Direction.SELF, 0, -1)], 3)
+        graph = SyntacticGraph(1, [0], [0], [Direction.SELF], [0], 3)
         rng = np.random.default_rng(3)
         params = layer_for(graph, 4, rng)
         params.weights[Direction.SELF].data[:] = 0.0
@@ -159,14 +159,14 @@ class TestGcnLayer:
         params.gate_label_bias.data[target.label_id, 0] = -60.0
         h = rng.uniform(0.1, 1, (4, 5)).astype(np.float32)
         closed = gcn_layer(nm.Tensor(h), graph, params).data
-        without = SyntacticGraph(
+        without = graph_of(
             graph.n, [e for e in graph.edges if e.label_id != target.label_id],
             graph.num_labels)
         removed = gcn_layer(nm.Tensor(h), without, params).data
         assert np.abs(closed - removed).max() < 1e-6
 
     def test_empty_neighborhood_outputs_zero(self):
-        graph = SyntacticGraph(2, [Edge(0, 0, Direction.SELF, 0, -1)], 3)
+        graph = SyntacticGraph(2, [0], [0], [Direction.SELF], [0], 3)
         rng = np.random.default_rng(7)
         params = layer_for(graph, 4, rng)
         h = rng.standard_normal((2, 4)).astype(np.float32)
@@ -328,9 +328,8 @@ def per_op_gcn_layer(h, graph, params, gates_enabled=True):
 
 
 def without_direction(graph, direction):
-    return SyntacticGraph(graph.n, [e for e in graph.edges
-                                    if e.direction != direction],
-                          graph.num_labels)
+    return graph_of(graph.n, [e for e in graph.edges
+                              if e.direction != direction], graph.num_labels)
 
 
 def oracle_graphs():
@@ -344,7 +343,7 @@ def oracle_graphs():
             "no along": without_direction(tree, Direction.ALONG),
             "only self": without_direction(without_direction(
                 tree, Direction.ALONG), Direction.OPPOSITE),
-            "no edges": SyntacticGraph(7, [], tree.num_labels),
+            "no edges": SyntacticGraph(7, [], [], [], [], tree.num_labels),
             "union": disjoint_union(forest)}
 
 
@@ -452,7 +451,7 @@ class TestFusedMatchesPerOp:
         # gate 1/2 on a lone self-loop and a zero weight: the pre-ReLU sum is
         # half the label bias, 1e-6 in one entry, so a +-h step of that bias
         # entry crosses the kink, and only the probe of the op shows it
-        graph = SyntacticGraph(1, [Edge(0, 0, Direction.SELF, 0, -1)], 3)
+        graph = SyntacticGraph(1, [0], [0], [Direction.SELF], [0], 3)
         params = layer_for(graph, 3, np.random.default_rng(45),
                            dtype=np.float64)
         params.weights[Direction.SELF].data[:] = 0.0

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from syngcn import fixtures, syngraph
-from syngcn.conll import build_lexicon
-from syngcn.errors import ConfigError
+from syngcn.conll import Sentence, Token, build_lexicon
+from syngcn.errors import ConfigError, ContractError
 from syngcn.syngraph import (Direction, SyntacticGraph, build_graph,
                              disjoint_union, drop_relation, edge_dropout,
                              label_name, num_labels)
@@ -11,13 +12,23 @@ from syngcn.syngraph import (Direction, SyntacticGraph, build_graph,
 from conftest import parse_text
 from test_conll import make_sentence
 
+# a graph's arrays, all of which ``nm.graph_conv`` or the edge view reads
+FIELDS = ("src", "dst", "direction", "labels", "gather", "scatter", "bounds")
+
 
 def by_direction(graph):
-    """Direction -> (src, dst, label ids) of its edges, from ``index()``."""
-    idx = graph.index()
-    return {d: tuple(a[idx.bounds[d]:idx.bounds[d + 1]]
-                     for a in (idx.src, idx.dst, idx.labels))
+    """Direction -> (src, dst, label ids) of its edges."""
+    b = graph.bounds
+    return {d: tuple(a[b[d]:b[d + 1]]
+                     for a in (graph.src, graph.dst, graph.labels))
             for d in Direction}
+
+
+def graph_of(n, edges, label_space):
+    """The graph of the given ``Edge`` objects, through the constructor."""
+    return SyntacticGraph(n, [e.src for e in edges], [e.dst for e in edges],
+                          [e.direction for e in edges],
+                          [e.label_id for e in edges], label_space)
 
 
 @pytest.fixture()
@@ -108,13 +119,12 @@ class TestBuildGraph:
     def test_arrays_grouped_by_destination(self, figure_sentences):
         lex = build_lexicon(figure_sentences)
         graph = build_graph(figure_sentences[0], lex)
-        idx = graph.index()
         for direction, (src, dst, labels) in by_direction(graph).items():
             assert list(dst) == sorted(dst)
             assert len(src) == len(dst) == len(labels)
-            block = slice(idx.bounds[direction], idx.bounds[direction + 1])
-            assert np.array_equal(idx.gather[block], direction * graph.n + src)
-            assert np.array_equal(idx.scatter[block], direction * graph.n + dst)
+            block = slice(graph.bounds[direction], graph.bounds[direction + 1])
+            assert np.array_equal(graph.gather[block], direction * graph.n + src)
+            assert np.array_equal(graph.scatter[block], direction * graph.n + dst)
 
 
 class TestEdgeDropout:
@@ -161,9 +171,9 @@ class TestEdgeDropout:
     @pytest.mark.parametrize("beta", [0.3, 0.7, 1.0])
     def test_masked_index_equals_rebuilt_graph(self, overfit_sentences, seed,
                                                beta):
-        # the kept edges' index arrays, in order, equal those of a graph
-        # built from the kept Edge objects, and the generator is left as
-        # one draw per edge leaves it
+        # the kept edges' arrays, in order, equal those of a graph built
+        # from the kept edges, and the generator is left as one draw per
+        # edge leaves it
         lex = build_lexicon(overfit_sentences)
         graph = build_graph(overfit_sentences[seed], lex)
         rng = np.random.default_rng(seed)
@@ -171,23 +181,22 @@ class TestEdgeDropout:
         replay = np.random.default_rng(seed)
         draws = replay.random(len(graph.edges))
         assert rng.bit_generator.state == replay.bit_generator.state
-        rebuilt = SyntacticGraph(graph.n, [e for e, u in zip(graph.edges, draws)
-                                           if u >= beta], graph.num_labels)
-        got, want = out.index(), rebuilt.index()
-        for field in got._fields:
-            assert np.array_equal(getattr(got, field), getattr(want, field)), \
+        rebuilt = graph_of(graph.n, [e for e, u in zip(graph.edges, draws)
+                                     if u >= beta], graph.num_labels)
+        for field in FIELDS:
+            assert np.array_equal(getattr(out, field), getattr(rebuilt, field)), \
                 field
         assert out.edges == rebuilt.edges
         assert len(out) == len(rebuilt)
-        # dropping again from the dropped graph masks its own index
+        # dropping again from the dropped graph masks its own arrays
         again = edge_dropout(out, 0.5, np.random.default_rng(seed))
         kept = np.random.default_rng(seed).random(len(out)) >= 0.5
-        rebuilt_again = SyntacticGraph(
+        rebuilt_again = graph_of(
             graph.n, [e for e, k in zip(rebuilt.edges, kept) if k],
             graph.num_labels)
-        for field in got._fields:
-            assert np.array_equal(getattr(again.index(), field),
-                                  getattr(rebuilt_again.index(), field)), field
+        for field in FIELDS:
+            assert np.array_equal(getattr(again, field),
+                                  getattr(rebuilt_again, field)), field
 
 
 class TestDropRelation:
@@ -235,3 +244,127 @@ class TestDisjointUnion:
     def test_one_graph_is_itself(self, figure_sentences):
         graph = build_graph(figure_sentences[0], build_lexicon(figure_sentences))
         assert disjoint_union([graph]) is graph
+
+
+# ---------------------------------------------------------------------------
+# the array operations against a per-edge Python reference
+# ---------------------------------------------------------------------------
+
+REF_LEXICON = build_lexicon(parse_text(fixtures.figure_sentence()))
+# known relations of REF_LEXICON and two it never saw (both UNK)
+RELATIONS = ("SBJ", "OBJ", "NMOD", "ROOT", "NEW1", "NEW2")
+
+
+@st.composite
+def random_sentences(draw, max_tokens=9):
+    """A sentence over a random head array: a forest (one or more roots) or
+    a chain, over a random node order, one-token sentences included."""
+    n = draw(st.integers(1, max_tokens))
+    chain = draw(st.booleans())
+    order = draw(st.permutations(range(n)))
+    heads = [0] * n
+    for k in range(1, n):
+        parent = k - 1 if chain else draw(st.integers(-1, k - 1))
+        heads[order[k]] = 0 if parent < 0 else order[parent] + 1
+    tokens = [Token(i + 1, f"w{i}", f"w{i}", "N", heads[i],
+                    draw(st.sampled_from(RELATIONS)) if heads[i] else "ROOT",
+                    False) for i in range(n)]
+    return Sentence(tokens, [], [])
+
+
+def reference_edges(sentence, lexicon):
+    """(src, dst, direction, label, relation) per edge, token by token."""
+    r = lexicon.num_deprels
+    edges = []
+    for tok in sentence.tokens:
+        v = tok.index - 1
+        edges.append((v, v, Direction.SELF, 0, -1))
+        if tok.head:
+            u, rel = tok.head - 1, lexicon.lookup("deprel", tok.deprel)
+            edges.append((u, v, Direction.ALONG, 1 + rel, rel))
+            edges.append((v, u, Direction.OPPOSITE, 1 + r + rel, rel))
+    return edges
+
+
+def reference_arrays(n, edges):
+    """Field -> value for ``edges`` grouped by direction, then in
+    (destination, source) order."""
+    ordered = sorted(edges, key=lambda e: (e[2], e[1], e[0]))
+    counts = [sum(e[2] == d for e in edges) for d in Direction]
+    return {"src": [e[0] for e in ordered], "dst": [e[1] for e in ordered],
+            "direction": [e[2] for e in ordered],
+            "labels": [e[3] for e in ordered],
+            "gather": [e[2] * n + e[0] for e in ordered],
+            "scatter": [e[2] * n + e[1] for e in ordered],
+            "bounds": (0, counts[0], counts[0] + counts[1], len(edges))}
+
+
+def reference_dropout(edges, beta, rng):
+    """The edges kept by one draw each, drawn in (destination, direction,
+    source) order."""
+    if beta == 0.0:
+        return list(edges)
+    in_draw_order = sorted(edges, key=lambda e: (e[1], e[2], e[0]))
+    draws = rng.random(len(edges))
+    return [e for e, u in zip(in_draw_order, draws) if u >= beta]
+
+
+def assert_matches(graph, n, edges):
+    assert graph.n == n
+    for field, want in reference_arrays(n, edges).items():
+        got = getattr(graph, field)
+        assert np.array_equal(got, want), field
+        if field != "bounds":
+            assert got.dtype == np.intp, field
+    view = [syngraph.Edge(*e) for e in
+            sorted(edges, key=lambda e: (e[1], e[2], e[0]))]
+    assert list(graph.edges) == view
+
+
+class TestAgainstPerEdgeReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(random_sentences(), min_size=1, max_size=4),
+           st.floats(0.0, 1.0), st.integers(0, 2**32 - 1),
+           st.sampled_from(RELATIONS))
+    def test_build_union_dropout_and_removal(self, sents, beta, seed,
+                                             dropped):
+        lex = REF_LEXICON
+        graphs = [build_graph(s, lex) for s in sents]
+        union_edges, offset = [], 0
+        for sent, graph in zip(sents, graphs):
+            edges = reference_edges(sent, lex)
+            assert_matches(graph, len(sent), edges)
+            union_edges += [(u + offset, v + offset, d, label, rel)
+                            for u, v, d, label, rel in edges]
+            offset += len(sent)
+        union = disjoint_union(graphs)
+        assert_matches(union, offset, union_edges)
+
+        rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+        once = edge_dropout(union, beta, rng)
+        kept = reference_dropout(union_edges, beta, replay)
+        assert_matches(once, offset, kept)
+        twice = edge_dropout(once, beta, rng)
+        assert_matches(twice, offset, reference_dropout(kept, beta, replay))
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+        rel = lex.lookup("deprel", dropped)
+        assert_matches(drop_relation(union, rel), offset,
+                       [e for e in union_edges
+                        if e[2] == Direction.SELF or e[4] != rel])
+        assert_matches(drop_relation(once, rel), offset,
+                       [e for e in kept
+                        if e[2] == Direction.SELF or e[4] != rel])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_endpoint_outside_the_graph_is_refused(self, n, data):
+        size = data.draw(st.integers(1, 5))
+        ends = [data.draw(st.lists(st.integers(0, n - 1), min_size=size,
+                                   max_size=size)) for _ in range(2)]
+        bad = data.draw(st.one_of(st.integers(-3, -1), st.integers(n, n + 3)))
+        ends[data.draw(st.integers(0, 1))][data.draw(
+            st.integers(0, size - 1))] = bad
+        with pytest.raises(ContractError, match="outside"):
+            SyntacticGraph(n, ends[0], ends[1], [Direction.SELF] * size,
+                           [0] * size, 3)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syngcn import fixtures, trainer
+from syngcn import evaluator, fixtures, trainer
 from syngcn import numerics as nm
 from syngcn.conll import build_lexicon
 from syngcn.errors import ConfigError, ContractError
@@ -400,6 +400,28 @@ class TestTrainLoop:
         for inst in make_instances(overfit_sentences, lex):
             role_ids, _ = preds.get(inst.sentence_id, inst.predicate_ord)
             assert np.array_equal(role_ids, inst.gold_role_ids)
+
+    @pytest.mark.parametrize("layers", [0, 1])
+    def test_graphs_built_only_for_a_gcn(self, overfit_sentences, tmp_path,
+                                         monkeypatch, layers):
+        # a BiLSTM-only model (K = 0) reads no graph, so neither training
+        # nor its dev prediction builds one
+        built = []
+
+        def counting_build(sentence, lexicon):
+            built.append(sentence)
+            return build_graph(sentence, lexicon)
+
+        monkeypatch.setattr(trainer, "build_graph", counting_build)
+        monkeypatch.setattr(evaluator, "build_graph", counting_build)
+        sentences = overfit_sentences[:4]
+        cfg = small_config(d_w=8, d_pos=4, d_l=8, d_h=8, d_r=8, d_l_out=8,
+                           epochs=1, gcn_layers=layers)
+        result = train(sentences, sentences, cfg, tmp_path / "run")
+        model = SrlModel.from_checkpoint(result.best_checkpoint, cfg,
+                                         build_lexicon(sentences))
+        predict_corpus(model, sentences)
+        assert len(built) == (0 if layers == 0 else 3 * len(sentences))
 
     def test_deterministic_given_seed(self, overfit_sentences, tmp_path):
         cfg = small_config(d_w=8, d_pos=4, d_l=8, d_h=8, d_r=8, d_l_out=8,
