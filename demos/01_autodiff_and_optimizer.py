@@ -18,13 +18,19 @@ print("loss:", float(loss.data))
 print("dL/dw:\n", grads["w"])
 
 print("\n== the optimizer walks a bowl ==")
-w = nm.parameter("w", np.array([3.0, -2.0]), dtype=np.float64)
+# trainable tensors live in a ParamStore: views into one flat array, with a
+# flat gradient buffer that backward writes and Adam reads
+store = nm.ParamStore(2, np.float64)
+with store:
+    w = nm.parameter("w", np.array([3.0, -2.0]))
+store.enable_grad()
 state = nm.AdamState(learning_rate=0.05)
 for step in range(200):
-    nm.zero_grads([w])
+    nm.zero_grads(store)
     with nm.Tape() as tape:
         loss = nm.sum_all(w * w)
-    nm.adam_step({"w": w}, tape.gradients(loss), state)
+    tape.gradients(loss)
+    nm.adam_step(store, store.gradients(), state)
     if step % 50 == 0:
         print(f"step {step:3d}: w = {w.data.round(4)}")
 print(f"after {state.step_count} steps: w = {w.data.round(6)}")

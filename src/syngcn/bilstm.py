@@ -43,10 +43,6 @@ class LstmParams:
 
     layers: list[tuple[Direction, Direction]]  # (forward, backward)
 
-    def tensors(self) -> dict[str, nm.Tensor]:
-        return {t.name: t for layer in self.layers for direction in layer
-                for t in direction}
-
 
 def init_lstm(input_dim: int, d_h: int, num_layers: int,
               rng: np.random.Generator, dtype=np.float32) -> LstmParams:

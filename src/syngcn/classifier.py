@@ -27,10 +27,6 @@ class ClassifierParams:
     def num_roles(self) -> int:
         return self.role_table.shape[0]
 
-    def tensors(self) -> dict[str, nm.Tensor]:
-        return {t.name: t for t in
-                (self.pair_transform, self.lemma_table, self.role_table)}
-
 
 def init_classifier(encoded_width: int, d_l_out: int, d_r: int,
                     lexicon: Lexicon, rng: np.random.Generator,

@@ -113,10 +113,6 @@ class EmbeddingTables:
     def width(self) -> int:
         return 2 * self.d_w + self.d_pos + self.d_l
 
-    def parameters(self) -> dict[str, nm.Tensor]:
-        return {t.name: t for t in
-                (self.word, self.word_pretrained, self.pos, self.lemma)}
-
 
 def embed_sentence(sentence: Sentence, predicate_index: int,
                    tables: EmbeddingTables, lexicon: Lexicon,

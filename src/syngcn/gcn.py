@@ -46,16 +46,6 @@ class GcnLayerParams:
     def num_labels(self) -> int:
         return self.label_bias.shape[0]
 
-    def tensors(self) -> dict[str, nm.Tensor]:
-        out = {}
-        for d in Direction:
-            out[self.weights[d].name] = self.weights[d]
-        out[self.label_bias.name] = self.label_bias
-        for d in Direction:
-            out[self.gate_weights[d].name] = self.gate_weights[d]
-        out[self.gate_label_bias.name] = self.gate_label_bias
-        return out
-
 
 def init_gcn_layer(prefix: str, width: int, num_labels: int,
                    rng: np.random.Generator, dtype=np.float32) -> GcnLayerParams:
@@ -81,14 +71,6 @@ class GcnStack:
     @property
     def depth(self) -> int:
         return len(self.layers)
-
-    def tensors(self) -> dict[str, nm.Tensor]:
-        out = {}
-        if self.input_projection is not None:
-            out[self.input_projection.name] = self.input_projection
-        for layer in self.layers:
-            out.update(layer.tensors())
-        return out
 
 
 def init_gcn_stack(depth: int, width: int, num_labels: int, input_dim: int,

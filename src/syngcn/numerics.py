@@ -16,10 +16,12 @@ A model keeps its trainable tensors in a ``ParamStore``: each tensor's
 adds a matching flat gradient buffer (``enable_grad``) whose views receive
 each backward pass's gradients in place: a leaf's first gradient is written
 into its view (products straight into it with ``matmul(out=)``), later ones
-are added to it, and a leaf the loss did not reach gets its view zero-filled.
-``adam_step`` given a store and its gradients keeps ``m`` and ``v`` as two
-more flat arrays and updates all of them in one blocked pass. A training
-process thus holds four copies of the parameters; prediction holds one.
+are added to it, and ``ParamStore.gradients`` zero-fills the view of a leaf
+the loss did not reach. The store is the one registry of a model's trainable
+tensors and the one thing ``adam_step`` updates: given the store and its
+gradient buffer, it keeps ``m`` and ``v`` as two more flat arrays and updates
+all of them in one blocked pass. A training process thus holds four copies
+of the parameters; prediction holds one.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import collections.abc
 import contextlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
@@ -192,16 +194,14 @@ class Tape:
     def gradients(self, loss: Tensor) -> "collections.OrderedDict[str, np.ndarray]":
         """Backward, then gradients for every registered trainable leaf.
 
-        A leaf that was consumed but did not reach the loss gets zeros.
+        A leaf that was consumed but did not reach the loss gets a new zero
+        array; its view in a store's gradient buffer is left to
+        ``ParamStore.gradients`` to zero-fill.
         """
         self.backward(loss)
-        out = collections.OrderedDict()
-        for name, p in self.parameters.items():
-            view = _first_grad_view(p)
-            if view is not None:
-                view.fill(0)
-            out[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
-        return out
+        return collections.OrderedDict(
+            (name, p.grad if p.grad is not None else np.zeros_like(p.data))
+            for name, p in self.parameters.items())
 
 
 def zero_grads(params: Iterable[Tensor] | Mapping[str, Tensor]) -> None:
@@ -882,18 +882,21 @@ class ParamStore(collections.abc.Mapping):
 # Adam
 # ---------------------------------------------------------------------------
 
+# Adam's moment decay rates and denominator offset (Kingma & Ba 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Moment estimates by parameter name plus the shared step counter; flat
-    ``FlatArrays`` once a ``ParamStore`` has been stepped."""
+    """The step counter and the flat moment estimates ``m`` and ``v``, laid
+    out by the ``ParamStore`` they were first stepped with (None before)."""
 
     learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
-    m: Mapping[str, np.ndarray] = field(default_factory=dict)
-    v: Mapping[str, np.ndarray] = field(default_factory=dict)
+    m: FlatArrays | None = None
+    v: FlatArrays | None = None
 
 
 # Elements per block of the in-place Adam update, small enough that the
@@ -901,48 +904,31 @@ class AdamState:
 _ADAM_BLOCK = 1 << 16
 
 
-def adam_step(params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray],
-              state: AdamState) -> None:
-    """One bias-corrected Adam update, in place, over all trainable params.
+def adam_step(params: ParamStore, grads: FlatArrays, state: AdamState) -> None:
+    """One bias-corrected Adam update, in place, of every tensor in a store.
 
+    ``grads`` must be laid out by ``params`` (its gradient buffer, or one of
+    its ``zeros()``), and ``state`` unstepped or stepped with ``params``;
+    anything else raises ``ContractError`` before the step count moves.
     Per element: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
     p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), with the operations in that
-    order, run block by block into reused scratch instead of whole-tensor
-    temporaries. Given a ``ParamStore`` and gradients in its layout, the
-    update makes one pass over the flat arrays, with ``state.m`` and
-    ``state.v`` flat as well; otherwise it goes tensor by tensor.
+    order, run over the flat arrays block by block into reused scratch
+    instead of whole-array temporaries.
     """
+    if not isinstance(params, ParamStore):
+        raise ContractError("adam_step updates a ParamStore, got "
+                            f"{type(params).__name__}")
+    if not (isinstance(grads, FlatArrays) and grads.layout is params.layout):
+        raise ContractError("gradients are not laid out by the store")
+    if state.m is None:
+        state.m, state.v = params.zeros(), params.zeros()
+    elif state.m.layout is not params.layout:
+        raise ContractError("the Adam state belongs to another store")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    coef = (b1, b2, 1.0 - b1 ** t, 1.0 - b2 ** t, state.learning_rate,
-            state.eps)
-    if (isinstance(params, ParamStore) and isinstance(grads, FlatArrays)
-            and grads.layout is params.layout):
-        if not isinstance(state.m, FlatArrays):
-            if state.m:
-                raise ContractError("Adam state holds per-tensor moments")
-            state.m, state.v = params.zeros(), params.zeros()
-        _adam_update(params.flat, grads.flat, state.m.flat, state.v.flat, *coef)
-        return
-    for name, p in params.items():
-        if not p.trainable:
-            continue
-        if name not in grads:
-            raise ContractError(f"missing gradient for trainable parameter {name!r}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        pf = p.data.reshape(-1)       # a copy if p.data is not contiguous
-        gf = np.ravel(np.broadcast_to(grads[name], p.data.shape))
-        _adam_update(pf, gf, state.m[name].reshape(-1),
-                     state.v[name].reshape(-1), *coef)
-        if not np.shares_memory(pf, p.data):
-            np.copyto(p.data, pf.reshape(p.data.shape))
-
-
-def _adam_update(pf, gf, mf, vf, b1, b2, bc1, bc2, lr, eps) -> None:
-    """``adam_step``'s update of the flat arrays ``pf``, ``mf``, ``vf``."""
+    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.learning_rate, ADAM_EPS
+    bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    pf, gf, mf, vf = params.flat, grads.flat, state.m.flat, state.v.flat
     size = min(_ADAM_BLOCK, pf.size)
     g_tmp = np.empty(size, gf.dtype)              # (1-b1)*g, then (1-b2)*g*g
     num, den = np.empty(size, mf.dtype), np.empty(size, vf.dtype)

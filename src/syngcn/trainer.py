@@ -57,8 +57,9 @@ class TrainConfig:
         for name in ("d_w", "d_pos", "d_l", "d_h", "d_r", "d_l_out"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if not 0.0 <= self.edge_dropout <= 1.0:
-            raise ConfigError("edge_dropout must be in [0, 1]")
+        for name in ("edge_dropout", "unk_replace_rate", "early_stop_f1"):
+            if not 0.0 <= getattr(self, name) <= 1.0:     # NaN fails too
+                raise ConfigError(f"{name} must be in [0, 1]")
         if self.gcn_layers < 0:
             raise ConfigError("gcn_layers must be >= 0")
         if self.lstm_layers < 0:
@@ -175,8 +176,11 @@ def trainable_size(config: TrainConfig, lexicon: Lexicon) -> int:
     size = (lexicon.size("word") * c.d_w + lexicon.size("pos") * c.d_pos
             + lexicon.size("lemma") * c.d_l)
     width = 2 * c.d_w + c.d_pos + c.d_l
-    for _ in range(c.lstm_layers):
-        size += 2 * (width + c.d_h + 1) * 4 * c.d_h     # w, u, b per direction
+    if c.lstm_layers > 0:
+        # w, u, b per direction: the first layer reads the embeddings, the
+        # J - 1 others the 2*d_h states below them
+        size += 2 * 4 * c.d_h * ((width + c.d_h + 1)
+                                 + (c.lstm_layers - 1) * (3 * c.d_h + 1))
         width = 2 * c.d_h
     m = c.encoder_width()
     if c.gcn_layers > 0:
@@ -190,9 +194,9 @@ def trainable_size(config: TrainConfig, lexicon: Lexicon) -> int:
 
 
 class SrlModel:
-    """Embedder + (BiLSTM) + (gated GCN) + role classifier, with all
-    parameters in one named registry backing the checkpoint container; the
-    trainable ones live in one ``nm.ParamStore``."""
+    """Embedder + (BiLSTM) + (gated GCN) + role classifier. Its trainable
+    tensors live in one ``nm.ParamStore``, the registry that Adam updates and
+    ``parameters()`` (the checkpoint's tensors) is read from."""
 
     def __init__(self, config: TrainConfig, lexicon: Lexicon,
                  rng: np.random.Generator,
@@ -223,15 +227,12 @@ class SrlModel:
                 rng, dtype)
 
     def parameters(self) -> dict[str, nm.Tensor]:
-        """All tensors, frozen ones included, in a stable order."""
-        out: dict[str, nm.Tensor] = {}
-        out.update(self.tables.parameters())
-        if self.lstm is not None:
-            out.update(self.lstm.tensors())
-        if self.gcn is not None:
-            out.update(self.gcn.tensors())
-        out.update(self.classifier.tensors())
-        return out
+        """All tensors in checkpoint order: the store's, in creation order,
+        with the frozen pretrained table right after ``embed.word``, the
+        store's first tensor."""
+        frozen = self.tables.word_pretrained
+        return {"embed.word": self.store["embed.word"], frozen.name: frozen,
+                **self.store}
 
     def encode(self, instances: list[Instance],
                graphs: list[SyntacticGraph | None], training: bool = False,

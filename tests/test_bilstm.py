@@ -6,6 +6,7 @@ from syngcn.bilstm import (LstmParams, bilstm_encode, init_lstm,
                            init_lstm_direction)
 from syngcn.errors import NumericsError, ShapeError
 
+from conftest import stored
 from test_numerics import masked_logistic
 
 I, F, O, G = range(4)   # gate column blocks
@@ -15,6 +16,16 @@ def block(t, k):
     """Gate block ``k`` of a fused [. x 4d] tensor's data (a view)."""
     d = t.data.shape[1] // 4
     return t.data[:, k * d:(k + 1) * d]
+
+
+def stored_lstm(input_dim, d_h, layers, rng, dtype=np.float32):
+    """``init_lstm`` with its tensors in a ``ParamStore``: (params, store).
+    Each direction holds w, u and b, [in x 4d_h], [d_h x 4d_h], [1 x 4d_h];
+    layers after the first read 2*d_h inputs."""
+    size = sum(2 * (dim + d_h + 1) * 4 * d_h
+               for dim in [input_dim] + [2 * d_h] * (layers - 1))
+    return stored(size, dtype,
+                  lambda: init_lstm(input_dim, d_h, layers, rng, dtype))
 
 
 def zero_direction(input_dim, d_h, dtype=np.float32):
@@ -110,11 +121,11 @@ class TestLstmCell:
 
     def test_cell_gradient_check(self):
         rng = np.random.default_rng(4)
-        params = init_lstm(3, 4, 1, rng, dtype=np.float64)
+        params, store = stored_lstm(3, 4, 1, rng, dtype=np.float64)
         for n in (1, 2):
             x = nm.Tensor(rng.standard_normal((n, 3)), dtype=np.float64)
             result = nm.grad_check(lambda: nm.sum_all(bilstm_encode(x, params)),
-                                   params.tensors())
+                                   store)
             assert result.max_rel_err < 1e-4
 
 
@@ -185,8 +196,8 @@ class TestBilstmEncode:
             np.testing.assert_allclose(out[i, d:], mirrored[:d], rtol=1e-10)
 
     def test_paper_configuration_width(self):
-        params = init_lstm(316, 512, 3, np.random.default_rng(0))
-        shapes = {name: t.shape for name, t in params.tensors().items()}
+        params, store = stored_lstm(316, 512, 3, np.random.default_rng(0))
+        shapes = {name: t.shape for name, t in store.items()}
         assert len(shapes) == 3 * 2 * 3
         assert shapes["lstm.0.fw.w"] == (316, 2048)
         assert shapes["lstm.1.fw.w"] == (1024, 2048)
@@ -221,10 +232,10 @@ class TestBilstmEncode:
 
     def test_stack_gradient_check_desk_scale(self):
         rng = np.random.default_rng(6)
-        params = init_lstm(3, 4, 2, rng, dtype=np.float64)
+        params, store = stored_lstm(3, 4, 2, rng, dtype=np.float64)
         x = nm.Tensor(rng.standard_normal((4, 3)), dtype=np.float64)
         result = nm.grad_check(lambda: nm.sum_all(bilstm_encode(x, params)),
-                               params.tensors())
+                               store)
         assert result.max_rel_err < 1e-4
 
     @pytest.mark.parametrize("layers", [1, 2])

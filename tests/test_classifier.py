@@ -6,7 +6,7 @@ from syngcn.classifier import (init_classifier, predict_arguments,
                                role_logits, role_weights)
 from syngcn.conll import build_lexicon
 
-from conftest import parse_text
+from conftest import parse_text, stored
 from test_conll import make_sentence
 
 
@@ -97,7 +97,11 @@ class TestScoreRoles:
         assert (dists >= 0).all()
 
     def test_gradient_check_through_scorer(self, lexicon):
-        params = params_for(lexicon, seed=6, dtype=np.float64)
+        # the [(d_l_out + d_r) x 2m] transform, then the lemma and role tables
+        size = ((3 + 3) * 2 * 4 + lexicon.size("plemma") * 3
+                + lexicon.size("role") * 3)
+        params, store = stored(size, np.float64, lambda: params_for(
+            lexicon, seed=6, dtype=np.float64))
         rng = np.random.default_rng(2)
         encoded = nm.Tensor(rng.standard_normal((3, 4)), dtype=np.float64)
 
@@ -105,7 +109,7 @@ class TestScoreRoles:
             logits = role_logits(encoded, 1, 1, params)
             return nm.cross_entropy_rows(logits, [1, 0, 2])
 
-        result = nm.grad_check(f, params.tensors())
+        result = nm.grad_check(f, store)
         assert result.max_rel_err < 1e-4
 
 

@@ -1,5 +1,6 @@
 import logging
 import re
+import time
 
 import numpy as np
 import pytest
@@ -131,13 +132,18 @@ class TestTrain:
         assert not (tmp_path / "run").exists()
 
     def test_oversized_model_exits_one(self, data_dir, tmp_path, caplog):
-        # refused from the config and lexicon, before any array is made
-        assert run(["train", "--train", str(data_dir / "overfit.conll"),
-                    "--out", str(tmp_path / "run"),
-                    "--set", "d_h=1000000000"]) == 1
-        assert re.search(r"the model has [\d,]+ trainable parameters, more "
-                         r"than the 268,435,456 allowed", caplog.text)
-        assert not (tmp_path / "run").exists()
+        # refused from the config and lexicon, before any array is made, and
+        # sized in closed form however deep the BiLSTM
+        for setting in ("d_h=1000000000", f"J={10 ** 12}"):
+            caplog.clear()
+            start = time.perf_counter()
+            assert run(["train", "--train", str(data_dir / "overfit.conll"),
+                        "--out", str(tmp_path / "run"),
+                        "--set", setting]) == 1
+            assert time.perf_counter() - start < 1.0
+            assert re.search(r"the model has [\d,]+ trainable parameters, "
+                             r"more than the 268,435,456 allowed", caplog.text)
+            assert not (tmp_path / "run").exists()
 
     def test_overrides_are_validated_together(self, data_dir, tmp_path,
                                               caplog):

@@ -9,7 +9,7 @@ from syngcn.gcn import (GcnStack, gcn_layer, gcn_stack_forward,
 from syngcn.syngraph import (Direction, SyntacticGraph, build_graph,
                              disjoint_union)
 
-from conftest import parse_text
+from conftest import parse_text, stored
 from test_conll import make_sentence
 from test_syngraph import by_direction, graph_of
 
@@ -54,6 +54,18 @@ def gcn_layer_oracle(h: np.ndarray, graph: SyntacticGraph, params,
 
 def layer_for(graph, width, rng, dtype=np.float32):
     return init_gcn_layer("g", width, graph.num_labels, rng, dtype)
+
+
+def layer_size(width, num_labels):
+    """Elements of a gated layer: three [m x m] weights, the [labels x m]
+    bias, three [1 x m] gate weights and the [labels x 1] gate bias."""
+    return 3 * width * width + num_labels * width + 3 * width + num_labels
+
+
+def stored_layer(graph, width, rng, dtype=np.float32):
+    """``layer_for`` with its tensors in a ``ParamStore``: (params, store)."""
+    return stored(layer_size(width, graph.num_labels), dtype,
+                  lambda: layer_for(graph, width, rng, dtype))
 
 
 class TestGate:
@@ -178,13 +190,13 @@ class TestGcnLayer:
         # gate scalars carry the label space
         rng = np.random.default_rng(8)
         graph, lex = random_graph(5, rng, num_rels=4)
-        params = layer_for(graph, 6, rng)
+        params, store = stored_layer(graph, 6, rng)
         assert len(params.weights) == 3
         labels = 2 * lex.num_deprels + 1
         assert params.label_bias.shape == (labels, 6)
         assert params.gate_label_bias.shape == (labels, 1)
         assert len(params.gate_weights) == 3
-        matrices = [t for t in params.tensors().values()
+        matrices = [t for t in store.values()
                     if t.data.ndim == 2 and t.data.shape == (6, 6)]
         assert len(matrices) == 3
 
@@ -273,12 +285,13 @@ class TestStack:
     def test_full_stack_gradient_check(self):
         rng = np.random.default_rng(15)
         graph, _ = random_graph(4, rng)
-        stack = init_gcn_stack(2, 4, graph.num_labels, 4, rng,
-                               dtype=np.float64)
+        stack, store = stored(
+            2 * layer_size(4, graph.num_labels), np.float64,
+            lambda: init_gcn_stack(2, 4, graph.num_labels, 4, rng,
+                                   dtype=np.float64))
         h = nm.Tensor(rng.standard_normal((4, 4)), dtype=np.float64)
         result = nm.grad_check(
-            lambda: nm.sum_all(gcn_stack_forward(h, graph, stack)),
-            stack.tensors())
+            lambda: nm.sum_all(gcn_stack_forward(h, graph, stack)), store)
         assert result.max_rel_err < 1e-4
 
 
@@ -435,7 +448,7 @@ class TestFusedMatchesPerOp:
     def test_gradient_check(self, gates_enabled):
         rng = np.random.default_rng(44)
         graph, _ = random_graph(5, rng)
-        params = layer_for(graph, 3, rng, dtype=np.float64)
+        params, store = stored_layer(graph, 3, rng, dtype=np.float64)
         params.label_bias.data[:] = rng.uniform(-0.3, 0.3,
                                                 params.label_bias.shape)
         h = nm.parameter("h", rng.standard_normal((5, 3)), np.float64)
@@ -443,7 +456,7 @@ class TestFusedMatchesPerOp:
         result = nm.grad_check(
             lambda: nm.sum_all(gcn_layer(h, graph, params, gates_enabled)
                                @ proj),
-            {"h": h, **params.tensors()})
+            {"h": h, **store})
         assert result.max_rel_err < 1e-6
         assert result.checked > 0
 
@@ -452,15 +465,15 @@ class TestFusedMatchesPerOp:
         # half the label bias, 1e-6 in one entry, so a +-h step of that bias
         # entry crosses the kink, and only the probe of the op shows it
         graph = SyntacticGraph(1, [0], [0], [Direction.SELF], [0], 3)
-        params = layer_for(graph, 3, np.random.default_rng(45),
-                           dtype=np.float64)
+        params, store = stored_layer(graph, 3, np.random.default_rng(45),
+                                     dtype=np.float64)
         params.weights[Direction.SELF].data[:] = 0.0
         params.gate_weights[Direction.SELF].data[:] = 0.0
         params.label_bias.data[0] = [2e-6, 0.5, -0.5]
         h = nm.Tensor(np.ones((1, 3)), dtype=np.float64)
         result = nm.grad_check(
             lambda: nm.sum_all(gcn_layer(h, graph, params)),
-            params.tensors(), kink_margin=1e-4)
+            store, kink_margin=1e-4)
         assert result.skipped > 0
         assert result.max_rel_err < 1e-6
 

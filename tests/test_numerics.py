@@ -211,27 +211,52 @@ def reference_adam(w0: float, grad_fn, steps: int, lr=0.01, b1=0.9, b2=0.999,
     return history
 
 
+def textbook_adam(params: dict, grads: dict, m: dict, v: dict, step: int,
+                  lr: float) -> None:
+    """The textbook Adam update, tensor by tensor on separate arrays."""
+    bc1, bc2 = 1.0 - 0.9 ** step, 1.0 - 0.999 ** step
+    for k, g in grads.items():
+        m[k] *= 0.9
+        m[k] += (1.0 - 0.9) * g
+        v[k] *= 0.999
+        v[k] += (1.0 - 0.999) * (g * g)
+        params[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + 1e-8)
+
+
+def store_of(dtype=np.float64, **arrays) -> nm.ParamStore:
+    """A store holding one parameter per keyword, in order, with its
+    gradient buffer enabled."""
+    store = nm.ParamStore(sum(np.size(a) for a in arrays.values()), dtype)
+    with store:
+        for name, a in arrays.items():
+            nm.parameter(name, a)
+    store.enable_grad()
+    return store
+
+
 class TestAdam:
     def test_zero_gradients_fixed_point(self):
-        p = nm.parameter("w", np.ones((2, 2)))
+        store = store_of(w=np.ones((2, 2)))
         state = nm.AdamState(learning_rate=0.01)
-        nm.adam_step({"w": p}, {"w": np.zeros((2, 2))}, state)
-        assert np.array_equal(p.data, np.ones((2, 2)))
+        nm.adam_step(store, store.grads, state)
+        assert np.array_equal(store["w"].data, np.ones((2, 2)))
         assert state.step_count == 1
 
     def test_first_step_magnitude(self):
         # |update| = lr * g / (sqrt(g^2) + eps) ~= lr for g = 1
-        p = nm.parameter("w", np.full((3,), 5.0))
-        state = nm.AdamState(learning_rate=0.01)
-        nm.adam_step({"w": p}, {"w": np.ones(3)}, state)
-        assert np.abs(p.data - (5.0 - 0.01)).max() < 1e-8
+        store = store_of(w=np.full((3,), 5.0))
+        store.grads["w"][:] = 1.0
+        nm.adam_step(store, store.grads, nm.AdamState(learning_rate=0.01))
+        assert np.abs(store["w"].data - (5.0 - 0.01)).max() < 1e-8
 
     def test_quadratic_convergence_run(self):
-        p = nm.parameter("w", np.array([1.0]), dtype=np.float64)
+        store = store_of(w=np.array([1.0]))
+        p = store["w"]
         state = nm.AdamState(learning_rate=0.01)
         ours = []
         for _ in range(100):
-            nm.adam_step({"w": p}, {"w": 2.0 * p.data}, state)
+            np.multiply(p.data, 2.0, out=store.grads["w"])
+            nm.adam_step(store, store.grads, state)
             ours.append(float(p.data[0]))
         want = reference_adam(1.0, lambda w: 2.0 * w, 100)
         assert np.abs(np.array(ours) - np.array(want)).max() < 1e-12
@@ -241,9 +266,32 @@ class TestAdam:
         assert 0.0 < ours[-1] < 0.3
 
     def test_missing_gradient_is_contract_error(self):
-        p = nm.parameter("w", np.ones(2))
-        with pytest.raises(ContractError, match="w"):
-            nm.adam_step({"w": p}, {}, nm.AdamState())
+        # gradients by name are not the store's buffer, even when complete
+        store = store_of(w=np.ones(2))
+        for grads in ({}, {"w": np.ones(2)}):
+            with pytest.raises(ContractError, match="laid out by the store"):
+                nm.adam_step(store, grads, nm.AdamState())
+        assert np.array_equal(store["w"].data, np.ones(2))
+
+    def test_foreign_buffers_leave_the_state_alone(self):
+        ours, same, other = (store_of(w=np.ones(2)), store_of(w=np.ones(2)),
+                             store_of(w=np.ones(3)))
+        state = nm.AdamState()
+        nm.adam_step(ours, ours.grads, state)
+        m, v = state.m, state.v
+        # another store's gradients, even with the same names and sizes
+        with pytest.raises(ContractError, match="laid out by the store"):
+            nm.adam_step(ours, same.grads, state)
+        # the moments of ``ours``, stepped with a store of the same size or not
+        for store in (same, other):
+            with pytest.raises(ContractError, match="another store"):
+                nm.adam_step(store, store.grads, state)
+            assert np.array_equal(store["w"].data, np.ones(store.size))
+        # a dict of tensors is not a store
+        with pytest.raises(ContractError, match="ParamStore"):
+            nm.adam_step(dict(ours), ours.grads, state)
+        assert state.step_count == 1
+        assert state.m is m and state.v is v
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bitwise_equal_to_textbook_update(self, dtype):
@@ -253,7 +301,7 @@ class TestAdam:
         rng = np.random.default_rng(11)
         start = {k: rng.standard_normal(s).astype(dtype)
                  for k, s in shapes.items()}
-        params = {k: nm.parameter(k, a.copy()) for k, a in start.items()}
+        store = store_of(dtype, **start)
         ours = nm.AdamState(learning_rate=0.01)
         p_ref = {k: a.copy() for k, a in start.items()}
         m_ref = {k: np.zeros_like(a) for k, a in start.items()}
@@ -261,49 +309,23 @@ class TestAdam:
         for step in range(1, 6):
             grads = {k: (rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3))
                      .astype(dtype) for k, s in shapes.items()}
-            nm.adam_step(params, grads, ours)
-            bc1, bc2 = 1.0 - 0.9 ** step, 1.0 - 0.999 ** step
             for k, g in grads.items():
-                m, v = m_ref[k], v_ref[k]
-                m *= 0.9
-                m += (1.0 - 0.9) * g
-                v *= 0.999
-                v += (1.0 - 0.999) * (g * g)
-                p_ref[k] -= 0.01 * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+                np.copyto(store.grads[k], g)
+            nm.adam_step(store, store.grads, ours)
+            textbook_adam(p_ref, grads, m_ref, v_ref, step, 0.01)
         for k in shapes:
-            assert params[k].data.tobytes() == p_ref[k].tobytes(), k
+            assert store[k].data.tobytes() == p_ref[k].tobytes(), k
             assert ours.m[k].tobytes() == m_ref[k].tobytes(), k
             assert ours.v[k].tobytes() == v_ref[k].tobytes(), k
 
-    def test_non_contiguous_parameter_updated_in_place(self):
-        # the update lands in the array the tensor views, not a rebound copy
-        base = np.arange(6.0).reshape(2, 3)
-        p = nm.parameter("w", base.T)
-        ref = nm.parameter("w", base.T.copy())
-        for t in (p, ref):
-            nm.adam_step({"w": t}, {"w": np.ones((3, 2))}, nm.AdamState())
-        assert np.shares_memory(p.data, base)
-        assert base.T.tobytes() == ref.data.tobytes()
-
     def test_second_moment_nonnegative(self):
-        p = nm.parameter("w", np.ones(4))
+        store = store_of(w=np.ones(4))
         state = nm.AdamState()
         rng = np.random.default_rng(1)
         for _ in range(20):
-            nm.adam_step({"w": p}, {"w": rng.standard_normal(4)}, state)
+            store.grads["w"][:] = rng.standard_normal(4)
+            nm.adam_step(store, store.grads, state)
         assert (state.v["w"] >= 0).all()
-
-
-def textbook_adam(params: dict, grads: dict, m: dict, v: dict, step: int,
-                  lr: float) -> None:
-    """TestAdam's textbook update, tensor by tensor on separate arrays."""
-    bc1, bc2 = 1.0 - 0.9 ** step, 1.0 - 0.999 ** step
-    for k, g in grads.items():
-        m[k] *= 0.9
-        m[k] += (1.0 - 0.9) * g
-        v[k] *= 0.999
-        v[k] += (1.0 - 0.999) * (g * g)
-        params[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + 1e-8)
 
 
 class TestParamStore:
@@ -623,15 +645,17 @@ class TestCheckpointContainer:
 class TestDeterminism:
     def _run(self, seed: int) -> bytes:
         rng = np.random.default_rng(seed)
-        w = nm.parameter("w", rng.uniform(-1, 1, (4, 4)).astype(np.float32))
+        store = store_of(np.float32, w=rng.uniform(-1, 1, (4, 4)))
+        w = store["w"]
         target = nm.Tensor(rng.uniform(-1, 1, (4, 4)).astype(np.float32))
         state = nm.AdamState(learning_rate=0.05)
         for _ in range(25):
-            nm.zero_grads([w])
+            nm.zero_grads(store)
             with nm.Tape() as tape:
                 diff = w - target
                 loss = nm.sum_all(diff * diff)
-            nm.adam_step({"w": w}, tape.gradients(loss), state)
+            tape.gradients(loss)
+            nm.adam_step(store, store.gradients(), state)
         return w.data.tobytes()
 
     def test_same_seed_bitwise_identical(self):

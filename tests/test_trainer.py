@@ -87,6 +87,10 @@ class TestConfig:
             parse_config_text("d_h = -4\n")
         with pytest.raises(ConfigError, match="no encoder"):
             parse_config_text("J = 0\nK = 0\n")
+        for key in ("unk_replace_rate", "early_stop_f1"):
+            for value in ("nan", "inf", "-0.1", "1.5"):
+                with pytest.raises(ConfigError, match=key):
+                    parse_config_text(f"{key} = {value}\n")
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(
@@ -174,19 +178,60 @@ class TestModel:
         model, lex = tiny_model(overfit_sentences, edge_dropout=0.0,
                                 learning_rate=0.005)
         inst = make_instances(overfit_sentences, lex)[0]
-        trainable = model.store
+        store = model.store
+        store.enable_grad()
         state = nm.AdamState(learning_rate=0.005)
         losses = []
         for _ in range(11):
-            nm.zero_grads(trainable.values())
+            nm.zero_grads(store)
             with nm.Tape() as tape:
                 loss = model.instance_loss(inst)
             losses.append(float(loss.data))
-            grads = tape.gradients(loss)
-            full = {k: grads.get(k, np.zeros_like(t.data))
-                    for k, t in trainable.items()}
-            nm.adam_step(trainable, full, state)
+            tape.gradients(loss)
+            nm.adam_step(store, store.gradients(), state)
         assert all(b < a for a, b in zip(losses, losses[1:]))
+
+    @pytest.mark.parametrize("layers,want", [
+        ((1, 1), ["embed.word", "embed.word_pretrained", "embed.pos",
+                  "embed.lemma",
+                  "lstm.0.fw.w", "lstm.0.fw.u", "lstm.0.fw.b",
+                  "lstm.0.bw.w", "lstm.0.bw.u", "lstm.0.bw.b",
+                  "gcn.0.w_along", "gcn.0.w_opposite", "gcn.0.w_self",
+                  "gcn.0.label_bias", "gcn.0.gate_w_along",
+                  "gcn.0.gate_w_opposite", "gcn.0.gate_w_self",
+                  "gcn.0.gate_label_bias",
+                  "cls.pair_transform", "cls.lemma", "cls.role"]),
+        ((0, 1), ["embed.word", "embed.word_pretrained", "embed.pos",
+                  "embed.lemma", "gcn.input_proj",
+                  "gcn.0.w_along", "gcn.0.w_opposite", "gcn.0.w_self",
+                  "gcn.0.label_bias", "gcn.0.gate_w_along",
+                  "gcn.0.gate_w_opposite", "gcn.0.gate_w_self",
+                  "gcn.0.gate_label_bias",
+                  "cls.pair_transform", "cls.lemma", "cls.role"]),
+        ((1, 2), ["embed.word", "embed.word_pretrained", "embed.pos",
+                  "embed.lemma",
+                  "lstm.0.fw.w", "lstm.0.fw.u", "lstm.0.fw.b",
+                  "lstm.0.bw.w", "lstm.0.bw.u", "lstm.0.bw.b",
+                  "gcn.0.w_along", "gcn.0.w_opposite", "gcn.0.w_self",
+                  "gcn.0.label_bias", "gcn.0.gate_w_along",
+                  "gcn.0.gate_w_opposite", "gcn.0.gate_w_self",
+                  "gcn.0.gate_label_bias",
+                  "gcn.1.w_along", "gcn.1.w_opposite", "gcn.1.w_self",
+                  "gcn.1.label_bias", "gcn.1.gate_w_along",
+                  "gcn.1.gate_w_opposite", "gcn.1.gate_w_self",
+                  "gcn.1.gate_label_bias",
+                  "cls.pair_transform", "cls.lemma", "cls.role"]),
+    ], ids=["J1K1", "J0K1", "J1K2"])
+    def test_parameter_names_in_checkpoint_order(self, overfit_sentences,
+                                                 layers, want):
+        # the store's tensors in creation order, the frozen table after
+        # embed.word: the order tensors take in a checkpoint file
+        j, k = layers
+        model, _ = tiny_model(overfit_sentences, lstm_layers=j, gcn_layers=k)
+        assert list(model.parameters()) == want
+        assert [n for n in want if n != "embed.word_pretrained"] == \
+            list(model.store)
+        assert not model.parameters()["embed.word_pretrained"].trainable
 
     def test_modes_produce_expected_encoders(self, overfit_sentences):
         lex = build_lexicon(overfit_sentences)
