@@ -13,20 +13,19 @@ x = nm.Tensor(np.array([[1.0], [1.0]]), dtype=np.float64)
 with nm.Tape() as tape:
     y = nm.relu(w @ x)              # [[0 hidden], ...]
     loss = nm.sum_all(y * y)
-grads = tape.gradients(loss)
+tape.gradients(loss)              # each trainable leaf now holds its grad
 print("loss:", float(loss.data))
-print("dL/dw:\n", grads["w"])
+print("dL/dw:\n", w.grad)
 
 print("\n== the optimizer walks a bowl ==")
 # trainable tensors live in a ParamStore: views into one flat array, with a
-# flat gradient buffer that backward writes and Adam reads
+# flat gradient buffer that backward writes and store.gradients() collects
 store = nm.ParamStore(2, np.float64)
 with store:
     w = nm.parameter("w", np.array([3.0, -2.0]))
 store.enable_grad()
 state = nm.AdamState(learning_rate=0.05)
 for step in range(200):
-    nm.zero_grads(store)
     with nm.Tape() as tape:
         loss = nm.sum_all(w * w)
     tape.gradients(loss)
@@ -37,15 +36,17 @@ print(f"after {state.step_count} steps: w = {w.data.round(6)}")
 
 print("\n== gradient checking (finite differences vs the tape) ==")
 rng = np.random.default_rng(0)
-a = nm.parameter("a", rng.standard_normal((3, 3)), dtype=np.float64)
-b = nm.parameter("b", rng.standard_normal((3, 1)), dtype=np.float64)
+checked_store = nm.ParamStore(9 + 3, np.float64)
+with checked_store:
+    a = nm.parameter("a", rng.standard_normal((3, 3)))
+    b = nm.parameter("b", rng.standard_normal((3, 1)))
 
 
 def objective():
     return nm.sum_all(nm.sigmoid(a @ nm.tanh(b)))
 
 
-result = nm.grad_check(objective, {"a": a, "b": b})
+result = nm.grad_check(objective, checked_store)
 print(f"max relative error {result.max_rel_err:.2e} over {result.checked} "
       f"entries ({result.skipped} skipped near ReLU kinks)")
 

@@ -155,12 +155,26 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+def _check_same_sentences(gold, pred, gold_path, pred_path) -> None:
+    """Refuse predictions for other sentences than the gold file's."""
+    if len(pred) != len(gold):
+        raise FormatError(f"{pred_path}: {len(pred)} sentences, {gold_path} "
+                          f"has {len(gold)}")
+    for i, (g, p) in enumerate(zip(gold, pred), start=1):
+        if (len(p), p.predicates) != (len(g), g.predicates):
+            raise FormatError(
+                f"{pred_path}: sentence {i} has {len(p)} tokens with "
+                f"predicates at {p.predicates}, {gold_path} has {len(g)} "
+                f"tokens with predicates at {g.predicates}")
+
+
 def _cmd_evaluate(args) -> int:
     if bool(args.pred) == bool(args.checkpoint):
         raise ConfigError("evaluate needs exactly one of --pred / --checkpoint")
     gold = parse_conll_file(args.test, use_gold_syntax=args.use_gold_syntax)
     if args.pred:
         pred_sents = parse_conll_file(args.pred)
+        _check_same_sentences(gold, pred_sents, args.test, args.pred)
         preds = evaluator.PredictionSet.from_gold(pred_sents)
     else:
         preds = _predictions_for([_load_model(c) for c in args.checkpoint], gold)
@@ -223,8 +237,7 @@ def _cmd_gradcheck(args) -> int:
 
     model, instance = gradcheck_model(seed=args.seed)
     _log_config(model.config)
-    result = nm.grad_check(lambda: model.instance_loss(instance),
-                           model.parameters())
+    result = nm.grad_check(lambda: model.instance_loss(instance), model.store)
     print(f"max rel err {result.max_rel_err:.3e} over {result.checked} entries "
           f"({result.skipped} skipped near ReLU kinks)")
     ok = result.max_rel_err < args.tolerance

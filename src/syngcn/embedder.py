@@ -39,7 +39,7 @@ def load_pretrained(path, lexicon: Lexicon, expected_dim: int | None = None
     One line per token: the token then its values, whitespace-separated.
     Vocabulary words are matched against lowercased file tokens; words with
     no vector get a zero row, as do the reserved PAD/UNK ids. On duplicate
-    tokens the last occurrence wins.
+    tokens the last occurrence wins. A non-finite value is a ``FormatError``.
     """
     vectors: dict[str, np.ndarray] = {}
     dim = expected_dim
@@ -67,6 +67,9 @@ def load_pretrained(path, lexicon: Lexicon, expected_dim: int | None = None
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: non-numeric embedding "
                                   f"value") from None
+            if not np.isfinite(vectors[token]).all():
+                raise FormatError(f"{path}:{lineno}: non-finite embedding "
+                                  f"value")
     if dim is None:
         dim = expected_dim or 0
     vocab = lexicon.size("word")
@@ -106,6 +109,12 @@ class EmbeddingTables:
         if pretrained.shape != (lexicon.size("word"), d_w):
             raise FormatError(f"pretrained table shape {pretrained.shape} != "
                               f"({lexicon.size('word')}, {d_w})")
+        # checked before the cast, which would overflow to inf (and warn)
+        outside = ~(np.abs(pretrained) <= np.finfo(self.dtype).max).all(axis=1)
+        if outside.any():
+            word = lexicon.string("word", int(np.argmax(outside)))
+            raise FormatError(f"pretrained vector of {word!r} has a value "
+                              f"outside the {self.dtype.name} range")
         self.word_pretrained = nm.Tensor(pretrained, dtype=self.dtype,
                                          name="embed.word_pretrained")
 

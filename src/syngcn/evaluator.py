@@ -153,6 +153,12 @@ def _check_alignment(sentences: list[Sentence], pred: PredictionSet) -> None:
         extra = sorted(got - wanted)[:5]
         raise ContractError(f"prediction/corpus mismatch: missing {missing}, "
                             f"unexpected {extra}")
+    for sid, p_ord in sorted(wanted):
+        got_len, want_len = len(pred.get(sid, p_ord)[0]), len(sentences[sid])
+        if got_len != want_len:
+            raise ContractError(f"prediction/corpus mismatch: {got_len} roles "
+                                f"predicted for predicate {p_ord} of the "
+                                f"{want_len}-token sentence {sid}")
 
 
 def _iter_triples(sentences, pred: PredictionSet, gold_side: bool):

@@ -2,7 +2,7 @@
 
 Values are numpy arrays (float32 by default, float64 for gradient checking).
 Ops executed while a ``Tape`` is active record themselves on it in creation
-order, which is already a topological order; ``Tape.backward`` replays the
+order, which is already a topological order; ``Tape.gradients`` replays the
 records once, in reverse, so gradient accumulation order is deterministic.
 Ops executed with no active tape are plain forward computations.
 
@@ -13,15 +13,16 @@ clamped logistic would make finite: ``lstm`` its pre-activations, and
 
 A model keeps its trainable tensors in a ``ParamStore``: each tensor's
 ``data`` is a view into one flat array, laid out in creation order. Training
-adds a matching flat gradient buffer (``enable_grad``) whose views receive
-each backward pass's gradients in place: a leaf's first gradient is written
-into its view (products straight into it with ``matmul(out=)``), later ones
-are added to it, and ``ParamStore.gradients`` zero-fills the view of a leaf
-the loss did not reach. The store is the one registry of a model's trainable
-tensors and the one thing ``adam_step`` updates: given the store and its
-gradient buffer, it keeps ``m`` and ``v`` as two more flat arrays and updates
-all of them in one blocked pass. A training process thus holds four copies
-of the parameters; prediction holds one.
+adds a matching flat gradient buffer (``enable_grad``), the one place
+gradients are collected: each backward pass adds a leaf's gradients into its
+view in place (the first since the last collection is written, products
+straight in with ``matmul(out=)``), and ``ParamStore.gradients`` collects
+the sum, zero-filling the views no pass reached. The store is the one
+registry of a model's trainable tensors and the one thing ``adam_step``
+updates: given the store and its gradient buffer, it keeps ``m`` and ``v``
+as two more flat arrays and updates all of them in one blocked pass. A
+training process thus holds four copies of the parameters; prediction holds
+one.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -52,11 +53,11 @@ FINITE_CHECKS = True
 class Tensor:
     """A dense array plus the bookkeeping needed for reverse-mode autodiff.
 
-    ``trainable`` leaves carry a ``name`` and collect gradients in ``grad``
-    during ``Tape.backward``; a leaf of a store with gradients enabled
-    collects them in its view of the store's gradient buffer
-    (``_grad_slot``). Non-leaf tensors also use ``grad`` transiently while a
-    backward pass runs.
+    ``trainable`` leaves collect gradients in ``grad`` during
+    ``Tape.gradients``; a leaf of a store with gradients enabled collects
+    them in its view of the store's gradient buffer (``_grad_slot``).
+    Non-leaf tensors also use ``grad`` transiently while a backward pass
+    runs.
     """
 
     __slots__ = ("data", "grad", "name", "trainable", "_needs_grad",
@@ -111,7 +112,7 @@ class Tensor:
 
 
 def parameter(name: str, data, dtype=None) -> Tensor:
-    """A trainable leaf tensor; ``name`` keys it in gradients/checkpoints.
+    """A trainable leaf tensor; ``name`` keys it in stores and checkpoints.
 
     While a ``ParamStore`` is active, ``data`` is copied, in the store's
     dtype, into the store's next slot, and the tensor's data is that view.
@@ -147,15 +148,14 @@ _RELU_PROBE: list | None = None
 
 
 class Tape:
-    """Ordered record of ops plus the registry of trainable leaves they used.
+    """Ordered record of (output, backward rule) pairs, one per recorded op.
 
-    One tape per training example; construction and backward are
-    single-threaded. ``backward`` may run once.
+    One tape per backward pass; construction and backward are
+    single-threaded. ``gradients`` may run once.
     """
 
     def __init__(self):
         self._nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
-        self.parameters: dict[str, Tensor] = {}
         self._spent = False
 
     def __enter__(self) -> "Tape":
@@ -170,17 +170,14 @@ class Tape:
         _ACTIVE_TAPE = None
         return False
 
-    def _record(self, out: Tensor, inputs: tuple[Tensor, ...],
-                backward: Callable[[np.ndarray], None]) -> None:
-        for t in inputs:
-            if t.trainable:
-                if t.name is None:
-                    raise ContractError("trainable tensor without a name")
-                self.parameters.setdefault(t.name, t)
+    def _record(self, out: Tensor, backward: Callable[[np.ndarray], None]
+                ) -> None:
         self._nodes.append((out, backward))
 
-    def backward(self, loss: Tensor) -> None:
-        """Seed d(loss)/d(loss)=1 and run every recorded rule once, last-first."""
+    def gradients(self, loss: Tensor) -> None:
+        """Seed d(loss)/d(loss)=1 and run every recorded rule once, last-first,
+        adding each reached leaf's gradient to its ``grad`` (for a store leaf,
+        its view of the store's gradient buffer)."""
         if self._spent:
             raise ContractError("backward already ran on this tape")
         if loss.data.size != 1:
@@ -190,24 +187,6 @@ class Tape:
         for out, rule in reversed(self._nodes):
             if out.grad is not None:
                 rule(out.grad)
-
-    def gradients(self, loss: Tensor) -> "collections.OrderedDict[str, np.ndarray]":
-        """Backward, then gradients for every registered trainable leaf.
-
-        A leaf that was consumed but did not reach the loss gets a new zero
-        array; its view in a store's gradient buffer is left to
-        ``ParamStore.gradients`` to zero-fill.
-        """
-        self.backward(loss)
-        return collections.OrderedDict(
-            (name, p.grad if p.grad is not None else np.zeros_like(p.data))
-            for name, p in self.parameters.items())
-
-
-def zero_grads(params: Iterable[Tensor] | Mapping[str, Tensor]) -> None:
-    values = params.values() if isinstance(params, Mapping) else params
-    for p in values:
-        p.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +210,7 @@ def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], op: str,
     out = Tensor(out_data)
     if _recording(inputs):
         out._needs_grad = True
-        _ACTIVE_TAPE._record(out, inputs, backward)
+        _ACTIVE_TAPE._record(out, backward)
     return out
 
 
@@ -252,10 +231,8 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         np.copyto(view, g)
     elif t.grad is None:
         t.grad = g.astype(t.data.dtype, copy=True)
-    elif t._grad_slot is not None:
-        t.grad += g
     else:
-        t.grad = t.grad + g
+        t.grad += g
 
 
 def _accumulate_product(t: Tensor, a: np.ndarray, b: np.ndarray) -> None:
@@ -531,8 +508,8 @@ def graph_conv(h: Tensor, weights: list[Tensor], label_bias: Tensor,
     layer did. Checked for non-finite values: the gate logits, before the
     clamped logistic turns an infinite one finite, and the pre-ReLU sum,
     which ``_RELU_PROBE`` sees as ``relu`` shows its input. A direction
-    with no edges puts none of its tensors on the tape; with no edges at
-    all the result is zeros and nothing is recorded.
+    with no edges gets no gradient; with no edges at all the result is
+    zeros and nothing is recorded.
     """
     gated = gate_weights is not None
     params = list(weights) + [label_bias]
@@ -614,14 +591,7 @@ def graph_conv(h: Tensor, weights: list[Tensor], label_bias: Tensor,
             _accumulate_product(h, dtransformed[rows_d], weights[d].data.T)
             _accumulate_product(weights[d], hd.T, dtransformed[rows_d])
 
-    # in the order the per-op layer first used them
-    first = present[0]
-    inputs = [h, weights[first], label_bias]
-    if gated:
-        inputs += [gate_weights[first], gate_label_bias]
-    for d in present[1:]:
-        inputs += [weights[d], gate_weights[d]] if gated else [weights[d]]
-    return _make(out, tuple(inputs), "graph_conv", backward)
+    return _make(out, (h, *params), "graph_conv", backward)
 
 
 def concat(parts: list[Tensor], axis: int = 1) -> Tensor:
@@ -864,17 +834,19 @@ class ParamStore(collections.abc.Mapping):
             self.grads = self.zeros()
             for name, t in self._tensors.items():
                 t._grad_slot = self.grads[name]
+                t.grad = None
         return self.grads
 
     def gradients(self) -> FlatArrays:
-        """The gradient buffer after a backward pass, with the views of the
-        tensors that the loss did not reach zero-filled."""
+        """The gradient buffer holding the sum of the backward passes since
+        the last call (zeros where none reached); clears every tensor's
+        ``grad``, so the next pass starts a new sum."""
         if self.grads is None:
             raise ContractError("gradients are not enabled on this store")
         for t in self._tensors.values():
-            view = _first_grad_view(t)
-            if view is not None:
-                view.fill(0)
+            if t.grad is None:
+                t._grad_slot.fill(0)
+            t.grad = None
         return self.grads
 
 
@@ -1018,32 +990,34 @@ def _kink_crossed(recs_plus: list, recs_minus: list, margin: float,
     return False
 
 
-def grad_check(f: Callable[[], Tensor], params: Mapping[str, Tensor],
-               h: float = 1e-5, kink_margin: float = 1e-4,
+def grad_check(f: Callable[[], Tensor], store: ParamStore, h: float = 1e-5,
+               kink_margin: float = 1e-4,
                noise_floor: float = 1e-6) -> GradCheckResult:
-    """Compare analytic gradients of ``f()`` against central differences.
+    """Compare the gradients ``store`` collects from one new backward pass of
+    ``f()`` against central differences, element by element over
+    ``store.flat``, naming the worst element's tensor from its layout.
 
     ``f`` must rebuild its computation from the current parameter values on
     every call and be deterministic (fix any dropout outside of ``f``).
     Entries whose perturbation crosses or grazes a ReLU kink are skipped and
     counted. Entries where both gradients are below ``noise_floor`` are
     treated as matching zeros, since there the central difference is pure
-    float roundoff. Use float64 parameters for tight tolerances.
+    float roundoff. Use a float64 store for tight tolerances.
     """
-    trainables = {k: p for k, p in params.items() if p.trainable}
-    zero_grads(trainables)
+    store.enable_grad()
+    store.gradients()          # drops what earlier passes left uncollected
     with Tape() as tape:
         loss = f()
-    analytic = tape.gradients(loss)
+    tape.gradients(loss)
+    analytic = store.gradients().flat
 
+    flat = store.flat
     worst = 0.0
     worst_param = ""
     checked = 0
     skipped = 0
-    for name, p in trainables.items():
-        flat = p.data.reshape(-1)
-        ana = analytic.get(name, np.zeros_like(p.data)).reshape(-1)
-        for j in range(flat.shape[0]):
+    for name, (lo, shape) in store.layout.items():
+        for j in range(lo, lo + math.prod(shape)):
             orig = flat[j]
             flat[j] = orig + h
             fp, relus_p = _probed_eval(f, name)
@@ -1054,14 +1028,13 @@ def grad_check(f: Callable[[], Tensor], params: Mapping[str, Tensor],
                 skipped += 1
                 continue
             numeric = (fp - fm) / (2.0 * h)
-            a = float(ana[j])
+            a = float(analytic[j])
             denom = max(abs(a), abs(numeric))
             rel = 0.0 if denom < noise_floor else abs(a - numeric) / denom
             checked += 1
             if rel > worst:
                 worst = rel
                 worst_param = name
-    zero_grads(trainables)
     return GradCheckResult(worst, worst_param, checked, skipped)
 
 

@@ -74,6 +74,8 @@ class TrainConfig:
             raise ConfigError("seed must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.min_freq < 1:
+            raise ConfigError("min_freq must be >= 1")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError("dtype must be float32 or float64")
 
@@ -358,8 +360,9 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
           pretrained: np.ndarray | None = None) -> TrainResult:
     """Run the optimization loop and leave checkpoints/metrics in ``out_dir``.
 
-    Per epoch: seeded shuffle, per-instance updates (gradients summed over
-    each batch when batch_size > 1), one checkpoint, one metrics line. The
+    Per epoch: seeded shuffle, one backward pass per instance and one Adam
+    update per ``batch_size`` instances, on their gradients summed in the
+    store's buffer, then one checkpoint and one metrics line. The
     best epoch by dev F1 is copied to best.ckpt. Without dev data, runs in train-loss-only
     mode and best.ckpt tracks the last epoch.
     """
@@ -387,8 +390,6 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
     state = nm.AdamState(learning_rate=config.learning_rate)
     store = model.store
     store.enable_grad()
-    # batch_size > 1: the batch's per-instance gradients, summed in order
-    summed = store.zeros() if config.batch_size > 1 else None
     history: list[EpochMetrics] = []
     best_f1 = -1.0
     best_epoch = -1
@@ -399,11 +400,9 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(len(instances))
             total_loss = 0.0
-            pending = 0
             for pos, idx in enumerate(order):
                 inst = instances[idx]
                 mask = _word_unk_mask(inst, lexicon, config.unk_replace_rate, rng)
-                nm.zero_grads(store)
                 try:
                     with nm.Tape() as tape:
                         loss = model.instance_loss(
@@ -415,17 +414,8 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
                         f"epoch {epoch}, instance {idx}: {err}\nparameter "
                         f"norms:\n{_dump_param_norms(model)}") from err
                 total_loss += float(loss.data)
-                grads = store.gradients()
-                if summed is not None:
-                    if pending:
-                        summed.flat += grads.flat
-                    else:
-                        np.copyto(summed.flat, grads.flat)
-                pending += 1
-                if pending == config.batch_size or pos == len(order) - 1:
-                    nm.adam_step(store, grads if summed is None else summed,
-                                 state)
-                    pending = 0
+                if (pos + 1) % config.batch_size == 0 or pos == len(order) - 1:
+                    nm.adam_step(store, store.gradients(), state)
             dev_p = dev_r = dev_f1 = float("nan")
             if dev_sentences is not None:
                 # one instance at a time, like the updates: a batched pass

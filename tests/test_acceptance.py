@@ -40,8 +40,7 @@ def report(num: int, description: str, ok: bool, detail: str = ""):
 def test_criterion_01_gradient_integrity():
     start = time.monotonic()
     model, instance = fixtures.gradcheck_model(seed=7)
-    result = nm.grad_check(lambda: model.instance_loss(instance),
-                           model.parameters())
+    result = nm.grad_check(lambda: model.instance_loss(instance), model.store)
     elapsed = time.monotonic() - start
     report(1, "full-model gradient check",
            result.max_rel_err < 1e-4 and elapsed < 10.0,

@@ -7,7 +7,7 @@ from syngcn.bilstm import (LstmParams, bilstm_encode, init_lstm,
 from syngcn.errors import NumericsError, ShapeError
 
 from conftest import stored
-from test_numerics import masked_logistic
+from test_numerics import masked_logistic, store_of
 
 I, F, O, G = range(4)   # gate column blocks
 
@@ -144,11 +144,14 @@ class TestFusedMatchesPerGate:
         proj = nm.constant(rng.standard_normal((2 * 4, 1)), dtype=np.float64)
 
         def run(encode):
+            """The states, and the gradient of a new leaf x; the weights'
+            gradients are left in their ``grad``."""
             x = nm.parameter("x", x_data, np.float64)
             with nm.Tape() as tape:
                 out = encode(x)
-                grads = tape.gradients(nm.sum_all(out @ proj))
-            return out.data, grads
+                loss = nm.sum_all(out @ proj)
+            tape.gradients(loss)
+            return out.data, x.grad
 
         def reference(x):
             h = x
@@ -158,18 +161,16 @@ class TestFusedMatchesPerGate:
                               axis=1)
             return h
 
-        fused, fused_grads = run(lambda x: bilstm_encode(x, params))
-        ref, ref_grads = run(reference)
+        fused, fused_dx = run(lambda x: bilstm_encode(x, params))
+        ref, ref_dx = run(reference)
         np.testing.assert_allclose(fused, ref, rtol=1e-10, atol=0)
-        np.testing.assert_allclose(fused_grads["x"], ref_grads["x"], rtol=1e-10)
-        for j, layer in enumerate(params.layers):
-            for side, direction in zip("fb", layer):
-                for k, t in zip("wub", direction):
-                    want = np.concatenate(
-                        [ref_grads[f"{j}.{side}.{k}.{g}"] for g in range(4)],
-                        axis=1)
-                    np.testing.assert_allclose(fused_grads[t.name], want,
-                                               rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(fused_dx, ref_dx, rtol=1e-10)
+        for layer, ref_layer in zip(params.layers, per_gate):
+            for direction, ref_direction in zip(layer, ref_layer):
+                for t, gates in zip(direction, ref_direction):
+                    want = np.concatenate([g.grad for g in gates], axis=1)
+                    np.testing.assert_allclose(t.grad, want, rtol=1e-10,
+                                               atol=1e-14, err_msg=t.name)
 
 
 class TestBilstmEncode:
@@ -299,12 +300,13 @@ def step_by_step_lstm(x, w, u, b, reverse, dout):
 
 
 def lstm_with_grads(arrays, reverse, dout, lengths=None):
-    """``nm.lstm`` states and the gradients of sum(states * dout)."""
-    x, w, u, b = (nm.parameter(k, a) for k, a in zip("xwub", arrays))
+    """``nm.lstm`` states and the gradients of sum(states * dout), by name."""
+    leaves = {k: nm.parameter(k, a) for k, a in zip("xwub", arrays)}
     with nm.Tape() as tape:
-        h = nm.lstm(x, w, u, b, reverse=reverse, lengths=lengths)
-        grads = tape.gradients(nm.sum_all(h * nm.constant(dout)))
-    return h.data, grads
+        h = nm.lstm(*leaves.values(), reverse=reverse, lengths=lengths)
+        loss = nm.sum_all(h * nm.constant(dout))
+    tape.gradients(loss)
+    return h.data, {k: t.grad for k, t in leaves.items()}
 
 
 def random_direction_arrays(n, input_dim, d, rng, dtype):
@@ -348,11 +350,11 @@ class TestBatchedLstm:
         rng = np.random.default_rng(21)
         arrays = random_direction_arrays(sum(self.LENGTHS), 3, 2, rng,
                                          np.float64)
-        params = {k: nm.parameter(k, a) for k, a in zip("xwub", arrays)}
+        store = store_of(**dict(zip("xwub", arrays)))
         proj = nm.constant(rng.standard_normal((2, 1)))
         result = nm.grad_check(
-            lambda: nm.sum_all(nm.lstm(*params.values(), reverse=reverse,
-                                       lengths=self.LENGTHS) @ proj), params)
+            lambda: nm.sum_all(nm.lstm(*store.values(), reverse=reverse,
+                                       lengths=self.LENGTHS) @ proj), store)
         assert result.max_rel_err < 1e-6
 
     @pytest.mark.parametrize("reverse", [False, True])

@@ -12,6 +12,7 @@ from syngcn.conll import Lexicon, parse_conll_file
 from syngcn.errors import FormatError
 
 from conftest import small_config
+from test_conll import make_sentence
 from syngcn.trainer import save_config
 
 
@@ -212,6 +213,30 @@ class TestPredictEvaluate:
         tsv = (out / "scores.tsv").read_text().strip().split("\n")
         assert all(len(line.split("\t")) == 3 for line in tsv)
 
+    # the gold file holds two copies of one 4-token sentence, its predicate
+    # at token 2; each predicted file differs from it in sentence 2
+    EVAL_ROWS = [("a", "a", "N", 2, "SBJ", "_", "_"),
+                 ("v", "v", "V", 0, "ROOT", "Y", "v.01"),
+                 ("b", "b", "N", 2, "OBJ", "_", "_"),
+                 ("c", "c", "N", 3, "NMOD", "_", "_")]
+    EVAL_ROLES = [["A0"], ["_"], ["A1"], ["_"]]
+
+    @pytest.mark.parametrize("second,message", [
+        ((EVAL_ROWS[:3], EVAL_ROLES[:3]), "sentence 2 has 3 tokens"),
+        (([r[:5] + ("_", "_") for r in EVAL_ROWS], None),
+         "sentence 2 has 4 tokens with predicates at []"),
+        (None, "1 sentences"),
+    ], ids=["shorter", "no predicate", "fewer sentences"])
+    def test_evaluate_misaligned_prediction_exits_one(self, tmp_path, caplog,
+                                                      second, message):
+        sentence = make_sentence(self.EVAL_ROWS, self.EVAL_ROLES)
+        gold, pred = tmp_path / "gold.conll", tmp_path / "pred.conll"
+        gold.write_text(sentence * 2)
+        pred.write_text(sentence + (make_sentence(*second) if second else ""))
+        code = run(["evaluate", "--test", str(gold), "--pred", str(pred)])
+        assert code == 1
+        assert f"{pred}: {message}" in caplog.text
+
     def test_evaluate_needs_exactly_one_source(self, data_dir):
         assert run(["evaluate", "--test", str(data_dir / "overfit.conll")]) == 1
 
@@ -271,16 +296,35 @@ class TestMalformedFiles:
         assert run(argv) == 1
         assert "expected" in caplog.text
 
-    def test_non_numeric_embedding_exits_one(self, data_dir, tmp_path, caplog):
+    @staticmethod
+    def _train_with_embedding(value, data_dir, tmp_path):
+        """Exit code of training on an embedding file whose second line
+        holds ``value``, and that file's path."""
         cfg_path = tmp_path / "train.conf"
         save_config(small_config(d_w=2, epochs=1), cfg_path)
         emb = tmp_path / "emb.txt"
-        emb.write_text("the 0.1 0.2\ncat 0.3 x\n")
+        emb.write_text(f"the 0.1 0.2\ncat 0.3 {value}\n")
         code = run(["train", "--config", str(cfg_path),
                     "--train", str(data_dir / "overfit.conll"),
                     "--embeddings", str(emb), "--out", str(tmp_path / "model")])
+        return code, emb
+
+    def test_non_numeric_embedding_exits_one(self, data_dir, tmp_path, caplog):
+        code, emb = self._train_with_embedding("x", data_dir, tmp_path)
         assert code == 1
         assert f"{emb}:2:" in caplog.text
+        assert not (tmp_path / "model").exists()
+
+    # 1e39 is a finite float64, but beyond the float32 table's range
+    @pytest.mark.parametrize("value,message", [
+        ("nan", "{emb}:2: non-finite"), ("1e400", "{emb}:2: non-finite"),
+        ("1e39", "'cat' has a value outside the float32 range")],
+        ids=["nan", "1e400", "1e39"])
+    def test_non_finite_embedding_exits_one(self, data_dir, tmp_path, caplog,
+                                            value, message):
+        code, emb = self._train_with_embedding(value, data_dir, tmp_path)
+        assert code == 1
+        assert message.format(emb=emb) in caplog.text
         assert not (tmp_path / "model").exists()
 
     def test_non_utf8_conll_exits_one(self, tiny_run, data_dir, tmp_path,

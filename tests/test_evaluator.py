@@ -96,6 +96,16 @@ class TestScore:
         with pytest.raises(ContractError, match="mismatch"):
             score(extra, pred)
 
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_prediction_of_another_length_rejected(self, length):
+        gold = corpus_with_roles([["A0", "_", "A1", "_"]])
+        pred = predictions_from_strings(gold, [["A0", "_", "A1", "_", "_"]
+                                               [:length]])
+        with pytest.raises(ContractError, match=f"{length} roles predicted"):
+            score(gold, pred)
+        with pytest.raises(ContractError, match=f"{length} roles predicted"):
+            distance_buckets(gold, pred)
+
     def test_instance_order_blind_micro_counts(self):
         rows = [["A0", "_", "A1", "_"], ["_", "_", "A1", "_"],
                 ["A0", "_", "_", "A2"]]

@@ -365,22 +365,33 @@ ORACLE_GRAPHS = oracle_graphs()
 
 def run_layers(layer_fn, graph, depth, dtype, gates_enabled):
     """Output and gradients (every layer tensor and the input ``h``) of
-    sum(stack(h) @ proj) under ``layer_fn``, on weights fixed by seed."""
+    sum(stack(h) @ proj) under ``layer_fn``, on weights fixed by seed. The
+    tensors are views of one store with gradients enabled, so the backward
+    pass writes into its buffer in place, as in training, and the gradients
+    are the buffer ``store.gradients()`` collects."""
     rng = np.random.default_rng(41)
     m = 6
-    stack = init_gcn_stack(depth, m, graph.num_labels, m, rng, dtype=dtype)
-    for layer in stack.layers:
-        layer.label_bias.data[:] = rng.uniform(-0.5, 0.5, layer.label_bias.shape)
-        layer.gate_label_bias.data[:] = rng.uniform(
-            -0.5, 0.5, layer.gate_label_bias.shape)
-    h = nm.parameter("h", rng.uniform(-1, 1, (graph.n, m)), dtype)
+
+    def build():
+        stack = init_gcn_stack(depth, m, graph.num_labels, m, rng, dtype=dtype)
+        for layer in stack.layers:
+            layer.label_bias.data[:] = rng.uniform(-0.5, 0.5,
+                                                   layer.label_bias.shape)
+            layer.gate_label_bias.data[:] = rng.uniform(
+                -0.5, 0.5, layer.gate_label_bias.shape)
+        return stack, nm.parameter("h", rng.uniform(-1, 1, (graph.n, m)))
+
+    (stack, h), store = stored(
+        depth * layer_size(m, graph.num_labels) + graph.n * m, dtype, build)
+    store.enable_grad()
     proj = nm.constant(rng.standard_normal((m, 1)), dtype=dtype)
     with nm.Tape() as tape:
         out = h
         for layer in stack.layers:
             out = layer_fn(out, graph, layer, gates_enabled)
-        grads = tape.gradients(nm.sum_all(out @ proj))
-    return out.data, grads
+        loss = nm.sum_all(out @ proj)
+    tape.gradients(loss)
+    return out.data, store.gradients()
 
 
 class TestFusedMatchesPerOp:
@@ -395,7 +406,6 @@ class TestFusedMatchesPerOp:
         want, want_grads = run_layers(per_op_gcn_layer, graph, depth,
                                       np.float64, gates_enabled)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
-        assert list(got_grads) == list(want_grads)
         for key in want_grads:
             np.testing.assert_allclose(got_grads[key], want_grads[key],
                                        rtol=1e-10, atol=0, err_msg=key)
@@ -411,18 +421,19 @@ class TestFusedMatchesPerOp:
         want, want_grads = run_layers(per_op_gcn_layer, graph, depth,
                                       np.float32, gates_enabled)
         assert got.tobytes() == want.tobytes()
-        assert list(got_grads) == list(want_grads)
         for key in want_grads:
             assert got_grads[key].tobytes() == want_grads[key].tobytes(), key
+        assert got_grads.flat.tobytes() == want_grads.flat.tobytes()
 
     @pytest.mark.parametrize("gates_enabled", [True, False])
-    def test_direction_without_edges_stays_off_the_tape(self, gates_enabled):
+    def test_direction_without_edges_gets_zero_gradient(self, gates_enabled):
         _, grads = run_layers(gcn_layer, ORACLE_GRAPHS["no along"], 1,
                               np.float32, gates_enabled)
-        assert "gcn.0.w_along" not in grads
-        assert "gcn.0.gate_w_along" not in grads
-        assert ("gcn.0.gate_w_self" in grads) == gates_enabled
-        assert ("gcn.0.gate_label_bias" in grads) == gates_enabled
+        assert not grads["gcn.0.w_along"].any()
+        assert not grads["gcn.0.gate_w_along"].any()
+        assert grads["gcn.0.w_self"].any()
+        assert grads["gcn.0.gate_w_self"].any() == gates_enabled
+        assert grads["gcn.0.gate_label_bias"].any() == gates_enabled
 
     def test_no_edges_records_nothing(self):
         graph = ORACLE_GRAPHS["no edges"]
@@ -430,7 +441,7 @@ class TestFusedMatchesPerOp:
         h = nm.parameter("h", np.ones((7, 4)), np.float32)
         with nm.Tape() as tape:
             out = gcn_layer(h, graph, params)
-        assert tape._nodes == [] and tape.parameters == {}
+        assert tape._nodes == []
         assert out.data.tobytes() == np.zeros((7, 4), np.float32).tobytes()
 
     @pytest.mark.parametrize("projection", [False, True])
@@ -448,15 +459,19 @@ class TestFusedMatchesPerOp:
     def test_gradient_check(self, gates_enabled):
         rng = np.random.default_rng(44)
         graph, _ = random_graph(5, rng)
-        params, store = stored_layer(graph, 3, rng, dtype=np.float64)
-        params.label_bias.data[:] = rng.uniform(-0.3, 0.3,
-                                                params.label_bias.shape)
-        h = nm.parameter("h", rng.standard_normal((5, 3)), np.float64)
+
+        def build():
+            params = layer_for(graph, 3, rng, np.float64)
+            params.label_bias.data[:] = rng.uniform(-0.3, 0.3,
+                                                    params.label_bias.shape)
+            return params, nm.parameter("h", rng.standard_normal((5, 3)))
+
+        (params, h), store = stored(layer_size(3, graph.num_labels) + 5 * 3,
+                                    np.float64, build)
         proj = nm.constant(rng.standard_normal((3, 1)), dtype=np.float64)
         result = nm.grad_check(
             lambda: nm.sum_all(gcn_layer(h, graph, params, gates_enabled)
-                               @ proj),
-            {"h": h, **store})
+                               @ proj), store)
         assert result.max_rel_err < 1e-6
         assert result.checked > 0
 

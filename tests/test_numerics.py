@@ -87,9 +87,9 @@ class TestMatmul:
         b = nm.parameter("b", np.array([[1.0], [1.0]]))
         with nm.Tape() as tape:
             loss = nm.sum_all(nm.matmul(a, b))
-        grads = tape.gradients(loss)
-        assert np.array_equal(grads["a"], np.ones((2, 2)))
-        assert np.array_equal(grads["b"], np.array([[4.0], [6.0]]))
+        tape.gradients(loss)
+        assert np.array_equal(a.grad, np.ones((2, 2)))
+        assert np.array_equal(b.grad, np.array([[4.0], [6.0]]))
 
 
 class TestRelu:
@@ -106,14 +106,15 @@ class TestRelu:
         x = nm.parameter("x", np.array([[-1.0, 2.0]]))
         with nm.Tape() as tape:
             loss = nm.sum_all(nm.relu(x))
-        grads = tape.gradients(loss)
-        assert np.array_equal(grads["x"], np.array([[0.0, 1.0]]))
+        tape.gradients(loss)
+        assert np.array_equal(x.grad, np.array([[0.0, 1.0]]))
 
     def test_subgradient_at_zero_is_zero(self):
         x = nm.parameter("x", np.array([[0.0]]))
         with nm.Tape() as tape:
             loss = nm.sum_all(nm.relu(x))
-        assert tape.gradients(loss)["x"][0, 0] == 0.0
+        tape.gradients(loss)
+        assert x.grad[0, 0] == 0.0
 
 
 class TestSigmoid:
@@ -170,10 +171,9 @@ class TestSoftmaxCrossEntropy:
             nm.softmax_cross_entropy(nm.Tensor([[0.0, 1.0]]), -1)
 
     def test_gradient_matches_central_differences(self):
-        logits = nm.parameter("l", np.array([[0.3, -1.2, 2.0]]),
-                              dtype=np.float64)
+        store = store_of(l=np.array([[0.3, -1.2, 2.0]]))
         result = nm.grad_check(
-            lambda: nm.softmax_cross_entropy(logits, 1), {"l": logits})
+            lambda: nm.softmax_cross_entropy(store["l"], 1), store)
         assert result.max_rel_err < 1e-4
 
     def test_rows_version_matches_single(self):
@@ -221,6 +221,12 @@ def textbook_adam(params: dict, grads: dict, m: dict, v: dict, step: int,
         v[k] *= 0.999
         v[k] += (1.0 - 0.999) * (g * g)
         params[k] -= lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + 1e-8)
+
+
+def grads_or_zeros(params: dict) -> dict:
+    """Each tensor's gradient by name, zeros for one the loss did not reach."""
+    return {k: np.zeros_like(t.data) if t.grad is None else t.grad
+            for k, t in params.items()}
 
 
 def store_of(dtype=np.float64, **arrays) -> nm.ParamStore:
@@ -367,27 +373,68 @@ class TestParamStore:
         x = nm.constant(np.random.default_rng(4).uniform(-1, 1, (3, 2)), dtype)
         state = nm.AdamState(learning_rate=0.01)
         for step in range(1, 5):
-            nm.zero_grads(store)
             with nm.Tape() as tape:
                 loss = self._loss(ours, x, step)
             tape.gradients(loss)
             nm.adam_step(store, store.gradients(), state)
             assert not grads["unused"].any()
             assert grads["dead"].any() == grads["sometimes"].any() == step % 2
+            assert all(t.grad is None for t in ours.values())
 
-            nm.zero_grads(ref)
+            for t in ref.values():
+                t.grad = None
             with nm.Tape() as tape:
                 loss = self._loss(ref, x, step)
-            fresh = tape.gradients(loss)
-            assert "unused" not in fresh
+            tape.gradients(loss)
+            assert ref["unused"].grad is None
             textbook_adam({k: t.data for k, t in ref.items()},
-                          {k: fresh.get(k, np.zeros_like(t.data))
-                           for k, t in ref.items()},
-                          ref_m, ref_v, step, 0.01)
+                          grads_or_zeros(ref), ref_m, ref_v, step, 0.01)
             for k in start:
                 assert ours[k].data.tobytes() == ref[k].data.tobytes(), (step, k)
                 assert state.m[k].tobytes() == ref_m[k].tobytes(), (step, k)
                 assert state.v[k].tobytes() == ref_v[k].tobytes(), (step, k)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_passes_are_collected_as_their_sum(self, dtype):
+        # step 1 reaches "dead" and "sometimes", step 2 neither; "unused" is
+        # reached by no pass, and the buffer starts dirty to show it is
+        # zero-filled, not left alone
+        start = self._start(dtype)
+        store = store_of(dtype, **start)
+        ours = dict(store)
+        x = nm.constant(np.random.default_rng(4).uniform(-1, 1, (3, 2)), dtype)
+        separate = []
+        for step in (1, 2):
+            with nm.Tape() as tape:
+                loss = self._loss(ours, x, step)
+            tape.gradients(loss)
+            separate.append(store.gradients().flat.copy())
+        store.grads.flat[:] = np.nan
+        for step in (1, 2):
+            with nm.Tape() as tape:
+                loss = self._loss(ours, x, step)
+            tape.gradients(loss)
+            assert ours["w"].grad is store.grads["w"]
+        total = store.gradients()
+        assert total is store.grads
+        assert all(t.grad is None for t in ours.values())
+        summed = nm.FlatArrays(separate[0] + separate[1], store.layout)
+        # a tensor with one contribution per pass gets the same sum bit for
+        # bit; the table and w get two per pass, added one by one
+        for k in ("lstm.w", "lstm.u", "lstm.b", "dead", "sometimes"):
+            assert total[k].tobytes() == summed[k].tobytes(), k
+        np.testing.assert_allclose(total.flat, summed.flat,
+                                   rtol=1e-5 if dtype == np.float32 else 1e-12)
+        assert not total["unused"].any()
+        # nothing since the last collection: every view reads zero
+        assert not store.gradients().flat.any()
+
+    def test_gradients_need_enable_grad(self):
+        store = nm.ParamStore(2, np.float32)
+        with store:
+            nm.parameter("w", np.ones(2))
+        with pytest.raises(ContractError, match="not enabled"):
+            store.gradients()
 
     def test_tensors_are_views_of_one_array(self):
         start = self._start(np.float32)
@@ -436,22 +483,31 @@ class TestTape:
         x = nm.parameter("x", np.array([[2.0]]))
         with nm.Tape() as tape:
             loss = nm.sum_all(x * x)
-        tape.backward(loss)
+        assert tape.gradients(loss) is None
         with pytest.raises(ContractError):
-            tape.backward(loss)
+            tape.gradients(loss)
 
     def test_scalar_required(self):
         x = nm.parameter("x", np.ones((2, 2)))
         with nm.Tape() as tape:
             y = x * x
         with pytest.raises(ShapeError):
-            tape.backward(y)
+            tape.gradients(y)
 
     def test_gradient_accumulates_over_reuse(self):
         x = nm.parameter("x", np.array([[3.0]]))
         with nm.Tape() as tape:
             loss = nm.sum_all(x * x + x * x)   # d/dx = 4x
-        assert tape.gradients(loss)["x"][0, 0] == pytest.approx(12.0)
+        tape.gradients(loss)
+        assert x.grad[0, 0] == pytest.approx(12.0)
+
+    def test_standalone_leaf_accumulates_over_passes(self):
+        x = nm.parameter("x", np.array([[3.0]]))
+        for _ in range(2):
+            with nm.Tape() as tape:
+                loss = nm.sum_all(x * x)       # d/dx = 2x per pass
+            tape.gradients(loss)
+        assert x.grad[0, 0] == pytest.approx(12.0)
 
     def test_nested_tapes_rejected(self):
         with nm.Tape():
@@ -486,16 +542,17 @@ class TestFiniteChecks:
 
 class TestGradCheck:
     def test_quadratic_bowl(self):
-        w = nm.parameter("w", np.array([[0.4, -1.3, 2.2]]), dtype=np.float64)
-        result = nm.grad_check(lambda: nm.sum_all(w * w), {"w": w})
+        store = store_of(w=np.array([[0.4, -1.3, 2.2]]))
+        w = store["w"]
+        result = nm.grad_check(lambda: nm.sum_all(w * w), store)
         assert result.max_rel_err < 1e-8
         assert result.skipped == 0
         assert result.checked == 3
 
     def test_kink_entries_skipped_and_counted(self):
-        x = nm.parameter("x", np.array([[-1.0, 2.0, 1e-5, -5e-5, 0.5]]),
-                         dtype=np.float64)
-        result = nm.grad_check(lambda: nm.sum_all(nm.relu(x)), {"x": x})
+        store = store_of(x=np.array([[-1.0, 2.0, 1e-5, -5e-5, 0.5]]))
+        x = store["x"]
+        result = nm.grad_check(lambda: nm.sum_all(nm.relu(x)), store)
         assert result.skipped == 2        # the two |x| < 1e-4 entries
         assert result.checked == 3
         assert result.max_rel_err < 1e-8
@@ -503,7 +560,8 @@ class TestGradCheck:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_objective_names_parameter(self):
         # finite at the base point (relu output 0), overflows at w + h
-        w = nm.parameter("bad_param", np.array([[0.5]]), dtype=np.float64)
+        store = store_of(ok=np.array([[1.0]]), bad_param=np.array([[0.5]]))
+        w = store["bad_param"]
         big = nm.Tensor(np.full((1, 1), 1e160), dtype=np.float64)
         half = nm.Tensor(np.full((1, 1), 0.5), dtype=np.float64)
 
@@ -512,7 +570,7 @@ class TestGradCheck:
             return nm.sum_all(nm.mul(spike, spike))
 
         with pytest.raises(NumericsError, match="bad_param"):
-            nm.grad_check(f, {"bad_param": w})
+            nm.grad_check(f, store)
 
 
 class TestCheckpointContainer:
@@ -650,7 +708,6 @@ class TestDeterminism:
         target = nm.Tensor(rng.uniform(-1, 1, (4, 4)).astype(np.float32))
         state = nm.AdamState(learning_rate=0.05)
         for _ in range(25):
-            nm.zero_grads(store)
             with nm.Tape() as tape:
                 diff = w - target
                 loss = nm.sum_all(diff * diff)

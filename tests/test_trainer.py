@@ -17,7 +17,7 @@ from syngcn.trainer import (Instance, SrlModel, TrainConfig, load_config,
 
 from conftest import parse_text, small_config
 from test_conll import make_sentence
-from test_numerics import textbook_adam
+from test_numerics import grads_or_zeros, textbook_adam
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -91,6 +91,9 @@ class TestConfig:
             for value in ("nan", "inf", "-0.1", "1.5"):
                 with pytest.raises(ConfigError, match=key):
                     parse_config_text(f"{key} = {value}\n")
+        for value in ("-3", "0"):
+            with pytest.raises(ConfigError, match="min_freq"):
+                parse_config_text(f"min_freq = {value}\n")
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(
@@ -183,7 +186,6 @@ class TestModel:
         state = nm.AdamState(learning_rate=0.005)
         losses = []
         for _ in range(11):
-            nm.zero_grads(store)
             with nm.Tape() as tape:
                 loss = model.instance_loss(inst)
             losses.append(float(loss.data))
@@ -304,9 +306,9 @@ class TestModel:
 
 def reference_run(sentences, cfg: TrainConfig):
     """``train``'s updates on per-tensor copies of the weights, off the
-    store: fresh gradient arrays from a tape per instance, summed per batch,
-    and the textbook Adam. The model, and the names that got no gradient in
-    some instance."""
+    store: fresh gradient arrays in each tensor's ``grad`` per instance,
+    summed per batch, and the textbook Adam. The model, and the names that
+    got no gradient in some instance."""
     lexicon = build_lexicon(sentences, min_freq=cfg.min_freq)
     rng = np.random.default_rng(cfg.seed)
     model = SrlModel(cfg, lexicon, rng)
@@ -324,15 +326,15 @@ def reference_run(sentences, cfg: TrainConfig):
             inst = instances[idx]
             mask = trainer._word_unk_mask(inst, lexicon, cfg.unk_replace_rate,
                                           rng)
-            nm.zero_grads(params)
+            for t in params.values():
+                t.grad = None
             with nm.Tape() as tape:
                 loss = model.instance_loss(inst, graphs[inst.sentence_id],
                                            training=True, rng=rng,
                                            word_unk_mask=mask)
-            fresh = tape.gradients(loss)
-            unreached |= set(params) - set(fresh)
-            batch.append({k: fresh.get(k, np.zeros_like(t.data))
-                          for k, t in params.items()})
+            tape.gradients(loss)
+            unreached |= {k for k, t in params.items() if t.grad is None}
+            batch.append(grads_or_zeros(params))
             if len(batch) == cfg.batch_size or pos == len(order) - 1:
                 total = batch[0]
                 for g in batch[1:]:
@@ -349,9 +351,12 @@ class TestFlatStore:
         dict(dtype="float32"),
         dict(dtype="float64"),
         dict(dtype="float32", batch_size=2),
+        dict(dtype="float32", batch_size=2, gcn_layers=2),
+        dict(dtype="float32", batch_size=2, lstm_layers=0),
         dict(dtype="float32", edge_dropout=1.0, batch_size=3),
         dict(dtype="float32", edge_dropout=0.9),
-    ], ids=["float32", "float64", "batch2", "no edges", "few edges"])
+    ], ids=["float32", "float64", "batch2", "batch2 K2", "batch2 J0",
+            "no edges", "few edges"])
     def test_run_matches_per_tensor_reference(self, overfit_sentences,
                                               tmp_path, overrides):
         cfg = small_config(d_w=8, d_pos=4, d_l=8, d_h=8, d_r=8, d_l_out=8,
@@ -377,18 +382,17 @@ class TestFlatStore:
         grads = model.store.enable_grad()
         state = nm.AdamState(learning_rate=0.01)
         for step in range(1, 4):
-            nm.zero_grads(model.store)
             with nm.Tape() as tape:
                 loss = model.instance_loss(instance)
             tape.gradients(loss)
             nm.adam_step(model.store, model.store.gradients(), state)
-            nm.zero_grads(params)
+            for t in params.values():
+                t.grad = None
             with nm.Tape() as tape:
                 loss = ref.instance_loss(instance)
-            fresh = tape.gradients(loss)
+            tape.gradients(loss)
             textbook_adam({k: t.data for k, t in params.items()},
-                          {k: fresh.get(k, np.zeros_like(t.data))
-                           for k, t in params.items()}, m, v, step, 0.01)
+                          grads_or_zeros(params), m, v, step, 0.01)
             for k, t in params.items():
                 assert model.store[k].data.tobytes() == t.data.tobytes(), k
                 assert grads[k].dtype == np.float64
