@@ -18,11 +18,12 @@ print("loss:", float(loss.data))
 print("dL/dw:\n", w.grad)
 
 print("\n== the optimizer walks a bowl ==")
-# trainable tensors live in a ParamStore: views into one flat array, with a
-# flat gradient buffer that backward writes and store.gradients() collects
-store = nm.ParamStore(2, np.float64)
-with store:
-    w = nm.parameter("w", np.array([3.0, -2.0]))
+# trainable tensors live in a ParamStore, laid out from (name, shape) pairs:
+# views into one flat array, with a flat gradient buffer that backward
+# writes and store.gradients() collects
+store = nm.ParamStore([("w", (2,))], np.float64)
+w = store["w"]
+w.data[:] = [3.0, -2.0]
 store.enable_grad()
 state = nm.AdamState(learning_rate=0.05)
 for step in range(200):
@@ -36,10 +37,10 @@ print(f"after {state.step_count} steps: w = {w.data.round(6)}")
 
 print("\n== gradient checking (finite differences vs the tape) ==")
 rng = np.random.default_rng(0)
-checked_store = nm.ParamStore(9 + 3, np.float64)
-with checked_store:
-    a = nm.parameter("a", rng.standard_normal((3, 3)))
-    b = nm.parameter("b", rng.standard_normal((3, 1)))
+checked_store = nm.ParamStore([("a", (3, 3)), ("b", (3, 1))], np.float64)
+a, b = checked_store["a"], checked_store["b"]
+for t in (a, b):
+    t.data[:] = rng.standard_normal(t.shape)
 
 
 def objective():

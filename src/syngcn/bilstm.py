@@ -19,22 +19,14 @@ from . import numerics as nm
 Direction = tuple[nm.Tensor, nm.Tensor, nm.Tensor]   # (w, u, b)
 
 
-def init_lstm_direction(prefix: str, input_dim: int, d_h: int,
-                        rng: np.random.Generator,
-                        dtype=np.float32) -> Direction:
-    """Uniform [-0.05, 0.05] weights; forget-gate bias starts at 1. Drawn one
-    gate block at a time (w, u for i, f, o, g): float64 draws stay gate-sized.
-    """
-    w = np.empty((input_dim, 4 * d_h), dtype)
-    u = np.empty((d_h, 4 * d_h), dtype)
-    for k in range(4):
-        block = slice(k * d_h, (k + 1) * d_h)
-        w[:, block] = rng.uniform(-0.05, 0.05, (input_dim, d_h))
-        u[:, block] = rng.uniform(-0.05, 0.05, (d_h, d_h))
-    b = np.zeros((1, 4 * d_h), dtype)
-    b[:, d_h:2 * d_h] = 1.0
-    return (nm.parameter(f"{prefix}.w", w), nm.parameter(f"{prefix}.u", u),
-            nm.parameter(f"{prefix}.b", b))
+def lstm_layout(input_dim: int, d_h: int, num_layers: int) -> nm.Layout:
+    """Layer by layer, forward then backward direction."""
+    for j in range(num_layers):
+        dim = input_dim if j == 0 else 2 * d_h
+        for side in ("fw", "bw"):
+            yield f"lstm.{j}.{side}.w", (dim, 4 * d_h)
+            yield f"lstm.{j}.{side}.u", (d_h, 4 * d_h)
+            yield f"lstm.{j}.{side}.b", (1, 4 * d_h)
 
 
 @dataclass
@@ -44,15 +36,31 @@ class LstmParams:
     layers: list[tuple[Direction, Direction]]  # (forward, backward)
 
 
-def init_lstm(input_dim: int, d_h: int, num_layers: int,
-              rng: np.random.Generator, dtype=np.float32) -> LstmParams:
-    layers = []
-    for j in range(num_layers):
-        dim = input_dim if j == 0 else 2 * d_h
-        fw = init_lstm_direction(f"lstm.{j}.fw", dim, d_h, rng, dtype)
-        bw = init_lstm_direction(f"lstm.{j}.bw", dim, d_h, rng, dtype)
-        layers.append((fw, bw))
-    return LstmParams(layers)
+def lstm_params(tensors, num_layers: int) -> LstmParams:
+    return LstmParams([tuple(tuple(tensors[f"lstm.{j}.{side}.{k}"]
+                                   for k in "wub")
+                             for side in ("fw", "bw"))
+                       for j in range(num_layers)])
+
+
+def init_lstm_direction(direction: Direction,
+                        rng: np.random.Generator) -> None:
+    """Uniform [-0.05, 0.05] weights, drawn one gate block at a time (w, u
+    for i, f, o, g) so float64 draws stay gate-sized; the forget-gate bias
+    is set to 1, the other biases keep the store's zeros."""
+    w, u, b = (t.data for t in direction)
+    d_h = u.shape[0]
+    for k in range(4):
+        block = slice(k * d_h, (k + 1) * d_h)
+        w[:, block] = rng.uniform(-0.05, 0.05, (w.shape[0], d_h))
+        u[:, block] = rng.uniform(-0.05, 0.05, (d_h, d_h))
+    b[:, d_h:2 * d_h] = 1.0
+
+
+def init_lstm(params: LstmParams, rng: np.random.Generator) -> None:
+    for layer in params.layers:
+        for direction in layer:
+            init_lstm_direction(direction, rng)
 
 
 def bilstm_encode(x: nm.Tensor, params: LstmParams,

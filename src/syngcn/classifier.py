@@ -28,22 +28,26 @@ class ClassifierParams:
         return self.role_table.shape[0]
 
 
-def init_classifier(encoded_width: int, d_l_out: int, d_r: int,
-                    lexicon: Lexicon, rng: np.random.Generator,
-                    dtype=np.float32) -> ClassifierParams:
+def classifier_layout(encoded_width: int, d_l_out: int, d_r: int,
+                      lexicon: Lexicon) -> nm.Layout:
     """``encoded_width`` is the width m of one encoder state; the transform
     output is 2m for the (argument ++ predicate) concatenation."""
-    return ClassifierParams(
-        pair_transform=nm.parameter(
-            "cls.pair_transform",
-            rng.uniform(-0.05, 0.05, (d_l_out + d_r, 2 * encoded_width)), dtype),
-        lemma_table=nm.parameter(
-            "cls.lemma", rng.uniform(-0.01, 0.01, (lexicon.size("plemma"), d_l_out)),
-            dtype),
-        role_table=nm.parameter(
-            "cls.role", rng.uniform(-0.01, 0.01, (lexicon.size("role"), d_r)),
-            dtype),
-    )
+    return [("cls.pair_transform", (d_l_out + d_r, 2 * encoded_width)),
+            ("cls.lemma", (lexicon.size("plemma"), d_l_out)),
+            ("cls.role", (lexicon.size("role"), d_r))]
+
+
+def classifier_params(tensors) -> ClassifierParams:
+    return ClassifierParams(tensors["cls.pair_transform"],
+                            tensors["cls.lemma"], tensors["cls.role"])
+
+
+def init_classifier(params: ClassifierParams,
+                    rng: np.random.Generator) -> None:
+    """Uniform [-0.05, 0.05] transform, [-0.01, 0.01] lemma and role tables."""
+    for t, bound in ((params.pair_transform, 0.05), (params.lemma_table, 0.01),
+                     (params.role_table, 0.01)):
+        t.data[...] = rng.uniform(-bound, bound, t.shape)
 
 
 def _pair_matrix(lemma_id: int, params: ClassifierParams) -> nm.Tensor:

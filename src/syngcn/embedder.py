@@ -88,39 +88,48 @@ def load_pretrained(path, lexicon: Lexicon, expected_dim: int | None = None
     return table, report
 
 
+def tables_layout(lexicon: Lexicon, d_w: int, d_pos: int, d_l: int
+                  ) -> nm.Layout:
+    return [("embed.word", (lexicon.size("word"), d_w)),
+            ("embed.pos", (lexicon.size("pos"), d_pos)),
+            ("embed.lemma", (lexicon.size("lemma"), d_l))]
+
+
+@dataclass
 class EmbeddingTables:
     """The four lookup tables; only the pretrained word table is frozen."""
 
-    def __init__(self, lexicon: Lexicon, d_w: int, d_pos: int, d_l: int,
-                 rng: np.random.Generator, dtype=np.float32,
-                 pretrained: np.ndarray | None = None):
-        self.d_w, self.d_pos, self.d_l = d_w, d_pos, d_l
-        self.dtype = np.dtype(dtype)
+    word: nm.Tensor
+    pos: nm.Tensor
+    lemma: nm.Tensor
+    word_pretrained: nm.Tensor
 
-        def table(name, rows, cols):
-            data = rng.uniform(-0.01, 0.01, size=(rows, cols))
-            return nm.parameter(name, data, dtype=self.dtype)
 
-        self.word = table("embed.word", lexicon.size("word"), d_w)
-        self.pos = table("embed.pos", lexicon.size("pos"), d_pos)
-        self.lemma = table("embed.lemma", lexicon.size("lemma"), d_l)
-        if pretrained is None:
-            pretrained = np.zeros((lexicon.size("word"), d_w))
-        if pretrained.shape != (lexicon.size("word"), d_w):
-            raise FormatError(f"pretrained table shape {pretrained.shape} != "
-                              f"({lexicon.size('word')}, {d_w})")
-        # checked before the cast, which would overflow to inf (and warn)
-        outside = ~(np.abs(pretrained) <= np.finfo(self.dtype).max).all(axis=1)
-        if outside.any():
-            word = lexicon.string("word", int(np.argmax(outside)))
-            raise FormatError(f"pretrained vector of {word!r} has a value "
-                              f"outside the {self.dtype.name} range")
-        self.word_pretrained = nm.Tensor(pretrained, dtype=self.dtype,
-                                         name="embed.word_pretrained")
+def embedding_tables(tensors, lexicon: Lexicon,
+                     pretrained: np.ndarray | None = None) -> EmbeddingTables:
+    """The tables of ``tables_layout``, from a store, and the frozen table,
+    shaped like ``embed.word``: ``pretrained`` checked and cast, or zeros."""
+    word = tensors["embed.word"]
+    if pretrained is None:
+        pretrained = np.zeros(word.shape, word.dtype)
+    if pretrained.shape != word.shape:
+        raise FormatError(f"pretrained table shape {pretrained.shape} != "
+                          f"{word.shape}")
+    # checked before the cast, which would overflow to inf (and warn)
+    outside = ~(np.abs(pretrained) <= np.finfo(word.dtype).max).all(axis=1)
+    if outside.any():
+        bad = lexicon.string("word", int(np.argmax(outside)))
+        raise FormatError(f"pretrained vector of {bad!r} has a value "
+                          f"outside the {word.dtype.name} range")
+    return EmbeddingTables(word, tensors["embed.pos"], tensors["embed.lemma"],
+                           nm.Tensor(pretrained, dtype=word.dtype,
+                                     name="embed.word_pretrained"))
 
-    @property
-    def width(self) -> int:
-        return 2 * self.d_w + self.d_pos + self.d_l
+
+def init_tables(tables: EmbeddingTables, rng: np.random.Generator) -> None:
+    """Uniform [-0.01, 0.01] trainable tables, drawn word, POS, lemma."""
+    for t in (tables.word, tables.pos, tables.lemma):
+        t.data[...] = rng.uniform(-0.01, 0.01, t.shape)
 
 
 def embed_sentence(sentence: Sentence, predicate_index: int,
@@ -146,8 +155,8 @@ def embed_sentence(sentence: Sentence, predicate_index: int,
 
     lemma_id = lexicon.lookup("lemma", sentence.tokens[predicate_index].lemma)
     lemma_vec = nm.rows(tables.lemma, [lemma_id])           # [1 x d_l]
-    onehot = np.zeros((n, 1), dtype=tables.dtype)
+    onehot = np.zeros((n, 1), dtype=tables.word.dtype)
     onehot[predicate_index, 0] = 1.0
-    x_le = nm.matmul(nm.constant(onehot, dtype=tables.dtype), lemma_vec)
+    x_le = nm.matmul(nm.constant(onehot), lemma_vec)
 
     return nm.concat([x_re, x_pe, x_pos, x_le], axis=1)

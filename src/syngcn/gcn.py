@@ -47,43 +47,50 @@ class GcnLayerParams:
         return self.label_bias.shape[0]
 
 
-def init_gcn_layer(prefix: str, width: int, num_labels: int,
-                   rng: np.random.Generator, dtype=np.float32) -> GcnLayerParams:
-    weights = {d: nm.parameter(f"{prefix}.w_{_DIR_NAMES[d]}",
-                               rng.uniform(-0.05, 0.05, (width, width)), dtype)
-               for d in Direction}
-    label_bias = nm.parameter(f"{prefix}.label_bias",
-                              np.zeros((num_labels, width)), dtype)
-    gate_weights = {d: nm.parameter(f"{prefix}.gate_w_{_DIR_NAMES[d]}",
-                                    rng.uniform(-0.05, 0.05, (1, width)), dtype)
-                    for d in Direction}
-    gate_label_bias = nm.parameter(f"{prefix}.gate_label_bias",
-                                   np.zeros((num_labels, 1)), dtype)
-    return GcnLayerParams(weights, label_bias, gate_weights, gate_label_bias)
-
-
 @dataclass
 class GcnStack:
     layers: list[GcnLayerParams]
     input_projection: nm.Tensor | None = None   # [input_dim x m] when widths differ
     gates_enabled: bool = True
 
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
 
-
-def init_gcn_stack(depth: int, width: int, num_labels: int, input_dim: int,
-                   rng: np.random.Generator, dtype=np.float32,
-                   gates_enabled: bool = True) -> GcnStack:
-    projection = None
+def gcn_layout(depth: int, width: int, num_labels: int,
+               input_dim: int) -> nm.Layout:
+    """The input projection if ``input_dim`` differs from ``width``, then
+    each layer, gate tensors included (also for a stack run without gates)."""
     if depth > 0 and input_dim != width:
-        projection = nm.parameter("gcn.input_proj",
-                                  rng.uniform(-0.05, 0.05, (input_dim, width)),
-                                  dtype)
-    layers = [init_gcn_layer(f"gcn.{k}", width, num_labels, rng, dtype)
-              for k in range(depth)]
-    return GcnStack(layers, projection, gates_enabled)
+        yield "gcn.input_proj", (input_dim, width)
+    for k in range(depth):
+        yield from [(f"gcn.{k}.w_{name}", (width, width))
+                    for name in _DIR_NAMES.values()]
+        yield f"gcn.{k}.label_bias", (num_labels, width)
+        yield from [(f"gcn.{k}.gate_w_{name}", (1, width))
+                    for name in _DIR_NAMES.values()]
+        yield f"gcn.{k}.gate_label_bias", (num_labels, 1)
+
+
+def gcn_stack_params(tensors, depth: int,
+                     gates_enabled: bool = True) -> GcnStack:
+    def by_direction(prefix):
+        return {d: tensors[f"{prefix}_{n}"] for d, n in _DIR_NAMES.items()}
+
+    return GcnStack([GcnLayerParams(by_direction(f"gcn.{k}.w"),
+                                    tensors[f"gcn.{k}.label_bias"],
+                                    by_direction(f"gcn.{k}.gate_w"),
+                                    tensors[f"gcn.{k}.gate_label_bias"])
+                     for k in range(depth)],
+                    tensors.get("gcn.input_proj"), gates_enabled)
+
+
+def init_gcn_stack(stack: GcnStack, rng: np.random.Generator) -> None:
+    """Uniform [-0.05, 0.05] input projection, then per layer the weights and
+    gate weights in direction order; label biases keep the store's zeros."""
+    proj = stack.input_projection
+    tensors = [] if proj is None else [proj]
+    for layer in stack.layers:
+        tensors += [*layer.weights.values(), *layer.gate_weights.values()]
+    for t in tensors:
+        t.data[...] = rng.uniform(-0.05, 0.05, t.shape)
 
 
 def gcn_layer(h: nm.Tensor, graph: SyntacticGraph, params: GcnLayerParams,
@@ -123,7 +130,7 @@ def gcn_stack_forward(h: nm.Tensor, graph: SyntacticGraph, stack: GcnStack,
     """Apply all layers; edge dropout is resampled fresh for each layer."""
     if stack.input_projection is not None:
         h = h @ stack.input_projection
-    elif stack.depth > 0 and h.shape[1] != stack.layers[0].width:
+    elif stack.layers and h.shape[1] != stack.layers[0].width:
         raise ShapeError(f"gcn stack: input width {h.shape[1]} != layer width "
                          f"{stack.layers[0].width} and no projection configured")
     for layer in stack.layers:

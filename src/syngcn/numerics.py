@@ -11,18 +11,18 @@ rather than propagating silently. The fused ops also check the values the
 clamped logistic would make finite: ``lstm`` its pre-activations, and
 ``graph_conv`` its gate logits and pre-ReLU sums.
 
-A model keeps its trainable tensors in a ``ParamStore``: each tensor's
-``data`` is a view into one flat array, laid out in creation order. Training
-adds a matching flat gradient buffer (``enable_grad``), the one place
-gradients are collected: each backward pass adds a leaf's gradients into its
-view in place (the first since the last collection is written, products
-straight in with ``matmul(out=)``), and ``ParamStore.gradients`` collects
-the sum, zero-filling the views no pass reached. The store is the one
-registry of a model's trainable tensors and the one thing ``adam_step``
+A model keeps its trainable tensors in a ``ParamStore``, allocated from the
+``(name, shape)`` pairs its modules declare, as views into one flat array.
+Training adds a matching flat gradient buffer (``enable_grad``), the one
+place gradients are collected: each backward pass adds a leaf's gradients
+into its view in place (the first since the last collection is written,
+products straight in with ``matmul(out=)``), and ``ParamStore.gradients``
+collects the sum, zero-filling the views no pass reached. The store is the
+one registry of a model's trainable tensors and the one thing ``adam_step``
 updates: given the store and its gradient buffer, it keeps ``m`` and ``v``
 as two more flat arrays and updates all of them in one blocked pass. A
-training process thus holds four copies of the parameters; prediction holds
-one.
+training process thus holds four copies of the parameters; prediction
+holds one.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ from __future__ import annotations
 import collections
 import collections.abc
 import contextlib
+import itertools
 import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -112,13 +113,7 @@ class Tensor:
 
 
 def parameter(name: str, data, dtype=None) -> Tensor:
-    """A trainable leaf tensor; ``name`` keys it in stores and checkpoints.
-
-    While a ``ParamStore`` is active, ``data`` is copied, in the store's
-    dtype, into the store's next slot, and the tensor's data is that view.
-    """
-    if _FILLING is not None:
-        return _FILLING._place(name, data)
+    """A trainable leaf tensor outside any store."""
     return Tensor(data, dtype=dtype, name=name, trainable=True)
 
 
@@ -137,9 +132,6 @@ def _lift(x, dtype) -> Tensor:
 # ---------------------------------------------------------------------------
 
 _ACTIVE_TAPE: "Tape | None" = None
-
-# the store that ``parameter`` places new tensors in, while one is active
-_FILLING: "ParamStore | None" = None
 
 # Hook for grad_check: when set to a list, relu() appends a copy of each
 # input it sees, letting the checker detect kink crossings between the two
@@ -739,6 +731,10 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 # 4 GiB while training (weights, gradients and Adam's m and v).
 MAX_PARAMETERS = 1 << 28
 
+# The most tensors a store holds, far above any model's few dozen: a deep
+# stack of narrow layers lists tens of millions before MAX_PARAMETERS.
+MAX_TENSORS = 1 << 16
+
 
 class FlatArrays(collections.abc.Mapping):
     """One contiguous array, ``flat``, read by name as views laid out by a
@@ -761,58 +757,43 @@ class FlatArrays(collections.abc.Mapping):
         return len(self._views)
 
 
+# (name, shape) pairs in store order, which module layouts yield lazily
+Layout = Iterable[tuple[str, tuple[int, ...]]]
+
+
 class ParamStore(collections.abc.Mapping):
     """Trainable tensors whose ``data`` are views into one flat array.
 
-    ``size`` elements of ``dtype`` are checked against ``MAX_PARAMETERS``
-    and allocated up front; every ``parameter`` made inside ``with store:``
-    takes the next slot, in creation order, and leaving the block checks
-    that the slots were filled exactly. Read by name, the store gives the
-    tensors. ``enable_grad`` allocates the gradient buffer, for training
-    only.
+    ``layout`` is read once, before anything is allocated: the first tensor
+    past ``MAX_PARAMETERS`` or ``MAX_TENSORS`` stops it with a
+    ``ConfigError``, a name listed twice with a ``ContractError``. Every
+    tensor exists from the start, zeroed, for an initializer or a checkpoint
+    read to fill in place. ``self.layout`` maps each name to its (offset,
+    shape). ``enable_grad`` allocates the gradient buffer, for training.
     """
 
-    def __init__(self, size: int, dtype):
-        if size > MAX_PARAMETERS:
-            raise ConfigError(f"the model has {size:,} trainable parameters, "
-                              f"more than the {MAX_PARAMETERS:,} allowed")
+    def __init__(self, layout: Layout, dtype):
+        self.layout: dict[str, tuple[int, tuple[int, ...]]] = {}
+        size = 0
+        for name, shape in layout:
+            if name in self.layout:
+                raise ContractError(f"parameter {name!r} is listed twice")
+            if len(self.layout) == MAX_TENSORS:
+                raise ConfigError(f"the model has more than {MAX_TENSORS:,} "
+                                  f"trainable tensors")
+            self.layout[name] = (size, tuple(shape))
+            size += math.prod(shape)
+            if size > MAX_PARAMETERS:
+                raise ConfigError(
+                    f"the model has {size:,} trainable parameters, more than "
+                    f"the {MAX_PARAMETERS:,} allowed (counted up to {name!r})")
         self.size = size
         self.dtype = np.dtype(dtype)
         self.flat = np.zeros(size, self.dtype)
-        self.layout: dict[str, tuple[int, tuple[int, ...]]] = {}
         self.grads: FlatArrays | None = None
-        self._tensors: dict[str, Tensor] = {}
-        self._filled = 0
-
-    def __enter__(self) -> "ParamStore":
-        global _FILLING
-        if _FILLING is not None:
-            raise ContractError("a parameter store is already being filled")
-        _FILLING = self
-        return self
-
-    def __exit__(self, exc_type, *exc):
-        global _FILLING
-        _FILLING = None
-        if exc_type is None and self._filled != self.size:
-            raise ContractError(f"parameter store of {self.size} elements got "
-                                f"{self._filled}")
-        return False
-
-    def _place(self, name: str, data) -> Tensor:
-        if name in self.layout:
-            raise ContractError(f"parameter {name!r} is already in the store")
-        shape = np.shape(data)
-        lo, n = self._filled, math.prod(shape)
-        if lo + n > self.size:
-            raise ContractError(f"parameter {name!r} overflows the store of "
-                                f"{self.size} elements")
-        view = self.flat[lo:lo + n].reshape(shape)
-        np.copyto(view, data)
-        self.layout[name] = (lo, shape)
-        self._filled += n
-        t = self._tensors[name] = Tensor(view, name=name, trainable=True)
-        return t
+        self._tensors = {name: Tensor(view, name=name, trainable=True)
+                         for name, view in
+                         FlatArrays(self.flat, self.layout).items()}
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
@@ -1019,11 +1000,13 @@ def grad_check(f: Callable[[], Tensor], store: ParamStore, h: float = 1e-5,
     for name, (lo, shape) in store.layout.items():
         for j in range(lo, lo + math.prod(shape)):
             orig = flat[j]
-            flat[j] = orig + h
-            fp, relus_p = _probed_eval(f, name)
-            flat[j] = orig - h
-            fm, relus_m = _probed_eval(f, name)
-            flat[j] = orig
+            try:
+                flat[j] = orig + h
+                fp, relus_p = _probed_eval(f, name)
+                flat[j] = orig - h
+                fm, relus_m = _probed_eval(f, name)
+            finally:
+                flat[j] = orig
             if _kink_crossed(relus_p, relus_m, kink_margin, h):
                 skipped += 1
                 continue
@@ -1096,8 +1079,9 @@ def _header_fields(fh, path) -> list[str]:
 def load_checkpoint(path, into: Mapping[str, np.ndarray] | None = None
                     ) -> "collections.OrderedDict[str, np.ndarray]":
     """The tensors saved at ``path``, by name, as new arrays of their saved
-    dtype; or, given ``into``, read straight into those arrays (same names
-    and shapes, else ``ContractError`` before any read) and returned."""
+    dtype; or, given ``into``, read straight into those arrays, whose names
+    and shapes the file must list in order (else ``FormatError`` naming the
+    first that differs, before any read). A name listed twice is an error."""
     with open(path, "rb") as fh:
         manifest = _header_fields(fh, path)
         if len(manifest) != 2 or manifest[0] != CHECKPOINT_MAGIC:
@@ -1106,7 +1090,7 @@ def load_checkpoint(path, into: Mapping[str, np.ndarray] | None = None
             count = int(manifest[1])
         except ValueError:
             raise FormatError(f"{path}: bad tensor count {manifest[1]!r}") from None
-        headers = []
+        headers, seen = [], set()
         for i in range(count):
             fields = _header_fields(fh, path)
             if len(fields) != 3:
@@ -1129,6 +1113,9 @@ def load_checkpoint(path, into: Mapping[str, np.ndarray] | None = None
                     > np.iinfo(np.intp).max):
                 raise FormatError(f"{path}: shape {dims!r} of {name!r} is too "
                                   f"large")
+            if name in seen:
+                raise FormatError(f"{path}: tensor {name!r} is listed twice")
+            seen.add(name)
             headers.append((name, dtype, shape))
         # checked before any read, so a huge declared shape is an error, not
         # an allocation of that size
@@ -1139,15 +1126,13 @@ def load_checkpoint(path, into: Mapping[str, np.ndarray] | None = None
             raise FormatError(f"{path}: headers declare {declared} bytes of "
                               f"tensor data, the file holds {present}")
         if into is not None:
-            found = {name: shape for name, _, shape in headers}
-            missing, extra = set(into) - set(found), set(found) - set(into)
-            if missing or extra:
-                raise ContractError(f"checkpoint mismatch: missing "
-                                    f"{sorted(missing)}, unexpected {sorted(extra)}")
-            for name, shape in found.items():
-                if into[name].shape != shape:
-                    raise ContractError(f"checkpoint tensor {name} has shape "
-                                        f"{shape}, expected {into[name].shape}")
+            found = [(name, shape) for name, _, shape in headers]
+            wanted = [(name, arr.shape) for name, arr in into.items()]
+            for i, (got, want) in enumerate(
+                    itertools.zip_longest(found, wanted, fillvalue="nothing")):
+                if got != want:
+                    raise FormatError(f"{path}: tensor {i + 1} is {got}, "
+                                      f"expected {want}")
         out = collections.OrderedDict()
         for name, dtype, shape in headers:
             stored = np.dtype(_DTYPE_TAGS[dtype])

@@ -170,66 +170,56 @@ def make_instances(sentences: list[Sentence], lexicon: Lexicon,
     return instances
 
 
-def trainable_size(config: TrainConfig, lexicon: Lexicon) -> int:
-    """Elements in the trainable tensors of an ``SrlModel``, from the config
-    and lexicon alone, so an oversized model is refused before any of it is
-    allocated; the model's store checks that its tensors fill exactly this."""
+def param_layout(config: TrainConfig, lexicon: Lexicon) -> nm.Layout:
+    """Every trainable tensor of an ``SrlModel``, ``(name, shape)`` in store
+    order, yielded lazily: embedder, BiLSTM, GCN, classifier."""
     c = config
-    size = (lexicon.size("word") * c.d_w + lexicon.size("pos") * c.d_pos
-            + lexicon.size("lemma") * c.d_l)
-    width = 2 * c.d_w + c.d_pos + c.d_l
+    width = 2 * c.d_w + c.d_pos + c.d_l       # the embedder's output
+    yield from embedder.tables_layout(lexicon, c.d_w, c.d_pos, c.d_l)
     if c.lstm_layers > 0:
-        # w, u, b per direction: the first layer reads the embeddings, the
-        # J - 1 others the 2*d_h states below them
-        size += 2 * 4 * c.d_h * ((width + c.d_h + 1)
-                                 + (c.lstm_layers - 1) * (3 * c.d_h + 1))
+        yield from bilstm.lstm_layout(width, c.d_h, c.lstm_layers)
         width = 2 * c.d_h
     m = c.encoder_width()
-    if c.gcn_layers > 0:
-        labels = num_labels(lexicon.num_deprels)
-        if width != m:
-            size += width * m                           # input projection
-        size += c.gcn_layers * (3 * m * m + labels * m + 3 * m + labels)
-    return size + ((c.d_l_out + c.d_r) * 2 * m
-                   + lexicon.size("plemma") * c.d_l_out
-                   + lexicon.size("role") * c.d_r)
+    yield from gcn.gcn_layout(c.gcn_layers, m, num_labels(lexicon.num_deprels),
+                              width)
+    yield from classifier.classifier_layout(m, c.d_l_out, c.d_r, lexicon)
 
 
 class SrlModel:
     """Embedder + (BiLSTM) + (gated GCN) + role classifier. Its trainable
-    tensors live in one ``nm.ParamStore``, the registry that Adam updates and
-    ``parameters()`` (the checkpoint's tensors) is read from."""
+    tensors live in one ``nm.ParamStore`` laid out by ``param_layout``, the
+    registry that Adam updates and ``parameters()`` is read from."""
 
     def __init__(self, config: TrainConfig, lexicon: Lexicon,
                  rng: np.random.Generator,
                  pretrained: np.ndarray | None = None):
+        self._allocate(config, lexicon, pretrained)
+        # the draws, in store order
+        embedder.init_tables(self.tables, rng)
+        if self.lstm is not None:
+            bilstm.init_lstm(self.lstm, rng)
+        if self.gcn is not None:
+            gcn.init_gcn_stack(self.gcn, rng)
+        classifier.init_classifier(self.classifier, rng)
+
+    def _allocate(self, config: TrainConfig, lexicon: Lexicon,
+                  pretrained: np.ndarray | None) -> None:
+        """The zeroed store, each module's tensors looked up in it by name,
+        and the frozen table: a model with nothing drawn or loaded yet."""
         config.validate()
-        self.config = config
-        self.lexicon = lexicon
-        dtype = config.np_dtype
-        self.store = nm.ParamStore(trainable_size(config, lexicon), dtype)
-        with self.store:
-            self.tables = embedder.EmbeddingTables(
-                lexicon, config.d_w, config.d_pos, config.d_l, rng, dtype,
-                pretrained)
-            self.lstm = None
-            encoder_input = self.tables.width
-            if config.lstm_layers > 0:
-                self.lstm = bilstm.init_lstm(encoder_input, config.d_h,
-                                             config.lstm_layers, rng, dtype)
-                encoder_input = 2 * config.d_h
-            self.gcn = None
-            if config.gcn_layers > 0:
-                width = config.encoder_width()
-                self.gcn = gcn.init_gcn_stack(
-                    config.gcn_layers, width, num_labels(lexicon.num_deprels),
-                    encoder_input, rng, dtype, config.gates_enabled)
-            self.classifier = classifier.init_classifier(
-                config.encoder_width(), config.d_l_out, config.d_r, lexicon,
-                rng, dtype)
+        self.config, self.lexicon = config, lexicon
+        self.store = store = nm.ParamStore(param_layout(config, lexicon),
+                                           config.np_dtype)
+        self.tables = embedder.embedding_tables(store, lexicon, pretrained)
+        self.lstm = (bilstm.lstm_params(store, config.lstm_layers)
+                     if config.lstm_layers > 0 else None)
+        self.gcn = (gcn.gcn_stack_params(store, config.gcn_layers,
+                                         config.gates_enabled)
+                    if config.gcn_layers > 0 else None)
+        self.classifier = classifier.classifier_params(store)
 
     def parameters(self) -> dict[str, nm.Tensor]:
-        """All tensors in checkpoint order: the store's, in creation order,
+        """All tensors in checkpoint order: the store's, in store order,
         with the frozen pretrained table right after ``embed.word``, the
         store's first tensor."""
         frozen = self.tables.word_pretrained
@@ -301,20 +291,14 @@ class SrlModel:
     @classmethod
     def from_checkpoint(cls, path, config: TrainConfig, lexicon: Lexicon
                         ) -> "SrlModel":
-        """The model saved at ``path``, each tensor read straight into its
-        array (the trainable ones into the store)."""
-        model = cls(config, lexicon, _NoDraws())
+        """The model saved at ``path``, read straight into its store and
+        frozen table with no initializer run; ``FormatError`` on a file whose
+        tensors differ from the model's."""
+        model = cls.__new__(cls)
+        model._allocate(config, lexicon, None)
         nm.load_checkpoint(path, into={k: p.data for k, p in
                                        model.parameters().items()})
         return model
-
-
-class _NoDraws:
-    """Generator stand-in for a model whose every tensor is loaded next: a
-    draw is a zero-strided view of 0.0, so no random number is made."""
-
-    def uniform(self, low, high, size):
-        return np.broadcast_to(0.0, size)
 
 
 def _word_unk_mask(instance: Instance, lexicon: Lexicon, rate: float,

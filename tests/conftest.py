@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from syngcn import fixtures
-from syngcn import numerics as nm
 from syngcn.conll import build_lexicon, parse_conll
 from syngcn.embedder import load_pretrained
 from syngcn.trainer import SrlModel, TrainConfig, train
@@ -42,16 +41,6 @@ def figure_sentences():
 @pytest.fixture(scope="session")
 def overfit_lexicon(overfit_sentences):
     return build_lexicon(overfit_sentences)
-
-
-def stored(size: int, dtype, build):
-    """``build()`` run inside a new ``nm.ParamStore`` of ``size`` elements, so
-    every parameter it makes is a view of the store (leaving the block checks
-    that they fill it exactly): (what ``build`` returned, the store)."""
-    store = nm.ParamStore(size, dtype)
-    with store:
-        built = build()
-    return built, store
 
 
 def small_config(**overrides) -> TrainConfig:

@@ -19,14 +19,15 @@ from syngcn.conll import NULL_ROLE, build_lexicon, parse_conll, write_conll
 from syngcn.evaluator import (PredictionSet, distance_buckets, ensemble,
                               ensemble_models, predict_corpus, score,
                               teleport_stats)
-from syngcn.gcn import gcn_layer, init_gcn_layer, init_gcn_stack, plain_gcn_layer
+from syngcn.gcn import gcn_layer, plain_gcn_layer
 from syngcn.syngraph import Direction, build_graph, edge_dropout, num_labels
 from syngcn.trainer import SrlModel, TrainConfig, train
 
 from conftest import parse_text, small_config
 from test_evaluator import (bucket_recount_oracle, corpus_with_roles,
                             predictions_from_strings, teleport_oracle)
-from test_gcn import (gcn_layer_oracle, random_graph, tree_distances)
+from test_gcn import (gcn_layer_oracle, layer_for, new_stack, random_graph,
+                      tree_distances)
 
 
 def report(num: int, description: str, ok: bool, detail: str = ""):
@@ -55,7 +56,7 @@ def test_criterion_02_gcn_oracle_equivalence():
     for _ in range(100):
         n = int(rng.integers(2, 11))
         graph, _ = random_graph(n, rng)
-        params = init_gcn_layer("g", 6, graph.num_labels, rng)
+        params = layer_for(graph, 6, rng)
         params.label_bias.data[:] = rng.uniform(-0.1, 0.1,
                                                 params.label_bias.shape)
         h = rng.uniform(-1, 1, (n, 6)).astype(np.float32)
@@ -74,7 +75,7 @@ def test_criterion_03_receptive_field():
     ok = True
     for k in (1, 2):
         graph, _ = random_graph(8, rng)
-        stack = init_gcn_stack(k, 5, graph.num_labels, 5, rng)
+        stack, _ = new_stack(k, 5, graph.num_labels, 5, rng)
         for layer in stack.layers:
             for d in Direction:
                 layer.weights[d].data[:] = rng.uniform(0.02, 0.1, (5, 5))
@@ -102,7 +103,7 @@ def test_criterion_04_untyped_reduction():
         n = int(rng.integers(2, 9))
         graph, _ = random_graph(n, rng)
         m = 6
-        params = init_gcn_layer("g", m, graph.num_labels, rng)
+        params = layer_for(graph, m, rng)
         shared_w = rng.uniform(-0.3, 0.3, (m, m)).astype(np.float32)
         shared_b = rng.uniform(-0.3, 0.3, (1, m)).astype(np.float32)
         for d in Direction:

@@ -1,12 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from syngcn import numerics as nm
 from syngcn.bilstm import (LstmParams, bilstm_encode, init_lstm,
-                           init_lstm_direction)
+                           init_lstm_direction, lstm_layout, lstm_params)
 from syngcn.errors import NumericsError, ShapeError
 
-from conftest import stored
 from test_numerics import masked_logistic, store_of
 
 I, F, O, G = range(4)   # gate column blocks
@@ -18,21 +19,23 @@ def block(t, k):
     return t.data[:, k * d:(k + 1) * d]
 
 
-def stored_lstm(input_dim, d_h, layers, rng, dtype=np.float32):
-    """``init_lstm`` with its tensors in a ``ParamStore``: (params, store).
-    Each direction holds w, u and b, [in x 4d_h], [d_h x 4d_h], [1 x 4d_h];
-    layers after the first read 2*d_h inputs."""
-    size = sum(2 * (dim + d_h + 1) * 4 * d_h
-               for dim in [input_dim] + [2 * d_h] * (layers - 1))
-    return stored(size, dtype,
-                  lambda: init_lstm(input_dim, d_h, layers, rng, dtype))
+def new_lstm(input_dim, d_h, layers, rng, dtype=np.float32):
+    """Freshly drawn ``LstmParams`` in a store laid out by ``lstm_layout``:
+    (params, store)."""
+    store = nm.ParamStore(lstm_layout(input_dim, d_h, layers), dtype)
+    params = lstm_params(store, layers)
+    init_lstm(params, rng)
+    return params, store
 
 
-def zero_direction(input_dim, d_h, dtype=np.float32):
-    direction = init_lstm_direction("z", input_dim, d_h,
-                                    np.random.default_rng(0), dtype)
-    for t in direction:
-        t.data[:] = 0.0
+def new_direction(input_dim, d_h, rng=None, dtype=np.float32):
+    """One direction's (w, u, b) in its own store, drawn from ``rng``, or
+    left at the store's zeros without one."""
+    # the first three tensors of a one-layer layout: lstm.0.fw.{w,u,b}
+    layout = itertools.islice(lstm_layout(input_dim, d_h, 1), 3)
+    direction = tuple(nm.ParamStore(layout, dtype).values())
+    if rng is not None:
+        init_lstm_direction(direction, rng)
     return direction
 
 
@@ -72,7 +75,7 @@ class TestLstmCell:
     inputs."""
 
     def test_all_zero_params_and_inputs(self):
-        params = LstmParams([(zero_direction(3, 4), zero_direction(3, 4))])
+        params = LstmParams([(new_direction(3, 4), new_direction(3, 4))])
         for n in (1, 2):
             x = nm.Tensor(np.zeros((n, 3), dtype=np.float32))
             assert np.array_equal(bilstm_encode(x, params).data, np.zeros((n, 8)))
@@ -83,7 +86,7 @@ class TestLstmCell:
         # cell state carries through (up to the open-interval sigmoid clamp,
         # which keeps gates strictly below 1 by one ulp). With the output
         # gate saturated open, h = tanh(c) shows the carry.
-        w, _, b = direction = zero_direction(1, 4, dtype=np.float64)
+        w, _, b = direction = new_direction(1, 4, dtype=np.float64)
         block(w, I)[:] = 120.0
         block(b, I)[:] = -60.0
         block(b, F)[:] = 60.0
@@ -95,13 +98,13 @@ class TestLstmCell:
         np.testing.assert_allclose(h[1], h[0], rtol=1e-12)
 
     def test_forget_bias_initialized_to_one(self):
-        _, _, b = init_lstm_direction("x", 5, 3, np.random.default_rng(1))
+        _, _, b = new_direction(5, 3, np.random.default_rng(1))
         assert np.array_equal(b.data, [[0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0]])
         # with the initial biases and no recurrent or input-gate weights,
         # token 1 adds nothing (g = 0), so the cell state from token 0 decays
         # by exactly sigmoid(1); h = tanh(c) / 2
-        w, u, _ = direction = init_lstm_direction(
-            "y", 1, 3, np.random.default_rng(2), dtype=np.float64)
+        w, u, _ = direction = new_direction(1, 3, np.random.default_rng(2),
+                                            dtype=np.float64)
         u.data[:] = 0.0
         w.data[:, :9] = 0.0   # i, f, o blocks
         h = encode_forward(direction, np.array([[1.0], [0.0]]))
@@ -111,7 +114,7 @@ class TestLstmCell:
 
     def test_draws_fill_gate_blocks_in_order(self):
         # the fused arrays hold the gate-sized draws w_i, u_i, w_f, u_f, ...
-        w, u, _ = init_lstm_direction("x", 5, 3, np.random.default_rng(3))
+        w, u, _ = new_direction(5, 3, np.random.default_rng(3))
         rng = np.random.default_rng(3)
         for k in range(4):
             assert np.array_equal(block(w, k), rng.uniform(-0.05, 0.05, (5, 3))
@@ -121,7 +124,7 @@ class TestLstmCell:
 
     def test_cell_gradient_check(self):
         rng = np.random.default_rng(4)
-        params, store = stored_lstm(3, 4, 1, rng, dtype=np.float64)
+        params, store = new_lstm(3, 4, 1, rng, dtype=np.float64)
         for n in (1, 2):
             x = nm.Tensor(rng.standard_normal((n, 3)), dtype=np.float64)
             result = nm.grad_check(lambda: nm.sum_all(bilstm_encode(x, params)),
@@ -134,7 +137,7 @@ class TestFusedMatchesPerGate:
     @pytest.mark.parametrize("layers", [1, 2])
     def test_states_and_gradients(self, n, layers):
         rng = np.random.default_rng(10 * n + layers)
-        params = init_lstm(3, 4, layers, rng, dtype=np.float64)
+        params, _ = new_lstm(3, 4, layers, rng, dtype=np.float64)
         per_gate = [tuple(split_gates(direction, f"{j}.{side}")
                           for side, direction in zip("fb", layer))
                     for j, layer in enumerate(params.layers)]
@@ -175,7 +178,7 @@ class TestFusedMatchesPerGate:
 
 class TestBilstmEncode:
     def test_single_token_width(self):
-        params = init_lstm(5, 6, 1, np.random.default_rng(0))
+        params, _ = new_lstm(5, 6, 1, np.random.default_rng(0))
         x = nm.Tensor(np.random.default_rng(1).standard_normal((1, 5))
                       .astype(np.float32))
         out = bilstm_encode(x, params)
@@ -185,7 +188,7 @@ class TestBilstmEncode:
         # identical forward/backward parameters on a palindromic input give
         # mirrored rows with the two halves swapped
         rng = np.random.default_rng(2)
-        fw = init_lstm_direction("fw", 3, 4, rng, dtype=np.float64)
+        fw = new_direction(3, 4, rng, dtype=np.float64)
         params = LstmParams([(fw, fw)])
         base = rng.standard_normal((3, 3))
         x = nm.Tensor(np.vstack([base, base[-2::-1]]), dtype=np.float64)  # n=5
@@ -197,7 +200,7 @@ class TestBilstmEncode:
             np.testing.assert_allclose(out[i, d:], mirrored[:d], rtol=1e-10)
 
     def test_paper_configuration_width(self):
-        params, store = stored_lstm(316, 512, 3, np.random.default_rng(0))
+        params, store = new_lstm(316, 512, 3, np.random.default_rng(0))
         shapes = {name: t.shape for name, t in store.items()}
         assert len(shapes) == 3 * 2 * 3
         assert shapes["lstm.0.fw.w"] == (316, 2048)
@@ -209,7 +212,7 @@ class TestBilstmEncode:
 
     def test_directional_causality(self):
         rng = np.random.default_rng(5)
-        params = init_lstm(3, 4, 1, rng)
+        params, _ = new_lstm(3, 4, 1, rng)
         base = rng.standard_normal((6, 3)).astype(np.float32)
         out_base = bilstm_encode(nm.Tensor(base.copy()), params).data
         j = 3
@@ -226,14 +229,14 @@ class TestBilstmEncode:
 
     @pytest.mark.parametrize("n,layers", [(1, 1), (4, 2), (3, 3)])
     def test_output_shape(self, n, layers):
-        params = init_lstm(5, 3, layers, np.random.default_rng(0))
+        params, _ = new_lstm(5, 3, layers, np.random.default_rng(0))
         x = nm.Tensor(np.random.default_rng(1).standard_normal((n, 5))
                       .astype(np.float32))
         assert bilstm_encode(x, params).shape == (n, 6)
 
     def test_stack_gradient_check_desk_scale(self):
         rng = np.random.default_rng(6)
-        params, store = stored_lstm(3, 4, 2, rng, dtype=np.float64)
+        params, store = new_lstm(3, 4, 2, rng, dtype=np.float64)
         x = nm.Tensor(rng.standard_normal((4, 3)), dtype=np.float64)
         result = nm.grad_check(lambda: nm.sum_all(bilstm_encode(x, params)),
                                store)
@@ -241,7 +244,7 @@ class TestBilstmEncode:
 
     @pytest.mark.parametrize("layers", [1, 2])
     def test_tape_size_does_not_grow_with_length(self, layers):
-        params = init_lstm(5, 3, layers, np.random.default_rng(0))
+        params, _ = new_lstm(5, 3, layers, np.random.default_rng(0))
         sizes = []
         for n in (3, 30):
             x = nm.Tensor(np.ones((n, 5), dtype=np.float32))
@@ -256,7 +259,7 @@ class TestBilstmEncode:
     @pytest.mark.parametrize("name", ["w", "u", "b"])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_weight_is_reported(self, name, value):
-        params = init_lstm(3, 4, 1, np.random.default_rng(7))
+        params, _ = new_lstm(3, 4, 1, np.random.default_rng(7))
         fw = dict(zip("wub", params.layers[0][0]))
         fw[name].data[0, 5] = value
         x = nm.Tensor(np.ones((2, 3), dtype=np.float32))
@@ -402,7 +405,7 @@ class TestBatchedLstm:
     def test_encoder_keeps_sentences_apart(self):
         # two sentences encoded together equal each encoded alone
         rng = np.random.default_rng(22)
-        params = init_lstm(3, 4, 2, rng, dtype=np.float64)
+        params, _ = new_lstm(3, 4, 2, rng, dtype=np.float64)
         a, b = rng.standard_normal((3, 3)), rng.standard_normal((5, 3))
         both = bilstm_encode(nm.Tensor(np.vstack([a, b])), params, [3, 5]).data
         alone = np.vstack([bilstm_encode(nm.Tensor(s), params).data

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from syngcn import numerics as nm
-from syngcn.classifier import (init_classifier, predict_arguments,
+from syngcn.classifier import (classifier_layout, classifier_params,
+                               init_classifier, predict_arguments,
                                role_logits, role_weights)
 from syngcn.conll import build_lexicon
 
-from conftest import parse_text, stored
+from conftest import parse_text
 from test_conll import make_sentence
 
 
@@ -20,9 +21,17 @@ def lexicon():
     return build_lexicon(parse_text(text))
 
 
-def params_for(lexicon, m=4, d_l_out=3, d_r=3, seed=0, dtype=np.float32):
-    return init_classifier(m, d_l_out, d_r, lexicon,
-                           np.random.default_rng(seed), dtype)
+def stored_params(lexicon, m=4, d_l_out=3, d_r=3, seed=0, dtype=np.float32):
+    """Freshly drawn classifier tensors in a store laid out by
+    ``classifier_layout``: (params, store)."""
+    store = nm.ParamStore(classifier_layout(m, d_l_out, d_r, lexicon), dtype)
+    params = classifier_params(store)
+    init_classifier(params, np.random.default_rng(seed))
+    return params, store
+
+
+def params_for(lexicon, **kwargs):
+    return stored_params(lexicon, **kwargs)[0]
 
 
 def role_weights_oracle(lemma_id, params):
@@ -97,11 +106,7 @@ class TestScoreRoles:
         assert (dists >= 0).all()
 
     def test_gradient_check_through_scorer(self, lexicon):
-        # the [(d_l_out + d_r) x 2m] transform, then the lemma and role tables
-        size = ((3 + 3) * 2 * 4 + lexicon.size("plemma") * 3
-                + lexicon.size("role") * 3)
-        params, store = stored(size, np.float64, lambda: params_for(
-            lexicon, seed=6, dtype=np.float64))
+        params, store = stored_params(lexicon, seed=6, dtype=np.float64)
         rng = np.random.default_rng(2)
         encoded = nm.Tensor(rng.standard_normal((3, 4)), dtype=np.float64)
 

@@ -257,6 +257,8 @@ MALFORMED = {
     "short header": (nm.load_checkpoint, b"SYNGCN1\t1\nw\tfloat32\n"),
     "negative dim": (nm.load_checkpoint, b"SYNGCN1\t1\nw\tfloat32\t2,-3\n"),
     "not utf-8": (nm.load_checkpoint, b"SYNGCN1\t1\n\xff\xfe\tfloat32\t1\n"),
+    "tensor twice": (nm.load_checkpoint, b"SYNGCN1\t2\nw\tfloat32\t1\n"
+                     b"w\tfloat32\t1\n" + bytes(8)),
     "lexicon kind": (Lexicon.load, b"SYNGCNLEX1\nverb\t0\tx\t1\n"),
 }
 
@@ -270,17 +272,39 @@ class TestMalformedFiles:
         with pytest.raises(FormatError):
             reader(path)
 
-    def test_predict_on_malformed_checkpoint_exits_one(self, tiny_run,
-                                                       data_dir, tmp_path):
+    @staticmethod
+    def _predict_with(tiny_run, data_dir, tmp_path, checkpoint: bytes,
+                      config: str | None = None) -> int:
+        """Exit code of predicting with ``tiny_run``'s sidecars beside
+        ``checkpoint``, and ``config`` in place of its config.txt if given."""
         run_dir = tmp_path / "model"
-        run_dir.mkdir()
+        run_dir.mkdir(exist_ok=True)
         for name in ("config.txt", "lexicon.txt"):
             (run_dir / name).write_bytes((tiny_run / name).read_bytes())
-        (run_dir / "best.ckpt").write_bytes(MALFORMED["negative dim"][1])
-        code = run(["predict", "--test", str(data_dir / "overfit.conll"),
+        if config is not None:
+            (run_dir / "config.txt").write_text(config)
+        (run_dir / "best.ckpt").write_bytes(checkpoint)
+        return run(["predict", "--test", str(data_dir / "overfit.conll"),
                     "--checkpoint", str(run_dir / "best.ckpt"),
                     "--out", str(tmp_path / "p.conll")])
+
+    def test_predict_on_malformed_checkpoint_exits_one(self, tiny_run,
+                                                       data_dir, tmp_path):
+        for case, (reader, content) in MALFORMED.items():
+            if reader is nm.load_checkpoint:
+                assert self._predict_with(tiny_run, data_dir, tmp_path,
+                                          content) == 1, case
+
+    def test_checkpoint_unlike_its_config_exits_one(self, tiny_run, data_dir,
+                                                    tmp_path, caplog):
+        config = (tiny_run / "config.txt").read_text()
+        assert "gcn_layers = 1\n" in config
+        code = self._predict_with(
+            tiny_run, data_dir, tmp_path, (tiny_run / "best.ckpt").read_bytes(),
+            config.replace("gcn_layers = 1\n", "gcn_layers = 2\n"))
         assert code == 1
+        assert ("tensor 19 is ('cls.pair_transform', (16, 32)), expected "
+                "('gcn.1.w_along', (16, 16))") in caplog.text
 
     @pytest.mark.parametrize("where", ["config file", "--set"])
     def test_non_numeric_config_value_exits_one(self, where, data_dir,

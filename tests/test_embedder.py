@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from syngcn import numerics as nm
 from syngcn.conll import build_lexicon
-from syngcn.embedder import EmbeddingTables, embed_sentence, load_pretrained
+from syngcn.embedder import (embed_sentence, embedding_tables, init_tables,
+                             load_pretrained, tables_layout)
 from syngcn.errors import FormatError
 
 from conftest import parse_text
@@ -112,15 +113,17 @@ class TestLoadPretrained:
 
 def tables_for(lexicon, d_w=4, d_pos=3, d_l=5, seed=0, pretrained=None,
                dtype=np.float32):
-    return EmbeddingTables(lexicon, d_w, d_pos, d_l,
-                           np.random.default_rng(seed), dtype, pretrained)
+    """Freshly drawn tables in a store laid out by ``tables_layout``."""
+    store = nm.ParamStore(tables_layout(lexicon, d_w, d_pos, d_l), dtype)
+    tables = embedding_tables(store, lexicon, pretrained)
+    init_tables(tables, np.random.default_rng(seed))
+    return tables
 
 
 class TestEmbedSentence:
     def test_paper_width(self, figure_sentences):
         lex = build_lexicon(figure_sentences)
         tables = tables_for(lex, d_w=100, d_pos=16, d_l=100)
-        assert tables.width == 316
         out = embed_sentence(figure_sentences[0], 1, tables, lex)
         assert out.shape == (6, 316)
 
@@ -136,7 +139,7 @@ class TestEmbedSentence:
         lex = build_lexicon(figure_sentences)
         tables = tables_for(lex)
         out = embed_sentence(figure_sentences[0], 1, tables, lex).data
-        lemma_slice = out[:, -tables.d_l:]
+        lemma_slice = out[:, -tables.lemma.shape[1]:]
         nonzero_rows = np.flatnonzero(np.abs(lemma_slice).sum(axis=1))
         assert list(nonzero_rows) == [1]
 
@@ -146,7 +149,7 @@ class TestEmbedSentence:
         sent = next(s for s in overfit_sentences if len(s.predicates) == 2)
         a = embed_sentence(sent, sent.predicates[0] - 1, tables, lex).data
         b = embed_sentence(sent, sent.predicates[1] - 1, tables, lex).data
-        d_l = tables.d_l
+        d_l = tables.lemma.shape[1]
         assert np.array_equal(a[:, :-d_l], b[:, :-d_l])
         assert not np.array_equal(a[:, -d_l:], b[:, -d_l:])
 
@@ -172,7 +175,7 @@ class TestEmbedSentence:
         masked = embed_sentence(figure_sentences[0], 1, tables, lex,
                                 word_unk_mask=mask).data
         plain = embed_sentence(figure_sentences[0], 1, tables, lex).data
-        d_w = tables.d_w
+        d_w = tables.word.shape[1]
         unk_row = tables.word.data[lex.lookup("word", "<unk>")]
         assert np.array_equal(masked[0, :d_w], unk_row)
         # the frozen slice still sees the true word
@@ -187,4 +190,4 @@ class TestEmbedSentence:
         sent.roles = [["_"]]
         out = embed_sentence(sent, 0, tables, lex).data
         unk = lex.lookup("word", "<unk>")
-        assert np.array_equal(out[0, :tables.d_w], tables.word.data[unk])
+        assert np.array_equal(out[0, :tables.word.shape[1]], tables.word.data[unk])

@@ -4,12 +4,12 @@ import pytest
 from syngcn import numerics as nm
 from syngcn.conll import build_lexicon
 from syngcn.errors import NumericsError
-from syngcn.gcn import (GcnStack, gcn_layer, gcn_stack_forward,
-                        init_gcn_layer, init_gcn_stack, plain_gcn_layer)
+from syngcn.gcn import (GcnStack, gcn_layer, gcn_layout, gcn_stack_forward,
+                        gcn_stack_params, init_gcn_stack, plain_gcn_layer)
 from syngcn.syngraph import (Direction, SyntacticGraph, build_graph,
                              disjoint_union)
 
-from conftest import parse_text, stored
+from conftest import parse_text
 from test_conll import make_sentence
 from test_syngraph import by_direction, graph_of
 
@@ -52,20 +52,26 @@ def gcn_layer_oracle(h: np.ndarray, graph: SyntacticGraph, params,
     return np.maximum(out, 0.0)
 
 
+def new_stack(depth, width, num_labels, input_dim, rng, dtype=np.float32,
+              extra=()):
+    """A freshly drawn ``GcnStack`` in a store laid out by ``gcn_layout``,
+    then ``extra``'s (name, shape) pairs, left at zero: (stack, store)."""
+    store = nm.ParamStore([*gcn_layout(depth, width, num_labels, input_dim),
+                           *extra], dtype)
+    stack = gcn_stack_params(store, depth)
+    init_gcn_stack(stack, rng)
+    return stack, store
+
+
+def stored_layer(graph, width, rng, dtype=np.float32, extra=()):
+    """``new_stack``'s one layer, for ``graph``: (params, store)."""
+    stack, store = new_stack(1, width, graph.num_labels, width, rng, dtype,
+                             extra)
+    return stack.layers[0], store
+
+
 def layer_for(graph, width, rng, dtype=np.float32):
-    return init_gcn_layer("g", width, graph.num_labels, rng, dtype)
-
-
-def layer_size(width, num_labels):
-    """Elements of a gated layer: three [m x m] weights, the [labels x m]
-    bias, three [1 x m] gate weights and the [labels x 1] gate bias."""
-    return 3 * width * width + num_labels * width + 3 * width + num_labels
-
-
-def stored_layer(graph, width, rng, dtype=np.float32):
-    """``layer_for`` with its tensors in a ``ParamStore``: (params, store)."""
-    return stored(layer_size(width, graph.num_labels), dtype,
-                  lambda: layer_for(graph, width, rng, dtype))
+    return stored_layer(graph, width, rng, dtype)[0]
 
 
 class TestGate:
@@ -242,7 +248,7 @@ class TestStack:
         # must show up at exactly the <= k-hop nodes and nowhere else
         rng = np.random.default_rng(9 + k)
         graph, lex = random_graph(7, rng)
-        stack = init_gcn_stack(k, 5, graph.num_labels, 5, rng)
+        stack, _ = new_stack(k, 5, graph.num_labels, 5, rng)
         for layer in stack.layers:
             for d in Direction:
                 layer.weights[d].data[:] = rng.uniform(0.02, 0.1, (5, 5))
@@ -262,7 +268,7 @@ class TestStack:
     def test_projection_when_widths_differ(self):
         rng = np.random.default_rng(12)
         graph, _ = random_graph(4, rng)
-        stack = init_gcn_stack(1, 6, graph.num_labels, 10, rng)
+        stack, _ = new_stack(1, 6, graph.num_labels, 10, rng)
         assert stack.input_projection is not None
         h = nm.Tensor(rng.standard_normal((4, 10)).astype(np.float32))
         assert gcn_stack_forward(h, graph, stack).shape == (4, 6)
@@ -270,7 +276,7 @@ class TestStack:
     def test_dropout_resampled_per_layer(self):
         rng = np.random.default_rng(13)
         graph, _ = random_graph(6, rng)
-        stack = init_gcn_stack(2, 4, graph.num_labels, 4, rng)
+        stack, _ = new_stack(2, 4, graph.num_labels, 4, rng)
         h = nm.Tensor(rng.standard_normal((6, 4)).astype(np.float32))
         # two stacked layers with beta=1: everything is zero either way,
         # but the call must consume two dropout draws from the stream
@@ -285,10 +291,8 @@ class TestStack:
     def test_full_stack_gradient_check(self):
         rng = np.random.default_rng(15)
         graph, _ = random_graph(4, rng)
-        stack, store = stored(
-            2 * layer_size(4, graph.num_labels), np.float64,
-            lambda: init_gcn_stack(2, 4, graph.num_labels, 4, rng,
-                                   dtype=np.float64))
+        stack, store = new_stack(2, 4, graph.num_labels, 4, rng,
+                                 dtype=np.float64)
         h = nm.Tensor(rng.standard_normal((4, 4)), dtype=np.float64)
         result = nm.grad_check(
             lambda: nm.sum_all(gcn_stack_forward(h, graph, stack)), store)
@@ -372,17 +376,15 @@ def run_layers(layer_fn, graph, depth, dtype, gates_enabled):
     rng = np.random.default_rng(41)
     m = 6
 
-    def build():
-        stack = init_gcn_stack(depth, m, graph.num_labels, m, rng, dtype=dtype)
-        for layer in stack.layers:
-            layer.label_bias.data[:] = rng.uniform(-0.5, 0.5,
-                                                   layer.label_bias.shape)
-            layer.gate_label_bias.data[:] = rng.uniform(
-                -0.5, 0.5, layer.gate_label_bias.shape)
-        return stack, nm.parameter("h", rng.uniform(-1, 1, (graph.n, m)))
-
-    (stack, h), store = stored(
-        depth * layer_size(m, graph.num_labels) + graph.n * m, dtype, build)
+    stack, store = new_stack(depth, m, graph.num_labels, m, rng, dtype=dtype,
+                             extra=[("h", (graph.n, m))])
+    for layer in stack.layers:
+        layer.label_bias.data[:] = rng.uniform(-0.5, 0.5,
+                                               layer.label_bias.shape)
+        layer.gate_label_bias.data[:] = rng.uniform(
+            -0.5, 0.5, layer.gate_label_bias.shape)
+    h = store["h"]
+    h.data[:] = rng.uniform(-1, 1, h.shape)
     store.enable_grad()
     proj = nm.constant(rng.standard_normal((m, 1)), dtype=dtype)
     with nm.Tape() as tape:
@@ -449,7 +451,7 @@ class TestFusedMatchesPerOp:
         rng = np.random.default_rng(43)
         graph, _ = random_graph(6, rng)
         width = 5 if projection else 4
-        stack = init_gcn_stack(2, 4, graph.num_labels, width, rng)
+        stack, _ = new_stack(2, 4, graph.num_labels, width, rng)
         h = nm.Tensor(rng.standard_normal((6, width)).astype(np.float32))
         with nm.Tape() as tape:
             gcn_stack_forward(h, graph, stack)
@@ -460,14 +462,12 @@ class TestFusedMatchesPerOp:
         rng = np.random.default_rng(44)
         graph, _ = random_graph(5, rng)
 
-        def build():
-            params = layer_for(graph, 3, rng, np.float64)
-            params.label_bias.data[:] = rng.uniform(-0.3, 0.3,
-                                                    params.label_bias.shape)
-            return params, nm.parameter("h", rng.standard_normal((5, 3)))
-
-        (params, h), store = stored(layer_size(3, graph.num_labels) + 5 * 3,
-                                    np.float64, build)
+        params, store = stored_layer(graph, 3, rng, np.float64,
+                                     extra=[("h", (5, 3))])
+        params.label_bias.data[:] = rng.uniform(-0.3, 0.3,
+                                                params.label_bias.shape)
+        h = store["h"]
+        h.data[:] = rng.standard_normal(h.shape)
         proj = nm.constant(rng.standard_normal((3, 1)), dtype=np.float64)
         result = nm.grad_check(
             lambda: nm.sum_all(gcn_layer(h, graph, params, gates_enabled)

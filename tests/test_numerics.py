@@ -230,12 +230,12 @@ def grads_or_zeros(params: dict) -> dict:
 
 
 def store_of(dtype=np.float64, **arrays) -> nm.ParamStore:
-    """A store holding one parameter per keyword, in order, with its
-    gradient buffer enabled."""
-    store = nm.ParamStore(sum(np.size(a) for a in arrays.values()), dtype)
-    with store:
-        for name, a in arrays.items():
-            nm.parameter(name, a)
+    """A store holding one parameter per keyword, in order, filled with its
+    value, with the gradient buffer enabled."""
+    store = nm.ParamStore([(name, np.shape(a)) for name, a in arrays.items()],
+                          dtype)
+    for name, a in arrays.items():
+        store[name].data[...] = a
     store.enable_grad()
     return store
 
@@ -362,11 +362,9 @@ class TestParamStore:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_steps_match_per_tensor_copies(self, dtype):
         start = self._start(dtype)
-        size = sum(a.size for a in start.values())
-        store = nm.ParamStore(size, dtype)
-        with store:
-            ours = {k: nm.parameter(k, a) for k, a in start.items()}
-        grads = store.enable_grad()
+        store = store_of(dtype, **start)
+        ours = dict(store)
+        grads = store.grads
         ref = {k: nm.parameter(k, a.copy()) for k, a in start.items()}
         ref_m = {k: np.zeros_like(a) for k, a in start.items()}
         ref_v = {k: np.zeros_like(a) for k, a in start.items()}
@@ -430,22 +428,26 @@ class TestParamStore:
         assert not store.gradients().flat.any()
 
     def test_gradients_need_enable_grad(self):
-        store = nm.ParamStore(2, np.float32)
-        with store:
-            nm.parameter("w", np.ones(2))
+        store = nm.ParamStore([("w", (2,))], np.float32)
         with pytest.raises(ContractError, match="not enabled"):
             store.gradients()
 
     def test_tensors_are_views_of_one_array(self):
         start = self._start(np.float32)
-        store = nm.ParamStore(sum(a.size for a in start.values()), np.float32)
-        with store:
-            for k, a in start.items():
-                nm.parameter(k, a)
+        store = nm.ParamStore([(k, a.shape) for k, a in start.items()],
+                              np.float32)
         assert list(store) == list(start)
+        assert not store.flat.any()
+        lo = 0
         for k, t in store.items():
+            assert store.layout[k] == (lo, start[k].shape)
+            assert t.shape == start[k].shape and t.trainable and t.name == k
             assert np.shares_memory(t.data, store.flat)
-            assert np.array_equal(t.data, start[k])
+            t.data[...] = start[k]
+            lo += start[k].size
+        assert store.size == store.flat.size == lo
+        assert store.flat.tobytes() == b"".join(
+            a.tobytes() for a in start.values())
         grads = store.enable_grad()
         assert list(grads) == list(start)
         assert grads.flat.shape == store.flat.shape
@@ -453,29 +455,27 @@ class TestParamStore:
             assert np.shares_memory(grads[k], grads.flat)
 
     def test_oversized_store_refused_before_allocating(self):
+        layout = [("a", (1 << 14, 1 << 14)), ("b", (1,))]
         with pytest.raises(ConfigError, match=r"268,435,457 trainable"):
-            nm.ParamStore(nm.MAX_PARAMETERS + 1, np.float32)
+            nm.ParamStore(layout, np.float32)
 
-    @pytest.mark.parametrize("sizes,size", [((3,), 4), ((3, 2), 4)],
-                             ids=["underfilled", "overflowed"])
-    def test_fill_must_match_the_size(self, sizes, size):
-        with pytest.raises(ContractError, match="store"):
-            with nm.ParamStore(size, np.float32):
-                for i, n in enumerate(sizes):
-                    nm.parameter(f"p{i}", np.ones(n))
+    def test_layout_read_no_further_than_the_caps(self):
+        # lazy layouts, read only up to the tensor that crosses a cap: the
+        # 257th of 2^20 elements, the 65,537th of one element
+        wide = ((f"p{i}", (1 << 20,)) for i in range(300))
+        with pytest.raises(ConfigError, match=r"269,484,032 trainable "
+                           r"parameters, .* \(counted up to 'p256'\)"):
+            nm.ParamStore(wide, np.float32)
+        assert next(wide) == ("p257", (1 << 20,))
+        narrow = ((f"p{i}", (1,)) for i in range(nm.MAX_TENSORS + 10))
+        with pytest.raises(ConfigError, match="more than 65,536 trainable "
+                           "tensors"):
+            nm.ParamStore(narrow, np.float32)
+        assert next(narrow) == ("p65537", (1,))
 
     def test_name_taken_twice_rejected(self):
-        with pytest.raises(ContractError, match="already"):
-            with nm.ParamStore(4, np.float32):
-                nm.parameter("p", np.ones(2))
-                nm.parameter("p", np.ones(2))
-
-    def test_parameters_outside_the_block_are_standalone(self):
-        with nm.ParamStore(2, np.float32) as store:
-            inside = nm.parameter("in", np.ones(2))
-        outside = nm.parameter("out", np.ones(2))
-        assert list(store) == ["in"] and store["in"] is inside
-        assert not np.shares_memory(outside.data, store.flat)
+        with pytest.raises(ContractError, match="'p' is listed twice"):
+            nm.ParamStore([("p", (2,)), ("q", (1,)), ("p", (2,))], np.float32)
 
 
 class TestTape:
@@ -572,6 +572,20 @@ class TestGradCheck:
         with pytest.raises(NumericsError, match="bad_param"):
             nm.grad_check(f, store)
 
+    def test_failed_evaluation_restores_the_element(self):
+        # f fails at w + h: the element must read its own value afterwards
+        store = store_of(w=np.array([0.5]))
+        w = store["w"]
+
+        def f():
+            if w.data[0] != 0.5:
+                raise NumericsError("non-finite values produced by mul")
+            return nm.sum_all(w * w)
+
+        with pytest.raises(NumericsError, match="'w'"):
+            nm.grad_check(f, store)
+        assert w.data[0] == 0.5
+
 
 class TestCheckpointContainer:
     def test_save_load_save_identical_bytes(self, tmp_path):
@@ -606,17 +620,20 @@ class TestCheckpointContainer:
 
     @pytest.mark.parametrize("into,match", [
         ({"a": np.empty((3, 4), np.float32), "b": np.empty(5),
-          "x": np.empty(1)}, r"missing \['x'\], unexpected \[\]"),
-        ({"a": np.empty((3, 4), np.float32)}, r"missing \[\], unexpected \['b'\]"),
+          "x": np.empty(1)}, r"tensor 3 is nothing, expected \('x', \(1,\)\)"),
+        ({"a": np.empty((3, 4), np.float32)},
+         r"tensor 2 is \('b', \(5,\)\), expected nothing"),
         ({"a": np.empty((4, 3), np.float32), "b": np.empty(5)},
-         r"tensor a has shape \(3, 4\), expected \(4, 3\)"),
-    ], ids=["missing", "unexpected", "shape"])
+         r"tensor 1 is \('a', \(3, 4\)\), expected \('a', \(4, 3\)\)"),
+        ({"b": np.empty(5), "a": np.empty((3, 4), np.float32)},
+         r"tensor 1 is \('a', \(3, 4\)\), expected \('b', \(5,\)\)"),
+    ], ids=["missing", "unexpected", "shape", "order"])
     def test_load_into_mismatch_reads_nothing(self, tmp_path, into, match):
         path = tmp_path / "m.ckpt"
         nm.save_checkpoint({"a": np.ones((3, 4), np.float32),
                             "b": np.ones(5)}, path)
         before = {k: a.copy() for k, a in into.items()}
-        with pytest.raises(ContractError, match=match):
+        with pytest.raises(FormatError, match=match):
             nm.load_checkpoint(path, into=into)
         for k, a in into.items():
             assert a.tobytes() == before[k].tobytes()

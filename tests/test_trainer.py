@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syngcn import evaluator, fixtures, trainer
+from syngcn import (bilstm, classifier, embedder, evaluator, fixtures, gcn,
+                    trainer)
 from syngcn import numerics as nm
 from syngcn.conll import build_lexicon
-from syngcn.errors import ConfigError, ContractError
+from syngcn.errors import ConfigError, ContractError, FormatError
 from syngcn.evaluator import predict_corpus
 from syngcn.syngraph import build_graph
 from syngcn.trainer import (Instance, SrlModel, TrainConfig, load_config,
@@ -128,15 +129,56 @@ class TestConfig:
 
     def test_shipped_configs_build_within_the_parameter_cap(
             self, overfit_sentences, overfit_lexicon):
-        # the store refuses a model above nm.MAX_PARAMETERS, and checks
-        # that the tensors fill exactly trainable_size
+        # the store refuses a model above nm.MAX_PARAMETERS; the model's
+        # store is laid out by param_layout, in its order
         for path in sorted(CONFIGS.glob("*.conf")):
             cfg = load_config(path)
-            size = trainer.trainable_size(cfg, overfit_lexicon)
+            layout = list(trainer.param_layout(cfg, overfit_lexicon))
+            size = sum(math.prod(shape) for _, shape in layout)
             assert size <= nm.MAX_PARAMETERS
             model = SrlModel(cfg, overfit_lexicon, np.random.default_rng(0))
-            assert model.store.size == size == sum(
-                t.data.size for t in model.store.values())
+            assert [(name, shape) for name, (_, shape)
+                    in model.store.layout.items()] == layout
+            assert model.store.size == size
+
+    @pytest.mark.parametrize("deep", ["lstm_layers", "gcn_layers"])
+    def test_deep_narrow_model_refused(self, overfit_lexicon, deep):
+        # 10^5 one-unit layers: far under the parameter cap, but their
+        # hundreds of thousands of tensors pass the tensor cap
+        cfg = small_config(d_h=1, **{deep: 10 ** 5})
+        with pytest.raises(ConfigError, match="65,536 trainable tensors"):
+            SrlModel(cfg, overfit_lexicon, np.random.default_rng(0))
+
+    def test_param_layout_pinned(self, figure_sentences):
+        # every trainable tensor of a J = K = 1 model: name, store offset
+        # and shape. 8 words, 7 POS tags, 8 lemmas, 2 predicate lemmas,
+        # 3 roles and 7 dependency relations (15 extended labels)
+        lexicon = build_lexicon(figure_sentences)
+        cfg = small_config(d_w=3, d_pos=2, d_l=3, d_h=2, d_r=2, d_l_out=2)
+        store = nm.ParamStore(trainer.param_layout(cfg, lexicon), np.float32)
+        assert [(name, lo, shape) for name, (lo, shape)
+                in store.layout.items()] == [
+            ("embed.word", 0, (8, 3)),
+            ("embed.pos", 24, (7, 2)),
+            ("embed.lemma", 38, (8, 3)),
+            ("lstm.0.fw.w", 62, (11, 8)),
+            ("lstm.0.fw.u", 150, (2, 8)),
+            ("lstm.0.fw.b", 166, (1, 8)),
+            ("lstm.0.bw.w", 174, (11, 8)),
+            ("lstm.0.bw.u", 262, (2, 8)),
+            ("lstm.0.bw.b", 278, (1, 8)),
+            ("gcn.0.w_along", 286, (4, 4)),
+            ("gcn.0.w_opposite", 302, (4, 4)),
+            ("gcn.0.w_self", 318, (4, 4)),
+            ("gcn.0.label_bias", 334, (15, 4)),
+            ("gcn.0.gate_w_along", 394, (1, 4)),
+            ("gcn.0.gate_w_opposite", 398, (1, 4)),
+            ("gcn.0.gate_w_self", 402, (1, 4)),
+            ("gcn.0.gate_label_bias", 406, (15, 1)),
+            ("cls.pair_transform", 421, (4, 8)),
+            ("cls.lemma", 453, (2, 2)),
+            ("cls.role", 457, (3, 2))]
+        assert store.size == 463
 
     def test_paper_defaults(self):
         cfg = TrainConfig()
@@ -226,7 +268,7 @@ class TestModel:
     ], ids=["J1K1", "J0K1", "J1K2"])
     def test_parameter_names_in_checkpoint_order(self, overfit_sentences,
                                                  layers, want):
-        # the store's tensors in creation order, the frozen table after
+        # the store's tensors in layout order, the frozen table after
         # embed.word: the order tensors take in a checkpoint file
         j, k = layers
         model, _ = tiny_model(overfit_sentences, lstm_layers=j, gcn_layers=k)
@@ -274,33 +316,40 @@ class TestModel:
 
     def test_loading_draws_nothing(self, overfit_sentences, tmp_path,
                                    monkeypatch):
-        model, lex = tiny_model(overfit_sentences)
-        path = tmp_path / "m.ckpt"
-        model.save(path)
+        def refuse(*args, **kwargs):
+            raise AssertionError("initializer or random draw while loading")
 
-        class NoUniform:
-            def __init__(self, *args):
-                pass
-
-            def uniform(self, *args, **kwargs):
-                raise AssertionError("random draw while loading")
-
-        monkeypatch.setattr(np.random, "default_rng", NoUniform)
-        clone = SrlModel.from_checkpoint(path, model.config, lex)
-        monkeypatch.undo()
-        want = model.parameters()
-        got = clone.parameters()
-        assert list(got) == list(want)
-        for name, t in got.items():
-            assert t.data.dtype == want[name].data.dtype
-            assert t.data.tobytes() == want[name].data.tobytes(), name
+        # with and without a BiLSTM; the second has a GCN input projection
+        for j, k in [(1, 1), (0, 2)]:
+            model, lex = tiny_model(overfit_sentences, lstm_layers=j,
+                                    gcn_layers=k)
+            path = tmp_path / f"J{j}K{k}.ckpt"
+            model.save(path)
+            for module, name in [(embedder, "init_tables"),
+                                 (bilstm, "init_lstm"),
+                                 (bilstm, "init_lstm_direction"),
+                                 (gcn, "init_gcn_stack"),
+                                 (classifier, "init_classifier"),
+                                 (np.random, "default_rng")]:
+                monkeypatch.setattr(module, name, refuse)
+            clone = SrlModel.from_checkpoint(path, model.config, lex)
+            monkeypatch.undo()
+            want = model.parameters()
+            got = clone.parameters()
+            assert list(got) == list(want)
+            for name, t in got.items():
+                assert t.data.dtype == want[name].data.dtype
+                assert t.data.tobytes() == want[name].data.tobytes(), name
 
     def test_checkpoint_mismatch_rejected(self, overfit_sentences, tmp_path):
+        # the first tensor that differs: a K = 1 file read by a K = 0 model
         model, lex = tiny_model(overfit_sentences)
         path = tmp_path / "m.ckpt"
         model.save(path)
         other, _ = tiny_model(overfit_sentences, lex, gcn_layers=0)
-        with pytest.raises(ContractError, match="checkpoint"):
+        with pytest.raises(FormatError, match=r"tensor 11 is \('gcn.0.w_along', "
+                           r"\(16, 16\)\), expected \('cls.pair_transform', "
+                           r"\(16, 32\)\)"):
             SrlModel.from_checkpoint(path, other.config, lex)
 
 
