@@ -8,7 +8,8 @@ import numpy as np
 from syngcn import numerics as nm
 
 print("== tensors and the tape ==")
-w = nm.parameter("w", np.array([[1.0, -2.0], [0.5, 3.0]]), dtype=np.float64)
+w = nm.Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), np.float64, "w",
+              trainable=True)
 x = nm.Tensor(np.array([[1.0], [1.0]]), dtype=np.float64)
 with nm.Tape() as tape:
     y = nm.relu(w @ x)              # [[0 hidden], ...]

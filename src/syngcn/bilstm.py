@@ -1,9 +1,9 @@
 """Stacked bidirectional LSTM encoder.
 
-Each layer runs one forward and one backward ``nm.lstm`` over the token
-sequences and concatenates their states, so layer input widths are: embedder
-width for layer 1, then 2*d_h. A direction is three tensors in the fused-gate
-layout of Appleyard et al. 2016: ``w`` [input_dim x 4*d_h], ``u``
+Each layer is one ``nm.bilstm_layer`` op: both directions run in one time
+loop and write their states side by side, so layer input widths are:
+embedder width for layer 1, then 2*d_h. A direction is three tensors in the
+fused-gate layout of Appleyard et al. 2016: ``w`` [input_dim x 4*d_h], ``u``
 [d_h x 4*d_h] and ``b`` [1 x 4*d_h], with the gates in i, f, o, g column
 blocks, named ``lstm.<layer>.<fw|bw>.<w|u|b>`` in checkpoints.
 """
@@ -70,8 +70,6 @@ def bilstm_encode(x: nm.Tensor, params: LstmParams,
     ``x`` holds one sentence, or several as consecutive row blocks of
     ``lengths`` rows, each encoded on its own.
     """
-    h = x
     for fw, bw in params.layers:
-        h = nm.concat([nm.lstm(h, *fw, lengths=lengths),
-                       nm.lstm(h, *bw, reverse=True, lengths=lengths)], axis=1)
-    return h
+        x = nm.bilstm_layer(x, fw, bw, lengths)
+    return x

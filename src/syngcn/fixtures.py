@@ -212,7 +212,7 @@ def gradcheck_model(seed: int = 7):
     import numpy as np
 
     from .conll import build_lexicon
-    from .trainer import Instance, SrlModel, TrainConfig, make_instances
+    from .trainer import SrlModel, TrainConfig, make_instances
 
     text = _sentence([
         _row(1, "birds", "bird", "NN", 2, "SBJ", None, ["A0"]),

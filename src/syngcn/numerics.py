@@ -8,8 +8,8 @@ Ops executed with no active tape are plain forward computations.
 
 Every op verifies its output is finite; NaN/Inf raises ``NumericsError``
 rather than propagating silently. The fused ops also check the values the
-clamped logistic would make finite: ``lstm`` its pre-activations, and
-``graph_conv`` its gate logits and pre-ReLU sums.
+clamped logistic would make finite: ``bilstm_layer`` its pre-activations (as
+``lstm``), and ``graph_conv`` its gate logits and pre-ReLU sums.
 
 A model keeps its trainable tensors in a ``ParamStore``, allocated from the
 ``(name, shape)`` pairs its modules declare, as views into one flat array.
@@ -112,11 +112,6 @@ class Tensor:
         return mul(self, _lift(-1.0, self.dtype))
 
 
-def parameter(name: str, data, dtype=None) -> Tensor:
-    """A trainable leaf tensor outside any store."""
-    return Tensor(data, dtype=dtype, name=name, trainable=True)
-
-
 def constant(data, dtype=None) -> Tensor:
     return Tensor(data, dtype=dtype)
 
@@ -190,17 +185,12 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NumericsError(f"non-finite values produced by {op}")
 
 
-def _recording(inputs: tuple[Tensor, ...]) -> bool:
-    """Whether an op on ``inputs`` goes on the tape: one is active and some
-    input needs a gradient."""
-    return _ACTIVE_TAPE is not None and any(t._needs_grad for t in inputs)
-
-
 def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], op: str,
           backward: Callable[[np.ndarray], None]) -> Tensor:
     _check_finite(out_data, op)
     out = Tensor(out_data)
-    if _recording(inputs):
+    # on the tape when one is active and some input needs a gradient
+    if _ACTIVE_TAPE is not None and any(t._needs_grad for t in inputs):
         out._needs_grad = True
         _ACTIVE_TAPE._record(out, backward)
     return out
@@ -389,92 +379,103 @@ def tanh(x: Tensor) -> Tensor:
     return _make(out, (x,), "tanh", backward)
 
 
-def lstm(x: Tensor, w: Tensor, u: Tensor, b: Tensor, reverse: bool = False,
-         lengths=None) -> Tensor:
-    """One LSTM direction over B sequences as one op; returns their [N x d]
-    states in the row order of ``x``.
+def bilstm_layer(x: Tensor, fw: tuple, bw: tuple, lengths=None) -> Tensor:
+    """Both LSTM directions of a layer over B sequences as one op: [N x 2d]
+    forward (columns :d) and backward (d:) states in the row order of ``x``.
 
     ``x`` [N x in] holds the sequences as consecutive row blocks of
-    ``lengths`` rows (default: one sequence of all N rows); each runs from
-    its first row, or from its last if ``reverse``, starting at a zero
-    state. ``w`` [in x 4d], ``u`` [d x 4d] and ``b`` [1 x 4d] hold the i, f,
-    o, g gates in column blocks: z = x_t@w + b + h_prev@u, i,f,o = logistic,
-    g = tanh, c = f*c_prev + i*g, h = o*tanh(c).
-
-    The rows are packed time-major with the longest sequence first, so the
-    sequences still running at step t are a prefix of that step's rows and
-    each step is one [active x d] @ [d x 4d] product.
+    ``lengths`` rows (default: one of all N rows); the forward direction
+    runs each from its first row, the backward from its last, both from
+    zero states. Each direction's ``(w, u, b)``, [in x 4d], [d x 4d] and
+    [1 x 4d], holds the i, f, o, g gates in column blocks: z = x_t@w + b +
+    h_prev@u, i,f,o = logistic, g = tanh, c = f*c_prev + i*g, h = o*tanh(c).
+    Rows are packed time-major, longest sequence first, so the sequences
+    running at step t are a prefix of its rows in both directions: a step is
+    one [active x d] @ [d x 4d] product per direction, one ufunc pass each.
     """
-    for t in (w, u, b):
+    dirs, us = (fw, bw), (fw[1].data, bw[1].data)
+    for t in (*fw, *bw):
         _same_dtype(x, t, "lstm")
-    n, d = x.data.shape[0], u.data.shape[-1] // 4
-    if (x.data.ndim != 2 or w.data.shape != (x.data.shape[1], 4 * d)
-            or u.data.shape != (d, 4 * d) or b.data.shape != (1, 4 * d)):
-        raise ShapeError(f"lstm: incompatible shapes x {x.data.shape}, w "
-                         f"{w.data.shape}, u {u.data.shape}, b {b.data.shape}")
+    n, d = x.data.shape[0], us[0].shape[-1] // 4
+    want = ((x.data.shape[-1], 4 * d), (d, 4 * d), (1, 4 * d))
+    shapes = [tuple(t.data.shape for t in p) for p in dirs]
+    if x.data.ndim != 2 or shapes != [want, want]:
+        raise ShapeError(f"lstm: incompatible shapes x {x.data.shape}, (w, u, b) {shapes}")
     lens = np.array([n] if lengths is None else lengths, dtype=np.intp)
     if lens.ndim != 1 or lens.size == 0 or lens.min() < 1 or lens.sum() != n:
         raise ShapeError(f"lstm: sequence lengths {lens.tolist()} for {n} rows")
     by_len = np.argsort(-lens, kind="stable")
-    first = (np.cumsum(lens) - lens)[by_len]   # first row of each sequence
-    if reverse:
-        first = first + lens[by_len] - 1
-    active = (lens[by_len][:, None] > np.arange(lens.max())).sum(axis=0)
-    step = -1 if reverse else 1
-    # order[k] is the row of x computed k-th; steps fill consecutive slots
-    order = np.concatenate([first[:a] + step * t for t, a in enumerate(active)])
-    slots = [slice(lo, lo + a) for lo, a in
-             zip(np.cumsum(active) - active, active)]
+    sorted_lens = lens[by_len]
+    active = (sorted_lens[:, None] > np.arange(sorted_lens[0])).sum(axis=0)
+    starts = np.cumsum(active) - active
+    # packed row j: step[j] steps into sequence seq[j]; order[k, j]: its x row
+    step = np.repeat(np.arange(active.size), active)
+    seq = np.arange(n) - starts[step]
+    first = (np.cumsum(lens) - lens)[by_len][seq]
+    order = np.stack([first + step, first + sorted_lens[seq] - 1 - step])
+    steps = [(slice(lo, lo + a), a) for lo, a in
+             zip(starts.tolist(), active.tolist())]
 
-    z = (x.data @ w.data + b.data)[order]  # pre-activations, [N x 4d]
+    z = np.stack([(x.data @ w.data + b.data)[rows]   # pre-activations
+                  for (w, _, b), rows in zip(dirs, order)])  # [2 x N x 4d]
     gates = np.empty_like(z)               # i, f, o, g after activation
-    h, tanh_c = np.empty((n, d), z.dtype), np.empty((n, d), z.dtype)
-    # the states each step starts from, which only the backward reads
-    record = _recording((x, w, u, b))
-    h_prev, c_prev = ((np.empty((n, d), z.dtype), np.empty((n, d), z.dtype))
-                      if record else (None, None))
-    h_t = c_t = np.zeros((active[0], d), z.dtype)
-    for s, a in zip(slots, active):
-        if record:
-            h_prev[s], c_prev[s] = h_t[:a], c_t[:a]
-        z[s] += h_t[:a] @ u.data
-        gates[s, :3 * d] = _logistic(z[s, :3 * d])
-        gates[s, 3 * d:] = np.tanh(z[s, 3 * d:])
-        i, f, o, g = (gates[s, k * d:(k + 1) * d] for k in range(4))
-        c_t = f * c_t[:a] + i * g
-        tanh_c[s] = np.tanh(c_t)
-        h[s] = h_t = o * tanh_c[s]
+    h, c, tanh_c = np.empty((3, 2, n, d), z.dtype)
+    h_t = c_t = np.zeros((2, active[0], d), z.dtype)
+    for s, a in steps:
+        for k, u in enumerate(us):
+            z[k, s] += h_t[k, :a] @ u
+        gates[:, s, :3 * d] = _logistic(z[:, s, :3 * d])
+        i, f, o, g = (gates[:, s, k * d:(k + 1) * d] for k in range(4))
+        np.tanh(z[:, s, 3 * d:], out=g)
+        c_t = np.add(f * c_t[:, :a], i * g, out=c[:, s])
+        h_t = np.multiply(o, np.tanh(c_t, out=tanh_c[:, s]), out=h[:, s])
     # checked here, since the clamped logistic makes an infinite z finite
     _check_finite(z, "lstm")
-    out = np.empty_like(h)
-    out[order] = h
+    out = np.empty((n, 2 * d), z.dtype)    # direction k in columns k*d:
+    out.reshape(n, 2, d)[order, [[0], [1]]] = h
 
     def backward(dout):
-        # grouped as in the mul, sigmoid and tanh rules, to round the same way
-        dout = dout[order]
+        # the cells each step started from: a step's rows continue the
+        # previous step's first rows, and the first step's start at zero
+        prev = np.arange(active[0], n) - active[step[active[0]:] - 1]
+        c_prev = np.zeros_like(c)
+        c_prev[:, active[0]:] = c[:, prev]
+        # a gate's dz is dc (dh for o) times factors known before the loop,
+        # multiplied in the order of the mul, sigmoid and tanh rules so that
+        # it rounds the same way; g has no fourth factor
+        i, f, o, g = gates.reshape(2, n, 4, d).transpose(2, 0, 1, 3)
+        second = np.stack([g, c_prev, tanh_c, i], axis=2)
+        third = np.stack([i, f, o, 1.0 - g * g], axis=2)
+        fourth = 1.0 - third[:, :, :3]
+        dtanh_c = 1.0 - tanh_c * tanh_c
+        dout = dout.reshape(n, 2, d)[order, [[0], [1]]]
         dz = np.empty_like(gates)
+        dz4 = dz.reshape(second.shape)
         # carries from the step that came after; a sequence's rows beyond
         # that step's prefix end there and start from zero
-        dh_next, dc_next = (np.zeros((active[0], d), gates.dtype)
-                            for _ in range(2))
-        for s, a in zip(reversed(slots), reversed(active)):
-            i, f, o, g = (gates[s, k * d:(k + 1) * d] for k in range(4))
-            dh = dout[s] + dh_next[:a]
-            dc = dc_next[:a] + dh * o * (1.0 - tanh_c[s] * tanh_c[s])
-            dz[s, :d] = dc * g * i * (1.0 - i)
-            dz[s, d:2 * d] = dc * c_prev[s] * f * (1.0 - f)
-            dz[s, 2 * d:3 * d] = dh * tanh_c[s] * o * (1.0 - o)
-            dz[s, 3 * d:] = dc * i * (1.0 - g * g)
-            dh_next[:a], dc_next[:a] = dz[s] @ u.data.T, dc * f
-        # back to the row order of x, so the products sum over rows in order
-        dz_rows, h_prev_rows = np.empty_like(dz), np.empty_like(h_prev)
-        dz_rows[order], h_prev_rows[order] = dz, h_prev
-        _accumulate_product(x, dz_rows, w.data.T)
-        _accumulate_product(w, x.data.T, dz_rows)
-        _accumulate_product(u, h_prev_rows.T, dz_rows)
-        _accumulate(b, dz_rows.sum(axis=0, keepdims=True))
+        dh_next, dc_next = np.zeros((2, 2, active[0], d), h.dtype)
+        for s, a in reversed(steps):
+            dh = dout[:, s] + dh_next[:, :a]
+            dc = dc_next[:, :a] + dh * o[:, s] * dtanh_c[:, s]
+            np.multiply(dc[:, :, None], second[:, s], out=dz4[:, s])
+            np.multiply(dh, tanh_c[:, s], out=dz4[:, s, 2])
+            dz4[:, s] *= third[:, s]
+            dz4[:, s, :3] *= fourth[:, s]
+            for k, u in enumerate(us):
+                np.matmul(dz[k, s], u.T, out=dh_next[k, :a])
+            np.multiply(dc, f[:, s], out=dc_next[:, :a])
+        # backward direction first, as when each direction was its own tape
+        # node; rows back in the order of x, so products sum rows in order
+        for k in (1, 0):
+            (w, u, b), rows = dirs[k], order[k]
+            dz_rows, h_prev_rows = np.empty_like(dz[k]), np.zeros_like(h[k])
+            dz_rows[rows], h_prev_rows[rows[active[0]:]] = dz[k], h[k, prev]
+            _accumulate_product(x, dz_rows, w.data.T)
+            _accumulate_product(w, x.data.T, dz_rows)
+            _accumulate_product(u, h_prev_rows.T, dz_rows)
+            _accumulate(b, dz_rows.sum(axis=0, keepdims=True))
 
-    return _make(out, (x, w, u, b), "lstm", backward)
+    return _make(out, (x, *fw, *bw), "lstm", backward)
 
 
 def graph_conv(h: Tensor, weights: list[Tensor], label_bias: Tensor,

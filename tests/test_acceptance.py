@@ -11,7 +11,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from syngcn import fixtures
 from syngcn import numerics as nm
@@ -21,7 +20,7 @@ from syngcn.evaluator import (PredictionSet, distance_buckets, ensemble,
                               teleport_stats)
 from syngcn.gcn import gcn_layer, plain_gcn_layer
 from syngcn.syngraph import Direction, build_graph, edge_dropout, num_labels
-from syngcn.trainer import SrlModel, TrainConfig, train
+from syngcn.trainer import SrlModel, train
 
 from conftest import parse_text, small_config
 from test_evaluator import (bucket_recount_oracle, corpus_with_roles,

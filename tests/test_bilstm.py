@@ -66,7 +66,8 @@ def reference_direction(x, w, u, b, reverse):
 
 def split_gates(direction, name):
     """Per-gate float64 copies of a fused direction, as trainable leaves."""
-    return [[nm.parameter(f"{name}.{k}.{g}", block(t, g).copy(), np.float64)
+    return [[nm.Tensor(block(t, g).copy(), np.float64, f"{name}.{k}.{g}",
+                       trainable=True)
              for g in range(4)] for k, t in zip("wub", direction)]
 
 
@@ -149,7 +150,7 @@ class TestFusedMatchesPerGate:
         def run(encode):
             """The states, and the gradient of a new leaf x; the weights'
             gradients are left in their ``grad``."""
-            x = nm.parameter("x", x_data, np.float64)
+            x = nm.Tensor(x_data, np.float64, "x", trainable=True)
             with nm.Tape() as tape:
                 out = encode(x)
                 loss = nm.sum_all(out @ proj)
@@ -251,17 +252,19 @@ class TestBilstmEncode:
             with nm.Tape() as tape:
                 bilstm_encode(x, params)
             sizes.append(len(tape._nodes))
-        assert sizes == [3 * layers] * 2
+        assert sizes == [layers] * 2
 
     # an infinite u meets the zero first state: inf * 0 warns in the matmul
     @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul"
                                 ":RuntimeWarning")
-    @pytest.mark.parametrize("name", ["w", "u", "b"])
+    # the forward direction's tensors unprefixed, the backward's "bw."
+    @pytest.mark.parametrize("name", ["w", "u", "b", "bw.w", "bw.u", "bw.b"])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_weight_is_reported(self, name, value):
-        params, _ = new_lstm(3, 4, 1, np.random.default_rng(7))
-        fw = dict(zip("wub", params.layers[0][0]))
-        fw[name].data[0, 5] = value
+        _, store = new_lstm(3, 4, 1, np.random.default_rng(7))
+        side, _, k = name.rpartition(".")
+        store[f"lstm.0.{side or 'fw'}.{k}"].data[0, 5] = value
+        params = lstm_params(store, 1)
         x = nm.Tensor(np.ones((2, 3), dtype=np.float32))
         with pytest.raises(NumericsError, match="lstm"):
             bilstm_encode(x, params)
@@ -270,8 +273,8 @@ class TestBilstmEncode:
 def step_by_step_lstm(x, w, u, b, reverse, dout):
     """One sequence, one row per step, each step a vector-matrix product;
     returns the states and the gradients of sum(states * dout) for x, w, u
-    and b. The single-sequence loop that ``nm.lstm`` batched, kept as the
-    byte-level reference for its B = 1 case."""
+    and b. The single-sequence loop that ``nm.bilstm_layer`` batches, kept as
+    the byte-level reference for each of its halves at B = 1."""
     n, d = x.shape[0], u.shape[0]
     order = range(n - 1, -1, -1) if reverse else range(n)
     z = x @ w + b
@@ -302,103 +305,221 @@ def step_by_step_lstm(x, w, u, b, reverse, dout):
                "b": dz.sum(axis=0, keepdims=True)}
 
 
-def lstm_with_grads(arrays, reverse, dout, lengths=None):
-    """``nm.lstm`` states and the gradients of sum(states * dout), by name."""
-    leaves = {k: nm.parameter(k, a) for k, a in zip("xwub", arrays)}
-    with nm.Tape() as tape:
-        h = nm.lstm(*leaves.values(), reverse=reverse, lengths=lengths)
-        loss = nm.sum_all(h * nm.constant(dout))
-    tape.gradients(loss)
-    return h.data, {k: t.grad for k, t in leaves.items()}
 
 
-def random_direction_arrays(n, input_dim, d, rng, dtype):
+def reference_lstm(x, w, u, b, reverse=False, lengths=None):
+    """One LSTM direction over B packed sequences as one tape op, built on
+    ``nm._make``: the single-direction op the encoder ran, two to a layer,
+    before both directions shared a time loop. It packs, steps and rounds as
+    ``nm.bilstm_layer`` does for one direction, so it is that op's bitwise
+    per-direction oracle."""
+    n, d = x.data.shape[0], u.data.shape[0]
+    lens = np.array([n] if lengths is None else lengths, dtype=np.intp)
+    by_len = np.argsort(-lens, kind="stable")
+    first = (np.cumsum(lens) - lens)[by_len]
+    if reverse:
+        first = first + lens[by_len] - 1
+    active = (lens[by_len][:, None] > np.arange(lens.max())).sum(axis=0)
+    step = -1 if reverse else 1
+    order = np.concatenate([first[:a] + step * t for t, a in enumerate(active)])
+    slots = [slice(lo, lo + a) for lo, a in
+             zip(np.cumsum(active) - active, active)]
+    z = (x.data @ w.data + b.data)[order]
+    gates = np.empty_like(z)
+    h, tanh_c, h_prev, c_prev = (np.empty((n, d), z.dtype) for _ in range(4))
+    h_t = c_t = np.zeros((active[0], d), z.dtype)
+    for s, a in zip(slots, active):
+        h_prev[s], c_prev[s] = h_t[:a], c_t[:a]
+        z[s] += h_t[:a] @ u.data
+        gates[s, :3 * d] = nm._logistic(z[s, :3 * d])
+        gates[s, 3 * d:] = np.tanh(z[s, 3 * d:])
+        i, f, o, g = (gates[s, k * d:(k + 1) * d] for k in range(4))
+        c_t = f * c_t[:a] + i * g
+        tanh_c[s] = np.tanh(c_t)
+        h[s] = h_t = o * tanh_c[s]
+    out = np.empty_like(h)
+    out[order] = h
+
+    def backward(dout):
+        dout = dout[order]
+        dz = np.empty_like(gates)
+        dh_next, dc_next = np.zeros((2, active[0], d), gates.dtype)
+        for s, a in zip(reversed(slots), reversed(active)):
+            i, f, o, g = (gates[s, k * d:(k + 1) * d] for k in range(4))
+            dh = dout[s] + dh_next[:a]
+            dc = dc_next[:a] + dh * o * (1.0 - tanh_c[s] * tanh_c[s])
+            dz[s, :d] = dc * g * i * (1.0 - i)
+            dz[s, d:2 * d] = dc * c_prev[s] * f * (1.0 - f)
+            dz[s, 2 * d:3 * d] = dh * tanh_c[s] * o * (1.0 - o)
+            dz[s, 3 * d:] = dc * i * (1.0 - g * g)
+            dh_next[:a], dc_next[:a] = dz[s] @ u.data.T, dc * f
+        dz_rows, h_prev_rows = np.empty_like(dz), np.empty_like(h_prev)
+        dz_rows[order], h_prev_rows[order] = dz, h_prev
+        nm._accumulate(x, dz_rows @ w.data.T)
+        nm._accumulate(w, x.data.T @ dz_rows)
+        nm._accumulate(u, h_prev_rows.T @ dz_rows)
+        nm._accumulate(b, dz_rows.sum(axis=0, keepdims=True))
+
+    return nm._make(out, (x, w, u, b), "lstm", backward)
+
+
+NAMES = ("x", "fw.w", "fw.u", "fw.b", "bw.w", "bw.u", "bw.b")
+
+
+def random_layer_arrays(n, input_dim, d, rng, dtype):
+    """x, then the forward and the backward direction's w, u, b."""
+    shapes = ((input_dim, 4 * d), (d, 4 * d), (1, 4 * d))
     return [rng.uniform(-0.5, 0.5, shape).astype(dtype)
-            for shape in ((n, input_dim), (input_dim, 4 * d), (d, 4 * d),
-                          (1, 4 * d))]
+            for shape in ((n, input_dim), *shapes, *shapes)]
+
+
+def layer_with_grads(arrays, dout, lengths=None, tied=False, layer=None):
+    """A layer's states and the gradients of sum(states * dout) + sum(x * x),
+    by name, with the backward direction sharing the forward's tensors if
+    ``tied``. ``layer`` maps (x, fw, bw, lengths) to the states; the default
+    is ``nm.bilstm_layer``. The x * x term, recorded last, gives x a
+    gradient before the layer's backward adds to it."""
+    leaves = {k: nm.Tensor(a, name=k, trainable=True)
+              for k, a in zip(NAMES, arrays)}
+    x, fw = leaves["x"], tuple(leaves[f"fw.{k}"] for k in "wub")
+    bw = fw if tied else tuple(leaves[f"bw.{k}"] for k in "wub")
+    with nm.Tape() as tape:
+        h = (layer or nm.bilstm_layer)(x, fw, bw, lengths)
+        loss = nm.sum_all(h * nm.constant(dout)) + nm.sum_all(x * x)
+    tape.gradients(loss)
+    grads = {"x": x.grad, **{f"fw.{k}": t.grad for k, t in zip("wub", fw)},
+             **{f"bw.{k}": t.grad for k, t in zip("wub", bw)}}
+    return h.data, grads
+
+
+def two_reference_directions(x, fw, bw, lengths):
+    """The layer as the encoder built it before: a forward and a reversed
+    ``reference_lstm``, concatenated."""
+    return nm.concat([reference_lstm(x, *fw, lengths=lengths),
+                      reference_lstm(x, *bw, reverse=True, lengths=lengths)],
+                     axis=1)
+
+
+class TestLayerMatchesTwoDirections:
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("lengths", [[6], [4, 1, 6]])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_states_and_gradients_bitwise(self, dtype, lengths, tied):
+        # B = 1 and packed, unsorted lengths; every gradient bit for bit,
+        # including x's, which sums its two terms backward direction first
+        rng = np.random.default_rng(len(lengths))
+        n, d = sum(lengths), 5
+        arrays = random_layer_arrays(n, 3, d, rng, dtype)
+        dout = rng.standard_normal((n, 2 * d)).astype(dtype)
+        h, grads = layer_with_grads(arrays, dout, lengths, tied)
+        want_h, want = layer_with_grads(arrays, dout, lengths, tied,
+                                        two_reference_directions)
+        assert h[:, :d].tobytes() == want_h[:, :d].tobytes()
+        assert h[:, d:].tobytes() == want_h[:, d:].tobytes()
+        for k in NAMES:
+            assert grads[k].dtype == dtype
+            assert grads[k].tobytes() == want[k].tobytes(), k
 
 
 class TestBatchedLstm:
     LENGTHS = [4, 1, 6]   # not sorted, so the op's length order is exercised
 
-    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("tied", [False, True])
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6),
                                            (np.float64, 1e-12)])
-    def test_matches_single_sequence_calls(self, reverse, dtype, tol):
+    def test_matches_single_sequence_calls(self, tied, dtype, tol):
         rng = np.random.default_rng(20)
         n = sum(self.LENGTHS)
-        arrays = random_direction_arrays(n, 3, 5, rng, dtype)
-        dout = rng.standard_normal((n, 5)).astype(dtype)
-        h, grads = lstm_with_grads(arrays, reverse, dout, self.LENGTHS)
+        arrays = random_layer_arrays(n, 3, 5, rng, dtype)
+        dout = rng.standard_normal((n, 10)).astype(dtype)
+        h, grads = layer_with_grads(arrays, dout, self.LENGTHS, tied)
         lo = 0
         want_h, want_x = [], []
-        want = {k: 0.0 for k in "wub"}
+        want = {k: 0.0 for k in NAMES[1:]}
         for length in self.LENGTHS:
             rows = slice(lo, lo + length)
-            h1, g1 = lstm_with_grads([arrays[0][rows]] + arrays[1:], reverse,
-                                     dout[rows])
+            h1, g1 = layer_with_grads([arrays[0][rows]] + arrays[1:],
+                                      dout[rows], tied=tied)
             want_h.append(h1)
             want_x.append(g1["x"])
-            for k in "wub":
+            for k in want:
                 want[k] = want[k] + g1[k]
             lo += length
         np.testing.assert_allclose(h, np.vstack(want_h), rtol=0, atol=tol)
         np.testing.assert_allclose(grads["x"], np.vstack(want_x), rtol=0,
                                    atol=tol)
-        for k in "wub":
+        for k in want:
             np.testing.assert_allclose(grads[k], want[k], rtol=tol, atol=tol)
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_batched_gradient_check(self, reverse):
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_batched_gradient_check(self, tied):
         rng = np.random.default_rng(21)
-        arrays = random_direction_arrays(sum(self.LENGTHS), 3, 2, rng,
-                                         np.float64)
-        store = store_of(**dict(zip("xwub", arrays)))
-        proj = nm.constant(rng.standard_normal((2, 1)))
+        arrays = random_layer_arrays(sum(self.LENGTHS), 3, 2, rng, np.float64)
+        store = store_of(**dict(zip(NAMES, arrays)))
+        x, fw = store["x"], tuple(store[f"fw.{k}"] for k in "wub")
+        bw = fw if tied else tuple(store[f"bw.{k}"] for k in "wub")
+        proj = nm.constant(rng.standard_normal((4, 1)))
         result = nm.grad_check(
-            lambda: nm.sum_all(nm.lstm(*store.values(), reverse=reverse,
-                                       lengths=self.LENGTHS) @ proj), store)
+            lambda: nm.sum_all(nm.bilstm_layer(x, fw, bw, self.LENGTHS) @ proj),
+            store)
         assert result.max_rel_err < 1e-6
 
-    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("tied", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n,d", [(1, 4), (9, 8), (30, 64)])
-    def test_one_sequence_is_byte_identical_to_step_by_step(self, reverse,
+    def test_one_sequence_is_byte_identical_to_step_by_step(self, tied,
                                                             dtype, n, d):
+        # each half against its own direction's loop; tied tensors and x
+        # hold the backward direction's gradient plus the forward's
         rng = np.random.default_rng(n)
-        arrays = random_direction_arrays(n, 5, d, rng, dtype)
-        dout = rng.standard_normal((n, d)).astype(dtype)
-        h, grads = lstm_with_grads(arrays, reverse, dout)
-        want_h, want = step_by_step_lstm(*arrays, reverse, dout)
-        assert h.tobytes() == want_h.tobytes()
-        for k in "xwub":
-            assert grads[k].tobytes() == want[k].tobytes(), k
+        arrays = random_layer_arrays(n, 5, d, rng, dtype)
+        if tied:
+            arrays[4:] = arrays[1:4]
+        dout = rng.standard_normal((n, 2 * d)).astype(dtype)
+        h, grads = layer_with_grads(arrays, dout, tied=tied)
+        want_fw, fw = step_by_step_lstm(arrays[0], *arrays[1:4], False,
+                                        dout[:, :d])
+        want_bw, bw = step_by_step_lstm(arrays[0], *arrays[4:], True,
+                                        dout[:, d:])
+        assert h[:, :d].tobytes() == want_fw.tobytes()
+        assert h[:, d:].tobytes() == want_bw.tobytes()
+        # x's gradient also holds the 2x of the x * x term, added first
+        want_x = 2.0 * arrays[0] + bw["x"] + fw["x"]
+        assert grads["x"].tobytes() == want_x.tobytes()
+        for k in "wub":
+            if tied:
+                assert grads[f"fw.{k}"].tobytes() == (bw[k] + fw[k]).tobytes()
+            else:
+                assert grads[f"fw.{k}"].tobytes() == fw[k].tobytes(), k
+                assert grads[f"bw.{k}"].tobytes() == bw[k].tobytes(), k
 
     @pytest.mark.parametrize("lengths", [[2, 3], [4, 0], [], [-1, 5]])
     def test_lengths_must_cover_the_rows(self, lengths):
-        arrays = random_direction_arrays(4, 3, 2, np.random.default_rng(0),
-                                         np.float32)
+        x, *params = (nm.Tensor(a) for a in random_layer_arrays(
+            4, 3, 2, np.random.default_rng(0), np.float32))
         with pytest.raises(ShapeError, match="lengths"):
-            nm.lstm(*(nm.Tensor(a) for a in arrays), lengths=lengths)
+            nm.bilstm_layer(x, params[:3], params[3:], lengths)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul"
                                 ":RuntimeWarning")
     def test_non_finite_value_in_one_sequence_is_reported(self):
-        arrays = random_direction_arrays(5, 3, 2, np.random.default_rng(1),
-                                         np.float32)
+        arrays = random_layer_arrays(5, 3, 2, np.random.default_rng(1),
+                                     np.float32)
         arrays[0][4, 0] = np.inf
+        x, *params = (nm.Tensor(a) for a in arrays)
         with pytest.raises(NumericsError, match="lstm"):
-            nm.lstm(*(nm.Tensor(a) for a in arrays), lengths=[3, 2])
+            nm.bilstm_layer(x, params[:3], params[3:], [3, 2])
 
     @pytest.mark.parametrize("lengths", [[7], [4, 1, 2]])
     def test_forward_without_a_tape_is_byte_identical(self, lengths):
-        # with no tape the op skips the states only its backward reads
+        # the forward keeps no per-step copies for the backward, so it runs
+        # the same steps with a tape as without
         rng = np.random.default_rng(23)
-        arrays = random_direction_arrays(sum(lengths), 3, 5, rng, np.float32)
-        params = [nm.parameter(k, a) for k, a in zip("xwub", arrays)]
-        plain = nm.lstm(*params, reverse=True, lengths=lengths)
+        arrays = random_layer_arrays(sum(lengths), 3, 5, rng, np.float32)
+        x, *params = (nm.Tensor(a, trainable=True) for a in arrays)
+        plain = nm.bilstm_layer(x, params[:3], params[3:], lengths)
         with nm.Tape() as tape:
-            taped = nm.lstm(*params, reverse=True, lengths=lengths)
+            taped = nm.bilstm_layer(x, params[:3], params[3:], lengths)
         assert len(tape._nodes) == 1 and not plain._needs_grad
         assert plain.data.tobytes() == taped.data.tobytes()
 

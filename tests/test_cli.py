@@ -2,7 +2,6 @@ import logging
 import re
 import time
 
-import numpy as np
 import pytest
 
 from syngcn import cli, fixtures

@@ -440,7 +440,7 @@ class TestFusedMatchesPerOp:
     def test_no_edges_records_nothing(self):
         graph = ORACLE_GRAPHS["no edges"]
         params = layer_for(graph, 4, np.random.default_rng(42))
-        h = nm.parameter("h", np.ones((7, 4)), np.float32)
+        h = nm.Tensor(np.ones((7, 4)), np.float32, "h", trainable=True)
         with nm.Tape() as tape:
             out = gcn_layer(h, graph, params)
         assert tape._nodes == []

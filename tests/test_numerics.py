@@ -83,8 +83,9 @@ class TestMatmul:
             nm.matmul(nm.Tensor(np.ones((2, 3))), nm.Tensor(np.ones((2, 3))))
 
     def test_gradient(self):
-        a = nm.parameter("a", np.array([[1.0, 2.0], [3.0, 4.0]]))
-        b = nm.parameter("b", np.array([[1.0], [1.0]]))
+        a = nm.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), name="a",
+                      trainable=True)
+        b = nm.Tensor(np.array([[1.0], [1.0]]), name="b", trainable=True)
         with nm.Tape() as tape:
             loss = nm.sum_all(nm.matmul(a, b))
         tape.gradients(loss)
@@ -103,14 +104,14 @@ class TestRelu:
 
     def test_gradient_matches_finite_differences(self):
         # frozen central-difference oracle for sum(relu(x)) at [-1, 2]: [0, 1]
-        x = nm.parameter("x", np.array([[-1.0, 2.0]]))
+        x = nm.Tensor(np.array([[-1.0, 2.0]]), name="x", trainable=True)
         with nm.Tape() as tape:
             loss = nm.sum_all(nm.relu(x))
         tape.gradients(loss)
         assert np.array_equal(x.grad, np.array([[0.0, 1.0]]))
 
     def test_subgradient_at_zero_is_zero(self):
-        x = nm.parameter("x", np.array([[0.0]]))
+        x = nm.Tensor(np.array([[0.0]]), name="x", trainable=True)
         with nm.Tape() as tape:
             loss = nm.sum_all(nm.relu(x))
         tape.gradients(loss)
@@ -335,9 +336,10 @@ class TestAdam:
 
 
 class TestParamStore:
-    SHAPES = {"w": (5, 4), "table": (6, 5), "lstm.w": (4, 12),
-              "lstm.u": (3, 12), "lstm.b": (1, 12), "unused": (2, 3),
-              "dead": (2, 2), "sometimes": (1, 3)}
+    SHAPES = {"w": (5, 4), "table": (6, 5),
+              **{f"lstm.{side}.{k}": shape for side in ("fw", "bw")
+                 for k, shape in zip("wub", [(4, 12), (3, 12), (1, 12)])},
+              "unused": (2, 3), "dead": (2, 2), "sometimes": (1, 3)}
 
     def _start(self, dtype):
         rng = np.random.default_rng(3)
@@ -351,8 +353,9 @@ class TestParamStore:
         # even steps "dead" is used off the loss's path and "sometimes" not
         # at all, so their views still hold the odd step's gradient
         e = nm.rows(p["table"], [0, 2, 2, 5]) + nm.rows(p["table"], [1, 2, 0, 0])
-        h = nm.lstm(e @ p["w"], p["lstm.w"], p["lstm.u"], p["lstm.b"],
-                    lengths=[3, 1])
+        fw, bw = (tuple(p[f"lstm.{side}.{k}"] for k in "wub")
+                  for side in ("fw", "bw"))
+        h = nm.bilstm_layer(e @ p["w"], fw, bw, [3, 1])
         loss = nm.sum_all(nm.relu(h @ x)) + nm.sum_all(e @ p["w"])
         dead = nm.mul(p["dead"], p["dead"])
         if step % 2:
@@ -365,10 +368,11 @@ class TestParamStore:
         store = store_of(dtype, **start)
         ours = dict(store)
         grads = store.grads
-        ref = {k: nm.parameter(k, a.copy()) for k, a in start.items()}
+        ref = {k: nm.Tensor(a.copy(), name=k, trainable=True)
+               for k, a in start.items()}
         ref_m = {k: np.zeros_like(a) for k, a in start.items()}
         ref_v = {k: np.zeros_like(a) for k, a in start.items()}
-        x = nm.constant(np.random.default_rng(4).uniform(-1, 1, (3, 2)), dtype)
+        x = nm.constant(np.random.default_rng(4).uniform(-1, 1, (6, 2)), dtype)
         state = nm.AdamState(learning_rate=0.01)
         for step in range(1, 5):
             with nm.Tape() as tape:
@@ -400,7 +404,7 @@ class TestParamStore:
         start = self._start(dtype)
         store = store_of(dtype, **start)
         ours = dict(store)
-        x = nm.constant(np.random.default_rng(4).uniform(-1, 1, (3, 2)), dtype)
+        x = nm.constant(np.random.default_rng(4).uniform(-1, 1, (6, 2)), dtype)
         separate = []
         for step in (1, 2):
             with nm.Tape() as tape:
@@ -419,7 +423,8 @@ class TestParamStore:
         summed = nm.FlatArrays(separate[0] + separate[1], store.layout)
         # a tensor with one contribution per pass gets the same sum bit for
         # bit; the table and w get two per pass, added one by one
-        for k in ("lstm.w", "lstm.u", "lstm.b", "dead", "sometimes"):
+        for k in [k for k in start if k.startswith("lstm.")] + ["dead",
+                                                               "sometimes"]:
             assert total[k].tobytes() == summed[k].tobytes(), k
         np.testing.assert_allclose(total.flat, summed.flat,
                                    rtol=1e-5 if dtype == np.float32 else 1e-12)
@@ -480,7 +485,7 @@ class TestParamStore:
 
 class TestTape:
     def test_backward_runs_once(self):
-        x = nm.parameter("x", np.array([[2.0]]))
+        x = nm.Tensor(np.array([[2.0]]), name="x", trainable=True)
         with nm.Tape() as tape:
             loss = nm.sum_all(x * x)
         assert tape.gradients(loss) is None
@@ -488,21 +493,21 @@ class TestTape:
             tape.gradients(loss)
 
     def test_scalar_required(self):
-        x = nm.parameter("x", np.ones((2, 2)))
+        x = nm.Tensor(np.ones((2, 2)), name="x", trainable=True)
         with nm.Tape() as tape:
             y = x * x
         with pytest.raises(ShapeError):
             tape.gradients(y)
 
     def test_gradient_accumulates_over_reuse(self):
-        x = nm.parameter("x", np.array([[3.0]]))
+        x = nm.Tensor(np.array([[3.0]]), name="x", trainable=True)
         with nm.Tape() as tape:
             loss = nm.sum_all(x * x + x * x)   # d/dx = 4x
         tape.gradients(loss)
         assert x.grad[0, 0] == pytest.approx(12.0)
 
     def test_standalone_leaf_accumulates_over_passes(self):
-        x = nm.parameter("x", np.array([[3.0]]))
+        x = nm.Tensor(np.array([[3.0]]), name="x", trainable=True)
         for _ in range(2):
             with nm.Tape() as tape:
                 loss = nm.sum_all(x * x)       # d/dx = 2x per pass
@@ -516,7 +521,7 @@ class TestTape:
                     pass
 
     def test_no_tape_means_no_recording(self):
-        x = nm.parameter("x", np.array([[1.0]]))
+        x = nm.Tensor(np.array([[1.0]]), name="x", trainable=True)
         y = x * x
         assert y.grad is None and not y._needs_grad
 
