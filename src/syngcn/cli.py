@@ -168,6 +168,15 @@ def _check_same_sentences(gold, pred, gold_path, pred_path) -> None:
                 f"tokens with predicates at {g.predicates}")
 
 
+def _write_rows(path: Path, rows: list[tuple[str, str, str]]) -> None:
+    """Write (metric, key, value) rows as tab-separated lines, creating the
+    file's directory if needed."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(f"{metric}\t{key}\t{value}\n"
+                      for metric, key, value in rows)
+
+
 def _cmd_evaluate(args) -> int:
     if bool(args.pred) == bool(args.checkpoint):
         raise ConfigError("evaluate needs exactly one of --pred / --checkpoint")
@@ -179,11 +188,12 @@ def _cmd_evaluate(args) -> int:
     else:
         preds = _predictions_for([_load_model(c) for c in args.checkpoint], gold)
     report = evaluator.score(gold, preds)
-    print(evaluator.format_report(report), end="")
+    text = evaluator.format_report(report)
+    print(text, end="")
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        evaluator.write_report(report, out / "scores.txt", out / "scores.tsv")
+        _write_rows(out / "scores.tsv", evaluator.report_rows(report))
+        (out / "scores.txt").write_text(text, encoding="utf-8", newline="")
     return 0
 
 
@@ -224,11 +234,7 @@ def _cmd_analyze(args) -> int:
                 print(f"drop {rel}: dF1 {d:+.4f}")
                 rows.append(("delta_f1", rel, f"{d:.6f}"))
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "analysis.tsv", "w", encoding="utf-8", newline="") as fh:
-            for metric, key, value in rows:
-                fh.write(f"{metric}\t{key}\t{value}\n")
+        _write_rows(Path(args.out) / "analysis.tsv", rows)
     return 0
 
 

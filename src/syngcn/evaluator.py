@@ -3,15 +3,17 @@
 The primary scorer is labeled micro precision/recall/F1 over arguments,
 predicate disambiguation excluded: a predicted (predicate, token, role)
 triple is correct iff the gold data has the same triple with a non-NULL
-role. A combined mode that additionally counts the pass-through sense labels
-is available for comparison-style reporting and is clearly separate.
+role. Scores and the per-distance analysis count the same way, in one pass
+over the tokens of every predicate. A combined mode that additionally counts
+the pass-through sense labels is available for comparison-style reporting
+and is clearly separate.
 """
 
 from __future__ import annotations
 
 import collections
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,9 +134,6 @@ class ScoreReport:
     correct: int
     predicted: int
     gold: int
-    bucket_f1: dict[str, float] = field(default_factory=dict)
-    bucket_gold: dict[str, int] = field(default_factory=dict)
-    relation_delta_f1: dict[str, float] = field(default_factory=dict)
 
 
 def _prf(correct: int, predicted: int, gold: int) -> tuple[float, float, float]:
@@ -161,15 +160,26 @@ def _check_alignment(sentences: list[Sentence], pred: PredictionSet) -> None:
                                 f"{want_len}-token sentence {sid}")
 
 
-def _iter_triples(sentences, pred: PredictionSet, gold_side: bool):
-    """Yield (sentence_id, predicate_ord, token_idx, role) for non-NULL roles."""
+def _counts(sentences: list[Sentence], pred: PredictionSet,
+            last_bucket: int) -> list[list[int]]:
+    """[correct, predicted, gold] argument counts per distance bucket: the
+    bucket of a token is its distance from the predicate, capped at
+    ``last_bucket`` (0 counts everything in one bucket)."""
+    _check_alignment(sentences, pred)
+    counts = [[0, 0, 0] for _ in range(last_bucket + 1)]
     for sid, sent in enumerate(sentences):
-        for p_ord in range(len(sent.predicates)):
-            for i in range(len(sent)):
-                role = (sent.roles[p_ord][i] if gold_side
-                        else pred.role_string(sid, p_ord, i))
-                if role != NULL_ROLE:
-                    yield sid, p_ord, i, role
+        for p_ord, p_index in enumerate(sent.predicates):
+            predicted = [pred.roles[r] for r in pred.get(sid, p_ord)[0].tolist()]
+            for i, (gold_role, pred_role) in enumerate(
+                    zip(sent.roles[p_ord], predicted)):
+                tally = counts[min(abs(i - p_index + 1), last_bucket)]
+                if gold_role != NULL_ROLE:
+                    tally[2] += 1
+                if pred_role != NULL_ROLE:
+                    tally[1] += 1
+                    if pred_role == gold_role:
+                        tally[0] += 1
+    return counts
 
 
 def score(sentences: list[Sentence], pred: PredictionSet,
@@ -180,11 +190,7 @@ def score(sentences: list[Sentence], pred: PredictionSet,
     sides, mirroring combined reporting where disambiguation comes from an
     external system and rides through this model untouched.
     """
-    _check_alignment(sentences, pred)
-    gold_set = set(_iter_triples(sentences, pred, gold_side=True))
-    pred_set = set(_iter_triples(sentences, pred, gold_side=False))
-    correct = len(gold_set & pred_set)
-    predicted, gold = len(pred_set), len(gold_set)
+    [[correct, predicted, gold]] = _counts(sentences, pred, 0)
     if include_senses:
         # senses are pass-through input, so each predicate matches by design
         senses = sum(len(s.predicates) for s in sentences)
@@ -195,34 +201,15 @@ def score(sentences: list[Sentence], pred: PredictionSet,
     return ScoreReport(p, r, f1, correct, predicted, gold)
 
 
-def _bucket(distance: int) -> str:
-    return str(distance) if distance < 6 else "6+"
-
-
 def distance_buckets(sentences: list[Sentence], pred: PredictionSet
                      ) -> tuple[dict[str, float], dict[str, int]]:
     """Per-bucket F1 over |token position - predicate position|.
 
     Distance zero exists: a nominal predicate can be its own argument.
     """
-    _check_alignment(sentences, pred)
-    counts = {b: [0, 0, 0] for b in BUCKETS}   # correct, predicted, gold
-    for sid, sent in enumerate(sentences):
-        positions = {p_ord: sent.predicates[p_ord] - 1
-                     for p_ord in range(len(sent.predicates))}
-        for p_ord, p_row in positions.items():
-            for i in range(len(sent)):
-                b = _bucket(abs(i - p_row))
-                gold_role = sent.roles[p_ord][i]
-                pred_role = pred.role_string(sid, p_ord, i)
-                if gold_role != NULL_ROLE:
-                    counts[b][2] += 1
-                if pred_role != NULL_ROLE:
-                    counts[b][1] += 1
-                    if pred_role == gold_role:
-                        counts[b][0] += 1
-    f1s = {b: _prf(*counts[b])[2] for b in BUCKETS}
-    gold_counts = {b: counts[b][2] for b in BUCKETS}
+    counts = dict(zip(BUCKETS, _counts(sentences, pred, len(BUCKETS) - 1)))
+    f1s = {b: _prf(*c)[2] for b, c in counts.items()}
+    gold_counts = {b: c[2] for b, c in counts.items()}
     return f1s, gold_counts
 
 
@@ -364,39 +351,13 @@ def ensemble_models(models: list[SrlModel], sentences: list[Sentence]
 # ---------------------------------------------------------------------------
 
 def format_report(report: ScoreReport) -> str:
-    lines = ["metric        P        R        F1",
-             f"arguments  {report.precision:7.4f}  {report.recall:7.4f}  "
-             f"{report.f1:7.4f}"]
-    if report.bucket_f1:
-        lines.append("")
-        lines.append("distance   F1       gold")
-        for b in BUCKETS:
-            lines.append(f"{b:<9}  {report.bucket_f1[b]:7.4f}  "
-                         f"{report.bucket_gold.get(b, 0):5d}")
-    if report.relation_delta_f1:
-        lines.append("")
-        lines.append("relation   dF1")
-        for rel, d in sorted(report.relation_delta_f1.items(), key=lambda kv: kv[1]):
-            lines.append(f"{rel:<9}  {d:+8.4f}")
-    return "\n".join(lines) + "\n"
+    return ("metric        P        R        F1\n"
+            f"arguments  {report.precision:7.4f}  {report.recall:7.4f}  "
+            f"{report.f1:7.4f}\n")
 
 
 def report_rows(report: ScoreReport) -> list[tuple[str, str, str]]:
     """(metric, key, value) rows for the machine-readable emission."""
-    rows = [("score", "precision", f"{report.precision:.6f}"),
+    return [("score", "precision", f"{report.precision:.6f}"),
             ("score", "recall", f"{report.recall:.6f}"),
             ("score", "f1", f"{report.f1:.6f}")]
-    for b in BUCKETS:
-        if b in report.bucket_f1:
-            rows.append(("bucket_f1", b, f"{report.bucket_f1[b]:.6f}"))
-    for rel, d in report.relation_delta_f1.items():
-        rows.append(("delta_f1", rel, f"{d:.6f}"))
-    return rows
-
-
-def write_report(report: ScoreReport, text_path, tsv_path) -> None:
-    with open(text_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(format_report(report))
-    with open(tsv_path, "w", encoding="utf-8", newline="") as fh:
-        for metric, key, value in report_rows(report):
-            fh.write(f"{metric}\t{key}\t{value}\n")

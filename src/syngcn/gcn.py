@@ -9,9 +9,10 @@ one bias vector and one gate bias per extended label, and a scalar gate per
 edge computed from the source state. Each layer is one
 ``numerics.graph_conv`` tape op over all three directions, on the graph's
 flat edge arrays. A K-layer stack sees K-hop neighborhoods; K=0 is the
-identity (the model builds no stack for its BiLSTM-only baseline). The plain
-untyped layer (shared weight and bias, no gates) is kept, built per op, as a
-testable reduction.
+identity (the model builds no stack for its BiLSTM-only baseline). With
+gates off and one weight and bias shared by all directions and labels, a
+layer reduces to the plain untyped convolution, which the tests keep as an
+oracle.
 """
 
 from __future__ import annotations
@@ -115,13 +116,6 @@ def gcn_layer(h: nm.Tensor, graph: SyntacticGraph, params: GcnLayerParams,
     return nm.graph_conv(h, [params.weights[d] for d in Direction],
                          params.label_bias, gate_weights, gate_label_bias,
                          graph)
-
-
-def plain_gcn_layer(x: nm.Tensor, graph: SyntacticGraph, weight: nm.Tensor,
-                    bias: nm.Tensor) -> nm.Tensor:
-    """The untyped, ungated reduction: shared weight/bias over all in-edges."""
-    messages = nm.rows(x @ weight, graph.src) + bias
-    return nm.relu(nm.segment_sum(messages, graph.dst, graph.n))
 
 
 def gcn_stack_forward(h: nm.Tensor, graph: SyntacticGraph, stack: GcnStack,

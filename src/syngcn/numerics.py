@@ -19,10 +19,10 @@ into its view in place (the first since the last collection is written,
 products straight in with ``matmul(out=)``), and ``ParamStore.gradients``
 collects the sum, zero-filling the views no pass reached. The store is the
 one registry of a model's trainable tensors and the one thing ``adam_step``
-updates: given the store and its gradient buffer, it keeps ``m`` and ``v``
-as two more flat arrays and updates all of them in one blocked pass. A
-training process thus holds four copies of the parameters; prediction
-holds one.
+updates. The store also holds Adam's state: the step count and the moments
+``m`` and ``v``, two more flat arrays allocated at the first step, which
+``adam_step`` updates with the parameters in one blocked pass. A training
+process thus holds four copies of the parameters; prediction holds one.
 """
 
 from __future__ import annotations
@@ -770,7 +770,9 @@ class ParamStore(collections.abc.Mapping):
     ``ConfigError``, a name listed twice with a ``ContractError``. Every
     tensor exists from the start, zeroed, for an initializer or a checkpoint
     read to fill in place. ``self.layout`` maps each name to its (offset,
-    shape). ``enable_grad`` allocates the gradient buffer, for training.
+    shape). ``enable_grad`` allocates the gradient buffer, for training;
+    ``adam_step`` allocates Adam's moments ``m`` and ``v`` at its first step
+    and counts steps in ``step_count``.
     """
 
     def __init__(self, layout: Layout, dtype):
@@ -792,6 +794,9 @@ class ParamStore(collections.abc.Mapping):
         self.dtype = np.dtype(dtype)
         self.flat = np.zeros(size, self.dtype)
         self.grads: FlatArrays | None = None
+        self.m: FlatArrays | None = None
+        self.v: FlatArrays | None = None
+        self.step_count = 0
         self._tensors = {name: Tensor(view, name=name, trainable=True)
                          for name, view in
                          FlatArrays(self.flat, self.layout).items()}
@@ -842,47 +847,36 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
-class AdamState:
-    """The step counter and the flat moment estimates ``m`` and ``v``, laid
-    out by the ``ParamStore`` they were first stepped with (None before)."""
-
-    learning_rate: float = 0.01
-    step_count: int = 0
-    m: FlatArrays | None = None
-    v: FlatArrays | None = None
-
-
 # Elements per block of the in-place Adam update, small enough that the
 # block's slices of p, m, v, g and the scratch stay in cache across its passes.
 _ADAM_BLOCK = 1 << 16
 
 
-def adam_step(params: ParamStore, grads: FlatArrays, state: AdamState) -> None:
-    """One bias-corrected Adam update, in place, of every tensor in a store.
+def adam_step(params: ParamStore, learning_rate: float) -> None:
+    """One bias-corrected Adam update, in place, of every tensor in a store,
+    from the gradients collected in its buffer.
 
-    ``grads`` must be laid out by ``params`` (its gradient buffer, or one of
-    its ``zeros()``), and ``state`` unstepped or stepped with ``params``;
-    anything else raises ``ContractError`` before the step count moves.
-    Per element: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+    The store's moments ``m`` and ``v`` are allocated, zeroed, at its first
+    step, and its ``step_count`` counts the steps. Per element:
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
     p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), with the operations in that
     order, run over the flat arrays block by block into reused scratch
-    instead of whole-array temporaries.
+    instead of whole-array temporaries. ``ContractError`` if ``params`` is
+    not a store or has no gradient buffer.
     """
     if not isinstance(params, ParamStore):
         raise ContractError("adam_step updates a ParamStore, got "
                             f"{type(params).__name__}")
-    if not (isinstance(grads, FlatArrays) and grads.layout is params.layout):
-        raise ContractError("gradients are not laid out by the store")
-    if state.m is None:
-        state.m, state.v = params.zeros(), params.zeros()
-    elif state.m.layout is not params.layout:
-        raise ContractError("the Adam state belongs to another store")
-    state.step_count += 1
-    t = state.step_count
-    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.learning_rate, ADAM_EPS
+    if params.grads is None:
+        raise ContractError("gradients are not enabled on this store")
+    if params.m is None:
+        params.m, params.v = params.zeros(), params.zeros()
+    params.step_count += 1
+    t = params.step_count
+    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, learning_rate, ADAM_EPS
     bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-    pf, gf, mf, vf = params.flat, grads.flat, state.m.flat, state.v.flat
+    pf, gf = params.flat, params.grads.flat
+    mf, vf = params.m.flat, params.v.flat
     size = min(_ADAM_BLOCK, pf.size)
     g_tmp = np.empty(size, gf.dtype)              # (1-b1)*g, then (1-b2)*g*g
     num, den = np.empty(size, mf.dtype), np.empty(size, vf.dtype)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bilstm, classifier, embedder, gcn
 from . import numerics as nm
-from .conll import Lexicon, Sentence, build_lexicon
+from .conll import NULL_ROLE, Lexicon, Sentence, build_lexicon
 from .errors import ConfigError, ContractError, NumericsError
 from .syngraph import SyntacticGraph, build_graph, disjoint_union, num_labels
 
@@ -348,11 +348,17 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
     update per ``batch_size`` instances, on their gradients summed in the
     store's buffer, then one checkpoint and one metrics line. The
     best epoch by dev F1 is copied to best.ckpt. Without dev data, runs in train-loss-only
-    mode and best.ckpt tracks the last epoch.
+    mode and best.ckpt tracks the last epoch. Dev data with no gold argument
+    would score F1 0 every epoch, so it is a ``ConfigError``.
     """
     from .evaluator import predict_corpus, score
 
     config.validate()
+    if dev_sentences is not None and all(
+            role == NULL_ROLE for s in dev_sentences for row in s.roles
+            for role in row):
+        raise ConfigError("the dev data has no gold argument to select the "
+                          "best epoch by")
     if lexicon is None:
         lexicon = build_lexicon(train_sentences, min_freq=config.min_freq)
     rng = np.random.default_rng(config.seed)
@@ -371,7 +377,6 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
     if dev_sentences is None:
         logger.warning("no dev data: train-loss-only mode, selecting last epoch")
 
-    state = nm.AdamState(learning_rate=config.learning_rate)
     store = model.store
     store.enable_grad()
     history: list[EpochMetrics] = []
@@ -399,7 +404,8 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
                         f"norms:\n{_dump_param_norms(model)}") from err
                 total_loss += float(loss.data)
                 if (pos + 1) % config.batch_size == 0 or pos == len(order) - 1:
-                    nm.adam_step(store, store.gradients(), state)
+                    store.gradients()
+                    nm.adam_step(store, config.learning_rate)
             dev_p = dev_r = dev_f1 = float("nan")
             if dev_sentences is not None:
                 # one instance at a time, like the updates: a batched pass

@@ -18,11 +18,12 @@ from syngcn.conll import NULL_ROLE, build_lexicon, parse_conll, write_conll
 from syngcn.evaluator import (PredictionSet, distance_buckets, ensemble,
                               ensemble_models, predict_corpus, score,
                               teleport_stats)
-from syngcn.gcn import gcn_layer, plain_gcn_layer
+from syngcn.gcn import gcn_layer
 from syngcn.syngraph import Direction, build_graph, edge_dropout, num_labels
 from syngcn.trainer import SrlModel, train
 
 from conftest import parse_text, small_config
+from reference_ops import plain_gcn_layer
 from test_evaluator import (bucket_recount_oracle, corpus_with_roles,
                             predictions_from_strings, teleport_oracle)
 from test_gcn import (gcn_layer_oracle, layer_for, new_stack, random_graph,

@@ -1,6 +1,7 @@
 import logging
 import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from syngcn.errors import FormatError
 from conftest import small_config
 from test_conll import make_sentence
 from syngcn.trainer import save_config
+
+DESK_CONF = Path(__file__).resolve().parents[1] / "configs" / "desk_overfit.conf"
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +132,22 @@ class TestTrain:
             argv += ["--set", item]
         assert run(argv) == 1
         assert message in caplog.text
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("dev", ["empty", "all roles null"])
+    def test_dev_without_gold_argument_exits_one(self, dev, data_dir,
+                                                 tmp_path, caplog):
+        dev_path = tmp_path / "dev.conll"
+        dev_path.write_text("" if dev == "empty" else make_sentence(
+            [("a", "a", "N", 2, "SBJ", "_", "_"),
+             ("v", "v", "V", 0, "ROOT", "Y", "v.01")],
+            apreds_per_row=[["_"], ["_"]]))
+        assert run(["train", "--config", str(DESK_CONF),
+                    "--set", "epochs=3",
+                    "--train", str(data_dir / "overfit.conll"),
+                    "--dev", str(dev_path),
+                    "--out", str(tmp_path / "run")]) == 1
+        assert "no gold argument" in caplog.text
         assert not (tmp_path / "run").exists()
 
     def test_oversized_model_exits_one(self, data_dir, tmp_path, caplog):

@@ -125,6 +125,17 @@ class TestScore:
             g += r.gold
         assert (whole.correct, whole.predicted, whole.gold) == (c, p, g)
 
+    @pytest.mark.parametrize("corpus", ["overfit", "structural"])
+    def test_counts_match_triple_recount(self, corpus, request):
+        sentences = request.getfixturevalue(f"{corpus}_sentences")
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            pred = perturbed_gold(sentences, rng)
+            report = score(sentences, pred)
+            assert (report.correct, report.predicted, report.gold) == \
+                triple_recount_oracle(sentences, pred)
+            assert 0 < report.correct < min(report.predicted, report.gold)
+
     def test_include_senses_combined_mode(self):
         gold = corpus_with_roles([["A0", "_", "A1", "_"]])
         pred = predictions_from_strings(gold, [["A0", "_", "_", "_"]])
@@ -132,6 +143,36 @@ class TestScore:
         combined = score(gold, pred, include_senses=True)
         assert combined.correct == plain.correct + 1
         assert combined.f1 > plain.f1
+
+
+def triple_recount_oracle(sentences, pred):
+    """(correct, predicted, gold) recounted as sets of (sentence, predicate,
+    token, role) triples with a non-NULL role, intersected."""
+    def triples(role_of):
+        found = set()
+        for sid, sent in enumerate(sentences):
+            for p_ord in range(len(sent.predicates)):
+                for i in range(len(sent)):
+                    role = role_of(sid, p_ord, i)
+                    if role != NULL_ROLE:
+                        found.add((sid, p_ord, i, role))
+        return found
+
+    gold = triples(lambda sid, p_ord, i: sentences[sid].roles[p_ord][i])
+    predicted = triples(pred.role_string)
+    return len(gold & predicted), len(predicted), len(gold)
+
+
+def perturbed_gold(sentences, rng, rate=0.3):
+    """The corpus's own roles, each token's replaced with probability
+    ``rate`` by a role drawn from the inventory, NULL included."""
+    pred = PredictionSet.from_gold(sentences)
+    for key in list(pred.keys()):
+        ids = pred.get(*key)[0].copy()
+        swap = rng.random(len(ids)) < rate
+        ids[swap] = rng.integers(0, len(pred.roles), int(swap.sum()))
+        pred.add(*key, ids, np.eye(len(pred.roles))[ids])
+    return pred
 
 
 def bucket_recount_oracle(sentences, pred):
@@ -481,9 +522,9 @@ class TestReports:
         gold = corpus_with_roles([["A0", "_", "A1", "_"]])
         pred = predictions_from_strings(gold, [["A0", "_", "A1", "_"]])
         report = score(gold, pred)
-        report.bucket_f1, report.bucket_gold = distance_buckets(gold, pred)
-        text = format_report(report)
-        assert "1.0000" in text
-        rows = report_rows(report)
-        assert ("score", "f1", "1.000000") in rows
-        assert any(m == "bucket_f1" for m, _, _ in rows)
+        assert format_report(report) == (
+            "metric        P        R        F1\n"
+            "arguments   1.0000   1.0000   1.0000\n")
+        assert report_rows(report) == [("score", "precision", "1.000000"),
+                                       ("score", "recall", "1.000000"),
+                                       ("score", "f1", "1.000000")]

@@ -5,11 +5,12 @@ from syngcn import numerics as nm
 from syngcn.conll import build_lexicon
 from syngcn.errors import NumericsError
 from syngcn.gcn import (GcnStack, gcn_layer, gcn_layout, gcn_stack_forward,
-                        gcn_stack_params, init_gcn_stack, plain_gcn_layer)
+                        gcn_stack_params, init_gcn_stack)
 from syngcn.syngraph import (Direction, SyntacticGraph, build_graph,
                              disjoint_union)
 
 from conftest import parse_text
+from reference_ops import plain_gcn_layer
 from test_conll import make_sentence
 from test_syngraph import by_direction, graph_of
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -224,14 +225,14 @@ class TestModel:
         inst = make_instances(overfit_sentences, lex)[0]
         store = model.store
         store.enable_grad()
-        state = nm.AdamState(learning_rate=0.005)
         losses = []
         for _ in range(11):
             with nm.Tape() as tape:
                 loss = model.instance_loss(inst)
             losses.append(float(loss.data))
             tape.gradients(loss)
-            nm.adam_step(store, store.gradients(), state)
+            store.gradients()
+            nm.adam_step(store, 0.005)
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     @pytest.mark.parametrize("layers,want", [
@@ -429,12 +430,12 @@ class TestFlatStore:
         m = {k: np.zeros_like(t.data) for k, t in params.items()}
         v = {k: np.zeros_like(t.data) for k, t in params.items()}
         grads = model.store.enable_grad()
-        state = nm.AdamState(learning_rate=0.01)
         for step in range(1, 4):
             with nm.Tape() as tape:
                 loss = model.instance_loss(instance)
             tape.gradients(loss)
-            nm.adam_step(model.store, model.store.gradients(), state)
+            model.store.gradients()
+            nm.adam_step(model.store, 0.01)
             for t in params.values():
                 t.grad = None
             with nm.Tape() as tape:
@@ -470,11 +471,14 @@ class TestFlatStore:
             key = (inst.sentence_id, inst.predicate_ord)
             for a, b in zip(want.get(*key), got.get(*key)):
                 assert a.tobytes() == b.tobytes()
+        # prediction leaves the store without gradients or Adam moments
+        assert (loaded.store.grads, loaded.store.m, loaded.store.v) == \
+            (None, None, None)
         # an update of the store moves the model's own tensors
         before = {k: t.data.copy() for k, t in loaded.parameters().items()}
         grads = loaded.store.enable_grad()
         grads.flat.fill(1.0)
-        nm.adam_step(loaded.store, grads, nm.AdamState())
+        nm.adam_step(loaded.store, 0.01)
         for name, t in loaded.parameters().items():
             assert np.array_equal(t.data, before[name]) != t.trainable, name
 
@@ -574,6 +578,19 @@ class TestTrainLoop:
         assert "dev" in caplog.text
         assert math.isnan(result.history[0].dev_f1)
         assert result.best_epoch == 2     # falls back to last epoch
+
+    @pytest.mark.parametrize("dev", ["empty", "all roles null"])
+    def test_dev_without_gold_argument_rejected(self, overfit_sentences,
+                                                tmp_path, dev):
+        # dev F1 would read 0 every epoch and pick epoch 1 as the best
+        dev_sentences = [] if dev == "empty" else [
+            dataclasses.replace(s, roles=[["_"] * len(s) for _ in s.roles])
+            for s in overfit_sentences]
+        cfg = small_config(d_w=8, d_pos=4, d_l=8, d_h=8, d_r=8, d_l_out=8,
+                           epochs=2)
+        with pytest.raises(ConfigError, match="no gold argument"):
+            train(overfit_sentences, dev_sentences, cfg, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_dev_scored_one_instance_at_a_time(self, overfit_sentences,
                                                tmp_path, monkeypatch):
