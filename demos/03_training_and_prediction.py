@@ -4,6 +4,7 @@ Run from the repository root:  python3 demos/03_training_and_prediction.py
 Takes a few seconds; writes everything under ./demo_runs/.
 """
 
+import shutil
 from pathlib import Path
 
 from syngcn import fixtures
@@ -22,6 +23,7 @@ config = TrainConfig(d_w=16, d_pos=8, d_l=16, d_h=32, d_r=16, d_l_out=16,
                      learning_rate=0.01, epochs=30, seed=11,
                      unk_replace_rate=0.0, early_stop_f1=1.0)
 run_dir = Path("demo_runs/overfit")
+shutil.rmtree(run_dir, ignore_errors=True)   # train() refuses a used directory
 result = train(corpus, corpus, config, run_dir)
 print("\nepoch  loss    dev F1")
 for m in result.history:

@@ -5,6 +5,7 @@ Run from the repository root:  python3 demos/04_syntax_analyses.py
 The two training runs take a minute or two combined.
 """
 
+import shutil
 from pathlib import Path
 
 from syngcn import fixtures
@@ -50,7 +51,9 @@ def run(mode: str):
                          lstm_layers=1, gcn_layers=int(mode == "lstm+gcn"),
                          edge_dropout=0.1, learning_rate=0.01, epochs=120,
                          seed=23, unk_replace_rate=0.0, early_stop_f1=0.95)
-    result = train(corpus, corpus, config, Path("demo_runs") / mode.replace("+", "_"),
+    run_dir = Path("demo_runs") / mode.replace("+", "_")
+    shutil.rmtree(run_dir, ignore_errors=True)   # train() refuses a used one
+    result = train(corpus, corpus, config, run_dir,
                    lexicon=lexicon, pretrained=pretrained)
     reached = [m.epoch for m in result.history if m.dev_f1 >= 0.95]
     return (reached[0] if reached else None), result, config

@@ -37,9 +37,11 @@ def load_pretrained(path, lexicon: Lexicon, expected_dim: int | None = None
     """Read a text embedding file into a [word-vocab x d] frozen table.
 
     One line per token: the token then its values, whitespace-separated.
-    Vocabulary words are matched against lowercased file tokens; words with
-    no vector get a zero row, as do the reserved PAD/UNK ids. On duplicate
-    tokens the last occurrence wins. A non-finite value is a ``FormatError``.
+    Each vocabulary word is lowercased and looked up among the file tokens
+    as written, so a file token with a capital letter never matches; words
+    with no vector get a zero row, as do the reserved PAD/UNK ids. On
+    duplicate tokens the last occurrence wins. A non-finite value is a
+    ``FormatError``.
     """
     vectors: dict[str, np.ndarray] = {}
     dim = expected_dim

@@ -182,21 +182,10 @@ def _counts(sentences: list[Sentence], pred: PredictionSet,
     return counts
 
 
-def score(sentences: list[Sentence], pred: PredictionSet,
-          include_senses: bool = False) -> ScoreReport:
-    """Labeled micro P/R/F1 over arguments.
-
-    ``include_senses`` adds one (predicate, sense) item per predicate to both
-    sides, mirroring combined reporting where disambiguation comes from an
-    external system and rides through this model untouched.
-    """
+def score(sentences: list[Sentence], pred: PredictionSet) -> ScoreReport:
+    """Labeled micro P/R/F1 over arguments; predicate senses are not
+    scored."""
     [[correct, predicted, gold]] = _counts(sentences, pred, 0)
-    if include_senses:
-        # senses are pass-through input, so each predicate matches by design
-        senses = sum(len(s.predicates) for s in sentences)
-        correct += senses
-        predicted += senses
-        gold += senses
     p, r, f1 = _prf(correct, predicted, gold)
     return ScoreReport(p, r, f1, correct, predicted, gold)
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .errors import ContractError, ShapeError
 from .syngraph import Direction, SyntacticGraph, edge_dropout
 
 _DIR_NAMES = {Direction.ALONG: "along", Direction.OPPOSITE: "opposite",
@@ -32,20 +31,14 @@ _DIR_NAMES = {Direction.ALONG: "along", Direction.OPPOSITE: "opposite",
 @dataclass
 class GcnLayerParams:
     """Exactly 3 weight matrices regardless of label-set size; label
-    information lives only in the bias tables (one row per extended label)."""
+    information lives only in the bias tables (one row per extended label).
+    ``weights`` and ``gate_weights`` are in ``Direction`` order, so a
+    ``Direction`` indexes them."""
 
-    weights: dict[Direction, nm.Tensor]       # each [m x m]
-    label_bias: nm.Tensor                     # [num_labels x m]
-    gate_weights: dict[Direction, nm.Tensor]  # each [1 x m]
-    gate_label_bias: nm.Tensor                # [num_labels x 1]
-
-    @property
-    def width(self) -> int:
-        return self.weights[Direction.ALONG].shape[0]
-
-    @property
-    def num_labels(self) -> int:
-        return self.label_bias.shape[0]
+    weights: tuple[nm.Tensor, ...]        # each [m x m]
+    label_bias: nm.Tensor                 # [num_labels x m]
+    gate_weights: tuple[nm.Tensor, ...]   # each [1 x m]
+    gate_label_bias: nm.Tensor            # [num_labels x 1]
 
 
 @dataclass
@@ -73,7 +66,7 @@ def gcn_layout(depth: int, width: int, num_labels: int,
 def gcn_stack_params(tensors, depth: int,
                      gates_enabled: bool = True) -> GcnStack:
     def by_direction(prefix):
-        return {d: tensors[f"{prefix}_{n}"] for d, n in _DIR_NAMES.items()}
+        return tuple(tensors[f"{prefix}_{n}"] for n in _DIR_NAMES.values())
 
     return GcnStack([GcnLayerParams(by_direction(f"gcn.{k}.w"),
                                     tensors[f"gcn.{k}.label_bias"],
@@ -89,7 +82,7 @@ def init_gcn_stack(stack: GcnStack, rng: np.random.Generator) -> None:
     proj = stack.input_projection
     tensors = [] if proj is None else [proj]
     for layer in stack.layers:
-        tensors += [*layer.weights.values(), *layer.gate_weights.values()]
+        tensors += [*layer.weights, *layer.gate_weights]
     for t in tensors:
         t.data[...] = rng.uniform(-0.05, 0.05, t.shape)
 
@@ -100,38 +93,24 @@ def gcn_layer(h: nm.Tensor, graph: SyntacticGraph, params: GcnLayerParams,
     over all three directions, on the graph's index arrays.
 
     Nodes whose in-neighborhood is empty (possible after dropout) come out
-    as ReLU(0) = 0. The op raises ``NumericsError`` if the gate logits or
-    the pre-ReLU sums are not finite.
+    as ReLU(0) = 0. The op raises ``ShapeError`` for states that do not fit
+    the graph or the weights, ``ContractError`` for label tables that do
+    not fit the graph, and ``NumericsError`` if the gate logits or the
+    pre-ReLU sums are not finite.
     """
-    n = h.shape[0]
-    if n != graph.n:
-        raise ShapeError(f"gcn_layer: {n} state rows for a {graph.n}-node graph")
-    if graph.num_labels != params.num_labels:
-        raise ContractError(f"gcn_layer: graph has {graph.num_labels} labels, "
-                            f"params have {params.num_labels}")
-    gate_weights = gate_label_bias = None
-    if gates_enabled:
-        gate_weights = [params.gate_weights[d] for d in Direction]
-        gate_label_bias = params.gate_label_bias
-    return nm.graph_conv(h, [params.weights[d] for d in Direction],
-                         params.label_bias, gate_weights, gate_label_bias,
-                         graph)
+    gates = ((params.gate_weights, params.gate_label_bias) if gates_enabled
+             else (None, None))
+    return nm.graph_conv(h, params.weights, params.label_bias, *gates, graph)
 
 
 def gcn_stack_forward(h: nm.Tensor, graph: SyntacticGraph, stack: GcnStack,
-                      training: bool = False, beta: float = 0.0,
+                      beta: float = 0.0,
                       rng: np.random.Generator | None = None) -> nm.Tensor:
-    """Apply all layers; edge dropout is resampled fresh for each layer."""
+    """Apply all layers. Given ``rng`` (training), each layer draws its own
+    edge dropout at rate ``beta`` from it; without one, nothing is drawn."""
     if stack.input_projection is not None:
         h = h @ stack.input_projection
-    elif stack.layers and h.shape[1] != stack.layers[0].width:
-        raise ShapeError(f"gcn stack: input width {h.shape[1]} != layer width "
-                         f"{stack.layers[0].width} and no projection configured")
     for layer in stack.layers:
-        g = graph
-        if training and beta > 0.0:
-            if rng is None:
-                raise ContractError("edge dropout needs an rng in training mode")
-            g = edge_dropout(graph, beta, rng)
+        g = graph if rng is None else edge_dropout(graph, beta, rng)
         h = gcn_layer(h, g, layer, gates_enabled=stack.gates_enabled)
     return h

@@ -35,7 +35,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -478,8 +478,8 @@ def bilstm_layer(x: Tensor, fw: tuple, bw: tuple, lengths=None) -> Tensor:
     return _make(out, (x, *fw, *bw), "lstm", backward)
 
 
-def graph_conv(h: Tensor, weights: list[Tensor], label_bias: Tensor,
-               gate_weights: list[Tensor] | None,
+def graph_conv(h: Tensor, weights: Sequence[Tensor], label_bias: Tensor,
+               gate_weights: Sequence[Tensor] | None,
                gate_label_bias: Tensor | None, graph) -> Tensor:
     """One gated graph convolution over all three edge directions as one op.
 
@@ -491,7 +491,9 @@ def graph_conv(h: Tensor, weights: list[Tensor], label_bias: Tensor,
     n-node ``syngraph.SyntacticGraph``, read only through its flat arrays;
     ``weights`` [k x m] and ``gate_weights`` [1 x k] hold one tensor per
     direction. ``h`` is [n x k], ``label_bias`` [labels x m] and
-    ``gate_label_bias`` [labels x 1].
+    ``gate_label_bias`` [labels x 1], with n = ``graph.n`` and labels =
+    ``graph.num_labels``: other shapes raise ``ShapeError``, other label
+    counts ``ContractError``, as the edge arrays index those rows.
 
     Each S_d sums its messages in edge order, as ``segment_sum`` does, and
     the backward groups every product as the per-op rules of ``matmul``,
@@ -518,6 +520,14 @@ def graph_conv(h: Tensor, weights: list[Tensor], label_bias: Tensor,
                          f"weights {weights[0].data.shape}, label bias "
                          f"{label_bias.data.shape}")
     n, bounds = h.data.shape[0], graph.bounds
+    if n != graph.n:
+        raise ShapeError(f"graph_conv: {n} state rows for a {graph.n}-node "
+                         f"graph")
+    for table in [label_bias, gate_label_bias] if gated else [label_bias]:
+        if table.data.shape[0] != graph.num_labels:
+            raise ContractError(f"graph_conv: a {table.data.shape[0]}-row "
+                                f"label table for a graph with "
+                                f"{graph.num_labels} labels")
     present = [d for d in range(3) if bounds[d + 1] > bounds[d]]
     if not present:
         zeros = np.zeros((n, m), h.data.dtype)
@@ -1074,9 +1084,10 @@ def _header_fields(fh, path) -> list[str]:
 def load_checkpoint(path, into: Mapping[str, np.ndarray] | None = None
                     ) -> "collections.OrderedDict[str, np.ndarray]":
     """The tensors saved at ``path``, by name, as new arrays of their saved
-    dtype; or, given ``into``, read straight into those arrays, whose names
-    and shapes the file must list in order (else ``FormatError`` naming the
-    first that differs, before any read). A name listed twice is an error."""
+    dtype; or, given ``into``, read straight into those arrays, whose names,
+    dtypes and shapes the file must list in order (else ``FormatError``
+    naming the first that differs, before any read). A name listed twice is
+    an error."""
     with open(path, "rb") as fh:
         manifest = _header_fields(fh, path)
         if len(manifest) != 2 or manifest[0] != CHECKPOINT_MAGIC:
@@ -1121,10 +1132,10 @@ def load_checkpoint(path, into: Mapping[str, np.ndarray] | None = None
             raise FormatError(f"{path}: headers declare {declared} bytes of "
                               f"tensor data, the file holds {present}")
         if into is not None:
-            found = [(name, shape) for name, _, shape in headers]
-            wanted = [(name, arr.shape) for name, arr in into.items()]
-            for i, (got, want) in enumerate(
-                    itertools.zip_longest(found, wanted, fillvalue="nothing")):
+            wanted = [(name, arr.dtype.name, arr.shape)
+                      for name, arr in into.items()]
+            for i, (got, want) in enumerate(itertools.zip_longest(
+                    headers, wanted, fillvalue="nothing")):
                 if got != want:
                     raise FormatError(f"{path}: tensor {i + 1} is {got}, "
                                       f"expected {want}")

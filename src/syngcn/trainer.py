@@ -83,10 +83,6 @@ class TrainConfig:
     def np_dtype(self):
         return np.dtype(self.dtype)
 
-    def encoder_width(self) -> int:
-        """Width of one encoder state as seen by the classifier."""
-        return 2 * self.d_h
-
     def items(self):
         return dataclasses.asdict(self).items()
 
@@ -179,7 +175,7 @@ def param_layout(config: TrainConfig, lexicon: Lexicon) -> nm.Layout:
     if c.lstm_layers > 0:
         yield from bilstm.lstm_layout(width, c.d_h, c.lstm_layers)
         width = 2 * c.d_h
-    m = c.encoder_width()
+    m = 2 * c.d_h                             # the encoder's output
     yield from gcn.gcn_layout(c.gcn_layers, m, num_labels(lexicon.num_deprels),
                               width)
     yield from classifier.classifier_layout(m, c.d_l_out, c.d_r, lexicon)
@@ -227,17 +223,21 @@ class SrlModel:
                 **self.store}
 
     def encode(self, instances: list[Instance],
-               graphs: list[SyntacticGraph | None], training: bool = False,
-               rng: np.random.Generator | None = None,
-               word_unk_masks: list[np.ndarray | None] | None = None
-               ) -> nm.Tensor:
+               graphs: list[SyntacticGraph | None],
+               rng: np.random.Generator | None = None) -> nm.Tensor:
         """Encoder states of ``instances`` as one [total tokens x width]
         tensor, each instance's rows in order. The instances share every
         BiLSTM step and one GCN pass over the disjoint union of their graphs
         (``graphs[k]`` belongs to ``instances[k]``; None without a GCN).
+
+        ``rng`` is given in training only. It draws each instance's word
+        dropout in turn, then each GCN layer's edge dropout; without it the
+        pass draws nothing.
         """
         cfg = self.config
-        masks = word_unk_masks or [None] * len(instances)
+        masks = [None] * len(instances) if rng is None else [
+            _word_unk_mask(inst, self.lexicon, cfg.unk_replace_rate, rng)
+            for inst in instances]
         parts = [embedder.embed_sentence(inst.sentence, inst.predicate_row,
                                          self.tables, self.lexicon, mask)
                  for inst, mask in zip(instances, masks)]
@@ -246,27 +246,21 @@ class SrlModel:
             h = bilstm.bilstm_encode(h, self.lstm,
                                      [len(inst.sentence) for inst in instances])
         if self.gcn is not None:
-            h = gcn.gcn_stack_forward(
-                h, disjoint_union(graphs), self.gcn, training=training,
-                beta=cfg.edge_dropout, rng=rng)
+            h = gcn.gcn_stack_forward(h, disjoint_union(graphs), self.gcn,
+                                      beta=cfg.edge_dropout, rng=rng)
         return h
 
-    def instance_logits(self, instance: Instance, graph=None, training=False,
-                        rng=None, word_unk_mask=None) -> nm.Tensor:
-        if graph is None and self.gcn is not None:
-            graph = build_graph(instance.sentence, self.lexicon)
-        encoded = self.encode([instance], [graph], training, rng,
-                              [word_unk_mask])
-        return classifier.role_logits(encoded, instance.predicate_row,
-                                      instance.lemma_id, self.classifier)
-
-    def instance_loss(self, instance: Instance, graph=None, training=False,
-                      rng=None, word_unk_mask=None) -> nm.Tensor:
-        """Summed per-token cross-entropy against the gold roles."""
+    def instance_loss(self, instance: Instance, graph=None,
+                      rng: np.random.Generator | None = None) -> nm.Tensor:
+        """Summed per-token cross-entropy against the gold roles; ``rng``
+        as in ``encode``."""
         if instance.gold_role_ids is None:
             raise ContractError("instance has no gold roles")
-        logits = self.instance_logits(instance, graph, training, rng,
-                                      word_unk_mask)
+        if graph is None and self.gcn is not None:
+            graph = build_graph(instance.sentence, self.lexicon)
+        encoded = self.encode([instance], [graph], rng)
+        logits = classifier.role_logits(encoded, instance.predicate_row,
+                                        instance.lemma_id, self.classifier)
         return nm.cross_entropy_rows(logits, instance.gold_role_ids)
 
     def predict(self, instances: list[Instance],
@@ -349,11 +343,18 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
     store's buffer, then one checkpoint and one metrics line. The
     best epoch by dev F1 is copied to best.ckpt. Without dev data, runs in train-loss-only
     mode and best.ckpt tracks the last epoch. Dev data with no gold argument
-    would score F1 0 every epoch, so it is a ``ConfigError``.
+    would score F1 0 every epoch, and an ``out_dir`` that already holds a
+    run's files would end up mixing two runs, so both are a ``ConfigError``
+    raised before anything is written.
     """
     from .evaluator import predict_corpus, score
 
     config.validate()
+    out_dir = Path(out_dir)
+    held = sorted(p.name for p in out_dir.glob("*") if p.suffix == ".ckpt"
+                  or p.name in ("config.txt", "lexicon.txt", "metrics.tsv"))
+    if held:
+        raise ConfigError(f"{out_dir} already holds a run ({', '.join(held)})")
     if dev_sentences is not None and all(
             role == NULL_ROLE for s in dev_sentences for row in s.roles
             for role in row):
@@ -364,7 +365,6 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
     rng = np.random.default_rng(config.seed)
     # built first: a model that cannot be built leaves no run directory
     model = SrlModel(config, lexicon, rng, pretrained)
-    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lexicon_path = out_dir / "lexicon.txt"
     lexicon.save(lexicon_path)
@@ -391,12 +391,10 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
             total_loss = 0.0
             for pos, idx in enumerate(order):
                 inst = instances[idx]
-                mask = _word_unk_mask(inst, lexicon, config.unk_replace_rate, rng)
                 try:
                     with nm.Tape() as tape:
                         loss = model.instance_loss(
-                            inst, graphs[inst.sentence_id], training=True,
-                            rng=rng, word_unk_mask=mask)
+                            inst, graphs[inst.sentence_id], rng)
                     tape.gradients(loss)
                 except NumericsError as err:
                     raise NumericsError(

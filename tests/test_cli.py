@@ -178,6 +178,17 @@ class TestTrain:
         assert "config lstm_layers = 0" in caplog.text
         assert "config gcn_layers = 1" in caplog.text
 
+    def test_reused_run_directory_exits_one(self, tiny_run, data_dir, caplog):
+        # a second run would mix its files with the first run's checkpoints
+        before = {p.name: p.read_bytes() for p in tiny_run.iterdir()}
+        code = run(["train", "--config", str(DESK_CONF), "--set", "epochs=2",
+                    "--set", "seed=5",
+                    "--train", str(data_dir / "overfit.conll"),
+                    "--out", str(tiny_run)])
+        assert code == 1
+        assert "already holds a run" in caplog.text
+        assert {p.name: p.read_bytes() for p in tiny_run.iterdir()} == before
+
     def test_embeddings_flag(self, data_dir, tmp_path):
         conf = tmp_path / "c.conf"
         save_config(small_config(d_w=4, d_pos=4, d_l=4, d_h=4, d_r=4,
@@ -316,13 +327,22 @@ class TestMalformedFiles:
     def test_checkpoint_unlike_its_config_exits_one(self, tiny_run, data_dir,
                                                     tmp_path, caplog):
         config = (tiny_run / "config.txt").read_text()
-        assert "gcn_layers = 1\n" in config
-        code = self._predict_with(
-            tiny_run, data_dir, tmp_path, (tiny_run / "best.ckpt").read_bytes(),
-            config.replace("gcn_layers = 1\n", "gcn_layers = 2\n"))
-        assert code == 1
-        assert ("tensor 19 is ('cls.pair_transform', (16, 32)), expected "
-                "('gcn.1.w_along', (16, 16))") in caplog.text
+        for saved, edited, message in [
+                ("gcn_layers = 1", "gcn_layers = 2",
+                 r"tensor 19 is \('cls.pair_transform', 'float32', "
+                 r"\(16, 32\)\), expected \('gcn.1.w_along', 'float32', "
+                 r"\(16, 16\)\)"),
+                ("dtype = float32", "dtype = float64",
+                 r"tensor 1 is \('embed.word', 'float32', \((\d+), 8\)\), "
+                 r"expected \('embed.word', 'float64', \(\1, 8\)\)")]:
+            assert saved + "\n" in config
+            caplog.clear()
+            code = self._predict_with(
+                tiny_run, data_dir, tmp_path,
+                (tiny_run / "best.ckpt").read_bytes(),
+                config.replace(saved + "\n", edited + "\n"))
+            assert code == 1, edited
+            assert re.search(message, caplog.text), edited
 
     @pytest.mark.parametrize("where", ["config file", "--set"])
     def test_non_numeric_config_value_exits_one(self, where, data_dir,

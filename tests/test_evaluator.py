@@ -136,14 +136,6 @@ class TestScore:
                 triple_recount_oracle(sentences, pred)
             assert 0 < report.correct < min(report.predicted, report.gold)
 
-    def test_include_senses_combined_mode(self):
-        gold = corpus_with_roles([["A0", "_", "A1", "_"]])
-        pred = predictions_from_strings(gold, [["A0", "_", "_", "_"]])
-        plain = score(gold, pred)
-        combined = score(gold, pred, include_senses=True)
-        assert combined.correct == plain.correct + 1
-        assert combined.f1 > plain.f1
-
 
 def triple_recount_oracle(sentences, pred):
     """(correct, predicted, gold) recounted as sets of (sentence, predicate,

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from syngcn import numerics as nm
 from syngcn.conll import build_lexicon
-from syngcn.errors import NumericsError
+from syngcn.errors import ContractError, NumericsError, ShapeError
 from syngcn.gcn import (GcnStack, gcn_layer, gcn_layout, gcn_stack_forward,
                         gcn_stack_params, init_gcn_stack)
 from syngcn.syngraph import (Direction, SyntacticGraph, build_graph,
@@ -282,7 +284,7 @@ class TestStack:
         # two stacked layers with beta=1: everything is zero either way,
         # but the call must consume two dropout draws from the stream
         stream = np.random.default_rng(14)
-        gcn_stack_forward(h, graph, stack, training=True, beta=0.5, rng=stream)
+        gcn_stack_forward(h, graph, stack, beta=0.5, rng=stream)
         after_two = stream.random()
         stream2 = np.random.default_rng(14)
         stream2.random(len(graph.edges))
@@ -502,6 +504,31 @@ class TestFusedMatchesPerOp:
         h = nm.Tensor(np.ones((4, 3), np.float32))
         with pytest.raises(NumericsError, match="graph_conv"):
             gcn_layer(h, graph, params)
+
+    @pytest.mark.parametrize("rows", [5, 8])
+    def test_state_rows_must_match_the_graph(self, rows):
+        rng = np.random.default_rng(48)
+        graph, _ = random_graph(6, rng)
+        params = layer_for(graph, 4, rng)
+        h = nm.Tensor(rng.standard_normal((rows, 4)).astype(np.float32))
+        with pytest.raises(ShapeError, match=f"{rows} state rows for a "
+                                             f"6-node graph"):
+            nm.graph_conv(h, params.weights, params.label_bias,
+                          params.gate_weights, params.gate_label_bias, graph)
+
+    @pytest.mark.parametrize("table", ["label_bias", "gate_label_bias"])
+    def test_label_tables_must_match_the_graph(self, table):
+        rng = np.random.default_rng(49)
+        graph, _ = random_graph(6, rng)
+        params = layer_for(graph, 4, rng)
+        width = getattr(params, table).shape[1]
+        wrong = nm.Tensor(np.zeros((graph.num_labels + 2, width), np.float32))
+        params = dataclasses.replace(params, **{table: wrong})
+        h = nm.Tensor(rng.standard_normal((6, 4)).astype(np.float32))
+        with pytest.raises(ContractError, match=f"{graph.num_labels + 2}-row "
+                                                f"label table"):
+            nm.graph_conv(h, params.weights, params.label_bias,
+                          params.gate_weights, params.gate_label_bias, graph)
 
     def test_non_finite_message_is_reported(self):
         # -inf sums to a -inf pre-ReLU entry, which the ReLU would zero

@@ -604,24 +604,30 @@ class TestCheckpointContainer:
         path = tmp_path / "m.ckpt"
         nm.save_checkpoint(saved, path)
         flat = np.full(12, np.nan, np.float32)
-        into = {"a": flat.reshape(3, 4), "b": np.empty(5, np.float32),
+        into = {"a": flat.reshape(3, 4), "b": np.empty(10)[::2],
                 "c": np.empty((0, 2))}
         loaded = nm.load_checkpoint(path, into=into)
         assert all(loaded[k] is into[k] for k in saved)
         assert flat.tobytes() == saved["a"].tobytes()
-        # a float64 tensor read into float32 rounds as astype does
-        assert into["b"].tobytes() == saved["b"].astype(np.float32).tobytes()
+        # a non-contiguous target is filled through a copy
+        assert into["b"].tobytes() == saved["b"].tobytes()
 
     @pytest.mark.parametrize("into,match", [
         ({"a": np.empty((3, 4), np.float32), "b": np.empty(5),
-          "x": np.empty(1)}, r"tensor 3 is nothing, expected \('x', \(1,\)\)"),
+          "x": np.empty(1)},
+         r"tensor 3 is nothing, expected \('x', 'float64', \(1,\)\)"),
         ({"a": np.empty((3, 4), np.float32)},
-         r"tensor 2 is \('b', \(5,\)\), expected nothing"),
+         r"tensor 2 is \('b', 'float64', \(5,\)\), expected nothing"),
         ({"a": np.empty((4, 3), np.float32), "b": np.empty(5)},
-         r"tensor 1 is \('a', \(3, 4\)\), expected \('a', \(4, 3\)\)"),
+         r"tensor 1 is \('a', 'float32', \(3, 4\)\), expected "
+         r"\('a', 'float32', \(4, 3\)\)"),
         ({"b": np.empty(5), "a": np.empty((3, 4), np.float32)},
-         r"tensor 1 is \('a', \(3, 4\)\), expected \('b', \(5,\)\)"),
-    ], ids=["missing", "unexpected", "shape", "order"])
+         r"tensor 1 is \('a', 'float32', \(3, 4\)\), expected "
+         r"\('b', 'float64', \(5,\)\)"),
+        ({"a": np.empty((3, 4), np.float32), "b": np.empty(5, np.float32)},
+         r"tensor 2 is \('b', 'float64', \(5,\)\), expected "
+         r"\('b', 'float32', \(5,\)\)"),
+    ], ids=["missing", "unexpected", "shape", "order", "dtype"])
     def test_load_into_mismatch_reads_nothing(self, tmp_path, into, match):
         path = tmp_path / "m.ckpt"
         nm.save_checkpoint({"a": np.ones((3, 4), np.float32),

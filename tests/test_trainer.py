@@ -12,7 +12,7 @@ from syngcn import numerics as nm
 from syngcn.conll import build_lexicon
 from syngcn.errors import ConfigError, ContractError, FormatError
 from syngcn.evaluator import predict_corpus
-from syngcn.syngraph import build_graph
+from syngcn.syngraph import build_graph, edge_dropout
 from syngcn.trainer import (SrlModel, TrainConfig, load_config, make_instances,
                             parse_config_text, save_config, train)
 
@@ -297,8 +297,37 @@ class TestModel:
         inst = make_instances(overfit_sentences, lex)[0]
         with nm.Tape() as tape:
             model.instance_loss(inst, build_graph(inst.sentence, lex),
-                                training=True, rng=np.random.default_rng(0))
+                                np.random.default_rng(0))
         assert len(tape._nodes) == 18
+
+    def test_training_draw_order(self, overfit_sentences, monkeypatch):
+        # one word-dropout draw per singleton token, then one edge-dropout
+        # draw per GCN layer: each layer's dropout starts where the twin is
+        model, lex = tiny_model(overfit_sentences, unk_replace_rate=0.5,
+                                edge_dropout=0.3, gcn_layers=2)
+        singletons = {lex.string("word", i) for i in range(lex.size("word"))
+                      if lex.count("word", i) == 1}
+        inst = next(i for i in make_instances(overfit_sentences, lex)
+                    if any(t.form in singletons for t in i.sentence.tokens))
+        graph = build_graph(inst.sentence, lex)
+        at_dropout = []
+
+        def recording_dropout(graph, beta, rng):
+            at_dropout.append(rng.bit_generator.state)
+            return edge_dropout(graph, beta, rng)
+
+        monkeypatch.setattr(gcn, "edge_dropout", recording_dropout)
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        model.instance_loss(inst, graph, rng)
+        for tok in inst.sentence.tokens:
+            if tok.form in singletons:
+                twin.random()
+        twin_at_dropout = []
+        for _ in range(2):
+            twin_at_dropout.append(twin.bit_generator.state)
+            twin.random(len(graph))
+        assert at_dropout == twin_at_dropout
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_gates_disabled_mode(self, overfit_sentences):
         model, lex = tiny_model(overfit_sentences, gates_enabled=False)
@@ -349,8 +378,8 @@ class TestModel:
         model.save(path)
         other, _ = tiny_model(overfit_sentences, lex, gcn_layers=0)
         with pytest.raises(FormatError, match=r"tensor 11 is \('gcn.0.w_along', "
-                           r"\(16, 16\)\), expected \('cls.pair_transform', "
-                           r"\(16, 32\)\)"):
+                           r"'float32', \(16, 16\)\), expected "
+                           r"\('cls.pair_transform', 'float32', \(16, 32\)\)"):
             SrlModel.from_checkpoint(path, other.config, lex)
 
 
@@ -374,14 +403,10 @@ def reference_run(sentences, cfg: TrainConfig):
         order = rng.permutation(len(instances))
         for pos, idx in enumerate(order):
             inst = instances[idx]
-            mask = trainer._word_unk_mask(inst, lexicon, cfg.unk_replace_rate,
-                                          rng)
             for t in params.values():
                 t.grad = None
             with nm.Tape() as tape:
-                loss = model.instance_loss(inst, graphs[inst.sentence_id],
-                                           training=True, rng=rng,
-                                           word_unk_mask=mask)
+                loss = model.instance_loss(inst, graphs[inst.sentence_id], rng)
             tape.gradients(loss)
             unreached |= {k for k, t in params.items() if t.grad is None}
             batch.append(grads_or_zeros(params))
@@ -567,6 +592,20 @@ class TestTrainLoop:
         saved = nm.load_checkpoint(result.best_checkpoint)
         assert np.array_equal(saved["embed.word_pretrained"],
                               pretrained.astype(np.float32))
+
+    @pytest.mark.parametrize("held", ["config.txt", "lexicon.txt",
+                                      "metrics.tsv", "epoch_004.ckpt"])
+    def test_reused_run_directory_rejected(self, overfit_sentences, tmp_path,
+                                           held):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / held).write_text("an earlier run")
+        cfg = small_config(d_w=8, d_pos=4, d_l=8, d_h=8, d_r=8, d_l_out=8,
+                           epochs=1)
+        with pytest.raises(ConfigError, match=f"already holds a run \\({held}"):
+            train(overfit_sentences, None, cfg, run)
+        assert [p.name for p in run.iterdir()] == [held]
+        assert (run / held).read_text() == "an earlier run"
 
     def test_missing_dev_runs_loss_only(self, overfit_sentences, tmp_path,
                                         caplog):
