@@ -54,7 +54,7 @@ def _pair_matrix(lemma_id: int, params: ClassifierParams) -> nm.Tensor:
     """[num_roles x (d_l_out + d_r)]: the lemma row tiled against every role."""
     r = params.num_roles
     lemma_vec = nm.rows(params.lemma_table, [lemma_id])
-    ones = nm.constant(np.ones((r, 1)), dtype=lemma_vec.dtype)
+    ones = nm.Tensor(np.ones((r, 1)), dtype=lemma_vec.dtype)
     return nm.concat([nm.matmul(ones, lemma_vec), params.role_table], axis=1)
 
 
@@ -68,7 +68,7 @@ def role_logits(encoded: nm.Tensor, predicate_index: int, lemma_id: int,
     """[n x num_roles] logits for every token against every role."""
     n = encoded.shape[0]
     t_p = nm.rows(encoded, [predicate_index])
-    ones = nm.constant(np.ones((n, 1)), dtype=encoded.dtype)
+    ones = nm.Tensor(np.ones((n, 1)), dtype=encoded.dtype)
     paired = nm.concat([encoded, nm.matmul(ones, t_p)], axis=1)   # [n x 2m]
     return paired @ nm.transpose(role_weights(lemma_id, params))
 

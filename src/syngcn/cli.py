@@ -1,9 +1,10 @@
 """Command-line entry point: train / predict / evaluate / analyze / gradcheck.
 
 Every run logs its fully resolved configuration before doing work. Exit
-codes: 0 success, 1 validation failure (bad flags, bad config, bad input
-files), 2 runtime error. The SYNGCN_LOG environment variable (error, info,
-debug) sets the log level.
+codes: 0 success, 1 validation failure (bad flags, bad or non-UTF-8 config,
+bad input files, an --out of the wrong kind), 2 runtime error (a file that
+cannot be opened among them). The SYNGCN_LOG environment variable (error,
+info, debug) sets the log level.
 """
 
 from __future__ import annotations
@@ -140,6 +141,15 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _check_out(path: str | None, directory: bool) -> None:
+    """Refuse an ``--out`` that names an existing path of the other kind
+    than ``directory`` says, before any input is read."""
+    if (path is not None and Path(path).exists()
+            and Path(path).is_dir() != directory):
+        raise ConfigError(f"--out {path} exists and is "
+                          f"{'not ' if directory else ''}a directory")
+
+
 def _predictions_for(models, sentences) -> evaluator.PredictionSet:
     if len(models) == 1:
         return evaluator.predict_corpus(models[0], sentences)
@@ -147,6 +157,7 @@ def _predictions_for(models, sentences) -> evaluator.PredictionSet:
 
 
 def _cmd_predict(args) -> int:
+    _check_out(args.out, directory=False)
     sentences = parse_conll_file(args.test,
                                  use_gold_syntax=args.use_gold_syntax)
     preds = _predictions_for([_load_model(c) for c in args.checkpoint], sentences)
@@ -178,6 +189,7 @@ def _write_rows(path: Path, rows: list[tuple[str, str, str]]) -> None:
 
 
 def _cmd_evaluate(args) -> int:
+    _check_out(args.out, directory=True)
     if bool(args.pred) == bool(args.checkpoint):
         raise ConfigError("evaluate needs exactly one of --pred / --checkpoint")
     gold = parse_conll_file(args.test, use_gold_syntax=args.use_gold_syntax)
@@ -198,6 +210,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    _check_out(args.out, directory=True)
     sentences = parse_conll_file(args.test,
                                  use_gold_syntax=args.use_gold_syntax)
     if not (args.teleport or args.buckets or args.ablation):
@@ -207,9 +220,9 @@ def _cmd_analyze(args) -> int:
     if args.teleport:
         stats = evaluator.teleport_stats(sentences)
         print(f"arguments {stats.arguments}")
-        print(f"token distance > {stats.threshold}: {stats.token_fraction:.4f}")
-        print(f"teleport distance > {stats.threshold}: "
-              f"{stats.teleport_fraction:.4f}")
+        far = evaluator.TELEPORT_THRESHOLD
+        print(f"token distance > {far}: {stats.token_fraction:.4f}")
+        print(f"teleport distance > {far}: {stats.teleport_fraction:.4f}")
         rows += [("teleport", "arguments", str(stats.arguments)),
                  ("teleport", "token_fraction", f"{stats.token_fraction:.6f}"),
                  ("teleport", "teleport_fraction",

@@ -267,16 +267,6 @@ class Lexicon:
     def strings(self, kind: str) -> list[str]:
         return list(self._inv[kind].strings)
 
-    def role_id(self, s: str) -> int:
-        inv = self._inv["role"]
-        if s not in inv.ids:
-            raise KeyError(f"role {s!r} not in lexicon")
-        return inv.ids[s]
-
-    @property
-    def num_roles(self) -> int:
-        return self.size("role")
-
     @property
     def num_deprels(self) -> int:
         return self.size("deprel")

@@ -32,19 +32,18 @@ class LoadReport:
         return self.covered / self.vocab_size if self.vocab_size else 0.0
 
 
-def load_pretrained(path, lexicon: Lexicon, expected_dim: int | None = None
+def load_pretrained(path, lexicon: Lexicon, dim: int
                     ) -> tuple[np.ndarray, LoadReport]:
-    """Read a text embedding file into a [word-vocab x d] frozen table.
+    """Read a text embedding file into a [word-vocab x dim] frozen table.
 
-    One line per token: the token then its values, whitespace-separated.
-    Each vocabulary word is lowercased and looked up among the file tokens
-    as written, so a file token with a capital letter never matches; words
-    with no vector get a zero row, as do the reserved PAD/UNK ids. On
-    duplicate tokens the last occurrence wins. A non-finite value is a
-    ``FormatError``.
+    One line per token: the token then its ``dim`` values, whitespace-
+    separated. Each vocabulary word is lowercased and looked up among the
+    file tokens as written, so a file token with a capital letter never
+    matches; words with no vector get a zero row, as do the reserved PAD/UNK
+    ids. On duplicate tokens the last occurrence wins. A line with another
+    count of values, or a non-finite value, is a ``FormatError``.
     """
     vectors: dict[str, np.ndarray] = {}
-    dim = expected_dim
     duplicates = 0
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -55,8 +54,6 @@ def load_pretrained(path, lexicon: Lexicon, expected_dim: int | None = None
             if not parts:
                 continue
             token, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
             if len(values) != dim:
                 raise FormatError(f"{path}:{lineno}: embedding of dim "
                                   f"{len(values)}, expected {dim}")
@@ -72,8 +69,6 @@ def load_pretrained(path, lexicon: Lexicon, expected_dim: int | None = None
             if not np.isfinite(vectors[token]).all():
                 raise FormatError(f"{path}:{lineno}: non-finite embedding "
                                   f"value")
-    if dim is None:
-        dim = expected_dim or 0
     vocab = lexicon.size("word")
     table = np.zeros((vocab, dim), dtype=np.float64)
     covered = 0
@@ -159,6 +154,6 @@ def embed_sentence(sentence: Sentence, predicate_index: int,
     lemma_vec = nm.rows(tables.lemma, [lemma_id])           # [1 x d_l]
     onehot = np.zeros((n, 1), dtype=tables.word.dtype)
     onehot[predicate_index, 0] = 1.0
-    x_le = nm.matmul(nm.constant(onehot), lemma_vec)
+    x_le = nm.matmul(nm.Tensor(onehot), lemma_vec)
 
     return nm.concat([x_re, x_pe, x_pos, x_le], axis=1)

@@ -4,9 +4,7 @@ The primary scorer is labeled micro precision/recall/F1 over arguments,
 predicate disambiguation excluded: a predicted (predicate, token, role)
 triple is correct iff the gold data has the same triple with a non-NULL
 role. Scores and the per-distance analysis count the same way, in one pass
-over the tokens of every predicate. A combined mode that additionally counts
-the pass-through sense labels is available for comparison-style reporting
-and is clearly separate.
+over the tokens of every predicate.
 """
 
 from __future__ import annotations
@@ -217,12 +215,15 @@ def _teleport_distance(p: int, a: int, arcs: list[tuple[int, int]]) -> int:
     return best
 
 
+# The distance beyond which ``teleport_stats`` counts an argument as far
+TELEPORT_THRESHOLD = 5
+
+
 @dataclass
 class TeleportStats:
     arguments: int
-    token_far: int       # token distance > threshold
-    teleport_far: int    # teleport distance > threshold
-    threshold: int = 5
+    token_far: int       # token distance > TELEPORT_THRESHOLD
+    teleport_far: int    # teleport distance > TELEPORT_THRESHOLD
 
     @property
     def token_fraction(self) -> float:
@@ -233,9 +234,9 @@ class TeleportStats:
         return self.teleport_far / self.arguments if self.arguments else 0.0
 
 
-def teleport_stats(sentences: list[Sentence], threshold: int = 5) -> TeleportStats:
-    """Fractions of gold arguments farther than ``threshold`` under the raw
-    token metric vs. the one-dependency-hop teleport metric."""
+def teleport_stats(sentences: list[Sentence]) -> TeleportStats:
+    """Fractions of gold arguments farther than ``TELEPORT_THRESHOLD`` under
+    the raw token metric vs. the one-dependency-hop teleport metric."""
     arguments = token_far = teleport_far = 0
     for sent in sentences:
         arcs = [(t.index - 1, t.head - 1) for t in sent.tokens if t.head != 0]
@@ -245,11 +246,11 @@ def teleport_stats(sentences: list[Sentence], threshold: int = 5) -> TeleportSta
                 if role == NULL_ROLE:
                     continue
                 arguments += 1
-                if abs(i - p_row) > threshold:
+                if abs(i - p_row) > TELEPORT_THRESHOLD:
                     token_far += 1
-                if _teleport_distance(p_row, i, arcs) > threshold:
+                if _teleport_distance(p_row, i, arcs) > TELEPORT_THRESHOLD:
                     teleport_far += 1
-    return TeleportStats(arguments, token_far, teleport_far, threshold)
+    return TeleportStats(arguments, token_far, teleport_far)
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,6 @@ DEFAULT_DTYPE = np.float32
 
 CHECKPOINT_MAGIC = "SYNGCN1"
 
-# Toggle for the per-op finite check. Leave on: desk-scale runs are cheap and
-# a poisoned tensor is much harder to debug three modules downstream.
-FINITE_CHECKS = True
-
 
 class Tensor:
     """A dense array plus the bookkeeping needed for reverse-mode autodiff.
@@ -88,9 +84,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}{tag})"
@@ -110,10 +103,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, _lift(-1.0, self.dtype))
-
-
-def constant(data, dtype=None) -> Tensor:
-    return Tensor(data, dtype=dtype)
 
 
 def _lift(x, dtype) -> Tensor:
@@ -181,7 +170,7 @@ class Tape:
 # ---------------------------------------------------------------------------
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if FINITE_CHECKS and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise NumericsError(f"non-finite values produced by {op}")
 
 
@@ -503,8 +492,9 @@ def graph_conv(h: Tensor, weights: Sequence[Tensor], label_bias: Tensor,
     layer did. Checked for non-finite values: the gate logits, before the
     clamped logistic turns an infinite one finite, and the pre-ReLU sum,
     which ``_RELU_PROBE`` sees as ``relu`` shows its input. A direction
-    with no edges gets no gradient; with no edges at all the result is
-    zeros and nothing is recorded.
+    with no edges, possible after edge dropout, gets zero gradients: its
+    products run on zero rows, and a graph with no edges at all comes out
+    as zeros.
     """
     gated = gate_weights is not None
     params = list(weights) + [label_bias]
@@ -528,27 +518,19 @@ def graph_conv(h: Tensor, weights: Sequence[Tensor], label_bias: Tensor,
             raise ContractError(f"graph_conv: a {table.data.shape[0]}-row "
                                 f"label table for a graph with "
                                 f"{graph.num_labels} labels")
-    present = [d for d in range(3) if bounds[d + 1] > bounds[d]]
-    if not present:
-        zeros = np.zeros((n, m), h.data.dtype)
-        if _RELU_PROBE is not None:
-            _RELU_PROBE.append(zeros.copy())
-        return Tensor(zeros)
-    blocks = {d: slice(bounds[d], bounds[d + 1]) for d in present}
-    node_rows = {d: slice(d * n, (d + 1) * n) for d in present}
+    blocks = [slice(bounds[d], bounds[d + 1]) for d in range(3)]
     hd = h.data
     # the three directions' h @ W_d, stacked into [3n x m]
     transformed = np.empty((3 * n, m), hd.dtype)
-    for d in present:
-        np.matmul(hd, weights[d].data, out=transformed[node_rows[d]])
+    for d, rows_d in enumerate(transformed.reshape(3, n, m)):
+        np.matmul(hd, weights[d].data, out=rows_d)
     messages = transformed[graph.gather]
     np.add(messages, label_bias.data[graph.labels], out=messages)
     if gated:
         sources = hd[graph.src]
         weighted = np.empty_like(sources)
-        for d in present:
-            np.multiply(sources[blocks[d]], gate_weights[d].data,
-                        out=weighted[blocks[d]])
+        for d, blk in enumerate(blocks):
+            np.multiply(sources[blk], gate_weights[d].data, out=weighted[blk])
         logits = weighted.sum(axis=1, keepdims=True)
         np.add(logits, gate_label_bias.data[graph.labels], out=logits)
         # checked here, since the clamped logistic makes an infinite one finite
@@ -574,8 +556,7 @@ def graph_conv(h: Tensor, weights: Sequence[Tensor], label_bias: Tensor,
             dlogits = dlogits * gates * (1.0 - gates)
             _accumulate_rows(gate_label_bias, graph.labels, dlogits)
             dsources = np.empty_like(sources)
-            for d in present:
-                blk = blocks[d]
+            for d, blk in enumerate(blocks):
                 np.multiply(dlogits[blk], gate_weights[d].data,
                             out=dsources[blk])
                 _accumulate(gate_weights[d], _unbroadcast(
@@ -587,12 +568,12 @@ def graph_conv(h: Tensor, weights: Sequence[Tensor], label_bias: Tensor,
         _accumulate_rows(label_bias, graph.labels, dmessages)
         dtransformed = np.zeros((3 * n, m), hd.dtype)
         np.add.at(dtransformed, graph.gather, dmessages)
-        for d in reversed(present):
-            rows_d = node_rows[d]
+        for d in reversed(range(3)):
             if gated:
-                _accumulate(h, dgate_h[rows_d])
-            _accumulate_product(h, dtransformed[rows_d], weights[d].data.T)
-            _accumulate_product(weights[d], hd.T, dtransformed[rows_d])
+                _accumulate(h, dgate_h.reshape(3, n, k)[d])
+            dtransformed_d = dtransformed.reshape(3, n, m)[d]
+            _accumulate_product(h, dtransformed_d, weights[d].data.T)
+            _accumulate_product(weights[d], hd.T, dtransformed_d)
 
     return _make(out, (h, *params), "graph_conv", backward)
 
@@ -915,6 +896,14 @@ def adam_step(params: ParamStore, learning_rate: float) -> None:
 # gradient checking
 # ---------------------------------------------------------------------------
 
+# grad_check's central-difference step; the relu-input magnitude below which
+# a step with unit-order effect counts as grazing a kink; and the gradient
+# magnitude below which both gradients count as zeros
+GRAD_CHECK_STEP = 1e-5
+GRAD_CHECK_KINK_MARGIN = 1e-4
+GRAD_CHECK_NOISE_FLOOR = 1e-6
+
+
 @dataclass
 class GradCheckResult:
     max_rel_err: float
@@ -951,15 +940,14 @@ def _probed_eval(f: Callable[[], Tensor], param_name: str):
     return val, records
 
 
-def _kink_crossed(recs_plus: list, recs_minus: list, margin: float,
-                  h: float) -> bool:
+def _kink_crossed(recs_plus: list, recs_minus: list) -> bool:
     """True when the two perturbed passes straddle or graze a ReLU kink.
 
     A sign flip between the +h and -h evaluations means the central
     difference spans two linear regions and is invalid. The margin rule
     additionally skips entries that drive a relu input of magnitude below
-    ``margin`` with at least unit-order sensitivity (|change| >= h), i.e.
-    parameters feeding a kink more or less directly.
+    ``GRAD_CHECK_KINK_MARGIN`` with at least unit-order sensitivity
+    (|change| >= h), i.e. parameters feeding a kink more or less directly.
     """
     if len(recs_plus) != len(recs_minus):
         return True
@@ -970,15 +958,13 @@ def _kink_crossed(recs_plus: list, recs_minus: list, margin: float,
             continue
         if (((ap > 0) != (am > 0)) & changed).any():
             return True
-        near = np.minimum(np.abs(ap), np.abs(am)) < margin
-        if (near & (delta >= h)).any():
+        near = np.minimum(np.abs(ap), np.abs(am)) < GRAD_CHECK_KINK_MARGIN
+        if (near & (delta >= GRAD_CHECK_STEP)).any():
             return True
     return False
 
 
-def grad_check(f: Callable[[], Tensor], store: ParamStore, h: float = 1e-5,
-               kink_margin: float = 1e-4,
-               noise_floor: float = 1e-6) -> GradCheckResult:
+def grad_check(f: Callable[[], Tensor], store: ParamStore) -> GradCheckResult:
     """Compare the gradients ``store`` collects from one new backward pass of
     ``f()`` against central differences, element by element over
     ``store.flat``, naming the worst element's tensor from its layout.
@@ -986,7 +972,7 @@ def grad_check(f: Callable[[], Tensor], store: ParamStore, h: float = 1e-5,
     ``f`` must rebuild its computation from the current parameter values on
     every call and be deterministic (fix any dropout outside of ``f``).
     Entries whose perturbation crosses or grazes a ReLU kink are skipped and
-    counted. Entries where both gradients are below ``noise_floor`` are
+    counted. Entries where both gradients are below the noise floor are
     treated as matching zeros, since there the central difference is pure
     float roundoff. Use a float64 store for tight tolerances.
     """
@@ -997,7 +983,7 @@ def grad_check(f: Callable[[], Tensor], store: ParamStore, h: float = 1e-5,
     tape.gradients(loss)
     analytic = store.gradients().flat
 
-    flat = store.flat
+    flat, h = store.flat, GRAD_CHECK_STEP
     worst = 0.0
     worst_param = ""
     checked = 0
@@ -1012,13 +998,14 @@ def grad_check(f: Callable[[], Tensor], store: ParamStore, h: float = 1e-5,
                 fm, relus_m = _probed_eval(f, name)
             finally:
                 flat[j] = orig
-            if _kink_crossed(relus_p, relus_m, kink_margin, h):
+            if _kink_crossed(relus_p, relus_m):
                 skipped += 1
                 continue
             numeric = (fp - fm) / (2.0 * h)
             a = float(analytic[j])
             denom = max(abs(a), abs(numeric))
-            rel = 0.0 if denom < noise_floor else abs(a - numeric) / denom
+            rel = (0.0 if denom < GRAD_CHECK_NOISE_FLOOR
+                   else abs(a - numeric) / denom)
             checked += 1
             if rel > worst:
                 worst = rel

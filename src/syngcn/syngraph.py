@@ -38,7 +38,7 @@ class Edge:
     deprel_id: int      # underlying relation id; -1 for SELF
 
 
-def along_label_id(deprel_id, num_deprels: int):
+def along_label_id(deprel_id):
     return 1 + deprel_id
 
 
@@ -148,7 +148,7 @@ def build_graph(sentence: Sentence, lexicon: Lexicon) -> SyntacticGraph:
         len(nodes), np.concatenate([head, dep, nodes]),
         np.concatenate([dep, head, nodes]),
         np.repeat(tuple(Direction), [len(rel), len(rel), len(nodes)]),
-        np.concatenate([along_label_id(rel, r), opposite_label_id(rel, r),
+        np.concatenate([along_label_id(rel), opposite_label_id(rel, r),
                         self_labels]), num_labels(r))
 
 

@@ -123,7 +123,11 @@ def _coerce(key: str, value: str, current):
 
 
 def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"), base)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
+    return parse_config_text(text, base)
 
 
 def save_config(cfg: TrainConfig, path) -> None:
@@ -157,8 +161,8 @@ def make_instances(sentences: list[Sentence], lexicon: Lexicon,
             gold = None
             if require_gold:
                 try:
-                    gold = np.array([lexicon.role_id(r) for r in sent.roles[p_ord]],
-                                    dtype=np.intp)
+                    gold = np.array([lexicon.lookup("role", r)
+                                     for r in sent.roles[p_ord]], dtype=np.intp)
                 except KeyError as err:
                     raise ContractError(
                         f"sentence {sent_id}: role {err.args[0]!r}") from None
@@ -345,12 +349,15 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
     mode and best.ckpt tracks the last epoch. Dev data with no gold argument
     would score F1 0 every epoch, and an ``out_dir`` that already holds a
     run's files would end up mixing two runs, so both are a ``ConfigError``
-    raised before anything is written.
+    raised before anything is written, as is an ``out_dir`` that exists and
+    is not a directory.
     """
     from .evaluator import predict_corpus, score
 
     config.validate()
     out_dir = Path(out_dir)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ConfigError(f"{out_dir} exists and is not a directory")
     held = sorted(p.name for p in out_dir.glob("*") if p.suffix == ".ckpt"
                   or p.name in ("config.txt", "lexicon.txt", "metrics.tsv"))
     if held:

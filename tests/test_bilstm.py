@@ -52,8 +52,8 @@ def reference_direction(x, w, u, b, reverse):
     gates = range(4)
     pre_x = [x @ w[k] + b[k] for k in gates]
     d = u[0].shape[0]
-    h = nm.constant(np.zeros((1, d)), dtype=x.dtype)
-    c = nm.constant(np.zeros((1, d)), dtype=x.dtype)
+    h = nm.Tensor(np.zeros((1, d)), dtype=x.dtype)
+    c = nm.Tensor(np.zeros((1, d)), dtype=x.dtype)
     n = x.shape[0]
     states = {}
     for t in (range(n - 1, -1, -1) if reverse else range(n)):
@@ -145,7 +145,7 @@ class TestFusedMatchesPerGate:
         x_data = rng.standard_normal((n, 3))
         # a fixed random projection makes every state reach the loss with
         # its own weight
-        proj = nm.constant(rng.standard_normal((2 * 4, 1)), dtype=np.float64)
+        proj = nm.Tensor(rng.standard_normal((2 * 4, 1)), dtype=np.float64)
 
         def run(encode):
             """The states, and the gradient of a new leaf x; the weights'
@@ -385,7 +385,7 @@ def layer_with_grads(arrays, dout, lengths=None, tied=False, layer=None):
     bw = fw if tied else tuple(leaves[f"bw.{k}"] for k in "wub")
     with nm.Tape() as tape:
         h = (layer or nm.bilstm_layer)(x, fw, bw, lengths)
-        loss = nm.sum_all(h * nm.constant(dout)) + nm.sum_all(x * x)
+        loss = nm.sum_all(h * nm.Tensor(dout)) + nm.sum_all(x * x)
     tape.gradients(loss)
     grads = {"x": x.grad, **{f"fw.{k}": t.grad for k, t in zip("wub", fw)},
              **{f"bw.{k}": t.grad for k, t in zip("wub", bw)}}
@@ -458,7 +458,7 @@ class TestBatchedLstm:
         store = store_of(**dict(zip(NAMES, arrays)))
         x, fw = store["x"], tuple(store[f"fw.{k}"] for k in "wub")
         bw = fw if tied else tuple(store[f"bw.{k}"] for k in "wub")
-        proj = nm.constant(rng.standard_normal((4, 1)))
+        proj = nm.Tensor(rng.standard_normal((4, 1)))
         result = nm.grad_check(
             lambda: nm.sum_all(nm.bilstm_layer(x, fw, bw, self.LENGTHS) @ proj),
             store)

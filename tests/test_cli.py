@@ -401,6 +401,83 @@ class TestMalformedFiles:
         assert "not UTF-8" in caplog.text
 
 
+def _taken(tmp_path, directory: bool) -> str:
+    """An existing directory, or file, for an --out that wants the other."""
+    path = tmp_path / "taken"
+    if directory:
+        path.mkdir()
+    else:
+        path.write_text("kept\n")
+    return str(path)
+
+
+NOT_UTF8_CONFIG = b"epochs = 1 # \xff\n"
+
+
+def _non_utf8_config(tmp_path) -> str:
+    path = tmp_path / "bad.conf"
+    path.write_bytes(NOT_UTF8_CONFIG)
+    return str(path)
+
+
+def _checkpoint_with_non_utf8_config(tmp_path, tiny_run) -> str:
+    run_dir = tmp_path / "model"
+    run_dir.mkdir()
+    for name in ("lexicon.txt", "best.ckpt"):
+        (run_dir / name).write_bytes((tiny_run / name).read_bytes())
+    (run_dir / "config.txt").write_bytes(NOT_UTF8_CONFIG)
+    return str(run_dir / "best.ckpt")
+
+
+# fault -> (exit code, argv from the test's directory, the bundled data and
+# a trained run), with the fault put in place as the argv is built
+CLI_FAULTS = {
+    "train --out names a file": (1, lambda tmp, data, run: [
+        "train", "--config", str(DESK_CONF), "--train", data("overfit.conll"),
+        "--out", _taken(tmp, directory=False)]),
+    "evaluate --out names a file": (1, lambda tmp, data, run: [
+        "evaluate", "--test", data("overfit.conll"),
+        "--pred", data("overfit.conll"), "--out", _taken(tmp, directory=False)]),
+    "analyze --out names a file": (1, lambda tmp, data, run: [
+        "analyze", "--test", data("structural.conll"), "--teleport",
+        "--out", _taken(tmp, directory=False)]),
+    "predict --out names a directory": (1, lambda tmp, data, run: [
+        "predict", "--test", data("overfit.conll"),
+        "--checkpoint", str(run / "best.ckpt"),
+        "--out", _taken(tmp, directory=True)]),
+    "non-UTF-8 --config": (1, lambda tmp, data, run: [
+        "train", "--config", _non_utf8_config(tmp),
+        "--train", data("overfit.conll"), "--out", str(tmp / "model")]),
+    "non-UTF-8 config.txt sidecar": (1, lambda tmp, data, run: [
+        "predict", "--test", data("overfit.conll"),
+        "--checkpoint", _checkpoint_with_non_utf8_config(tmp, run),
+        "--out", str(tmp / "p.conll")]),
+    # a file that cannot be opened is a runtime OSError
+    "missing --test": (2, lambda tmp, data, run: [
+        "predict", "--test", str(tmp / "absent.conll"),
+        "--checkpoint", str(run / "best.ckpt"),
+        "--out", str(tmp / "p.conll")]),
+}
+
+
+class TestCliFaults:
+    @pytest.mark.parametrize("fault", list(CLI_FAULTS))
+    def test_fault_exits_with_one_error_and_no_output(
+            self, fault, tiny_run, data_dir, tmp_path, capsys, caplog):
+        code, argv_for = CLI_FAULTS[fault]
+        argv = argv_for(tmp_path, lambda name: str(data_dir / name), tiny_run)
+        before = {p: p.read_bytes() if p.is_file() else None
+                  for p in tmp_path.rglob("*")}
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        assert [(r.name, r.levelno) for r in caplog.records
+                if r.levelno >= logging.ERROR] == [("syngcn", logging.ERROR)]
+        assert "Traceback" not in captured.err + caplog.text
+        assert captured.out == ""
+        assert {p: p.read_bytes() if p.is_file() else None
+                for p in tmp_path.rglob("*")} == before
+
+
 class TestAnalyze:
     def test_teleport_only_needs_no_model(self, data_dir, tmp_path, capsys):
         out = tmp_path / "analysis"

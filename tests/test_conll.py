@@ -200,11 +200,11 @@ class TestLexicon:
 
     def test_role_inventory(self, overfit_lexicon):
         assert overfit_lexicon.strings("role") == [NULL_ROLE, "A0", "A1"]
-        assert overfit_lexicon.role_id(NULL_ROLE) == 0
+        assert overfit_lexicon.lookup("role", NULL_ROLE) == 0
 
     def test_unknown_role_raises(self, overfit_lexicon):
         with pytest.raises(KeyError):
-            overfit_lexicon.role_id("A9")
+            overfit_lexicon.lookup("role", "A9")
 
     def test_many_relation_inventory_size(self):
         sents = parse_text(fixtures.many_relation_corpus(47))

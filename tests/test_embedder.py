@@ -27,7 +27,7 @@ class TestLoadPretrained:
     def test_partial_coverage(self, tmp_path, two_word_lexicon):
         path = tmp_path / "emb.txt"
         path.write_text("aa 0.1 0.2 0.3\ncc 0.4 0.5 0.6\n")
-        table, report = load_pretrained(path, two_word_lexicon)
+        table, report = load_pretrained(path, two_word_lexicon, 3)
         assert report.hit_rate == 0.5
         aa_row = table[two_word_lexicon.lookup("word", "aa")]
         bb_row = table[two_word_lexicon.lookup("word", "bb")]
@@ -37,15 +37,16 @@ class TestLoadPretrained:
     def test_empty_file(self, tmp_path, two_word_lexicon):
         path = tmp_path / "empty.txt"
         path.write_text("")
-        table, report = load_pretrained(path, two_word_lexicon, expected_dim=3)
+        table, report = load_pretrained(path, two_word_lexicon, 3)
         assert report.hit_rate == 0.0
+        assert table.shape == (two_word_lexicon.size("word"), 3)
         assert np.array_equal(table, np.zeros_like(table))
 
     def test_duplicate_last_wins(self, tmp_path, two_word_lexicon, caplog):
         path = tmp_path / "dup.txt"
         path.write_text("aa 1 1 1\naa 2 2 2\n")
         with caplog.at_level(logging.WARNING):
-            table, report = load_pretrained(path, two_word_lexicon)
+            table, report = load_pretrained(path, two_word_lexicon, 3)
         assert "duplicate" in caplog.text
         aa = two_word_lexicon.lookup("word", "aa")
         assert np.allclose(table[aa], [2, 2, 2])
@@ -54,14 +55,18 @@ class TestLoadPretrained:
     def test_dimension_mismatch_names_line(self, tmp_path, two_word_lexicon):
         path = tmp_path / "bad.txt"
         path.write_text("aa 1 2 3\nbb 1 2\n")
-        with pytest.raises(FormatError, match=":2"):
-            load_pretrained(path, two_word_lexicon)
+        with pytest.raises(FormatError, match=":2: embedding of dim 2, "
+                                              "expected 3"):
+            load_pretrained(path, two_word_lexicon, 3)
+        with pytest.raises(FormatError, match=":1: embedding of dim 3, "
+                                              "expected 2"):
+            load_pretrained(path, two_word_lexicon, 2)
 
     def test_non_utf8_names_line(self, tmp_path, two_word_lexicon):
         path = tmp_path / "latin1.txt"
         path.write_bytes("aa 1 2\ncaf\u00e9 3 4\n".encode("latin-1"))
         with pytest.raises(FormatError, match=r"latin1\.txt:2: not UTF-8"):
-            load_pretrained(path, two_word_lexicon)
+            load_pretrained(path, two_word_lexicon, 2)
 
     @pytest.mark.parametrize("value", ["nan", "-inf", "1e400"])
     def test_non_finite_value_names_line(self, tmp_path, two_word_lexicon,
@@ -70,7 +75,7 @@ class TestLoadPretrained:
         path = tmp_path / "emb.txt"
         path.write_text(f"aa 1 2\nzz 3 {value}\n")
         with pytest.raises(FormatError, match=r"emb\.txt:2: non-finite"):
-            load_pretrained(path, two_word_lexicon)
+            load_pretrained(path, two_word_lexicon, 2)
 
     def test_value_beyond_the_table_dtype_rejected(self, two_word_lexicon):
         pre = np.zeros((two_word_lexicon.size("word"), 4))
@@ -87,18 +92,19 @@ class TestLoadPretrained:
             ["aa", "bb", "AA", "1", "-2.5", "1e400", "nan", "x", "0x1",
              "\u00e9", "\t", ""]), max_size=5).map(" ".join), max_size=5)
         .map(lambda lines: "\n".join(lines).encode("utf-8"))),
-        st.sampled_from([None, 2]))
+        st.sampled_from([1, 2]))
     def test_fuzzed_file_parses_or_raises_format_error(self, tmp_path_factory,
-                                                       data, expected_dim):
+                                                       data, dim):
         lexicon = build_lexicon(parse_text(make_sentence([
             ("aa", "aa", "N", 2, "R", "_", "_"),
             ("bb", "bb", "V", 0, "ROOT", "_", "_")])))
         path = tmp_path_factory.mktemp("fuzz") / "emb.txt"
         path.write_bytes(data)
         try:
-            table, _ = load_pretrained(path, lexicon, expected_dim)
+            table, _ = load_pretrained(path, lexicon, dim)
         except FormatError:
             return
+        assert table.shape == (lexicon.size("word"), dim)
         assert np.isfinite(table).all()
 
     def test_lowercased_matching(self, tmp_path):
@@ -106,7 +112,7 @@ class TestLoadPretrained:
         lex = build_lexicon(parse_text(text))
         path = tmp_path / "emb.txt"
         path.write_text("paris 1 2\n")
-        table, report = load_pretrained(path, lex)
+        table, report = load_pretrained(path, lex, 2)
         assert report.hit_rate == 1.0
         assert np.allclose(table[lex.lookup("word", "Paris")], [1, 2])
 

@@ -8,10 +8,10 @@ import pytest
 from syngcn import evaluator
 from syngcn.conll import NULL_ROLE, build_lexicon
 from syngcn.errors import ConfigError, ContractError
-from syngcn.evaluator import (BUCKETS, PredictionSet, distance_buckets,
-                              ensemble, ensemble_models, predict_corpus,
-                              relation_ablation, score, teleport_stats,
-                              format_report, report_rows)
+from syngcn.evaluator import (BUCKETS, TELEPORT_THRESHOLD, PredictionSet,
+                              distance_buckets, ensemble, ensemble_models,
+                              predict_corpus, relation_ablation, score,
+                              teleport_stats, format_report, report_rows)
 from syngcn.syngraph import drop_relation
 
 from syngcn.trainer import SrlModel, make_instances
@@ -234,7 +234,7 @@ class TestDistanceBuckets:
         assert sum(counts.values()) == total
 
 
-def teleport_oracle(sent, threshold=5):
+def teleport_oracle(sent):
     """Exhaustive BFS over states (node, dependency-edges-used <= 1)."""
     n = len(sent)
     arcs = [(t.index - 1, t.head - 1) for t in sent.tokens if t.head != 0]
@@ -316,8 +316,8 @@ class TestTeleport:
                                                             arcs)))
                 assert ours == oracle_pairs
                 total += len(ours)
-                far_token += sum(1 for t, _ in ours if t > 5)
-                far_tele += sum(1 for _, q in ours if q > 5)
+                far_token += sum(1 for t, _ in ours if t > TELEPORT_THRESHOLD)
+                far_tele += sum(1 for _, q in ours if q > TELEPORT_THRESHOLD)
             stats = teleport_stats(sents)
             assert stats.arguments == total
             assert stats.token_far == far_token

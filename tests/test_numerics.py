@@ -358,7 +358,7 @@ class TestParamStore:
                for k, a in start.items()}
         ref_m = {k: np.zeros_like(a) for k, a in start.items()}
         ref_v = {k: np.zeros_like(a) for k, a in start.items()}
-        x = nm.constant(np.random.default_rng(4).uniform(-1, 1, (6, 2)), dtype)
+        x = nm.Tensor(np.random.default_rng(4).uniform(-1, 1, (6, 2)), dtype)
         for step in range(1, 5):
             with nm.Tape() as tape:
                 loss = self._loss(ours, x, step)
@@ -391,7 +391,7 @@ class TestParamStore:
         start = self._start(dtype)
         store = store_of(dtype, **start)
         ours = dict(store)
-        x = nm.constant(np.random.default_rng(4).uniform(-1, 1, (6, 2)), dtype)
+        x = nm.Tensor(np.random.default_rng(4).uniform(-1, 1, (6, 2)), dtype)
         separate = []
         for step in (1, 2):
             with nm.Tape() as tape:

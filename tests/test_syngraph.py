@@ -90,7 +90,7 @@ class TestBuildGraph:
             for e in graph.edges:
                 if e.direction == Direction.OPPOSITE:
                     plain = label_name(
-                        syngraph.along_label_id(e.deprel_id, lex.num_deprels), lex)
+                        syngraph.along_label_id(e.deprel_id), lex)
                     assert label_name(e.label_id, lex) == plain + "'"
 
     def test_every_node_has_self_edge(self, overfit_sentences):

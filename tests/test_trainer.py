@@ -50,7 +50,7 @@ class TestInstances:
         other = parse_text(make_sentence(
             [("y", "y", "N", 0, "ROOT", "Y", "y.01")], [["A7"]]))
         lex = build_lexicon(figure_sentences)   # no A7 here
-        with pytest.raises(ContractError, match="A7"):
+        with pytest.raises(ContractError, match="^sentence 0: role 'A7'$"):
             make_instances(other, lex)
 
     def test_prediction_mode_needs_no_gold(self, figure_sentences):
@@ -117,6 +117,12 @@ class TestConfig:
         path = tmp_path / "config.txt"
         save_config(cfg, path)
         assert load_config(path) == cfg
+
+    def test_non_utf8_config_is_config_error(self, tmp_path):
+        path = tmp_path / "latin1.conf"
+        path.write_bytes("# caf\u00e9\nepochs = 2\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match=r"latin1\.conf: not UTF-8 text"):
+            load_config(path)
 
     def test_shipped_configs_load(self):
         # the benchmark loads desk_overfit.conf and conll2009_english.conf by
@@ -203,7 +209,7 @@ class TestModel:
         inst = make_instances(overfit_sentences, lex)[0]
         loss = model.instance_loss(inst)
         n = len(inst.sentence)
-        assert float(loss.data) == pytest.approx(n * math.log(lex.num_roles),
+        assert float(loss.data) == pytest.approx(n * math.log(lex.size("role")),
                                                  rel=1e-6)
 
     def test_fresh_init_loss_near_uniform(self, overfit_sentences):
@@ -211,7 +217,7 @@ class TestModel:
         inst = make_instances(overfit_sentences, lex)[0]
         loss = float(model.instance_loss(inst).data)
         n = len(inst.sentence)
-        assert loss == pytest.approx(n * math.log(lex.num_roles), rel=0.02)
+        assert loss == pytest.approx(n * math.log(lex.size("role")), rel=0.02)
 
     def test_loss_nonnegative(self, overfit_sentences):
         model, lex = tiny_model(overfit_sentences)
@@ -430,8 +436,9 @@ class TestFlatStore:
         dict(dtype="float32", batch_size=2, lstm_layers=0),
         dict(dtype="float32", edge_dropout=1.0, batch_size=3),
         dict(dtype="float32", edge_dropout=0.9),
+        dict(dtype="float32", gates_enabled=False),
     ], ids=["float32", "float64", "batch2", "batch2 K2", "batch2 J0",
-            "no edges", "few edges"])
+            "no edges", "few edges", "ungated"])
     def test_run_matches_per_tensor_reference(self, overfit_sentences,
                                               tmp_path, overrides):
         cfg = small_config(d_w=8, d_pos=4, d_l=8, d_h=8, d_r=8, d_l_out=8,
@@ -439,9 +446,10 @@ class TestFlatStore:
         sentences = overfit_sentences[:8]
         result = train(sentences, None, cfg, tmp_path / "run")
         ref, unreached = reference_run(sentences, cfg)
-        if cfg.edge_dropout > 0.5:
-            # no gradient for some GCN tensors in some instances
-            assert "gcn.0.w_along" in unreached
+        if not cfg.gates_enabled:
+            # no pass reaches the gate tensors, so the store's zero-fill
+            # stands in for their gradients
+            assert {"gcn.0.gate_w_along", "gcn.0.gate_label_bias"} <= unreached
         saved = nm.load_checkpoint(result.best_checkpoint)
         for name, t in ref.parameters().items():
             assert saved[name].tobytes() == t.data.tobytes(), name
@@ -606,6 +614,18 @@ class TestTrainLoop:
             train(overfit_sentences, None, cfg, run)
         assert [p.name for p in run.iterdir()] == [held]
         assert (run / held).read_text() == "an earlier run"
+
+    def test_out_dir_that_is_a_file_rejected(self, overfit_sentences,
+                                             tmp_path, monkeypatch):
+        # refused before the model is built, so nothing is drawn or written
+        out = tmp_path / "run"
+        out.write_text("a file")
+        monkeypatch.setattr(trainer, "SrlModel", None)
+        cfg = small_config(d_w=8, d_pos=4, d_l=8, d_h=8, d_r=8, d_l_out=8,
+                           epochs=1)
+        with pytest.raises(ConfigError, match="exists and is not a directory"):
+            train(overfit_sentences, None, cfg, out)
+        assert out.read_text() == "a file"
 
     def test_missing_dev_runs_loss_only(self, overfit_sentences, tmp_path,
                                         caplog):

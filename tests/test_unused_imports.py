@@ -1,5 +1,6 @@
-"""No file under src/, tests/ or demos/ imports a name it never reads: a
-dependency-free stand-in for a linter's unused-import rule."""
+"""No file under src/, tests/ or demos/ imports a name it never reads, and no
+function under src/ declares a parameter it never reads: dependency-free
+stand-ins for a linter's unused-import and unused-argument rules."""
 
 import ast
 from pathlib import Path
@@ -71,3 +72,48 @@ def test_no_unused_imports():
              for top in SCANNED for path in sorted((ROOT / top).rglob("*.py"))
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert not found, "imported but never read:\n" + "\n".join(found)
+
+
+def unused_parameters(source: str) -> list[tuple[int, str]]:
+    """(line, "function: parameter") for each parameter a function's body
+    never reads, nested functions included. Dunder methods are exempt: a
+    protocol fixes their signatures."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or node.name.startswith("__") and node.name.endswith("__")):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, args.vararg,
+                                  *args.kwonlyargs, args.kwarg) if a]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        found += [(node.lineno, f"{node.name}: {p}") for p in params
+                  if p not in read]
+    return found
+
+
+def test_parameter_finder_flags_only_unread_parameters():
+    source = '''
+def f(a, b, *rest, c=1, **extra):
+    def inner(d):
+        return a + d
+    return inner(c)
+
+class C:
+    def __exit__(self, *exc):
+        return False
+
+    def method(self, x):
+        x = 2
+        return self
+'''
+    assert unused_parameters(source) == [(2, "f: b"), (2, "f: rest"),
+                                         (2, "f: extra"), (11, "method: x")]
+
+
+def test_no_unused_parameters():
+    found = [f"{path.relative_to(ROOT)}:{line}: {what}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line, what in unused_parameters(path.read_text(encoding="utf-8"))]
+    assert not found, "parameter never read:\n" + "\n".join(found)
