@@ -4,7 +4,9 @@ The score vector for (predicate lemma l, role r) is built on demand as
 ReLU(transform @ (lemma_emb(l) ++ role_emb(r))); the logit for token i is
 its dot product with (t_i ++ t_predicate). Decisions are per-token and
 conditionally independent; NULL (id 0) means "not an argument" and wins
-ties, so all-zero scores predict no arguments at all.
+ties, so all-zero scores predict no arguments at all. An instance's logits
+are one ``numerics.role_logits`` op, which builds every role's score vector
+and scores every token against them.
 """
 
 from __future__ import annotations
@@ -22,10 +24,6 @@ class ClassifierParams:
     pair_transform: nm.Tensor   # [(d_l_out + d_r) x 2m]
     lemma_table: nm.Tensor      # [plemma-vocab x d_l_out]
     role_table: nm.Tensor       # [num-roles x d_r], NULL included at row 0
-
-    @property
-    def num_roles(self) -> int:
-        return self.role_table.shape[0]
 
 
 def classifier_layout(encoded_width: int, d_l_out: int, d_r: int,
@@ -50,27 +48,12 @@ def init_classifier(params: ClassifierParams,
         t.data[...] = rng.uniform(-bound, bound, t.shape)
 
 
-def _pair_matrix(lemma_id: int, params: ClassifierParams) -> nm.Tensor:
-    """[num_roles x (d_l_out + d_r)]: the lemma row tiled against every role."""
-    r = params.num_roles
-    lemma_vec = nm.rows(params.lemma_table, [lemma_id])
-    ones = nm.Tensor(np.ones((r, 1)), dtype=lemma_vec.dtype)
-    return nm.concat([nm.matmul(ones, lemma_vec), params.role_table], axis=1)
-
-
-def role_weights(lemma_id: int, params: ClassifierParams) -> nm.Tensor:
-    """[num_roles x 2m] non-negative score vectors, one per role, for a lemma."""
-    return nm.relu(_pair_matrix(lemma_id, params) @ params.pair_transform)
-
-
 def role_logits(encoded: nm.Tensor, predicate_index: int, lemma_id: int,
                 params: ClassifierParams) -> nm.Tensor:
-    """[n x num_roles] logits for every token against every role."""
-    n = encoded.shape[0]
-    t_p = nm.rows(encoded, [predicate_index])
-    ones = nm.Tensor(np.ones((n, 1)), dtype=encoded.dtype)
-    paired = nm.concat([encoded, nm.matmul(ones, t_p)], axis=1)   # [n x 2m]
-    return paired @ nm.transpose(role_weights(lemma_id, params))
+    """[n x num_roles] logits for every token against every role, as one
+    ``nm.role_logits`` op."""
+    return nm.role_logits(encoded, predicate_index, params.lemma_table,
+                          lemma_id, params.role_table, params.pair_transform)
 
 
 def predict_arguments(encoded: nm.Tensor, predicate_index: int, lemma_id: int,

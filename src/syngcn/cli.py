@@ -142,12 +142,17 @@ def _cmd_train(args) -> int:
 
 
 def _check_out(path: str | None, directory: bool) -> None:
-    """Refuse an ``--out`` that names an existing path of the other kind
-    than ``directory`` says, before any input is read."""
-    if (path is not None and Path(path).exists()
-            and Path(path).is_dir() != directory):
+    """Refuse, before any input is read, an ``--out`` that names an existing
+    path of the other kind than ``directory`` says, or a file whose
+    directory does not exist (a directory ``--out`` is made as needed)."""
+    if path is None:
+        return
+    out = Path(path)
+    if out.exists() and out.is_dir() != directory:
         raise ConfigError(f"--out {path} exists and is "
                           f"{'not ' if directory else ''}a directory")
+    if not directory and not out.parent.is_dir():
+        raise ConfigError(f"--out {path}: {out.parent} is not a directory")
 
 
 def _predictions_for(models, sentences) -> evaluator.PredictionSet:

@@ -3,7 +3,8 @@
 Each word is the concatenation of a trainable word embedding, a frozen
 pretrained word embedding, a POS-tag embedding and a lemma embedding that is
 active only on the row of the predicate the instance is built for; total
-width 2*d_w + d_pos + d_l.
+width 2*d_w + d_pos + d_l. An instance's rows are one ``numerics.embed`` op,
+which gathers the four lookups into one array.
 """
 
 from __future__ import annotations
@@ -132,13 +133,13 @@ def init_tables(tables: EmbeddingTables, rng: np.random.Generator) -> None:
 def embed_sentence(sentence: Sentence, predicate_index: int,
                    tables: EmbeddingTables, lexicon: Lexicon,
                    word_unk_mask: np.ndarray | None = None) -> nm.Tensor:
-    """Build the [n x width] input matrix for one predicate instance.
+    """Build the [n x width] input matrix for one predicate instance, as one
+    ``nm.embed`` op.
 
     ``predicate_index`` is 0-based. ``word_unk_mask`` (training only) marks
     rows whose trainable-word lookup is replaced by UNK; the frozen table
     always sees the true words.
     """
-    n = len(sentence)
     form_ids = np.array([lexicon.lookup("word", t.form) for t in sentence.tokens],
                         dtype=np.intp)
     pos_ids = [lexicon.lookup("pos", t.pos) for t in sentence.tokens]
@@ -146,14 +147,8 @@ def embed_sentence(sentence: Sentence, predicate_index: int,
     if word_unk_mask is not None:
         trainable_ids[word_unk_mask] = lexicon.lookup("word", UNK)
 
-    x_re = nm.rows(tables.word, trainable_ids)
-    x_pe = nm.rows(tables.word_pretrained, form_ids)
-    x_pos = nm.rows(tables.pos, pos_ids)
-
     lemma_id = lexicon.lookup("lemma", sentence.tokens[predicate_index].lemma)
-    lemma_vec = nm.rows(tables.lemma, [lemma_id])           # [1 x d_l]
-    onehot = np.zeros((n, 1), dtype=tables.word.dtype)
-    onehot[predicate_index, 0] = 1.0
-    x_le = nm.matmul(nm.Tensor(onehot), lemma_vec)
-
-    return nm.concat([x_re, x_pe, x_pos, x_le], axis=1)
+    return nm.embed([(tables.word, trainable_ids),
+                     (tables.word_pretrained, form_ids),
+                     (tables.pos, pos_ids)], tables.lemma, lemma_id,
+                    predicate_index)

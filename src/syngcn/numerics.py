@@ -6,10 +6,15 @@ order, which is already a topological order; ``Tape.gradients`` replays the
 records once, in reverse, so gradient accumulation order is deterministic.
 Ops executed with no active tape are plain forward computations.
 
+A model layer is one fused op with a hand-written backward: ``embed``,
+``bilstm_layer``, ``graph_conv`` and ``role_logits``; the generic ops compose
+the per-op references its tests compare against.
+
 Every op verifies its output is finite; NaN/Inf raises ``NumericsError``
-rather than propagating silently. The fused ops also check the values the
-clamped logistic would make finite: ``bilstm_layer`` its pre-activations (as
-``lstm``), and ``graph_conv`` its gate logits and pre-ReLU sums.
+rather than propagating silently. The fused ops also check the values that
+the clamped logistic or a ReLU would make finite: ``bilstm_layer`` its
+pre-activations (as ``lstm``), ``graph_conv`` its gate logits and pre-ReLU
+sums, and ``role_logits`` its pre-ReLU ``pair @ transform``.
 
 A model keeps its trainable tensors in a ``ParamStore``, allocated from the
 ``(name, shape)`` pairs its modules declare, as views into one flat array.
@@ -101,9 +106,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __neg__(self):
-        return mul(self, _lift(-1.0, self.dtype))
-
 
 def _lift(x, dtype) -> Tensor:
     if isinstance(x, Tensor):
@@ -117,9 +119,9 @@ def _lift(x, dtype) -> Tensor:
 
 _ACTIVE_TAPE: "Tape | None" = None
 
-# Hook for grad_check: when set to a list, relu() appends a copy of each
-# input it sees, letting the checker detect kink crossings between the two
-# perturbed evaluations.
+# Hook for grad_check: when set to a list, relu() and the fused ops that end
+# in a ReLU append a copy of each ReLU input they make, letting the checker
+# detect kink crossings between the two perturbed evaluations.
 _RELU_PROBE: list | None = None
 
 
@@ -576,6 +578,91 @@ def graph_conv(h: Tensor, weights: Sequence[Tensor], label_bias: Tensor,
             _accumulate_product(weights[d], hd.T, dtransformed_d)
 
     return _make(out, (h, *params), "graph_conv", backward)
+
+
+def embed(gathers: Sequence[tuple[Tensor, np.ndarray]], lemma: Tensor,
+          lemma_id: int, predicate_row: int) -> Tensor:
+    """One instance's input rows as one op: [n x width], the rows
+    ``table[ids]`` of each ``(table, ids)`` pair side by side, then
+    ``lemma[lemma_id]`` on row ``predicate_row`` and zeros on the others.
+
+    The lemma columns equal the one-hot product ``onehot @ lemma[lemma_id]``
+    (a -0.0 comes out +0.0), and the backward runs its transpose ``onehot.T
+    @ g`` on a contiguous copy, as the per-op ``concat`` rule passed it on,
+    then adds each table's rows last-first. A frozen table gets no gradient.
+    """
+    tables = [t for t, _ in gathers] + [lemma]
+    for t in tables[1:]:
+        _same_dtype(tables[0], t, "embed")
+    bounds = np.cumsum([0] + [t.data.shape[1] for t in tables]).tolist()
+    blocks = [(t, np.asarray(i, dtype=np.intp), lo, hi)
+              for (t, i), lo, hi in zip(gathers, bounds, bounds[1:])]
+    n = blocks[0][1].shape[0]
+    out = np.zeros((n, bounds[-1]), lemma.data.dtype)
+    for t, i, lo, hi in blocks:
+        out[:, lo:hi] = t.data[i]
+    out[predicate_row, bounds[-2]:] = lemma.data[lemma_id] + 0.0
+    onehot = np.zeros((n, 1), out.dtype)
+    onehot[predicate_row, 0] = 1.0
+
+    def backward(g):
+        _accumulate_rows(lemma, np.array([lemma_id]), onehot.T @
+                         np.ascontiguousarray(g[:, bounds[-2]:]))
+        for t, i, lo, hi in reversed(blocks):
+            _accumulate_rows(t, i, g[:, lo:hi])
+
+    return _make(out, tuple(tables), "embed", backward)
+
+
+def role_logits(encoded: Tensor, predicate_row: int, lemma: Tensor,
+                lemma_id: int, roles: Tensor, transform: Tensor) -> Tensor:
+    """The role head of one instance as one op: [n x R] logits
+    ``(encoded ++ tiled encoded[p]) @ ReLU((tiled lemma[l] ++ roles) @
+    transform).T`` for p = ``predicate_row`` and l = ``lemma_id``, with
+    ``encoded`` [n x m], ``roles`` [R x d_r] and ``transform``
+    [(d_l + d_r) x 2m].
+
+    The tilings are products ``ones @ row``, and the backward runs the
+    products of the per-op rules (``rows``, ``matmul``, ``concat``,
+    ``relu``, ``transpose``) on arrays of the same layout, so it rounds as
+    the per-op head did. The pre-ReLU ``pair @ transform`` is checked for
+    non-finite values, which ReLU could hide, and ``_RELU_PROBE`` sees it.
+    """
+    for t in (lemma, roles, transform):
+        _same_dtype(encoded, t, "role_logits")
+    e = encoded.data
+    (n, m), (r, d_r), d_l = e.shape, roles.data.shape, lemma.data.shape[-1]
+    if transform.data.shape != (d_l + d_r, 2 * m):
+        raise ShapeError(f"role_logits: transform {transform.data.shape} for "
+                         f"encoded {e.shape}, lemma {lemma.data.shape} and "
+                         f"roles {roles.data.shape}")
+    ones_n, ones_r = np.ones((n, 1), e.dtype), np.ones((r, 1), e.dtype)
+    p_idx, l_idx = np.array([predicate_row]), np.array([lemma_id])
+    paired = np.concatenate([e, ones_n @ e[p_idx]], axis=1)           # [n x 2m]
+    pair = np.concatenate([ones_r @ lemma.data[l_idx], roles.data], axis=1)
+    pre = pair @ transform.data                                        # [R x 2m]
+    _check_finite(pre, "role_logits")
+    if _RELU_PROBE is not None:
+        _RELU_PROBE.append(pre.copy())
+    weights_t = np.maximum(pre, 0).T.copy()                           # [2m x R]
+    out = paired @ weights_t
+
+    def backward(g):
+        if lemma._needs_grad or roles._needs_grad or transform._needs_grad:
+            dpre = (paired.T @ g).T * (pre > 0)
+            _accumulate_product(transform, pair.T, dpre)
+            dpair = dpre @ transform.data.T
+            _accumulate(roles, dpair[:, d_l:])
+            _accumulate_rows(lemma, l_idx, ones_r.T @ np.ascontiguousarray(
+                dpair[:, :d_l]))
+        if encoded._needs_grad:
+            dpaired = g @ weights_t.T
+            _accumulate(encoded, dpaired[:, :m])
+            _accumulate_rows(encoded, p_idx, ones_n.T @ np.ascontiguousarray(
+                dpaired[:, m:]))
+
+    return _make(out, (encoded, lemma, roles, transform), "role_logits",
+                 backward)
 
 
 def concat(parts: list[Tensor], axis: int = 1) -> Tensor:

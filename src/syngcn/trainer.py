@@ -337,6 +337,11 @@ def _dump_param_norms(model: SrlModel) -> str:
     return "\n".join(lines)
 
 
+def _has_gold_argument(sentences: list[Sentence]) -> bool:
+    return any(role != NULL_ROLE for s in sentences for row in s.roles
+               for role in row)
+
+
 def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
           config: TrainConfig, out_dir, lexicon: Lexicon | None = None,
           pretrained: np.ndarray | None = None) -> TrainResult:
@@ -346,11 +351,12 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
     update per ``batch_size`` instances, on their gradients summed in the
     store's buffer, then one checkpoint and one metrics line. The
     best epoch by dev F1 is copied to best.ckpt. Without dev data, runs in train-loss-only
-    mode and best.ckpt tracks the last epoch. Dev data with no gold argument
-    would score F1 0 every epoch, and an ``out_dir`` that already holds a
-    run's files would end up mixing two runs, so both are a ``ConfigError``
-    raised before anything is written, as is an ``out_dir`` that exists and
-    is not a directory.
+    mode and best.ckpt tracks the last epoch. Training data with no gold
+    argument has a loss of 0 whatever the weights, dev data with none would
+    score F1 0 every epoch, and an ``out_dir`` that already holds a run's
+    files would end up mixing two runs, so each is a ``ConfigError`` raised
+    before anything is written, as is an ``out_dir`` that exists and is not
+    a directory.
     """
     from .evaluator import predict_corpus, score
 
@@ -362,9 +368,10 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
                   or p.name in ("config.txt", "lexicon.txt", "metrics.tsv"))
     if held:
         raise ConfigError(f"{out_dir} already holds a run ({', '.join(held)})")
-    if dev_sentences is not None and all(
-            role == NULL_ROLE for s in dev_sentences for row in s.roles
-            for role in row):
+    if not _has_gold_argument(train_sentences):
+        raise ConfigError("the training data has no gold argument to learn "
+                          "from")
+    if dev_sentences is not None and not _has_gold_argument(dev_sentences):
         raise ConfigError("the dev data has no gold argument to select the "
                           "best epoch by")
     if lexicon is None:

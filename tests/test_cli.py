@@ -137,18 +137,23 @@ class TestTrain:
     @pytest.mark.parametrize("dev", ["empty", "all roles null"])
     def test_dev_without_gold_argument_exits_one(self, dev, data_dir,
                                                  tmp_path, caplog):
-        dev_path = tmp_path / "dev.conll"
-        dev_path.write_text("" if dev == "empty" else make_sentence(
+        # such a file as --dev, and as --train, where it would train nothing
+        # with a loss of 0 every epoch
+        bad = tmp_path / "bad.conll"
+        bad.write_text("" if dev == "empty" else make_sentence(
             [("a", "a", "N", 2, "SBJ", "_", "_"),
              ("v", "v", "V", 0, "ROOT", "Y", "v.01")],
             apreds_per_row=[["_"], ["_"]]))
-        assert run(["train", "--config", str(DESK_CONF),
-                    "--set", "epochs=3",
-                    "--train", str(data_dir / "overfit.conll"),
-                    "--dev", str(dev_path),
-                    "--out", str(tmp_path / "run")]) == 1
-        assert "no gold argument" in caplog.text
-        assert not (tmp_path / "run").exists()
+        good = str(data_dir / "overfit.conll")
+        for role, train_path, dev_path in (("dev", good, bad),
+                                           ("training", bad, good)):
+            caplog.clear()
+            assert run(["train", "--config", str(DESK_CONF),
+                        "--set", "epochs=3", "--train", str(train_path),
+                        "--dev", str(dev_path),
+                        "--out", str(tmp_path / "run")]) == 1
+            assert f"the {role} data has no gold argument" in caplog.text
+            assert not (tmp_path / "run").exists()
 
     def test_oversized_model_exits_one(self, data_dir, tmp_path, caplog):
         # refused from the config and lexicon, before any array is made, and
@@ -402,7 +407,8 @@ class TestMalformedFiles:
 
 
 def _taken(tmp_path, directory: bool) -> str:
-    """An existing directory, or file, for an --out that wants the other."""
+    """An existing directory, or file, where the command wants the other
+    kind: an --out, or a directory as an input file."""
     path = tmp_path / "taken"
     if directory:
         path.mkdir()
@@ -452,11 +458,26 @@ CLI_FAULTS = {
         "predict", "--test", data("overfit.conll"),
         "--checkpoint", _checkpoint_with_non_utf8_config(tmp, run),
         "--out", str(tmp / "p.conll")]),
+    "predict --out in a missing directory": (1, lambda tmp, data, run: [
+        "predict", "--test", data("overfit.conll"),
+        "--checkpoint", str(run / "best.ckpt"),
+        "--out", str(tmp / "absent" / "p.conll")]),
     # a file that cannot be opened is a runtime OSError
     "missing --test": (2, lambda tmp, data, run: [
         "predict", "--test", str(tmp / "absent.conll"),
         "--checkpoint", str(run / "best.ckpt"),
         "--out", str(tmp / "p.conll")]),
+    "directory as --test": (2, lambda tmp, data, run: [
+        "predict", "--test", _taken(tmp, directory=True),
+        "--checkpoint", str(run / "best.ckpt"),
+        "--out", str(tmp / "p.conll")]),
+    "directory as --config": (2, lambda tmp, data, run: [
+        "train", "--config", _taken(tmp, directory=True),
+        "--train", data("overfit.conll"), "--out", str(tmp / "model")]),
+    "directory as --embeddings": (2, lambda tmp, data, run: [
+        "train", "--config", str(DESK_CONF), "--train", data("overfit.conll"),
+        "--embeddings", _taken(tmp, directory=True),
+        "--out", str(tmp / "model")]),
 }
 
 

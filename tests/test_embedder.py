@@ -197,3 +197,64 @@ class TestEmbedSentence:
         out = embed_sentence(sent, 0, tables, lex).data
         unk = lex.lookup("word", "<unk>")
         assert np.array_equal(out[0, :tables.word.shape[1]], tables.word.data[unk])
+
+
+FUSED_EMBED = nm.embed
+
+
+def per_op_embed(gathers, lemma, lemma_id, predicate_row):
+    """``nm.embed`` as the per-op chain it replaced: a ``rows`` gather per
+    table, the lemma row placed by a one-hot ``matmul``, one ``concat``."""
+    parts = [nm.rows(table, ids) for table, ids in gathers]
+    onehot = np.zeros((len(gathers[0][1]), 1), dtype=lemma.dtype)
+    onehot[predicate_row, 0] = 1.0
+    parts.append(nm.matmul(nm.Tensor(onehot), nm.rows(lemma, [lemma_id])))
+    return nm.concat(parts, axis=1)
+
+
+class TestFusedEmbed:
+    """``nm.embed`` against ``per_op_embed``, byte for byte."""
+
+    def run(self, op, sentence, lex, dtype, mask, monkeypatch):
+        """Rows with the predicate in the first and in the last row, each
+        pass's gradients added into one store: (rows, gradients, the frozen
+        table's gradient)."""
+        monkeypatch.setattr(nm, "embed", op)
+        rng = np.random.default_rng(5)
+        pre = rng.standard_normal((lex.size("word"), 4))
+        store = nm.ParamStore(tables_layout(lex, 4, 3, 5), dtype)
+        tables = embedding_tables(store, lex, pre)
+        init_tables(tables, rng)
+        # a -0.0 lemma entry comes out of the one-hot product as +0.0
+        tables.lemma.data[:, 0] = -0.0
+        store.enable_grad()
+        outs = []
+        for p_row in (0, len(sentence) - 1):
+            upstream = nm.Tensor(rng.standard_normal((len(sentence), 16)),
+                                 dtype=dtype)
+            with nm.Tape() as tape:
+                out = embed_sentence(sentence, p_row, tables, lex, mask)
+                loss = nm.sum_all(nm.mul(out, upstream))
+            tape.gradients(loss)
+            outs.append(out.data.tobytes())
+        return outs, store.gradients().flat.tobytes(), tables.word_pretrained.grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masked", [False, True],
+                             ids=["no mask", "unk mask"])
+    def test_matches_per_op_chain(self, figure_sentences, dtype, masked,
+                                  monkeypatch):
+        sentence = figure_sentences[0]
+        lex = build_lexicon(figure_sentences)
+        mask = np.arange(len(sentence)) % 2 == 1 if masked else None
+        got = self.run(FUSED_EMBED, sentence, lex, dtype, mask, monkeypatch)
+        want = self.run(per_op_embed, sentence, lex, dtype, mask, monkeypatch)
+        assert got == want
+        assert got[2] is None
+
+    def test_one_tape_node(self, figure_sentences):
+        lex = build_lexicon(figure_sentences)
+        tables = tables_for(lex)
+        with nm.Tape() as tape:
+            embed_sentence(figure_sentences[0], 1, tables, lex)
+        assert len(tape._nodes) == 1

@@ -202,6 +202,18 @@ def tiny_model(sentences, lexicon=None, **overrides):
     return SrlModel(cfg, lexicon, np.random.default_rng(cfg.seed)), lexicon
 
 
+def instance_tape_size(config_name, sentences):
+    """Tape nodes one training instance records under a bundled config."""
+    cfg = load_config(CONFIGS / config_name)
+    lex = build_lexicon(sentences)
+    model = SrlModel(cfg, lex, np.random.default_rng(cfg.seed))
+    inst = make_instances(sentences, lex)[0]
+    with nm.Tape() as tape:
+        model.instance_loss(inst, build_graph(inst.sentence, lex),
+                            np.random.default_rng(0))
+    return len(tape._nodes)
+
+
 class TestModel:
     def test_uniform_loss_with_zero_scorer(self, overfit_sentences):
         model, lex = tiny_model(overfit_sentences)
@@ -295,16 +307,13 @@ class TestModel:
         assert both.gcn.input_projection is None
 
     def test_desk_training_instance_tape_size(self, overfit_sentences):
-        # the GCN layer is one node; built per op it took 39 of 58. The
-        # BiLSTM layer is one too; as two directions and a concat it took 3
-        cfg = load_config(CONFIGS / "desk_overfit.conf")
-        lex = build_lexicon(overfit_sentences)
-        model = SrlModel(cfg, lex, np.random.default_rng(cfg.seed))
-        inst = make_instances(overfit_sentences, lex)[0]
-        with nm.Tape() as tape:
-            model.instance_loss(inst, build_graph(inst.sentence, lex),
-                                np.random.default_rng(0))
-        assert len(tape._nodes) == 18
+        # one node per layer and one for the loss: J + K + 3
+        assert instance_tape_size("desk_overfit.conf", overfit_sentences) == 5
+
+    def test_english_training_instance_tape_size(self, overfit_sentences):
+        # J = 3, K = 1, at the full-scale widths
+        assert instance_tape_size("conll2009_english.conf",
+                                  overfit_sentences) == 7
 
     def test_training_draw_order(self, overfit_sentences, monkeypatch):
         # one word-dropout draw per singleton token, then one edge-dropout
@@ -641,15 +650,20 @@ class TestTrainLoop:
     @pytest.mark.parametrize("dev", ["empty", "all roles null"])
     def test_dev_without_gold_argument_rejected(self, overfit_sentences,
                                                 tmp_path, dev):
-        # dev F1 would read 0 every epoch and pick epoch 1 as the best
-        dev_sentences = [] if dev == "empty" else [
+        # as dev data, F1 would read 0 every epoch and pick epoch 1 as the
+        # best; as training data, the loss would read 0 whatever the weights
+        bad = [] if dev == "empty" else [
             dataclasses.replace(s, roles=[["_"] * len(s) for _ in s.roles])
             for s in overfit_sentences]
         cfg = small_config(d_w=8, d_pos=4, d_l=8, d_h=8, d_r=8, d_l_out=8,
                            epochs=2)
-        with pytest.raises(ConfigError, match="no gold argument"):
-            train(overfit_sentences, dev_sentences, cfg, tmp_path / "run")
-        assert not (tmp_path / "run").exists()
+        for role, train_sentences, dev_sentences in (
+                ("dev", overfit_sentences, bad),
+                ("training", bad, overfit_sentences)):
+            with pytest.raises(ConfigError,
+                               match=f"the {role} data has no gold argument"):
+                train(train_sentences, dev_sentences, cfg, tmp_path / "run")
+            assert not (tmp_path / "run").exists()
 
     def test_dev_scored_one_instance_at_a_time(self, overfit_sentences,
                                                tmp_path, monkeypatch):
