@@ -142,16 +142,17 @@ def _cmd_train(args) -> int:
 
 
 def _check_out(path: str | None, directory: bool) -> None:
-    """Refuse, before any input is read, an ``--out`` that names an existing
-    path of the other kind than ``directory`` says, or a file whose
-    directory does not exist (a directory ``--out`` is made as needed)."""
+    """Refuse, before any input is read, an ``--out`` that cannot be
+    written: a directory ``trainer.check_out_dir`` refuses, or a file that
+    is an existing directory or whose directory does not exist."""
     if path is None:
         return
     out = Path(path)
-    if out.exists() and out.is_dir() != directory:
-        raise ConfigError(f"--out {path} exists and is "
-                          f"{'not ' if directory else ''}a directory")
-    if not directory and not out.parent.is_dir():
+    if directory:
+        trainer.check_out_dir(out)
+    elif out.is_dir():
+        raise ConfigError(f"--out {path} exists and is a directory")
+    elif not out.parent.is_dir():
         raise ConfigError(f"--out {path}: {out.parent} is not a directory")
 
 
@@ -265,7 +266,7 @@ def _cmd_gradcheck(args) -> int:
     print(f"max rel err {result.max_rel_err:.3e} over {result.checked} entries "
           f"({result.skipped} skipped near ReLU kinks)")
     ok = result.max_rel_err < args.tolerance
-    print("PASS" if ok else "FAIL")
+    print("PASS" if ok else f"FAIL (worst: {result.worst_param})")
     return 0 if ok else 1
 
 

@@ -206,15 +206,15 @@ class _Inventory:
         self.counts: list[int] = [0] * len(reserved)
         self.unk_id = self.ids[unk] if unk is not None else None
 
-    def intern(self, s: str, count: int = 1) -> int:
+    def intern(self, s: str) -> int:
         if s in self.ids:
             i = self.ids[s]
-            self.counts[i] += count
+            self.counts[i] += 1
             return i
         i = len(self.strings)
         self.strings.append(s)
         self.ids[s] = i
-        self.counts.append(count)
+        self.counts.append(1)
         return i
 
     def lookup(self, s: str) -> int:

@@ -134,16 +134,15 @@ def structural_corpus(num_fillers: int = 5) -> str:
     return "".join(out)
 
 
-def many_relation_corpus(num_relations: int = 47, tokens_per_sentence: int = 11
-                         ) -> str:
-    """Chain trees with ``num_relations`` distinct relation names in play.
+def many_relation_corpus() -> str:
+    """Chain trees of 11 tokens with 47 distinct relation names in play.
 
     ROOT (on the chain heads) counts as one of them; with the reserved UNK
-    relation the resulting lexicon has ``num_relations + 1`` relation types.
+    relation the resulting lexicon has 48 relation types.
     """
-    rels = [f"REL{r:02d}" for r in range(num_relations - 1)]
-    arcs_per_sentence = tokens_per_sentence - 1
-    num_sentences = -(-len(rels) // arcs_per_sentence)
+    tokens_per_sentence = 11
+    rels = [f"REL{r:02d}" for r in range(46)]
+    num_sentences = -(-len(rels) // (tokens_per_sentence - 1))
     out = []
     cursor = 0
     for s in range(num_sentences):

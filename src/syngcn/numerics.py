@@ -726,12 +726,11 @@ def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
     return _make(out, (a,), "slice_cols", backward)
 
 
-def sum_axis1(a: Tensor, keepdims: bool = True) -> Tensor:
-    out = a.data.sum(axis=1, keepdims=keepdims)
+def sum_axis1(a: Tensor) -> Tensor:
+    out = a.data.sum(axis=1, keepdims=True)
 
     def backward(g):
-        gg = g if keepdims else g[:, None]
-        _accumulate(a, np.broadcast_to(gg, a.data.shape))
+        _accumulate(a, np.broadcast_to(g, a.data.shape))
 
     return _make(out, (a,), "sum_axis1", backward)
 

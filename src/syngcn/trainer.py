@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
-import shutil
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -342,28 +341,36 @@ def _has_gold_argument(sentences: list[Sentence]) -> bool:
                for role in row)
 
 
+def check_out_dir(out_dir: Path) -> None:
+    """Refuse an output directory that cannot be made: its nearest existing
+    ancestor, ``out_dir`` itself when it exists, must be a directory."""
+    found = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not found.is_dir():
+        raise ConfigError(f"{out_dir}: {found} exists and is not a directory")
+
+
 def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
           config: TrainConfig, out_dir, lexicon: Lexicon | None = None,
           pretrained: np.ndarray | None = None) -> TrainResult:
-    """Run the optimization loop and leave checkpoints/metrics in ``out_dir``.
+    """Run the optimization loop; leave best.ckpt, config.txt, lexicon.txt
+    and metrics.tsv in ``out_dir``.
 
     Per epoch: seeded shuffle, one backward pass per instance and one Adam
     update per ``batch_size`` instances, on their gradients summed in the
-    store's buffer, then one checkpoint and one metrics line. The
-    best epoch by dev F1 is copied to best.ckpt. Without dev data, runs in train-loss-only
-    mode and best.ckpt tracks the last epoch. Training data with no gold
-    argument has a loss of 0 whatever the weights, dev data with none would
-    score F1 0 every epoch, and an ``out_dir`` that already holds a run's
-    files would end up mixing two runs, so each is a ``ConfigError`` raised
-    before anything is written, as is an ``out_dir`` that exists and is not
-    a directory.
+    store's buffer, then one metrics line. An epoch whose dev F1 beats all
+    earlier ones is saved to best.ckpt at once, so a killed run keeps its
+    best finished epoch; without dev data (train-loss-only mode) every epoch
+    is. Training data with no gold argument has a loss of 0 whatever the
+    weights, dev data with none would score F1 0 every epoch, and an
+    ``out_dir`` that already holds a run's files would mix two runs, so
+    each is a ``ConfigError`` raised before anything is written, as is an
+    ``out_dir`` that ``check_out_dir`` refuses.
     """
     from .evaluator import predict_corpus, score
 
     config.validate()
     out_dir = Path(out_dir)
-    if out_dir.exists() and not out_dir.is_dir():
-        raise ConfigError(f"{out_dir} exists and is not a directory")
+    check_out_dir(out_dir)
     held = sorted(p.name for p in out_dir.glob("*") if p.suffix == ".ckpt"
                   or p.name in ("config.txt", "lexicon.txt", "metrics.tsv"))
     if held:
@@ -396,7 +403,6 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
     history: list[EpochMetrics] = []
     best_f1 = -1.0
     best_epoch = -1
-    best_path: Path | None = None
     metrics_path = out_dir / "metrics.tsv"
     t0 = time.monotonic()
     with open(metrics_path, "w", encoding="utf-8", newline="") as metrics_fh:
@@ -433,23 +439,17 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
             metrics_fh.write(f"{epoch}\t{metrics.train_loss:.6f}\t{dev_p:.4f}"
                              f"\t{dev_r:.4f}\t{dev_f1:.4f}\n")
             metrics_fh.flush()
-            ckpt = out_dir / f"epoch_{epoch:03d}.ckpt"
-            model.save(ckpt)
             selector = dev_f1 if dev_sentences is not None else float(epoch)
             if selector > best_f1 or best_epoch < 0:
                 best_f1 = selector
                 best_epoch = epoch
-                best_path = ckpt
+                model.save(out_dir / "best.ckpt")
             logger.info("epoch %d: loss %.4f dev F1 %.4f (%.1fs)", epoch,
                         metrics.train_loss, dev_f1, time.monotonic() - t0)
             if config.early_stop_f1 and dev_f1 >= config.early_stop_f1:
                 logger.info("dev F1 reached %.4f, stopping", dev_f1)
                 break
-    if best_path is not None:
-        with (nm.replacing(out_dir / "best.ckpt") as fh,
-              open(best_path, "rb") as src):
-            shutil.copyfileobj(src, fh)
-        best_path = out_dir / "best.ckpt"
     return TrainResult(history, best_epoch,
                        best_f1 if dev_sentences is not None else float("nan"),
-                       best_path, lexicon_path, config_path)
+                       out_dir / "best.ckpt" if history else None,
+                       lexicon_path, config_path)

@@ -135,7 +135,7 @@ def test_criterion_05_edge_structure(overfit_sentences, structural_sentences):
             ok = ok and selfs == len(sent)
         ok = ok and build_graph(sents[0], lex).num_labels == \
             2 * lex.num_deprels + 1
-    many = parse_text(fixtures.many_relation_corpus(47))
+    many = parse_text(fixtures.many_relation_corpus())
     lex48 = build_lexicon(many)
     ok = ok and lex48.num_deprels == 48
     ok = ok and num_labels(lex48.num_deprels) == 97

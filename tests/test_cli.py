@@ -13,7 +13,7 @@ from syngcn.errors import FormatError
 
 from conftest import small_config
 from test_conll import make_sentence
-from syngcn.trainer import save_config
+from syngcn.trainer import param_layout, save_config
 
 DESK_CONF = Path(__file__).resolve().parents[1] / "configs" / "desk_overfit.conf"
 
@@ -417,6 +417,11 @@ def _taken(tmp_path, directory: bool) -> str:
     return str(path)
 
 
+def _below_a_file(tmp_path) -> str:
+    """A directory --out whose parent is an existing file."""
+    return str(Path(_taken(tmp_path, directory=False)) / "out")
+
+
 NOT_UTF8_CONFIG = b"epochs = 1 # \xff\n"
 
 
@@ -447,6 +452,15 @@ CLI_FAULTS = {
     "analyze --out names a file": (1, lambda tmp, data, run: [
         "analyze", "--test", data("structural.conll"), "--teleport",
         "--out", _taken(tmp, directory=False)]),
+    "train --out below a file": (1, lambda tmp, data, run: [
+        "train", "--config", str(DESK_CONF), "--train", data("overfit.conll"),
+        "--out", _below_a_file(tmp)]),
+    "evaluate --out below a file": (1, lambda tmp, data, run: [
+        "evaluate", "--test", data("overfit.conll"),
+        "--pred", data("overfit.conll"), "--out", _below_a_file(tmp)]),
+    "analyze --out below a file": (1, lambda tmp, data, run: [
+        "analyze", "--test", data("structural.conll"), "--teleport",
+        "--out", _below_a_file(tmp)]),
     "predict --out names a directory": (1, lambda tmp, data, run: [
         "predict", "--test", data("overfit.conll"),
         "--checkpoint", str(run / "best.ckpt"),
@@ -565,6 +579,16 @@ class TestGradcheck:
         assert code == 0
         assert "max rel err" in out
         assert "PASS" in out
+
+    def test_failure_names_the_worst_tensor(self, capsys):
+        # no error is below a tolerance of 0
+        assert run(["gradcheck", "--tolerance", "0"]) == 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        match = re.fullmatch(r"FAIL \(worst: (\S+)\)", last)
+        assert match, last
+        model, _ = fixtures.gradcheck_model(seed=7)
+        assert match.group(1) in dict(param_layout(model.config,
+                                                   model.lexicon))
 
     def test_seed_zero_is_honoured(self, caplog):
         with caplog.at_level(logging.INFO, logger="syngcn"):

@@ -207,7 +207,7 @@ class TestLexicon:
             overfit_lexicon.lookup("role", "A9")
 
     def test_many_relation_inventory_size(self):
-        sents = parse_text(fixtures.many_relation_corpus(47))
+        sents = parse_text(fixtures.many_relation_corpus())
         lex = build_lexicon(sents)
         # 47 distinct relations plus the reserved UNK slot
         assert lex.num_deprels == 48

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 from pathlib import Path
@@ -583,9 +584,9 @@ class TestTrainLoop:
         result = train(overfit_sentences, overfit_sentences, cfg,
                        tmp_path / "run")
         run = tmp_path / "run"
-        assert (run / "best.ckpt").exists()
-        assert (run / "lexicon.txt").exists()
-        assert (run / "config.txt").exists()
+        assert sorted(p.name for p in run.iterdir()) == [
+            "best.ckpt", "config.txt", "lexicon.txt", "metrics.tsv"]
+        assert result.best_checkpoint == run / "best.ckpt"
         lines = (run / "metrics.tsv").read_text().strip().split("\n")
         assert len(lines) == 2
         for line in lines:
@@ -635,6 +636,82 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match="exists and is not a directory"):
             train(overfit_sentences, None, cfg, out)
         assert out.read_text() == "a file"
+
+    def test_out_dir_below_a_file_rejected(self, overfit_sentences,
+                                           tmp_path, monkeypatch):
+        # refused before the model is built, as a file out_dir is
+        blocker = tmp_path / "afile"
+        blocker.write_text("a file")
+        monkeypatch.setattr(trainer, "SrlModel", None)
+        cfg = small_config(d_w=8, d_pos=4, d_l=8, d_h=8, d_r=8, d_l_out=8,
+                           epochs=1)
+        with pytest.raises(ConfigError,
+                           match="afile exists and is not a directory"):
+            train(overfit_sentences, None, cfg, blocker / "run" / "sub")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+        assert blocker.read_text() == "a file"
+
+    @pytest.mark.parametrize("dev, kill", [(True, "update"), (False, "update"),
+                                           (False, "write")],
+                             ids=["dev, update", "no dev, update",
+                                  "no dev, write"])
+    def test_killed_run_keeps_best_of_finished_epochs(
+            self, overfit_sentences, tmp_path, monkeypatch, dev, kill):
+        # a run that dies during epoch k + 1, in an Adam update or while
+        # best.ckpt is written, leaves the best.ckpt of an uninterrupted
+        # same-seed k-epoch run and no partial file
+        k = 2
+        dev_sentences = overfit_sentences if dev else None
+        cfg = small_config(d_w=8, d_pos=4, d_l=8, d_h=8, d_r=8, d_l_out=8,
+                           epochs=k)
+        whole = train(overfit_sentences, dev_sentences, cfg, tmp_path / "whole")
+
+        class Killed(Exception):
+            pass
+
+        per_epoch = len(make_instances(overfit_sentences,
+                                       build_lexicon(overfit_sentences)))
+        calls = 0
+        if kill == "update":
+            adam_step = nm.adam_step
+
+            def dying_step(store, lr):
+                nonlocal calls
+                calls += 1
+                if calls == k * per_epoch + 2:
+                    raise Killed
+                adam_step(store, lr)
+
+            monkeypatch.setattr(nm, "adam_step", dying_step)
+        else:
+            replacing = nm.replacing
+
+            @contextlib.contextmanager
+            def dying_replacing(path):
+                # without dev data every epoch is saved, once
+                nonlocal calls
+                calls += 1
+                with replacing(path) as fh:
+                    if calls == k + 1:
+                        fh.write(b"SYNGCN1\t")
+                        raise Killed
+                    yield fh
+
+            monkeypatch.setattr(nm, "replacing", dying_replacing)
+        killed = tmp_path / "killed"
+        with pytest.raises(Killed):
+            train(overfit_sentences, dev_sentences,
+                  dataclasses.replace(cfg, epochs=k + 1), killed)
+        assert calls == (k * per_epoch + 2 if kill == "update" else k + 1)
+        assert sorted(p.name for p in killed.iterdir()) == [
+            "best.ckpt", "config.txt", "lexicon.txt", "metrics.tsv"]
+        assert ((killed / "best.ckpt").read_bytes()
+                == whole.best_checkpoint.read_bytes())
+        # the metrics line of epoch k + 1 comes before its checkpoint
+        lines = (killed / "metrics.tsv").read_text().splitlines()
+        assert lines[:k] == (tmp_path / "whole" / "metrics.tsv"
+                             ).read_text().splitlines()
+        assert len(lines) == (k + 1 if kill == "write" else k)
 
     def test_missing_dev_runs_loss_only(self, overfit_sentences, tmp_path,
                                         caplog):
