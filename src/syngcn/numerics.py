@@ -337,12 +337,14 @@ def _logistic(d: np.ndarray) -> np.ndarray:
     """Overflow-safe logistic function, clamped into the open interval (0,1).
 
     With e = exp(-|d|), it is 1/(1+e) for d >= 0 and e/(1+e) otherwise, so
-    no exponent is positive.
+    no exponent is positive. The numerator max(e, d >= 0) is 1 or e, as e
+    <= 1, and a NaN e stays NaN: the same values as a per-element select,
+    without its branch on each element's sign.
     """
     e = np.abs(d)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(d >= 0, 1.0, e)
+    out = np.maximum(e, d >= 0)
     np.add(e, 1.0, out=e)
     np.divide(out, e, out=out)
     lo, hi = _LOGISTIC_CLAMP.get(d.dtype) or _logistic_clamp(d.dtype)
@@ -469,6 +471,35 @@ def bilstm_layer(x: Tensor, fw: tuple, bw: tuple, lengths=None) -> Tensor:
     return _make(out, (x, *fw, *bw), "lstm", backward)
 
 
+def _sum_rows_in_order(index: np.ndarray, values: np.ndarray,
+                       rows: int) -> np.ndarray:
+    """``rows`` zero rows with each ``values[e]`` added into row ``index[e]``
+    in the order of e, as ``np.add.at`` adds them; ``index`` must be
+    non-decreasing.
+
+    Round r adds each row's r-th value. The sums are packed by number of
+    values (most first, ties in row order), so the rows with an r-th value
+    are a prefix and a round is one slice add; one assignment then puts the
+    sums in their rows. Each row makes the additions ``np.add.at`` makes, in
+    its order and from the same zero, so the bytes are equal; it only skips
+    numpy's unbuffered per-element path.
+    """
+    first = np.searchsorted(index, index)
+    rank = np.arange(index.size) - first
+    # by round, then by minus the row's value count (lexsort is stable)
+    order = np.lexsort((first - np.searchsorted(index, index, "right"), rank))
+    packed = values[order]
+    per_round = np.bincount(rank, minlength=1).tolist()
+    sums = np.zeros((per_round[0], *values.shape[1:]), values.dtype)
+    lo = 0
+    for count in per_round:
+        sums[:count] += packed[lo:lo + count]
+        lo += count
+    out = np.zeros((rows, *values.shape[1:]), values.dtype)
+    out[index[order[:per_round[0]]]] = sums
+    return out
+
+
 def graph_conv(h: Tensor, weights: Sequence[Tensor], label_bias: Tensor,
                gate_weights: Sequence[Tensor] | None,
                gate_label_bias: Tensor | None, graph) -> Tensor:
@@ -541,8 +572,7 @@ def graph_conv(h: Tensor, weights: Sequence[Tensor], label_bias: Tensor,
         scaled = messages * gates
     else:
         scaled = messages
-    per_direction = np.zeros((3 * n, m), hd.dtype)
-    np.add.at(per_direction, graph.scatter, scaled)
+    per_direction = _sum_rows_in_order(graph.scatter, scaled, 3 * n)
     pre = per_direction[:n] + per_direction[n:2 * n]
     pre += per_direction[2 * n:]
     _check_finite(pre, "graph_conv")

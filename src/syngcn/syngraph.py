@@ -74,9 +74,11 @@ class SyntacticGraph:
 
     Direction d's edges are ``[bounds[d], bounds[d + 1])``. ``gather`` is
     ``d*n + src`` and ``scatter`` is ``d*n + dst``: rows of the [3n x m]
-    stack of the three directions' per-node arrays. The constructor checks
-    the endpoints and sorts its input; graphs made from other graphs
-    (union, dropout, relation removal) keep their order without sorting.
+    stack of the three directions' per-node arrays. ``scatter`` is thus
+    non-decreasing, which ``nm.graph_conv``'s per-node sum relies on. The
+    constructor checks the endpoints and sorts its input; graphs made from
+    other graphs (union, dropout, relation removal) keep their order
+    without sorting.
     """
 
     def __init__(self, n: int, src, dst, direction, labels, label_space: int):

@@ -357,14 +357,15 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
 
     Per epoch: seeded shuffle, one backward pass per instance and one Adam
     update per ``batch_size`` instances, on their gradients summed in the
-    store's buffer, then one metrics line. An epoch whose dev F1 beats all
-    earlier ones is saved to best.ckpt at once, so a killed run keeps its
-    best finished epoch; without dev data (train-loss-only mode) every epoch
-    is. Training data with no gold argument has a loss of 0 whatever the
-    weights, dev data with none would score F1 0 every epoch, and an
-    ``out_dir`` that already holds a run's files would mix two runs, so
-    each is a ``ConfigError`` raised before anything is written, as is an
-    ``out_dir`` that ``check_out_dir`` refuses.
+    store's buffer. An epoch whose dev F1 beats all earlier ones is saved
+    to best.ckpt at once, so a killed run keeps its best finished epoch;
+    without dev data (train-loss-only mode) every epoch is. The epoch's
+    metrics line comes after that save, so metrics.tsv never names an epoch
+    the run did not finish. Training data with no gold argument has a loss
+    of 0 whatever the weights, dev data with none would score F1 0 every
+    epoch, and an ``out_dir`` that already holds a run's files would mix two
+    runs, so each is a ``ConfigError`` raised before anything is written,
+    as is an ``out_dir`` that ``check_out_dir`` refuses.
     """
     from .evaluator import predict_corpus, score
 
@@ -436,14 +437,15 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
             metrics = EpochMetrics(epoch, total_loss / max(len(instances), 1),
                                    dev_p, dev_r, dev_f1)
             history.append(metrics)
-            metrics_fh.write(f"{epoch}\t{metrics.train_loss:.6f}\t{dev_p:.4f}"
-                             f"\t{dev_r:.4f}\t{dev_f1:.4f}\n")
-            metrics_fh.flush()
             selector = dev_f1 if dev_sentences is not None else float(epoch)
             if selector > best_f1 or best_epoch < 0:
                 best_f1 = selector
                 best_epoch = epoch
                 model.save(out_dir / "best.ckpt")
+            # after the save: a run killed in it has no line for the epoch
+            metrics_fh.write(f"{epoch}\t{metrics.train_loss:.6f}\t{dev_p:.4f}"
+                             f"\t{dev_r:.4f}\t{dev_f1:.4f}\n")
+            metrics_fh.flush()
             logger.info("epoch %d: loss %.4f dev F1 %.4f (%.1fs)", epoch,
                         metrics.train_loss, dev_f1, time.monotonic() - t0)
             if config.early_stop_f1 and dev_f1 >= config.early_stop_f1:

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from syngcn import numerics as nm
 from syngcn.conll import build_lexicon
@@ -14,7 +16,7 @@ from syngcn.syngraph import (Direction, SyntacticGraph, build_graph,
 from conftest import parse_text
 from reference_ops import plain_gcn_layer
 from test_conll import make_sentence
-from test_syngraph import by_direction, graph_of
+from test_syngraph import GRAPH_PATHS, built_graphs, by_direction, graph_of
 
 
 def random_tree_sentence(n: int, rng: np.random.Generator, num_rels: int = 4):
@@ -326,6 +328,59 @@ class TestDisjointUnion:
         assert union.tobytes() == np.vstack(alone).tobytes()
 
 
+def add_at(graph, values):
+    """The per-node sums the slow way: ``np.add.at`` into zeros, one message
+    after another in edge order."""
+    out = np.zeros((3 * graph.n, *values.shape[1:]), values.dtype)
+    np.add.at(out, graph.scatter, values)
+    return out
+
+
+class TestSumRowsInOrder:
+    """``nm._sum_rows_in_order``, the scatter of ``graph_conv``'s forward,
+    bitwise against ``np.add.at``."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("path", GRAPH_PATHS)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_bitwise_equal_to_add_at_on_drawn_graphs(self, path, dtype, data):
+        graph = data.draw(built_graphs(path))
+        m = data.draw(st.integers(1, 4))
+        values = data.draw(hnp.arrays(dtype, (len(graph), m), elements=(
+            st.sampled_from([0.0, -0.0])
+            | st.floats(width=np.finfo(dtype).bits))))
+        # drawn values include infinities and near-maximal ones: both sides
+        # overflow, or meet inf - inf, at the same additions
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = nm._sum_rows_in_order(graph.scatter, values, 3 * graph.n)
+            want = add_at(graph, values)
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_star_with_an_empty_direction(self, dtype):
+        # node 0 heads five dependents: five opposite in-edges into it, none
+        # into the leaves, no along edge into the root; then the same graph
+        # without its along edges
+        star = ORACLE_GRAPHS["star"]
+        hub = star.n * Direction.OPPOSITE
+        assert np.count_nonzero(star.scatter == hub) == 5
+        for graph in (star, without_direction(star, Direction.ALONG)):
+            values = np.zeros((len(graph), 3), dtype)
+            values[:, 1] = -0.0                  # rows of -0.0 sum to +0.0
+            # order matters on the hub: big + 1 rounds to big, so summed in
+            # edge order the hub's column 2 is 0, otherwise 1
+            big = 2 / np.finfo(dtype).eps
+            at_hub = np.flatnonzero(graph.scatter == hub)
+            values[at_hub, 2] = [big, 1, -big, 0, 0]
+            values[:, 0] = np.arange(len(graph)) - 4.5
+            got = nm._sum_rows_in_order(graph.scatter, values, 3 * graph.n)
+            want = add_at(graph, values)
+            assert want[hub, 2] == 0 and np.signbit(want[:, 1]).sum() == 0
+            assert got.tobytes() == want.tobytes()
+
+
 def per_op_gcn_layer(h, graph, params, gates_enabled=True):
     """The gated layer built from one ``nm`` op per step and direction, on
     the same weights: the reference ``nm.graph_conv`` must round like."""
@@ -353,13 +408,19 @@ def without_direction(graph, direction):
 
 
 def oracle_graphs():
-    """name -> (graph, state rows): a tree, the tree with no along edges or
-    with no edges at all, and a disjoint union of four trees."""
+    """name -> graph: a tree, a star whose hub sums five messages, the tree
+    with no along edges or with no edges at all, and a disjoint union of
+    three trees."""
     rng = np.random.default_rng(40)
     tree, lex = random_graph(7, rng)
     sents = parse_text("".join(random_tree_sentence(n, rng) for n in (5, 2, 8)))
     forest = [build_graph(s, build_lexicon(sents)) for s in sents]
+    star = parse_text(make_sentence(
+        [("w0", "w0", "N", 0, "ROOT", "_", "_")]
+        + [(f"w{i}", f"w{i}", "N", 1, f"r{i % 2}", "_", "_")
+           for i in range(1, 6)]))
     return {"tree": tree,
+            "star": build_graph(star[0], build_lexicon(star)),
             "no along": without_direction(tree, Direction.ALONG),
             "only self": without_direction(without_direction(
                 tree, Direction.ALONG), Direction.OPPOSITE),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from syngcn import numerics as nm
 from syngcn.errors import (ConfigError, ContractError, FormatError,
@@ -146,11 +147,43 @@ class TestSigmoid:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bitwise_equal_to_masked_two_branch_form(self, dtype):
         rng = np.random.default_rng(8)
+        # subnormals: the smallest one and half the smallest normal
+        tiny, normal = np.finfo(dtype).smallest_subnormal, np.finfo(dtype).tiny
         x = np.concatenate([rng.standard_normal(4099) * scale
                             for scale in (1e-3, 1.0, 30.0, 1e3)]
-                           + [[0.0, -0.0, np.inf, -np.inf]]).astype(dtype)
+                           + [[0.0, -0.0, np.inf, -np.inf, tiny, -tiny,
+                               normal / 2, -normal / 2]]).astype(dtype)
         got = nm.sigmoid(nm.Tensor(x.reshape(4, -1))).data.reshape(-1)
         assert got.tobytes() == masked_logistic(x).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_strided_gate_block_as_bilstm_passes_it(self, dtype):
+        # z[:, s, :3d] of a [2 x N x 4d] pre-activation array: a view with
+        # a gap between rows and between the two directions
+        rng = np.random.default_rng(9)
+        d = 5
+        z = (rng.standard_normal((2, 7, 4 * d)) * 20).astype(dtype)
+        z[0, 2, :4] = [0.0, -0.0, np.inf, -np.inf]
+        block = z[:, 1:5, :3 * d]
+        assert not block.flags.c_contiguous
+        got = nm._logistic(block)
+        assert got.shape == block.shape and got.dtype == dtype
+        assert got.tobytes() == masked_logistic(block.copy()).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([np.float32, np.float64]).flatmap(
+        lambda dtype: hnp.arrays(dtype, hnp.array_shapes(max_dims=3,
+                                                         max_side=9),
+                                 elements=st.floats(
+                                     width=np.finfo(dtype).bits))))
+    def test_drawn_arrays_match_two_branch_form(self, x):
+        # NaN inputs included: NaN out at exactly their places, the rest
+        # bitwise equal
+        got, want = nm._logistic(x), masked_logistic(x)
+        assert got.dtype == x.dtype
+        assert np.array_equal(np.isnan(got), np.isnan(x))
+        keep = ~np.isnan(x)
+        assert got[keep].tobytes() == want[keep].tobytes()
 
 
 class TestSoftmaxCrossEntropy:

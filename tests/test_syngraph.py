@@ -272,6 +272,37 @@ def random_sentences(draw, max_tokens=9):
     return Sentence(tokens, [], [])
 
 
+# every way the program makes a graph
+GRAPH_PATHS = ("constructor", "build_graph", "disjoint_union", "edge_dropout",
+               "drop_relation")
+
+
+@st.composite
+def built_graphs(draw, path):
+    """A graph made the way ``path`` names: the constructor over arbitrary
+    edges (repeats and empty directions included), ``build_graph`` of a
+    random sentence, or a union of up to four, with edge dropout or a
+    relation removed."""
+    if path == "constructor":
+        n, size = draw(st.integers(1, 6)), draw(st.integers(0, 14))
+        ends, kinds = (st.lists(st.integers(0, hi), min_size=size,
+                                max_size=size) for hi in (n - 1, 2))
+        return SyntacticGraph(n, draw(ends), draw(ends), draw(kinds),
+                              draw(kinds), 3)
+    graphs = [build_graph(s, REF_LEXICON) for s in
+              draw(st.lists(random_sentences(), min_size=1, max_size=4))]
+    if path == "build_graph":
+        return graphs[0]
+    union = disjoint_union(graphs)
+    if path == "edge_dropout":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return edge_dropout(union, draw(st.floats(0.0, 1.0)), rng)
+    if path == "drop_relation":
+        return drop_relation(union, REF_LEXICON.lookup(
+            "deprel", draw(st.sampled_from(RELATIONS))))
+    return union
+
+
 def reference_edges(sentence, lexicon):
     """(src, dst, direction, label, relation) per edge, token by token."""
     r = lexicon.num_deprels
@@ -355,6 +386,15 @@ class TestAgainstPerEdgeReference:
         assert_matches(drop_relation(once, rel), offset,
                        [e for e in kept
                         if e[2] == Direction.SELF or e[4] != rel])
+
+    @pytest.mark.parametrize("path", GRAPH_PATHS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_scatter_is_non_decreasing(self, path, data):
+        # nm.graph_conv sums each row's messages in rounds, which needs the
+        # scatter rows sorted
+        graph = data.draw(built_graphs(path))
+        assert (np.diff(graph.scatter) >= 0).all()
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 6), st.data())
