@@ -20,19 +20,16 @@ print("dL/dw:\n", w.grad)
 
 print("\n== the optimizer walks a bowl ==")
 # trainable tensors live in a ParamStore, laid out from (name, shape) pairs:
-# views into one flat array, with a flat gradient buffer that backward
-# writes and store.gradients() collects; Adam's moments and step count
-# live in the store too
+# views into one flat array. Given the store and a learning rate, the
+# backward pass is also its Adam step, whose moments and step count live in
+# the store too
 store = nm.ParamStore([("w", (2,))], np.float64)
 w = store["w"]
 w.data[:] = [3.0, -2.0]
-store.enable_grad()
 for step in range(200):
     with nm.Tape() as tape:
         loss = nm.sum_all(w * w)
-    tape.gradients(loss)
-    store.gradients()
-    nm.adam_step(store, 0.05)
+    tape.gradients(loss, store, 0.05)
     if step % 50 == 0:
         print(f"step {step:3d}: w = {w.data.round(4)}")
 print(f"after {store.step_count} steps: w = {w.data.round(6)}")

@@ -18,16 +18,22 @@ sums, and ``role_logits`` its pre-ReLU ``pair @ transform``.
 
 A model keeps its trainable tensors in a ``ParamStore``, allocated from the
 ``(name, shape)`` pairs its modules declare, as views into one flat array.
-Training adds a matching flat gradient buffer (``enable_grad``), the one
-place gradients are collected: each backward pass adds a leaf's gradients
-into its view in place (the first since the last collection is written,
-products straight in with ``matmul(out=)``), and ``ParamStore.gradients``
-collects the sum, zero-filling the views no pass reached. The store is the
+Training collects gradients in the store's gradient window, the one place
+they are collected: a backward pass adds a leaf's gradients into its view
+of the window in place (the first since the last collection is written,
+products straight in with ``matmul(out=)``). A window the size of the store
+(``enable_grad``) is the gradient buffer of batch updates and
+``grad_check``: ``ParamStore.gradients`` collects the sum, zero-filling the
+views no pass reached, and ``adam_step`` updates the store from it. At batch
+size 1 the backward pass is also the Adam step (``Tape.gradients`` given the
+store): a tensor's gradient is final once the rule of its earliest consumer
+has run, so a window sized to the largest node's parameters is flushed into
+``adam_step`` span by span as the pass goes down the store. The store is the
 one registry of a model's trainable tensors and the one thing ``adam_step``
-updates. The store also holds Adam's state: the step count and the moments
-``m`` and ``v``, two more flat arrays allocated at the first step, which
-``adam_step`` updates with the parameters in one blocked pass. A training
-process thus holds four copies of the parameters; prediction holds one.
+updates. It also holds Adam's state: the step count and the moments ``m``
+and ``v``, two more flat arrays allocated at the first step. A training
+process thus holds three copies of the parameters and the window at batch
+size 1, four in batch updates and gradient checks; prediction holds one.
 """
 
 from __future__ import annotations
@@ -56,8 +62,8 @@ class Tensor:
     """A dense array plus the bookkeeping needed for reverse-mode autodiff.
 
     ``trainable`` leaves collect gradients in ``grad`` during
-    ``Tape.gradients``; a leaf of a store with gradients enabled collects
-    them in its view of the store's gradient buffer (``_grad_slot``).
+    ``Tape.gradients``; a store leaf collects them in its view of the
+    store's gradient window (``_grad_slot``) when it has one.
     Non-leaf tensors also use ``grad`` transiently while a backward pass
     runs.
     """
@@ -126,14 +132,16 @@ _RELU_PROBE: list | None = None
 
 
 class Tape:
-    """Ordered record of (output, backward rule) pairs, one per recorded op.
+    """Ordered record of (output, backward rule, inputs) triples, one per
+    recorded op.
 
     One tape per backward pass; construction and backward are
     single-threaded. ``gradients`` may run once.
     """
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._nodes: list[tuple[Tensor, Callable[[np.ndarray], None],
+                                tuple[Tensor, ...]]] = []
         self._spent = False
 
     def __enter__(self) -> "Tape":
@@ -148,23 +156,46 @@ class Tape:
         _ACTIVE_TAPE = None
         return False
 
-    def _record(self, out: Tensor, backward: Callable[[np.ndarray], None]
-                ) -> None:
-        self._nodes.append((out, backward))
+    def _record(self, out: Tensor, backward: Callable[[np.ndarray], None],
+                inputs: tuple[Tensor, ...]) -> None:
+        self._nodes.append((out, backward, inputs))
 
-    def gradients(self, loss: Tensor) -> None:
+    def gradients(self, loss: Tensor, store: "ParamStore | None" = None,
+                  learning_rate: float | None = None) -> None:
         """Seed d(loss)/d(loss)=1 and run every recorded rule once, last-first,
         adding each reached leaf's gradient to its ``grad`` (for a store leaf,
-        its view of the store's gradient buffer)."""
+        its view of the store's gradient window).
+
+        Given a ``store`` and a ``learning_rate``, the pass is also one Adam
+        step of the store. A store that fits in one ``_ADAM_BLOCK``, or has
+        a store-sized window, collects the gradients there (with those of
+        passes it has not collected yet) and takes one ``adam_step`` after
+        the rules. A larger store gets a ``_Window`` sized to its largest
+        node, which updates each tensor once its gradient is final, so a
+        store-sized gradient array never exists.
+        """
         if self._spent:
             raise ContractError("backward already ran on this tape")
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+        if (store is None) != (learning_rate is None):
+            raise ContractError("an Adam step needs a store and a learning "
+                                "rate")
         self._spent = True
         loss.grad = np.ones_like(loss.data)
-        for out, rule in reversed(self._nodes):
+        if store is not None:
+            if store.grads is None and store.size > _ADAM_BLOCK:
+                window = _Window(store, self._nodes, learning_rate)
+                if window.size < store.size:
+                    window.run()
+                    return
+            store.enable_grad()
+        for out, rule, _ in reversed(self._nodes):
             if out.grad is not None:
                 rule(out.grad)
+        if store is not None:
+            store.gradients()
+            adam_step(store, learning_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +214,7 @@ def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], op: str,
     # on the tape when one is active and some input needs a gradient
     if _ACTIVE_TAPE is not None and any(t._needs_grad for t in inputs):
         out._needs_grad = True
-        _ACTIVE_TAPE._record(out, backward)
+        _ACTIVE_TAPE._record(out, backward, inputs)
     return out
 
 
@@ -836,7 +867,8 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # The most trainable parameters a store holds: 1 GiB of float32 weights, and
-# 4 GiB while training (weights, gradients and Adam's m and v).
+# while training 3 GiB plus the gradient window at batch size 1 (weights and
+# Adam's m and v), 4 GiB in batch updates (and a store-sized window).
 MAX_PARAMETERS = 1 << 28
 
 # The most tensors a store holds, far above any model's few dozen: a deep
@@ -877,9 +909,11 @@ class ParamStore(collections.abc.Mapping):
     ``ConfigError``, a name listed twice with a ``ContractError``. Every
     tensor exists from the start, zeroed, for an initializer or a checkpoint
     read to fill in place. ``self.layout`` maps each name to its (offset,
-    shape). ``enable_grad`` allocates the gradient buffer, for training;
-    ``adam_step`` allocates Adam's moments ``m`` and ``v`` at its first step
-    and counts steps in ``step_count``.
+    shape). ``window`` holds the gradients of the store elements [``_base``,
+    ``_base`` + its size): ``enable_grad`` makes it the size of the store,
+    for batch updates and gradient checks, and a ``_Window`` keeps a smaller
+    one across the steps of batch-size-1 training. Adam's first step
+    allocates its moments ``m`` and ``v``; ``step_count`` counts the steps.
     """
 
     def __init__(self, layout: Layout, dtype):
@@ -900,7 +934,12 @@ class ParamStore(collections.abc.Mapping):
         self.size = size
         self.dtype = np.dtype(dtype)
         self.flat = np.zeros(size, self.dtype)
+        self._bounds = {name: (lo, lo + math.prod(shape))
+                        for name, (lo, shape) in self.layout.items()}
         self.grads: FlatArrays | None = None
+        self.window: np.ndarray | None = None
+        self._base = 0
+        self._corrections = (1.0, 1.0)   # the current step's bc1, bc2
         self.m: FlatArrays | None = None
         self.v: FlatArrays | None = None
         self.step_count = 0
@@ -922,10 +961,12 @@ class ParamStore(collections.abc.Mapping):
         return FlatArrays(np.zeros(self.size, self.dtype), self.layout)
 
     def enable_grad(self) -> FlatArrays:
-        """The gradient buffer, allocated on the first call; from then on each
+        """The gradient buffer: a window the size of the store, allocated on
+        the first call in place of any smaller one; from then on each
         tensor's gradients collect in its view of it."""
         if self.grads is None:
             self.grads = self.zeros()
+            self.window, self._base = self.grads.flat, 0
             for name, t in self._tensors.items():
                 t._grad_slot = self.grads[name]
                 t.grad = None
@@ -943,6 +984,15 @@ class ParamStore(collections.abc.Mapping):
             t.grad = None
         return self.grads
 
+    def _open_step(self) -> None:
+        """Count one Adam step and fix its bias corrections; the first
+        allocates the moments, zeroed."""
+        if self.m is None:
+            self.m, self.v = self.zeros(), self.zeros()
+        self.step_count += 1
+        t = self.step_count
+        self._corrections = (1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t)
+
 
 # ---------------------------------------------------------------------------
 # Adam
@@ -959,31 +1009,38 @@ ADAM_EPS = 1e-8
 _ADAM_BLOCK = 1 << 16
 
 
-def adam_step(params: ParamStore, learning_rate: float) -> None:
-    """One bias-corrected Adam update, in place, of every tensor in a store,
-    from the gradients collected in its buffer.
+def adam_step(params: ParamStore, learning_rate: float,
+              span: tuple[int, int] | None = None) -> None:
+    """One bias-corrected Adam update, in place, of the store elements
+    [lo, hi) = ``span``, from their gradients in the store's window.
 
-    The store's moments ``m`` and ``v`` are allocated, zeroed, at its first
-    step, and its ``step_count`` counts the steps. Per element:
-    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+    Without a span the call is a whole step: it counts the step in the
+    store's ``step_count`` (the first allocates the moments ``m`` and ``v``,
+    zeroed) and updates every element from a store-sized window. A
+    ``_Window`` counts its step itself, then calls this once per span it
+    flushes. Per element: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
     p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), with the operations in that
-    order, run over the flat arrays block by block into reused scratch
-    instead of whole-array temporaries. ``ContractError`` if ``params`` is
-    not a store or has no gradient buffer.
+    order, run block by block into reused scratch instead of whole-array
+    temporaries, so the bytes do not depend on how a step is split.
+    ``ContractError`` if ``params`` is not a store or has no gradient
+    window, or if a whole step is asked of a window smaller than the store.
     """
     if not isinstance(params, ParamStore):
         raise ContractError("adam_step updates a ParamStore, got "
                             f"{type(params).__name__}")
-    if params.grads is None:
+    if params.window is None:
         raise ContractError("gradients are not enabled on this store")
-    if params.m is None:
-        params.m, params.v = params.zeros(), params.zeros()
-    params.step_count += 1
-    t = params.step_count
+    if span is None:
+        if params.grads is None:
+            raise ContractError("a whole Adam step needs a store-sized "
+                                "gradient window")
+        params._open_step()
+        span = (0, params.size)
+    lo, hi = span
+    bc1, bc2 = params._corrections
     b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, learning_rate, ADAM_EPS
-    bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-    pf, gf = params.flat, params.grads.flat
-    mf, vf = params.m.flat, params.v.flat
+    pf, mf, vf = params.flat[lo:hi], params.m.flat[lo:hi], params.v.flat[lo:hi]
+    gf = params.window[lo - params._base:hi - params._base]
     size = min(_ADAM_BLOCK, pf.size)
     g_tmp = np.empty(size, gf.dtype)              # (1-b1)*g, then (1-b2)*g*g
     num, den = np.empty(size, mf.dtype), np.empty(size, vf.dtype)
@@ -1006,6 +1063,123 @@ def adam_step(params: ParamStore, learning_rate: float) -> None:
         np.add(de, eps, out=de)
         np.divide(nu, de, out=nu)
         np.subtract(pb, nu, out=pb)
+
+
+class _Window:
+    """One backward pass that is also its store's Adam step, with the
+    store's gradients in a window smaller than the store (``store.window``,
+    reused across steps): LOMO's fused update (Lv et al. 2023), bit for bit.
+
+    The window has room for the widest tape node's store inputs, counting a
+    tensor no node consumes as its own node, and at least one
+    ``_ADAM_BLOCK``. Before a node's rule runs, each of its store inputs
+    gets a view of the window; if the node's span of the store does not fit
+    there, the window moves first. A tensor's gradient is final once the
+    turn of its earliest consumer in tape order has passed, whether or not
+    that rule ran; a tensor no node consumes is final from the start. A
+    move flushes the final tensors in the window into ``adam_step``, one
+    call per contiguous run; gives each other tensor holding a view a copy
+    of its gradient, for its later consumers to add to; and flushes the
+    final tensors outside the window, moving it down over them. The end of
+    the pass flushes the rest. A flushed tensor without a gradient gets
+    zeros, one with a copy has it put back into the window.
+
+    At batch size 1 every store tensor has one consumer and the nodes'
+    spans go down the store, so no copy is made and a flush happens only
+    when a node does not fit.
+    """
+
+    def __init__(self, store: ParamStore, nodes, learning_rate: float):
+        members, bounds = store._tensors, store._bounds
+        self.store, self.nodes = store, nodes
+        self.learning_rate = learning_rate
+        self.inputs = [list({id(t): t for t in inputs
+                             if members.get(t.name) is t}.values())
+                       for _, _, inputs in nodes]
+        earliest: dict[str, int] = {}
+        for i, ins in enumerate(self.inputs):
+            for t in ins:
+                earliest.setdefault(t.name, i)
+        self.spans = [(min(bounds[t.name][0] for t in ins),
+                       max(bounds[t.name][1] for t in ins)) if ins else None
+                      for ins in self.inputs]
+        self.final_after: dict[int, list[str]] = {}
+        for name, i in earliest.items():
+            self.final_after.setdefault(i, []).append(name)
+        self.unconsumed = [name for name in members if name not in earliest]
+        widest = max([hi - lo for lo, hi in filter(None, self.spans)]
+                     + [bounds[n][1] - bounds[n][0] for n in self.unconsumed],
+                     default=0)
+        self.size = min(store.size, max(_ADAM_BLOCK, widest))
+
+    def run(self) -> None:
+        """Run the tape's rules last-first, and the store's Adam step with
+        them."""
+        store = self.store
+        if store.window is None or store.window.size < self.size:
+            store.window = np.empty(self.size, store.dtype)
+        store._open_step()
+        final = set(self.unconsumed)
+        store._base = max(0, store.size - store.window.size)
+        for i in reversed(range(len(self.nodes))):
+            out, rule, _ = self.nodes[i]
+            if out.grad is not None:
+                if self.inputs[i]:
+                    self._give_views(i, final)
+                rule(out.grad)
+            final.update(self.final_after.get(i, ()))
+        self._move(final, 0)
+
+    def _give_views(self, i: int, final: set) -> None:
+        store, bounds = self.store, self.store._bounds
+        lo, hi = self.spans[i]
+        if lo < store._base or hi > store._base + store.window.size:
+            self._move(final, hi)
+        base = store._base
+        for t in self.inputs[i]:
+            if t.grad is None and t._grad_slot is None:
+                a, b = bounds[t.name]
+                t._grad_slot = store.window[a - base:b - base].reshape(
+                    t.data.shape)
+
+    def _move(self, final: set, top: int) -> None:
+        """Flush every final tensor, then put the window's end at ``top``."""
+        store = self.store
+        self._flush(final)
+        for t in store._tensors.values():
+            if t._grad_slot is not None:      # not final: more to add
+                if t.grad is not None:
+                    t.grad = t.grad.copy()
+                t._grad_slot = None
+        while final:
+            store._base = max(0, max(store._bounds[n][1] for n in final)
+                              - store.window.size)
+            self._flush(final)
+        store._base = max(0, top - store.window.size)
+
+    def _flush(self, final: set) -> None:
+        """Update the final tensors that lie in the window, and drop them
+        from ``final``."""
+        store, window = self.store, self.store.window
+        base, end = store._base, store._base + window.size
+        runs: list[list[int]] = []
+        for (a, b), name in sorted((store._bounds[n], n) for n in final):
+            if a < base or b > end:
+                continue
+            t = store[name]
+            view = window[a - base:b - base]
+            if t.grad is None:
+                view.fill(0)
+            elif t.grad is not t._grad_slot:
+                np.copyto(view.reshape(t.data.shape), t.grad)
+            t.grad = t._grad_slot = None
+            final.discard(name)
+            if runs and runs[-1][1] == a:
+                runs[-1][1] = b
+            else:
+                runs.append([a, b])
+        for a, b in runs:
+            adam_step(store, self.learning_rate, (a, b))
 
 
 # ---------------------------------------------------------------------------

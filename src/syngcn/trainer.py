@@ -356,8 +356,11 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
     and metrics.tsv in ``out_dir``.
 
     Per epoch: seeded shuffle, one backward pass per instance and one Adam
-    update per ``batch_size`` instances, on their gradients summed in the
-    store's buffer. An epoch whose dev F1 beats all earlier ones is saved
+    update per ``batch_size`` instances, made by the batch's last backward
+    pass (``Tape.gradients`` given the store). A larger batch sums its
+    gradients in the store's gradient buffer; at batch size 1 a store wider
+    than one Adam block keeps only a window the size of its widest layer,
+    and each tensor is updated as soon as its gradient is final. An epoch whose dev F1 beats all earlier ones is saved
     to best.ckpt at once, so a killed run keeps its best finished epoch;
     without dev data (train-loss-only mode) every epoch is. The epoch's
     metrics line comes after that save, so metrics.tsv never names an epoch
@@ -400,7 +403,8 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
         logger.warning("no dev data: train-loss-only mode, selecting last epoch")
 
     store = model.store
-    store.enable_grad()
+    if config.batch_size > 1:
+        store.enable_grad()          # where a batch sums its gradients
     history: list[EpochMetrics] = []
     best_f1 = -1.0
     best_epoch = -1
@@ -412,19 +416,21 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
             total_loss = 0.0
             for pos, idx in enumerate(order):
                 inst = instances[idx]
+                update = ((pos + 1) % config.batch_size == 0
+                          or pos == len(order) - 1)
                 try:
                     with nm.Tape() as tape:
                         loss = model.instance_loss(
                             inst, graphs[inst.sentence_id], rng)
-                    tape.gradients(loss)
+                    if update:
+                        tape.gradients(loss, store, config.learning_rate)
+                    else:
+                        tape.gradients(loss)
                 except NumericsError as err:
                     raise NumericsError(
                         f"epoch {epoch}, instance {idx}: {err}\nparameter "
                         f"norms:\n{_dump_param_norms(model)}") from err
                 total_loss += float(loss.data)
-                if (pos + 1) % config.batch_size == 0 or pos == len(order) - 1:
-                    store.gradients()
-                    nm.adam_step(store, config.learning_rate)
             dev_p = dev_r = dev_f1 = float("nan")
             if dev_sentences is not None:
                 # one instance at a time, like the updates: a batched pass

@@ -503,6 +503,123 @@ class TestParamStore:
             nm.ParamStore([("p", (2,)), ("q", (1,)), ("p", (2,))], np.float32)
 
 
+class TestFusedAdamStep:
+    """``Tape.gradients(loss, store, lr)`` through a window smaller than the
+    store, against the store-sized buffer collected and then stepped."""
+
+    LSTM = {f"lstm.{side}.{k}": shape for side in ("fw", "bw")
+            for k, shape in zip("wub", [(4, 12), (3, 12), (1, 12)])}
+
+    @staticmethod
+    def _shared_loss(p, x, step):
+        # w feeds the first and the last node, and the BiLSTM between them
+        # fills the window, so w's first gradient is moved out of it and
+        # its second is added to that copy
+        fw, bw = (tuple(p[f"lstm.{side}.{k}"] for k in "wub")
+                  for side in ("fw", "bw"))
+        h = nm.bilstm_layer(x @ p["w"], fw, bw, [3, 2])
+        return nm.sum_all(h) + nm.sum_all(x @ p["w"])
+
+    @staticmethod
+    def _fused_against_buffer(monkeypatch, dtype, shapes, loss, x_shape,
+                              steps):
+        """Run ``steps`` steps of ``loss`` on two stores of ``shapes``; assert
+        their bytes equal after each, and return the fused store and the
+        spans its Adam calls took (None for a whole step)."""
+        rng = np.random.default_rng(8)
+        start = {k: rng.uniform(-0.5, 0.5, s).astype(dtype)
+                 for k, s in shapes.items()}
+        x = nm.Tensor(rng.uniform(-1, 1, x_shape), dtype)
+        fused = nm.ParamStore([(k, a.shape) for k, a in start.items()], dtype)
+        for k, a in start.items():
+            fused[k].data[...] = a
+        buffered = store_of(dtype, **start)
+        # a block far below the store: the window holds the widest node only
+        monkeypatch.setattr(nm, "_ADAM_BLOCK", 16)
+        spans, adam_step = [], nm.adam_step
+
+        def recording_step(store, lr, span=None):
+            spans.append(span)
+            adam_step(store, lr, span)
+
+        monkeypatch.setattr(nm, "adam_step", recording_step)
+        for step in range(1, steps + 1):
+            with nm.Tape() as tape:
+                got = loss(fused, x, step)
+            tape.gradients(got, fused, 0.01)
+            with nm.Tape() as tape:
+                want = loss(buffered, x, step)
+            tape.gradients(want)
+            buffered.gradients()
+            nm.adam_step(buffered, 0.01)
+            assert got.data.tobytes() == want.data.tobytes(), step
+            for name in ("flat", "m", "v"):
+                a, b = getattr(fused, name), getattr(buffered, name)
+                a, b = (a, b) if name == "flat" else (a.flat, b.flat)
+                assert a.tobytes() == b.tobytes(), (step, name)
+            assert fused.step_count == buffered.step_count == step
+            assert all(t.grad is None for t in fused.values())
+        assert fused.grads is None and fused.window.size < fused.size
+        return fused, spans
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tensor_fed_to_two_nodes_gets_its_summed_gradient(
+            self, monkeypatch, dtype):
+        shapes = {"w": (3, 4), **self.LSTM}
+        store, spans = self._fused_against_buffer(
+            monkeypatch, dtype, shapes, self._shared_loss, (5, 3), 3)
+        assert store.window.size == 192            # the BiLSTM's tensors
+        # per step: the BiLSTM's span when the window moves down to w,
+        # then w at the end; the buffered store's whole steps in between
+        lstm = (12, 204)
+        assert spans == [lstm, (0, 12), None] * 3
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tensor_reached_one_step_and_not_the_next(self, monkeypatch,
+                                                      dtype):
+        # "sometimes" is consumed on odd steps only, "dead" by a node that
+        # the loss reaches on odd steps only, "unused" never: each gets a
+        # zero gradient when nothing reaches it
+        store, spans = self._fused_against_buffer(
+            monkeypatch, dtype, TestParamStore.SHAPES, TestParamStore._loss,
+            (6, 2), 4)
+        assert store.window.size == 192
+        assert spans.count(None) == 4
+        assert (242, 255) in spans       # unused, dead and sometimes at once
+
+    def test_window_is_reused_across_steps(self, monkeypatch):
+        store, _ = self._fused_against_buffer(
+            monkeypatch, np.float32, {"w": (3, 4), **self.LSTM},
+            self._shared_loss, (5, 3), 1)
+        window = store.window
+        x = nm.Tensor(np.ones((5, 3), np.float32))
+        with nm.Tape() as tape:
+            loss = self._shared_loss(store, x, 2)
+        tape.gradients(loss, store, 0.01)
+        assert store.window is window
+
+    def test_a_step_needs_a_learning_rate_with_the_store(self):
+        store = store_of(w=np.ones((1, 2)))
+        for args in [(store,), (None, 0.01)]:
+            with nm.Tape() as tape:
+                loss = nm.sum_all(store["w"])
+            with pytest.raises(ContractError, match="store and a learning"):
+                tape.gradients(loss, *args)
+        assert store.step_count == 0
+
+    def test_whole_step_refused_on_a_small_window(self, monkeypatch):
+        monkeypatch.setattr(nm, "_ADAM_BLOCK", 16)
+        store = nm.ParamStore([("w", (3, 4)), *self.LSTM.items()],
+                              np.float64)
+        x = nm.Tensor(np.ones((5, 3)))
+        with nm.Tape() as tape:
+            loss = self._shared_loss(store, x, 1)
+        tape.gradients(loss, store, 0.01)
+        with pytest.raises(ContractError, match="store-sized"):
+            nm.adam_step(store, 0.01)
+        assert store.step_count == 1
+
+
 class TestTape:
     def test_backward_runs_once(self):
         x = nm.Tensor(np.array([[2.0]]), name="x", trainable=True)

@@ -438,31 +438,88 @@ def reference_run(sentences, cfg: TrainConfig):
 
 
 class TestFlatStore:
-    @pytest.mark.parametrize("overrides", [
-        dict(dtype="float32"),
-        dict(dtype="float64"),
-        dict(dtype="float32", batch_size=2),
-        dict(dtype="float32", batch_size=2, gcn_layers=2),
-        dict(dtype="float32", batch_size=2, lstm_layers=0),
-        dict(dtype="float32", edge_dropout=1.0, batch_size=3),
-        dict(dtype="float32", edge_dropout=0.9),
-        dict(dtype="float32", gates_enabled=False),
+    # a block far below the tiny model's store: at batch size 1 each step
+    # goes through a window with room for one module's tensors only
+    SMALL_BLOCK = 64
+
+    @pytest.mark.parametrize("overrides, block", [
+        (dict(dtype="float32"), None),
+        (dict(dtype="float64"), None),
+        (dict(dtype="float32", batch_size=2), None),
+        (dict(dtype="float32", batch_size=2, gcn_layers=2), None),
+        (dict(dtype="float32", batch_size=2, lstm_layers=0), None),
+        (dict(dtype="float32", edge_dropout=1.0, batch_size=3), None),
+        (dict(dtype="float32", edge_dropout=0.9), None),
+        (dict(dtype="float32", gates_enabled=False), None),
+        (dict(dtype="float32"), SMALL_BLOCK),
+        (dict(dtype="float64"), SMALL_BLOCK),
+        (dict(dtype="float32", edge_dropout=1.0, batch_size=3), SMALL_BLOCK),
+        (dict(dtype="float32", edge_dropout=0.9), SMALL_BLOCK),
+        (dict(dtype="float32", gates_enabled=False), SMALL_BLOCK),
     ], ids=["float32", "float64", "batch2", "batch2 K2", "batch2 J0",
-            "no edges", "few edges", "ungated"])
+            "no edges", "few edges", "ungated", "float32 small block",
+            "float64 small block", "no edges small block",
+            "few edges small block", "ungated small block"])
     def test_run_matches_per_tensor_reference(self, overfit_sentences,
-                                              tmp_path, overrides):
+                                              tmp_path, monkeypatch,
+                                              overrides, block):
         cfg = small_config(d_w=8, d_pos=4, d_l=8, d_h=8, d_r=8, d_l_out=8,
                            epochs=2, unk_replace_rate=0.2, **overrides)
         sentences = overfit_sentences[:8]
+        if block is not None:
+            monkeypatch.setattr(nm, "_ADAM_BLOCK", block)
+        spans, adam_step = [], nm.adam_step
+
+        def recording_step(store, lr, span=None):
+            spans.append(span)
+            adam_step(store, lr, span)
+
+        monkeypatch.setattr(nm, "adam_step", recording_step)
         result = train(sentences, None, cfg, tmp_path / "run")
         ref, unreached = reference_run(sentences, cfg)
         if not cfg.gates_enabled:
-            # no pass reaches the gate tensors, so the store's zero-fill
-            # stands in for their gradients
+            # no pass reaches the gate tensors, so a zero gradient stands in
+            # for theirs
             assert {"gcn.0.gate_w_along", "gcn.0.gate_label_bias"} <= unreached
         saved = nm.load_checkpoint(result.best_checkpoint)
         for name, t in ref.parameters().items():
             assert saved[name].tobytes() == t.data.tobytes(), name
+        per_epoch = len(make_instances(sentences, build_lexicon(sentences)))
+        steps = cfg.epochs * -(-per_epoch // cfg.batch_size)
+        if block is None or cfg.batch_size > 1:
+            # one whole step per update, from the store-sized buffer
+            assert spans == [None] * steps
+        else:
+            # every step flushes the window more than once
+            assert None not in spans and len(spans) >= 3 * steps
+
+    def test_batch_size_one_keeps_no_store_sized_gradient(
+            self, overfit_sentences, tmp_path, monkeypatch):
+        # the window has room for the widest node's tensors, one module's
+        # here (the embedder, a BiLSTM layer, a GCN layer, the role head),
+        # fewer than the store's, and is the same array at every step
+        monkeypatch.setattr(nm, "_ADAM_BLOCK", self.SMALL_BLOCK)
+        seen, adam_step = [], nm.adam_step
+
+        def recording_step(store, lr, span=None):
+            seen.append((store, store.grads, store.window))
+            adam_step(store, lr, span)
+
+        monkeypatch.setattr(nm, "adam_step", recording_step)
+        cfg = small_config(d_w=8, d_pos=4, d_l=8, d_h=8, d_r=8, d_l_out=8,
+                           epochs=2)
+        train(overfit_sentences[:8], None, cfg, tmp_path / "run")
+        store, _, window = seen[0]
+        modules = {}
+        for name, (lo, shape) in store.layout.items():
+            parts = name.split(".")
+            module = ".".join(parts[:2] if parts[1].isdigit() else parts[:1])
+            modules[module] = modules.get(module, 0) + math.prod(shape)
+        assert sorted(modules) == ["cls", "embed", "gcn.0", "lstm.0"]
+        assert window.size == max(self.SMALL_BLOCK, *modules.values())
+        assert window.size < store.size
+        assert all(s is store and g is None and w is window
+                   for s, g, w in seen)
 
     def test_gradcheck_model_steps_match_reference(self):
         model, instance = fixtures.gradcheck_model()
@@ -675,12 +732,13 @@ class TestTrainLoop:
         if kill == "update":
             adam_step = nm.adam_step
 
-            def dying_step(store, lr):
+            def dying_step(store, lr, span=None):
+                # the store fits in one Adam block: one call per step
                 nonlocal calls
                 calls += 1
                 if calls == k * per_epoch + 2:
                     raise Killed
-                adam_step(store, lr)
+                adam_step(store, lr, span)
 
             monkeypatch.setattr(nm, "adam_step", dying_step)
         else:
