@@ -101,11 +101,14 @@ def parse_conll(stream, use_gold_syntax: bool = False) -> list[Sentence]:
 
 
 def parse_conll_file(path, use_gold_syntax: bool = False) -> list[Sentence]:
+    """``parse_conll`` of the file at ``path``; a ``ParseError`` names it."""
     with open(path, encoding="utf-8") as fh:
         try:
             return parse_conll(fh, use_gold_syntax=use_gold_syntax)
         except UnicodeDecodeError:
             raise ParseError(f"{path}: not UTF-8 text") from None
+        except ParseError as err:
+            raise ParseError(f"{path}: {err}") from None
 
 
 def _pick(pred_col: str, gold_col: str, use_gold: bool) -> str:

@@ -26,14 +26,15 @@ products straight in with ``matmul(out=)``). A window the size of the store
 ``grad_check``: ``ParamStore.gradients`` collects the sum, zero-filling the
 views no pass reached, and ``adam_step`` updates the store from it. At batch
 size 1 the backward pass is also the Adam step (``Tape.gradients`` given the
-store): a tensor's gradient is final once the rule of its earliest consumer
-has run, so a window sized to the largest node's parameters is flushed into
-``adam_step`` span by span as the pass goes down the store. The store is the
-one registry of a model's trainable tensors and the one thing ``adam_step``
-updates. It also holds Adam's state: the step count and the moments ``m``
-and ``v``, two more flat arrays allocated at the first step. A training
-process thus holds three copies of the parameters and the window at batch
-size 1, four in batch updates and gradient checks; prediction holds one.
+store): the layers' rules reach the store top down, as it is laid out in
+forward order, so each layer's tensors get views of a window sized to the
+largest layer's chunk of the store, flushed into ``adam_step`` span by span
+as the pass goes down (``_sweep``). The store is the one registry of a
+model's trainable tensors and the one thing ``adam_step`` updates. It also
+holds Adam's state: the step count and the moments ``m`` and ``v``, two more
+flat arrays allocated at the first step. A training process thus holds
+three copies of the parameters and the window at batch size 1, four in
+batch updates and gradient checks; prediction holds one.
 """
 
 from __future__ import annotations
@@ -167,12 +168,12 @@ class Tape:
         its view of the store's gradient window).
 
         Given a ``store`` and a ``learning_rate``, the pass is also one Adam
-        step of the store. A store that fits in one ``_ADAM_BLOCK``, or has
-        a store-sized window, collects the gradients there (with those of
-        passes it has not collected yet) and takes one ``adam_step`` after
-        the rules. A larger store gets a ``_Window`` sized to its largest
-        node, which updates each tensor once its gradient is final, so a
-        store-sized gradient array never exists.
+        step of the store. Without a store-sized gradient buffer, ``_sweep``
+        takes it as the pass goes down the store, so no store-sized gradient
+        array exists. A store with that buffer, or a tape ``_sweep``
+        refuses, collects the gradients in the buffer (with those of passes
+        it has not collected yet) and takes one ``adam_step`` after the
+        rules.
         """
         if self._spent:
             raise ContractError("backward already ran on this tape")
@@ -184,11 +185,9 @@ class Tape:
         self._spent = True
         loss.grad = np.ones_like(loss.data)
         if store is not None:
-            if store.grads is None and store.size > _ADAM_BLOCK:
-                window = _Window(store, self._nodes, learning_rate)
-                if window.size < store.size:
-                    window.run()
-                    return
+            if store.grads is None and _sweep(self._nodes, store,
+                                              learning_rate):
+                return
             store.enable_grad()
         for out, rule, _ in reversed(self._nodes):
             if out.grad is not None:
@@ -911,9 +910,10 @@ class ParamStore(collections.abc.Mapping):
     read to fill in place. ``self.layout`` maps each name to its (offset,
     shape). ``window`` holds the gradients of the store elements [``_base``,
     ``_base`` + its size): ``enable_grad`` makes it the size of the store,
-    for batch updates and gradient checks, and a ``_Window`` keeps a smaller
-    one across the steps of batch-size-1 training. Adam's first step
-    allocates its moments ``m`` and ``v``; ``step_count`` counts the steps.
+    for batch updates and gradient checks, and batch-size-1 training keeps
+    one sized to the largest layer's chunk of the store across its steps
+    (``_sweep``). Adam's first step allocates its moments ``m`` and ``v``;
+    ``step_count`` counts the steps.
     """
 
     def __init__(self, layout: Layout, dtype):
@@ -1016,14 +1016,16 @@ def adam_step(params: ParamStore, learning_rate: float,
 
     Without a span the call is a whole step: it counts the step in the
     store's ``step_count`` (the first allocates the moments ``m`` and ``v``,
-    zeroed) and updates every element from a store-sized window. A
-    ``_Window`` counts its step itself, then calls this once per span it
-    flushes. Per element: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
-    p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), with the operations in that
-    order, run block by block into reused scratch instead of whole-array
-    temporaries, so the bytes do not depend on how a step is split.
-    ``ContractError`` if ``params`` is not a store or has no gradient
-    window, or if a whole step is asked of a window smaller than the store.
+    zeroed) and updates every element from a store-sized window. The
+    batch-size-1 sweep of ``Tape.gradients`` counts its step itself, then
+    calls this once per span it flushes. Per element: m = b1*m + (1-b1)*g,
+    v = b2*v + (1-b2)*(g*g), p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), with
+    the operations in that order, run block by block into reused scratch
+    instead of whole-array temporaries, so the bytes do not depend on how a
+    step is split. ``ContractError``, before anything is written, if
+    ``params`` is not a store or has no gradient window, if a whole step is
+    asked of a window smaller than the store, or if a span is reversed, is
+    not inside both the store and the window, or comes before any step.
     """
     if not isinstance(params, ParamStore):
         raise ContractError("adam_step updates a ParamStore, got "
@@ -1037,10 +1039,17 @@ def adam_step(params: ParamStore, learning_rate: float,
         params._open_step()
         span = (0, params.size)
     lo, hi = span
+    base, end = params._base, params._base + params.window.size
+    if not base <= lo <= hi <= min(end, params.size):
+        raise ContractError(f"Adam span [{lo}, {hi}) is not inside the "
+                            f"gradient window [{base}, {end}) of a "
+                            f"{params.size}-element store")
+    if params.m is None:
+        raise ContractError("an Adam span before the store's first step")
     bc1, bc2 = params._corrections
     b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, learning_rate, ADAM_EPS
     pf, mf, vf = params.flat[lo:hi], params.m.flat[lo:hi], params.v.flat[lo:hi]
-    gf = params.window[lo - params._base:hi - params._base]
+    gf = params.window[lo - base:hi - base]
     size = min(_ADAM_BLOCK, pf.size)
     g_tmp = np.empty(size, gf.dtype)              # (1-b1)*g, then (1-b2)*g*g
     num, den = np.empty(size, mf.dtype), np.empty(size, vf.dtype)
@@ -1065,121 +1074,72 @@ def adam_step(params: ParamStore, learning_rate: float,
         np.subtract(pb, nu, out=pb)
 
 
-class _Window:
-    """One backward pass that is also its store's Adam step, with the
-    store's gradients in a window smaller than the store (``store.window``,
-    reused across steps): LOMO's fused update (Lv et al. 2023), bit for bit.
+def _sweep(nodes, store: ParamStore, learning_rate: float) -> bool:
+    """Run the tape's rules last-first as one Adam step of ``store``, with
+    its gradients in a window that need not hold the whole store: LOMO's
+    fused update (Lv et al. 2023), bit for bit. False, with nothing
+    touched, unless each node's store inputs, read last-first, lie below
+    those of every node read before it, as when the store is laid out in
+    forward order (never when two nodes share a tensor).
 
-    The window has room for the widest tape node's store inputs, counting a
-    tensor no node consumes as its own node, and at least one
-    ``_ADAM_BLOCK``. Before a node's rule runs, each of its store inputs
-    gets a view of the window; if the node's span of the store does not fit
-    there, the window moves first. A tensor's gradient is final once the
-    turn of its earliest consumer in tape order has passed, whether or not
-    that rule ran; a tensor no node consumes is final from the start. A
-    move flushes the final tensors in the window into ``adam_step``, one
-    call per contiguous run; gives each other tensor holding a view a copy
-    of its gradient, for its later consumers to add to; and flushes the
-    final tensors outside the window, moving it down over them. The end of
-    the pass flushes the rest. A flushed tensor without a gradient gets
-    zeros, one with a copy has it put back into the window.
-
-    At batch size 1 every store tensor has one consumer and the nodes'
-    spans go down the store, so no copy is made and a flush happens only
-    when a node does not fit.
+    A node with store inputs owns a chunk of the store, from its lowest
+    input up to the previous owner's chunk; the first chunk reaches the top
+    of the store and the last starts at 0 (one chunk if no node owns one).
+    The window, reused across steps, holds the largest chunk or one
+    ``_ADAM_BLOCK``. Before an owner's rule runs, its store inputs get views
+    of the window, after a flush of the pending chunks if its own does not
+    fit below them; the end of the pass flushes the rest.
     """
-
-    def __init__(self, store: ParamStore, nodes, learning_rate: float):
-        members, bounds = store._tensors, store._bounds
-        self.store, self.nodes = store, nodes
-        self.learning_rate = learning_rate
-        self.inputs = [list({id(t): t for t in inputs
-                             if members.get(t.name) is t}.values())
-                       for _, _, inputs in nodes]
-        earliest: dict[str, int] = {}
-        for i, ins in enumerate(self.inputs):
+    members, bounds = store._tensors, store._bounds
+    plan, edges = [], [store.size]         # chunk bounds, top down
+    for out, rule, inputs in reversed(nodes):
+        ins = [t for t in inputs if members.get(t.name) is t]
+        if ins:
+            spans = [bounds[t.name] for t in ins]    # disjoint, so tuple
+            if max(spans)[1] > edges[-1]:            # order is either end's
+                return False
+            edges.append(min(spans)[0])
+        plan.append((out, rule, ins))
+    edges[1:] = edges[1:-1] + [0]          # the last chunk starts at 0
+    size = min(store.size, max(_ADAM_BLOCK, *(a - b for a, b in
+                                              zip(edges, edges[1:]))))
+    if store.window is None or store.window.size < size:
+        store.window = np.empty(size, store.dtype)
+    store._open_step()
+    window, chunks = store.window, iter(zip(edges[1:], edges))
+    top = store.size                       # where the pending chunks end
+    base = store._base = max(0, top - window.size)
+    for out, rule, ins in plan:
+        if ins:
+            lo, hi = next(chunks)
+            if top - lo > window.size:
+                _flush(store, learning_rate, hi, top)
+                top = hi
+                base = store._base = max(0, top - window.size)
             for t in ins:
-                earliest.setdefault(t.name, i)
-        self.spans = [(min(bounds[t.name][0] for t in ins),
-                       max(bounds[t.name][1] for t in ins)) if ins else None
-                      for ins in self.inputs]
-        self.final_after: dict[int, list[str]] = {}
-        for name, i in earliest.items():
-            self.final_after.setdefault(i, []).append(name)
-        self.unconsumed = [name for name in members if name not in earliest]
-        widest = max([hi - lo for lo, hi in filter(None, self.spans)]
-                     + [bounds[n][1] - bounds[n][0] for n in self.unconsumed],
-                     default=0)
-        self.size = min(store.size, max(_ADAM_BLOCK, widest))
+                if t.grad is None:
+                    a, b = bounds[t.name]
+                    t._grad_slot = window[a - base:b - base].reshape(t.shape)
+        if out.grad is not None:
+            rule(out.grad)
+    _flush(store, learning_rate, 0, top)
+    return True
 
-    def run(self) -> None:
-        """Run the tape's rules last-first, and the store's Adam step with
-        them."""
-        store = self.store
-        if store.window is None or store.window.size < self.size:
-            store.window = np.empty(self.size, store.dtype)
-        store._open_step()
-        final = set(self.unconsumed)
-        store._base = max(0, store.size - store.window.size)
-        for i in reversed(range(len(self.nodes))):
-            out, rule, _ = self.nodes[i]
-            if out.grad is not None:
-                if self.inputs[i]:
-                    self._give_views(i, final)
-                rule(out.grad)
-            final.update(self.final_after.get(i, ()))
-        self._move(final, 0)
 
-    def _give_views(self, i: int, final: set) -> None:
-        store, bounds = self.store, self.store._bounds
-        lo, hi = self.spans[i]
-        if lo < store._base or hi > store._base + store.window.size:
-            self._move(final, hi)
-        base = store._base
-        for t in self.inputs[i]:
-            if t.grad is None and t._grad_slot is None:
-                a, b = bounds[t.name]
-                t._grad_slot = store.window[a - base:b - base].reshape(
-                    t.data.shape)
-
-    def _move(self, final: set, top: int) -> None:
-        """Flush every final tensor, then put the window's end at ``top``."""
-        store = self.store
-        self._flush(final)
-        for t in store._tensors.values():
-            if t._grad_slot is not None:      # not final: more to add
-                if t.grad is not None:
-                    t.grad = t.grad.copy()
-                t._grad_slot = None
-        while final:
-            store._base = max(0, max(store._bounds[n][1] for n in final)
-                              - store.window.size)
-            self._flush(final)
-        store._base = max(0, top - store.window.size)
-
-    def _flush(self, final: set) -> None:
-        """Update the final tensors that lie in the window, and drop them
-        from ``final``."""
-        store, window = self.store, self.store.window
-        base, end = store._base, store._base + window.size
-        runs: list[list[int]] = []
-        for (a, b), name in sorted((store._bounds[n], n) for n in final):
-            if a < base or b > end:
-                continue
-            t = store[name]
-            view = window[a - base:b - base]
+def _flush(store: ParamStore, learning_rate: float, lo: int, hi: int) -> None:
+    """Update the store elements [lo, hi) from the window, where a tensor no
+    rule reached gets zeros and one whose ``grad`` an earlier pass without
+    the store left gets that gradient, and clear their gradients."""
+    window, base = store.window, store._base
+    for name, t in store._tensors.items():
+        a, b = store._bounds[name]
+        if lo <= a and b <= hi:
             if t.grad is None:
-                view.fill(0)
+                window[a - base:b - base] = 0
             elif t.grad is not t._grad_slot:
-                np.copyto(view.reshape(t.data.shape), t.grad)
+                window[a - base:b - base] = t.grad.reshape(-1)
             t.grad = t._grad_slot = None
-            final.discard(name)
-            if runs and runs[-1][1] == a:
-                runs[-1][1] = b
-            else:
-                runs.append([a, b])
-        for a, b in runs:
-            adam_step(store, self.learning_rate, (a, b))
+    adam_step(store, learning_rate, (lo, hi))
 
 
 # ---------------------------------------------------------------------------

@@ -358,10 +358,11 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
     Per epoch: seeded shuffle, one backward pass per instance and one Adam
     update per ``batch_size`` instances, made by the batch's last backward
     pass (``Tape.gradients`` given the store). A larger batch sums its
-    gradients in the store's gradient buffer; at batch size 1 a store wider
-    than one Adam block keeps only a window the size of its widest layer,
-    and each tensor is updated as soon as its gradient is final. An epoch whose dev F1 beats all earlier ones is saved
-    to best.ckpt at once, so a killed run keeps its best finished epoch;
+    gradients in the store's gradient buffer; at batch size 1 the store
+    keeps only a window with room for its widest layer's chunk, and the
+    backward pass updates the tensors in the window before it moves down
+    the store. An epoch whose dev F1 beats all earlier ones is saved to
+    best.ckpt at once, so a killed run keeps its best finished epoch;
     without dev data (train-loss-only mode) every epoch is. The epoch's
     metrics line comes after that save, so metrics.tsv never names an epoch
     the run did not finish. Training data with no gold argument has a loss

@@ -440,9 +440,34 @@ def _checkpoint_with_non_utf8_config(tmp_path, tiny_run) -> str:
     return str(run_dir / "best.ckpt")
 
 
+def _cut(tmp_path, data) -> str:
+    """A copy of the bundled overfit.conll cut short inside the row on its
+    line 8, after 6 of the row's 15 columns."""
+    lines = Path(data("overfit.conll")).read_text(encoding="utf-8").split("\n")
+    cut = "\t".join(lines[7].split("\t")[:6])
+    path = tmp_path / "cut.conll"
+    path.write_text("\n".join(lines[:7] + [cut]), encoding="utf-8",
+                    newline="")
+    return str(path)
+
+
 # fault -> (exit code, argv from the test's directory, the bundled data and
-# a trained run), with the fault put in place as the argv is built
+# a trained run, then any file names the error line must hold), with the
+# fault put in place as the argv is built
 CLI_FAULTS = {
+    "truncated --train": (1, lambda tmp, data, run: [
+        "train", "--config", str(DESK_CONF), "--train", _cut(tmp, data),
+        "--dev", data("overfit.conll"), "--out", str(tmp / "model")],
+        "cut.conll"),
+    "truncated --dev": (1, lambda tmp, data, run: [
+        "train", "--config", str(DESK_CONF), "--train", data("overfit.conll"),
+        "--dev", _cut(tmp, data), "--out", str(tmp / "model")], "cut.conll"),
+    "truncated --test": (1, lambda tmp, data, run: [
+        "evaluate", "--test", _cut(tmp, data),
+        "--pred", data("overfit.conll")], "cut.conll"),
+    "truncated --pred": (1, lambda tmp, data, run: [
+        "evaluate", "--test", data("overfit.conll"),
+        "--pred", _cut(tmp, data)], "cut.conll"),
     "train --out names a file": (1, lambda tmp, data, run: [
         "train", "--config", str(DESK_CONF), "--train", data("overfit.conll"),
         "--out", _taken(tmp, directory=False)]),
@@ -499,14 +524,17 @@ class TestCliFaults:
     @pytest.mark.parametrize("fault", list(CLI_FAULTS))
     def test_fault_exits_with_one_error_and_no_output(
             self, fault, tiny_run, data_dir, tmp_path, capsys, caplog):
-        code, argv_for = CLI_FAULTS[fault]
+        code, argv_for, *named = CLI_FAULTS[fault]
         argv = argv_for(tmp_path, lambda name: str(data_dir / name), tiny_run)
         before = {p: p.read_bytes() if p.is_file() else None
                   for p in tmp_path.rglob("*")}
         assert run(argv) == code
         captured = capsys.readouterr()
-        assert [(r.name, r.levelno) for r in caplog.records
-                if r.levelno >= logging.ERROR] == [("syngcn", logging.ERROR)]
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert [(r.name, r.levelno) for r in errors] == [("syngcn",
+                                                          logging.ERROR)]
+        assert all(name in errors[0].getMessage() for name in named), \
+            errors[0].getMessage()
         assert "Traceback" not in captured.err + caplog.text
         assert captured.out == ""
         assert {p: p.read_bytes() if p.is_file() else None

@@ -320,6 +320,13 @@ class TestAdam:
             nm.adam_step(store, 0.01)
         assert store.step_count == 0 and store.m is None and store.v is None
 
+    def test_span_before_the_first_step_is_refused(self):
+        store = store_of(w=np.ones(3))
+        with pytest.raises(ContractError, match="first step"):
+            nm.adam_step(store, 0.01, (0, 3))
+        assert store.step_count == 0 and store.m is None
+        assert np.array_equal(store["w"].data, np.ones(3))
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bitwise_equal_to_textbook_update(self, dtype):
         # one tensor spans several blocks and ends in a partial one
@@ -504,17 +511,35 @@ class TestParamStore:
 
 
 class TestFusedAdamStep:
-    """``Tape.gradients(loss, store, lr)`` through a window smaller than the
-    store, against the store-sized buffer collected and then stepped."""
+    """``Tape.gradients(loss, store, lr)``, the backward pass that is also the
+    store's Adam step, against the store-sized buffer collected and then
+    stepped."""
 
     LSTM = {f"lstm.{side}.{k}": shape for side in ("fw", "bw")
             for k, shape in zip("wub", [(4, 12), (3, 12), (1, 12)])}
+    # in forward order, so the tape goes down the store; "unused" lies in
+    # the BiLSTM's chunk, "sometimes" in "dead"'s on even steps
+    SWEPT = {"table": (6, 5), "w": (5, 4), **LSTM, "unused": (2, 3),
+             "dead": (2, 2), "sometimes": (1, 3)}
+
+    @staticmethod
+    def _swept_loss(p, x, step):
+        # every node reads tensors below those of the nodes after it; on
+        # odd steps the loss reaches "dead" and "sometimes", on even steps
+        # "dead" is used off its path and "sometimes" not at all
+        e = nm.rows(p["table"], [0, 2, 2, 5, 1])
+        fw, bw = (tuple(p[f"lstm.{side}.{k}"] for k in "wub")
+                  for side in ("fw", "bw"))
+        h = nm.bilstm_layer(e @ p["w"], fw, bw, [3, 2])
+        loss = nm.sum_all(nm.relu(h @ x))
+        dead = nm.mul(p["dead"], p["dead"])
+        if step % 2:
+            loss = loss + nm.sum_all(dead) + nm.sum_all(p["sometimes"])
+        return loss
 
     @staticmethod
     def _shared_loss(p, x, step):
-        # w feeds the first and the last node, and the BiLSTM between them
-        # fills the window, so w's first gradient is moved out of it and
-        # its second is added to that copy
+        # w feeds the first and the last node
         fw, bw = (tuple(p[f"lstm.{side}.{k}"] for k in "wub")
                   for side in ("fw", "bw"))
         h = nm.bilstm_layer(x @ p["w"], fw, bw, [3, 2])
@@ -524,8 +549,9 @@ class TestFusedAdamStep:
     def _fused_against_buffer(monkeypatch, dtype, shapes, loss, x_shape,
                               steps):
         """Run ``steps`` steps of ``loss`` on two stores of ``shapes``; assert
-        their bytes equal after each, and return the fused store and the
-        spans its Adam calls took (None for a whole step)."""
+        each tensor's bytes, and its moments', equal after each, and return
+        the fused store and the spans its Adam calls took (None for a whole
+        step)."""
         rng = np.random.default_rng(8)
         start = {k: rng.uniform(-0.5, 0.5, s).astype(dtype)
                  for k, s in shapes.items()}
@@ -534,7 +560,7 @@ class TestFusedAdamStep:
         for k, a in start.items():
             fused[k].data[...] = a
         buffered = store_of(dtype, **start)
-        # a block far below the store: the window holds the widest node only
+        # a block far below the store: the window holds the widest chunk only
         monkeypatch.setattr(nm, "_ADAM_BLOCK", 16)
         spans, adam_step = [], nm.adam_step
 
@@ -553,26 +579,26 @@ class TestFusedAdamStep:
             buffered.gradients()
             nm.adam_step(buffered, 0.01)
             assert got.data.tobytes() == want.data.tobytes(), step
-            for name in ("flat", "m", "v"):
-                a, b = getattr(fused, name), getattr(buffered, name)
-                a, b = (a, b) if name == "flat" else (a.flat, b.flat)
-                assert a.tobytes() == b.tobytes(), (step, name)
+            for k in shapes:
+                for a, b in [(fused[k].data, buffered[k].data),
+                             (fused.m[k], buffered.m[k]),
+                             (fused.v[k], buffered.v[k])]:
+                    assert a.tobytes() == b.tobytes(), (step, k)
             assert fused.step_count == buffered.step_count == step
             assert all(t.grad is None for t in fused.values())
-        assert fused.grads is None and fused.window.size < fused.size
         return fused, spans
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_tensor_fed_to_two_nodes_gets_its_summed_gradient(
             self, monkeypatch, dtype):
-        shapes = {"w": (3, 4), **self.LSTM}
+        # the tape does not go down the store, so the step falls back to the
+        # store-sized buffer, which sums w's two gradients, and a whole
+        # step, as a batch update takes
         store, spans = self._fused_against_buffer(
-            monkeypatch, dtype, shapes, self._shared_loss, (5, 3), 3)
-        assert store.window.size == 192            # the BiLSTM's tensors
-        # per step: the BiLSTM's span when the window moves down to w,
-        # then w at the end; the buffered store's whole steps in between
-        lstm = (12, 204)
-        assert spans == [lstm, (0, 12), None] * 3
+            monkeypatch, dtype, {"w": (3, 4), **self.LSTM},
+            self._shared_loss, (5, 3), 3)
+        assert store.grads is not None and store.window is store.grads.flat
+        assert spans == [None, None] * 3
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_tensor_reached_one_step_and_not_the_next(self, monkeypatch,
@@ -581,22 +607,70 @@ class TestFusedAdamStep:
         # the loss reaches on odd steps only, "unused" never: each gets a
         # zero gradient when nothing reaches it
         store, spans = self._fused_against_buffer(
-            monkeypatch, dtype, TestParamStore.SHAPES, TestParamStore._loss,
-            (6, 2), 4)
-        assert store.window.size == 192
-        assert spans.count(None) == 4
-        assert (242, 255) in spans       # unused, dead and sometimes at once
+            monkeypatch, dtype, self.SWEPT, self._swept_loss, (6, 2), 4)
+        assert store.grads is None
+        # the BiLSTM's chunk, up to "dead": its tensors and "unused"
+        assert (store.window.size, store.size) == (198, 255)
+        # per step, from the top: "dead" and "sometimes" when the BiLSTM
+        # does not fit below them, the BiLSTM when w does not, then w and
+        # the table at the end; the buffered store's whole step after them
+        assert spans == [(248, 255), (50, 248), (0, 50), None] * 4
+
+    def test_loss_reaching_no_store_tensor_steps_on_zeros(self, monkeypatch):
+        def loss(p, x, step):
+            free = nm.Tensor(np.ones(x.shape, x.dtype), trainable=True)
+            return nm.sum_all(nm.mul(free, x))
+
+        store, spans = self._fused_against_buffer(
+            monkeypatch, np.float64, self.SWEPT, loss, (6, 2), 2)
+        assert store.grads is None and store.window.size == store.size
+        assert spans == [(0, 255), None] * 2
+
+    def test_tensors_below_every_input_join_the_last_chunk(self,
+                                                           monkeypatch):
+        # no node reads "below": the table's chunk reaches down over it, so
+        # the window has room for both
+        store, spans = self._fused_against_buffer(
+            monkeypatch, np.float32, {"below": (10, 20), **self.SWEPT},
+            self._swept_loss, (6, 2), 2)
+        assert (store.window.size, store.size) == (230, 455)
+        assert spans == [(230, 455), (0, 230), None] * 2
+
+    def test_gradient_left_by_a_pass_without_the_store_is_stepped(
+            self, monkeypatch):
+        # the first pass leaves its gradients in the tensors' grads, the
+        # second adds to them and steps on the sum, as the buffer sums both
+        monkeypatch.setattr(nm, "_ADAM_BLOCK", 16)
+        rng = np.random.default_rng(5)
+        start = {k: rng.uniform(-0.5, 0.5, s) for k, s in self.SWEPT.items()}
+        fused = nm.ParamStore(self.SWEPT.items(), np.float64)
+        for k, a in start.items():
+            fused[k].data[...] = a
+        buffered = store_of(np.float64, **start)
+        x = nm.Tensor(rng.uniform(-1, 1, (6, 2)))
+        for store, last in [(fused, (fused, 0.01)), (buffered, ())]:
+            for step, args in [(1, ()), (2, last)]:
+                with nm.Tape() as tape:
+                    loss = self._swept_loss(store, x, step)
+                tape.gradients(loss, *args)
+        buffered.gradients()
+        nm.adam_step(buffered, 0.01)
+        assert fused.grads is None and fused.window.size < fused.size
+        for k in self.SWEPT:
+            assert fused[k].data.tobytes() == buffered[k].data.tobytes(), k
+            assert fused.m[k].tobytes() == buffered.m[k].tobytes(), k
+            assert fused.v[k].tobytes() == buffered.v[k].tobytes(), k
+        assert all(t.grad is None for t in fused.values())
 
     def test_window_is_reused_across_steps(self, monkeypatch):
         store, _ = self._fused_against_buffer(
-            monkeypatch, np.float32, {"w": (3, 4), **self.LSTM},
-            self._shared_loss, (5, 3), 1)
+            monkeypatch, np.float32, self.SWEPT, self._swept_loss, (6, 2), 1)
         window = store.window
-        x = nm.Tensor(np.ones((5, 3), np.float32))
+        x = nm.Tensor(np.ones((6, 2), np.float32))
         with nm.Tape() as tape:
-            loss = self._shared_loss(store, x, 2)
+            loss = self._swept_loss(store, x, 2)
         tape.gradients(loss, store, 0.01)
-        assert store.window is window
+        assert store.window is window and store.grads is None
 
     def test_a_step_needs_a_learning_rate_with_the_store(self):
         store = store_of(w=np.ones((1, 2)))
@@ -608,16 +682,35 @@ class TestFusedAdamStep:
         assert store.step_count == 0
 
     def test_whole_step_refused_on_a_small_window(self, monkeypatch):
-        monkeypatch.setattr(nm, "_ADAM_BLOCK", 16)
-        store = nm.ParamStore([("w", (3, 4)), *self.LSTM.items()],
-                              np.float64)
-        x = nm.Tensor(np.ones((5, 3)))
-        with nm.Tape() as tape:
-            loss = self._shared_loss(store, x, 1)
-        tape.gradients(loss, store, 0.01)
+        store = self._swept_store(monkeypatch)
         with pytest.raises(ContractError, match="store-sized"):
             nm.adam_step(store, 0.01)
         assert store.step_count == 1
+
+    def test_span_refused_outside_the_window_before_any_write(
+            self, monkeypatch):
+        store = self._swept_store(monkeypatch)
+        # the last flush leaves the window over [0, 198) of the store
+        assert (store._base, store.window.size, store.size) == (0, 198, 255)
+        before = [a.tobytes() for a in (store.flat, store.m.flat,
+                                        store.v.flat, store.window)]
+        for span in [(197, 199), (40, 39), (-1, 2), (250, 256)]:
+            with pytest.raises(ContractError, match="not inside"):
+                nm.adam_step(store, 0.01, span)
+        assert [a.tobytes() for a in (store.flat, store.m.flat,
+                                      store.v.flat, store.window)] == before
+        assert store.step_count == 1
+
+    def _swept_store(self, monkeypatch):
+        """A store after one fused step through a window smaller than it."""
+        monkeypatch.setattr(nm, "_ADAM_BLOCK", 16)
+        store = nm.ParamStore(self.SWEPT.items(), np.float64)
+        x = nm.Tensor(np.ones((6, 2)))
+        with nm.Tape() as tape:
+            loss = self._swept_loss(store, x, 1)
+        tape.gradients(loss, store, 0.01)
+        assert store.grads is None and store.window.size < store.size
+        return store
 
 
 class TestTape:

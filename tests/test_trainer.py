@@ -486,18 +486,32 @@ class TestFlatStore:
             assert saved[name].tobytes() == t.data.tobytes(), name
         per_epoch = len(make_instances(sentences, build_lexicon(sentences)))
         steps = cfg.epochs * -(-per_epoch // cfg.batch_size)
-        if block is None or cfg.batch_size > 1:
+        if cfg.batch_size > 1:
             # one whole step per update, from the store-sized buffer
             assert spans == [None] * steps
+        elif block is None:
+            # the store fits in one block, and so the window: one span over
+            # the store per step
+            assert spans == [(0, ref.store.size)] * steps
         else:
             # every step flushes the window more than once
             assert None not in spans and len(spans) >= 3 * steps
 
+    @pytest.mark.parametrize("overrides, want", [
+        ({}, ["cls", "embed", "gcn.0", "lstm.0"]),
+        (dict(lstm_layers=0), ["cls", "embed", "gcn", "gcn.0"]),
+        (dict(gcn_layers=0), ["cls", "embed", "lstm.0"]),
+        (dict(gcn_layers=2), ["cls", "embed", "gcn.0", "gcn.1", "lstm.0"]),
+        (dict(gates_enabled=False), ["cls", "embed", "gcn.0", "lstm.0"]),
+        (dict(dtype="float64"), ["cls", "embed", "gcn.0", "lstm.0"]),
+    ], ids=["J1 K1", "J0", "K0", "K2", "ungated", "float64"])
     def test_batch_size_one_keeps_no_store_sized_gradient(
-            self, overfit_sentences, tmp_path, monkeypatch):
-        # the window has room for the widest node's tensors, one module's
-        # here (the embedder, a BiLSTM layer, a GCN layer, the role head),
-        # fewer than the store's, and is the same array at every step
+            self, overfit_sentences, tmp_path, monkeypatch, overrides, want):
+        # every model tape goes down the store, so no step falls back to a
+        # store-sized buffer: the window has room for the widest chunk, one
+        # module's tensors here (the embedder, a BiLSTM layer, the GCN's
+        # input projection, a GCN layer with its gate tensors, the role
+        # head), fewer than the store's, and is the same array at every step
         monkeypatch.setattr(nm, "_ADAM_BLOCK", self.SMALL_BLOCK)
         seen, adam_step = [], nm.adam_step
 
@@ -507,7 +521,7 @@ class TestFlatStore:
 
         monkeypatch.setattr(nm, "adam_step", recording_step)
         cfg = small_config(d_w=8, d_pos=4, d_l=8, d_h=8, d_r=8, d_l_out=8,
-                           epochs=2)
+                           epochs=2, **overrides)
         train(overfit_sentences[:8], None, cfg, tmp_path / "run")
         store, _, window = seen[0]
         modules = {}
@@ -515,7 +529,7 @@ class TestFlatStore:
             parts = name.split(".")
             module = ".".join(parts[:2] if parts[1].isdigit() else parts[:1])
             modules[module] = modules.get(module, 0) + math.prod(shape)
-        assert sorted(modules) == ["cls", "embed", "gcn.0", "lstm.0"]
+        assert sorted(modules) == want
         assert window.size == max(self.SMALL_BLOCK, *modules.values())
         assert window.size < store.size
         assert all(s is store and g is None and w is window
