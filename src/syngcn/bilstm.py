@@ -46,14 +46,15 @@ def lstm_params(tensors, num_layers: int) -> LstmParams:
 def init_lstm_direction(direction: Direction,
                         rng: np.random.Generator) -> None:
     """Uniform [-0.05, 0.05] weights, drawn one gate block at a time (w, u
-    for i, f, o, g) so float64 draws stay gate-sized; the forget-gate bias
-    is set to 1, the other biases keep the store's zeros."""
+    for i, f, o, g) in bounded pieces (``nm.fill_uniform``); the
+    forget-gate bias is set to 1, the other biases keep the store's
+    zeros."""
     w, u, b = (t.data for t in direction)
     d_h = u.shape[0]
     for k in range(4):
         block = slice(k * d_h, (k + 1) * d_h)
-        w[:, block] = rng.uniform(-0.05, 0.05, (w.shape[0], d_h))
-        u[:, block] = rng.uniform(-0.05, 0.05, (d_h, d_h))
+        nm.fill_uniform(w[:, block], 0.05, rng)
+        nm.fill_uniform(u[:, block], 0.05, rng)
     b[:, d_h:2 * d_h] = 1.0
 
 

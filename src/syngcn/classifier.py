@@ -45,7 +45,7 @@ def init_classifier(params: ClassifierParams,
     """Uniform [-0.05, 0.05] transform, [-0.01, 0.01] lemma and role tables."""
     for t, bound in ((params.pair_transform, 0.05), (params.lemma_table, 0.01),
                      (params.role_table, 0.01)):
-        t.data[...] = rng.uniform(-bound, bound, t.shape)
+        nm.fill_uniform(t.data, bound, rng)
 
 
 def role_logits(encoded: nm.Tensor, predicate_index: int, lemma_id: int,

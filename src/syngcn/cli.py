@@ -92,7 +92,10 @@ def _resolve_config(args) -> trainer.TrainConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
     # one parse, validated after every override, so their order does not
     # matter: from K = 0, "--set J=0 --set K=1" passes through J = K = 0
-    cfg = trainer.parse_config_text("\n".join(args.set), cfg)
+    try:
+        cfg = trainer.parse_config_text("\n".join(args.set), cfg)
+    except ConfigError as err:
+        raise ConfigError(f"--set: {err}") from None
     _log_config(cfg)
     return cfg
 
@@ -111,7 +114,8 @@ def _load_model(checkpoint: str) -> trainer.SrlModel:
     if not config_path.exists() or not lexicon_path.exists():
         raise ConfigError(f"{run_dir}: config.txt/lexicon.txt sidecars not "
                           f"found next to the checkpoint")
-    cfg = trainer.load_config(config_path)
+    # written whole by the run, so a missing line is damage, not a default
+    cfg = trainer.load_config(config_path, complete=True)
     _log_config(cfg)
     lexicon = Lexicon.load(lexicon_path)
     return trainer.SrlModel.from_checkpoint(ckpt, cfg, lexicon)

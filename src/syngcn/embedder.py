@@ -127,7 +127,7 @@ def embedding_tables(tensors, lexicon: Lexicon,
 def init_tables(tables: EmbeddingTables, rng: np.random.Generator) -> None:
     """Uniform [-0.01, 0.01] trainable tables, drawn word, POS, lemma."""
     for t in (tables.word, tables.pos, tables.lemma):
-        t.data[...] = rng.uniform(-0.01, 0.01, t.shape)
+        nm.fill_uniform(t.data, 0.01, rng)
 
 
 def embed_sentence(sentence: Sentence, predicate_index: int,

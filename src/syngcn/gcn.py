@@ -84,7 +84,7 @@ def init_gcn_stack(stack: GcnStack, rng: np.random.Generator) -> None:
     for layer in stack.layers:
         tensors += [*layer.weights, *layer.gate_weights]
     for t in tensors:
-        t.data[...] = rng.uniform(-0.05, 0.05, t.shape)
+        nm.fill_uniform(t.data, 0.05, rng)
 
 
 def gcn_layer(h: nm.Tensor, graph: SyntacticGraph, params: GcnLayerParams,

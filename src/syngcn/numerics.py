@@ -26,10 +26,12 @@ products straight in with ``matmul(out=)``). A window the size of the store
 ``grad_check``: ``ParamStore.gradients`` collects the sum, zero-filling the
 views no pass reached, and ``adam_step`` updates the store from it. At batch
 size 1 the backward pass is also the Adam step (``Tape.gradients`` given the
-store): the layers' rules reach the store top down, as it is laid out in
-forward order, so each layer's tensors get views of a window sized to the
-largest layer's chunk of the store, flushed into ``adam_step`` span by span
-as the pass goes down (``_sweep``). The store is the one registry of a
+store): the layers' rules run in stages that write one parameter each (or
+a few small ones) and reach the store top down, as it is laid out in
+forward order, so each stage's tensors get views of a window sized to the
+widest stage's chunk of the store, at model widths the widest tensor,
+flushed into ``adam_step`` span by span as the pass goes down
+(``_sweep``). The store is the one registry of a
 model's trainable tensors and the one thing ``adam_step`` updates. It also
 holds Adam's state: the step count and the moments ``m`` and ``v``, two more
 flat arrays allocated at the first step. A training process thus holds
@@ -133,16 +135,21 @@ _RELU_PROBE: list | None = None
 
 
 class Tape:
-    """Ordered record of (output, backward rule, inputs) triples, one per
+    """Ordered record of (output, backward rule, stages) triples, one per
     recorded op.
 
-    One tape per backward pass; construction and backward are
-    single-threaded. ``gradients`` may run once.
+    A rule runs in one or more stages, each listed as the tensors it writes
+    gradients into: a plain rule is one stage writing all of the op's
+    inputs; a staged rule is a generator that yields between its stages
+    (``_stages``), so that a batch-size-1 step can flush each parameter's
+    gradient into Adam before the next stage (``_sweep``). One tape per
+    backward pass; construction and backward are single-threaded.
+    ``gradients`` may run once.
     """
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, Callable[[np.ndarray], None],
-                                tuple[Tensor, ...]]] = []
+        self._nodes: list[tuple[Tensor, Callable, tuple[tuple[Tensor, ...],
+                                                        ...]]] = []
         self._spent = False
 
     def __enter__(self) -> "Tape":
@@ -157,23 +164,24 @@ class Tape:
         _ACTIVE_TAPE = None
         return False
 
-    def _record(self, out: Tensor, backward: Callable[[np.ndarray], None],
-                inputs: tuple[Tensor, ...]) -> None:
-        self._nodes.append((out, backward, inputs))
+    def _record(self, out: Tensor, backward: Callable,
+                stages: tuple[tuple[Tensor, ...], ...]) -> None:
+        self._nodes.append((out, backward, stages))
 
     def gradients(self, loss: Tensor, store: "ParamStore | None" = None,
                   learning_rate: float | None = None) -> None:
-        """Seed d(loss)/d(loss)=1 and run every recorded rule once, last-first,
-        adding each reached leaf's gradient to its ``grad`` (for a store leaf,
-        its view of the store's gradient window).
+        """Seed d(loss)/d(loss)=1 and run every recorded rule once, last-first
+        and stage by stage, adding each reached leaf's gradient to its
+        ``grad`` (for a store leaf, its view of the store's gradient window).
 
         Given a ``store`` and a ``learning_rate``, the pass is also one Adam
         step of the store. Without a store-sized gradient buffer, ``_sweep``
-        takes it as the pass goes down the store, so no store-sized gradient
-        array exists. A store with that buffer, or a tape ``_sweep``
-        refuses, collects the gradients in the buffer (with those of passes
-        it has not collected yet) and takes one ``adam_step`` after the
-        rules.
+        takes it as the pass goes down the store, flushing the gradients
+        stage by stage through a window as wide as the widest tensor, so no
+        store-sized gradient array exists. A store with that buffer, or a
+        tape ``_sweep`` refuses, collects the gradients in the buffer (with
+        those of passes it has not collected yet) and takes one
+        ``adam_step`` after the rules.
         """
         if self._spent:
             raise ContractError("backward already ran on this tape")
@@ -191,10 +199,20 @@ class Tape:
             store.enable_grad()
         for out, rule, _ in reversed(self._nodes):
             if out.grad is not None:
-                rule(out.grad)
+                for _ in _stages(rule, out.grad):
+                    pass
         if store is not None:
             store.gradients()
             adam_step(store, learning_rate)
+
+
+def _stages(rule: Callable, g: np.ndarray):
+    """Run ``rule(g)`` one stage per step of the returned iterator: a plain
+    rule runs whole in the first step, a staged rule (a generator) up to
+    each of its yields in turn."""
+    run = rule(g)
+    if run is not None:
+        yield from run
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +225,16 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 
 
 def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], op: str,
-          backward: Callable[[np.ndarray], None]) -> Tensor:
+          backward: Callable, stages: tuple[tuple[Tensor, ...], ...] | None
+          = None) -> Tensor:
+    """The op's output, recorded with its rule when a tape is active and
+    some input needs a gradient; ``stages`` lists the tensors each stage of
+    a staged rule writes (default: one stage writing every input)."""
     _check_finite(out_data, op)
     out = Tensor(out_data)
-    # on the tape when one is active and some input needs a gradient
     if _ACTIVE_TAPE is not None and any(t._needs_grad for t in inputs):
         out._needs_grad = True
-        _ACTIVE_TAPE._record(out, backward, inputs)
+        _ACTIVE_TAPE._record(out, backward, stages or (inputs,))
     return out
 
 
@@ -415,6 +436,10 @@ def bilstm_layer(x: Tensor, fw: tuple, bw: tuple, lengths=None) -> Tensor:
     Rows are packed time-major, longest sequence first, so the sequences
     running at step t are a prefix of its rows in both directions: a step is
     one [active x d] @ [d x 4d] product per direction, one ufunc pass each.
+    The backward runs in six stages, one per parameter going down the store
+    (backward direction's ``b`` with its ``x`` term, ``u``, ``w``, then the
+    forward direction's), so a batch-size-1 step flushes one tensor's
+    gradient at a time.
     """
     dirs, us = (fw, bw), (fw[1].data, bw[1].data)
     for t in (*fw, *bw):
@@ -488,17 +513,25 @@ def bilstm_layer(x: Tensor, fw: tuple, bw: tuple, lengths=None) -> Tensor:
                 np.matmul(dz[k, s], u.T, out=dh_next[k, :a])
             np.multiply(dc, f[:, s], out=dc_next[:, :a])
         # backward direction first, as when each direction was its own tape
-        # node; rows back in the order of x, so products sum rows in order
+        # node; rows back in the order of x, so products sum rows in order.
+        # A direction's x and b, then u, then w, each in its own stage, go
+        # down the store; x's term reads w before w's stage
         for k in (1, 0):
             (w, u, b), rows = dirs[k], order[k]
             dz_rows, h_prev_rows = np.empty_like(dz[k]), np.zeros_like(h[k])
             dz_rows[rows], h_prev_rows[rows[active[0]:]] = dz[k], h[k, prev]
             _accumulate_product(x, dz_rows, w.data.T)
-            _accumulate_product(w, x.data.T, dz_rows)
-            _accumulate_product(u, h_prev_rows.T, dz_rows)
             _accumulate(b, dz_rows.sum(axis=0, keepdims=True))
+            yield
+            _accumulate_product(u, h_prev_rows.T, dz_rows)
+            yield
+            _accumulate_product(w, x.data.T, dz_rows)
+            if k:
+                yield
 
-    return _make(out, (x, *fw, *bw), "lstm", backward)
+    stages = tuple(stage for w, u, b in (bw, fw)
+                   for stage in ((x, b), (u,), (w,)))
+    return _make(out, (x, *fw, *bw), "lstm", backward, stages)
 
 
 def _sum_rows_in_order(index: np.ndarray, values: np.ndarray,
@@ -557,7 +590,9 @@ def graph_conv(h: Tensor, weights: Sequence[Tensor], label_bias: Tensor,
     which ``_RELU_PROBE`` sees as ``relu`` shows its input. A direction
     with no edges, possible after edge dropout, gets zero gradients: its
     products run on zero rows, and a graph with no edges at all comes out
-    as zeros.
+    as zeros. The backward runs in four stages going down the store: the
+    label and gate tensors, then each direction d = 2, 1, 0 with its
+    ``weights[d]`` and the ``h`` terms that read them.
     """
     gated = gate_weights is not None
     params = list(weights) + [label_bias]
@@ -630,14 +665,18 @@ def graph_conv(h: Tensor, weights: Sequence[Tensor], label_bias: Tensor,
         _accumulate_rows(label_bias, graph.labels, dmessages)
         dtransformed = np.zeros((3 * n, m), hd.dtype)
         np.add.at(dtransformed, graph.gather, dmessages)
+        # one stage per direction, down the store: h's terms read W_d
         for d in reversed(range(3)):
+            yield
             if gated:
                 _accumulate(h, dgate_h.reshape(3, n, k)[d])
             dtransformed_d = dtransformed.reshape(3, n, m)[d]
             _accumulate_product(h, dtransformed_d, weights[d].data.T)
             _accumulate_product(weights[d], hd.T, dtransformed_d)
 
-    return _make(out, (h, *params), "graph_conv", backward)
+    stages = (tuple(params[3:]),
+              *((h, weights[d]) for d in reversed(range(3))))
+    return _make(out, (h, *params), "graph_conv", backward, stages)
 
 
 def embed(gathers: Sequence[tuple[Tensor, np.ndarray]], lemma: Tensor,
@@ -911,9 +950,10 @@ class ParamStore(collections.abc.Mapping):
     shape). ``window`` holds the gradients of the store elements [``_base``,
     ``_base`` + its size): ``enable_grad`` makes it the size of the store,
     for batch updates and gradient checks, and batch-size-1 training keeps
-    one sized to the largest layer's chunk of the store across its steps
-    (``_sweep``). Adam's first step allocates its moments ``m`` and ``v``;
-    ``step_count`` counts the steps.
+    one sized to the widest stage's chunk of the store across its steps,
+    with the plan of the last tape's stages (``_sweep``). Adam's first step
+    allocates its moments ``m`` and ``v``; ``step_count`` counts the
+    steps.
     """
 
     def __init__(self, layout: Layout, dtype):
@@ -939,6 +979,7 @@ class ParamStore(collections.abc.Mapping):
         self.grads: FlatArrays | None = None
         self.window: np.ndarray | None = None
         self._base = 0
+        self._plan: _SweepPlan | None = None
         self._corrections = (1.0, 1.0)   # the current step's bc1, bc2
         self.m: FlatArrays | None = None
         self.v: FlatArrays | None = None
@@ -1074,71 +1115,134 @@ def adam_step(params: ParamStore, learning_rate: float,
         np.subtract(pb, nu, out=pb)
 
 
-def _sweep(nodes, store: ParamStore, learning_rate: float) -> bool:
-    """Run the tape's rules last-first as one Adam step of ``store``, with
-    its gradients in a window that need not hold the whole store: LOMO's
-    fused update (Lv et al. 2023), bit for bit. False, with nothing
-    touched, unless each node's store inputs, read last-first, lie below
-    those of every node read before it, as when the store is laid out in
-    forward order (never when two nodes share a tensor).
+def fill_uniform(out: np.ndarray, bound: float,
+                 rng: np.random.Generator) -> None:
+    """Fill ``out`` with the values ``rng.uniform(-bound, bound,
+    out.shape)`` gives, drawn in pieces of whole rows, at most one
+    ``_ADAM_BLOCK`` of elements each unless a row is longer, so the float64
+    draw of a large tensor never exists whole."""
+    rows = max(1, _ADAM_BLOCK // max(1, math.prod(out.shape[1:])))
+    for lo in range(0, len(out), rows):
+        piece = out[lo:lo + rows]
+        piece[...] = rng.uniform(-bound, bound, piece.shape)
 
-    A node with store inputs owns a chunk of the store, from its lowest
+
+@dataclass
+class _SweepPlan:
+    """The batch-size-1 step of one tape's stages (see ``_sweep``), kept by
+    the store while the stages' store inputs repeat, as they do for every
+    instance of a model: for each stage, in sweep order, the flush before
+    it (None for none) and its store inputs' views of the window; then the
+    last flush. A flush is (lo, hi, base, tensors): a span, the store
+    offset of the window while it was pending, and each tensor in the span
+    with its window slice."""
+
+    key: list
+    window: np.ndarray
+    steps: list
+    last: tuple
+
+
+def _sweep(nodes, store: ParamStore, learning_rate: float) -> bool:
+    """Run the tape's rules last-first, stage by stage, as one Adam step of
+    ``store``, with its gradients in a window that need not hold the whole
+    store: LOMO's fused update (Lv et al. 2023), bit for bit. False, with
+    nothing touched, unless each stage's store inputs, read last-first, lie
+    below those of every stage read before it, as when the store is laid
+    out in forward order and the staged rules write one parameter per stage
+    (never when two stages share a tensor).
+
+    A stage with store inputs owns a chunk of the store, from its lowest
     input up to the previous owner's chunk; the first chunk reaches the top
-    of the store and the last starts at 0 (one chunk if no node owns one).
+    of the store and the last starts at 0 (one chunk if no stage owns one).
     The window, reused across steps, holds the largest chunk or one
-    ``_ADAM_BLOCK``. Before an owner's rule runs, its store inputs get views
-    of the window, after a flush of the pending chunks if its own does not
-    fit below them; the end of the pass flushes the rest.
+    ``_ADAM_BLOCK``: at model widths the widest tensor. Before an owner's
+    stage runs, its store inputs get views of the window, after a flush of
+    the pending chunks if its own does not fit below them; the end of the
+    pass flushes the rest. The plan of flushes and views is built once per
+    sequence of stage inputs and kept in the store (``_SweepPlan``).
     """
+    key = [tuple(t for t in ins if t.trainable)
+           for _, _, stages in reversed(nodes) for ins in stages]
+    plan = store._plan
+    if plan is None or plan.window is not store.window or plan.key != key:
+        plan = _plan_sweep(key, store)
+        if plan is None:
+            return False
+        store._plan = plan
+    store._open_step()
+    steps = iter(plan.steps)
+    for out, rule, stages in reversed(nodes):
+        run = None if out.grad is None else _stages(rule, out.grad)
+        for _ in stages:
+            flush, views = next(steps)
+            if flush is not None:
+                _flush(store, learning_rate, flush)
+            for t, view in views:
+                if t.grad is None:
+                    t._grad_slot = view
+            if run is not None:
+                next(run, None)
+    _flush(store, learning_rate, plan.last)
+    return True
+
+
+def _plan_sweep(key: list, store: ParamStore) -> _SweepPlan | None:
+    """The ``_SweepPlan`` of stages whose trainable inputs are ``key``,
+    growing the store's window to its largest chunk; None, with nothing
+    touched, if the stages do not go down the store."""
     members, bounds = store._tensors, store._bounds
-    plan, edges = [], [store.size]         # chunk bounds, top down
-    for out, rule, inputs in reversed(nodes):
-        ins = [t for t in inputs if members.get(t.name) is t]
+    owned, edges = [], [store.size]        # chunk bounds, top down
+    for ins in key:
+        ins = [t for t in ins if members.get(t.name) is t]
         if ins:
             spans = [bounds[t.name] for t in ins]    # disjoint, so tuple
             if max(spans)[1] > edges[-1]:            # order is either end's
-                return False
+                return None
             edges.append(min(spans)[0])
-        plan.append((out, rule, ins))
+        owned.append(ins)
     edges[1:] = edges[1:-1] + [0]          # the last chunk starts at 0
     size = min(store.size, max(_ADAM_BLOCK, *(a - b for a, b in
                                               zip(edges, edges[1:]))))
     if store.window is None or store.window.size < size:
         store.window = np.empty(size, store.dtype)
-    store._open_step()
     window, chunks = store.window, iter(zip(edges[1:], edges))
     top = store.size                       # where the pending chunks end
-    base = store._base = max(0, top - window.size)
-    for out, rule, ins in plan:
+    base = max(0, top - window.size)
+    steps = []
+    for ins in owned:
+        flush = None
         if ins:
             lo, hi = next(chunks)
             if top - lo > window.size:
-                _flush(store, learning_rate, hi, top)
-                top = hi
-                base = store._base = max(0, top - window.size)
-            for t in ins:
-                if t.grad is None:
-                    a, b = bounds[t.name]
-                    t._grad_slot = window[a - base:b - base].reshape(t.shape)
-        if out.grad is not None:
-            rule(out.grad)
-    _flush(store, learning_rate, 0, top)
-    return True
+                flush = _flush_span(store, hi, top, base)
+                top, base = hi, max(0, hi - window.size)
+        steps.append((flush, [(t, window[a - base:b - base].reshape(t.shape))
+                              for t in ins for a, b in [bounds[t.name]]]))
+    return _SweepPlan(key, window, steps, _flush_span(store, 0, top, base))
 
 
-def _flush(store: ParamStore, learning_rate: float, lo: int, hi: int) -> None:
-    """Update the store elements [lo, hi) from the window, where a tensor no
+def _flush_span(store: ParamStore, lo: int, hi: int, base: int) -> tuple:
+    """A flush of the store elements [lo, hi) from a window at ``base``."""
+    return lo, hi, base, [(t, a - base, b - base)
+                          for name, t in store._tensors.items()
+                          for a, b in [store._bounds[name]]
+                          if lo <= a and b <= hi]
+
+
+def _flush(store: ParamStore, learning_rate: float, flush: tuple) -> None:
+    """Update a flush's span of the store from the window, where a tensor no
     rule reached gets zeros and one whose ``grad`` an earlier pass without
     the store left gets that gradient, and clear their gradients."""
-    window, base = store.window, store._base
-    for name, t in store._tensors.items():
-        a, b = store._bounds[name]
-        if lo <= a and b <= hi:
-            if t.grad is None:
-                window[a - base:b - base] = 0
-            elif t.grad is not t._grad_slot:
-                window[a - base:b - base] = t.grad.reshape(-1)
-            t.grad = t._grad_slot = None
+    lo, hi, base, tensors = flush
+    window = store.window
+    for t, a, b in tensors:
+        if t.grad is None:
+            window[a:b] = 0
+        elif t.grad is not t._grad_slot:
+            window[a:b] = t.grad.reshape(-1)
+        t.grad = t._grad_slot = None
+    store._base = base
     adam_step(store, learning_rate, (lo, hi))
 
 
@@ -1292,8 +1396,10 @@ def save_checkpoint(tensors: Mapping[str, "Tensor | np.ndarray"], path) -> None:
             dims = ",".join(str(d) for d in arr.shape)
             fh.write(f"{name}\t{arr.dtype.name}\t{dims}\n".encode("utf-8"))
         for _, arr in items:
+            # the buffer itself, not a bytes copy of it
             fh.write(np.ascontiguousarray(arr).astype(
-                _DTYPE_TAGS[arr.dtype.name], copy=False).tobytes())
+                _DTYPE_TAGS[arr.dtype.name], copy=False).reshape(-1)
+                .view(np.uint8))
 
 
 @contextlib.contextmanager

@@ -86,21 +86,29 @@ class TrainConfig:
         return dataclasses.asdict(self).items()
 
 
-def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig:
-    """Parse flat ``key = value`` lines (# comments) over ``base`` defaults."""
+def parse_config_text(text: str, base: TrainConfig | None = None,
+                      complete: bool = False) -> TrainConfig:
+    """Parse flat ``key = value`` lines (# comments) over ``base`` defaults;
+    with ``complete``, as for a run's saved config.txt, every field must
+    have a line."""
     cfg = dataclasses.replace(base) if base else TrainConfig()
     fields = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+    seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"config line {lineno}: expected key = value")
+            raise ConfigError(f"line {lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         key = TrainConfig.ALIASES.get(key, key)
         if key not in fields:
-            raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         setattr(cfg, key, _coerce(key, value, getattr(cfg, key)))
+        seen.add(key)
+    missing = [name for name in fields if name not in seen]
+    if complete and missing:
+        raise ConfigError(f"no line for {', '.join(missing)}")
     cfg.validate()
     return cfg
 
@@ -121,12 +129,18 @@ def _coerce(key: str, value: str, current):
     return value
 
 
-def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
+def load_config(path, base: TrainConfig | None = None,
+                complete: bool = False) -> TrainConfig:
+    """``parse_config_text`` of the file at ``path``; a ``ConfigError``
+    names it."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not UTF-8 text") from None
-    return parse_config_text(text, base)
+    try:
+        return parse_config_text(text, base, complete)
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from None
 
 
 def save_config(cfg: TrainConfig, path) -> None:

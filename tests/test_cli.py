@@ -431,13 +431,22 @@ def _non_utf8_config(tmp_path) -> str:
     return str(path)
 
 
-def _checkpoint_with_non_utf8_config(tmp_path, tiny_run) -> str:
+def _checkpoint_with_config(tmp_path, tiny_run, config: bytes) -> str:
+    """A copy of the trained run whose config.txt sidecar is ``config``."""
     run_dir = tmp_path / "model"
     run_dir.mkdir()
     for name in ("lexicon.txt", "best.ckpt"):
         (run_dir / name).write_bytes((tiny_run / name).read_bytes())
-    (run_dir / "config.txt").write_bytes(NOT_UTF8_CONFIG)
+    (run_dir / "config.txt").write_bytes(config)
     return str(run_dir / "best.ckpt")
+
+
+def _config_without(tiny_run, key: str) -> bytes:
+    """The trained run's config.txt with the line of ``key`` deleted."""
+    lines = (tiny_run / "config.txt").read_bytes().splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith(f"{key} =".encode())]
+    assert len(kept) == len(lines) - 1
+    return b"".join(kept)
 
 
 def _cut(tmp_path, data) -> str:
@@ -495,8 +504,18 @@ CLI_FAULTS = {
         "--train", data("overfit.conll"), "--out", str(tmp / "model")]),
     "non-UTF-8 config.txt sidecar": (1, lambda tmp, data, run: [
         "predict", "--test", data("overfit.conll"),
-        "--checkpoint", _checkpoint_with_non_utf8_config(tmp, run),
-        "--out", str(tmp / "p.conll")]),
+        "--checkpoint", _checkpoint_with_config(tmp, run, NOT_UTF8_CONFIG),
+        "--out", str(tmp / "p.conll")], "config.txt"),
+    # the run wrote every field: a missing one is not read as its default
+    "config.txt sidecar missing a line": (1, lambda tmp, data, run: [
+        "predict", "--test", data("overfit.conll"),
+        "--checkpoint", _checkpoint_with_config(
+            tmp, run, _config_without(run, "gates_enabled")),
+        "--out", str(tmp / "p.conll")], "config.txt", "gates_enabled"),
+    "empty config.txt sidecar": (1, lambda tmp, data, run: [
+        "predict", "--test", data("overfit.conll"),
+        "--checkpoint", _checkpoint_with_config(tmp, run, b""),
+        "--out", str(tmp / "p.conll")], "config.txt", "d_w"),
     "predict --out in a missing directory": (1, lambda tmp, data, run: [
         "predict", "--test", data("overfit.conll"),
         "--checkpoint", str(run / "best.ckpt"),

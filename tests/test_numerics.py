@@ -609,12 +609,15 @@ class TestFusedAdamStep:
         store, spans = self._fused_against_buffer(
             monkeypatch, dtype, self.SWEPT, self._swept_loss, (6, 2), 4)
         assert store.grads is None
-        # the BiLSTM's chunk, up to "dead": its tensors and "unused"
-        assert (store.window.size, store.size) == (198, 255)
-        # per step, from the top: "dead" and "sometimes" when the BiLSTM
-        # does not fit below them, the BiLSTM when w does not, then w and
-        # the table at the end; the buffered store's whole step after them
-        assert spans == [(248, 255), (50, 248), (0, 50), None] * 4
+        # each BiLSTM stage owns one tensor's chunk (its first also "unused",
+        # below "dead"): the widest holds a direction's w
+        assert (store.window.size, store.size) == (48, 255)
+        # per step, from the top: "sometimes", "dead" and the bw x-and-b
+        # stage's chunk when bw u does not fit below them, then one span per
+        # stage down to w and the table at the end; the buffered store's
+        # whole step after them
+        assert spans == [(230, 255), (194, 230), (146, 194), (98, 146),
+                         (50, 98), (30, 50), (0, 30), None] * 4
 
     def test_loss_reaching_no_store_tensor_steps_on_zeros(self, monkeypatch):
         def loss(p, x, step):
@@ -690,11 +693,11 @@ class TestFusedAdamStep:
     def test_span_refused_outside_the_window_before_any_write(
             self, monkeypatch):
         store = self._swept_store(monkeypatch)
-        # the last flush leaves the window over [0, 198) of the store
-        assert (store._base, store.window.size, store.size) == (0, 198, 255)
+        # the last flush leaves the window over [0, 48) of the store
+        assert (store._base, store.window.size, store.size) == (0, 48, 255)
         before = [a.tobytes() for a in (store.flat, store.m.flat,
                                         store.v.flat, store.window)]
-        for span in [(197, 199), (40, 39), (-1, 2), (250, 256)]:
+        for span in [(47, 49), (40, 39), (-1, 2), (250, 256)]:
             with pytest.raises(ContractError, match="not inside"):
                 nm.adam_step(store, 0.01, span)
         assert [a.tobytes() for a in (store.flat, store.m.flat,

@@ -119,6 +119,37 @@ class TestConfig:
         save_config(cfg, path)
         assert load_config(path) == cfg
 
+    def test_saved_config_must_list_every_field(self, tmp_path):
+        cfg = small_config(gates_enabled=False)
+        path = tmp_path / "config.txt"
+        save_config(cfg, path)
+        assert load_config(path, complete=True) == cfg
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(line for line in lines
+                                if not line.startswith("gates_enabled")))
+        # a hand-written file may leave fields at their defaults
+        assert load_config(path).gates_enabled is True
+        with pytest.raises(ConfigError, match=r"config\.txt: no line for "
+                           r"gates_enabled$"):
+            load_config(path, complete=True)
+        path.write_text("")
+        with pytest.raises(ConfigError, match=r"config\.txt: no line for "
+                           r"d_w, d_pos, .*, dtype$"):
+            load_config(path, complete=True)
+
+    @pytest.mark.parametrize("text, error", [
+        ("d_h = 4\nnope = 1\n", "line 2: unknown key 'nope'"),
+        ("d_h\n", "line 1: expected key = value"),
+        ("d_h = x\n", "d_h: expected int, got 'x'"),
+        ("d_h = -4\n", "d_h must be positive"),
+    ])
+    def test_config_errors_name_the_file(self, tmp_path, text, error):
+        path = tmp_path / "hand.conf"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}: {error}"
+
     def test_non_utf8_config_is_config_error(self, tmp_path):
         path = tmp_path / "latin1.conf"
         path.write_bytes("# caf\u00e9\nepochs = 2\n".encode("latin-1"))
@@ -508,10 +539,12 @@ class TestFlatStore:
     def test_batch_size_one_keeps_no_store_sized_gradient(
             self, overfit_sentences, tmp_path, monkeypatch, overrides, want):
         # every model tape goes down the store, so no step falls back to a
-        # store-sized buffer: the window has room for the widest chunk, one
-        # module's tensors here (the embedder, a BiLSTM layer, the GCN's
-        # input projection, a GCN layer with its gate tensors, the role
-        # head), fewer than the store's, and is the same array at every step
+        # store-sized buffer: the window has room for the widest stage's
+        # chunk, less than the widest module and the store, and is the same
+        # array at every step. A stage's chunk is one tensor of a BiLSTM
+        # layer, one direction's GCN weights or the input projection, or a
+        # GCN layer's label and gate tensors, the embedder's tables or the
+        # role head
         monkeypatch.setattr(nm, "_ADAM_BLOCK", self.SMALL_BLOCK)
         seen, adam_step = [], nm.adam_step
 
@@ -530,10 +563,88 @@ class TestFlatStore:
             module = ".".join(parts[:2] if parts[1].isdigit() else parts[:1])
             modules[module] = modules.get(module, 0) + math.prod(shape)
         assert sorted(modules) == want
-        assert window.size == max(self.SMALL_BLOCK, *modules.values())
-        assert window.size < store.size
+        # tensors in the chunk of the tensor before them
+        joined = ("gate", "embed.pos", "embed.lemma", "cls.lemma", "cls.role")
+        starts = [lo for name, (lo, _) in store.layout.items()
+                  if not any(part in name for part in joined)] + [store.size]
+        chunks = [b - a for a, b in zip(starts, starts[1:])]
+        assert window.size == max(self.SMALL_BLOCK, *chunks)
+        assert window.size < max(modules.values()) < store.size
         assert all(s is store and g is None and w is window
                    for s, g, w in seen)
+
+    # widths at which no stage's chunk fits in the window beside the next
+    # stage's (a BiLSTM layer's input is as wide as d_h), so that with a
+    # one-element block the sweep flushes before every stage of a staged
+    # rule: a rule that read a parameter after its stage would change the
+    # bytes
+    STAGE_WIDTHS = dict(d_w=4, d_pos=4, d_l=4, d_h=16, d_r=4, d_l_out=4)
+
+    @pytest.mark.parametrize("overrides, spans_per_step", [
+        ({}, 12),
+        (dict(lstm_layers=0), 6),
+        (dict(gcn_layers=0), 7),
+        (dict(gcn_layers=2), 16),
+        (dict(gates_enabled=False), 12),
+        (dict(dtype="float64"), 12),
+    ], ids=["J1 K1", "J0", "K0", "K2", "ungated", "float64"])
+    def test_flush_before_every_stage_matches_reference(
+            self, overfit_sentences, tmp_path, monkeypatch, overrides,
+            spans_per_step):
+        monkeypatch.setattr(nm, "_ADAM_BLOCK", 1)
+        spans, adam_step = [], nm.adam_step
+
+        def recording_step(store, lr, span=None):
+            spans.append(span)
+            adam_step(store, lr, span)
+
+        monkeypatch.setattr(nm, "adam_step", recording_step)
+        cfg = small_config(**self.STAGE_WIDTHS, epochs=1,
+                           unk_replace_rate=0.2, **overrides)
+        sentences = overfit_sentences[:4]
+        result = train(sentences, None, cfg, tmp_path / "run")
+        ref, _ = reference_run(sentences, cfg)
+        saved = nm.load_checkpoint(result.best_checkpoint)
+        for name, t in ref.parameters().items():
+            assert saved[name].tobytes() == t.data.tobytes(), name
+        # one span per stage that owns a chunk: the embedder, each BiLSTM
+        # layer's 6, the GCN projection, each GCN layer's 4 and the role
+        # head; under J0 the projection and the embedder, under K0 the role
+        # head and the top BiLSTM stage, share one
+        steps = cfg.epochs * len(make_instances(sentences,
+                                                build_lexicon(sentences)))
+        assert None not in spans and len(spans) == spans_per_step * steps
+
+    def test_real_block_splits_the_window(self, overfit_sentences):
+        # English widths at d_h = 128: a BiLSTM layer's w, and others, are
+        # wider than one Adam block, and the window holds the widest tensor
+        cfg = dataclasses.replace(
+            load_config(CONFIGS / "conll2009_english.conf"), d_h=128)
+        lexicon = build_lexicon(overfit_sentences[:8])
+        fused, buffered = (SrlModel(cfg, lexicon, np.random.default_rng(3))
+                           for _ in range(2))
+        buffered.store.enable_grad()
+        insts = make_instances(overfit_sentences[:8], lexicon)[:2]
+        for inst in insts:
+            graph = build_graph(inst.sentence, lexicon)
+            for model in (fused, buffered):
+                with nm.Tape() as tape:
+                    loss = model.instance_loss(inst, graph,
+                                               np.random.default_rng(0))
+                if model is fused:
+                    tape.gradients(loss, model.store, cfg.learning_rate)
+                else:
+                    tape.gradients(loss)
+                    model.store.gradients()
+                    nm.adam_step(model.store, cfg.learning_rate)
+            for a, b in [(fused.store.flat, buffered.store.flat),
+                         (fused.store.m.flat, buffered.store.m.flat),
+                         (fused.store.v.flat, buffered.store.v.flat)]:
+                assert a.tobytes() == b.tobytes()
+        widest = max(math.prod(shape) for _, shape in
+                     fused.store.layout.values())
+        assert fused.store.grads is None
+        assert fused.store.window.size == widest > nm._ADAM_BLOCK
 
     def test_gradcheck_model_steps_match_reference(self):
         model, instance = fixtures.gradcheck_model()
