@@ -19,7 +19,8 @@ from . import numerics as nm
 from . import evaluator, trainer
 from .conll import build_lexicon, parse_conll_file, write_conll_file, Lexicon
 from .embedder import load_pretrained
-from .errors import ConfigError, FormatError, ParseError, SynGcnError
+from .errors import (ConfigError, FormatError, LayoutMismatch, ParseError,
+                     SynGcnError)
 
 logger = logging.getLogger("syngcn")
 
@@ -106,7 +107,8 @@ def _log_config(cfg: trainer.TrainConfig) -> None:
 
 
 def _load_model(checkpoint: str) -> trainer.SrlModel:
-    """Load a checkpoint with its sidecar config.txt and lexicon.txt."""
+    """Load a checkpoint with its sidecar config.txt and lexicon.txt, which
+    set the shapes the checkpoint's tensors must have."""
     ckpt = Path(checkpoint)
     run_dir = ckpt.parent
     config_path = run_dir / "config.txt"
@@ -118,7 +120,11 @@ def _load_model(checkpoint: str) -> trainer.SrlModel:
     cfg = trainer.load_config(config_path, complete=True)
     _log_config(cfg)
     lexicon = Lexicon.load(lexicon_path)
-    return trainer.SrlModel.from_checkpoint(ckpt, cfg, lexicon)
+    try:
+        return trainer.SrlModel.from_checkpoint(ckpt, cfg, lexicon)
+    except LayoutMismatch as err:
+        raise FormatError(f"{err} (the model's shapes come from "
+                          f"{config_path} and {lexicon_path})") from None
 
 
 def _cmd_train(args) -> int:
@@ -264,6 +270,11 @@ def _cmd_analyze(args) -> int:
 def _cmd_gradcheck(args) -> int:
     from .fixtures import gradcheck_model
 
+    if args.seed < 0:
+        raise ConfigError(f"--seed {args.seed}: the seed must be >= 0")
+    if not args.tolerance >= 0:
+        raise ConfigError(f"--tolerance {args.tolerance}: the tolerance must "
+                          f"be a number >= 0")
     model, instance = gradcheck_model(seed=args.seed)
     _log_config(model.config)
     result = nm.grad_check(lambda: model.instance_loss(instance), model.store)

@@ -26,6 +26,10 @@ class FormatError(SynGcnError):
     """Malformed auxiliary file (embeddings, lexicon, checkpoint)."""
 
 
+class LayoutMismatch(FormatError):
+    """A checkpoint's tensors differ from those of the model read from it."""
+
+
 class ConfigError(SynGcnError):
     """Invalid configuration value or combination."""
 

@@ -18,25 +18,22 @@ sums, and ``role_logits`` its pre-ReLU ``pair @ transform``.
 
 A model keeps its trainable tensors in a ``ParamStore``, allocated from the
 ``(name, shape)`` pairs its modules declare, as views into one flat array.
-Training collects gradients in the store's gradient window, the one place
-they are collected: a backward pass adds a leaf's gradients into its view
-of the window in place (the first since the last collection is written,
-products straight in with ``matmul(out=)``). A window the size of the store
-(``enable_grad``) is the gradient buffer of batch updates and
-``grad_check``: ``ParamStore.gradients`` collects the sum, zero-filling the
-views no pass reached, and ``adam_step`` updates the store from it. At batch
-size 1 the backward pass is also the Adam step (``Tape.gradients`` given the
-store): the layers' rules run in stages that write one parameter each (or
-a few small ones) and reach the store top down, as it is laid out in
-forward order, so each stage's tensors get views of a window sized to the
-widest stage's chunk of the store, at model widths the widest tensor,
-flushed into ``adam_step`` span by span as the pass goes down
-(``_sweep``). The store is the one registry of a
-model's trainable tensors and the one thing ``adam_step`` updates. It also
-holds Adam's state: the step count and the moments ``m`` and ``v``, two more
-flat arrays allocated at the first step. A training process thus holds
-three copies of the parameters and the window at batch size 1, four in
-batch updates and gradient checks; prediction holds one.
+The store's gradient window is the one place the store sums gradients: a
+backward pass adds a leaf's gradients into its view of the window in place
+(the first since the last step is written, products straight in with
+``matmul(out=)``). Every Adam step is ``_sweep``, the backward pass given
+the store and a learning rate: the layers' rules run in stages that write
+one parameter each (or a few small ones) and reach the store top down, as
+it is laid out in forward order, so the window need only hold the widest
+stage's chunk of the store, at model widths the widest tensor, flushed into
+``adam_step`` span by span as the pass goes down. A pass given the store
+alone (a batch's earlier instances, ``grad_check``) sums into a window over
+the whole store, which the next step flushes at its end. The store is the
+one registry of a model's trainable tensors and the one thing ``adam_step``
+updates. It also holds Adam's state: the step count and the moments ``m``
+and ``v``, two more flat arrays allocated at the first step. A training
+process thus holds three copies of the parameters and the window, which is
+a fourth in batch updates and gradient checks; prediction holds one.
 """
 
 from __future__ import annotations
@@ -53,8 +50,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, ContractError, FormatError, NumericsError,
-                     ShapeError)
+from .errors import (ConfigError, ContractError, FormatError, LayoutMismatch,
+                     NumericsError, ShapeError)
 
 DEFAULT_DTYPE = np.float32
 
@@ -141,8 +138,8 @@ class Tape:
     A rule runs in one or more stages, each listed as the tensors it writes
     gradients into: a plain rule is one stage writing all of the op's
     inputs; a staged rule is a generator that yields between its stages
-    (``_stages``), so that a batch-size-1 step can flush each parameter's
-    gradient into Adam before the next stage (``_sweep``). One tape per
+    (``_stages``), so that an Adam step can flush each parameter's gradient
+    into Adam before the next stage (``_sweep``). One tape per
     backward pass; construction and backward are single-threaded.
     ``gradients`` may run once.
     """
@@ -174,36 +171,29 @@ class Tape:
         and stage by stage, adding each reached leaf's gradient to its
         ``grad`` (for a store leaf, its view of the store's gradient window).
 
-        Given a ``store`` and a ``learning_rate``, the pass is also one Adam
-        step of the store. Without a store-sized gradient buffer, ``_sweep``
-        takes it as the pass goes down the store, flushing the gradients
-        stage by stage through a window as wide as the widest tensor, so no
-        store-sized gradient array exists. A store with that buffer, or a
-        tape ``_sweep`` refuses, collects the gradients in the buffer (with
-        those of passes it has not collected yet) and takes one
-        ``adam_step`` after the rules.
+        Given a ``store`` alone, its tensors without a gradient first get
+        views of a window over the whole store, so the pass adds to what
+        earlier such passes summed. Given a ``learning_rate`` too, the pass
+        is also one Adam step of the store, on those sums (``_sweep``).
         """
         if self._spent:
             raise ContractError("backward already ran on this tape")
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        if (store is None) != (learning_rate is None):
+        if store is None and learning_rate is not None:
             raise ContractError("an Adam step needs a store and a learning "
                                 "rate")
         self._spent = True
         loss.grad = np.ones_like(loss.data)
+        if learning_rate is not None:
+            _sweep(self._nodes, store, learning_rate)
+            return
         if store is not None:
-            if store.grads is None and _sweep(self._nodes, store,
-                                              learning_rate):
-                return
-            store.enable_grad()
+            store._sum_window()
         for out, rule, _ in reversed(self._nodes):
             if out.grad is not None:
                 for _ in _stages(rule, out.grad):
                     pass
-        if store is not None:
-            store.gradients()
-            adam_step(store, learning_rate)
 
 
 def _stages(rule: Callable, g: np.ndarray):
@@ -905,34 +895,13 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # The most trainable parameters a store holds: 1 GiB of float32 weights, and
-# while training 3 GiB plus the gradient window at batch size 1 (weights and
-# Adam's m and v), 4 GiB in batch updates (and a store-sized window).
+# while training 3 GiB plus the gradient window (weights and Adam's m and v),
+# 4 GiB in batch updates (a store-sized window).
 MAX_PARAMETERS = 1 << 28
 
 # The most tensors a store holds, far above any model's few dozen: a deep
 # stack of narrow layers lists tens of millions before MAX_PARAMETERS.
 MAX_TENSORS = 1 << 16
-
-
-class FlatArrays(collections.abc.Mapping):
-    """One contiguous array, ``flat``, read by name as views laid out by a
-    ``ParamStore``."""
-
-    def __init__(self, flat: np.ndarray,
-                 layout: Mapping[str, tuple[int, tuple[int, ...]]]):
-        self.flat = flat
-        self.layout = layout
-        self._views = {name: flat[lo:lo + math.prod(shape)].reshape(shape)
-                       for name, (lo, shape) in layout.items()}
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._views[name]
-
-    def __iter__(self):
-        return iter(self._views)
-
-    def __len__(self) -> int:
-        return len(self._views)
 
 
 # (name, shape) pairs in store order, which module layouts yield lazily
@@ -948,12 +917,12 @@ class ParamStore(collections.abc.Mapping):
     tensor exists from the start, zeroed, for an initializer or a checkpoint
     read to fill in place. ``self.layout`` maps each name to its (offset,
     shape). ``window`` holds the gradients of the store elements [``_base``,
-    ``_base`` + its size): ``enable_grad`` makes it the size of the store,
-    for batch updates and gradient checks, and batch-size-1 training keeps
-    one sized to the widest stage's chunk of the store across its steps,
-    with the plan of the last tape's stages (``_sweep``). Adam's first step
-    allocates its moments ``m`` and ``v``; ``step_count`` counts the
-    steps.
+    ``_base`` + its size). It grows on first use: to the widest stage's
+    chunk of the store for a batch-size-1 step, to the whole store for a
+    pass that sums (``_sum_window``); either is kept across steps, with the
+    plan of the last tape's stages (``_sweep``). Adam's first step
+    allocates its moments ``m`` and ``v``, flat arrays laid out as
+    ``flat``; ``step_count`` counts the steps.
     """
 
     def __init__(self, layout: Layout, dtype):
@@ -976,17 +945,17 @@ class ParamStore(collections.abc.Mapping):
         self.flat = np.zeros(size, self.dtype)
         self._bounds = {name: (lo, lo + math.prod(shape))
                         for name, (lo, shape) in self.layout.items()}
-        self.grads: FlatArrays | None = None
         self.window: np.ndarray | None = None
         self._base = 0
         self._plan: _SweepPlan | None = None
         self._corrections = (1.0, 1.0)   # the current step's bc1, bc2
-        self.m: FlatArrays | None = None
-        self.v: FlatArrays | None = None
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
         self.step_count = 0
-        self._tensors = {name: Tensor(view, name=name, trainable=True)
-                         for name, view in
-                         FlatArrays(self.flat, self.layout).items()}
+        self._tensors = {name: Tensor(self.flat[lo:lo + math.prod(shape)]
+                                      .reshape(shape), name=name,
+                                      trainable=True)
+                         for name, (lo, shape) in self.layout.items()}
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
@@ -997,39 +966,22 @@ class ParamStore(collections.abc.Mapping):
     def __len__(self) -> int:
         return len(self._tensors)
 
-    def zeros(self) -> FlatArrays:
-        """A new zero-filled flat array with the store's layout."""
-        return FlatArrays(np.zeros(self.size, self.dtype), self.layout)
-
-    def enable_grad(self) -> FlatArrays:
-        """The gradient buffer: a window the size of the store, allocated on
-        the first call in place of any smaller one; from then on each
-        tensor's gradients collect in its view of it."""
-        if self.grads is None:
-            self.grads = self.zeros()
-            self.window, self._base = self.grads.flat, 0
-            for name, t in self._tensors.items():
-                t._grad_slot = self.grads[name]
-                t.grad = None
-        return self.grads
-
-    def gradients(self) -> FlatArrays:
-        """The gradient buffer holding the sum of the backward passes since
-        the last call (zeros where none reached); clears every tensor's
-        ``grad``, so the next pass starts a new sum."""
-        if self.grads is None:
-            raise ContractError("gradients are not enabled on this store")
-        for t in self._tensors.values():
+    def _sum_window(self) -> None:
+        """Grow the window to the whole store, and give each tensor without
+        a gradient its view of it, for a backward pass to add into."""
+        if self.window is None or self.window.size < self.size:
+            self.window, self._base = np.empty(self.size, self.dtype), 0
+        for name, t in self._tensors.items():
             if t.grad is None:
-                t._grad_slot.fill(0)
-            t.grad = None
-        return self.grads
+                lo, hi = self._bounds[name]
+                t._grad_slot = self.window[lo:hi].reshape(t.shape)
 
     def _open_step(self) -> None:
         """Count one Adam step and fix its bias corrections; the first
         allocates the moments, zeroed."""
         if self.m is None:
-            self.m, self.v = self.zeros(), self.zeros()
+            self.m = np.zeros(self.size, self.dtype)
+            self.v = np.zeros(self.size, self.dtype)
         self.step_count += 1
         t = self.step_count
         self._corrections = (1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t)
@@ -1051,34 +1003,26 @@ _ADAM_BLOCK = 1 << 16
 
 
 def adam_step(params: ParamStore, learning_rate: float,
-              span: tuple[int, int] | None = None) -> None:
+              span: tuple[int, int]) -> None:
     """One bias-corrected Adam update, in place, of the store elements
     [lo, hi) = ``span``, from their gradients in the store's window.
 
-    Without a span the call is a whole step: it counts the step in the
-    store's ``step_count`` (the first allocates the moments ``m`` and ``v``,
-    zeroed) and updates every element from a store-sized window. The
-    batch-size-1 sweep of ``Tape.gradients`` counts its step itself, then
-    calls this once per span it flushes. Per element: m = b1*m + (1-b1)*g,
-    v = b2*v + (1-b2)*(g*g), p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), with
-    the operations in that order, run block by block into reused scratch
-    instead of whole-array temporaries, so the bytes do not depend on how a
-    step is split. ``ContractError``, before anything is written, if
-    ``params`` is not a store or has no gradient window, if a whole step is
-    asked of a window smaller than the store, or if a span is reversed, is
-    not inside both the store and the window, or comes before any step.
+    The sweep of ``Tape.gradients`` counts its step in the store's
+    ``step_count`` (the first allocates the moments ``m`` and ``v``,
+    zeroed), then calls this once per span it flushes. Per element: m =
+    b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g), p -= lr * (m/bc1) /
+    (sqrt(v/bc2) + eps), with the operations in that order, run block by
+    block into reused scratch instead of whole-array temporaries, so the
+    bytes do not depend on how a step is split. ``ContractError``, before
+    anything is written, if ``params`` is not a store or has no gradient
+    window, or if the span is reversed, is not inside both the store and
+    the window, or comes before any step.
     """
     if not isinstance(params, ParamStore):
         raise ContractError("adam_step updates a ParamStore, got "
                             f"{type(params).__name__}")
     if params.window is None:
-        raise ContractError("gradients are not enabled on this store")
-    if span is None:
-        if params.grads is None:
-            raise ContractError("a whole Adam step needs a store-sized "
-                                "gradient window")
-        params._open_step()
-        span = (0, params.size)
+        raise ContractError("the store has no gradient window")
     lo, hi = span
     base, end = params._base, params._base + params.window.size
     if not base <= lo <= hi <= min(end, params.size):
@@ -1089,7 +1033,7 @@ def adam_step(params: ParamStore, learning_rate: float,
         raise ContractError("an Adam span before the store's first step")
     bc1, bc2 = params._corrections
     b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, learning_rate, ADAM_EPS
-    pf, mf, vf = params.flat[lo:hi], params.m.flat[lo:hi], params.v.flat[lo:hi]
+    pf, mf, vf = params.flat[lo:hi], params.m[lo:hi], params.v[lo:hi]
     gf = params.window[lo - base:hi - base]
     size = min(_ADAM_BLOCK, pf.size)
     g_tmp = np.empty(size, gf.dtype)              # (1-b1)*g, then (1-b2)*g*g
@@ -1129,8 +1073,8 @@ def fill_uniform(out: np.ndarray, bound: float,
 
 @dataclass
 class _SweepPlan:
-    """The batch-size-1 step of one tape's stages (see ``_sweep``), kept by
-    the store while the stages' store inputs repeat, as they do for every
+    """The Adam step of one tape's stages (see ``_sweep``), kept by the
+    store while the stages' store inputs repeat, as they do for every
     instance of a model: for each stage, in sweep order, the flush before
     it (None for none) and its store inputs' views of the window; then the
     last flush. A flush is (lo, hi, base, tensors): a span, the store
@@ -1143,33 +1087,32 @@ class _SweepPlan:
     last: tuple
 
 
-def _sweep(nodes, store: ParamStore, learning_rate: float) -> bool:
+def _sweep(nodes, store: ParamStore, learning_rate: float) -> None:
     """Run the tape's rules last-first, stage by stage, as one Adam step of
     ``store``, with its gradients in a window that need not hold the whole
-    store: LOMO's fused update (Lv et al. 2023), bit for bit. False, with
-    nothing touched, unless each stage's store inputs, read last-first, lie
-    below those of every stage read before it, as when the store is laid
-    out in forward order and the staged rules write one parameter per stage
-    (never when two stages share a tensor).
+    store: LOMO's fused update (Lv et al. 2023), bit for bit.
 
-    A stage with store inputs owns a chunk of the store, from its lowest
-    input up to the previous owner's chunk; the first chunk reaches the top
-    of the store and the last starts at 0 (one chunk if no stage owns one).
-    The window, reused across steps, holds the largest chunk or one
-    ``_ADAM_BLOCK``: at model widths the widest tensor. Before an owner's
-    stage runs, its store inputs get views of the window, after a flush of
-    the pending chunks if its own does not fit below them; the end of the
-    pass flushes the rest. The plan of flushes and views is built once per
-    sequence of stage inputs and kept in the store (``_SweepPlan``).
+    When each stage's store inputs, read last-first, lie below those of
+    every stage read before it, as when the store is laid out in forward
+    order and the staged rules write one parameter per stage, a stage with
+    store inputs owns a chunk of the store, from its lowest input up to the
+    previous owner's chunk; the first chunk reaches the top of the store
+    and the last starts at 0 (one chunk if no stage owns one). Otherwise
+    (two stages share a tensor) the whole store is one chunk. The window,
+    reused across steps, holds the largest chunk or one ``_ADAM_BLOCK``: at
+    model widths the widest tensor. Before an owner's stage runs, its store
+    inputs without a gradient get views of the window, after a flush of the
+    pending chunks if its own does not fit below them; the end of the pass
+    flushes the rest. A window that covers the store, as a pass that sums
+    leaves it, is never flushed before the end. The plan of flushes and
+    views is built once per sequence of stage inputs and kept in the store
+    (``_SweepPlan``).
     """
     key = [tuple(t for t in ins if t.trainable)
            for _, _, stages in reversed(nodes) for ins in stages]
     plan = store._plan
     if plan is None or plan.window is not store.window or plan.key != key:
-        plan = _plan_sweep(key, store)
-        if plan is None:
-            return False
-        store._plan = plan
+        plan = store._plan = _plan_sweep(key, store)
     store._open_step()
     steps = iter(plan.steps)
     for out, rule, stages in reversed(nodes):
@@ -1184,26 +1127,24 @@ def _sweep(nodes, store: ParamStore, learning_rate: float) -> bool:
             if run is not None:
                 next(run, None)
     _flush(store, learning_rate, plan.last)
-    return True
 
 
-def _plan_sweep(key: list, store: ParamStore) -> _SweepPlan | None:
+def _plan_sweep(key: list, store: ParamStore) -> _SweepPlan:
     """The ``_SweepPlan`` of stages whose trainable inputs are ``key``,
-    growing the store's window to its largest chunk; None, with nothing
-    touched, if the stages do not go down the store."""
+    growing the store's window to its largest chunk."""
     members, bounds = store._tensors, store._bounds
     owned, edges = [], [store.size]        # chunk bounds, top down
+    down = True
     for ins in key:
         ins = [t for t in ins if members.get(t.name) is t]
         if ins:
             spans = [bounds[t.name] for t in ins]    # disjoint, so tuple
-            if max(spans)[1] > edges[-1]:            # order is either end's
-                return None
+            down &= max(spans)[1] <= edges[-1]       # order is either end's
             edges.append(min(spans)[0])
         owned.append(ins)
     edges[1:] = edges[1:-1] + [0]          # the last chunk starts at 0
-    size = min(store.size, max(_ADAM_BLOCK, *(a - b for a, b in
-                                              zip(edges, edges[1:]))))
+    size = store.size if not down else min(store.size, max(
+        _ADAM_BLOCK, *(a - b for a, b in zip(edges, edges[1:]))))
     if store.window is None or store.window.size < size:
         store.window = np.empty(size, store.dtype)
     window, chunks = store.window, iter(zip(edges[1:], edges))
@@ -1319,9 +1260,10 @@ def _kink_crossed(recs_plus: list, recs_minus: list) -> bool:
 
 
 def grad_check(f: Callable[[], Tensor], store: ParamStore) -> GradCheckResult:
-    """Compare the gradients ``store`` collects from one new backward pass of
-    ``f()`` against central differences, element by element over
-    ``store.flat``, naming the worst element's tensor from its layout.
+    """Compare the gradients ``store`` sums in its window from one new
+    backward pass of ``f()``, zeros for a tensor it does not reach, against
+    central differences, element by element over ``store.flat``, naming the
+    worst element's tensor from its layout.
 
     ``f`` must rebuild its computation from the current parameter values on
     every call and be deterministic (fix any dropout outside of ``f``).
@@ -1330,12 +1272,16 @@ def grad_check(f: Callable[[], Tensor], store: ParamStore) -> GradCheckResult:
     treated as matching zeros, since there the central difference is pure
     float roundoff. Use a float64 store for tight tolerances.
     """
-    store.enable_grad()
-    store.gradients()          # drops what earlier passes left uncollected
+    for t in store.values():
+        t.grad = None          # drops what earlier passes left unstepped
     with Tape() as tape:
         loss = f()
-    tape.gradients(loss)
-    analytic = store.gradients().flat
+    tape.gradients(loss, store)
+    for t in store.values():
+        if t.grad is None:
+            t._grad_slot.fill(0)
+        t.grad = t._grad_slot = None
+    analytic = store.window
 
     flat, h = store.flat, GRAD_CHECK_STEP
     worst = 0.0
@@ -1428,8 +1374,8 @@ def load_checkpoint(path, into: Mapping[str, np.ndarray] | None = None
                     ) -> "collections.OrderedDict[str, np.ndarray]":
     """The tensors saved at ``path``, by name, as new arrays of their saved
     dtype; or, given ``into``, read straight into those arrays, whose names,
-    dtypes and shapes the file must list in order (else ``FormatError``
-    naming the first that differs, before any read). A name listed twice is
+    dtypes and shapes the file must list in order (else ``LayoutMismatch``,
+    a ``FormatError``, naming the first that differs, before any read). A name listed twice is
     an error."""
     with open(path, "rb") as fh:
         manifest = _header_fields(fh, path)
@@ -1480,8 +1426,8 @@ def load_checkpoint(path, into: Mapping[str, np.ndarray] | None = None
             for i, (got, want) in enumerate(itertools.zip_longest(
                     headers, wanted, fillvalue="nothing")):
                 if got != want:
-                    raise FormatError(f"{path}: tensor {i + 1} is {got}, "
-                                      f"expected {want}")
+                    raise LayoutMismatch(f"{path}: tensor {i + 1} is {got}, "
+                                         f"expected {want}")
         out = collections.OrderedDict()
         for name, dtype, shape in headers:
             stored = np.dtype(_DTYPE_TAGS[dtype])

@@ -371,15 +371,15 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
 
     Per epoch: seeded shuffle, one backward pass per instance and one Adam
     update per ``batch_size`` instances, made by the batch's last backward
-    pass (``Tape.gradients`` given the store). A larger batch sums its
-    gradients in the store's gradient buffer; at batch size 1 the store
-    keeps only a window with room for its widest layer's chunk, and the
-    backward pass updates the tensors in the window before it moves down
-    the store. An epoch whose dev F1 beats all earlier ones is saved to
-    best.ckpt at once, so a killed run keeps its best finished epoch;
-    without dev data (train-loss-only mode) every epoch is. The epoch's
-    metrics line comes after that save, so metrics.tsv never names an epoch
-    the run did not finish. Training data with no gold argument has a loss
+    pass (``Tape.gradients`` given the store and the learning rate). The
+    batch's earlier passes sum their gradients in a window that covers the
+    store; at batch size 1 the store keeps only a window with room for its
+    widest layer's chunk, and the backward pass updates the tensors in the
+    window before it moves down the store. An epoch whose dev F1 beats all
+    earlier ones is saved to best.ckpt at once, so a killed run keeps its
+    best finished epoch; without dev data (train-loss-only mode) every epoch
+    is. The epoch's metrics line comes after that save, so metrics.tsv
+    never names an epoch the run did not finish. Training data with no gold argument has a loss
     of 0 whatever the weights, dev data with none would score F1 0 every
     epoch, and an ``out_dir`` that already holds a run's files would mix two
     runs, so each is a ``ConfigError`` raised before anything is written,
@@ -418,8 +418,6 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
         logger.warning("no dev data: train-loss-only mode, selecting last epoch")
 
     store = model.store
-    if config.batch_size > 1:
-        store.enable_grad()          # where a batch sums its gradients
     history: list[EpochMetrics] = []
     best_f1 = -1.0
     best_epoch = -1
@@ -437,10 +435,8 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
                     with nm.Tape() as tape:
                         loss = model.instance_loss(
                             inst, graphs[inst.sentence_id], rng)
-                    if update:
-                        tape.gradients(loss, store, config.learning_rate)
-                    else:
-                        tape.gradients(loss)
+                    tape.gradients(loss, store, config.learning_rate
+                                   if update else None)
                 except NumericsError as err:
                     raise NumericsError(
                         f"epoch {epoch}, instance {idx}: {err}\nparameter "

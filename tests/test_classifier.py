@@ -10,6 +10,7 @@ from syngcn.errors import NumericsError
 
 from conftest import parse_text
 from test_conll import make_sentence
+from test_numerics import flat_of, grads_or_zeros
 
 
 @pytest.fixture()
@@ -120,7 +121,6 @@ class TestFusedHead:
         for name in store:
             store[name].data[...] = rng.uniform(-1, 1, store[name].shape)
         if leaves == "store":
-            store.enable_grad()
             return store["encoded"], classifier_params(store), store
         trained = {"plain": ("encoded", "cls.pair_transform", "cls.lemma",
                              "cls.role"),
@@ -142,10 +142,10 @@ class TestFusedHead:
             with nm.Tape() as tape:
                 logits = role_logits(encoded, p_row, 1, params)
                 loss = nm.cross_entropy_rows(logits, np.arange(37) % 3)
-            tape.gradients(loss)
+            tape.gradients(loss, store)
             outs.append(logits.data.tobytes())
         if store is not None:
-            return outs, [store.gradients().flat.tobytes()]
+            return outs, [flat_of(grads_or_zeros(store)).tobytes()]
         return outs, [None if t.grad is None else t.grad.tobytes()
                       for t in (encoded, params.pair_transform,
                                 params.lemma_table, params.role_table)]

@@ -431,13 +431,13 @@ def _non_utf8_config(tmp_path) -> str:
     return str(path)
 
 
-def _checkpoint_with_config(tmp_path, tiny_run, config: bytes) -> str:
-    """A copy of the trained run whose config.txt sidecar is ``config``."""
+def _checkpoint_with(tmp_path, tiny_run, sidecar: str, data: bytes) -> str:
+    """A copy of the trained run whose ``sidecar`` file holds ``data``."""
     run_dir = tmp_path / "model"
     run_dir.mkdir()
-    for name in ("lexicon.txt", "best.ckpt"):
+    for name in ("config.txt", "lexicon.txt", "best.ckpt"):
         (run_dir / name).write_bytes((tiny_run / name).read_bytes())
-    (run_dir / "config.txt").write_bytes(config)
+    (run_dir / sidecar).write_bytes(data)
     return str(run_dir / "best.ckpt")
 
 
@@ -461,7 +461,7 @@ def _cut(tmp_path, data) -> str:
 
 
 # fault -> (exit code, argv from the test's directory, the bundled data and
-# a trained run, then any file names the error line must hold), with the
+# a trained run, then any names the error line must hold), with the
 # fault put in place as the argv is built
 CLI_FAULTS = {
     "truncated --train": (1, lambda tmp, data, run: [
@@ -504,18 +504,35 @@ CLI_FAULTS = {
         "--train", data("overfit.conll"), "--out", str(tmp / "model")]),
     "non-UTF-8 config.txt sidecar": (1, lambda tmp, data, run: [
         "predict", "--test", data("overfit.conll"),
-        "--checkpoint", _checkpoint_with_config(tmp, run, NOT_UTF8_CONFIG),
+        "--checkpoint", _checkpoint_with(tmp, run, "config.txt",
+                                         NOT_UTF8_CONFIG),
         "--out", str(tmp / "p.conll")], "config.txt"),
     # the run wrote every field: a missing one is not read as its default
     "config.txt sidecar missing a line": (1, lambda tmp, data, run: [
         "predict", "--test", data("overfit.conll"),
-        "--checkpoint", _checkpoint_with_config(
-            tmp, run, _config_without(run, "gates_enabled")),
+        "--checkpoint", _checkpoint_with(
+            tmp, run, "config.txt", _config_without(run, "gates_enabled")),
         "--out", str(tmp / "p.conll")], "config.txt", "gates_enabled"),
     "empty config.txt sidecar": (1, lambda tmp, data, run: [
         "predict", "--test", data("overfit.conll"),
-        "--checkpoint", _checkpoint_with_config(tmp, run, b""),
+        "--checkpoint", _checkpoint_with(tmp, run, "config.txt", b""),
         "--out", str(tmp / "p.conll")], "config.txt", "d_w"),
+    # the checkpoint is whole: the error names the sidecars that set the
+    # shapes it was checked against
+    "lexicon.txt sidecar missing its last lines": (1, lambda tmp, data, run: [
+        "predict", "--test", data("overfit.conll"),
+        "--checkpoint", _checkpoint_with(
+            tmp, run, "lexicon.txt", b"".join((run / "lexicon.txt")
+                                              .read_bytes()
+                                              .splitlines(keepends=True)[:-3])),
+        "--out", str(tmp / "p.conll")], "best.ckpt", "config.txt",
+        "lexicon.txt"),
+    "gradcheck --seed -1": (1, lambda tmp, data, run: [
+        "gradcheck", "--seed", "-1"], "--seed"),
+    "gradcheck --tolerance nan": (1, lambda tmp, data, run: [
+        "gradcheck", "--tolerance", "nan"], "--tolerance"),
+    "gradcheck --tolerance -1": (1, lambda tmp, data, run: [
+        "gradcheck", "--tolerance", "-1"], "--tolerance"),
     "predict --out in a missing directory": (1, lambda tmp, data, run: [
         "predict", "--test", data("overfit.conll"),
         "--checkpoint", str(run / "best.ckpt"),

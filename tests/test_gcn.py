@@ -16,6 +16,7 @@ from syngcn.syngraph import (Direction, SyntacticGraph, build_graph,
 from conftest import parse_text
 from reference_ops import plain_gcn_layer
 from test_conll import make_sentence
+from test_numerics import flat_of, grads_or_zeros
 from test_syngraph import GRAPH_PATHS, built_graphs, by_direction, graph_of
 
 
@@ -433,10 +434,10 @@ ORACLE_GRAPHS = oracle_graphs()
 
 def run_layers(layer_fn, graph, depth, dtype, gates_enabled):
     """Output and gradients (every layer tensor and the input ``h``) of
-    sum(stack(h) @ proj) under ``layer_fn``, on weights fixed by seed. The
-    tensors are views of one store with gradients enabled, so the backward
-    pass writes into its buffer in place, as in training, and the gradients
-    are the buffer ``store.gradients()`` collects."""
+    sum(stack(h) @ proj) under ``layer_fn``, on weights fixed by seed, by
+    name. The tensors are views of one store, and the pass is given it, so
+    it writes into the store's gradient window in place, as in training; a
+    tensor it does not reach gets zeros."""
     rng = np.random.default_rng(41)
     m = 6
 
@@ -449,15 +450,14 @@ def run_layers(layer_fn, graph, depth, dtype, gates_enabled):
             -0.5, 0.5, layer.gate_label_bias.shape)
     h = store["h"]
     h.data[:] = rng.uniform(-1, 1, h.shape)
-    store.enable_grad()
     proj = nm.Tensor(rng.standard_normal((m, 1)), dtype=dtype)
     with nm.Tape() as tape:
         out = h
         for layer in stack.layers:
             out = layer_fn(out, graph, layer, gates_enabled)
         loss = nm.sum_all(out @ proj)
-    tape.gradients(loss)
-    return out.data, store.gradients()
+    tape.gradients(loss, store)
+    return out.data, grads_or_zeros(store)
 
 
 class TestFusedMatchesPerOp:
@@ -489,7 +489,7 @@ class TestFusedMatchesPerOp:
         assert got.tobytes() == want.tobytes()
         for key in want_grads:
             assert got_grads[key].tobytes() == want_grads[key].tobytes(), key
-        assert got_grads.flat.tobytes() == want_grads.flat.tobytes()
+        assert flat_of(got_grads).tobytes() == flat_of(want_grads).tobytes()
 
     @pytest.mark.parametrize("gates_enabled", [True, False])
     def test_direction_without_edges_gets_zero_gradient(self, gates_enabled):
@@ -529,8 +529,8 @@ class TestFusedMatchesPerOp:
                                       gates_enabled)
         assert got.tobytes() == want.tobytes()
         assert not got.any()
-        assert got_grads.flat.tobytes() == want_grads.flat.tobytes()
-        assert not got_grads.flat.any()
+        assert flat_of(got_grads).tobytes() == flat_of(want_grads).tobytes()
+        assert not flat_of(got_grads).any()
 
     @pytest.mark.parametrize("projection", [False, True])
     def test_one_tape_node_per_layer(self, projection):

@@ -263,29 +263,51 @@ def grads_or_zeros(params: dict) -> dict:
             for k, t in params.items()}
 
 
+def flat_of(arrays: dict) -> np.ndarray:
+    """The arrays end to end, in order: for a store's tensors, laid out as
+    ``store.flat``."""
+    return np.concatenate([a.reshape(-1) for a in arrays.values()])
+
+
+def named(store: nm.ParamStore, flat: np.ndarray) -> dict:
+    """``flat``, an array laid out as ``store.flat``, read by tensor name."""
+    return {k: flat[lo:lo + math.prod(shape)].reshape(shape)
+            for k, (lo, shape) in store.layout.items()}
+
+
 def store_of(dtype=np.float64, **arrays) -> nm.ParamStore:
     """A store holding one parameter per keyword, in order, filled with its
-    value, with the gradient buffer enabled."""
+    value."""
     store = nm.ParamStore([(name, np.shape(a)) for name, a in arrays.items()],
                           dtype)
     for name, a in arrays.items():
         store[name].data[...] = a
-    store.enable_grad()
     return store
+
+
+def step_on(store: nm.ParamStore, grads: dict, lr=0.01) -> None:
+    """One Adam step of ``store`` whose gradient is ``grads[name]`` for each
+    tensor named there and zero for the others: the step of the loss
+    sum(p * g) over them, whose gradient is g bit for bit."""
+    loss = nm.Tensor(np.zeros((), store.dtype))
+    with nm.Tape() as tape:
+        for k, g in grads.items():
+            loss = loss + nm.sum_all(nm.mul(store[k], nm.Tensor(
+                np.asarray(g, store.dtype))))
+    tape.gradients(loss, store, lr)
 
 
 class TestAdam:
     def test_zero_gradients_fixed_point(self):
         store = store_of(w=np.ones((2, 2)))
-        nm.adam_step(store, 0.01)
+        step_on(store, {})
         assert np.array_equal(store["w"].data, np.ones((2, 2)))
         assert store.step_count == 1
 
     def test_first_step_magnitude(self):
         # |update| = lr * g / (sqrt(g^2) + eps) ~= lr for g = 1
         store = store_of(w=np.full((3,), 5.0))
-        store.grads["w"][:] = 1.0
-        nm.adam_step(store, 0.01)
+        step_on(store, {"w": np.ones(3)})
         assert np.abs(store["w"].data - (5.0 - 0.01)).max() < 1e-8
 
     def test_quadratic_convergence_run(self):
@@ -293,8 +315,7 @@ class TestAdam:
         p = store["w"]
         ours = []
         for _ in range(100):
-            np.multiply(p.data, 2.0, out=store.grads["w"])
-            nm.adam_step(store, 0.01)
+            step_on(store, {"w": p.data * 2.0})
             ours.append(float(p.data[0]))
         want = reference_adam(1.0, lambda w: 2.0 * w, 100)
         assert np.abs(np.array(ours) - np.array(want)).max() < 1e-12
@@ -306,22 +327,27 @@ class TestAdam:
 
     def test_foreign_buffers_leave_the_state_alone(self):
         ours = store_of(w=np.ones(2))
-        nm.adam_step(ours, 0.01)
+        step_on(ours, {})
         m, v = ours.m, ours.v
         # a dict of tensors is not a store
         with pytest.raises(ContractError, match="ParamStore"):
-            nm.adam_step(dict(ours), 0.01)
+            nm.adam_step(dict(ours), 0.01, (0, 2))
         assert ours.step_count == 1
         assert ours.m is m and ours.v is v
 
     def test_store_without_gradients_is_refused(self):
         store = nm.ParamStore([("w", (2,))], np.float64)
-        with pytest.raises(ContractError, match="not enabled"):
-            nm.adam_step(store, 0.01)
+        with pytest.raises(ContractError, match="no gradient window"):
+            nm.adam_step(store, 0.01, (0, 2))
         assert store.step_count == 0 and store.m is None and store.v is None
 
     def test_span_before_the_first_step_is_refused(self):
+        # a pass that sums gives the store its window, but takes no step
         store = store_of(w=np.ones(3))
+        with nm.Tape() as tape:
+            loss = nm.sum_all(store["w"])
+        tape.gradients(loss, store)
+        assert store.window.size == store.size
         with pytest.raises(ContractError, match="first step"):
             nm.adam_step(store, 0.01, (0, 3))
         assert store.step_count == 0 and store.m is None
@@ -342,23 +368,20 @@ class TestAdam:
         for step in range(1, 6):
             grads = {k: (rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3))
                      .astype(dtype) for k, s in shapes.items()}
-            for k, g in grads.items():
-                np.copyto(store.grads[k], g)
-            nm.adam_step(store, 0.01)
+            step_on(store, grads)
             textbook_adam(p_ref, grads, m_ref, v_ref, step, 0.01)
         for k in shapes:
             assert store[k].data.tobytes() == p_ref[k].tobytes(), k
-            assert store.m[k].tobytes() == m_ref[k].tobytes(), k
-            assert store.v[k].tobytes() == v_ref[k].tobytes(), k
+            assert named(store, store.m)[k].tobytes() == m_ref[k].tobytes(), k
+            assert named(store, store.v)[k].tobytes() == v_ref[k].tobytes(), k
         assert store.step_count == 5
 
     def test_second_moment_nonnegative(self):
         store = store_of(w=np.ones(4))
         rng = np.random.default_rng(1)
         for _ in range(20):
-            store.grads["w"][:] = rng.standard_normal(4)
-            nm.adam_step(store, 0.01)
-        assert (store.v["w"] >= 0).all()
+            step_on(store, {"w": rng.standard_normal(4)})
+        assert (store.v >= 0).all()
 
 
 class TestParamStore:
@@ -377,7 +400,8 @@ class TestParamStore:
         # the table is gathered twice, with repeated rows, and w multiplied
         # twice, so both get a later contribution added to their first; on
         # even steps "dead" is used off the loss's path and "sometimes" not
-        # at all, so their views still hold the odd step's gradient
+        # at all, so a step must zero their slices of the window, which
+        # still hold the odd step's gradient
         e = nm.rows(p["table"], [0, 2, 2, 5]) + nm.rows(p["table"], [1, 2, 0, 0])
         fw, bw = (tuple(p[f"lstm.{side}.{k}"] for k in "wub")
                   for side in ("fw", "bw"))
@@ -390,10 +414,11 @@ class TestParamStore:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_steps_match_per_tensor_copies(self, dtype):
+        # w is read by the first node and the last, so the tape does not go
+        # down the store: each step sums in a window over the whole store
         start = self._start(dtype)
         store = store_of(dtype, **start)
         ours = dict(store)
-        grads = store.grads
         ref = {k: nm.Tensor(a.copy(), name=k, trainable=True)
                for k, a in start.items()}
         ref_m = {k: np.zeros_like(a) for k, a in start.items()}
@@ -402,9 +427,9 @@ class TestParamStore:
         for step in range(1, 5):
             with nm.Tape() as tape:
                 loss = self._loss(ours, x, step)
-            tape.gradients(loss)
-            store.gradients()
-            nm.adam_step(store, 0.01)
+            tape.gradients(loss, store, 0.01)
+            assert store.window.size == store.size
+            grads = named(store, store.window)
             assert not grads["unused"].any()
             assert grads["dead"].any() == grads["sometimes"].any() == step % 2
             assert all(t.grad is None for t in ours.values())
@@ -419,15 +444,17 @@ class TestParamStore:
                           grads_or_zeros(ref), ref_m, ref_v, step, 0.01)
             for k in start:
                 assert ours[k].data.tobytes() == ref[k].data.tobytes(), (step, k)
-                assert store.m[k].tobytes() == ref_m[k].tobytes(), (step, k)
-                assert store.v[k].tobytes() == ref_v[k].tobytes(), (step, k)
+                assert named(store, store.m)[k].tobytes() == \
+                    ref_m[k].tobytes(), (step, k)
+                assert named(store, store.v)[k].tobytes() == \
+                    ref_v[k].tobytes(), (step, k)
             assert store.step_count == step
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_passes_are_collected_as_their_sum(self, dtype):
         # step 1 reaches "dead" and "sometimes", step 2 neither; "unused" is
-        # reached by no pass, and the buffer starts dirty to show it is
-        # zero-filled, not left alone
+        # reached by no pass, and the window starts dirty to show that a
+        # pass writes a tensor's first gradient, not adds to what was there
         start = self._start(dtype)
         store = store_of(dtype, **start)
         ours = dict(store)
@@ -437,32 +464,34 @@ class TestParamStore:
             with nm.Tape() as tape:
                 loss = self._loss(ours, x, step)
             tape.gradients(loss)
-            separate.append(store.gradients().flat.copy())
-        store.grads.flat[:] = np.nan
+            separate.append({k: g.copy() for k, g in
+                             grads_or_zeros(ours).items()})
+            for t in ours.values():
+                t.grad = None
+        store.window = np.full(store.size, np.nan, dtype)
         for step in (1, 2):
             with nm.Tape() as tape:
                 loss = self._loss(ours, x, step)
-            tape.gradients(loss)
-            assert ours["w"].grad is store.grads["w"]
-        total = store.gradients()
-        assert total is store.grads
-        assert all(t.grad is None for t in ours.values())
-        summed = nm.FlatArrays(separate[0] + separate[1], store.layout)
+            tape.gradients(loss, store)
+        window = named(store, store.window)
+        assert store.window.size == store.size
+        for k, t in ours.items():
+            assert (t.grad is None) == (k == "unused"), k
+            if t.grad is not None:
+                assert np.shares_memory(t.grad, store.window)
+                assert t.grad.tobytes() == window[k].tobytes(), k
+        summed = {k: separate[0][k] + separate[1][k] for k in start}
         # a tensor with one contribution per pass gets the same sum bit for
         # bit; the table and w get two per pass, added one by one
         for k in [k for k in start if k.startswith("lstm.")] + ["dead",
                                                                "sometimes"]:
-            assert total[k].tobytes() == summed[k].tobytes(), k
-        np.testing.assert_allclose(total.flat, summed.flat,
-                                   rtol=1e-5 if dtype == np.float32 else 1e-12)
-        assert not total["unused"].any()
-        # nothing since the last collection: every view reads zero
-        assert not store.gradients().flat.any()
-
-    def test_gradients_need_enable_grad(self):
-        store = nm.ParamStore([("w", (2,))], np.float32)
-        with pytest.raises(ContractError, match="not enabled"):
-            store.gradients()
+            assert window[k].tobytes() == summed[k].tobytes(), k
+        reached = [k for k in start if k != "unused"]
+        np.testing.assert_allclose(
+            flat_of({k: window[k] for k in reached}),
+            flat_of({k: summed[k] for k in reached}),
+            rtol=1e-5 if dtype == np.float32 else 1e-12)
+        assert store.step_count == 0 and store.m is None
 
     def test_tensors_are_views_of_one_array(self):
         start = self._start(np.float32)
@@ -480,11 +509,19 @@ class TestParamStore:
         assert store.size == store.flat.size == lo
         assert store.flat.tobytes() == b"".join(
             a.tobytes() for a in start.values())
-        grads = store.enable_grad()
-        assert list(grads) == list(start)
-        assert grads.flat.shape == store.flat.shape
-        for k in start:
-            assert np.shares_memory(grads[k], grads.flat)
+        # a pass that sums gives each tensor the slice of the window its
+        # layout gives it in the store
+        with nm.Tape() as tape:
+            loss = nm.Tensor(np.zeros((), np.float32))
+            for k, t in store.items():
+                loss = loss + nm.sum_all(nm.mul(t, nm.Tensor(
+                    np.full(t.shape, store.layout[k][0], np.float32))))
+        tape.gradients(loss, store)
+        assert store.window.shape == store.flat.shape
+        for k, g in named(store, store.window).items():
+            assert store[k].grad.base is store.window
+            assert g.tobytes() == np.full(start[k].shape, store.layout[k][0],
+                                          np.float32).tobytes()
 
     def test_oversized_store_refused_before_allocating(self):
         layout = [("a", (1 << 14, 1 << 14)), ("b", (1,))]
@@ -512,8 +549,7 @@ class TestParamStore:
 
 class TestFusedAdamStep:
     """``Tape.gradients(loss, store, lr)``, the backward pass that is also the
-    store's Adam step, against the store-sized buffer collected and then
-    stepped."""
+    store's Adam step, against the textbook Adam on per-tensor copies."""
 
     LSTM = {f"lstm.{side}.{k}": shape for side in ("fw", "bw")
             for k, shape in zip("wub", [(4, 12), (3, 12), (1, 12)])}
@@ -546,59 +582,73 @@ class TestFusedAdamStep:
         return nm.sum_all(h) + nm.sum_all(x @ p["w"])
 
     @staticmethod
-    def _fused_against_buffer(monkeypatch, dtype, shapes, loss, x_shape,
-                              steps):
-        """Run ``steps`` steps of ``loss`` on two stores of ``shapes``; assert
-        each tensor's bytes, and its moments', equal after each, and return
-        the fused store and the spans its Adam calls took (None for a whole
-        step)."""
+    def _fused_against_reference(monkeypatch, dtype, shapes, loss, x_shape,
+                                 steps, passes=1, block=16):
+        """Run ``steps`` steps of ``loss`` on a store of ``shapes``, each made
+        by the last of ``passes`` backward passes (a tuple: per step), the
+        earlier ones given the store alone, and the textbook Adam on
+        per-tensor copies of it,
+        on the sum of each tensor's gradients over the passes; assert each
+        tensor's bytes, and its moments', equal after each step, and return
+        the store and the spans its Adam calls took."""
         rng = np.random.default_rng(8)
         start = {k: rng.uniform(-0.5, 0.5, s).astype(dtype)
                  for k, s in shapes.items()}
         x = nm.Tensor(rng.uniform(-1, 1, x_shape), dtype)
-        fused = nm.ParamStore([(k, a.shape) for k, a in start.items()], dtype)
-        for k, a in start.items():
-            fused[k].data[...] = a
-        buffered = store_of(dtype, **start)
-        # a block far below the store: the window holds the widest chunk only
-        monkeypatch.setattr(nm, "_ADAM_BLOCK", 16)
+        fused = store_of(dtype, **start)
+        ref = {k: nm.Tensor(a.copy(), name=k, trainable=True)
+               for k, a in start.items()}
+        ref_m = {k: np.zeros_like(a) for k, a in start.items()}
+        ref_v = {k: np.zeros_like(a) for k, a in start.items()}
+        # a block of 16, far below the store: the window holds the widest
+        # chunk only
+        monkeypatch.setattr(nm, "_ADAM_BLOCK", block)
         spans, adam_step = [], nm.adam_step
 
-        def recording_step(store, lr, span=None):
+        def recording_step(store, lr, span):
             spans.append(span)
             adam_step(store, lr, span)
 
         monkeypatch.setattr(nm, "adam_step", recording_step)
-        for step in range(1, steps + 1):
-            with nm.Tape() as tape:
-                got = loss(fused, x, step)
-            tape.gradients(got, fused, 0.01)
-            with nm.Tape() as tape:
-                want = loss(buffered, x, step)
-            tape.gradients(want)
-            buffered.gradients()
-            nm.adam_step(buffered, 0.01)
-            assert got.data.tobytes() == want.data.tobytes(), step
+        counts = passes if isinstance(passes, tuple) else (passes,) * steps
+        for step, passes in enumerate(counts, start=1):
+            for t in ref.values():
+                t.grad = None
+            for i in range(passes):
+                with nm.Tape() as tape:
+                    got = loss(fused, x, step + i)
+                tape.gradients(got, fused, 0.01 if i == passes - 1 else None)
+                with nm.Tape() as tape:
+                    want = loss(ref, x, step + i)
+                tape.gradients(want)
+                assert got.data.tobytes() == want.data.tobytes(), (step, i)
+            textbook_adam({k: t.data for k, t in ref.items()},
+                          grads_or_zeros(ref), ref_m, ref_v, step, 0.01)
             for k in shapes:
-                for a, b in [(fused[k].data, buffered[k].data),
-                             (fused.m[k], buffered.m[k]),
-                             (fused.v[k], buffered.v[k])]:
+                for a, b in [(fused[k].data, ref[k].data),
+                             (named(fused, fused.m)[k], ref_m[k]),
+                             (named(fused, fused.v)[k], ref_v[k])]:
                     assert a.tobytes() == b.tobytes(), (step, k)
-            assert fused.step_count == buffered.step_count == step
+            assert fused.step_count == step
             assert all(t.grad is None for t in fused.values())
         return fused, spans
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_tensor_fed_to_two_nodes_gets_its_summed_gradient(
             self, monkeypatch, dtype):
-        # the tape does not go down the store, so the step falls back to the
-        # store-sized buffer, which sums w's two gradients, and a whole
-        # step, as a batch update takes
-        store, spans = self._fused_against_buffer(
-            monkeypatch, dtype, {"w": (3, 4), **self.LSTM},
-            self._shared_loss, (5, 3), 3)
-        assert store.grads is not None and store.window is store.grads.flat
-        assert spans == [None, None] * 3
+        # the tape does not go down the store, so the whole store is one
+        # chunk, summed in a window that covers it and flushed at the end,
+        # with w at the bottom of the store or at its top (where a flush
+        # before the last node would take it), and a block below the store
+        # or above it
+        for shapes in ({"w": (3, 4), **self.LSTM}, {**self.LSTM, "w": (3, 4)}):
+            for block in (16, 1 << 16):
+                with monkeypatch.context() as patched:
+                    store, spans = self._fused_against_reference(
+                        patched, dtype, shapes, self._shared_loss, (5, 3), 3,
+                        block=block)
+                assert store.window.size == store.size
+                assert spans == [(0, store.size)] * 3
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_tensor_reached_one_step_and_not_the_next(self, monkeypatch,
@@ -606,102 +656,114 @@ class TestFusedAdamStep:
         # "sometimes" is consumed on odd steps only, "dead" by a node that
         # the loss reaches on odd steps only, "unused" never: each gets a
         # zero gradient when nothing reaches it
-        store, spans = self._fused_against_buffer(
+        store, spans = self._fused_against_reference(
             monkeypatch, dtype, self.SWEPT, self._swept_loss, (6, 2), 4)
-        assert store.grads is None
         # each BiLSTM stage owns one tensor's chunk (its first also "unused",
         # below "dead"): the widest holds a direction's w
         assert (store.window.size, store.size) == (48, 255)
         # per step, from the top: "sometimes", "dead" and the bw x-and-b
         # stage's chunk when bw u does not fit below them, then one span per
-        # stage down to w and the table at the end; the buffered store's
-        # whole step after them
+        # stage down to w and the table at the end
         assert spans == [(230, 255), (194, 230), (146, 194), (98, 146),
-                         (50, 98), (30, 50), (0, 30), None] * 4
+                         (50, 98), (30, 50), (0, 30)] * 4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_passes_with_the_store_then_a_step_match_reference(
+            self, monkeypatch, dtype):
+        # after one step through a window with room for the widest chunk,
+        # two passes given the store alone, then one given the learning
+        # rate, per step: the first pass grows the window to cover the
+        # store, so each step flushes it once, at its end, on the three
+        # passes' sum; "unused", which no pass reaches, steps on zeros
+        store, spans = self._fused_against_reference(
+            monkeypatch, dtype, self.SWEPT, self._swept_loss, (6, 2), 3,
+            passes=(1, 3, 3))
+        assert store.window.size == store.size
+        assert spans == [(230, 255), (194, 230), (146, 194), (98, 146),
+                         (50, 98), (30, 50), (0, 30)] + [(0, store.size)] * 2
 
     def test_loss_reaching_no_store_tensor_steps_on_zeros(self, monkeypatch):
         def loss(p, x, step):
             free = nm.Tensor(np.ones(x.shape, x.dtype), trainable=True)
             return nm.sum_all(nm.mul(free, x))
 
-        store, spans = self._fused_against_buffer(
+        store, spans = self._fused_against_reference(
             monkeypatch, np.float64, self.SWEPT, loss, (6, 2), 2)
-        assert store.grads is None and store.window.size == store.size
-        assert spans == [(0, 255), None] * 2
+        assert store.window.size == store.size
+        assert spans == [(0, 255)] * 2
 
     def test_tensors_below_every_input_join_the_last_chunk(self,
                                                            monkeypatch):
         # no node reads "below": the table's chunk reaches down over it, so
         # the window has room for both
-        store, spans = self._fused_against_buffer(
+        store, spans = self._fused_against_reference(
             monkeypatch, np.float32, {"below": (10, 20), **self.SWEPT},
             self._swept_loss, (6, 2), 2)
         assert (store.window.size, store.size) == (230, 455)
-        assert spans == [(230, 455), (0, 230), None] * 2
+        assert spans == [(230, 455), (0, 230)] * 2
 
     def test_gradient_left_by_a_pass_without_the_store_is_stepped(
             self, monkeypatch):
         # the first pass leaves its gradients in the tensors' grads, the
-        # second adds to them and steps on the sum, as the buffer sums both
+        # second adds to them and steps on the sum
         monkeypatch.setattr(nm, "_ADAM_BLOCK", 16)
         rng = np.random.default_rng(5)
         start = {k: rng.uniform(-0.5, 0.5, s) for k, s in self.SWEPT.items()}
-        fused = nm.ParamStore(self.SWEPT.items(), np.float64)
-        for k, a in start.items():
-            fused[k].data[...] = a
-        buffered = store_of(np.float64, **start)
+        fused = store_of(np.float64, **start)
+        ref = {k: nm.Tensor(a.copy(), name=k, trainable=True)
+               for k, a in start.items()}
         x = nm.Tensor(rng.uniform(-1, 1, (6, 2)))
-        for store, last in [(fused, (fused, 0.01)), (buffered, ())]:
+        for params, last in [(fused, (fused, 0.01)), (ref, ())]:
             for step, args in [(1, ()), (2, last)]:
                 with nm.Tape() as tape:
-                    loss = self._swept_loss(store, x, step)
+                    loss = self._swept_loss(params, x, step)
                 tape.gradients(loss, *args)
-        buffered.gradients()
-        nm.adam_step(buffered, 0.01)
-        assert fused.grads is None and fused.window.size < fused.size
+        ref_m = {k: np.zeros_like(a) for k, a in start.items()}
+        ref_v = {k: np.zeros_like(a) for k, a in start.items()}
+        textbook_adam({k: t.data for k, t in ref.items()},
+                      grads_or_zeros(ref), ref_m, ref_v, 1, 0.01)
+        assert fused.window.size < fused.size
         for k in self.SWEPT:
-            assert fused[k].data.tobytes() == buffered[k].data.tobytes(), k
-            assert fused.m[k].tobytes() == buffered.m[k].tobytes(), k
-            assert fused.v[k].tobytes() == buffered.v[k].tobytes(), k
+            assert fused[k].data.tobytes() == ref[k].data.tobytes(), k
+            assert named(fused, fused.m)[k].tobytes() == ref_m[k].tobytes(), k
+            assert named(fused, fused.v)[k].tobytes() == ref_v[k].tobytes(), k
         assert all(t.grad is None for t in fused.values())
 
     def test_window_is_reused_across_steps(self, monkeypatch):
-        store, _ = self._fused_against_buffer(
+        store, _ = self._fused_against_reference(
             monkeypatch, np.float32, self.SWEPT, self._swept_loss, (6, 2), 1)
         window = store.window
         x = nm.Tensor(np.ones((6, 2), np.float32))
         with nm.Tape() as tape:
             loss = self._swept_loss(store, x, 2)
         tape.gradients(loss, store, 0.01)
-        assert store.window is window and store.grads is None
+        assert store.window is window
 
     def test_a_step_needs_a_learning_rate_with_the_store(self):
         store = store_of(w=np.ones((1, 2)))
-        for args in [(store,), (None, 0.01)]:
-            with nm.Tape() as tape:
-                loss = nm.sum_all(store["w"])
-            with pytest.raises(ContractError, match="store and a learning"):
-                tape.gradients(loss, *args)
-        assert store.step_count == 0
-
-    def test_whole_step_refused_on_a_small_window(self, monkeypatch):
-        store = self._swept_store(monkeypatch)
-        with pytest.raises(ContractError, match="store-sized"):
-            nm.adam_step(store, 0.01)
-        assert store.step_count == 1
+        with nm.Tape() as tape:
+            loss = nm.sum_all(store["w"])
+        with pytest.raises(ContractError, match="store and a learning"):
+            tape.gradients(loss, None, 0.01)
+        assert store.step_count == 0 and store.window is None
+        # the store alone is a pass that sums in its window, not a step
+        tape.gradients(loss, store)
+        assert store.step_count == 0 and store.m is None
+        assert np.shares_memory(store["w"].grad, store.window)
+        assert store["w"].grad.tobytes() == np.ones((1, 2)).tobytes()
 
     def test_span_refused_outside_the_window_before_any_write(
             self, monkeypatch):
         store = self._swept_store(monkeypatch)
         # the last flush leaves the window over [0, 48) of the store
         assert (store._base, store.window.size, store.size) == (0, 48, 255)
-        before = [a.tobytes() for a in (store.flat, store.m.flat,
-                                        store.v.flat, store.window)]
+        before = [a.tobytes() for a in (store.flat, store.m, store.v,
+                                        store.window)]
         for span in [(47, 49), (40, 39), (-1, 2), (250, 256)]:
             with pytest.raises(ContractError, match="not inside"):
                 nm.adam_step(store, 0.01, span)
-        assert [a.tobytes() for a in (store.flat, store.m.flat,
-                                      store.v.flat, store.window)] == before
+        assert [a.tobytes() for a in (store.flat, store.m, store.v,
+                                      store.window)] == before
         assert store.step_count == 1
 
     def _swept_store(self, monkeypatch):
@@ -712,7 +774,7 @@ class TestFusedAdamStep:
         with nm.Tape() as tape:
             loss = self._swept_loss(store, x, 1)
         tape.gradients(loss, store, 0.01)
-        assert store.grads is None and store.window.size < store.size
+        assert store.window.size < store.size
         return store
 
 
@@ -788,6 +850,20 @@ class TestGradCheck:
         assert result.checked == 3
         # checking gradients never steps the store, so it gets no moments
         assert (store.m, store.v, store.step_count) == (None, None, 0)
+
+    def test_tensor_the_pass_misses_reads_zero(self):
+        # an earlier pass left a gradient for "unused" in the window; the
+        # check drops it, and its own pass does not reach "unused"
+        store = store_of(w=np.array([[0.4, -1.3]]), unused=np.ones(3))
+        w, unused = store["w"], store["unused"]
+        with nm.Tape() as tape:
+            loss = nm.sum_all(unused * unused)
+        tape.gradients(loss, store)
+        result = nm.grad_check(lambda: nm.sum_all(w * w), store)
+        assert (result.checked, result.skipped) == (5, 0)
+        assert result.max_rel_err < 1e-8
+        assert named(store, store.window)["unused"].tobytes() == \
+            np.zeros(3).tobytes()
 
     def test_kink_entries_skipped_and_counted(self):
         store = store_of(x=np.array([[-1.0, 2.0, 1e-5, -5e-5, 0.5]]))
@@ -973,9 +1049,7 @@ class TestDeterminism:
             with nm.Tape() as tape:
                 diff = w - target
                 loss = nm.sum_all(diff * diff)
-            tape.gradients(loss)
-            store.gradients()
-            nm.adam_step(store, 0.05)
+            tape.gradients(loss, store, 0.05)
         return w.data.tobytes()
 
     def test_same_seed_bitwise_identical(self):

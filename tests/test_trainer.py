@@ -19,7 +19,8 @@ from syngcn.trainer import (SrlModel, TrainConfig, load_config, make_instances,
 
 from conftest import parse_text, small_config
 from test_conll import make_sentence
-from test_numerics import grads_or_zeros, textbook_adam
+from test_numerics import (flat_of, grads_or_zeros, named, step_on,
+                          textbook_adam)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -273,16 +274,12 @@ class TestModel:
         model, lex = tiny_model(overfit_sentences, edge_dropout=0.0,
                                 learning_rate=0.005)
         inst = make_instances(overfit_sentences, lex)[0]
-        store = model.store
-        store.enable_grad()
         losses = []
         for _ in range(11):
             with nm.Tape() as tape:
                 loss = model.instance_loss(inst)
             losses.append(float(loss.data))
-            tape.gradients(loss)
-            store.gradients()
-            nm.adam_step(store, 0.005)
+            tape.gradients(loss, model.store, 0.005)
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     @pytest.mark.parametrize("layers,want", [
@@ -501,7 +498,7 @@ class TestFlatStore:
             monkeypatch.setattr(nm, "_ADAM_BLOCK", block)
         spans, adam_step = [], nm.adam_step
 
-        def recording_step(store, lr, span=None):
+        def recording_step(store, lr, span):
             spans.append(span)
             adam_step(store, lr, span)
 
@@ -517,16 +514,14 @@ class TestFlatStore:
             assert saved[name].tobytes() == t.data.tobytes(), name
         per_epoch = len(make_instances(sentences, build_lexicon(sentences)))
         steps = cfg.epochs * -(-per_epoch // cfg.batch_size)
-        if cfg.batch_size > 1:
-            # one whole step per update, from the store-sized buffer
-            assert spans == [None] * steps
-        elif block is None:
-            # the store fits in one block, and so the window: one span over
-            # the store per step
+        if cfg.batch_size > 1 or block is None:
+            # a batch's first pass makes the window cover the store, and
+            # without a small block the store fits in one block, and so the
+            # window: one span over the store per step
             assert spans == [(0, ref.store.size)] * steps
         else:
             # every step flushes the window more than once
-            assert None not in spans and len(spans) >= 3 * steps
+            assert len(spans) >= 3 * steps
 
     @pytest.mark.parametrize("overrides, want", [
         ({}, ["cls", "embed", "gcn.0", "lstm.0"]),
@@ -538,8 +533,8 @@ class TestFlatStore:
     ], ids=["J1 K1", "J0", "K0", "K2", "ungated", "float64"])
     def test_batch_size_one_keeps_no_store_sized_gradient(
             self, overfit_sentences, tmp_path, monkeypatch, overrides, want):
-        # every model tape goes down the store, so no step falls back to a
-        # store-sized buffer: the window has room for the widest stage's
+        # every model tape goes down the store, so no step takes the whole
+        # store as one chunk: the window has room for the widest stage's
         # chunk, less than the widest module and the store, and is the same
         # array at every step. A stage's chunk is one tensor of a BiLSTM
         # layer, one direction's GCN weights or the input projection, or a
@@ -548,15 +543,15 @@ class TestFlatStore:
         monkeypatch.setattr(nm, "_ADAM_BLOCK", self.SMALL_BLOCK)
         seen, adam_step = [], nm.adam_step
 
-        def recording_step(store, lr, span=None):
-            seen.append((store, store.grads, store.window))
+        def recording_step(store, lr, span):
+            seen.append((store, store.window))
             adam_step(store, lr, span)
 
         monkeypatch.setattr(nm, "adam_step", recording_step)
         cfg = small_config(d_w=8, d_pos=4, d_l=8, d_h=8, d_r=8, d_l_out=8,
                            epochs=2, **overrides)
         train(overfit_sentences[:8], None, cfg, tmp_path / "run")
-        store, _, window = seen[0]
+        store, window = seen[0]
         modules = {}
         for name, (lo, shape) in store.layout.items():
             parts = name.split(".")
@@ -570,8 +565,7 @@ class TestFlatStore:
         chunks = [b - a for a, b in zip(starts, starts[1:])]
         assert window.size == max(self.SMALL_BLOCK, *chunks)
         assert window.size < max(modules.values()) < store.size
-        assert all(s is store and g is None and w is window
-                   for s, g, w in seen)
+        assert all(s is store and w is window for s, w in seen)
 
     # widths at which no stage's chunk fits in the window beside the next
     # stage's (a BiLSTM layer's input is as wide as d_h), so that with a
@@ -594,7 +588,7 @@ class TestFlatStore:
         monkeypatch.setattr(nm, "_ADAM_BLOCK", 1)
         spans, adam_step = [], nm.adam_step
 
-        def recording_step(store, lr, span=None):
+        def recording_step(store, lr, span):
             spans.append(span)
             adam_step(store, lr, span)
 
@@ -613,7 +607,7 @@ class TestFlatStore:
         # head and the top BiLSTM stage, share one
         steps = cfg.epochs * len(make_instances(sentences,
                                                 build_lexicon(sentences)))
-        assert None not in spans and len(spans) == spans_per_step * steps
+        assert len(spans) == spans_per_step * steps
 
     def test_real_block_splits_the_window(self, overfit_sentences):
         # English widths at d_h = 128: a BiLSTM layer's w, and others, are
@@ -621,29 +615,36 @@ class TestFlatStore:
         cfg = dataclasses.replace(
             load_config(CONFIGS / "conll2009_english.conf"), d_h=128)
         lexicon = build_lexicon(overfit_sentences[:8])
-        fused, buffered = (SrlModel(cfg, lexicon, np.random.default_rng(3))
-                           for _ in range(2))
-        buffered.store.enable_grad()
+        fused, ref = (SrlModel(cfg, lexicon, np.random.default_rng(3))
+                      for _ in range(2))
+        params = dict(ref.store)
+        for t in params.values():
+            t.data = t.data.copy()
+        m = {k: np.zeros_like(t.data) for k, t in params.items()}
+        v = {k: np.zeros_like(t.data) for k, t in params.items()}
         insts = make_instances(overfit_sentences[:8], lexicon)[:2]
-        for inst in insts:
+        for step, inst in enumerate(insts, start=1):
             graph = build_graph(inst.sentence, lexicon)
-            for model in (fused, buffered):
-                with nm.Tape() as tape:
-                    loss = model.instance_loss(inst, graph,
-                                               np.random.default_rng(0))
-                if model is fused:
-                    tape.gradients(loss, model.store, cfg.learning_rate)
-                else:
-                    tape.gradients(loss)
-                    model.store.gradients()
-                    nm.adam_step(model.store, cfg.learning_rate)
-            for a, b in [(fused.store.flat, buffered.store.flat),
-                         (fused.store.m.flat, buffered.store.m.flat),
-                         (fused.store.v.flat, buffered.store.v.flat)]:
-                assert a.tobytes() == b.tobytes()
+            with nm.Tape() as tape:
+                loss = fused.instance_loss(inst, graph,
+                                           np.random.default_rng(0))
+            tape.gradients(loss, fused.store, cfg.learning_rate)
+            for t in params.values():
+                t.grad = None
+            with nm.Tape() as tape:
+                loss = ref.instance_loss(inst, graph, np.random.default_rng(0))
+            tape.gradients(loss)
+            textbook_adam({k: t.data for k, t in params.items()},
+                          grads_or_zeros(params), m, v, step,
+                          cfg.learning_rate)
+            fused_m, fused_v = (named(fused.store, a)
+                                for a in (fused.store.m, fused.store.v))
+            for k, t in params.items():
+                assert fused.store[k].data.tobytes() == t.data.tobytes(), k
+                assert fused_m[k].tobytes() == m[k].tobytes(), k
+                assert fused_v[k].tobytes() == v[k].tobytes(), k
         widest = max(math.prod(shape) for _, shape in
                      fused.store.layout.values())
-        assert fused.store.grads is None
         assert fused.store.window.size == widest > nm._ADAM_BLOCK
 
     def test_gradcheck_model_steps_match_reference(self):
@@ -654,13 +655,10 @@ class TestFlatStore:
             t.data = t.data.copy()
         m = {k: np.zeros_like(t.data) for k, t in params.items()}
         v = {k: np.zeros_like(t.data) for k, t in params.items()}
-        grads = model.store.enable_grad()
         for step in range(1, 4):
             with nm.Tape() as tape:
                 loss = model.instance_loss(instance)
-            tape.gradients(loss)
-            model.store.gradients()
-            nm.adam_step(model.store, 0.01)
+            tape.gradients(loss, model.store, 0.01)
             for t in params.values():
                 t.grad = None
             with nm.Tape() as tape:
@@ -670,7 +668,24 @@ class TestFlatStore:
                           grads_or_zeros(params), m, v, step, 0.01)
             for k, t in params.items():
                 assert model.store[k].data.tobytes() == t.data.tobytes(), k
-                assert grads[k].dtype == np.float64
+        assert model.store.window.dtype == model.store.m.dtype == np.float64
+
+    def test_gradcheck_reads_what_a_pass_without_the_store_leaves(self):
+        # grad_check sums its pass in the store's window and reads it there,
+        # zeros for a tensor the pass does not reach; a pass without the
+        # store leaves the same gradients in the tensors' own grads
+        model, instance = fixtures.gradcheck_model()
+        store = model.store
+        result = nm.grad_check(lambda: model.instance_loss(instance), store)
+        assert (result.checked, result.skipped) == (819, 33)
+        assert all(t.grad is None for t in store.values())
+        analytic = store.window.copy()
+        with nm.Tape() as tape:
+            loss = model.instance_loss(instance)
+        tape.gradients(loss)
+        assert not any(np.shares_memory(t.grad, store.window)
+                       for t in store.values() if t.grad is not None)
+        assert flat_of(grads_or_zeros(store)).tobytes() == analytic.tobytes()
 
     def test_desk_batch_of_two_matches_reference(self, overfit_sentences,
                                                  tmp_path):
@@ -697,13 +712,12 @@ class TestFlatStore:
             for a, b in zip(want.get(*key), got.get(*key)):
                 assert a.tobytes() == b.tobytes()
         # prediction leaves the store without gradients or Adam moments
-        assert (loaded.store.grads, loaded.store.m, loaded.store.v) == \
+        assert (loaded.store.window, loaded.store.m, loaded.store.v) == \
             (None, None, None)
         # an update of the store moves the model's own tensors
         before = {k: t.data.copy() for k, t in loaded.parameters().items()}
-        grads = loaded.store.enable_grad()
-        grads.flat.fill(1.0)
-        nm.adam_step(loaded.store, 0.01)
+        step_on(loaded.store, {k: np.ones(t.shape)
+                               for k, t in loaded.store.items()})
         for name, t in loaded.parameters().items():
             assert np.array_equal(t.data, before[name]) != t.trainable, name
 
@@ -857,7 +871,7 @@ class TestTrainLoop:
         if kill == "update":
             adam_step = nm.adam_step
 
-            def dying_step(store, lr, span=None):
+            def dying_step(store, lr, span):
                 # the store fits in one Adam block: one call per step
                 nonlocal calls
                 calls += 1
