@@ -6,7 +6,7 @@ autodiff (:mod:`syngcn.numerics`); see the README and demos/ for tours.
 """
 
 from . import (bilstm, classifier, cli, conll, embedder, evaluator, fixtures,
-               gcn, numerics, syngraph, trainer)
+               gcn, numerics, syngraph, trainer, workers)
 from .conll import Lexicon, Sentence, Token, build_lexicon, parse_conll, write_conll
 from .numerics import Tape, Tensor, adam_step, grad_check
 from .trainer import SrlModel, TrainConfig, train
@@ -17,5 +17,6 @@ __all__ = [
     "Lexicon", "Sentence", "SrlModel", "Tape", "Tensor", "Token",
     "TrainConfig", "adam_step", "bilstm", "build_lexicon", "classifier",
     "cli", "conll", "embedder", "evaluator", "fixtures", "gcn", "grad_check",
-    "numerics", "parse_conll", "syngraph", "train", "trainer", "write_conll",
+    "numerics", "parse_conll", "syngraph", "train", "trainer", "workers",
+    "write_conll",
 ]

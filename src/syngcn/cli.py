@@ -226,6 +226,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    if args.min_count < 0:
+        raise ConfigError(f"--min-count {args.min_count}: the count must be "
+                          f">= 0")
     _check_out(args.out, directory=True)
     sentences = parse_conll_file(args.test,
                                  use_gold_syntax=args.use_gold_syntax)

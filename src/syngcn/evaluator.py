@@ -96,11 +96,9 @@ def _batches(instances: list, budget: int):
 
 
 def predict_corpus(model: SrlModel, sentences: list[Sentence],
-                   graph_transform=None,
-                   token_budget: int | None = None) -> PredictionSet:
+                   graph_transform=None) -> PredictionSet:
     """Run inference over every predicate instance of ``sentences``, in
-    corpus-order batches of at most ``token_budget`` tokens (default
-    ``PREDICT_TOKEN_BUDGET``; 1 scores each instance alone).
+    corpus-order batches of at most ``PREDICT_TOKEN_BUDGET`` tokens.
 
     ``graph_transform`` maps a built graph to the one actually used (the
     relation-ablation hook). A model without a GCN (K = 0) gets no graphs.
@@ -114,9 +112,7 @@ def predict_corpus(model: SrlModel, sentences: list[Sentence],
             if graph_transform is not None:
                 g = graph_transform(g)
             graphs[inst.sentence_id] = g
-    if token_budget is None:
-        token_budget = PREDICT_TOKEN_BUDGET
-    for batch in _batches(instances, token_budget):
+    for batch in _batches(instances, PREDICT_TOKEN_BUDGET):
         results = model.predict(batch, [graphs.get(i.sentence_id)
                                         for i in batch])
         for inst, (role_ids, dists) in zip(batch, results):

@@ -25,8 +25,10 @@ backward pass adds a leaf's gradients into its view of the window in place
 the store and a learning rate: the layers' rules run in stages that write
 one parameter each (or a few small ones) and reach the store top down, as
 it is laid out in forward order, so the window need only hold the widest
-stage's chunk of the store, at model widths the widest tensor, flushed into
-``adam_step`` span by span as the pass goes down. A pass given the store
+stage's chunk of the store, flushed into ``adam_step`` span by span as the
+pass goes down; a weight whose gradient is one product takes no room in it
+where ``adam_step`` computes that product block by block (``_sweep``). A
+pass given the store
 alone (a batch's earlier instances, ``grad_check``) sums into a window over
 the whole store, which the next step flushes at its end. The store is the
 one registry of a model's trainable tensors and the one thing ``adam_step``
@@ -41,6 +43,7 @@ from __future__ import annotations
 import collections
 import collections.abc
 import contextlib
+import functools
 import itertools
 import math
 import os
@@ -50,6 +53,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import workers
 from .errors import (ConfigError, ContractError, FormatError, LayoutMismatch,
                      NumericsError, ShapeError)
 
@@ -69,7 +73,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "name", "trainable", "_needs_grad",
-                 "_grad_slot")
+                 "_grad_slot", "_step")
 
     def __init__(self, data, dtype=None, name: str | None = None,
                  trainable: bool = False):
@@ -86,6 +90,9 @@ class Tensor:
         self.trainable = trainable
         self._needs_grad = trainable
         self._grad_slot: np.ndarray | None = None
+        # (store, learning rate) while a fused stage of an Adam step waits
+        # for this store leaf's gradient product (``_sweep``)
+        self._step: tuple | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -132,21 +139,24 @@ _RELU_PROBE: list | None = None
 
 
 class Tape:
-    """Ordered record of (output, backward rule, stages) triples, one per
-    recorded op.
+    """Ordered record of (output, backward rule, stages, products) tuples,
+    one per recorded op.
 
     A rule runs in one or more stages, each listed as the tensors it writes
     gradients into: a plain rule is one stage writing all of the op's
     inputs; a staged rule is a generator that yields between its stages
     (``_stages``), so that an Adam step can flush each parameter's gradient
-    into Adam before the next stage (``_sweep``). One tape per
-    backward pass; construction and backward are single-threaded.
-    ``gradients`` may run once.
+    into Adam before the next stage (``_sweep``). ``products`` lists the
+    inputs whose whole gradient is one ``_accumulate_product``, the last
+    term of their stage, so that an Adam step can take it block by block
+    from the product. One tape per backward pass; construction and backward
+    run on one thread. ``gradients`` may run once.
     """
 
     def __init__(self):
         self._nodes: list[tuple[Tensor, Callable, tuple[tuple[Tensor, ...],
-                                                        ...]]] = []
+                                                        ...],
+                                tuple[Tensor, ...]]] = []
         self._spent = False
 
     def __enter__(self) -> "Tape":
@@ -162,8 +172,9 @@ class Tape:
         return False
 
     def _record(self, out: Tensor, backward: Callable,
-                stages: tuple[tuple[Tensor, ...], ...]) -> None:
-        self._nodes.append((out, backward, stages))
+                stages: tuple[tuple[Tensor, ...], ...],
+                products: tuple[Tensor, ...]) -> None:
+        self._nodes.append((out, backward, stages, products))
 
     def gradients(self, loss: Tensor, store: "ParamStore | None" = None,
                   learning_rate: float | None = None) -> None:
@@ -190,7 +201,7 @@ class Tape:
             return
         if store is not None:
             store._sum_window()
-        for out, rule, _ in reversed(self._nodes):
+        for out, rule, _, _ in reversed(self._nodes):
             if out.grad is not None:
                 for _ in _stages(rule, out.grad):
                     pass
@@ -216,15 +227,16 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 
 def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...], op: str,
           backward: Callable, stages: tuple[tuple[Tensor, ...], ...] | None
-          = None) -> Tensor:
+          = None, products: tuple[Tensor, ...] = ()) -> Tensor:
     """The op's output, recorded with its rule when a tape is active and
     some input needs a gradient; ``stages`` lists the tensors each stage of
-    a staged rule writes (default: one stage writing every input)."""
+    a staged rule writes (default: one stage writing every input), and
+    ``products`` the inputs whose gradient is one product (see ``Tape``)."""
     _check_finite(out_data, op)
     out = Tensor(out_data)
     if _ACTIVE_TAPE is not None and any(t._needs_grad for t in inputs):
         out._needs_grad = True
-        _ACTIVE_TAPE._record(out, backward, stages or (inputs,))
+        _ACTIVE_TAPE._record(out, backward, stages or (inputs,), products)
     return out
 
 
@@ -251,14 +263,24 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 def _accumulate_product(t: Tensor, a: np.ndarray, b: np.ndarray) -> None:
     """``_accumulate(t, a @ b)``, with a store leaf's first gradient computed
-    straight into its view."""
+    straight into its view; in a fused stage of an Adam step, the leaf's
+    update from the product instead (``_step_on_product``)."""
     if not t._needs_grad:
+        return
+    if t._step is not None:
+        (store, learning_rate), t._step = t._step, None
+        _step_on_product(store, learning_rate, t, a, b)
         return
     view = _first_grad_view(t)
     if view is not None:
-        np.matmul(a, b, out=view)
+        workers.product(a, b, out=view)
     else:
-        _accumulate(t, a @ b)
+        _accumulate(t, workers.product(a, b))
+
+
+def _add_product(acc: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """``acc += a @ b``, in place."""
+    np.add(acc, a @ b, out=acc)
 
 
 def _accumulate_rows(t: Tensor, index: np.ndarray, g: np.ndarray) -> None:
@@ -429,7 +451,7 @@ def bilstm_layer(x: Tensor, fw: tuple, bw: tuple, lengths=None) -> Tensor:
     The backward runs in six stages, one per parameter going down the store
     (backward direction's ``b`` with its ``x`` term, ``u``, ``w``, then the
     forward direction's), so a batch-size-1 step flushes one tensor's
-    gradient at a time.
+    gradient at a time; each ``u`` and ``w`` gradient is one product.
     """
     dirs, us = (fw, bw), (fw[1].data, bw[1].data)
     for t in (*fw, *bw):
@@ -454,14 +476,14 @@ def bilstm_layer(x: Tensor, fw: tuple, bw: tuple, lengths=None) -> Tensor:
     steps = [(slice(lo, lo + a), a) for lo, a in
              zip(starts.tolist(), active.tolist())]
 
-    z = np.stack([(x.data @ w.data + b.data)[rows]   # pre-activations
+    z = np.stack([(workers.product(x.data, w.data) + b.data)[rows]
                   for (w, _, b), rows in zip(dirs, order)])  # [2 x N x 4d]
     gates = np.empty_like(z)               # i, f, o, g after activation
     h, c, tanh_c = np.empty((3, 2, n, d), z.dtype)
     h_t = c_t = np.zeros((2, active[0], d), z.dtype)
     for s, a in steps:
-        for k, u in enumerate(us):
-            z[k, s] += h_t[k, :a] @ u
+        workers.pair(a * us[0].size, *(functools.partial(
+            _add_product, z[k, s], h_t[k, :a], u) for k, u in enumerate(us)))
         gates[:, s, :3 * d] = _logistic(z[:, s, :3 * d])
         i, f, o, g = (gates[:, s, k * d:(k + 1) * d] for k in range(4))
         np.tanh(z[:, s, 3 * d:], out=g)
@@ -499,8 +521,9 @@ def bilstm_layer(x: Tensor, fw: tuple, bw: tuple, lengths=None) -> Tensor:
             np.multiply(dh, tanh_c[:, s], out=dz4[:, s, 2])
             dz4[:, s] *= third[:, s]
             dz4[:, s, :3] *= fourth[:, s]
-            for k, u in enumerate(us):
-                np.matmul(dz[k, s], u.T, out=dh_next[k, :a])
+            workers.pair(a * us[0].size, *(functools.partial(
+                np.matmul, dz[k, s], u.T, out=dh_next[k, :a])
+                for k, u in enumerate(us)))
             np.multiply(dc, f[:, s], out=dc_next[:, :a])
         # backward direction first, as when each direction was its own tape
         # node; rows back in the order of x, so products sum rows in order.
@@ -521,7 +544,8 @@ def bilstm_layer(x: Tensor, fw: tuple, bw: tuple, lengths=None) -> Tensor:
 
     stages = tuple(stage for w, u, b in (bw, fw)
                    for stage in ((x, b), (u,), (w,)))
-    return _make(out, (x, *fw, *bw), "lstm", backward, stages)
+    return _make(out, (x, *fw, *bw), "lstm", backward, stages,
+                 (fw[0], fw[1], bw[0], bw[1]))
 
 
 def _sum_rows_in_order(index: np.ndarray, values: np.ndarray,
@@ -581,8 +605,8 @@ def graph_conv(h: Tensor, weights: Sequence[Tensor], label_bias: Tensor,
     with no edges, possible after edge dropout, gets zero gradients: its
     products run on zero rows, and a graph with no edges at all comes out
     as zeros. The backward runs in four stages going down the store: the
-    label and gate tensors, then each direction d = 2, 1, 0 with its
-    ``weights[d]`` and the ``h`` terms that read them.
+    label and gate tensors, then each direction d = 2, 1, 0 with the ``h``
+    terms that read ``weights[d]``, then its gradient, one product.
     """
     gated = gate_weights is not None
     params = list(weights) + [label_bias]
@@ -611,7 +635,7 @@ def graph_conv(h: Tensor, weights: Sequence[Tensor], label_bias: Tensor,
     # the three directions' h @ W_d, stacked into [3n x m]
     transformed = np.empty((3 * n, m), hd.dtype)
     for d, rows_d in enumerate(transformed.reshape(3, n, m)):
-        np.matmul(hd, weights[d].data, out=rows_d)
+        workers.product(hd, weights[d].data, out=rows_d)
     messages = transformed[graph.gather]
     np.add(messages, label_bias.data[graph.labels], out=messages)
     if gated:
@@ -666,7 +690,8 @@ def graph_conv(h: Tensor, weights: Sequence[Tensor], label_bias: Tensor,
 
     stages = (tuple(params[3:]),
               *((h, weights[d]) for d in reversed(range(3))))
-    return _make(out, (h, *params), "graph_conv", backward, stages)
+    return _make(out, (h, *params), "graph_conv", backward, stages,
+                 tuple(weights))
 
 
 def embed(gathers: Sequence[tuple[Tensor, np.ndarray]], lemma: Tensor,
@@ -716,6 +741,9 @@ def role_logits(encoded: Tensor, predicate_row: int, lemma: Tensor,
     ``relu``, ``transpose``) on arrays of the same layout, so it rounds as
     the per-op head did. The pre-ReLU ``pair @ transform`` is checked for
     non-finite values, which ReLU could hide, and ``_RELU_PROBE`` sees it.
+    The backward runs in two stages going down the store: ``encoded``,
+    ``lemma`` and ``roles``, whose terms read ``transform``, then
+    ``transform``'s gradient, one product.
     """
     for t in (lemma, roles, transform):
         _same_dtype(encoded, t, "role_logits")
@@ -729,7 +757,7 @@ def role_logits(encoded: Tensor, predicate_row: int, lemma: Tensor,
     p_idx, l_idx = np.array([predicate_row]), np.array([lemma_id])
     paired = np.concatenate([e, ones_n @ e[p_idx]], axis=1)           # [n x 2m]
     pair = np.concatenate([ones_r @ lemma.data[l_idx], roles.data], axis=1)
-    pre = pair @ transform.data                                        # [R x 2m]
+    pre = workers.product(pair, transform.data)                       # [R x 2m]
     _check_finite(pre, "role_logits")
     if _RELU_PROBE is not None:
         _RELU_PROBE.append(pre.copy())
@@ -737,10 +765,10 @@ def role_logits(encoded: Tensor, predicate_row: int, lemma: Tensor,
     out = paired @ weights_t
 
     def backward(g):
-        if lemma._needs_grad or roles._needs_grad or transform._needs_grad:
+        head = lemma._needs_grad or roles._needs_grad or transform._needs_grad
+        if head:
             dpre = (paired.T @ g).T * (pre > 0)
-            _accumulate_product(transform, pair.T, dpre)
-            dpair = dpre @ transform.data.T
+            dpair = workers.product(dpre, transform.data.T)
             _accumulate(roles, dpair[:, d_l:])
             _accumulate_rows(lemma, l_idx, ones_r.T @ np.ascontiguousarray(
                 dpair[:, :d_l]))
@@ -749,9 +777,13 @@ def role_logits(encoded: Tensor, predicate_row: int, lemma: Tensor,
             _accumulate(encoded, dpaired[:, :m])
             _accumulate_rows(encoded, p_idx, ones_n.T @ np.ascontiguousarray(
                 dpaired[:, m:]))
+        yield
+        if head:
+            _accumulate_product(transform, pair.T, dpre)
 
     return _make(out, (encoded, lemma, roles, transform), "role_logits",
-                 backward)
+                 backward, ((encoded, lemma, roles), (transform,)),
+                 (transform,))
 
 
 def concat(parts: list[Tensor], axis: int = 1) -> Tensor:
@@ -917,10 +949,10 @@ class ParamStore(collections.abc.Mapping):
     tensor exists from the start, zeroed, for an initializer or a checkpoint
     read to fill in place. ``self.layout`` maps each name to its (offset,
     shape). ``window`` holds the gradients of the store elements [``_base``,
-    ``_base`` + its size). It grows on first use: to the widest stage's
-    chunk of the store for a batch-size-1 step, to the whole store for a
-    pass that sums (``_sum_window``); either is kept across steps, with the
-    plan of the last tape's stages (``_sweep``). Adam's first step
+    ``_base`` + its size). It grows on first use: to the widest unfused
+    stage's chunk of the store for a batch-size-1 step, to the whole store
+    for a pass that sums (``_sum_window``); either is kept across steps,
+    with the plan of the last tape's stages (``_sweep``). Adam's first step
     allocates its moments ``m`` and ``v``, flat arrays laid out as
     ``flat``; ``step_count`` counts the steps.
     """
@@ -949,6 +981,7 @@ class ParamStore(collections.abc.Mapping):
         self._base = 0
         self._plan: _SweepPlan | None = None
         self._corrections = (1.0, 1.0)   # the current step's bc1, bc2
+        self._product = None    # (a, b) while a fused stage updates a tensor
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
         self.step_count = 0
@@ -1005,44 +1038,94 @@ _ADAM_BLOCK = 1 << 16
 def adam_step(params: ParamStore, learning_rate: float,
               span: tuple[int, int]) -> None:
     """One bias-corrected Adam update, in place, of the store elements
-    [lo, hi) = ``span``, from their gradients in the store's window.
+    [lo, hi) = ``span``, from their gradients in the store's window, or,
+    while a fused stage updates one tensor (``_step_on_product``), from the
+    product whose rows are that tensor's gradient.
 
     The sweep of ``Tape.gradients`` counts its step in the store's
     ``step_count`` (the first allocates the moments ``m`` and ``v``,
-    zeroed), then calls this once per span it flushes. Per element: m =
-    b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g), p -= lr * (m/bc1) /
+    zeroed), then calls this once per span it flushes or fuses. Per element:
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g), p -= lr * (m/bc1) /
     (sqrt(v/bc2) + eps), with the operations in that order, run block by
     block into reused scratch instead of whole-array temporaries, so the
-    bytes do not depend on how a step is split. ``ContractError``, before
-    anything is written, if ``params`` is not a store or has no gradient
-    window, or if the span is reversed, is not inside both the store and
-    the window, or comes before any step.
+    bytes do not depend on how a step is split. A product's block is an
+    even number of its rows, about one ``_ADAM_BLOCK`` (a shorter rest
+    joins the last block, so that no block is a lone row, which OpenBLAS
+    rounds by another path, or small enough for its small-matrix kernels),
+    computed into the block's scratch just before its update. Inside
+    ``workers.two_workers`` a span of two or more blocks is split at a
+    block boundary, and the worker updates the second half.
+    ``ContractError``, before anything is written, if ``params`` is not a
+    store, if the span is reversed or not inside the store, if it is not
+    inside the window (no window at all) or not the fused tensor's, or if
+    it comes before any step.
     """
     if not isinstance(params, ParamStore):
         raise ContractError("adam_step updates a ParamStore, got "
                             f"{type(params).__name__}")
-    if params.window is None:
-        raise ContractError("the store has no gradient window")
     lo, hi = span
-    base, end = params._base, params._base + params.window.size
-    if not base <= lo <= hi <= min(end, params.size):
-        raise ContractError(f"Adam span [{lo}, {hi}) is not inside the "
-                            f"gradient window [{base}, {end}) of a "
-                            f"{params.size}-element store")
+    product = params._product
+    if product is not None:
+        a, b = product
+        if not 0 <= lo <= hi <= params.size or (
+                hi - lo != a.shape[0] * b.shape[1]):
+            raise ContractError(f"Adam span [{lo}, {hi}) does not hold the "
+                                f"{a.shape[0]} x {b.shape[1]} gradient "
+                                f"product")
+    elif params.window is None:
+        raise ContractError("the store has no gradient window")
+    else:
+        base, end = params._base, params._base + params.window.size
+        if not base <= lo <= hi <= min(end, params.size):
+            raise ContractError(f"Adam span [{lo}, {hi}) is not inside the "
+                                f"gradient window [{base}, {end}) of a "
+                                f"{params.size}-element store")
     if params.m is None:
         raise ContractError("an Adam span before the store's first step")
-    bc1, bc2 = params._corrections
+    if product is None:
+        gradient = params.window[lo - params._base:hi - params._base]
+        edges = [*range(0, hi - lo, _ADAM_BLOCK), hi - lo]
+    else:
+        gradient, n = product, product[1].shape[1]
+        step = max(2, _ADAM_BLOCK // n // 2 * 2)
+        rows = [*range(0, a.shape[0], step), a.shape[0]]
+        if len(rows) > 2 and rows[-1] - rows[-2] < step:
+            del rows[-2]
+        edges = [r * n for r in rows]
+    blocks = (params.flat[lo:hi], params.m[lo:hi], params.v[lo:hi], gradient,
+              params._corrections, learning_rate)
+    half = len(edges) // 2
+    if workers.running() and len(edges) > 2:
+        workers.in_parallel(lambda: _adam_blocks(*blocks, edges[:half + 1]),
+                            lambda: _adam_blocks(*blocks, edges[half:]))
+    else:
+        _adam_blocks(*blocks, edges)
+
+
+def _adam_blocks(pf: np.ndarray, mf: np.ndarray, vf: np.ndarray, gradient,
+                 corrections: tuple[float, float], learning_rate: float,
+                 edges: list[int]) -> None:
+    """``adam_step``'s update of the blocks [edges[i], edges[i + 1]) of the
+    flat slices ``pf``, ``mf`` and ``vf``, in scratch of its own: the
+    gradient is the same slice of ``gradient``, or, for a product ``(a,
+    b)``, the block's rows of ``a @ b``."""
+    bc1, bc2 = corrections
     b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, learning_rate, ADAM_EPS
-    pf, mf, vf = params.flat[lo:hi], params.m[lo:hi], params.v[lo:hi]
-    gf = params.window[lo - base:hi - base]
-    size = min(_ADAM_BLOCK, pf.size)
-    g_tmp = np.empty(size, gf.dtype)              # (1-b1)*g, then (1-b2)*g*g
+    size = max(k - j for j, k in zip(edges, edges[1:])) if edges[1:] else 0
+    g_tmp = np.empty(size, pf.dtype)              # (1-b1)*g, then (1-b2)*g*g
     num, den = np.empty(size, mf.dtype), np.empty(size, vf.dtype)
-    for lo in range(0, pf.size, _ADAM_BLOCK):
-        blk = slice(lo, lo + _ADAM_BLOCK)
-        g, m, v, pb = gf[blk], mf[blk], vf[blk], pf[blk]
-        k = g.size
-        gt, nu, de = g_tmp[:k], num[:k], den[:k]
+    if isinstance(gradient, tuple):
+        a, b = gradient
+        n = b.shape[1]
+        g_rows = np.empty(size, pf.dtype)
+    for j, k in zip(edges, edges[1:]):
+        if isinstance(gradient, tuple):
+            g = g_rows[:k - j]
+            np.matmul(a[j // n:k // n], b, out=g.reshape(-1, n))
+        else:
+            g = gradient[j:k]
+        m, v, pb = mf[j:k], vf[j:k], pf[j:k]
+        gt, nu, de = g_tmp[:k - j], num[:k - j], den[:k - j]
         np.multiply(m, b1, out=m)
         np.multiply(g, 1.0 - b1, out=gt)
         np.add(m, gt, out=m)
@@ -1064,11 +1147,36 @@ def fill_uniform(out: np.ndarray, bound: float,
     """Fill ``out`` with the values ``rng.uniform(-bound, bound,
     out.shape)`` gives, drawn in pieces of whole rows, at most one
     ``_ADAM_BLOCK`` of elements each unless a row is longer, so the float64
-    draw of a large tensor never exists whole."""
-    rows = max(1, _ADAM_BLOCK // max(1, math.prod(out.shape[1:])))
-    for lo in range(0, len(out), rows):
-        piece = out[lo:lo + rows]
-        piece[...] = rng.uniform(-bound, bound, piece.shape)
+    draw of a large tensor never exists whole.
+
+    Inside ``workers.two_workers``, with a PCG64 generator that holds no
+    buffered 32-bit draw, the worker draws the second half of the pieces
+    from a copy of the generator advanced past the first half's draws, one
+    per value; ``rng`` then advances past the second half, to the state a
+    serial fill leaves."""
+    row = math.prod(out.shape[1:])
+    rows = max(1, _ADAM_BLOCK // max(1, row))
+    starts = range(0, len(out), rows)
+
+    def fill(generator, pieces):
+        for lo in pieces:
+            piece = out[lo:lo + rows]
+            piece[...] = generator.uniform(-bound, bound, piece.shape)
+
+    state = (rng.bit_generator.state if workers.running()
+             and len(starts) > 1 and type(rng.bit_generator) is np.random.PCG64
+             else None)
+    if state is None or state["has_uint32"]:
+        fill(rng, starts)
+        return
+    half = len(starts) // 2
+    drawn = starts[half] * row
+    ahead = np.random.PCG64(0)
+    ahead.state = state
+    ahead.advance(drawn)
+    workers.in_parallel(lambda: fill(rng, starts[:half]),
+                 lambda: fill(np.random.Generator(ahead), starts[half:]))
+    rng.bit_generator.advance(out.size - drawn)
 
 
 @dataclass
@@ -1076,15 +1184,16 @@ class _SweepPlan:
     """The Adam step of one tape's stages (see ``_sweep``), kept by the
     store while the stages' store inputs repeat, as they do for every
     instance of a model: for each stage, in sweep order, the flush before
-    it (None for none) and its store inputs' views of the window; then the
-    last flush. A flush is (lo, hi, base, tensors): a span, the store
-    offset of the window while it was pending, and each tensor in the span
-    with its window slice."""
+    it (None for none), its store inputs' views of the window and its fused
+    tensor (None for none); then the last flush (None for none). A flush
+    is (lo, hi, base, tensors): a span, the store offset of the window
+    while it was pending, and each tensor in the span with its window
+    slice."""
 
     key: list
     window: np.ndarray
     steps: list
-    last: tuple
+    last: tuple | None
 
 
 def _sweep(nodes, store: ParamStore, learning_rate: float) -> None:
@@ -1098,44 +1207,70 @@ def _sweep(nodes, store: ParamStore, learning_rate: float) -> None:
     store inputs owns a chunk of the store, from its lowest input up to the
     previous owner's chunk; the first chunk reaches the top of the store
     and the last starts at 0 (one chunk if no stage owns one). Otherwise
-    (two stages share a tensor) the whole store is one chunk. The window,
-    reused across steps, holds the largest chunk or one ``_ADAM_BLOCK``: at
-    model widths the widest tensor. Before an owner's stage runs, its store
-    inputs without a gradient get views of the window, after a flush of the
-    pending chunks if its own does not fit below them; the end of the pass
-    flushes the rest. A window that covers the store, as a pass that sums
-    leaves it, is never flushed before the end. The plan of flushes and
-    views is built once per sequence of stage inputs and kept in the store
-    (``_SweepPlan``).
+    (two stages share a tensor) the whole store is one chunk.
+
+    A chunk that is exactly one 2-d tensor whose gradient is one product
+    (the node's ``products``) is fused when the store is wider than one
+    ``_ADAM_BLOCK``, neither the window covers it nor an earlier pass left a
+    gradient in it, and its float32 products cut into row blocks keep
+    their bytes (``workers.EXACT_CORES``): the rule's product for that
+    tensor is its Adam update, taken block by block (``_step_on_product``),
+    and a tensor the rule does not reach is updated on zeros, a product
+    over no terms. The window, reused across steps, holds the largest
+    unfused chunk or one ``_ADAM_BLOCK``. Before an unfused owner's stage
+    runs, its store inputs without a gradient get views of the window,
+    after a flush of the pending chunks if its own does not fit below them;
+    a fused stage flushes them first; the end of the pass flushes the
+    rest. A window that covers the store, as a pass
+    that sums leaves it, is never flushed before the end. The plan of
+    flushes, views and fused tensors is built once per sequence of stage
+    inputs and kept in the store (``_SweepPlan``).
     """
-    key = [tuple(t for t in ins if t.trainable)
-           for _, _, stages in reversed(nodes) for ins in stages]
+    key = [any(t.grad is not None for t in store._tensors.values())] + [
+        (tuple(t for t in ins if t.trainable), products)
+        for _, _, stages, products in reversed(nodes) for ins in stages]
     plan = store._plan
     if plan is None or plan.window is not store.window or plan.key != key:
         plan = store._plan = _plan_sweep(key, store)
     store._open_step()
     steps = iter(plan.steps)
-    for out, rule, stages in reversed(nodes):
+    for out, rule, stages, _ in reversed(nodes):
         run = None if out.grad is None else _stages(rule, out.grad)
         for _ in stages:
-            flush, views = next(steps)
+            flush, views, fused = next(steps)
             if flush is not None:
                 _flush(store, learning_rate, flush)
             for t, view in views:
                 if t.grad is None:
                     t._grad_slot = view
-            if run is not None:
-                next(run, None)
-    _flush(store, learning_rate, plan.last)
+            if fused is None:
+                if run is not None:
+                    next(run, None)
+                continue
+            fused._step = (store, learning_rate)
+            try:
+                if run is not None:
+                    next(run, None)
+            finally:
+                missed, fused._step = fused._step is not None, None
+            if missed:
+                rows, cols = fused.shape
+                _step_on_product(store, learning_rate, fused,
+                                 np.zeros((rows, 0), store.dtype),
+                                 np.zeros((0, cols), store.dtype))
+    if plan.last is not None:
+        _flush(store, learning_rate, plan.last)
 
 
 def _plan_sweep(key: list, store: ParamStore) -> _SweepPlan:
-    """The ``_SweepPlan`` of stages whose trainable inputs are ``key``,
-    growing the store's window to its largest chunk."""
+    """The ``_SweepPlan`` of stages whose trainable inputs and products are
+    ``key[1:]``, fusing none if ``key[0]`` (an earlier pass left a
+    gradient) or the window covers the store, and growing the store's
+    window to its largest unfused chunk."""
     members, bounds = store._tensors, store._bounds
     owned, edges = [], [store.size]        # chunk bounds, top down
     down = True
-    for ins in key:
+    for ins, _ in key[1:]:
         ins = [t for t in ins if members.get(t.name) is t]
         if ins:
             spans = [bounds[t.name] for t in ins]    # disjoint, so tuple
@@ -1143,24 +1278,45 @@ def _plan_sweep(key: list, store: ParamStore) -> _SweepPlan:
             edges.append(min(spans)[0])
         owned.append(ins)
     edges[1:] = edges[1:-1] + [0]          # the last chunk starts at 0
+    fusing = (down and not key[0] and store.size > _ADAM_BLOCK
+              and (store.window is None or store.window.size < store.size)
+              and store.dtype == np.float32 and workers.exact_cuts())
+    chunks = list(zip(edges[1:], edges))
+    taken, spans = iter(chunks), []        # per stage: (lo, hi, fused) or None
+    for ins, (_, products) in zip(owned, key[1:]):
+        if not ins:
+            spans.append(None)
+            continue
+        lo, hi = next(taken)
+        t = ins[0]
+        fuse = fusing and len(ins) == 1 and t.data.ndim == 2 and any(
+            t is p for p in products) and bounds[t.name] == (lo, hi)
+        spans.append((lo, hi, t if fuse else None))
+    fused = {span[:2] for span in spans if span and span[2] is not None}
     size = store.size if not down else min(store.size, max(
-        _ADAM_BLOCK, *(a - b for a, b in zip(edges, edges[1:]))))
+        [_ADAM_BLOCK] + [hi - lo for lo, hi in chunks
+                         if (lo, hi) not in fused]))
     if store.window is None or store.window.size < size:
         store.window = np.empty(size, store.dtype)
-    window, chunks = store.window, iter(zip(edges[1:], edges))
+    window = store.window
     top = store.size                       # where the pending chunks end
     base = max(0, top - window.size)
     steps = []
-    for ins in owned:
-        flush = None
-        if ins:
-            lo, hi = next(chunks)
-            if top - lo > window.size:
-                flush = _flush_span(store, hi, top, base)
-                top, base = hi, max(0, hi - window.size)
-        steps.append((flush, [(t, window[a - base:b - base].reshape(t.shape))
-                              for t in ins for a, b in [bounds[t.name]]]))
-    return _SweepPlan(key, window, steps, _flush_span(store, 0, top, base))
+    for ins, span in zip(owned, spans):
+        flush, views, fused = None, [], None
+        if span is not None:
+            lo, hi, fused = span
+            if fused is not None or top - lo > window.size:
+                if top > hi:
+                    flush = _flush_span(store, hi, top, base)
+                top = hi if fused is None else lo
+                base = max(0, top - window.size)
+            if fused is None:
+                views = [(t, window[a - base:b - base].reshape(t.shape))
+                         for t in ins for a, b in [bounds[t.name]]]
+        steps.append((flush, views, fused))
+    last = _flush_span(store, 0, top, base) if top > 0 else None
+    return _SweepPlan(key, window, steps, last)
 
 
 def _flush_span(store: ParamStore, lo: int, hi: int, base: int) -> tuple:
@@ -1185,6 +1341,19 @@ def _flush(store: ParamStore, learning_rate: float, flush: tuple) -> None:
         t.grad = t._grad_slot = None
     store._base = base
     adam_step(store, learning_rate, (lo, hi))
+
+
+def _step_on_product(store: ParamStore, learning_rate: float, t: Tensor,
+                     a: np.ndarray, b: np.ndarray) -> None:
+    """Adam's update of the store tensor ``t`` with the gradient ``a @ b``,
+    which ``adam_step`` computes block by block, so it never exists
+    whole."""
+    t._grad_slot = None
+    store._product = (a, b)
+    try:
+        adam_step(store, learning_rate, store._bounds[t.name])
+    finally:
+        store._product = None
 
 
 # ---------------------------------------------------------------------------

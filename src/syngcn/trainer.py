@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bilstm, classifier, embedder, gcn
+from . import bilstm, classifier, embedder, gcn, workers
 from . import numerics as nm
 from .conll import NULL_ROLE, Lexicon, Sentence, build_lexicon
 from .errors import ConfigError, ContractError, NumericsError
@@ -374,8 +374,11 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
     pass (``Tape.gradients`` given the store and the learning rate). The
     batch's earlier passes sum their gradients in a window that covers the
     store; at batch size 1 the store keeps only a window with room for its
-    widest layer's chunk, and the backward pass updates the tensors in the
-    window before it moves down the store. An epoch whose dev F1 beats all
+    widest unfused chunk, and the backward pass updates the tensors in the
+    window before it moves down the store, and each weight whose gradient
+    is one product straight from it. The model's initial draws and the
+    epochs, dev evaluation included, run inside ``workers.two_workers``. An
+    epoch whose dev F1 beats all
     earlier ones is saved to best.ckpt at once, so a killed run keeps its
     best finished epoch; without dev data (train-loss-only mode) every epoch
     is. The epoch's metrics line comes after that save, so metrics.tsv
@@ -403,71 +406,74 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
     if lexicon is None:
         lexicon = build_lexicon(train_sentences, min_freq=config.min_freq)
     rng = np.random.default_rng(config.seed)
-    # built first: a model that cannot be built leaves no run directory
-    model = SrlModel(config, lexicon, rng, pretrained)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lexicon_path = out_dir / "lexicon.txt"
-    lexicon.save(lexicon_path)
-    config_path = out_dir / "config.txt"
-    save_config(config, config_path)
-    instances = make_instances(train_sentences, lexicon)
-    # a BiLSTM-only model (K = 0) reads no graph
-    graphs = [build_graph(s, lexicon) if model.gcn is not None else None
-              for s in train_sentences]
-    if dev_sentences is None:
-        logger.warning("no dev data: train-loss-only mode, selecting last epoch")
+    with workers.two_workers():
+        # built first: a model that cannot be built leaves no run directory
+        model = SrlModel(config, lexicon, rng, pretrained)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        lexicon_path = out_dir / "lexicon.txt"
+        lexicon.save(lexicon_path)
+        config_path = out_dir / "config.txt"
+        save_config(config, config_path)
+        instances = make_instances(train_sentences, lexicon)
+        # a BiLSTM-only model (K = 0) reads no graph
+        graphs = [build_graph(s, lexicon) if model.gcn is not None else None
+                  for s in train_sentences]
+        if dev_sentences is None:
+            logger.warning("no dev data: train-loss-only mode, selecting "
+                           "last epoch")
 
-    store = model.store
-    history: list[EpochMetrics] = []
-    best_f1 = -1.0
-    best_epoch = -1
-    metrics_path = out_dir / "metrics.tsv"
-    t0 = time.monotonic()
-    with open(metrics_path, "w", encoding="utf-8", newline="") as metrics_fh:
-        for epoch in range(1, config.epochs + 1):
-            order = rng.permutation(len(instances))
-            total_loss = 0.0
-            for pos, idx in enumerate(order):
-                inst = instances[idx]
-                update = ((pos + 1) % config.batch_size == 0
-                          or pos == len(order) - 1)
-                try:
-                    with nm.Tape() as tape:
-                        loss = model.instance_loss(
-                            inst, graphs[inst.sentence_id], rng)
-                    tape.gradients(loss, store, config.learning_rate
-                                   if update else None)
-                except NumericsError as err:
-                    raise NumericsError(
-                        f"epoch {epoch}, instance {idx}: {err}\nparameter "
-                        f"norms:\n{_dump_param_norms(model)}") from err
-                total_loss += float(loss.data)
-            dev_p = dev_r = dev_f1 = float("nan")
-            if dev_sentences is not None:
-                # one instance at a time, like the updates: a batched pass
-                # has products large enough for multi-threaded BLAS, whose
-                # worker thread keeps spinning into the next epoch's updates
-                # and takes a CPU from them on a busy machine
-                preds = predict_corpus(model, dev_sentences, token_budget=1)
-                report = score(dev_sentences, preds)
-                dev_p, dev_r, dev_f1 = report.precision, report.recall, report.f1
-            metrics = EpochMetrics(epoch, total_loss / max(len(instances), 1),
-                                   dev_p, dev_r, dev_f1)
-            history.append(metrics)
-            selector = dev_f1 if dev_sentences is not None else float(epoch)
-            if selector > best_f1 or best_epoch < 0:
-                best_f1 = selector
-                best_epoch = epoch
-                model.save(out_dir / "best.ckpt")
-            # after the save: a run killed in it has no line for the epoch
-            metrics_fh.write(f"{epoch}\t{metrics.train_loss:.6f}\t{dev_p:.4f}"
-                             f"\t{dev_r:.4f}\t{dev_f1:.4f}\n")
-            metrics_fh.flush()
-            logger.info("epoch %d: loss %.4f dev F1 %.4f (%.1fs)", epoch,
-                        metrics.train_loss, dev_f1, time.monotonic() - t0)
-            if config.early_stop_f1 and dev_f1 >= config.early_stop_f1:
-                logger.info("dev F1 reached %.4f, stopping", dev_f1)
-                break
+        store = model.store
+        history: list[EpochMetrics] = []
+        best_f1 = -1.0
+        best_epoch = -1
+        metrics_path = out_dir / "metrics.tsv"
+        t0 = time.monotonic()
+        with open(metrics_path, "w", encoding="utf-8",
+                  newline="") as metrics_fh:
+            for epoch in range(1, config.epochs + 1):
+                order = rng.permutation(len(instances))
+                total_loss = 0.0
+                for pos, idx in enumerate(order):
+                    inst = instances[idx]
+                    update = ((pos + 1) % config.batch_size == 0
+                              or pos == len(order) - 1)
+                    try:
+                        with nm.Tape() as tape:
+                            loss = model.instance_loss(
+                                inst, graphs[inst.sentence_id], rng)
+                        tape.gradients(loss, store, config.learning_rate
+                                       if update else None)
+                    except NumericsError as err:
+                        raise NumericsError(
+                            f"epoch {epoch}, instance {idx}: {err}\n"
+                            f"parameter norms:\n{_dump_param_norms(model)}"
+                        ) from err
+                    total_loss += float(loss.data)
+                dev_p = dev_r = dev_f1 = float("nan")
+                if dev_sentences is not None:
+                    preds = predict_corpus(model, dev_sentences)
+                    report = score(dev_sentences, preds)
+                    dev_p, dev_r, dev_f1 = (report.precision, report.recall,
+                                            report.f1)
+                metrics = EpochMetrics(epoch,
+                                       total_loss / max(len(instances), 1),
+                                       dev_p, dev_r, dev_f1)
+                history.append(metrics)
+                selector = (dev_f1 if dev_sentences is not None
+                            else float(epoch))
+                if selector > best_f1 or best_epoch < 0:
+                    best_f1 = selector
+                    best_epoch = epoch
+                    model.save(out_dir / "best.ckpt")
+                # after the save: a run killed in it has no line for the epoch
+                metrics_fh.write(f"{epoch}\t{metrics.train_loss:.6f}\t"
+                                 f"{dev_p:.4f}\t{dev_r:.4f}\t{dev_f1:.4f}\n")
+                metrics_fh.flush()
+                logger.info("epoch %d: loss %.4f dev F1 %.4f (%.1fs)", epoch,
+                            metrics.train_loss, dev_f1, time.monotonic() - t0)
+                if config.early_stop_f1 and dev_f1 >= config.early_stop_f1:
+                    logger.info("dev F1 reached %.4f, stopping", dev_f1)
+                    break
     return TrainResult(history, best_epoch,
                        best_f1 if dev_sentences is not None else float("nan"),
                        out_dir / "best.ckpt" if history else None,

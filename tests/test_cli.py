@@ -529,6 +529,10 @@ CLI_FAULTS = {
         "lexicon.txt"),
     "gradcheck --seed -1": (1, lambda tmp, data, run: [
         "gradcheck", "--seed", "-1"], "--seed"),
+    "analyze --min-count -1": (1, lambda tmp, data, run: [
+        "analyze", "--test", data("overfit.conll"), "--ablation",
+        "--checkpoint", str(run / "best.ckpt"), "--min-count", "-1"],
+        "--min-count"),
     "gradcheck --tolerance nan": (1, lambda tmp, data, run: [
         "gradcheck", "--tolerance", "nan"], "--tolerance"),
     "gradcheck --tolerance -1": (1, lambda tmp, data, run: [

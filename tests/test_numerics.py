@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from syngcn import numerics as nm
+from syngcn import numerics as nm, workers
 from syngcn.errors import (ConfigError, ContractError, FormatError,
                            NumericsError, ShapeError)
 
@@ -273,6 +273,14 @@ def named(store: nm.ParamStore, flat: np.ndarray) -> dict:
     """``flat``, an array laid out as ``store.flat``, read by tensor name."""
     return {k: flat[lo:lo + math.prod(shape)].reshape(shape)
             for k, (lo, shape) in store.layout.items()}
+
+
+def fuses(dtype) -> bool:
+    """Whether a batch-size-1 step of a store of ``dtype`` wider than one
+    Adam block takes the gradients of the tensors that are one product
+    straight from the product here: float32, on a core that cuts products
+    exactly (``workers.EXACT_CORES``)."""
+    return np.dtype(dtype) == np.float32 and workers.exact_cuts()
 
 
 def store_of(dtype=np.float64, **arrays) -> nm.ParamStore:
@@ -659,28 +667,38 @@ class TestFusedAdamStep:
         store, spans = self._fused_against_reference(
             monkeypatch, dtype, self.SWEPT, self._swept_loss, (6, 2), 4)
         # each BiLSTM stage owns one tensor's chunk (its first also "unused",
-        # below "dead"): the widest holds a direction's w
-        assert (store.window.size, store.size) == (48, 255)
-        # per step, from the top: "sometimes", "dead" and the bw x-and-b
-        # stage's chunk when bw u does not fit below them, then one span per
-        # stage down to w and the table at the end
-        assert spans == [(230, 255), (194, 230), (146, 194), (98, 146),
-                         (50, 98), (30, 50), (0, 30)] * 4
+        # below "dead"): the widest holds a direction's w, unless each u
+        # and w is fused and so takes no room in the window, which then
+        # holds the widest other chunk, the table's
+        assert (store.window.size, store.size) == (
+            (30, 255) if fuses(dtype) else (48, 255))
+        assert spans == self.SPANS[fuses(dtype)] * 4
+
+    # the spans of one step of the swept loss, from the top. Unfused:
+    # "sometimes", "dead" and the bw x-and-b stage's chunk when bw u does
+    # not fit below them, then one span per stage down to w and the table
+    # at the end. Fused: the same chunk flushed before the fused bw u, then
+    # bw u and w from their products, fw b before fw u and w, then w and the
+    # table
+    SPANS = {False: [(230, 255), (194, 230), (146, 194), (98, 146),
+                     (50, 98), (30, 50), (0, 30)],
+             True: [(230, 255), (194, 230), (146, 194), (134, 146),
+                    (98, 134), (50, 98), (30, 50), (0, 30)]}
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_passes_with_the_store_then_a_step_match_reference(
             self, monkeypatch, dtype):
-        # after one step through a window with room for the widest chunk,
-        # two passes given the store alone, then one given the learning
-        # rate, per step: the first pass grows the window to cover the
-        # store, so each step flushes it once, at its end, on the three
-        # passes' sum; "unused", which no pass reaches, steps on zeros
+        # after one step through a window with room for the widest unfused
+        # chunk, two passes given the store alone, then one given the
+        # learning rate, per step: the first pass grows the window to cover
+        # the store, so each step flushes it once, at its end, on the three
+        # passes' sum, and fuses nothing; "unused", which no pass reaches,
+        # steps on zeros
         store, spans = self._fused_against_reference(
             monkeypatch, dtype, self.SWEPT, self._swept_loss, (6, 2), 3,
             passes=(1, 3, 3))
         assert store.window.size == store.size
-        assert spans == [(230, 255), (194, 230), (146, 194), (98, 146),
-                         (50, 98), (30, 50), (0, 30)] + [(0, store.size)] * 2
+        assert spans == self.SPANS[fuses(dtype)] + [(0, store.size)] * 2
 
     def test_loss_reaching_no_store_tensor_steps_on_zeros(self, monkeypatch):
         def loss(p, x, step):
@@ -695,12 +713,16 @@ class TestFusedAdamStep:
     def test_tensors_below_every_input_join_the_last_chunk(self,
                                                            monkeypatch):
         # no node reads "below": the table's chunk reaches down over it, so
-        # the window has room for both
+        # the window has room for both, and the rest fits above them; fused
+        # u and w flush what is pending above them, so the chunks above the
+        # table go one by one
         store, spans = self._fused_against_reference(
             monkeypatch, np.float32, {"below": (10, 20), **self.SWEPT},
             self._swept_loss, (6, 2), 2)
         assert (store.window.size, store.size) == (230, 455)
-        assert spans == [(230, 455), (0, 230)] * 2
+        want = ([(a + 200, b + 200) for a, b in self.SPANS[True][:-1]]
+                if fuses(np.float32) else [(230, 455)])
+        assert spans == (want + [(0, 230)]) * 2
 
     def test_gradient_left_by_a_pass_without_the_store_is_stepped(
             self, monkeypatch):

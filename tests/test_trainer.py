@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from syngcn.trainer import (SrlModel, TrainConfig, load_config, make_instances,
 
 from conftest import parse_text, small_config
 from test_conll import make_sentence
-from test_numerics import (flat_of, grads_or_zeros, named, step_on,
+from test_numerics import (flat_of, fuses, grads_or_zeros, named, step_on,
                           textbook_adam)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -534,12 +535,15 @@ class TestFlatStore:
     def test_batch_size_one_keeps_no_store_sized_gradient(
             self, overfit_sentences, tmp_path, monkeypatch, overrides, want):
         # every model tape goes down the store, so no step takes the whole
-        # store as one chunk: the window has room for the widest stage's
-        # chunk, less than the widest module and the store, and is the same
-        # array at every step. A stage's chunk is one tensor of a BiLSTM
-        # layer, one direction's GCN weights or the input projection, or a
-        # GCN layer's label and gate tensors, the embedder's tables or the
-        # role head
+        # store as one chunk: the window has room for the widest unfused
+        # stage's chunk, less than the widest module and the store, and is
+        # the same array at every step. A stage's chunk is one tensor of a
+        # BiLSTM layer, one direction's GCN weights or the input projection,
+        # a GCN layer's label and gate tensors, the embedder's tables, the
+        # role head's transform, or its lemma and role tables. Where steps
+        # fuse (float32 on an exact core), a BiLSTM layer's u and w, a GCN
+        # layer's weights and the transform take no room in the window:
+        # Adam takes their gradients from the products
         monkeypatch.setattr(nm, "_ADAM_BLOCK", self.SMALL_BLOCK)
         seen, adam_step = [], nm.adam_step
 
@@ -559,10 +563,14 @@ class TestFlatStore:
             modules[module] = modules.get(module, 0) + math.prod(shape)
         assert sorted(modules) == want
         # tensors in the chunk of the tensor before them
-        joined = ("gate", "embed.pos", "embed.lemma", "cls.lemma", "cls.role")
-        starts = [lo for name, (lo, _) in store.layout.items()
-                  if not any(part in name for part in joined)] + [store.size]
-        chunks = [b - a for a, b in zip(starts, starts[1:])]
+        joined = ("gate", "embed.pos", "embed.lemma", "cls.role")
+        fused = re.compile(r"lstm\.\d+\.\w+\.[wu]|gcn\.\d+\.w_|cls\.pair"
+                           if fuses(cfg.dtype) else "$^")
+        starts = [(lo, name) for name, (lo, _) in store.layout.items()
+                  if not any(part in name for part in joined)]
+        chunks = [b - a for (a, name), (b, _) in zip(
+            starts, starts[1:] + [(store.size, "")])
+            if not fused.match(name)]
         assert window.size == max(self.SMALL_BLOCK, *chunks)
         assert window.size < max(modules.values()) < store.size
         assert all(s is store and w is window for s, w in seen)
@@ -575,12 +583,12 @@ class TestFlatStore:
     STAGE_WIDTHS = dict(d_w=4, d_pos=4, d_l=4, d_h=16, d_r=4, d_l_out=4)
 
     @pytest.mark.parametrize("overrides, spans_per_step", [
-        ({}, 12),
-        (dict(lstm_layers=0), 6),
-        (dict(gcn_layers=0), 7),
-        (dict(gcn_layers=2), 16),
-        (dict(gates_enabled=False), 12),
-        (dict(dtype="float64"), 12),
+        ({}, (12, 13)),
+        (dict(lstm_layers=0), (6, 8)),
+        (dict(gcn_layers=0), (7, 9)),
+        (dict(gcn_layers=2), (16, 17)),
+        (dict(gates_enabled=False), (12, 13)),
+        (dict(dtype="float64"), (12, 12)),
     ], ids=["J1 K1", "J0", "K0", "K2", "ungated", "float64"])
     def test_flush_before_every_stage_matches_reference(
             self, overfit_sentences, tmp_path, monkeypatch, overrides,
@@ -601,17 +609,19 @@ class TestFlatStore:
         saved = nm.load_checkpoint(result.best_checkpoint)
         for name, t in ref.parameters().items():
             assert saved[name].tobytes() == t.data.tobytes(), name
-        # one span per stage that owns a chunk: the embedder, each BiLSTM
-        # layer's 6, the GCN projection, each GCN layer's 4 and the role
-        # head; under J0 the projection and the embedder, under K0 the role
-        # head and the top BiLSTM stage, share one
+        # (unfused, fused) spans per step. Fused, one per stage that owns a
+        # chunk: the embedder, each BiLSTM layer's 6, the GCN projection,
+        # each GCN layer's 4 and the role head's 2. Unfused, the role head's
+        # two share one, and so do, under J0, the projection and the
+        # embedder, and under K0 the role head and the top BiLSTM stage
         steps = cfg.epochs * len(make_instances(sentences,
                                                 build_lexicon(sentences)))
-        assert len(spans) == spans_per_step * steps
+        assert len(spans) == spans_per_step[fuses(cfg.dtype)] * steps
 
     def test_real_block_splits_the_window(self, overfit_sentences):
         # English widths at d_h = 128: a BiLSTM layer's w, and others, are
-        # wider than one Adam block, and the window holds the widest tensor
+        # wider than one Adam block, and the window holds the widest tensor;
+        # where they are fused, one Adam block, more than any other chunk
         cfg = dataclasses.replace(
             load_config(CONFIGS / "conll2009_english.conf"), d_h=128)
         lexicon = build_lexicon(overfit_sentences[:8])
@@ -645,7 +655,8 @@ class TestFlatStore:
                 assert fused_v[k].tobytes() == v[k].tobytes(), k
         widest = max(math.prod(shape) for _, shape in
                      fused.store.layout.values())
-        assert fused.store.window.size == widest > nm._ADAM_BLOCK
+        assert fused.store.window.size == (nm._ADAM_BLOCK if fuses(
+            cfg.dtype) else widest) and widest > nm._ADAM_BLOCK
 
     def test_gradcheck_model_steps_match_reference(self):
         model, instance = fixtures.gradcheck_model()
@@ -938,8 +949,10 @@ class TestTrainLoop:
                 train(train_sentences, dev_sentences, cfg, tmp_path / "run")
             assert not (tmp_path / "run").exists()
 
-    def test_dev_scored_one_instance_at_a_time(self, overfit_sentences,
-                                               tmp_path, monkeypatch):
+    def test_dev_scored_in_batches(self, overfit_sentences, tmp_path,
+                                   monkeypatch):
+        # the dev pass batches as prediction does, and the run's files are
+        # those of a run that scores one instance at a time
         sizes = []
         batched_predict = SrlModel.predict
 
@@ -951,9 +964,17 @@ class TestTrainLoop:
         cfg = small_config(d_w=8, d_pos=4, d_l=8, d_h=8, d_r=8, d_l_out=8,
                            epochs=2)
         train(overfit_sentences, overfit_sentences, cfg, tmp_path / "run")
-        per_epoch = len(make_instances(overfit_sentences,
-                                       build_lexicon(overfit_sentences)))
-        assert sizes == [1] * (2 * per_epoch)
+        instances = make_instances(overfit_sentences,
+                                   build_lexicon(overfit_sentences))
+        batches = [len(b) for b in evaluator._batches(
+            instances, evaluator.PREDICT_TOKEN_BUDGET)]
+        assert sizes == batches * 2 and max(sizes) > 1
+        monkeypatch.setattr(evaluator, "PREDICT_TOKEN_BUDGET", 1)
+        train(overfit_sentences, overfit_sentences, cfg, tmp_path / "alone")
+        assert sizes[len(batches) * 2:] == [1] * (2 * len(instances))
+        for name in ("best.ckpt", "metrics.tsv"):
+            assert ((tmp_path / "run" / name).read_bytes()
+                    == (tmp_path / "alone" / name).read_bytes()), name
 
     def test_batch_accumulation_runs(self, overfit_sentences, tmp_path):
         cfg = small_config(d_w=8, d_pos=4, d_l=8, d_h=8, d_r=8, d_l_out=8,
