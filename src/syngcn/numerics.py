@@ -43,7 +43,6 @@ from __future__ import annotations
 import collections
 import collections.abc
 import contextlib
-import functools
 import itertools
 import math
 import os
@@ -264,23 +263,18 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 def _accumulate_product(t: Tensor, a: np.ndarray, b: np.ndarray) -> None:
     """``_accumulate(t, a @ b)``, with a store leaf's first gradient computed
     straight into its view; in a fused stage of an Adam step, the leaf's
-    update from the product instead (``_step_on_product``)."""
+    update from the product instead (``adam_step``'s ``product``)."""
     if not t._needs_grad:
         return
     if t._step is not None:
         (store, learning_rate), t._step = t._step, None
-        _step_on_product(store, learning_rate, t, a, b)
+        adam_step(store, learning_rate, store._bounds[t.name], (a, b))
         return
     view = _first_grad_view(t)
     if view is not None:
         workers.product(a, b, out=view)
     else:
         _accumulate(t, workers.product(a, b))
-
-
-def _add_product(acc: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """``acc += a @ b``, in place."""
-    np.add(acc, a @ b, out=acc)
 
 
 def _accumulate_rows(t: Tensor, index: np.ndarray, g: np.ndarray) -> None:
@@ -435,6 +429,17 @@ def tanh(x: Tensor) -> Tensor:
     return _make(out, (x,), "tanh", backward)
 
 
+def _by_direction(wide: bool, run: Callable[[slice], None]) -> None:
+    """``run(ks)`` over a BiLSTM layer's directions ``ks``: both stacked on
+    this thread, or, inside ``workers.two_workers`` when the layer is
+    ``wide``, the forward direction here and the backward on the worker."""
+    if wide and workers.running():
+        workers.in_parallel(lambda: run(slice(0, 1)),
+                            lambda: run(slice(1, 2)))
+    else:
+        run(slice(0, 2))
+
+
 def bilstm_layer(x: Tensor, fw: tuple, bw: tuple, lengths=None) -> Tensor:
     """Both LSTM directions of a layer over B sequences as one op: [N x 2d]
     forward (columns :d) and backward (d:) states in the row order of ``x``.
@@ -448,6 +453,9 @@ def bilstm_layer(x: Tensor, fw: tuple, bw: tuple, lengths=None) -> Tensor:
     Rows are packed time-major, longest sequence first, so the sequences
     running at step t are a prefix of its rows in both directions: a step is
     one [active x d] @ [d x 4d] product per direction, one ufunc pass each.
+    Inside ``workers.two_workers``, a layer whose first step's product has
+    ``workers.PAIR_MIN`` multiply-adds runs its forward and its backward's
+    recurrence one direction per thread (``_by_direction``), same bytes.
     The backward runs in six stages, one per parameter going down the store
     (backward direction's ``b`` with its ``x`` term, ``u``, ``w``, then the
     forward direction's), so a batch-size-1 step flushes one tensor's
@@ -476,19 +484,30 @@ def bilstm_layer(x: Tensor, fw: tuple, bw: tuple, lengths=None) -> Tensor:
     steps = [(slice(lo, lo + a), a) for lo, a in
              zip(starts.tolist(), active.tolist())]
 
-    z = np.stack([(workers.product(x.data, w.data) + b.data)[rows]
-                  for (w, _, b), rows in zip(dirs, order)])  # [2 x N x 4d]
+    z = np.empty((2, n, 4 * d), x.data.dtype)
     gates = np.empty_like(z)               # i, f, o, g after activation
     h, c, tanh_c = np.empty((3, 2, n, d), z.dtype)
-    h_t = c_t = np.zeros((2, active[0], d), z.dtype)
-    for s, a in steps:
-        workers.pair(a * us[0].size, *(functools.partial(
-            _add_product, z[k, s], h_t[k, :a], u) for k, u in enumerate(us)))
-        gates[:, s, :3 * d] = _logistic(z[:, s, :3 * d])
-        i, f, o, g = (gates[:, s, k * d:(k + 1) * d] for k in range(4))
-        np.tanh(z[:, s, 3 * d:], out=g)
-        c_t = np.add(f * c_t[:, :a], i * g, out=c[:, s])
-        h_t = np.multiply(o, np.tanh(c_t, out=tanh_c[:, s]), out=h[:, s])
+    wide = active[0] * us[0].size >= workers.PAIR_MIN
+
+    def forward(ks):
+        # directions ks: their input projections, then their steps; a lone
+        # direction may be the worker's task, so it calls np.matmul only
+        zs, gs, cs, ts, hs = z[ks], gates[ks], c[ks], tanh_c[ks], h[ks]
+        project = workers.product if len(zs) == 2 else np.matmul
+        for k in range(2)[ks]:
+            (w, _, b), rows = dirs[k], order[k]
+            z[k] = (project(x.data, w.data) + b.data)[rows]
+        h_t = c_t = np.zeros((len(zs), active[0], d), z.dtype)
+        for s, a in steps:
+            for zk, hk, u in zip(zs, h_t, us[ks]):
+                np.add(zk[s], hk[:a] @ u, out=zk[s])
+            gs[:, s, :3 * d] = _logistic(zs[:, s, :3 * d])
+            i, f, o, g = (gs[:, s, k * d:(k + 1) * d] for k in range(4))
+            np.tanh(zs[:, s, 3 * d:], out=g)
+            c_t = np.add(f * c_t[:, :a], i * g, out=cs[:, s])
+            h_t = np.multiply(o, np.tanh(c_t, out=ts[:, s]), out=hs[:, s])
+
+    _by_direction(wide, forward)
     # checked here, since the clamped logistic makes an infinite z finite
     _check_finite(z, "lstm")
     out = np.empty((n, 2 * d), z.dtype)    # direction k in columns k*d:
@@ -511,20 +530,25 @@ def bilstm_layer(x: Tensor, fw: tuple, bw: tuple, lengths=None) -> Tensor:
         dout = dout.reshape(n, 2, d)[order, [[0], [1]]]
         dz = np.empty_like(gates)
         dz4 = dz.reshape(second.shape)
-        # carries from the step that came after; a sequence's rows beyond
-        # that step's prefix end there and start from zero
-        dh_next, dc_next = np.zeros((2, 2, active[0], d), h.dtype)
-        for s, a in reversed(steps):
-            dh = dout[:, s] + dh_next[:, :a]
-            dc = dc_next[:, :a] + dh * o[:, s] * dtanh_c[:, s]
-            np.multiply(dc[:, :, None], second[:, s], out=dz4[:, s])
-            np.multiply(dh, tanh_c[:, s], out=dz4[:, s, 2])
-            dz4[:, s] *= third[:, s]
-            dz4[:, s, :3] *= fourth[:, s]
-            workers.pair(a * us[0].size, *(functools.partial(
-                np.matmul, dz[k, s], u.T, out=dh_next[k, :a])
-                for k, u in enumerate(us)))
-            np.multiply(dc, f[:, s], out=dc_next[:, :a])
+
+        def recur(ks):
+            # directions ks' dz, step by step down from the last, with the
+            # carries from the step that came after; a sequence's rows
+            # beyond that step's prefix end there and start from zero
+            dzs = dz[ks]
+            dh_next, dc_next = np.zeros((2, len(dzs), active[0], d), h.dtype)
+            for s, a in reversed(steps):
+                dh = dout[ks, s] + dh_next[:, :a]
+                dc = dc_next[:, :a] + dh * o[ks, s] * dtanh_c[ks, s]
+                np.multiply(dc[:, :, None], second[ks, s], out=dz4[ks, s])
+                np.multiply(dh, tanh_c[ks, s], out=dz4[ks, s, 2])
+                dz4[ks, s] *= third[ks, s]
+                dz4[ks, s, :3] *= fourth[ks, s]
+                for dzk, dhk, u in zip(dzs, dh_next, us[ks]):
+                    np.matmul(dzk[s], u.T, out=dhk[:a])
+                np.multiply(dc, f[ks, s], out=dc_next[:, :a])
+
+        _by_direction(wide, recur)
         # backward direction first, as when each direction was its own tape
         # node; rows back in the order of x, so products sum rows in order.
         # A direction's x and b, then u, then w, each in its own stage, go
@@ -981,7 +1005,6 @@ class ParamStore(collections.abc.Mapping):
         self._base = 0
         self._plan: _SweepPlan | None = None
         self._corrections = (1.0, 1.0)   # the current step's bc1, bc2
-        self._product = None    # (a, b) while a fused stage updates a tensor
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
         self.step_count = 0
@@ -1036,11 +1059,11 @@ _ADAM_BLOCK = 1 << 16
 
 
 def adam_step(params: ParamStore, learning_rate: float,
-              span: tuple[int, int]) -> None:
+              span: tuple[int, int], product: tuple | None = None) -> None:
     """One bias-corrected Adam update, in place, of the store elements
     [lo, hi) = ``span``, from their gradients in the store's window, or,
-    while a fused stage updates one tensor (``_step_on_product``), from the
-    product whose rows are that tensor's gradient.
+    when a fused stage updates one tensor, from ``product``, the pair
+    ``(a, b)`` whose product ``a @ b`` is that tensor's gradient.
 
     The sweep of ``Tape.gradients`` counts its step in the store's
     ``step_count`` (the first allocates the moments ``m`` and ``v``,
@@ -1057,14 +1080,13 @@ def adam_step(params: ParamStore, learning_rate: float,
     block boundary, and the worker updates the second half.
     ``ContractError``, before anything is written, if ``params`` is not a
     store, if the span is reversed or not inside the store, if it is not
-    inside the window (no window at all) or not the fused tensor's, or if
+    inside the window (no window at all) or not the product's size, or if
     it comes before any step.
     """
     if not isinstance(params, ParamStore):
         raise ContractError("adam_step updates a ParamStore, got "
                             f"{type(params).__name__}")
     lo, hi = span
-    product = params._product
     if product is not None:
         a, b = product
         if not 0 <= lo <= hi <= params.size or (
@@ -1214,9 +1236,9 @@ def _sweep(nodes, store: ParamStore, learning_rate: float) -> None:
     ``_ADAM_BLOCK``, neither the window covers it nor an earlier pass left a
     gradient in it, and its float32 products cut into row blocks keep
     their bytes (``workers.EXACT_CORES``): the rule's product for that
-    tensor is its Adam update, taken block by block (``_step_on_product``),
-    and a tensor the rule does not reach is updated on zeros, a product
-    over no terms. The window, reused across steps, holds the largest
+    tensor is its Adam update, taken block by block (``adam_step``'s
+    ``product``), and a tensor the rule does not reach is updated on
+    zeros, a product over no terms. The window, reused across steps, holds the largest
     unfused chunk or one ``_ADAM_BLOCK``. Before an unfused owner's stage
     runs, its store inputs without a gradient get views of the window,
     after a flush of the pending chunks if its own does not fit below them;
@@ -1247,7 +1269,7 @@ def _sweep(nodes, store: ParamStore, learning_rate: float) -> None:
                 if run is not None:
                     next(run, None)
                 continue
-            fused._step = (store, learning_rate)
+            fused._step, fused._grad_slot = (store, learning_rate), None
             try:
                 if run is not None:
                     next(run, None)
@@ -1255,9 +1277,9 @@ def _sweep(nodes, store: ParamStore, learning_rate: float) -> None:
                 missed, fused._step = fused._step is not None, None
             if missed:
                 rows, cols = fused.shape
-                _step_on_product(store, learning_rate, fused,
-                                 np.zeros((rows, 0), store.dtype),
-                                 np.zeros((0, cols), store.dtype))
+                adam_step(store, learning_rate, store._bounds[fused.name],
+                          (np.zeros((rows, 0), store.dtype),
+                           np.zeros((0, cols), store.dtype)))
     if plan.last is not None:
         _flush(store, learning_rate, plan.last)
 
@@ -1341,19 +1363,6 @@ def _flush(store: ParamStore, learning_rate: float, flush: tuple) -> None:
         t.grad = t._grad_slot = None
     store._base = base
     adam_step(store, learning_rate, (lo, hi))
-
-
-def _step_on_product(store: ParamStore, learning_rate: float, t: Tensor,
-                     a: np.ndarray, b: np.ndarray) -> None:
-    """Adam's update of the store tensor ``t`` with the gradient ``a @ b``,
-    which ``adam_step`` computes block by block, so it never exists
-    whole."""
-    t._grad_slot = None
-    store._product = (a, b)
-    try:
-        adam_step(store, learning_rate, store._bounds[t.name])
-    finally:
-        store._product = None
 
 
 # ---------------------------------------------------------------------------

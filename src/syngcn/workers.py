@@ -2,9 +2,9 @@
 program's own large work split between the calling thread and one worker.
 
 Inside ``two_workers`` (``trainer.train`` runs in one), large products are
-computed in two halves (``product``), the two directions of a BiLSTM step
-run at once (``pair``), and ``numerics.adam_step`` and
-``numerics.fill_uniform`` give the worker half of their blocks
+computed in two halves (``product``), and ``numerics.adam_step`` and
+``numerics.fill_uniform`` give the worker half of their blocks, and
+``numerics.bilstm_layer`` a wide layer's backward direction
 (``in_parallel``). Every split keeps the bytes of the whole computation:
 elementwise work trivially, products only where ``exact_cuts`` says cut
 products keep their bytes. Outside the block nothing is split, and
@@ -31,9 +31,9 @@ import numpy as np
 SPLIT_MIN = 1 << 22
 SPLIT_ROWS = 64
 
-# Inside ``two_workers``, two independent products of at least this many
-# multiply-adds each, a BiLSTM step's two directions, run at once: at one
-# BLAS thread such a product takes longer than handing it over
+# Inside ``two_workers``, a BiLSTM layer whose first step's recurrent
+# product has at least this many multiply-adds runs its two directions at
+# once, one per thread (``numerics.bilstm_layer``)
 PAIR_MIN = 1 << 19
 
 # the calls for the worker thread to run, while a ``two_workers`` block runs
@@ -78,10 +78,11 @@ def exact_cuts() -> bool:
 def two_workers():
     """Inside the block, numpy's OpenBLAS runs on one thread, and the
     program splits its large work between this thread and one worker
-    thread. On leaving,
-    on an error too, it waits for the worker to end and gives OpenBLAS back
-    its thread count. Without the bundled OpenBLAS's thread controls, with
-    one usable CPU, or inside another such block, it changes nothing.
+    thread. On leaving, on an error too, it waits for the worker to end and
+    gives OpenBLAS back its thread count; a worker that fails to start
+    raises before OpenBLAS is pinned. Without the bundled OpenBLAS's thread
+    controls, with one usable CPU, or inside another such block, it changes
+    nothing.
 
     The worker runs internal helpers only, in a copy of the caller's
     ``contextvars`` context, so numpy's error state (``np.errstate``) holds
@@ -97,13 +98,13 @@ def two_workers():
         return
     get, put, _ = blas
     threads = get()
-    put(1)
     calls = queue.SimpleQueue()
     worker = threading.Thread(target=_serve, args=(calls,),
                               name="syngcn-worker")
     worker.start()
-    _calls = calls
     try:
+        put(1)
+        _calls = calls
         yield
     finally:
         _calls = None
@@ -145,19 +146,6 @@ def in_parallel(here: Callable[[], object],
         error = done.get()
     if error is not None:
         raise error
-
-
-def pair(work: int, first: Callable[[], object],
-         second: Callable[[], object]) -> None:
-    """``first()`` and ``second()``, two calls of ``work`` multiply-adds
-    each that read nothing the other writes: inside ``two_workers``, and if
-    ``work`` is at least ``PAIR_MIN``, at once, the second on the
-    worker."""
-    if _calls is None or work < PAIR_MIN:
-        first()
-        second()
-    else:
-        in_parallel(first, second)
 
 
 def product(a: np.ndarray, b: np.ndarray,

@@ -1,14 +1,19 @@
+import contextlib
 import itertools
+import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from syngcn import numerics as nm
+from syngcn import numerics as nm, workers
 from syngcn.bilstm import (LstmParams, bilstm_encode, init_lstm,
                            init_lstm_direction, lstm_layout, lstm_params)
 from syngcn.errors import NumericsError, ShapeError
 
 from test_numerics import masked_logistic, store_of
+from test_workers import on_two_workers
 
 I, F, O, G = range(4)   # gate column blocks
 
@@ -532,3 +537,104 @@ class TestBatchedLstm:
         alone = np.vstack([bilstm_encode(nm.Tensor(s), params).data
                            for s in (a, b)])
         np.testing.assert_allclose(both, alone, rtol=0, atol=1e-12)
+
+
+@contextlib.contextmanager
+def hand_offs():
+    """Inside the block, the ``workers.in_parallel`` calls that hand a
+    BiLSTM direction to the worker, appended to the yielded list as they
+    are made."""
+    made, in_parallel = [], workers.in_parallel
+
+    def counting(here, there):
+        if here.__qualname__.startswith("_by_direction"):
+            made.append(here)
+        in_parallel(here, there)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(workers, "in_parallel", counting)
+        yield made
+
+
+class TestDirectionsOnTwoThreads:
+    """Inside ``workers.two_workers``, a layer whose first step's recurrent
+    product reaches ``workers.PAIR_MIN`` runs its forward direction on the
+    calling thread and its backward one on the worker, handed over once for
+    the forward and once for the backward's recurrence; the bytes are the
+    stacked path's."""
+
+    @staticmethod
+    def _stacked_and_threaded(arrays, dout, lengths=None, tied=False,
+                              pair_min=1):
+        """``layer_with_grads`` inside ``two_workers``, at a ``PAIR_MIN``
+        above the layer's first step product, then at ``pair_min``."""
+        step = len(lengths or [0]) * arrays[2].size    # a row per sequence
+        runs = []
+        with on_two_workers(), hand_offs() as made:
+            for threshold in (step + 1, pair_min):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(workers, "PAIR_MIN", threshold)
+                    runs.append(layer_with_grads(arrays, dout, lengths, tied))
+                assert len(made) == 2 * (threshold == pair_min)
+        return runs
+
+    @settings(max_examples=40, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+           input_dim=st.integers(1, 40), d=st.integers(1, 40),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           tied=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def test_threaded_directions_equal_the_stacked_ones(
+            self, lengths, input_dim, d, dtype, tied, seed):
+        # ragged lengths, one-row sequences among them: the states, x's
+        # gradient and all six parameter gradients, bit for bit
+        rng = np.random.default_rng(seed)
+        n = sum(lengths)
+        arrays = random_layer_arrays(n, input_dim, d, rng, dtype)
+        dout = rng.standard_normal((n, 2 * d)).astype(dtype)
+        (h, grads), (h2, grads2) = self._stacked_and_threaded(
+            arrays, dout, lengths, tied)
+        assert h2.tobytes() == h.tobytes()
+        for k in NAMES:
+            assert grads2[k].tobytes() == grads[k].tobytes(), k
+
+    def test_english_width_layer_hands_over_twice(self):
+        # configs/conll2009_english.conf's first layer over one 7-token
+        # sentence, at the real threshold; its projections and the
+        # products of the staged backward may split as before
+        rng = np.random.default_rng(7)
+        arrays = random_layer_arrays(7, 1024, 512, rng, np.float32)
+        dout = rng.standard_normal((7, 1024)).astype(np.float32)
+        assert arrays[2].size >= workers.PAIR_MIN
+        (h, grads), (h2, grads2) = self._stacked_and_threaded(
+            arrays, dout, pair_min=workers.PAIR_MIN)
+        assert h2.tobytes() == h.tobytes()
+        for k in NAMES:
+            assert grads2[k].tobytes() == grads[k].tobytes(), k
+
+    def test_workers_error_surfaces_after_the_callers_direction(
+            self, monkeypatch):
+        # the worker's direction fails at its first step; the calling
+        # thread's direction still runs all its steps before the error
+        # surfaces, and the worker takes the next hand-off
+        class Boom(Exception):
+            pass
+
+        logistic, here = nm._logistic, []
+
+        def failing_on_the_worker(z):
+            if threading.current_thread().name.startswith("syngcn-worker"):
+                raise Boom
+            time.sleep(0.005)
+            here.append(z.shape[:2])
+            return logistic(z)
+
+        monkeypatch.setattr(nm, "_logistic", failing_on_the_worker)
+        monkeypatch.setattr(workers, "PAIR_MIN", 1)
+        arrays = random_layer_arrays(9, 3, 4, np.random.default_rng(3),
+                                     np.float32)
+        x, *params = (nm.Tensor(a) for a in arrays)
+        with on_two_workers():
+            with pytest.raises(Boom):
+                nm.bilstm_layer(x, params[:3], params[3:], [5, 4])
+            assert here == [(1, 2)] * 4 + [(1, 1)]
+            workers.in_parallel(lambda: None, lambda: None)

@@ -613,9 +613,9 @@ class TestFusedAdamStep:
         monkeypatch.setattr(nm, "_ADAM_BLOCK", block)
         spans, adam_step = [], nm.adam_step
 
-        def recording_step(store, lr, span):
+        def recording_step(store, lr, span, product=None):
             spans.append(span)
-            adam_step(store, lr, span)
+            adam_step(store, lr, span, product)
 
         monkeypatch.setattr(nm, "adam_step", recording_step)
         counts = passes if isinstance(passes, tuple) else (passes,) * steps

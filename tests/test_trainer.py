@@ -499,9 +499,9 @@ class TestFlatStore:
             monkeypatch.setattr(nm, "_ADAM_BLOCK", block)
         spans, adam_step = [], nm.adam_step
 
-        def recording_step(store, lr, span):
+        def recording_step(store, lr, span, product=None):
             spans.append(span)
-            adam_step(store, lr, span)
+            adam_step(store, lr, span, product)
 
         monkeypatch.setattr(nm, "adam_step", recording_step)
         result = train(sentences, None, cfg, tmp_path / "run")
@@ -547,9 +547,9 @@ class TestFlatStore:
         monkeypatch.setattr(nm, "_ADAM_BLOCK", self.SMALL_BLOCK)
         seen, adam_step = [], nm.adam_step
 
-        def recording_step(store, lr, span):
+        def recording_step(store, lr, span, product=None):
             seen.append((store, store.window))
-            adam_step(store, lr, span)
+            adam_step(store, lr, span, product)
 
         monkeypatch.setattr(nm, "adam_step", recording_step)
         cfg = small_config(d_w=8, d_pos=4, d_l=8, d_h=8, d_r=8, d_l_out=8,
@@ -596,9 +596,9 @@ class TestFlatStore:
         monkeypatch.setattr(nm, "_ADAM_BLOCK", 1)
         spans, adam_step = [], nm.adam_step
 
-        def recording_step(store, lr, span):
+        def recording_step(store, lr, span, product=None):
             spans.append(span)
-            adam_step(store, lr, span)
+            adam_step(store, lr, span, product)
 
         monkeypatch.setattr(nm, "adam_step", recording_step)
         cfg = small_config(**self.STAGE_WIDTHS, epochs=1,
@@ -882,13 +882,13 @@ class TestTrainLoop:
         if kill == "update":
             adam_step = nm.adam_step
 
-            def dying_step(store, lr, span):
+            def dying_step(store, lr, span, product=None):
                 # the store fits in one Adam block: one call per step
                 nonlocal calls
                 calls += 1
                 if calls == k * per_epoch + 2:
                     raise Killed
-                adam_step(store, lr, span)
+                adam_step(store, lr, span, product)
 
             monkeypatch.setattr(nm, "adam_step", dying_step)
         else:

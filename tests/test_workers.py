@@ -172,7 +172,7 @@ class TestSplitAdam:
         with on_two_workers():
             for _ in range(3):
                 fused._open_step()
-                nm._step_on_product(fused, 0.01, fused["w"], a, b)
+                nm.adam_step(fused, 0.01, span, (a, b))
         assert [x.tobytes() for x in (fused.flat, fused.m, fused.v)] == want
 
     def test_callers_error_state_holds_on_the_worker(self, monkeypatch):
@@ -258,6 +258,24 @@ class TestPinnedTraining:
         assert get() == before and not workers.running()
         assert not worker_threads()
 
+    def test_worker_that_fails_to_start_leaves_blas_threads(self,
+                                                            monkeypatch):
+        # the process cannot start a thread: the error surfaces, and
+        # OpenBLAS keeps its thread count
+        if not pins():
+            pytest.skip("two_workers starts no worker here")
+        get, _, _ = workers.openblas()
+        before = get()
+
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            with workers.two_workers():
+                pass
+        assert get() == before and not workers.running()
+
     @pytest.mark.parametrize("kill", [None, "update", "write"],
                              ids=["returns", "killed in an update",
                                   "killed in a write"])
@@ -277,11 +295,11 @@ class TestPinnedTraining:
 
         adam_step = nm.adam_step
 
-        def recording_step(store, lr, span):
+        def recording_step(store, lr, span, product=None):
             seen.append(get())
             if kill == "update" and store.step_count == 3:
                 raise Killed
-            adam_step(store, lr, span)
+            adam_step(store, lr, span, product)
 
         monkeypatch.setattr(nm, "adam_step", recording_step)
         if kill == "write":
@@ -317,9 +335,9 @@ class TestPinnedTraining:
         cfg = small_config(**self.CFG)
         running, adam_step = [], nm.adam_step
 
-        def recording_step(store, lr, span):
+        def recording_step(store, lr, span, product=None):
             running.append(workers.running())
-            adam_step(store, lr, span)
+            adam_step(store, lr, span, product)
 
         monkeypatch.setattr(nm, "adam_step", recording_step)
         split = train(sentences, None, cfg, tmp_path / "split")
