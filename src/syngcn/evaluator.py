@@ -10,11 +10,13 @@ over the tokens of every predicate.
 from __future__ import annotations
 
 import collections
+import contextlib
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .conll import NULL_ROLE, Sentence
 from .errors import ConfigError, ContractError
 from .syngraph import build_graph, drop_relation
@@ -100,6 +102,13 @@ def predict_corpus(model: SrlModel, sentences: list[Sentence],
     """Run inference over every predicate instance of ``sentences``, in
     corpus-order batches of at most ``PREDICT_TOKEN_BUDGET`` tokens.
 
+    Where cut products keep their bytes (``workers.exact_cuts``), every
+    batch runs inside one ``workers.two_workers`` block: OpenBLAS on one
+    thread, a wide BiLSTM layer's two directions on two threads and large
+    products in halves, with the bytes of one BLAS thread whatever
+    OpenBLAS's own count. Inside ``train()`` the block is train()'s own.
+    Elsewhere the batches run on OpenBLAS's own threads.
+
     ``graph_transform`` maps a built graph to the one actually used (the
     relation-ablation hook). A model without a GCN (K = 0) gets no graphs.
     """
@@ -112,11 +121,16 @@ def predict_corpus(model: SrlModel, sentences: list[Sentence],
             if graph_transform is not None:
                 g = graph_transform(g)
             graphs[inst.sentence_id] = g
-    for batch in _batches(instances, PREDICT_TOKEN_BUDGET):
-        results = model.predict(batch, [graphs.get(i.sentence_id)
-                                        for i in batch])
-        for inst, (role_ids, dists) in zip(batch, results):
-            preds.add(inst.sentence_id, inst.predicate_ord, role_ids, dists)
+    # one block for all batches: OpenBLAS's second thread, left spinning by
+    # one batch's products, would slow the next batch's recurrence
+    with (workers.two_workers() if workers.exact_cuts()
+          else contextlib.nullcontext()):
+        for batch in _batches(instances, PREDICT_TOKEN_BUDGET):
+            results = model.predict(batch, [graphs.get(i.sentence_id)
+                                            for i in batch])
+            for inst, (role_ids, dists) in zip(batch, results):
+                preds.add(inst.sentence_id, inst.predicate_ord, role_ids,
+                          dists)
     return preds
 
 

@@ -495,8 +495,12 @@ def bilstm_layer(x: Tensor, fw: tuple, bw: tuple, lengths=None) -> Tensor:
         zs, gs, cs, ts, hs = z[ks], gates[ks], c[ks], tanh_c[ks], h[ks]
         project = workers.product if len(zs) == 2 else np.matmul
         for k in range(2)[ks]:
-            (w, _, b), rows = dirs[k], order[k]
-            z[k] = (project(x.data, w.data) + b.data)[rows]
+            # gates[k] is scratch until the steps overwrite every row of it;
+            # "clip" lets take write into z[k] unbuffered (rows are in range)
+            (w, _, b), rows, scratch = dirs[k], order[k], gates[k]
+            project(x.data, w.data, out=scratch)
+            np.add(scratch, b.data, out=scratch)
+            scratch.take(rows, axis=0, out=z[k], mode="clip")
         h_t = c_t = np.zeros((len(zs), active[0], d), z.dtype)
         for s, a in steps:
             for zk, hk, u in zip(zs, h_t, us[ks]):

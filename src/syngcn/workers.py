@@ -1,15 +1,16 @@
-"""Training on two cores: numpy's OpenBLAS pinned to one thread, and the
-program's own large work split between the calling thread and one worker.
+"""Training and prediction on two cores: numpy's OpenBLAS pinned to one
+thread, and the program's own large work split between the calling thread
+and one worker.
 
-Inside ``two_workers`` (``trainer.train`` runs in one), large products are
-computed in two halves (``product``), and ``numerics.adam_step`` and
+Inside ``two_workers`` (``trainer.train`` runs in one, and so does
+``evaluator.predict_corpus`` where ``exact_cuts`` holds), large products
+are computed in two halves (``product``), and ``numerics.adam_step`` and
 ``numerics.fill_uniform`` give the worker half of their blocks, and
 ``numerics.bilstm_layer`` a wide layer's backward direction
 (``in_parallel``). Every split keeps the bytes of the whole computation:
 elementwise work trivially, products only where ``exact_cuts`` says cut
 products keep their bytes. Outside the block nothing is split, and
-OpenBLAS uses its own threads, which are faster for prediction's larger
-products.
+OpenBLAS uses its own threads.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ def two_workers():
     thread. On leaving, on an error too, it waits for the worker to end and
     gives OpenBLAS back its thread count; a worker that fails to start
     raises before OpenBLAS is pinned. Without the bundled OpenBLAS's thread
-    controls, with one usable CPU, or inside another such block, it changes
-    nothing.
+    controls, with one usable CPU, or inside another such block (as
+    ``predict_corpus``'s is in ``train()``'s), it changes nothing.
 
     The worker runs internal helpers only, in a copy of the caller's
     ``contextvars`` context, so numpy's error state (``np.errstate``) holds

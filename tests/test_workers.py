@@ -1,7 +1,7 @@
 """``workers.two_workers``: split products, split Adam spans and fused
 blocks give the bytes of the whole ones, the worker's errors and numpy error
-state reach the caller, and training leaves no worker thread behind and
-OpenBLAS's thread count as it found it."""
+state reach the caller, and training and prediction leave no worker thread
+behind and OpenBLAS's thread count as they found it."""
 
 import contextlib
 import os
@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syngcn import numerics as nm, workers
+from syngcn import evaluator, numerics as nm, workers
 from syngcn.conll import build_lexicon
-from syngcn.trainer import make_instances, train
+from syngcn.evaluator import predict_corpus
+from syngcn.trainer import SrlModel, make_instances, train
 
 from conftest import small_config
 import test_numerics
@@ -358,3 +359,181 @@ class TestPinnedTraining:
                     == (tmp_path / "serial" / name).read_bytes()), name
         assert split.best_checkpoint.read_bytes() == \
             serial.best_checkpoint.read_bytes()
+
+
+@contextlib.contextmanager
+def blas_threads(count: int):
+    """OpenBLAS on ``count`` threads inside the block."""
+    get, put, _ = workers.openblas()
+    before = get()
+    put(count)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def predicted(model, sentences, monkeypatch) -> tuple[list, list]:
+    """The bytes of ``predict_corpus``'s distributions and of the encoder
+    states of its batches: an untrained role head's near-uniform
+    distributions can round a change in the states away."""
+    states, encode = [], model.encode
+
+    def recording(instances, graphs):
+        encoded = encode(instances, graphs)
+        states.append(encoded.data.tobytes())
+        return encoded
+
+    with monkeypatch.context() as patched:
+        patched.setattr(model, "encode", recording)
+        preds = predict_corpus(model, sentences)
+    return ([preds.get(*key)[1].tobytes() for key in sorted(preds.keys())],
+            states)
+
+
+class TestPinnedPrediction:
+    """``predict_corpus`` runs its batches inside one ``two_workers`` block
+    where cut products keep their bytes."""
+
+    CFG = dict(d_w=8, d_pos=4, d_l=8, d_h=8, d_r=8, d_l_out=8,
+               lstm_layers=2, gcn_layers=1)
+
+    @pytest.fixture
+    def model(self, overfit_lexicon):
+        return SrlModel(small_config(**self.CFG), overfit_lexicon,
+                        np.random.default_rng(5))
+
+    @staticmethod
+    def _needs_a_worker():
+        if not pins():
+            pytest.skip("two_workers starts no worker here")
+
+    def test_threaded_directions_equal_the_stacked_path(
+            self, model, overfit_sentences, monkeypatch):
+        # every layer wide, so each runs a direction per thread; at these
+        # widths no product is cut, so the block runs on any core. The
+        # reference is the stacked path, outside any block, at one BLAS
+        # thread
+        self._needs_a_worker()
+        monkeypatch.setattr(workers, "PAIR_MIN", 1)
+        with monkeypatch.context() as patched:
+            patched.setattr(workers, "exact_cuts", lambda: False)
+            with blas_threads(1):
+                stacked = predicted(model, overfit_sentences, monkeypatch)
+        monkeypatch.setattr(workers, "exact_cuts", lambda: True)
+        threaded = predicted(model, overfit_sentences, monkeypatch)
+        assert threaded == stacked
+
+    def test_one_hand_off_per_wide_layer_per_batch(
+            self, model, overfit_sentences, monkeypatch):
+        self._needs_a_worker()
+        monkeypatch.setattr(workers, "PAIR_MIN", 1)
+        monkeypatch.setattr(workers, "exact_cuts", lambda: True)
+        budget = 2 * max(len(s) for s in overfit_sentences)
+        monkeypatch.setattr(evaluator, "PREDICT_TOKEN_BUDGET", budget)
+        handed, in_parallel = [], workers.in_parallel
+
+        def counting(here, there):
+            handed.append(there)
+            in_parallel(here, there)
+
+        monkeypatch.setattr(workers, "in_parallel", counting)
+        predict_corpus(model, overfit_sentences)
+        instances = make_instances(overfit_sentences, model.lexicon,
+                                   require_gold=False)
+        batches = len(list(evaluator._batches(instances, budget)))
+        assert batches > 1
+        assert len(handed) == self.CFG["lstm_layers"] * batches
+
+    @pytest.mark.parametrize("raises", [False, True],
+                             ids=["returns", "raises"])
+    def test_restores_blas_threads(self, model, overfit_sentences,
+                                   monkeypatch, raises):
+        # one BLAS thread and a worker while the batches run; the count
+        # OpenBLAS had, and no worker, once predict_corpus returns or a
+        # batch raises
+        self._needs_a_worker()
+        monkeypatch.setattr(workers, "exact_cuts", lambda: True)
+        monkeypatch.setattr(evaluator, "PREDICT_TOKEN_BUDGET", 1)
+        get, _, _ = workers.openblas()
+        seen, predict = [], model.predict
+
+        class Boom(Exception):
+            pass
+
+        def recording(batch, graphs):
+            seen.append((get(), workers.running()))
+            if raises and len(seen) == 2:
+                raise Boom
+            return predict(batch, graphs)
+
+        monkeypatch.setattr(model, "predict", recording)
+        with blas_threads(2):
+            with pytest.raises(Boom) if raises else contextlib.nullcontext():
+                predict_corpus(model, overfit_sentences)
+            assert get() == 2
+        assert seen and set(seen) == {(1, True)}
+        assert not workers.running() and not worker_threads()
+
+    def test_no_block_off_the_exact_cores(self, model, overfit_sentences,
+                                          monkeypatch):
+        if workers.openblas() is None:
+            pytest.skip("numpy's OpenBLAS has no thread controls here")
+        monkeypatch.setattr(workers, "exact_cuts", lambda: False)
+        monkeypatch.setattr(workers, "two_workers", None)
+        get, _, _ = workers.openblas()
+        seen, predict = [], model.predict
+
+        def recording(batch, graphs):
+            seen.append((get(), workers.running()))
+            return predict(batch, graphs)
+
+        monkeypatch.setattr(model, "predict", recording)
+        with blas_threads(2):
+            predict_corpus(model, overfit_sentences)
+        assert seen and set(seen) == {(2, False)}
+
+    def test_dev_pass_in_train_starts_no_second_worker(
+            self, overfit_sentences, tmp_path, monkeypatch):
+        # train()'s block holds; predict_corpus's own block inside it is
+        # nested and starts nothing
+        self._needs_a_worker()
+        monkeypatch.setattr(workers, "exact_cuts", lambda: True)
+        started, serve = [], workers._serve
+
+        def counting(calls):
+            started.append(threading.current_thread().name)
+            serve(calls)
+
+        monkeypatch.setattr(workers, "_serve", counting)
+        passes, predict = [], evaluator.predict_corpus
+
+        def recording(model, sentences, graph_transform=None):
+            passes.append(workers.running())
+            return predict(model, sentences, graph_transform)
+
+        monkeypatch.setattr(evaluator, "predict_corpus", recording)
+        train(overfit_sentences[:8], overfit_sentences[8:12],
+              small_config(**TestPinnedTraining.CFG), tmp_path / "run")
+        assert passes == [True] * TestPinnedTraining.CFG["epochs"]
+        assert started == ["syngcn-worker"]
+        assert not worker_threads()
+
+    def test_bytes_do_not_depend_on_blas_threads(self, overfit_lexicon,
+                                                 overfit_sentences,
+                                                 monkeypatch):
+        # at d_h = 300 the second BiLSTM layer and the GCN multiply over an
+        # inner dimension of 600, where OpenBLAS rounds products
+        # differently on two threads than on one; prediction pins one
+        if workers.openblas() is None or not workers.exact_cuts():
+            pytest.skip("prediction keeps OpenBLAS's own threads here: no "
+                        "thread controls, or a core whose cut products "
+                        "change their bytes")
+        self._needs_a_worker()
+        model = SrlModel(small_config(**{**self.CFG, "d_h": 300}),
+                         overfit_lexicon, np.random.default_rng(5))
+        runs = []
+        for count in (1, 2):
+            with blas_threads(count):
+                runs.append(predicted(model, overfit_sentences, monkeypatch))
+        assert runs[0] == runs[1]
