@@ -10,7 +10,6 @@ over the tokens of every predicate.
 from __future__ import annotations
 
 import collections
-import contextlib
 import logging
 from dataclasses import dataclass
 
@@ -102,12 +101,13 @@ def predict_corpus(model: SrlModel, sentences: list[Sentence],
     """Run inference over every predicate instance of ``sentences``, in
     corpus-order batches of at most ``PREDICT_TOKEN_BUDGET`` tokens.
 
-    Where cut products keep their bytes (``workers.exact_cuts``), every
-    batch runs inside one ``workers.two_workers`` block: OpenBLAS on one
-    thread, a wide BiLSTM layer's two directions on two threads and large
-    products in halves, with the bytes of one BLAS thread whatever
-    OpenBLAS's own count. Inside ``train()`` the block is train()'s own.
-    Elsewhere the batches run on OpenBLAS's own threads.
+    Every batch runs inside one ``workers.two_workers`` block: OpenBLAS on
+    one thread, a wide BiLSTM layer's two directions on two threads and,
+    where ``workers.exact_cuts`` holds, large products in halves, with the
+    bytes of one BLAS thread whatever OpenBLAS's own count. Inside
+    ``train()`` the block is train()'s own. Like ``train()``, it must not
+    run on two Python threads at once: the block's worker and OpenBLAS's
+    thread count are the process's.
 
     ``graph_transform`` maps a built graph to the one actually used (the
     relation-ablation hook). A model without a GCN (K = 0) gets no graphs.
@@ -123,8 +123,7 @@ def predict_corpus(model: SrlModel, sentences: list[Sentence],
             graphs[inst.sentence_id] = g
     # one block for all batches: OpenBLAS's second thread, left spinning by
     # one batch's products, would slow the next batch's recurrence
-    with (workers.two_workers() if workers.exact_cuts()
-          else contextlib.nullcontext()):
+    with workers.two_workers():
         for batch in _batches(instances, PREDICT_TOKEN_BUDGET):
             results = model.predict(batch, [graphs.get(i.sentence_id)
                                             for i in batch])

@@ -2,15 +2,14 @@
 thread, and the program's own large work split between the calling thread
 and one worker.
 
-Inside ``two_workers`` (``trainer.train`` runs in one, and so does
-``evaluator.predict_corpus`` where ``exact_cuts`` holds), large products
-are computed in two halves (``product``), and ``numerics.adam_step`` and
-``numerics.fill_uniform`` give the worker half of their blocks, and
-``numerics.bilstm_layer`` a wide layer's backward direction
-(``in_parallel``). Every split keeps the bytes of the whole computation:
-elementwise work trivially, products only where ``exact_cuts`` says cut
-products keep their bytes. Outside the block nothing is split, and
-OpenBLAS uses its own threads.
+Inside ``two_workers`` (``trainer.train`` and ``evaluator.predict_corpus``
+each run in one), large products are computed in two halves (``product``),
+and ``numerics.adam_step`` and ``numerics.fill_uniform`` give the worker
+half of their blocks, and ``numerics.bilstm_layer`` a wide layer's
+backward direction (``in_parallel``). Every split keeps the bytes of the
+whole computation: elementwise work trivially, products only where
+``exact_cuts`` says cut products keep their bytes. Outside the block
+nothing is split, and OpenBLAS uses its own threads.
 """
 
 from __future__ import annotations

@@ -392,8 +392,8 @@ def predicted(model, sentences, monkeypatch) -> tuple[list, list]:
 
 
 class TestPinnedPrediction:
-    """``predict_corpus`` runs its batches inside one ``two_workers`` block
-    where cut products keep their bytes."""
+    """``predict_corpus`` runs its batches inside one ``two_workers``
+    block."""
 
     CFG = dict(d_w=8, d_pos=4, d_l=8, d_h=8, d_r=8, d_l_out=8,
                lstm_layers=2, gcn_layers=1)
@@ -411,16 +411,14 @@ class TestPinnedPrediction:
     def test_threaded_directions_equal_the_stacked_path(
             self, model, overfit_sentences, monkeypatch):
         # every layer wide, so each runs a direction per thread; at these
-        # widths no product is cut, so the block runs on any core. The
-        # reference is the stacked path, outside any block, at one BLAS
-        # thread
+        # widths no product is cut. The reference is the stacked path,
+        # outside any block, at one BLAS thread
         self._needs_a_worker()
         monkeypatch.setattr(workers, "PAIR_MIN", 1)
         with monkeypatch.context() as patched:
-            patched.setattr(workers, "exact_cuts", lambda: False)
+            patched.setattr(workers, "two_workers", contextlib.nullcontext)
             with blas_threads(1):
                 stacked = predicted(model, overfit_sentences, monkeypatch)
-        monkeypatch.setattr(workers, "exact_cuts", lambda: True)
         threaded = predicted(model, overfit_sentences, monkeypatch)
         assert threaded == stacked
 
@@ -428,7 +426,6 @@ class TestPinnedPrediction:
             self, model, overfit_sentences, monkeypatch):
         self._needs_a_worker()
         monkeypatch.setattr(workers, "PAIR_MIN", 1)
-        monkeypatch.setattr(workers, "exact_cuts", lambda: True)
         budget = 2 * max(len(s) for s in overfit_sentences)
         monkeypatch.setattr(evaluator, "PREDICT_TOKEN_BUDGET", budget)
         handed, in_parallel = [], workers.in_parallel
@@ -453,7 +450,6 @@ class TestPinnedPrediction:
         # OpenBLAS had, and no worker, once predict_corpus returns or a
         # batch raises
         self._needs_a_worker()
-        monkeypatch.setattr(workers, "exact_cuts", lambda: True)
         monkeypatch.setattr(evaluator, "PREDICT_TOKEN_BUDGET", 1)
         get, _, _ = workers.openblas()
         seen, predict = [], model.predict
@@ -475,30 +471,11 @@ class TestPinnedPrediction:
         assert seen and set(seen) == {(1, True)}
         assert not workers.running() and not worker_threads()
 
-    def test_no_block_off_the_exact_cores(self, model, overfit_sentences,
-                                          monkeypatch):
-        if workers.openblas() is None:
-            pytest.skip("numpy's OpenBLAS has no thread controls here")
-        monkeypatch.setattr(workers, "exact_cuts", lambda: False)
-        monkeypatch.setattr(workers, "two_workers", None)
-        get, _, _ = workers.openblas()
-        seen, predict = [], model.predict
-
-        def recording(batch, graphs):
-            seen.append((get(), workers.running()))
-            return predict(batch, graphs)
-
-        monkeypatch.setattr(model, "predict", recording)
-        with blas_threads(2):
-            predict_corpus(model, overfit_sentences)
-        assert seen and set(seen) == {(2, False)}
-
     def test_dev_pass_in_train_starts_no_second_worker(
             self, overfit_sentences, tmp_path, monkeypatch):
         # train()'s block holds; predict_corpus's own block inside it is
         # nested and starts nothing
         self._needs_a_worker()
-        monkeypatch.setattr(workers, "exact_cuts", lambda: True)
         started, serve = [], workers._serve
 
         def counting(calls):
@@ -525,10 +502,6 @@ class TestPinnedPrediction:
         # at d_h = 300 the second BiLSTM layer and the GCN multiply over an
         # inner dimension of 600, where OpenBLAS rounds products
         # differently on two threads than on one; prediction pins one
-        if workers.openblas() is None or not workers.exact_cuts():
-            pytest.skip("prediction keeps OpenBLAS's own threads here: no "
-                        "thread controls, or a core whose cut products "
-                        "change their bytes")
         self._needs_a_worker()
         model = SrlModel(small_config(**{**self.CFG, "d_h": 300}),
                          overfit_lexicon, np.random.default_rng(5))
