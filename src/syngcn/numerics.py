@@ -1557,14 +1557,22 @@ def load_checkpoint(path, into: Mapping[str, np.ndarray] | None = None
     """The tensors saved at ``path``, by name, as new arrays of their saved
     dtype; or, given ``into``, read straight into those arrays, whose names,
     dtypes and shapes the file must list in order (else ``LayoutMismatch``,
-    a ``FormatError``, naming the first that differs, before any read). A name listed twice is
-    an error."""
+    a ``FormatError``, naming the first that differs, before any read). A
+    name listed twice is an error.
+
+    The file is opened once, and its tensor data read only after every
+    header and size check, with ``os.preadv`` on that one descriptor
+    (``_read_span``). Inside ``workers.two_workers`` the worker reads the
+    second half of the data's bytes while this thread reads the first; the
+    trailing-bytes check runs once both are done."""
     with open(path, "rb") as fh:
         manifest = _header_fields(fh, path)
         if len(manifest) != 2 or manifest[0] != CHECKPOINT_MAGIC:
             raise FormatError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
         try:
             count = int(manifest[1])
+            if count < 0:
+                raise ValueError(count)
         except ValueError:
             raise FormatError(f"{path}: bad tensor count {manifest[1]!r}") from None
         headers, seen = [], set()
@@ -1611,20 +1619,56 @@ def load_checkpoint(path, into: Mapping[str, np.ndarray] | None = None
                     raise LayoutMismatch(f"{path}: tensor {i + 1} is {got}, "
                                          f"expected {want}")
         out = collections.OrderedDict()
+        tensors, start = [], fh.tell()
+        end = start
         for name, dtype, shape in headers:
             stored = np.dtype(_DTYPE_TAGS[dtype])
-            nbytes = math.prod(shape) * stored.itemsize
             arr = np.empty(shape, dtype) if into is None else into[name]
-            if arr.dtype == stored and arr.flags.c_contiguous:
-                got = fh.readinto(arr.reshape(-1).view(np.uint8))
-            else:
-                raw = fh.read(nbytes)
-                got = len(raw)
-                if got == nbytes:
-                    np.copyto(arr, np.frombuffer(raw, stored).reshape(shape))
-            if got != nbytes:
-                raise FormatError(f"{path}: truncated tensor {name!r}")
+            tensors.append((name, arr, stored, end))
+            end += math.prod(shape) * stored.itemsize
             out[name] = arr
-        if fh.read(1):
+        fd = fh.fileno()
+        if workers.running():
+            half = start + (end - start) // 2
+            workers.in_parallel(
+                lambda: _read_span(fd, path, tensors, start, half),
+                lambda: _read_span(fd, path, tensors, half, end))
+        else:
+            _read_span(fd, path, tensors, start, end)
+        if os.pread(fd, 1, end):
             raise FormatError(f"{path}: trailing bytes after last tensor")
     return out
+
+
+def _read_span(fd: int, path, tensors, lo: int, hi: int) -> None:
+    """Read the file's bytes at positions [lo, hi) into ``tensors``, (name,
+    array, stored dtype, position of its first byte) in file order: straight
+    into each contiguous array of the stored dtype; any other array whole,
+    through a copy, by the span its first byte lies in. ``FormatError``
+    naming the tensor where the file ends early."""
+    for name, arr, stored, pos in tensors:
+        if arr.dtype == stored and arr.flags.c_contiguous:
+            a, b = max(lo, pos), min(hi, pos + arr.nbytes)
+            whole = a >= b or _read_at(
+                fd, arr.reshape(-1).view(np.uint8)[a - pos:b - pos], a)
+        elif lo <= pos < hi:
+            raw = np.empty(arr.shape, stored)
+            whole = _read_at(fd, raw.reshape(-1).view(np.uint8), pos)
+            if whole:
+                np.copyto(arr, raw)
+        else:
+            continue
+        if not whole:
+            raise FormatError(f"{path}: truncated tensor {name!r}")
+
+
+def _read_at(fd: int, buf: np.ndarray, pos: int) -> bool:
+    """Fill the bytes ``buf`` from the file at ``pos`` on, over as many
+    reads as it takes; False if the file ends first."""
+    done = 0
+    while done < len(buf):
+        got = os.preadv(fd, [buf[done:]], pos + done)
+        if not got:
+            return False
+        done += got
+    return True

@@ -206,14 +206,18 @@ class SrlModel:
     def __init__(self, config: TrainConfig, lexicon: Lexicon,
                  rng: np.random.Generator,
                  pretrained: np.ndarray | None = None):
+        """A model with freshly drawn weights. The draws run in store order
+        inside ``workers.two_workers``, where ``nm.fill_uniform`` gives the
+        worker half of each large tensor's pieces; the bytes, and the state
+        ``rng`` is left in, are a serial build's."""
         self._allocate(config, lexicon, pretrained)
-        # the draws, in store order
-        embedder.init_tables(self.tables, rng)
-        if self.lstm is not None:
-            bilstm.init_lstm(self.lstm, rng)
-        if self.gcn is not None:
-            gcn.init_gcn_stack(self.gcn, rng)
-        classifier.init_classifier(self.classifier, rng)
+        with workers.two_workers():
+            embedder.init_tables(self.tables, rng)
+            if self.lstm is not None:
+                bilstm.init_lstm(self.lstm, rng)
+            if self.gcn is not None:
+                gcn.init_gcn_stack(self.gcn, rng)
+            classifier.init_classifier(self.classifier, rng)
 
     def _allocate(self, config: TrainConfig, lexicon: Lexicon,
                   pretrained: np.ndarray | None) -> None:
@@ -304,11 +308,14 @@ class SrlModel:
                         ) -> "SrlModel":
         """The model saved at ``path``, read straight into its store and
         frozen table with no initializer run; ``FormatError`` on a file whose
-        tensors differ from the model's."""
+        tensors differ from the model's. The allocation and the read run
+        inside one ``workers.two_workers`` block, so the worker reads half
+        of the checkpoint's bytes."""
         model = cls.__new__(cls)
-        model._allocate(config, lexicon, None)
-        nm.load_checkpoint(path, into={k: p.data for k, p in
-                                       model.parameters().items()})
+        with workers.two_workers():
+            model._allocate(config, lexicon, None)
+            nm.load_checkpoint(path, into={k: p.data for k, p in
+                                           model.parameters().items()})
         return model
 
 

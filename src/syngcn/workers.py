@@ -1,13 +1,15 @@
-"""Training and prediction on two cores: numpy's OpenBLAS pinned to one
-thread, and the program's own large work split between the calling thread
-and one worker.
+"""Training, prediction, model construction and checkpoint loading on two
+cores: numpy's OpenBLAS pinned to one thread, and the program's own large
+work split between the calling thread and one worker.
 
-Inside ``two_workers`` (``trainer.train`` and ``evaluator.predict_corpus``
-each run in one), large products are computed in two halves (``product``),
-and ``numerics.adam_step`` and ``numerics.fill_uniform`` give the worker
-half of their blocks, and ``numerics.bilstm_layer`` a wide layer's
-backward direction (``in_parallel``). Every split keeps the bytes of the
-whole computation: elementwise work trivially, products only where
+Inside ``two_workers`` (``trainer.train``, ``evaluator.predict_corpus``,
+``trainer.SrlModel``'s draws and ``SrlModel.from_checkpoint`` each run in
+one), large products are computed in two halves (``product``), and
+``numerics.adam_step`` and ``numerics.fill_uniform`` give the worker half
+of their blocks, ``numerics.bilstm_layer`` a wide layer's backward
+direction and ``numerics.load_checkpoint`` the second half of a file's
+tensor bytes (``in_parallel``). Every split keeps the bytes of the whole
+computation: elementwise work and reads trivially, products only where
 ``exact_cuts`` says cut products keep their bytes. Outside the block
 nothing is split, and OpenBLAS uses its own threads.
 """

@@ -288,6 +288,7 @@ class TestPredictEvaluate:
 
 MALFORMED = {
     "count": (nm.load_checkpoint, b"SYNGCN1\tmany\n"),
+    "negative count": (nm.load_checkpoint, b"SYNGCN1\t-3\n"),
     "short header": (nm.load_checkpoint, b"SYNGCN1\t1\nw\tfloat32\n"),
     "negative dim": (nm.load_checkpoint, b"SYNGCN1\t1\nw\tfloat32\t2,-3\n"),
     "not utf-8": (nm.load_checkpoint, b"SYNGCN1\t1\n\xff\xfe\tfloat32\t1\n"),

@@ -1004,6 +1004,12 @@ class TestCheckpointContainer:
         with pytest.raises(FormatError):
             nm.load_checkpoint(path)
 
+    def test_negative_count_is_format_error(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"SYNGCN1\t-3\n")
+        with pytest.raises(FormatError, match="bad tensor count '-3'"):
+            nm.load_checkpoint(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "t.ckpt"
         nm.save_checkpoint({"w": np.zeros((1, 1), dtype=np.float32)}, path)

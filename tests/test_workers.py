@@ -1,7 +1,8 @@
-"""``workers.two_workers``: split products, split Adam spans and fused
-blocks give the bytes of the whole ones, the worker's errors and numpy error
-state reach the caller, and training and prediction leave no worker thread
-behind and OpenBLAS's thread count as they found it."""
+"""``workers.two_workers``: split products, split Adam spans, fused
+blocks, split initializer draws and split checkpoint reads give the bytes of
+the whole ones, the worker's errors and numpy error state reach the caller,
+and training, prediction, model construction and checkpoint loading leave no
+worker thread behind and OpenBLAS's thread count as they found it."""
 
 import contextlib
 import os
@@ -13,13 +14,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from syngcn import evaluator, numerics as nm, workers
+from syngcn import classifier, evaluator, numerics as nm, workers
 from syngcn.conll import build_lexicon
+from syngcn.errors import FormatError, LayoutMismatch
 from syngcn.evaluator import predict_corpus
 from syngcn.trainer import SrlModel, make_instances, train
 
 from conftest import small_config
 import test_numerics
+from test_cli import MALFORMED
 from test_numerics import fuses, named, store_of
 
 
@@ -510,3 +513,224 @@ class TestPinnedPrediction:
             with blas_threads(count):
                 runs.append(predicted(model, overfit_sentences, monkeypatch))
         assert runs[0] == runs[1]
+
+
+class TestPinnedModels:
+    """``SrlModel`` runs its draws, and ``SrlModel.from_checkpoint`` its
+    allocation and read, inside one ``two_workers`` block each."""
+
+    CFG = TestPinnedPrediction.CFG
+
+    @pytest.mark.parametrize("widths", ["a small Adam block", "d_h = 256"])
+    def test_build_inside_the_block_equals_one_outside(
+            self, overfit_lexicon, monkeypatch, widths):
+        # fill_uniform gives the worker half of a tensor's pieces only when
+        # it has two or more: most tensors of this model with a small
+        # _ADAM_BLOCK; with the real one, at d_h = 256, the second BiLSTM
+        # layer's gate blocks of w ([512 x 256], two pieces) and the GCN's
+        # [512 x 512] weights (four)
+        TestPinnedPrediction._needs_a_worker()
+        if widths == "d_h = 256":
+            cfg = small_config(**{**self.CFG, "d_h": 256})
+        else:
+            cfg = small_config(**self.CFG)
+            monkeypatch.setattr(nm, "_ADAM_BLOCK", 64)
+        shape = SrlModel(cfg, overfit_lexicon, np.random.default_rng(0)
+                         ).store["embed.word"].shape
+        pretrained = np.random.default_rng(1).uniform(-1, 1, shape)
+        handed, in_parallel = [], workers.in_parallel
+
+        def counting(here, there):
+            handed.append(there)
+            in_parallel(here, there)
+
+        def build():
+            rng = np.random.default_rng(5)
+            model = SrlModel(cfg, overfit_lexicon, rng, pretrained)
+            return (model.store.flat.tobytes(),
+                    model.tables.word_pretrained.data.tobytes(),
+                    rng.bit_generator.state)
+
+        monkeypatch.setattr(workers, "in_parallel", counting)
+        inside = build()
+        assert handed
+        with monkeypatch.context() as patched:
+            patched.setattr(workers, "two_workers", contextlib.nullcontext)
+            handed.clear()
+            outside = build()
+            assert not handed
+        assert inside == outside
+
+    @pytest.mark.parametrize("case", ["build", "build raises", "load",
+                                      "another config", "truncated"])
+    def test_restores_blas_threads(self, overfit_lexicon, tmp_path,
+                                   monkeypatch, case):
+        # one BLAS thread and a worker while the draws or the read run; the
+        # count OpenBLAS had, and no worker, once the call returns or raises
+        TestPinnedPrediction._needs_a_worker()
+        get, _, _ = workers.openblas()
+        cfg = small_config(**self.CFG)
+        path = tmp_path / "m.ckpt"
+        SrlModel(cfg, overfit_lexicon, np.random.default_rng(5)).save(path)
+        if case == "truncated":
+            path.write_bytes(path.read_bytes()[:-4])
+        seen = []
+
+        class Boom(Exception):
+            pass
+
+        if case.startswith("build"):
+            init = classifier.init_classifier
+
+            def recording(params, rng):
+                seen.append((get(), workers.running()))
+                if case == "build raises":
+                    raise Boom
+                init(params, rng)
+
+            monkeypatch.setattr(classifier, "init_classifier", recording)
+
+            def call():
+                return SrlModel(cfg, overfit_lexicon,
+                                np.random.default_rng(5))
+        else:
+            load = nm.load_checkpoint
+
+            def recording(path, into=None):
+                seen.append((get(), workers.running()))
+                return load(path, into)
+
+            monkeypatch.setattr(nm, "load_checkpoint", recording)
+            wanted = (small_config(**{**self.CFG, "d_h": 16})
+                      if case == "another config" else cfg)
+
+            def call():
+                return SrlModel.from_checkpoint(path, wanted, overfit_lexicon)
+
+        raises = {"build raises": pytest.raises(Boom),
+                  "another config": pytest.raises(LayoutMismatch,
+                                                  match=r"tensor \d+ is"),
+                  "truncated": pytest.raises(FormatError, match="declare")
+                  }.get(case, contextlib.nullcontext())
+        with blas_threads(2):
+            with raises:
+                call()
+            assert get() == 2
+        assert seen == [(1, True)]
+        assert not workers.running() and not worker_threads()
+
+
+def container(path, dtype) -> dict[str, np.ndarray]:
+    """Save, at ``path``, tensors of ``dtype`` whose data's middle byte lies
+    inside the widest, ``b``; return them."""
+    rng = np.random.default_rng(np.dtype(dtype).itemsize)
+    tensors = {"a": rng.standard_normal((3, 4)).astype(dtype),
+               "b": rng.standard_normal((50, 7)).astype(dtype),
+               "c": np.zeros((0, 2), dtype),
+               "d": np.asarray(rng.standard_normal(), dtype),
+               "e": rng.standard_normal((9, 5)).astype(dtype)}
+    nm.save_checkpoint(tensors, path)
+    return tensors
+
+
+class TestSplitRead:
+    """``nm.load_checkpoint`` inside ``two_workers``: the worker reads the
+    second half of the data's bytes."""
+
+    @pytest.mark.parametrize("short", [False, True],
+                             ids=["whole reads", "7-byte reads"])
+    @pytest.mark.parametrize("into", [None, "contiguous", "strided"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_split_read_equals_serial(self, tmp_path, monkeypatch, dtype,
+                                      into, short):
+        # fresh arrays, arrays of a store, and strided arrays filled through
+        # a copy: b, cut in two by the halves where it is read straight,
+        # and e; with a file that hands out at most 7 bytes per read too
+        path = tmp_path / "m.ckpt"
+        saved = container(path, dtype)
+        readers, preadv = set(), os.preadv
+
+        def recording(fd, buffers, offset):
+            readers.add(threading.current_thread().name)
+            if short:
+                buffers = [memoryview(buffers[0]).cast("B")[:7]]
+            return preadv(fd, buffers, offset)
+
+        monkeypatch.setattr(os, "preadv", recording)
+
+        def load():
+            if into is None:
+                return nm.load_checkpoint(path)
+            targets = {}
+            for name, arr in saved.items():
+                target = np.full(2 * arr.size, np.nan, dtype)
+                target = (target[::2] if into == "strided" and name in ("b", "e")
+                          else target[:arr.size])
+                targets[name] = target.reshape(arr.shape)
+            loaded = nm.load_checkpoint(path, into=targets)
+            assert all(loaded[k] is targets[k] for k in saved)
+            return loaded
+
+        serial = load()
+        assert readers == {threading.current_thread().name}
+        readers.clear()
+        with on_two_workers():
+            split = load()
+        assert readers == {threading.current_thread().name, "syngcn-worker"}
+        for name, arr in saved.items():
+            assert split[name].dtype == serial[name].dtype == arr.dtype
+            assert (split[name].tobytes() == serial[name].tobytes()
+                    == arr.tobytes()), name
+
+    @pytest.mark.parametrize("reader,tensor", [("syngcn-worker", "b"),
+                                               ("caller", "a")])
+    def test_short_read_names_its_tensor(self, tmp_path, monkeypatch,
+                                         reader, tensor):
+        # the file ends early for one thread's half: that half's first
+        # tensor is named, after the other half has finished
+        path = tmp_path / "m.ckpt"
+        container(path, np.float32)
+        caller, preadv = threading.current_thread().name, os.preadv
+
+        def ending(fd, buffers, offset):
+            name = threading.current_thread().name
+            if name == (caller if reader == "caller" else reader):
+                return 0
+            return preadv(fd, buffers, offset)
+
+        monkeypatch.setattr(os, "preadv", ending)
+        with on_two_workers():
+            with pytest.raises(FormatError,
+                               match=f"truncated tensor '{tensor}'"):
+                nm.load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(
+        case for case, (reader, _) in MALFORMED.items()
+        if reader is nm.load_checkpoint))
+    def test_malformed_file_raises_format_error(self, tmp_path, case):
+        path = tmp_path / "bad"
+        path.write_bytes(MALFORMED[case][1])
+        with on_two_workers():
+            with pytest.raises(FormatError):
+                nm.load_checkpoint(path)
+
+
+class TestContainerOnTwoWorkers(test_numerics.TestCheckpointContainer):
+    """Every checkpoint container test again, inside one ``two_workers``
+    block."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _inside(self):
+        with on_two_workers():
+            yield
+
+    # hypothesis runs a test function for one class only, so the fuzz test
+    # is wrapped again here around the same body
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.binary(max_size=200),
+                     test_numerics.checkpoint_like_bytes()))
+    def test_fuzzed_file_parses_or_raises_format_error(self, tmp_path_factory,
+                                                       data):
+        test_numerics.TestCheckpointContainer.\
+            test_fuzzed_file_parses_or_raises_format_error.hypothesis.\
+            inner_test(self, tmp_path_factory, data)
