@@ -305,6 +305,8 @@ class Lexicon:
                     raise FormatError(f"{path}:{lineno}: bad lexicon line") from None
                 if i < 0:
                     raise FormatError(f"{path}:{lineno}: negative id {i}")
+                if count < 0:
+                    raise FormatError(f"{path}:{lineno}: negative count {count}")
                 inv = lex._inv.get(kind)
                 if inv is None:
                     raise FormatError(f"{path}:{lineno}: unknown kind {kind!r}")

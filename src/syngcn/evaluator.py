@@ -105,9 +105,10 @@ def predict_corpus(model: SrlModel, sentences: list[Sentence],
     one thread, a wide BiLSTM layer's two directions on two threads and,
     where ``workers.exact_cuts`` holds, large products in halves, with the
     bytes of one BLAS thread whatever OpenBLAS's own count. Inside
-    ``train()`` the block is train()'s own. Like ``train()``, it must not
-    run on two Python threads at once: the block's worker and OpenBLAS's
-    thread count are the process's.
+    ``train()`` the block is train()'s own. Calls on two Python threads
+    share the process's one worker; only the outermost block's thread pins
+    OpenBLAS, so batches that run after that block ends run unsplit, on
+    OpenBLAS's own threads.
 
     ``graph_transform`` maps a built graph to the one actually used (the
     relation-ablation hook). A model without a GCN (K = 0) gets no graphs.

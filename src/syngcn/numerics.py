@@ -894,35 +894,21 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def softmax_cross_entropy(logits: Tensor, gold: int) -> Tensor:
-    """-log softmax(logits)[gold] for a single score vector.
-
-    Computed with max-subtraction; the gradient is softmax - onehot(gold).
-    """
-    vec = logits.data.reshape(-1)
-    n = vec.shape[0]
-    if not 0 <= gold < n:
-        raise IndexError(f"gold index {gold} out of range for {n} classes")
-    m = vec.max()
-    shifted = vec - m
-    logsumexp = np.log(np.exp(shifted).sum())
-    out = np.asarray(logsumexp - shifted[gold], dtype=vec.dtype)
-    probs = np.exp(shifted - logsumexp)
-
-    def backward(g):
-        d = probs.copy()
-        d[gold] -= 1.0
-        _accumulate(logits, (g * d).reshape(logits.data.shape))
-
-    return _make(out, (logits,), "softmax_cross_entropy", backward)
+    """-log softmax(logits)[gold] for one [1 x k] row of scores: the
+    one-row case of ``cross_entropy_rows``."""
+    return cross_entropy_rows(logits, [gold])
 
 
 def cross_entropy_rows(logits: Tensor, gold_ids) -> Tensor:
-    """Sum over rows i of -log softmax(logits[i])[gold_ids[i]].
+    """Sum over rows i of -log softmax(logits[i])[gold_ids[i]], for 2-d
+    ``logits``: one op for an instance's per-token losses.
 
-    Row-vectorized version of ``softmax_cross_entropy`` used for per-instance
-    losses; same math, one op.
+    Computed with max-subtraction; the gradient is softmax - onehot(gold).
     """
     ids = np.asarray(gold_ids, dtype=np.intp)
+    if logits.data.ndim != 2:
+        raise ShapeError(f"cross_entropy_rows: logits of shape "
+                         f"{logits.data.shape}, not 2-d")
     n, k = logits.data.shape
     if ids.shape != (n,):
         raise ShapeError(f"cross_entropy_rows: {ids.shape} gold ids for {n} rows")

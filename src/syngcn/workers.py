@@ -1,6 +1,6 @@
 """Training, prediction, model construction and checkpoint loading on two
 cores: numpy's OpenBLAS pinned to one thread, and the program's own large
-work split between the calling thread and one worker.
+work split between the calling thread and one worker, for the process.
 
 Inside ``two_workers`` (``trainer.train``, ``evaluator.predict_corpus``,
 ``trainer.SrlModel``'s draws and ``SrlModel.from_checkpoint`` each run in
@@ -38,9 +38,12 @@ SPLIT_ROWS = 64
 # once, one per thread (``numerics.bilstm_layer``)
 PAIR_MIN = 1 << 19
 
-# the calls for the worker thread to run, while a ``two_workers`` block runs
-_calls: queue.SimpleQueue | None = None
-
+# the worker thread's calls; the thread, which the first outermost block of a
+# process (or forked child) starts; whether an outermost ``two_workers`` runs
+_calls: queue.SimpleQueue = queue.SimpleQueue()
+_worker: threading.Thread | None = None
+_running = False
+_entry = threading.Lock()
 
 # The OpenBLAS cores whose float32 products keep each element's bytes when
 # cut into row blocks or column halves of the sizes ``numerics.adam_step``
@@ -79,58 +82,54 @@ def exact_cuts() -> bool:
 @contextlib.contextmanager
 def two_workers():
     """Inside the block, numpy's OpenBLAS runs on one thread, and the
-    program splits its large work between this thread and one worker
-    thread. On leaving, on an error too, it waits for the worker to end and
-    gives OpenBLAS back its thread count; a worker that fails to start
-    raises before OpenBLAS is pinned. Without the bundled OpenBLAS's thread
-    controls, with one usable CPU, or inside another such block (as
-    ``predict_corpus``'s is in ``train()``'s), it changes nothing.
-
-    The worker runs internal helpers only, in a copy of the caller's
-    ``contextvars`` context, so numpy's error state (``np.errstate``) holds
-    there too; every call that hands it work waits for it before returning
-    or raising.
-    """
-    global _calls
+    program splits its large work between this thread and the worker,
+    which the outermost block starts, when no live one exists, before it
+    pins OpenBLAS. Leaving, on an error too, gives OpenBLAS back its thread
+    count. Without the bundled OpenBLAS's thread controls, with one usable
+    CPU, or inside another such block (``predict_corpus``'s in ``train()``'s,
+    or one on a second Python thread) it changes nothing: a second thread's
+    calls queue on the same worker, and those that outlive the outermost
+    block run unsplit."""
+    global _worker, _running
     blas = openblas()
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    if _calls is not None or blas is None or cpus < 2:
-        yield
-        return
-    get, put, _ = blas
-    threads = get()
-    calls = queue.SimpleQueue()
-    worker = threading.Thread(target=_serve, args=(calls,),
-                              name="syngcn-worker")
-    worker.start()
+    with _entry:
+        pins = not _running and blas is not None and cpus >= 2
+        if pins:
+            if _worker is None or not _worker.is_alive():
+                _worker = threading.Thread(target=_serve, daemon=True,
+                                           name="syngcn-worker")
+                _worker.start()
+            threads = blas[0]()
+            blas[1](1)
+            _running = True
     try:
-        put(1)
-        _calls = calls
         yield
     finally:
-        _calls = None
-        calls.put(None)
-        worker.join()
-        put(threads)
+        if pins:
+            with _entry:
+                _running = False
+                blas[1](threads)
 
 
 def running() -> bool:
-    """Whether a ``two_workers`` block runs, with its worker."""
-    return _calls is not None
+    """Whether a ``two_workers`` block runs, with OpenBLAS pinned."""
+    return _running
 
 
-def _serve(calls: queue.SimpleQueue) -> None:
-    """The worker thread: run each call put on ``calls`` until a None."""
-    for call in iter(calls.get, None):
-        call()
+def _serve() -> None:
+    """The worker thread: run each call put on ``_calls``."""
+    while True:
+        _calls.get()()
 
 
 def in_parallel(here: Callable[[], object],
                 there: Callable[[], object]) -> None:
-    """Run ``there`` on the worker while ``here`` runs on this thread, and
-    return once both have finished: with ``here``'s error if it raised, else
-    with ``there``'s."""
+    """Run ``there`` on the worker, in a copy of this thread's
+    ``contextvars`` context (so numpy's error state holds there too), while
+    ``here`` runs on this thread, and return once both have finished: with
+    ``here``'s error if it raised, else with ``there``'s."""
     context, done = contextvars.copy_context(), queue.SimpleQueue()
 
     def call():
@@ -163,7 +162,7 @@ def product(a: np.ndarray, b: np.ndarray,
     column, which numpy hands to a matrix-vector kernel whose bytes depend
     on where it is cut, stays whole."""
     (m, k), n = a.shape, b.shape[1]
-    if (_calls is None or m * n * k < SPLIT_MIN or min(m, n) < 2
+    if (not _running or m * n * k < SPLIT_MIN or min(m, n) < 2
             or not a.dtype == b.dtype == np.float32 or not exact_cuts()):
         return np.matmul(a, b, out=out)
     if out is None:

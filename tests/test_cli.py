@@ -3,6 +3,7 @@ import re
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from syngcn import cli, fixtures
@@ -13,7 +14,7 @@ from syngcn.errors import FormatError
 
 from conftest import small_config
 from test_conll import make_sentence
-from syngcn.trainer import param_layout, save_config
+from syngcn.trainer import SrlModel, load_config, param_layout, save_config
 
 DESK_CONF = Path(__file__).resolve().parents[1] / "configs" / "desk_overfit.conf"
 
@@ -295,6 +296,8 @@ MALFORMED = {
     "tensor twice": (nm.load_checkpoint, b"SYNGCN1\t2\nw\tfloat32\t1\n"
                      b"w\tfloat32\t1\n" + bytes(8)),
     "lexicon kind": (Lexicon.load, b"SYNGCNLEX1\nverb\t0\tx\t1\n"),
+    "lexicon negative count": (Lexicon.load,
+                               b"SYNGCNLEX1\nword\t2\tfoo\t-7\n"),
 }
 
 
@@ -580,6 +583,36 @@ class TestCliFaults:
         assert captured.out == ""
         assert {p: p.read_bytes() if p.is_file() else None
                 for p in tmp_path.rglob("*")} == before
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul",
+                                "ignore:invalid value encountered in add")
+    def test_non_finite_training_exits_two(self, data_dir, tmp_path, capsys,
+                                           caplog):
+        # at lr = 1e38 the first update overflows the LSTM: one error line
+        # naming the epoch, the instance and the op, then every parameter's
+        # largest magnitude, and no traceback; no epoch is recorded or saved
+        out = tmp_path / "run"
+        code = run(["train", "--config", str(DESK_CONF),
+                    "--train", str(data_dir / "overfit.conll"),
+                    "--set", "lr=1e38", "--set", "epochs=2",
+                    "--out", str(out)])
+        assert code == 2
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert [(r.name, r.levelno) for r in errors] == [("syngcn",
+                                                          logging.ERROR)]
+        head, *norms = errors[0].getMessage().split("\n")
+        assert re.fullmatch(r"epoch 1, instance \d+: non-finite values "
+                            r"produced by lstm", head), head
+        names = list(SrlModel(load_config(DESK_CONF),
+                              Lexicon.load(out / "lexicon.txt"),
+                              np.random.default_rng(0)).parameters())
+        assert norms[0] == "parameter norms:"
+        assert [line.split(":")[0].strip() for line in norms[1:]] == names
+        assert all(re.fullmatch(r"  [\w.]+: \|\.\|=\S+", line)
+                   for line in norms[1:])
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
+        assert (out / "metrics.tsv").read_text() == ""
+        assert not (out / "best.ckpt").exists()
 
 
 class TestAnalyze:

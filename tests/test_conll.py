@@ -265,6 +265,16 @@ class TestLexicon:
         with pytest.raises(FormatError, match=r"lexicon\.txt:2: negative id"):
             Lexicon.load(path)
 
+    @pytest.mark.parametrize("line", [f"word\t0\t{PAD}\t-3",
+                                      "word\t2\tfoo\t-7"])
+    def test_negative_count_rejected(self, tmp_path, line):
+        # counts decide which words are singletons for word dropout
+        path = tmp_path / "lexicon.txt"
+        path.write_text(f"{LEXICON_MAGIC}\n{line}\n")
+        with pytest.raises(FormatError,
+                           match=r"lexicon\.txt:2: negative count -\d"):
+            Lexicon.load(path)
+
     def test_string_under_two_ids_rejected(self, tmp_path):
         # the second id would shadow the first, which no lookup could reach
         path = tmp_path / "lexicon.txt"

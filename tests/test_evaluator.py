@@ -298,6 +298,24 @@ class TestTeleport:
         assert stats.token_far == 1       # token distance 8 > 5
         assert stats.teleport_far == 0    # teleport distance 1
 
+    def test_far_argument_no_arc_brings_near(self):
+        # a chain of arcs between neighbours: no arc saves a step, so the
+        # argument 10 tokens away is far on both metrics, and the one
+        # beside the predicate on neither
+        rows = [("v", "v", "V", 0, "ROOT", "Y", "v.01")]
+        for i in range(2, 12):
+            rows.append((f"f{i}", f"f{i}", "N", i - 1, "NEXT", "_", "_"))
+        apreds = [["_"], ["A0"]] + [["_"]] * 8 + [["A1"]]
+        gold = parse_text(make_sentence(rows, apreds))
+        stats = teleport_stats(gold)
+        distances = teleport_oracle(gold[0])
+        assert distances == [(1, 1), (10, 10)]
+        assert (stats.arguments, stats.token_far, stats.teleport_far) == (
+            len(distances),
+            sum(token > TELEPORT_THRESHOLD for token, _ in distances),
+            sum(tele > TELEPORT_THRESHOLD for _, tele in distances)) == (
+            2, 1, 1)
+
     def test_matches_bfs_oracle_on_fixtures(self, overfit_sentences,
                                             structural_sentences):
         from syngcn.evaluator import _teleport_distance

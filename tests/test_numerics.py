@@ -211,16 +211,23 @@ class TestSoftmaxCrossEntropy:
         assert result.max_rel_err < 1e-4
 
     def test_rows_version_matches_single(self):
+        # against each row's log-sum-exp written out in float64
         rng = np.random.default_rng(3)
         logits = rng.standard_normal((4, 5))
         golds = [1, 0, 4, 2]
         total = nm.cross_entropy_rows(nm.Tensor(logits, dtype=np.float64),
                                       golds)
-        singles = sum(
-            float(nm.softmax_cross_entropy(
-                nm.Tensor(logits[i:i + 1], dtype=np.float64), golds[i]).data)
-            for i in range(4))
-        assert float(total.data) == pytest.approx(singles, rel=1e-12)
+        want = math.fsum(math.log(math.fsum(math.exp(x) for x in row)) - row[g]
+                         for row, g in zip(logits.tolist(), golds))
+        assert float(total.data) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(5,), (1, 2, 5)])
+    def test_logits_not_2d_are_a_shape_error(self, shape):
+        logits = nm.Tensor(np.zeros(shape))
+        with pytest.raises(ShapeError, match="not 2-d"):
+            nm.cross_entropy_rows(logits, [1])
+        with pytest.raises(ShapeError, match="not 2-d"):
+            nm.softmax_cross_entropy(logits, 1)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
@@ -709,6 +716,62 @@ class TestFusedAdamStep:
             monkeypatch, np.float64, self.SWEPT, loss, (6, 2), 2)
         assert store.window.size == store.size
         assert spans == [(0, 255)] * 2
+
+    def test_fused_tensor_the_loss_does_not_reach_equals_the_window_path(
+            self, monkeypatch):
+        # after the first step, the BiLSTM's output is off the loss's path,
+        # so its rule never runs: each fused u and w steps on the empty
+        # product, moved by its moments alone, and its bytes, and its
+        # moments', are those of a step on zeros from the window (the same
+        # steps with no product cut exactly)
+        if not fuses(np.float32):
+            pytest.skip("steps fuse no tensor on this OpenBLAS core")
+        monkeypatch.setattr(nm, "_ADAM_BLOCK", 16)
+        shapes = {"table": (6, 5), "w": (5, 4), **self.LSTM}
+        rng = np.random.default_rng(4)
+        start = {k: rng.uniform(-0.5, 0.5, s) for k, s in shapes.items()}
+        x = nm.Tensor(rng.uniform(-1, 1, (5, 4)), np.float32)
+
+        def loss(p, step):
+            e = nm.rows(p["table"], [0, 2, 2, 5, 1]) @ p["w"]
+            h = nm.bilstm_layer(e, *((tuple(p[f"lstm.{side}.{k}"]
+                                            for k in "wub")
+                                      for side in ("fw", "bw"))), [3, 2])
+            loss = nm.sum_all(nm.relu(e * x))
+            return loss + nm.sum_all(h) if step == 1 else loss
+
+        empty, adam_step = [], nm.adam_step
+
+        def recording_step(store, lr, span, product=None):
+            if product is not None and product[0].shape[1] == 0:
+                empty.append(span)
+            adam_step(store, lr, span, product)
+
+        monkeypatch.setattr(nm, "adam_step", recording_step)
+        runs = []
+        for exact in (True, False):
+            store, states = store_of(np.float32, **start), []
+            with monkeypatch.context() as patched:
+                if not exact:
+                    patched.setattr(workers, "exact_cuts", lambda: False)
+                for step in (1, 2, 3):
+                    with nm.Tape() as tape:
+                        got = loss(store, step)
+                    tape.gradients(got, store, 0.01)
+                    states.append({k: (store[k].data.tobytes(),
+                                       named(store, store.m)[k].tobytes(),
+                                       named(store, store.v)[k].tobytes())
+                                   for k in shapes})
+            runs.append(states)
+            if exact:
+                fused = [store._bounds[f"lstm.{side}.{k}"]
+                         for side in ("bw", "fw") for k in "uw"]
+                assert sorted(empty) == sorted(fused * 2)
+                empty.clear()
+        assert not empty
+        assert runs[0] == runs[1]
+        for k in ("lstm.fw.u", "lstm.fw.w", "lstm.bw.u", "lstm.bw.w"):
+            assert runs[0][0][k][0] != runs[0][2][k][0], k
 
     def test_tensors_below_every_input_join_the_last_chunk(self,
                                                            monkeypatch):

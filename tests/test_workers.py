@@ -1,11 +1,13 @@
 """``workers.two_workers``: split products, split Adam spans, fused
 blocks, split initializer draws and split checkpoint reads give the bytes of
 the whole ones, the worker's errors and numpy error state reach the caller,
-and training, prediction, model construction and checkpoint loading leave no
-worker thread behind and OpenBLAS's thread count as they found it."""
+and training, prediction, model construction and checkpoint loading share the
+process's one worker thread and leave OpenBLAS's thread count as they found
+it."""
 
 import contextlib
 import os
+import queue
 import threading
 import time
 import warnings
@@ -43,9 +45,37 @@ def pins() -> bool:
         return workers.running()
 
 
-def worker_threads() -> list[str]:
-    return [t.name for t in threading.enumerate()
-            if t.name.startswith("syngcn-worker")]
+def the_worker() -> threading.Thread:
+    """The process's one worker thread, the one ``two_workers`` started."""
+    threads = [t for t in threading.enumerate()
+               if t.name.startswith("syngcn-worker")]
+    assert threads == [workers._worker]
+    return threads[0]
+
+
+@contextlib.contextmanager
+def fresh_worker(monkeypatch):
+    """A process that has started no worker yet, as far as ``two_workers``
+    sees: it gets its own call queue, and the threads it starts in the
+    block, which stop on leaving it. Yields the list of those threads."""
+    started, calls = [], queue.SimpleQueue()
+
+    def serving():
+        started.append(threading.current_thread())
+        for call in iter(calls.get, None):
+            call()
+
+    with monkeypatch.context() as patched:
+        patched.setattr(workers, "_calls", calls)
+        patched.setattr(workers, "_worker", None)
+        patched.setattr(workers, "_serve", serving)
+        try:
+            yield started
+        finally:
+            for _ in started:
+                calls.put(None)
+            for thread in started:
+                thread.join()
 
 
 SIZES = st.one_of(st.sampled_from([1, 2, 3, 31, 32, 33, 63, 64, 65, 129]),
@@ -250,22 +280,23 @@ class TestHandOff:
 class TestPinnedTraining:
     CFG = dict(d_w=8, d_pos=4, d_l=8, d_h=8, d_r=8, d_l_out=8, epochs=2)
 
-    def test_region_restores_blas_threads_and_ends_its_worker(self):
+    def test_region_restores_blas_threads_and_keeps_its_worker(self):
         if not pins():
             pytest.skip("two_workers starts no worker here")
         get, _, _ = workers.openblas()
-        before = get()
-        with on_two_workers():
-            assert get() == 1 and workers.running()
-            workers.in_parallel(lambda: None, lambda: None)
-            assert worker_threads()
-        assert get() == before and not workers.running()
-        assert not worker_threads()
+        before, worker = get(), the_worker()
+        for _ in range(2):
+            with on_two_workers():
+                assert get() == 1 and workers.running()
+                workers.in_parallel(lambda: None, lambda: None)
+                assert the_worker() is worker
+            assert get() == before and not workers.running()
+            assert the_worker() is worker and worker.is_alive()
 
     def test_worker_that_fails_to_start_leaves_blas_threads(self,
                                                             monkeypatch):
-        # the process cannot start a thread: the error surfaces, and
-        # OpenBLAS keeps its thread count
+        # the process cannot start a thread: the error surfaces on the
+        # first block's entry, and OpenBLAS keeps its thread count
         if not pins():
             pytest.skip("two_workers starts no worker here")
         get, _, _ = workers.openblas()
@@ -274,6 +305,7 @@ class TestPinnedTraining:
         def refuse(thread):
             raise RuntimeError("can't start new thread")
 
+        monkeypatch.setattr(workers, "_worker", None)
         monkeypatch.setattr(threading.Thread, "start", refuse)
         with pytest.raises(RuntimeError, match="can't start new thread"):
             with workers.two_workers():
@@ -287,12 +319,12 @@ class TestPinnedTraining:
                                          monkeypatch, kill):
         # OpenBLAS runs one thread while train() runs, and gets back its
         # count when train() returns, or raises from the killed-run test's
-        # kills, in an Adam update or in the best.ckpt write; no worker is
-        # left either way
+        # kills, in an Adam update or in the best.ckpt write; the one
+        # worker is the same thread before and after, either way
         if not pins():
             pytest.skip("two_workers starts no worker here")
         get, _, _ = workers.openblas()
-        before, seen = get(), []
+        before, seen, worker = get(), [], the_worker()
 
         class Killed(Exception):
             pass
@@ -322,7 +354,7 @@ class TestPinnedTraining:
                   tmp_path / "run")
         assert seen and set(seen) == {1}
         assert get() == before and not workers.running()
-        assert not worker_threads()
+        assert the_worker() is worker
 
     @pytest.mark.parametrize("without", ["thread controls", "a second CPU"])
     def test_serial_path_gives_the_same_bytes(self, overfit_sentences,
@@ -330,8 +362,9 @@ class TestPinnedTraining:
                                               without):
         # with a store wider than one Adam block, a run on two workers
         # splits Adam spans and fuses blocks; without OpenBLAS's thread
-        # controls, or with one usable CPU, train() starts no worker, and
-        # the bytes are the same
+        # controls, or with one usable CPU, train() neither hands off nor
+        # starts a worker in a process that has none, and the bytes are the
+        # same
         if not pins():
             pytest.skip("two_workers starts no worker here")
         monkeypatch.setattr(nm, "_ADAM_BLOCK", 64)
@@ -352,7 +385,9 @@ class TestPinnedTraining:
             else:
                 patched.setattr(os, "sched_getaffinity", lambda pid: {0})
             running.clear()
-            serial = train(sentences, None, cfg, tmp_path / "serial")
+            with fresh_worker(patched) as started:
+                serial = train(sentences, None, cfg, tmp_path / "serial")
+                assert workers._worker is None and not started
             assert set(running) == {False}
         steps = cfg.epochs * len(make_instances(sentences,
                                                 build_lexicon(sentences)))
@@ -450,12 +485,12 @@ class TestPinnedPrediction:
     def test_restores_blas_threads(self, model, overfit_sentences,
                                    monkeypatch, raises):
         # one BLAS thread and a worker while the batches run; the count
-        # OpenBLAS had, and no worker, once predict_corpus returns or a
-        # batch raises
+        # OpenBLAS had, and the same one worker, once predict_corpus returns
+        # or a batch raises
         self._needs_a_worker()
         monkeypatch.setattr(evaluator, "PREDICT_TOKEN_BUDGET", 1)
         get, _, _ = workers.openblas()
-        seen, predict = [], model.predict
+        seen, predict, worker = [], model.predict, the_worker()
 
         class Boom(Exception):
             pass
@@ -472,32 +507,68 @@ class TestPinnedPrediction:
                 predict_corpus(model, overfit_sentences)
             assert get() == 2
         assert seen and set(seen) == {(1, True)}
-        assert not workers.running() and not worker_threads()
+        assert not workers.running() and the_worker() is worker
 
     def test_dev_pass_in_train_starts_no_second_worker(
-            self, overfit_sentences, tmp_path, monkeypatch):
+            self, overfit_sentences, overfit_lexicon, tmp_path, monkeypatch):
         # train()'s block holds; predict_corpus's own block inside it is
-        # nested and starts nothing
+        # nested and starts nothing, and neither do the blocks of a later
+        # build, load and prediction in the same process
         self._needs_a_worker()
-        started, serve = [], workers._serve
-
-        def counting(calls):
-            started.append(threading.current_thread().name)
-            serve(calls)
-
-        monkeypatch.setattr(workers, "_serve", counting)
         passes, predict = [], evaluator.predict_corpus
 
         def recording(model, sentences, graph_transform=None):
             passes.append(workers.running())
             return predict(model, sentences, graph_transform)
 
-        monkeypatch.setattr(evaluator, "predict_corpus", recording)
-        train(overfit_sentences[:8], overfit_sentences[8:12],
-              small_config(**TestPinnedTraining.CFG), tmp_path / "run")
-        assert passes == [True] * TestPinnedTraining.CFG["epochs"]
-        assert started == ["syngcn-worker"]
-        assert not worker_threads()
+        cfg = small_config(**TestPinnedTraining.CFG)
+        with fresh_worker(monkeypatch) as started:
+            with monkeypatch.context() as patched:
+                patched.setattr(evaluator, "predict_corpus", recording)
+                result = train(overfit_sentences[:8], overfit_sentences[8:12],
+                               cfg, tmp_path / "run", overfit_lexicon)
+            assert passes == [True] * cfg.epochs
+            SrlModel(cfg, overfit_lexicon, np.random.default_rng(5))
+            model = SrlModel.from_checkpoint(result.best_checkpoint, cfg,
+                                             overfit_lexicon)
+            predict_corpus(model, overfit_sentences[8:12])
+            assert [t.name for t in started] == ["syngcn-worker"]
+            assert started == [workers._worker]
+
+    def test_two_python_threads_share_the_worker(
+            self, model, overfit_sentences, monkeypatch):
+        # every batch hands a direction to the worker; two Python threads
+        # predicting at once queue their hand-offs on the one worker, and a
+        # thread whose calls outlive the other's outermost block runs them
+        # unsplit, with the same bytes
+        self._needs_a_worker()
+        monkeypatch.setattr(workers, "PAIR_MIN", 1)
+        monkeypatch.setattr(evaluator, "PREDICT_TOKEN_BUDGET",
+                            2 * max(len(s) for s in overfit_sentences))
+
+        def distributions():
+            preds = predict_corpus(model, overfit_sentences)
+            return [preds.get(*key)[1].tobytes()
+                    for key in sorted(preds.keys())]
+
+        lone, results, errors = distributions(), [], []
+
+        def calls():
+            try:
+                for _ in range(40):
+                    results.append(distributions())
+            except BaseException as err:
+                errors.append(err)
+
+        threads = [threading.Thread(target=calls) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and len(results) == 80
+        assert all(result == lone for result in results)
+        assert not workers.running()
 
     def test_bytes_do_not_depend_on_blas_threads(self, overfit_lexicon,
                                                  overfit_sentences,
@@ -566,9 +637,11 @@ class TestPinnedModels:
     def test_restores_blas_threads(self, overfit_lexicon, tmp_path,
                                    monkeypatch, case):
         # one BLAS thread and a worker while the draws or the read run; the
-        # count OpenBLAS had, and no worker, once the call returns or raises
+        # count OpenBLAS had, and the same one worker, once the call returns
+        # or raises
         TestPinnedPrediction._needs_a_worker()
         get, _, _ = workers.openblas()
+        worker = the_worker()
         cfg = small_config(**self.CFG)
         path = tmp_path / "m.ckpt"
         SrlModel(cfg, overfit_lexicon, np.random.default_rng(5)).save(path)
@@ -617,7 +690,7 @@ class TestPinnedModels:
                 call()
             assert get() == 2
         assert seen == [(1, True)]
-        assert not workers.running() and not worker_threads()
+        assert not workers.running() and the_worker() is worker
 
 
 def container(path, dtype) -> dict[str, np.ndarray]:
