@@ -102,13 +102,13 @@ def predict_corpus(model: SrlModel, sentences: list[Sentence],
     corpus-order batches of at most ``PREDICT_TOKEN_BUDGET`` tokens.
 
     Every batch runs inside one ``workers.two_workers`` block: OpenBLAS on
-    one thread, a wide BiLSTM layer's two directions on two threads and,
-    where ``workers.exact_cuts`` holds, large products in halves, with the
-    bytes of one BLAS thread whatever OpenBLAS's own count. Inside
-    ``train()`` the block is train()'s own. Calls on two Python threads
-    share the process's one worker; only the outermost block's thread pins
-    OpenBLAS, so batches that run after that block ends run unsplit, on
-    OpenBLAS's own threads.
+    one thread, and a wide BiLSTM layer's two directions and the halves of
+    a large product on two threads, with the bytes of one BLAS thread
+    whatever OpenBLAS's own count. Inside ``train()`` the block is
+    train()'s own. Calls on two Python threads share the process's one
+    worker; only the outermost block's thread pins OpenBLAS, so batches
+    that run after that block ends run on one Python thread, on OpenBLAS's
+    own threads.
 
     ``graph_transform`` maps a built graph to the one actually used (the
     relation-ablation hook). A model without a GCN (K = 0) gets no graphs.
@@ -123,8 +123,9 @@ def predict_corpus(model: SrlModel, sentences: list[Sentence],
                 g = graph_transform(g)
             graphs[inst.sentence_id] = g
     # one block for all batches: OpenBLAS's second thread, left spinning by
-    # one batch's products, would slow the next batch's recurrence
-    with workers.two_workers():
+    # one batch's products, would slow the next batch's recurrence. The
+    # finite checks, not numpy's warnings, report a non-finite value
+    with workers.two_workers(), np.errstate(over="ignore", invalid="ignore"):
         for batch in _batches(instances, PREDICT_TOKEN_BUDGET):
             results = model.predict(batch, [graphs.get(i.sentence_id)
                                             for i in batch])

@@ -455,11 +455,14 @@ def bilstm_layer(x: Tensor, fw: tuple, bw: tuple, lengths=None) -> Tensor:
     one [active x d] @ [d x 4d] product per direction, one ufunc pass each.
     Inside ``workers.two_workers``, a layer whose first step's product has
     ``workers.PAIR_MIN`` multiply-adds runs its forward and its backward's
-    recurrence one direction per thread (``_by_direction``), same bytes.
-    The backward runs in six stages, one per parameter going down the store
-    (backward direction's ``b`` with its ``x`` term, ``u``, ``w``, then the
-    forward direction's), so a batch-size-1 step flushes one tensor's
-    gradient at a time; each ``u`` and ``w`` gradient is one product.
+    recurrence one direction per thread (``_by_direction``), same bytes:
+    each direction's input projection is one whole product, not
+    ``workers.product``'s halves, as a lone direction's thread cannot hand
+    half of it over. The backward runs in six stages, one per parameter
+    going down the store (backward direction's ``b`` with its ``x`` term,
+    ``u``, ``w``, then the forward direction's), so a batch-size-1 step
+    flushes one tensor's gradient at a time; each ``u`` and ``w`` gradient
+    is one product.
     """
     dirs, us = (fw, bw), (fw[1].data, bw[1].data)
     for t in (*fw, *bw):
@@ -490,15 +493,13 @@ def bilstm_layer(x: Tensor, fw: tuple, bw: tuple, lengths=None) -> Tensor:
     wide = active[0] * us[0].size >= workers.PAIR_MIN
 
     def forward(ks):
-        # directions ks: their input projections, then their steps; a lone
-        # direction may be the worker's task, so it calls np.matmul only
+        # directions ks: their input projections, then their steps
         zs, gs, cs, ts, hs = z[ks], gates[ks], c[ks], tanh_c[ks], h[ks]
-        project = workers.product if len(zs) == 2 else np.matmul
         for k in range(2)[ks]:
             # gates[k] is scratch until the steps overwrite every row of it;
             # "clip" lets take write into z[k] unbuffered (rows are in range)
             (w, _, b), rows, scratch = dirs[k], order[k], gates[k]
-            project(x.data, w.data, out=scratch)
+            np.matmul(x.data, w.data, out=scratch)
             np.add(scratch, b.data, out=scratch)
             scratch.take(rows, axis=0, out=z[k], mode="clip")
         h_t = c_t = np.zeros((len(zs), active[0], d), z.dtype)
@@ -1224,12 +1225,13 @@ def _sweep(nodes, store: ParamStore, learning_rate: float) -> None:
     A chunk that is exactly one 2-d tensor whose gradient is one product
     (the node's ``products``) is fused when the store is wider than one
     ``_ADAM_BLOCK``, neither the window covers it nor an earlier pass left a
-    gradient in it, and its float32 products cut into row blocks keep
-    their bytes (``workers.EXACT_CORES``): the rule's product for that
+    gradient in it, and the store is float32: the rule's product for that
     tensor is its Adam update, taken block by block (``adam_step``'s
-    ``product``), and a tensor the rule does not reach is updated on
-    zeros, a product over no terms. The window, reused across steps, holds the largest
-    unfused chunk or one ``_ADAM_BLOCK``. Before an unfused owner's stage
+    ``product``), so the tensor's gradient is that product's row blocks,
+    and a tensor the rule does not reach is updated on zeros, a product
+    over no terms. A float64 store fuses nothing: its gradients keep whole
+    products. The window, reused across steps, holds the largest unfused
+    chunk or one ``_ADAM_BLOCK``. Before an unfused owner's stage
     runs, its store inputs without a gradient get views of the window,
     after a flush of the pending chunks if its own does not fit below them;
     a fused stage flushes them first; the end of the pass flushes the
@@ -1292,7 +1294,7 @@ def _plan_sweep(key: list, store: ParamStore) -> _SweepPlan:
     edges[1:] = edges[1:-1] + [0]          # the last chunk starts at 0
     fusing = (down and not key[0] and store.size > _ADAM_BLOCK
               and (store.window is None or store.window.size < store.size)
-              and store.dtype == np.float32 and workers.exact_cuts())
+              and store.dtype == np.float32)
     chunks = list(zip(edges[1:], edges))
     taken, spans = iter(chunks), []        # per stage: (lo, hi, fused) or None
     for ins, (_, products) in zip(owned, key[1:]):

@@ -413,7 +413,9 @@ def train(train_sentences: list[Sentence], dev_sentences: list[Sentence] | None,
     if lexicon is None:
         lexicon = build_lexicon(train_sentences, min_freq=config.min_freq)
     rng = np.random.default_rng(config.seed)
-    with workers.two_workers():
+    # numpy's overflow and invalid-value warnings silenced: the finite
+    # checks report a non-finite value, naming the op that made it
+    with workers.two_workers(), np.errstate(over="ignore", invalid="ignore"):
         # built first: a model that cannot be built leaves no run directory
         model = SrlModel(config, lexicon, rng, pretrained)
         out_dir.mkdir(parents=True, exist_ok=True)

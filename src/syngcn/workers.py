@@ -4,14 +4,14 @@ work split between the calling thread and one worker, for the process.
 
 Inside ``two_workers`` (``trainer.train``, ``evaluator.predict_corpus``,
 ``trainer.SrlModel``'s draws and ``SrlModel.from_checkpoint`` each run in
-one), large products are computed in two halves (``product``), and
-``numerics.adam_step`` and ``numerics.fill_uniform`` give the worker half
-of their blocks, ``numerics.bilstm_layer`` a wide layer's backward
-direction and ``numerics.load_checkpoint`` the second half of a file's
-tensor bytes (``in_parallel``). Every split keeps the bytes of the whole
-computation: elementwise work and reads trivially, products only where
-``exact_cuts`` says cut products keep their bytes. Outside the block
-nothing is split, and OpenBLAS uses its own threads.
+one), ``product`` gives the worker one half of a large product, and
+``numerics.adam_step`` and ``numerics.fill_uniform`` give it half of their
+blocks, ``numerics.bilstm_layer`` a wide layer's backward direction and
+``numerics.load_checkpoint`` the second half of a file's tensor bytes
+(``in_parallel``). A split changes no bytes, since each half is the work
+that runs, one half after the other, on this thread outside the block:
+``product`` cuts a large float32 product into the same halves there too,
+on every OpenBLAS core.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-# Inside ``two_workers``, products of at least this many multiply-adds are
-# split in two, by rows when they have at least ``SPLIT_ROWS`` rows, else by
-# columns; a smaller product costs less than handing half of it over.
+# float32 products of at least this many multiply-adds are cut in two, by
+# rows when they have at least ``SPLIT_ROWS`` rows, else by columns; a
+# smaller product costs less than handing half of it over.
 SPLIT_MIN = 1 << 22
 SPLIT_ROWS = 64
 
@@ -45,38 +45,21 @@ _worker: threading.Thread | None = None
 _running = False
 _entry = threading.Lock()
 
-# The OpenBLAS cores whose float32 products keep each element's bytes when
-# cut into row blocks or column halves of the sizes ``numerics.adam_step``
-# and ``product`` cut (tested on random shapes): only there do fused Adam
-# updates and split products run. The Haswell kernels, which also serve
-# AMD's Zen, round cut float32 products differently, and float64 products
-# cut the same way differ on SkylakeX too.
-EXACT_CORES = ("SkylakeX",)
-
 
 @functools.cache
 def openblas():
-    """The thread-count getter and setter and the core name of the OpenBLAS
-    bundled with numpy, or None when numpy has another BLAS."""
+    """The thread-count getter and setter of the OpenBLAS bundled with
+    numpy, or None when numpy has another BLAS."""
     try:
         from numpy._core import _multiarray_umath
         lib = ctypes.CDLL(_multiarray_umath.__file__)
         get = lib.scipy_openblas_get_num_threads64_
         put = lib.scipy_openblas_set_num_threads64_
-        core = lib.scipy_openblas_get_corename64_
     except (ImportError, OSError, AttributeError):
         return None
     get.restype, get.argtypes = ctypes.c_int, ()
     put.restype, put.argtypes = None, (ctypes.c_int,)
-    core.restype, core.argtypes = ctypes.c_char_p, ()
-    return get, put, core().decode()
-
-
-def exact_cuts() -> bool:
-    """Whether products cut into row blocks or column halves keep their
-    bytes here (``EXACT_CORES``)."""
-    blas = openblas()
-    return blas is not None and blas[2] in EXACT_CORES
+    return get, put
 
 
 @contextlib.contextmanager
@@ -89,7 +72,7 @@ def two_workers():
     CPU, or inside another such block (``predict_corpus``'s in ``train()``'s,
     or one on a second Python thread) it changes nothing: a second thread's
     calls queue on the same worker, and those that outlive the outermost
-    block run unsplit."""
+    block run on this thread alone."""
     global _worker, _running
     blas = openblas()
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -151,30 +134,34 @@ def in_parallel(here: Callable[[], object],
 
 def product(a: np.ndarray, b: np.ndarray,
             out: np.ndarray | None = None) -> np.ndarray:
-    """``np.matmul(a, b, out=out)`` for 2-d arrays. Inside ``two_workers``,
-    on an ``EXACT_CORES`` core, a float32 product of at least
-    ``SPLIT_MIN`` multiply-adds runs in two halves, one on the worker: by
-    rows, at an even row, or by columns, at a multiple of 16, when it has
-    fewer than ``SPLIT_ROWS`` rows. Each element keeps its K-loop, so the
-    bytes are the whole product's (tested): no half is a lone row of a
-    several-row product, which OpenBLAS rounds by another path, or small
-    enough for its small-matrix kernels, and a product of one row or one
-    column, which numpy hands to a matrix-vector kernel whose bytes depend
-    on where it is cut, stays whole."""
+    """``np.matmul(a, b, out=out)`` for 2-d arrays, where a float32 product
+    of at least ``SPLIT_MIN`` multiply-adds is defined as its two halves:
+    by rows, at an even row, or by columns, at a multiple of 16, when it
+    has fewer than ``SPLIT_ROWS`` rows. Inside ``two_workers`` the worker
+    computes one half; outside, both run on this thread, so a host with
+    one CPU gives the bytes of one with two. No half is a lone row of a several-row product, which OpenBLAS
+    rounds by another path, or small enough for its small-matrix kernels;
+    a product of one row or one column, which numpy hands to a
+    matrix-vector kernel, and a float64 product stay whole."""
     (m, k), n = a.shape, b.shape[1]
-    if (not _running or m * n * k < SPLIT_MIN or min(m, n) < 2
-            or not a.dtype == b.dtype == np.float32 or not exact_cuts()):
+    if (m * n * k < SPLIT_MIN or min(m, n) < 2
+            or not a.dtype == b.dtype == np.float32):
         return np.matmul(a, b, out=out)
     if out is None:
         out = np.empty((m, n), np.float32)
     if m >= SPLIT_ROWS:
         h = m // 4 * 2
-        in_parallel(lambda: np.matmul(a[:h], b, out=out[:h]),
-                    lambda: np.matmul(a[h:], b, out=out[h:]))
+        halves = (lambda: np.matmul(a[:h], b, out=out[:h]),
+                  lambda: np.matmul(a[h:], b, out=out[h:]))
     elif n >= 32:
         h = n // 32 * 16
-        in_parallel(lambda: np.matmul(a, b[:, :h], out=out[:, :h]),
-                    lambda: np.matmul(a, b[:, h:], out=out[:, h:]))
+        halves = (lambda: np.matmul(a, b[:, :h], out=out[:, :h]),
+                  lambda: np.matmul(a, b[:, h:], out=out[:, h:]))
     else:
-        np.matmul(a, b, out=out)
+        return np.matmul(a, b, out=out)
+    if _running:
+        in_parallel(*halves)
+    else:
+        for half in halves:
+            half()
     return out

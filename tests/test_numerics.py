@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from syngcn import numerics as nm, workers
+from syngcn import numerics as nm
 from syngcn.errors import (ConfigError, ContractError, FormatError,
                            NumericsError, ShapeError)
+
+from reference_ops import fused_in_row_blocks
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -285,9 +288,8 @@ def named(store: nm.ParamStore, flat: np.ndarray) -> dict:
 def fuses(dtype) -> bool:
     """Whether a batch-size-1 step of a store of ``dtype`` wider than one
     Adam block takes the gradients of the tensors that are one product
-    straight from the product here: float32, on a core that cuts products
-    exactly (``workers.EXACT_CORES``)."""
-    return np.dtype(dtype) == np.float32 and workers.exact_cuts()
+    straight from the product, in row blocks: float32 only."""
+    return np.dtype(dtype) == np.float32
 
 
 def store_of(dtype=np.float64, **arrays) -> nm.ParamStore:
@@ -722,10 +724,9 @@ class TestFusedAdamStep:
         # after the first step, the BiLSTM's output is off the loss's path,
         # so its rule never runs: each fused u and w steps on the empty
         # product, moved by its moments alone, and its bytes, and its
-        # moments', are those of a step on zeros from the window (the same
-        # steps with no product cut exactly)
-        if not fuses(np.float32):
-            pytest.skip("steps fuse no tensor on this OpenBLAS core")
+        # moments', are those of a step on zeros from the window: the same
+        # steps through a window that covers the store, which fuses nothing,
+        # with the first step's products in the fused steps' row blocks
         monkeypatch.setattr(nm, "_ADAM_BLOCK", 16)
         shapes = {"table": (6, 5), "w": (5, 4), **self.LSTM}
         rng = np.random.default_rng(4)
@@ -749,11 +750,12 @@ class TestFusedAdamStep:
 
         monkeypatch.setattr(nm, "adam_step", recording_step)
         runs = []
-        for exact in (True, False):
+        for fusing in (True, False):
             store, states = store_of(np.float32, **start), []
-            with monkeypatch.context() as patched:
-                if not exact:
-                    patched.setattr(workers, "exact_cuts", lambda: False)
+            if not fusing:
+                store.window = np.zeros(store.size, np.float32)
+            with (contextlib.nullcontext() if fusing
+                  else fused_in_row_blocks(r"lstm\.\w+\.[uw]")):
                 for step in (1, 2, 3):
                     with nm.Tape() as tape:
                         got = loss(store, step)
@@ -763,7 +765,7 @@ class TestFusedAdamStep:
                                        named(store, store.v)[k].tobytes())
                                    for k in shapes})
             runs.append(states)
-            if exact:
+            if fusing:
                 fused = [store._bounds[f"lstm.{side}.{k}"]
                          for side in ("bw", "fw") for k in "uw"]
                 assert sorted(empty) == sorted(fused * 2)

@@ -19,6 +19,7 @@ from syngcn.trainer import (SrlModel, TrainConfig, load_config, make_instances,
                             parse_config_text, save_config, train)
 
 from conftest import parse_text, small_config
+from reference_ops import fused_in_row_blocks
 from test_conll import make_sentence
 from test_numerics import (flat_of, fuses, grads_or_zeros, named, step_on,
                           textbook_adam)
@@ -428,11 +429,18 @@ class TestModel:
             SrlModel.from_checkpoint(path, other.config, lex)
 
 
+# the tensors whose gradients a batch-size-1 step of a float32 model store
+# wider than one Adam block takes from their products: each BiLSTM layer's
+# u and w, each GCN layer's weights and the role head's transform
+FUSED = r"lstm\.\d+\.\w+\.[wu]|gcn\.\d+\.w_\w+|cls\.pair_transform"
+
+
 def reference_run(sentences, cfg: TrainConfig):
     """``train``'s updates on per-tensor copies of the weights, off the
     store: fresh gradient arrays in each tensor's ``grad`` per instance,
-    summed per batch, and the textbook Adam. The model, and the names that
-    got no gradient in some instance."""
+    summed per batch, and the textbook Adam. Where ``train`` fuses, the
+    ``FUSED`` tensors' gradients are their products' row blocks. The
+    model, and the names that got no gradient in some instance."""
     lexicon = build_lexicon(sentences, min_freq=cfg.min_freq)
     rng = np.random.default_rng(cfg.seed)
     model = SrlModel(cfg, lexicon, rng)
@@ -444,6 +452,8 @@ def reference_run(sentences, cfg: TrainConfig):
     instances = make_instances(sentences, lexicon)
     graphs = [build_graph(s, lexicon) for s in sentences]
     step, unreached, batch = 0, set(), []
+    fusing = (fuses(cfg.dtype) and cfg.batch_size == 1
+              and model.store.size > nm._ADAM_BLOCK)
     for _ in range(cfg.epochs):
         order = rng.permutation(len(instances))
         for pos, idx in enumerate(order):
@@ -452,7 +462,9 @@ def reference_run(sentences, cfg: TrainConfig):
                 t.grad = None
             with nm.Tape() as tape:
                 loss = model.instance_loss(inst, graphs[inst.sentence_id], rng)
-            tape.gradients(loss)
+            with (fused_in_row_blocks(FUSED) if fusing
+                  else contextlib.nullcontext()):
+                tape.gradients(loss)
             unreached |= {k for k, t in params.items() if t.grad is None}
             batch.append(grads_or_zeros(params))
             if len(batch) == cfg.batch_size or pos == len(order) - 1:
@@ -541,9 +553,9 @@ class TestFlatStore:
         # BiLSTM layer, one direction's GCN weights or the input projection,
         # a GCN layer's label and gate tensors, the embedder's tables, the
         # role head's transform, or its lemma and role tables. Where steps
-        # fuse (float32 on an exact core), a BiLSTM layer's u and w, a GCN
-        # layer's weights and the transform take no room in the window:
-        # Adam takes their gradients from the products
+        # fuse (float32), a BiLSTM layer's u and w, a GCN layer's weights
+        # and the transform take no room in the window: Adam takes their
+        # gradients from the products
         monkeypatch.setattr(nm, "_ADAM_BLOCK", self.SMALL_BLOCK)
         seen, adam_step = [], nm.adam_step
 
@@ -564,13 +576,12 @@ class TestFlatStore:
         assert sorted(modules) == want
         # tensors in the chunk of the tensor before them
         joined = ("gate", "embed.pos", "embed.lemma", "cls.role")
-        fused = re.compile(r"lstm\.\d+\.\w+\.[wu]|gcn\.\d+\.w_|cls\.pair"
-                           if fuses(cfg.dtype) else "$^")
+        fused = re.compile(FUSED if fuses(cfg.dtype) else "$^")
         starts = [(lo, name) for name, (lo, _) in store.layout.items()
                   if not any(part in name for part in joined)]
         chunks = [b - a for (a, name), (b, _) in zip(
             starts, starts[1:] + [(store.size, "")])
-            if not fused.match(name)]
+            if not fused.fullmatch(name)]
         assert window.size == max(self.SMALL_BLOCK, *chunks)
         assert window.size < max(modules.values()) < store.size
         assert all(s is store and w is window for s, w in seen)
@@ -643,7 +654,8 @@ class TestFlatStore:
                 t.grad = None
             with nm.Tape() as tape:
                 loss = ref.instance_loss(inst, graph, np.random.default_rng(0))
-            tape.gradients(loss)
+            with fused_in_row_blocks(FUSED):
+                tape.gradients(loss)
             textbook_adam({k: t.data for k, t in params.items()},
                           grads_or_zeros(params), m, v, step,
                           cfg.learning_rate)

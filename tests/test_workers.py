@@ -1,9 +1,9 @@
-"""``workers.two_workers``: split products, split Adam spans, fused
-blocks, split initializer draws and split checkpoint reads give the bytes of
-the whole ones, the worker's errors and numpy error state reach the caller,
-and training, prediction, model construction and checkpoint loading share the
-process's one worker thread and leave OpenBLAS's thread count as they found
-it."""
+"""``workers.two_workers``: a large product is its two halves, on two
+threads as on one; split Adam spans, fused blocks, split initializer draws
+and split checkpoint reads give the bytes of the serial ones; the worker's
+errors and numpy error state reach the caller; and training, prediction,
+model construction and checkpoint loading share the process's one worker
+thread and leave OpenBLAS's thread count as they found it."""
 
 import contextlib
 import os
@@ -23,9 +23,10 @@ from syngcn.evaluator import predict_corpus
 from syngcn.trainer import SrlModel, make_instances, train
 
 from conftest import small_config
+from reference_ops import row_blocks
 import test_numerics
 from test_cli import MALFORMED
-from test_numerics import fuses, named, store_of
+from test_numerics import named, store_of
 
 
 @contextlib.contextmanager
@@ -82,19 +83,51 @@ SIZES = st.one_of(st.sampled_from([1, 2, 3, 31, 32, 33, 63, 64, 65, 129]),
                   st.integers(1, 300))
 
 
+def halves(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` as ``workers.product`` defines it, written out here: a
+    float32 product of at least ``SPLIT_MIN`` multiply-adds and of two rows
+    and two columns or more is the products of its halves, by rows at an
+    even row when it has ``SPLIT_ROWS`` rows or more, else by columns at a
+    multiple of 16 when it has 32 or more; any other product is whole."""
+    (m, k), n = a.shape, b.shape[1]
+    if (a.dtype != np.float32 or b.dtype != np.float32 or min(m, n) < 2
+            or m * n * k < workers.SPLIT_MIN):
+        return a @ b
+    if m >= workers.SPLIT_ROWS:
+        r = m // 4 * 2
+        return np.vstack([a[:r] @ b, a[r:] @ b])
+    if n >= 32:
+        c = n // 32 * 16
+        return np.hstack([a @ b[:, :c], a @ b[:, c:]])
+    return a @ b
+
+
+# English-width products that training and prediction cut, by columns
+# (fewer than SPLIT_ROWS rows) and by rows: [m x k] @ [k x n] as (m, k, n)
+MODEL_SHAPES = [(7, 1024, 2048), (1024, 7, 2048), (7, 2048, 1024),
+                (12, 316, 2048), (228, 9, 2048), (40, 1024, 2048)]
+
+
+def model_operands(shape) -> tuple[np.ndarray, np.ndarray]:
+    """float32 operands of a ``MODEL_SHAPES`` product, ``a`` transposed as
+    the backward pass's are."""
+    m, k, n = shape
+    rng = np.random.default_rng(m + k + n)
+    return (rng.standard_normal((k, m)).astype(np.float32).T,
+            rng.standard_normal((k, n)).astype(np.float32))
+
+
 class TestSplitProducts:
     @settings(max_examples=60, deadline=None)
     @given(m=SIZES, k=SIZES, n=SIZES,
            dtype=st.sampled_from([np.float32, np.float64]),
            transposed=st.tuples(st.booleans(), st.booleans()),
            into_window=st.booleans(), seed=st.integers(0, 2 ** 16))
-    def test_split_product_equals_whole(self, m, k, n, dtype, transposed,
-                                        into_window, seed):
+    def test_split_product_equals_its_halves(self, m, k, n, dtype,
+                                             transposed, into_window, seed):
         # K grows until the product reaches the split threshold, unless it
-        # has one row or one column, which stays whole: split by rows at 64
-        # rows and more, else by columns, each element keeps its K-loop,
-        # and no half is small enough for OpenBLAS's small-matrix kernels,
-        # which round another way
+        # has one row or one column, which stays whole; float64 products
+        # stay whole too
         if min(m, n) > 1:
             k = max(k, -(-workers.SPLIT_MIN // (m * n)))
         rng = np.random.default_rng(seed)
@@ -104,49 +137,47 @@ class TestSplitProducts:
         window = np.full(m * n + 5, np.nan, dtype)
         out = window[3:3 + m * n].reshape(m, n) if into_window else None
         with on_two_workers():
-            whole = np.matmul(a, b)
+            want = halves(a, b)
             got = workers.product(a, b, out=out)
-        assert got.tobytes() == whole.tobytes()
+        assert got.tobytes() == want.tobytes()
         if into_window:
             assert got.base is window
             assert np.isnan(window[:3]).all() and np.isnan(window[-2:]).all()
 
-    @pytest.mark.parametrize("shape", [(7, 1024, 2048), (1024, 7, 2048),
-                                       (7, 2048, 1024), (12, 316, 2048),
-                                       (228, 9, 2048), (40, 1024, 2048)],
-                             ids=str)
-    def test_training_shapes_split_at_the_real_threshold(self, shape):
-        # the English-width products that training splits, at the
-        # threshold it splits them at, against the whole product at one
-        # BLAS thread and at numpy's own thread count
-        if not fuses(np.float32):
-            pytest.skip("training splits no product on this OpenBLAS core")
+    @pytest.mark.parametrize("shape", MODEL_SHAPES, ids=str)
+    def test_training_shapes_split_at_the_real_threshold(self, shape,
+                                                         monkeypatch):
+        # the English-width products, at the threshold they are cut at,
+        # against their halves at one BLAS thread; the worker computes one
         m, k, n = shape
-        rng = np.random.default_rng(m + k + n)
-        a = rng.standard_normal((k, m)).astype(np.float32).T
-        b = rng.standard_normal((k, n)).astype(np.float32)
-        threaded = np.matmul(a, b)
+        a, b = model_operands(shape)
+        handed, in_parallel = [], workers.in_parallel
+
+        def counting(here, there):
+            handed.append(there)
+            in_parallel(here, there)
+
+        monkeypatch.setattr(workers, "in_parallel", counting)
         with on_two_workers():
-            whole = np.matmul(a, b)
+            want = halves(a, b)
             got = workers.product(a, b)
         assert m * n * k >= workers.SPLIT_MIN and min(m, n) > 1
-        assert got.tobytes() == whole.tobytes() == threaded.tobytes()
+        assert len(handed) == 1 and got.tobytes() == want.tobytes()
 
-
-    def test_products_stay_whole_off_the_exact_cores(self, monkeypatch):
-        # a product that training splits stays whole on a core whose cut
-        # products change their bytes
-        monkeypatch.setattr(workers, "exact_cuts", lambda: False)
+    @pytest.mark.parametrize("shape", MODEL_SHAPES, ids=str)
+    def test_one_cpu_host_equals_two(self, shape, monkeypatch):
+        # outside any block, with OpenBLAS on one thread as on a one-CPU
+        # host, a product runs both its halves on this thread: the bytes of
+        # the same call inside two_workers, where the worker computes one
+        a, b = model_operands(shape)
+        with on_two_workers():
+            split = workers.product(a, b)
         handed = []
         monkeypatch.setattr(workers, "in_parallel",
                             lambda here, there: handed.append(there))
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((7, 1024)).astype(np.float32)
-        b = rng.standard_normal((1024, 2048)).astype(np.float32)
-        with on_two_workers():
-            got = workers.product(a, b)
-            assert got.tobytes() == np.matmul(a, b).tobytes()
-        assert not handed and not fuses(np.float32)
+        with blas_threads(1):
+            serial = workers.product(a, b)
+        assert not handed and serial.tobytes() == split.tobytes()
 
 
 class TestSplitAdam:
@@ -185,10 +216,8 @@ class TestSplitAdam:
                                                 tail):
         # a tensor of 16 columns: a block is 4 of its rows, and a shorter
         # rest joins the last block; the product is computed block by
-        # block, on two workers, and gives the bytes of the whole product
+        # block, on two workers, and gives the bytes of the same row blocks
         # flushed from the window on one
-        if not fuses(np.float32):
-            pytest.skip("steps fuse no tensor on this OpenBLAS core")
         dtype = np.float32
         monkeypatch.setattr(nm, "_ADAM_BLOCK", self.BLOCK)
         rows, cols, k = 4 * (blocks - 1) + tail, 16, 9
@@ -197,8 +226,8 @@ class TestSplitAdam:
         a = rng.standard_normal((k, rows)).astype(dtype).T
         b = rng.standard_normal((k, cols)).astype(dtype)
         window = store_of(dtype, pad=np.ones(5), w=start)
-        window.window = np.concatenate([np.zeros(5, dtype),
-                                        (a @ b).reshape(-1)])
+        window.window = np.concatenate([
+            np.zeros(5, dtype), row_blocks(a, b, self.BLOCK).reshape(-1)])
         fused = store_of(dtype, pad=np.ones(5), w=start)
         fused.window = np.zeros(1, dtype)       # holds nothing it reads
         span = (5, 5 + rows * cols)
@@ -283,7 +312,7 @@ class TestPinnedTraining:
     def test_region_restores_blas_threads_and_keeps_its_worker(self):
         if not pins():
             pytest.skip("two_workers starts no worker here")
-        get, _, _ = workers.openblas()
+        get, _ = workers.openblas()
         before, worker = get(), the_worker()
         for _ in range(2):
             with on_two_workers():
@@ -299,7 +328,7 @@ class TestPinnedTraining:
         # first block's entry, and OpenBLAS keeps its thread count
         if not pins():
             pytest.skip("two_workers starts no worker here")
-        get, _, _ = workers.openblas()
+        get, _ = workers.openblas()
         before = get()
 
         def refuse(thread):
@@ -323,7 +352,7 @@ class TestPinnedTraining:
         # worker is the same thread before and after, either way
         if not pins():
             pytest.skip("two_workers starts no worker here")
-        get, _, _ = workers.openblas()
+        get, _ = workers.openblas()
         before, seen, worker = get(), [], the_worker()
 
         class Killed(Exception):
@@ -402,7 +431,7 @@ class TestPinnedTraining:
 @contextlib.contextmanager
 def blas_threads(count: int):
     """OpenBLAS on ``count`` threads inside the block."""
-    get, put, _ = workers.openblas()
+    get, put = workers.openblas()
     before = get()
     put(count)
     try:
@@ -447,18 +476,24 @@ class TestPinnedPrediction:
             pytest.skip("two_workers starts no worker here")
 
     def test_threaded_directions_equal_the_stacked_path(
-            self, model, overfit_sentences, monkeypatch):
+            self, model, overfit_lexicon, overfit_sentences, monkeypatch):
         # every layer wide, so each runs a direction per thread; at these
-        # widths no product is cut. The reference is the stacked path,
-        # outside any block, at one BLAS thread
+        # widths no product is cut, and at d_h = 256 the second layer's
+        # input projections are as large as a cut product, but stay whole
+        # on both paths. The reference is the stacked path, outside any
+        # block, at one BLAS thread, as a one-CPU host runs it
         self._needs_a_worker()
         monkeypatch.setattr(workers, "PAIR_MIN", 1)
-        with monkeypatch.context() as patched:
-            patched.setattr(workers, "two_workers", contextlib.nullcontext)
-            with blas_threads(1):
-                stacked = predicted(model, overfit_sentences, monkeypatch)
-        threaded = predicted(model, overfit_sentences, monkeypatch)
-        assert threaded == stacked
+        wider = SrlModel(small_config(**{**self.CFG, "d_h": 256}),
+                         overfit_lexicon, np.random.default_rng(5))
+        for m in (model, wider):
+            with monkeypatch.context() as patched:
+                patched.setattr(workers, "two_workers",
+                                contextlib.nullcontext)
+                with blas_threads(1):
+                    stacked = predicted(m, overfit_sentences, monkeypatch)
+            threaded = predicted(m, overfit_sentences, monkeypatch)
+            assert threaded == stacked
 
     def test_one_hand_off_per_wide_layer_per_batch(
             self, model, overfit_sentences, monkeypatch):
@@ -489,7 +524,7 @@ class TestPinnedPrediction:
         # or a batch raises
         self._needs_a_worker()
         monkeypatch.setattr(evaluator, "PREDICT_TOKEN_BUDGET", 1)
-        get, _, _ = workers.openblas()
+        get, _ = workers.openblas()
         seen, predict, worker = [], model.predict, the_worker()
 
         class Boom(Exception):
@@ -640,7 +675,7 @@ class TestPinnedModels:
         # count OpenBLAS had, and the same one worker, once the call returns
         # or raises
         TestPinnedPrediction._needs_a_worker()
-        get, _, _ = workers.openblas()
+        get, _ = workers.openblas()
         worker = the_worker()
         cfg = small_config(**self.CFG)
         path = tmp_path / "m.ckpt"
