@@ -62,17 +62,18 @@ def _repair_tree(heads: list[int], where: str) -> list[int]:
     if len(roots) > 1:
         logger.warning("%s: %d root attachments (expected 1)", where, len(roots))
     for start in range(n):
-        # walk up; a chain longer than n tokens means we are in a cycle
-        seen = set()
+        # walk up; a token met twice closes a cycle of the tokens walked
+        # since its first visit (``seen`` maps each to its step)
+        seen = {}
         node = start
         while heads[node] != 0:
             if node in seen:
-                cycle_min = min(seen)
+                cycle_min = min(list(seen)[seen[node]:])
                 logger.warning("%s: head cycle at token %d, reattached to root",
                                where, cycle_min + 1)
                 heads[cycle_min] = 0
                 break
-            seen.add(node)
+            seen[node] = len(seen)
             node = heads[node] - 1
     return heads
 
@@ -129,6 +130,9 @@ def _rows_to_sentence(rows: list[list[str]], start_line: int,
         if len(cols) - _NUM_FIXED_COLS != apred_count:
             raise ParseError(f"line {lineno}: ragged APRED columns "
                              f"({len(cols) - _NUM_FIXED_COLS} vs {apred_count})")
+        if cols[0] != str(offset + 1):
+            raise ParseError(f"line {lineno}: ID {cols[0]!r}, expected "
+                             f"{offset + 1}")
         head_col = _pick(cols[9], cols[8], use_gold_syntax)
         try:
             head = int(head_col)

@@ -430,10 +430,11 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def _by_direction(wide: bool, run: Callable[[slice], None]) -> None:
-    """``run(ks)`` over a BiLSTM layer's directions ``ks``: both stacked on
-    this thread, or, inside ``workers.two_workers`` when the layer is
-    ``wide``, the forward direction here and the backward on the worker."""
-    if wide and workers.running():
+    """``run(ks)`` over a BiLSTM layer's directions ``ks``: for a ``wide``
+    layer, the forward direction, then the backward, through
+    ``workers.in_parallel`` (inside ``workers.two_workers``, the backward on
+    the worker); else both stacked on this thread."""
+    if wide:
         workers.in_parallel(lambda: run(slice(0, 1)),
                             lambda: run(slice(1, 2)))
     else:
@@ -453,10 +454,11 @@ def bilstm_layer(x: Tensor, fw: tuple, bw: tuple, lengths=None) -> Tensor:
     Rows are packed time-major, longest sequence first, so the sequences
     running at step t are a prefix of its rows in both directions: a step is
     one [active x d] @ [d x 4d] product per direction, one ufunc pass each.
-    Inside ``workers.two_workers``, a layer whose first step's product has
-    ``workers.PAIR_MIN`` multiply-adds runs its forward and its backward's
-    recurrence one direction per thread (``_by_direction``), same bytes:
-    each direction's input projection is one whole product, not
+    A layer whose first step's product has ``workers.PAIR_MIN``
+    multiply-adds runs its forward and its backward's recurrence one
+    direction at a time (``_by_direction``), on two threads inside
+    ``workers.two_workers``, with the bytes of the stacked directions: each
+    direction's input projection is one whole product, not
     ``workers.product``'s halves, as a lone direction's thread cannot hand
     half of it over. The backward runs in six stages, one per parameter
     going down the store (backward direction's ``b`` with its ``x`` term,
@@ -1066,9 +1068,9 @@ def adam_step(params: ParamStore, learning_rate: float,
     even number of its rows, about one ``_ADAM_BLOCK`` (a shorter rest
     joins the last block, so that no block is a lone row, which OpenBLAS
     rounds by another path, or small enough for its small-matrix kernels),
-    computed into the block's scratch just before its update. Inside
-    ``workers.two_workers`` a span of two or more blocks is split at a
-    block boundary, and the worker updates the second half.
+    computed into the block's scratch just before its update. A span of
+    two or more blocks is split at a block boundary, and its halves run
+    through ``workers.in_parallel``.
     ``ContractError``, before anything is written, if ``params`` is not a
     store, if the span is reversed or not inside the store, if it is not
     inside the window (no window at all) or not the product's size, or if
@@ -1108,7 +1110,7 @@ def adam_step(params: ParamStore, learning_rate: float,
     blocks = (params.flat[lo:hi], params.m[lo:hi], params.v[lo:hi], gradient,
               params._corrections, learning_rate)
     half = len(edges) // 2
-    if workers.running() and len(edges) > 2:
+    if len(edges) > 2:
         workers.in_parallel(lambda: _adam_blocks(*blocks, edges[:half + 1]),
                             lambda: _adam_blocks(*blocks, edges[half:]))
     else:
@@ -1162,11 +1164,11 @@ def fill_uniform(out: np.ndarray, bound: float,
     ``_ADAM_BLOCK`` of elements each unless a row is longer, so the float64
     draw of a large tensor never exists whole.
 
-    Inside ``workers.two_workers``, with a PCG64 generator that holds no
-    buffered 32-bit draw, the worker draws the second half of the pieces
-    from a copy of the generator advanced past the first half's draws, one
-    per value; ``rng`` then advances past the second half, to the state a
-    serial fill leaves."""
+    With a PCG64 generator that holds no buffered 32-bit draw, the second
+    half of two or more pieces is drawn from a copy of the generator
+    advanced past the first half's draws, one per value, the halves
+    through ``workers.in_parallel``; ``rng`` then advances past the second
+    half, to the state a fill in one run leaves."""
     row = math.prod(out.shape[1:])
     rows = max(1, _ADAM_BLOCK // max(1, row))
     starts = range(0, len(out), rows)
@@ -1176,9 +1178,8 @@ def fill_uniform(out: np.ndarray, bound: float,
             piece = out[lo:lo + rows]
             piece[...] = generator.uniform(-bound, bound, piece.shape)
 
-    state = (rng.bit_generator.state if workers.running()
-             and len(starts) > 1 and type(rng.bit_generator) is np.random.PCG64
-             else None)
+    state = (rng.bit_generator.state if len(starts) > 1
+             and type(rng.bit_generator) is np.random.PCG64 else None)
     if state is None or state["has_uint32"]:
         fill(rng, starts)
         return
@@ -1188,7 +1189,7 @@ def fill_uniform(out: np.ndarray, bound: float,
     ahead.state = state
     ahead.advance(drawn)
     workers.in_parallel(lambda: fill(rng, starts[:half]),
-                 lambda: fill(np.random.Generator(ahead), starts[half:]))
+                        lambda: fill(np.random.Generator(ahead), starts[half:]))
     rng.bit_generator.advance(out.size - drawn)
 
 
@@ -1225,20 +1226,18 @@ def _sweep(nodes, store: ParamStore, learning_rate: float) -> None:
     A chunk that is exactly one 2-d tensor whose gradient is one product
     (the node's ``products``) is fused when the store is wider than one
     ``_ADAM_BLOCK``, neither the window covers it nor an earlier pass left a
-    gradient in it, and the store is float32: the rule's product for that
-    tensor is its Adam update, taken block by block (``adam_step``'s
-    ``product``), so the tensor's gradient is that product's row blocks,
-    and a tensor the rule does not reach is updated on zeros, a product
-    over no terms. A float64 store fuses nothing: its gradients keep whole
-    products. The window, reused across steps, holds the largest unfused
-    chunk or one ``_ADAM_BLOCK``. Before an unfused owner's stage
-    runs, its store inputs without a gradient get views of the window,
-    after a flush of the pending chunks if its own does not fit below them;
-    a fused stage flushes them first; the end of the pass flushes the
-    rest. A window that covers the store, as a pass
-    that sums leaves it, is never flushed before the end. The plan of
-    flushes, views and fused tensors is built once per sequence of stage
-    inputs and kept in the store (``_SweepPlan``).
+    gradient in it: the rule's product for that tensor is its Adam update,
+    taken block by block (``adam_step``'s ``product``), so the tensor's
+    gradient is that product's row blocks, and a tensor the rule does not
+    reach is updated on zeros, a product over no terms. The window, reused
+    across steps, holds the largest unfused chunk or one ``_ADAM_BLOCK``.
+    Before an unfused owner's stage runs, its store inputs without a
+    gradient get views of the window, after a flush of the pending chunks
+    if its own does not fit below them; a fused stage flushes them first;
+    the end of the pass flushes the rest. A window that covers the store,
+    as a pass that sums leaves it, is never flushed before the end. The
+    plan of flushes, views and fused tensors is built once per sequence of
+    stage inputs and kept in the store (``_SweepPlan``).
     """
     key = [any(t.grad is not None for t in store._tensors.values())] + [
         (tuple(t for t in ins if t.trainable), products)
@@ -1293,8 +1292,7 @@ def _plan_sweep(key: list, store: ParamStore) -> _SweepPlan:
         owned.append(ins)
     edges[1:] = edges[1:-1] + [0]          # the last chunk starts at 0
     fusing = (down and not key[0] and store.size > _ADAM_BLOCK
-              and (store.window is None or store.window.size < store.size)
-              and store.dtype == np.float32)
+              and (store.window is None or store.window.size < store.size))
     chunks = list(zip(edges[1:], edges))
     taken, spans = iter(chunks), []        # per stage: (lo, hi, fused) or None
     for ins, (_, products) in zip(owned, key[1:]):
@@ -1550,9 +1548,9 @@ def load_checkpoint(path, into: Mapping[str, np.ndarray] | None = None
 
     The file is opened once, and its tensor data read only after every
     header and size check, with ``os.preadv`` on that one descriptor
-    (``_read_span``). Inside ``workers.two_workers`` the worker reads the
-    second half of the data's bytes while this thread reads the first; the
-    trailing-bytes check runs once both are done."""
+    (``_read_span``), in two halves of about equal bytes through
+    ``workers.in_parallel`` (inside ``workers.two_workers``, the worker
+    reads the second); the trailing-bytes check runs once both are done."""
     with open(path, "rb") as fh:
         manifest = _header_fields(fh, path)
         if len(manifest) != 2 or manifest[0] != CHECKPOINT_MAGIC:
@@ -1616,13 +1614,9 @@ def load_checkpoint(path, into: Mapping[str, np.ndarray] | None = None
             end += math.prod(shape) * stored.itemsize
             out[name] = arr
         fd = fh.fileno()
-        if workers.running():
-            half = start + (end - start) // 2
-            workers.in_parallel(
-                lambda: _read_span(fd, path, tensors, start, half),
-                lambda: _read_span(fd, path, tensors, half, end))
-        else:
-            _read_span(fd, path, tensors, start, end)
+        half = start + (end - start) // 2
+        workers.in_parallel(lambda: _read_span(fd, path, tensors, start, half),
+                            lambda: _read_span(fd, path, tensors, half, end))
         if os.pread(fd, 1, end):
             raise FormatError(f"{path}: trailing bytes after last tensor")
     return out

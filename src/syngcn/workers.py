@@ -2,16 +2,15 @@
 cores: numpy's OpenBLAS pinned to one thread, and the program's own large
 work split between the calling thread and one worker, for the process.
 
-Inside ``two_workers`` (``trainer.train``, ``evaluator.predict_corpus``,
-``trainer.SrlModel``'s draws and ``SrlModel.from_checkpoint`` each run in
-one), ``product`` gives the worker one half of a large product, and
-``numerics.adam_step`` and ``numerics.fill_uniform`` give it half of their
-blocks, ``numerics.bilstm_layer`` a wide layer's backward direction and
-``numerics.load_checkpoint`` the second half of a file's tensor bytes
-(``in_parallel``). A split changes no bytes, since each half is the work
-that runs, one half after the other, on this thread outside the block:
-``product`` cuts a large float32 product into the same halves there too,
-on every OpenBLAS core.
+``product`` cuts a large product in two halves, ``numerics.adam_step`` and
+``numerics.fill_uniform`` cut their blocks in two, ``numerics.bilstm_layer``
+a wide layer's directions and ``numerics.load_checkpoint`` a file's tensor
+bytes, on every path and for every dtype, and ``in_parallel`` alone decides
+where the halves run. Inside ``two_workers`` (``trainer.train``,
+``evaluator.predict_corpus``, ``trainer.SrlModel``'s draws and
+``SrlModel.from_checkpoint`` each run in one) the worker runs the second;
+outside, both run one after the other on this thread. So a split changes
+no bytes, and a host with one CPU gives the bytes of one with two.
 """
 
 from __future__ import annotations
@@ -27,15 +26,16 @@ from typing import Callable
 
 import numpy as np
 
-# float32 products of at least this many multiply-adds are cut in two, by
-# rows when they have at least ``SPLIT_ROWS`` rows, else by columns; a
-# smaller product costs less than handing half of it over.
+# products of at least this many multiply-adds are cut in two, by rows when
+# they have at least ``SPLIT_ROWS`` rows, else by columns; a smaller product
+# costs less than handing half of it over.
 SPLIT_MIN = 1 << 22
 SPLIT_ROWS = 64
 
-# Inside ``two_workers``, a BiLSTM layer whose first step's recurrent
-# product has at least this many multiply-adds runs its two directions at
-# once, one per thread (``numerics.bilstm_layer``)
+# A BiLSTM layer whose first step's recurrent product has at least this many
+# multiply-adds runs its two directions one at a time through
+# ``in_parallel``, so at once inside ``two_workers``; a narrower one runs
+# them stacked (``numerics.bilstm_layer``)
 PAIR_MIN = 1 << 19
 
 # the worker thread's calls; the thread, which the first outermost block of a
@@ -96,11 +96,6 @@ def two_workers():
                 blas[1](threads)
 
 
-def running() -> bool:
-    """Whether a ``two_workers`` block runs, with OpenBLAS pinned."""
-    return _running
-
-
 def _serve() -> None:
     """The worker thread: run each call put on ``_calls``."""
     while True:
@@ -109,10 +104,18 @@ def _serve() -> None:
 
 def in_parallel(here: Callable[[], object],
                 there: Callable[[], object]) -> None:
-    """Run ``there`` on the worker, in a copy of this thread's
-    ``contextvars`` context (so numpy's error state holds there too), while
-    ``here`` runs on this thread, and return once both have finished: with
-    ``here``'s error if it raised, else with ``there``'s."""
+    """Run ``here`` and ``there``, and return once both have finished.
+
+    Inside ``two_workers``, ``there`` runs on the worker, in a copy of this
+    thread's ``contextvars`` context (so numpy's error state holds there
+    too), while ``here`` runs on this thread; the call raises ``here``'s
+    error if it raised, else ``there``'s. Outside, ``here`` runs, then
+    ``there``, on this thread, and ``there`` does not run if ``here``
+    raised."""
+    if not _running:
+        here()
+        there()
+        return
     context, done = contextvars.copy_context(), queue.SimpleQueue()
 
     def call():
@@ -134,21 +137,19 @@ def in_parallel(here: Callable[[], object],
 
 def product(a: np.ndarray, b: np.ndarray,
             out: np.ndarray | None = None) -> np.ndarray:
-    """``np.matmul(a, b, out=out)`` for 2-d arrays, where a float32 product
-    of at least ``SPLIT_MIN`` multiply-adds is defined as its two halves:
-    by rows, at an even row, or by columns, at a multiple of 16, when it
-    has fewer than ``SPLIT_ROWS`` rows. Inside ``two_workers`` the worker
-    computes one half; outside, both run on this thread, so a host with
-    one CPU gives the bytes of one with two. No half is a lone row of a several-row product, which OpenBLAS
-    rounds by another path, or small enough for its small-matrix kernels;
-    a product of one row or one column, which numpy hands to a
-    matrix-vector kernel, and a float64 product stay whole."""
+    """``np.matmul(a, b, out=out)`` for 2-d arrays, where a product of at
+    least ``SPLIT_MIN`` multiply-adds is defined as its two halves, run
+    through ``in_parallel``: by rows, at an even row, or by columns, at a
+    multiple of 16, when it has fewer than ``SPLIT_ROWS`` rows. No half is
+    a lone row of a several-row product, which OpenBLAS rounds by another
+    path, or small enough for its small-matrix kernels; a product of one
+    row or one column, which numpy hands to a matrix-vector kernel, stays
+    whole."""
     (m, k), n = a.shape, b.shape[1]
-    if (m * n * k < SPLIT_MIN or min(m, n) < 2
-            or not a.dtype == b.dtype == np.float32):
+    if m * n * k < SPLIT_MIN or min(m, n) < 2:
         return np.matmul(a, b, out=out)
     if out is None:
-        out = np.empty((m, n), np.float32)
+        out = np.empty((m, n), a.dtype)
     if m >= SPLIT_ROWS:
         h = m // 4 * 2
         halves = (lambda: np.matmul(a[:h], b, out=out[:h]),
@@ -159,9 +160,5 @@ def product(a: np.ndarray, b: np.ndarray,
                   lambda: np.matmul(a, b[:, h:], out=out[:, h:]))
     else:
         return np.matmul(a, b, out=out)
-    if _running:
-        in_parallel(*halves)
-    else:
-        for half in halves:
-            half()
+    in_parallel(*halves)
     return out

@@ -1,4 +1,3 @@
-import contextlib
 import itertools
 import threading
 import time
@@ -13,7 +12,7 @@ from syngcn.bilstm import (LstmParams, bilstm_encode, init_lstm,
 from syngcn.errors import NumericsError, ShapeError
 
 from test_numerics import masked_logistic, store_of
-from test_workers import on_two_workers
+from test_workers import hand_offs, on_two_workers
 
 I, F, O, G = range(4)   # gate column blocks
 
@@ -539,23 +538,6 @@ class TestBatchedLstm:
         np.testing.assert_allclose(both, alone, rtol=0, atol=1e-12)
 
 
-@contextlib.contextmanager
-def hand_offs():
-    """Inside the block, the ``workers.in_parallel`` calls that hand a
-    BiLSTM direction to the worker, appended to the yielded list as they
-    are made."""
-    made, in_parallel = [], workers.in_parallel
-
-    def counting(here, there):
-        if here.__qualname__.startswith("_by_direction"):
-            made.append(here)
-        in_parallel(here, there)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(workers, "in_parallel", counting)
-        yield made
-
-
 class TestDirectionsOnTwoThreads:
     """Inside ``workers.two_workers``, a layer whose first step's recurrent
     product reaches ``workers.PAIR_MIN`` runs its forward direction on the
@@ -570,7 +552,7 @@ class TestDirectionsOnTwoThreads:
         above the layer's first step product, then at ``pair_min``."""
         step = len(lengths or [0]) * arrays[2].size    # a row per sequence
         runs = []
-        with on_two_workers(), hand_offs() as made:
+        with on_two_workers(), hand_offs("_by_direction") as made:
             for threshold in (step + 1, pair_min):
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(workers, "PAIR_MIN", threshold)

@@ -464,6 +464,16 @@ def _cut(tmp_path, data) -> str:
     return str(path)
 
 
+def _renumbered(tmp_path, data) -> str:
+    """A copy of the bundled overfit.conll whose second row has ID 1, as its
+    first has."""
+    lines = Path(data("overfit.conll")).read_text(encoding="utf-8").split("\n")
+    lines[1] = "1" + lines[1][lines[1].index("\t"):]
+    path = tmp_path / "ids.conll"
+    path.write_text("\n".join(lines), encoding="utf-8", newline="")
+    return str(path)
+
+
 # fault -> (exit code, argv from the test's directory, the bundled data and
 # a trained run, then any names the error line must hold), with the
 # fault put in place as the argv is built
@@ -481,6 +491,9 @@ CLI_FAULTS = {
     "truncated --pred": (1, lambda tmp, data, run: [
         "evaluate", "--test", data("overfit.conll"),
         "--pred", _cut(tmp, data)], "cut.conll"),
+    "repeated row ID in --test": (1, lambda tmp, data, run: [
+        "evaluate", "--test", _renumbered(tmp, data),
+        "--pred", data("overfit.conll")], "ids.conll", "line 2", "ID '1'"),
     "train --out names a file": (1, lambda tmp, data, run: [
         "train", "--config", str(DESK_CONF), "--train", data("overfit.conll"),
         "--out", _taken(tmp, directory=False)]),

@@ -67,6 +67,14 @@ class TestParse:
         with pytest.raises(ParseError, match="non-integer HEAD"):
             parse_conll(line + "\n" for line in lines)
 
+    def test_row_id_not_its_position_is_parse_error(self):
+        # HEAD refers to IDs, so a row whose ID is not its position would
+        # give its dependents another head
+        lines = ["7\ta\ta\ta\tN\tN\t_\t_\t0\t0\tR\tR\t_\t_",
+                 "7\tb\tb\tb\tN\tN\t_\t_\t1\t1\tR\tR\t_\t_", ""]
+        with pytest.raises(ParseError, match="line 1: ID '7', expected 1"):
+            parse_conll(line + "\n" for line in lines)
+
     def test_too_few_columns(self):
         with pytest.raises(ParseError, match="columns"):
             parse_conll(["1\ta\tb\n"])
@@ -104,6 +112,24 @@ class TestParse:
                 node = heads[node] - 1
                 hops += 1
                 assert hops <= 3
+
+    @pytest.mark.parametrize("heads, repaired, token", [
+        ([2, 3, 2], [2, 0, 2], 2),          # 1 walks into the 2 <-> 3 cycle
+        ([0, 3, 4, 3], [0, 3, 0, 3], 3),    # 2 walks into the 3 <-> 4 cycle
+    ])
+    def test_cycle_reached_by_a_walk_reattaches_its_own_member(
+            self, caplog, heads, repaired, token):
+        # the token reattached is the cycle's smallest, not the smallest
+        # of the walk that reached it
+        text = make_sentence([(f"t{i}", "t", "N", h, "R", "_", "_")
+                              for i, h in enumerate(heads)])
+        with caplog.at_level(logging.WARNING):
+            sent = parse_conll(text.splitlines(keepends=True))[0]
+        assert [t.head for t in sent.tokens] == repaired
+        assert [r.getMessage() for r in caplog.records
+                if "cycle" in r.getMessage()] == [
+            f"sentence at line 1: head cycle at token {token}, reattached "
+            f"to root"]
 
     def test_self_head_repaired(self, caplog):
         text = make_sentence([

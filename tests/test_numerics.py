@@ -285,13 +285,6 @@ def named(store: nm.ParamStore, flat: np.ndarray) -> dict:
             for k, (lo, shape) in store.layout.items()}
 
 
-def fuses(dtype) -> bool:
-    """Whether a batch-size-1 step of a store of ``dtype`` wider than one
-    Adam block takes the gradients of the tensors that are one product
-    straight from the product, in row blocks: float32 only."""
-    return np.dtype(dtype) == np.float32
-
-
 def store_of(dtype=np.float64, **arrays) -> nm.ParamStore:
     """A store holding one parameter per keyword, in order, filled with its
     value."""
@@ -676,23 +669,17 @@ class TestFusedAdamStep:
         store, spans = self._fused_against_reference(
             monkeypatch, dtype, self.SWEPT, self._swept_loss, (6, 2), 4)
         # each BiLSTM stage owns one tensor's chunk (its first also "unused",
-        # below "dead"): the widest holds a direction's w, unless each u
-        # and w is fused and so takes no room in the window, which then
-        # holds the widest other chunk, the table's
-        assert (store.window.size, store.size) == (
-            (30, 255) if fuses(dtype) else (48, 255))
-        assert spans == self.SPANS[fuses(dtype)] * 4
+        # below "dead"); each u and w is fused and so takes no room in the
+        # window, which holds the widest other chunk, the table's
+        assert (store.window.size, store.size) == (30, 255)
+        assert spans == self.SPANS * 4
 
-    # the spans of one step of the swept loss, from the top. Unfused:
-    # "sometimes", "dead" and the bw x-and-b stage's chunk when bw u does
-    # not fit below them, then one span per stage down to w and the table
-    # at the end. Fused: the same chunk flushed before the fused bw u, then
-    # bw u and w from their products, fw b before fw u and w, then w and the
-    # table
-    SPANS = {False: [(230, 255), (194, 230), (146, 194), (98, 146),
-                     (50, 98), (30, 50), (0, 30)],
-             True: [(230, 255), (194, 230), (146, 194), (134, 146),
-                    (98, 134), (50, 98), (30, 50), (0, 30)]}
+    # the spans of one step of the swept loss, from the top: "sometimes",
+    # "dead" and the bw x-and-b stage's chunk, flushed before the fused bw
+    # u, then bw u and w from their products, fw b before fw u and w, then w
+    # and the table
+    SPANS = [(230, 255), (194, 230), (146, 194), (134, 146), (98, 134),
+             (50, 98), (30, 50), (0, 30)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_passes_with_the_store_then_a_step_match_reference(
@@ -707,7 +694,7 @@ class TestFusedAdamStep:
             monkeypatch, dtype, self.SWEPT, self._swept_loss, (6, 2), 3,
             passes=(1, 3, 3))
         assert store.window.size == store.size
-        assert spans == self.SPANS[fuses(dtype)] + [(0, store.size)] * 2
+        assert spans == self.SPANS + [(0, store.size)] * 2
 
     def test_loss_reaching_no_store_tensor_steps_on_zeros(self, monkeypatch):
         def loss(p, x, step):
@@ -785,8 +772,7 @@ class TestFusedAdamStep:
             monkeypatch, np.float32, {"below": (10, 20), **self.SWEPT},
             self._swept_loss, (6, 2), 2)
         assert (store.window.size, store.size) == (230, 455)
-        want = ([(a + 200, b + 200) for a, b in self.SPANS[True][:-1]]
-                if fuses(np.float32) else [(230, 455)])
+        want = [(a + 200, b + 200) for a, b in self.SPANS[:-1]]
         assert spans == (want + [(0, 230)]) * 2
 
     def test_gradient_left_by_a_pass_without_the_store_is_stepped(
@@ -842,11 +828,11 @@ class TestFusedAdamStep:
     def test_span_refused_outside_the_window_before_any_write(
             self, monkeypatch):
         store = self._swept_store(monkeypatch)
-        # the last flush leaves the window over [0, 48) of the store
-        assert (store._base, store.window.size, store.size) == (0, 48, 255)
+        # the last flush leaves the window over [0, 30) of the store
+        assert (store._base, store.window.size, store.size) == (0, 30, 255)
         before = [a.tobytes() for a in (store.flat, store.m, store.v,
                                         store.window)]
-        for span in [(47, 49), (40, 39), (-1, 2), (250, 256)]:
+        for span in [(29, 31), (20, 19), (-1, 2), (250, 256)]:
             with pytest.raises(ContractError, match="not inside"):
                 nm.adam_step(store, 0.01, span)
         assert [a.tobytes() for a in (store.flat, store.m, store.v,

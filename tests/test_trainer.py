@@ -21,7 +21,7 @@ from syngcn.trainer import (SrlModel, TrainConfig, load_config, make_instances,
 from conftest import parse_text, small_config
 from reference_ops import fused_in_row_blocks
 from test_conll import make_sentence
-from test_numerics import (flat_of, fuses, grads_or_zeros, named, step_on,
+from test_numerics import (flat_of, grads_or_zeros, named, step_on,
                           textbook_adam)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -452,8 +452,7 @@ def reference_run(sentences, cfg: TrainConfig):
     instances = make_instances(sentences, lexicon)
     graphs = [build_graph(s, lexicon) for s in sentences]
     step, unreached, batch = 0, set(), []
-    fusing = (fuses(cfg.dtype) and cfg.batch_size == 1
-              and model.store.size > nm._ADAM_BLOCK)
+    fusing = cfg.batch_size == 1 and model.store.size > nm._ADAM_BLOCK
     for _ in range(cfg.epochs):
         order = rng.permutation(len(instances))
         for pos, idx in enumerate(order):
@@ -552,10 +551,10 @@ class TestFlatStore:
         # the same array at every step. A stage's chunk is one tensor of a
         # BiLSTM layer, one direction's GCN weights or the input projection,
         # a GCN layer's label and gate tensors, the embedder's tables, the
-        # role head's transform, or its lemma and role tables. Where steps
-        # fuse (float32), a BiLSTM layer's u and w, a GCN layer's weights
-        # and the transform take no room in the window: Adam takes their
-        # gradients from the products
+        # role head's transform, or its lemma and role tables. A BiLSTM
+        # layer's u and w, a GCN layer's weights and the transform are fused
+        # and take no room in the window: Adam takes their gradients from
+        # the products
         monkeypatch.setattr(nm, "_ADAM_BLOCK", self.SMALL_BLOCK)
         seen, adam_step = [], nm.adam_step
 
@@ -576,7 +575,7 @@ class TestFlatStore:
         assert sorted(modules) == want
         # tensors in the chunk of the tensor before them
         joined = ("gate", "embed.pos", "embed.lemma", "cls.role")
-        fused = re.compile(FUSED if fuses(cfg.dtype) else "$^")
+        fused = re.compile(FUSED)
         starts = [(lo, name) for name, (lo, _) in store.layout.items()
                   if not any(part in name for part in joined)]
         chunks = [b - a for (a, name), (b, _) in zip(
@@ -594,12 +593,12 @@ class TestFlatStore:
     STAGE_WIDTHS = dict(d_w=4, d_pos=4, d_l=4, d_h=16, d_r=4, d_l_out=4)
 
     @pytest.mark.parametrize("overrides, spans_per_step", [
-        ({}, (12, 13)),
-        (dict(lstm_layers=0), (6, 8)),
-        (dict(gcn_layers=0), (7, 9)),
-        (dict(gcn_layers=2), (16, 17)),
-        (dict(gates_enabled=False), (12, 13)),
-        (dict(dtype="float64"), (12, 12)),
+        ({}, 13),
+        (dict(lstm_layers=0), 8),
+        (dict(gcn_layers=0), 9),
+        (dict(gcn_layers=2), 17),
+        (dict(gates_enabled=False), 13),
+        (dict(dtype="float64"), 13),
     ], ids=["J1 K1", "J0", "K0", "K2", "ungated", "float64"])
     def test_flush_before_every_stage_matches_reference(
             self, overfit_sentences, tmp_path, monkeypatch, overrides,
@@ -620,19 +619,17 @@ class TestFlatStore:
         saved = nm.load_checkpoint(result.best_checkpoint)
         for name, t in ref.parameters().items():
             assert saved[name].tobytes() == t.data.tobytes(), name
-        # (unfused, fused) spans per step. Fused, one per stage that owns a
-        # chunk: the embedder, each BiLSTM layer's 6, the GCN projection,
-        # each GCN layer's 4 and the role head's 2. Unfused, the role head's
-        # two share one, and so do, under J0, the projection and the
-        # embedder, and under K0 the role head and the top BiLSTM stage
+        # spans per step, one per stage that owns a chunk: the embedder,
+        # each BiLSTM layer's 6, the GCN projection, each GCN layer's 4 and
+        # the role head's 2
         steps = cfg.epochs * len(make_instances(sentences,
                                                 build_lexicon(sentences)))
-        assert len(spans) == spans_per_step[fuses(cfg.dtype)] * steps
+        assert len(spans) == spans_per_step * steps
 
     def test_real_block_splits_the_window(self, overfit_sentences):
         # English widths at d_h = 128: a BiLSTM layer's w, and others, are
-        # wider than one Adam block, and the window holds the widest tensor;
-        # where they are fused, one Adam block, more than any other chunk
+        # wider than one Adam block, but fused, so the window holds one Adam
+        # block, more than any other chunk
         cfg = dataclasses.replace(
             load_config(CONFIGS / "conll2009_english.conf"), d_h=128)
         lexicon = build_lexicon(overfit_sentences[:8])
@@ -667,8 +664,7 @@ class TestFlatStore:
                 assert fused_v[k].tobytes() == v[k].tobytes(), k
         widest = max(math.prod(shape) for _, shape in
                      fused.store.layout.values())
-        assert fused.store.window.size == (nm._ADAM_BLOCK if fuses(
-            cfg.dtype) else widest) and widest > nm._ADAM_BLOCK
+        assert fused.store.window.size == nm._ADAM_BLOCK < widest
 
     def test_gradcheck_model_steps_match_reference(self):
         model, instance = fixtures.gradcheck_model()

@@ -1,15 +1,18 @@
 """``workers.two_workers``: a large product is its two halves, on two
 threads as on one; split Adam spans, fused blocks, split initializer draws
 and split checkpoint reads give the bytes of the serial ones; the worker's
-errors and numpy error state reach the caller; and training, prediction,
-model construction and checkpoint loading share the process's one worker
-thread and leave OpenBLAS's thread count as they found it."""
+errors and numpy error state reach the caller; outside a block
+``in_parallel`` runs both halves on the calling thread; and training,
+prediction, model construction and checkpoint loading share the process's
+one worker thread and leave OpenBLAS's thread count as they found it."""
 
 import contextlib
+import inspect
 import os
 import queue
 import threading
 import time
+import types
 import warnings
 
 import numpy as np
@@ -34,7 +37,7 @@ def on_two_workers():
     """Inside ``workers.two_workers``; skips the test where it starts no
     worker."""
     with workers.two_workers():
-        if not workers.running():
+        if not workers._running:
             pytest.skip("no worker: numpy's OpenBLAS has no thread controls "
                         "here, or one CPU is usable")
         yield
@@ -43,7 +46,26 @@ def on_two_workers():
 def pins() -> bool:
     """Whether ``two_workers`` pins OpenBLAS and starts a worker here."""
     with workers.two_workers():
-        return workers.running()
+        return workers._running
+
+
+@contextlib.contextmanager
+def hand_offs(kind: str = ""):
+    """Inside the block, the work ``workers.in_parallel`` puts on the
+    worker's queue: the ``there`` of each hand-off whose qualified name
+    starts with ``kind``, appended to the yielded list as it is put."""
+    made, calls = [], workers._calls
+
+    def put(call):
+        there = inspect.getclosurevars(call).nonlocals["there"]
+        if there.__qualname__.startswith(kind):
+            made.append(there)
+        calls.put(call)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(workers, "_calls",
+                      types.SimpleNamespace(put=put, get=calls.get))
+        yield made
 
 
 def the_worker() -> threading.Thread:
@@ -85,13 +107,12 @@ SIZES = st.one_of(st.sampled_from([1, 2, 3, 31, 32, 33, 63, 64, 65, 129]),
 
 def halves(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` as ``workers.product`` defines it, written out here: a
-    float32 product of at least ``SPLIT_MIN`` multiply-adds and of two rows
-    and two columns or more is the products of its halves, by rows at an
-    even row when it has ``SPLIT_ROWS`` rows or more, else by columns at a
-    multiple of 16 when it has 32 or more; any other product is whole."""
+    product of at least ``SPLIT_MIN`` multiply-adds and of two rows and two
+    columns or more is the products of its halves, by rows at an even row
+    when it has ``SPLIT_ROWS`` rows or more, else by columns at a multiple
+    of 16 when it has 32 or more; any other product is whole."""
     (m, k), n = a.shape, b.shape[1]
-    if (a.dtype != np.float32 or b.dtype != np.float32 or min(m, n) < 2
-            or m * n * k < workers.SPLIT_MIN):
+    if min(m, n) < 2 or m * n * k < workers.SPLIT_MIN:
         return a @ b
     if m >= workers.SPLIT_ROWS:
         r = m // 4 * 2
@@ -126,8 +147,7 @@ class TestSplitProducts:
     def test_split_product_equals_its_halves(self, m, k, n, dtype,
                                              transposed, into_window, seed):
         # K grows until the product reaches the split threshold, unless it
-        # has one row or one column, which stays whole; float64 products
-        # stay whole too
+        # has one row or one column, which stays whole
         if min(m, n) > 1:
             k = max(k, -(-workers.SPLIT_MIN // (m * n)))
         rng = np.random.default_rng(seed)
@@ -145,37 +165,26 @@ class TestSplitProducts:
             assert np.isnan(window[:3]).all() and np.isnan(window[-2:]).all()
 
     @pytest.mark.parametrize("shape", MODEL_SHAPES, ids=str)
-    def test_training_shapes_split_at_the_real_threshold(self, shape,
-                                                         monkeypatch):
+    def test_training_shapes_split_at_the_real_threshold(self, shape):
         # the English-width products, at the threshold they are cut at,
         # against their halves at one BLAS thread; the worker computes one
         m, k, n = shape
         a, b = model_operands(shape)
-        handed, in_parallel = [], workers.in_parallel
-
-        def counting(here, there):
-            handed.append(there)
-            in_parallel(here, there)
-
-        monkeypatch.setattr(workers, "in_parallel", counting)
-        with on_two_workers():
+        with on_two_workers(), hand_offs() as handed:
             want = halves(a, b)
             got = workers.product(a, b)
         assert m * n * k >= workers.SPLIT_MIN and min(m, n) > 1
         assert len(handed) == 1 and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shape", MODEL_SHAPES, ids=str)
-    def test_one_cpu_host_equals_two(self, shape, monkeypatch):
+    def test_one_cpu_host_equals_two(self, shape):
         # outside any block, with OpenBLAS on one thread as on a one-CPU
         # host, a product runs both its halves on this thread: the bytes of
         # the same call inside two_workers, where the worker computes one
         a, b = model_operands(shape)
         with on_two_workers():
             split = workers.product(a, b)
-        handed = []
-        monkeypatch.setattr(workers, "in_parallel",
-                            lambda here, there: handed.append(there))
-        with blas_threads(1):
+        with hand_offs() as handed, blas_threads(1):
             serial = workers.product(a, b)
         assert not handed and serial.tobytes() == split.tobytes()
 
@@ -295,9 +304,46 @@ class TestHandOff:
                 workers.in_parallel(here, there)
             assert done == ["there"]
 
+    def test_outside_a_block_runs_here_then_there_on_this_thread(
+            self, monkeypatch):
+        # in a process with no worker yet: nothing is queued and no thread
+        # starts, and there's error surfaces after here has run
+        class Boom(Exception):
+            pass
+
+        ran = []
+
+        def there():
+            ran.append(("there", threading.current_thread()))
+            raise Boom
+
+        with fresh_worker(monkeypatch) as started, hand_offs() as handed:
+            assert not workers._running
+            with pytest.raises(Boom):
+                workers.in_parallel(
+                    lambda: ran.append(("here", threading.current_thread())),
+                    there)
+            assert not started and workers._worker is None
+        this = threading.current_thread()
+        assert ran == [("here", this), ("there", this)] and not handed
+
+    def test_outside_a_block_heres_error_skips_there(self):
+        class Boom(Exception):
+            pass
+
+        ran = []
+
+        def here():
+            raise Boom
+
+        assert not workers._running
+        with pytest.raises(Boom):
+            workers.in_parallel(here, lambda: ran.append("there"))
+        assert not ran
+
     def test_fused_step_on_two_workers_matches_reference(self, monkeypatch):
-        # TestFusedAdamStep's swept tape, whose u and w are fused where
-        # float32 steps fuse, with its Adam spans and fused blocks split
+        # TestFusedAdamStep's swept tape, whose u and w are fused, with its
+        # Adam spans and fused blocks split
         with on_two_workers():
             swept = test_numerics.TestFusedAdamStep
             store, _ = swept._fused_against_reference(
@@ -316,10 +362,10 @@ class TestPinnedTraining:
         before, worker = get(), the_worker()
         for _ in range(2):
             with on_two_workers():
-                assert get() == 1 and workers.running()
+                assert get() == 1 and workers._running
                 workers.in_parallel(lambda: None, lambda: None)
                 assert the_worker() is worker
-            assert get() == before and not workers.running()
+            assert get() == before and not workers._running
             assert the_worker() is worker and worker.is_alive()
 
     def test_worker_that_fails_to_start_leaves_blas_threads(self,
@@ -339,7 +385,7 @@ class TestPinnedTraining:
         with pytest.raises(RuntimeError, match="can't start new thread"):
             with workers.two_workers():
                 pass
-        assert get() == before and not workers.running()
+        assert get() == before and not workers._running
 
     @pytest.mark.parametrize("kill", [None, "update", "write"],
                              ids=["returns", "killed in an update",
@@ -382,7 +428,7 @@ class TestPinnedTraining:
             train(overfit_sentences, None, small_config(**self.CFG),
                   tmp_path / "run")
         assert seen and set(seen) == {1}
-        assert get() == before and not workers.running()
+        assert get() == before and not workers._running
         assert the_worker() is worker
 
     @pytest.mark.parametrize("without", ["thread controls", "a second CPU"])
@@ -402,7 +448,7 @@ class TestPinnedTraining:
         running, adam_step = [], nm.adam_step
 
         def recording_step(store, lr, span, product=None):
-            running.append(workers.running())
+            running.append(workers._running)
             adam_step(store, lr, span, product)
 
         monkeypatch.setattr(nm, "adam_step", recording_step)
@@ -501,14 +547,8 @@ class TestPinnedPrediction:
         monkeypatch.setattr(workers, "PAIR_MIN", 1)
         budget = 2 * max(len(s) for s in overfit_sentences)
         monkeypatch.setattr(evaluator, "PREDICT_TOKEN_BUDGET", budget)
-        handed, in_parallel = [], workers.in_parallel
-
-        def counting(here, there):
-            handed.append(there)
-            in_parallel(here, there)
-
-        monkeypatch.setattr(workers, "in_parallel", counting)
-        predict_corpus(model, overfit_sentences)
+        with hand_offs() as handed:
+            predict_corpus(model, overfit_sentences)
         instances = make_instances(overfit_sentences, model.lexicon,
                                    require_gold=False)
         batches = len(list(evaluator._batches(instances, budget)))
@@ -531,7 +571,7 @@ class TestPinnedPrediction:
             pass
 
         def recording(batch, graphs):
-            seen.append((get(), workers.running()))
+            seen.append((get(), workers._running))
             if raises and len(seen) == 2:
                 raise Boom
             return predict(batch, graphs)
@@ -542,7 +582,7 @@ class TestPinnedPrediction:
                 predict_corpus(model, overfit_sentences)
             assert get() == 2
         assert seen and set(seen) == {(1, True)}
-        assert not workers.running() and the_worker() is worker
+        assert not workers._running and the_worker() is worker
 
     def test_dev_pass_in_train_starts_no_second_worker(
             self, overfit_sentences, overfit_lexicon, tmp_path, monkeypatch):
@@ -553,7 +593,7 @@ class TestPinnedPrediction:
         passes, predict = [], evaluator.predict_corpus
 
         def recording(model, sentences, graph_transform=None):
-            passes.append(workers.running())
+            passes.append(workers._running)
             return predict(model, sentences, graph_transform)
 
         cfg = small_config(**TestPinnedTraining.CFG)
@@ -603,7 +643,7 @@ class TestPinnedPrediction:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors and len(results) == 80
         assert all(result == lone for result in results)
-        assert not workers.running()
+        assert not workers._running
 
     def test_bytes_do_not_depend_on_blas_threads(self, overfit_lexicon,
                                                  overfit_sentences,
@@ -644,11 +684,6 @@ class TestPinnedModels:
         shape = SrlModel(cfg, overfit_lexicon, np.random.default_rng(0)
                          ).store["embed.word"].shape
         pretrained = np.random.default_rng(1).uniform(-1, 1, shape)
-        handed, in_parallel = [], workers.in_parallel
-
-        def counting(here, there):
-            handed.append(there)
-            in_parallel(here, there)
 
         def build():
             rng = np.random.default_rng(5)
@@ -657,14 +692,14 @@ class TestPinnedModels:
                     model.tables.word_pretrained.data.tobytes(),
                     rng.bit_generator.state)
 
-        monkeypatch.setattr(workers, "in_parallel", counting)
-        inside = build()
-        assert handed
-        with monkeypatch.context() as patched:
-            patched.setattr(workers, "two_workers", contextlib.nullcontext)
-            handed.clear()
-            outside = build()
-            assert not handed
+        with hand_offs() as handed:
+            inside = build()
+            assert handed
+            with monkeypatch.context() as patched:
+                patched.setattr(workers, "two_workers", contextlib.nullcontext)
+                handed.clear()
+                outside = build()
+                assert not handed
         assert inside == outside
 
     @pytest.mark.parametrize("case", ["build", "build raises", "load",
@@ -691,7 +726,7 @@ class TestPinnedModels:
             init = classifier.init_classifier
 
             def recording(params, rng):
-                seen.append((get(), workers.running()))
+                seen.append((get(), workers._running))
                 if case == "build raises":
                     raise Boom
                 init(params, rng)
@@ -705,7 +740,7 @@ class TestPinnedModels:
             load = nm.load_checkpoint
 
             def recording(path, into=None):
-                seen.append((get(), workers.running()))
+                seen.append((get(), workers._running))
                 return load(path, into)
 
             monkeypatch.setattr(nm, "load_checkpoint", recording)
@@ -725,7 +760,7 @@ class TestPinnedModels:
                 call()
             assert get() == 2
         assert seen == [(1, True)]
-        assert not workers.running() and the_worker() is worker
+        assert not workers._running and the_worker() is worker
 
 
 def container(path, dtype) -> dict[str, np.ndarray]:
